@@ -42,6 +42,8 @@ class DramModel:
         self._tenant_counts: Dict[int, Dict[str, int]] = {}
         self._callbacks: Dict[int, Callable[[DramRequest], None]] = {}
         self._completed: List[DramRequest] = []
+        #: earliest ``complete_cycle`` among ``_completed`` (None: empty)
+        self._next_completion: Optional[int] = None
 
     def attach_trace(self, tracer, tenant: Optional[int] = None) -> None:
         """Register every channel as an event track on ``tracer``.
@@ -113,6 +115,9 @@ class DramModel:
             channel.tick(self.cycle)
             for request in channel.drain_completed():
                 self._completed.append(request)
+                earliest = self._next_completion
+                if earliest is None or request.complete_cycle < earliest:
+                    self._next_completion = request.complete_cycle
 
     def next_completion(self) -> Optional[int]:
         """Cycle of the earliest undelivered completion (None if none).
@@ -121,9 +126,7 @@ class DramModel:
         requests have no completion cycle until the FR-FCFS scheduler
         issues them.
         """
-        if not self._completed:
-            return None
-        return min(r.complete_cycle for r in self._completed)
+        return self._next_completion
 
     def advance_to(self, cycle: int) -> None:
         """Fast-forward the memory clock across provably idle cycles.
@@ -140,10 +143,15 @@ class DramModel:
         Completions are buffered until their ``complete_cycle`` passes,
         then returned (and callbacks fired) exactly once.
         """
+        earliest = self._next_completion
+        if earliest is None or earliest > self.cycle:
+            return []           # nothing matures on most cycles
         ready = [r for r in self._completed
                  if r.complete_cycle <= self.cycle]
         self._completed = [r for r in self._completed
                            if r.complete_cycle > self.cycle]
+        self._next_completion = min(
+            (r.complete_cycle for r in self._completed), default=None)
         for request in ready:
             if request.tenant is not None:
                 counts = self._tenant_counts.get(request.tenant)

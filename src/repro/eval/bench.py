@@ -376,9 +376,10 @@ def compare_batch(report: dict, baseline: dict) -> List[str]:
         failures.append(
             f"batch speedup regression: {report['speedup']:.1f}x vs "
             f"committed floor {min_speedup:.1f}x "
-            f"({report['instances']} instances, batch "
-            f"{report['batch_s']:.2f}s, est sequential "
-            f"{report['est_sequential_s']:.2f}s)")
+            f"(base: solo {report['per_run_s'] * 1e3:.0f} ms/run x "
+            f"{report['instances']} instances = "
+            f"{report['est_sequential_s']:.2f}s; batch "
+            f"{report['batch_s']:.2f}s)")
     want_n = baseline.get("instances")
     if want_n is not None and report["instances"] != want_n:
         failures.append(
@@ -435,8 +436,9 @@ def cmd_bench_batch(args) -> int:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print(f"batch gate passed (floor "
-              f"{baseline.get('min_speedup', 0):.1f}x)")
+        print(f"batch gate passed: {report['speedup']:.1f}x over a "
+              f"base of {report['per_run_s'] * 1e3:.0f} ms per solo run "
+              f"(floor {baseline.get('min_speedup', 0):.1f}x)")
     elif report["mismatches"] or report["errors"]:
         for failure in report["mismatches"] + report["errors"]:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -449,13 +451,13 @@ def render(report: dict) -> str:
     lines = [f"simulator benchmark — scale={report['scale']} "
              f"scheduler={report['scheduler']} rev={report['rev']}",
              f"{'benchmark':14s} {'cycles':>9s} {'wall ms':>9s} "
-             f"{'Mcyc/s':>8s} {'exec':>9s} {'fastfwd':>9s}"
+             f"{'kcyc/s':>8s} {'exec':>9s} {'fastfwd':>9s}"
              + ("  speedup" if any('speedup_vs_dense' in r for r in
                                    report['benchmarks']) else "")]
     for row in report["benchmarks"]:
         line = (f"{row['name']:14s} {row['cycles']:9d} "
                 f"{row['wall_s'] * 1e3:9.2f} "
-                f"{row['cycles_per_sec'] / 1e6:8.2f} "
+                f"{row['cycles_per_sec'] / 1e3:8.1f} "
                 f"{row.get('executed_cycles', row['cycles']):9d} "
                 f"{row.get('fast_forwarded_cycles', 0):9d}")
         if "speedup_vs_dense" in row:
@@ -464,7 +466,7 @@ def render(report: dict) -> str:
     totals = report["totals"]
     lines.append(f"{'total':14s} {totals['cycles']:9d} "
                  f"{totals['wall_s'] * 1e3:9.2f} "
-                 f"{totals['cycles_per_sec'] / 1e6:8.2f}")
+                 f"{totals['cycles_per_sec'] / 1e3:8.1f}")
     if "compile_s" in totals:
         lines.append(f"wall split: compile "
                      f"{totals['compile_s'] * 1e3:.2f} ms, simulate "

@@ -123,11 +123,8 @@ class Expr:
         """Direct sub-expressions (empty for leaves)."""
         return ()
 
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):  # identity semantics; use .eq() for symbolic ==
-        return self is other
+    # no __eq__/__hash__: the defaults already are object identity (use
+    # .eq() for symbolic ==), and they run in C
 
 
 Number = Union[int, float, bool]

@@ -3,7 +3,6 @@
 from repro.sim.config import (AgAssignment, FabricConfig, LeafTiming,
                               MemoryPlacement)
 from repro.sim.counters import Batch, ChainEnumerator
-from repro.sim.datapath import LaneContext
 from repro.sim.dram_image import DramImage, assign_bases
 from repro.sim.fabric import Fabric, Tenant
 from repro.sim.fifo import FifoSim
@@ -18,7 +17,6 @@ from repro.sim.stats import SimStats
 __all__ = [
     "AgAssignment", "FabricConfig", "LeafTiming", "MemoryPlacement",
     "Batch", "ChainEnumerator",
-    "LaneContext",
     "DramImage", "assign_bases",
     "Fabric", "Tenant",
     "FifoSim",

@@ -2,10 +2,11 @@
 
 Figure-7 sweeps, DSE, fuzz campaigns, and service traffic all simulate
 the *same compiled structure* under different parameters.  Running those
-instances independently re-evaluates every datapath expression N times,
-and profiling shows expression evaluation is ~85% of simulated wall
-time.  ``run_batch`` removes that redundancy without giving up
-cycle-exactness:
+instances independently re-evaluates every datapath expression N times
+(~85% of a solo run when this was written and the datapath was a
+per-lane interpreter; far less with the compiled kernels of
+``repro.sim.datapath`` — docs/ARCHITECTURE.md has the measured ratios).
+``run_batch`` removes that redundancy without giving up cycle-exactness:
 
 * Instances are grouped into **cohorts** by their *functional* inputs
   (the DRAM data they run on).  Timing-only overrides — pipeline depth,
@@ -335,13 +336,13 @@ class _RecordingInnerComputeSim(InnerComputeSim):
         super()._apply_finals()
         self._act.finish = self._sink
 
-    def _write_sram(self, ctx, mem, idxs, value):
-        flat = super()._write_sram(ctx, mem, idxs, value)
+    def _write_sram(self, mem, idxs, value):
+        flat = super()._write_sram(mem, idxs, value)
         self._sink.append(("s", mem.name, flat, value))
         return flat
 
-    def _write_reg(self, ctx, mem, value):
-        super()._write_reg(ctx, mem, value)
+    def _write_reg(self, mem, value):
+        super()._write_reg(mem, value)
         self._sink.append(("r", mem.name, value))
 
     def _hash_store(self, mem, buf, key, value):
@@ -374,7 +375,6 @@ class _ReplayInnerComputeSim(InnerComputeSim):
                 "parameters")
         self._act = acts[self._cursor]
         self._cursor += 1
-        self._ctx_cur = None
         self._accs = {}
         self._enum = _ReplayEnumerator(self._act.batches)
 

@@ -17,18 +17,26 @@ from repro.patterns import expr as E
 
 
 class Batch:
-    """One vector issue: shared outer bindings + per-lane inner values."""
+    """One vector issue: the outer bindings every lane shares plus the
+    innermost index's value per lane."""
 
-    __slots__ = ("lane_bindings", "outer")
+    __slots__ = ("outer", "index", "values")
 
-    def __init__(self, lane_bindings: List[dict], outer: dict):
-        self.lane_bindings = lane_bindings
+    def __init__(self, outer: dict, index: E.Idx, values: List[int]):
         self.outer = outer
+        self.index = index
+        self.values = values
 
     @property
     def lanes(self) -> int:
         """Active lanes in this issue."""
-        return len(self.lane_bindings)
+        return len(self.values)
+
+    @property
+    def lane_bindings(self) -> List[dict]:
+        """Full bindings per lane (built on demand: datapath kernels
+        iterate ``values`` under ``outer`` instead)."""
+        return [{**self.outer, self.index: v} for v in self.values]
 
 
 class ChainEnumerator:
@@ -112,31 +120,24 @@ class ChainEnumerator:
             if not self._descend(0):
                 self._exhausted = True
                 return None
-        depth = self.chain.depth
-        inner = depth - 1
+        inner = self.chain.depth - 1
         counter = self.chain.counters[inner]
         outer = self._bindings_upto(inner)
-        lanes = []
-        value = self._cur[inner]
-        for _ in range(counter.par):
-            if value >= self._hi[inner]:
-                break
-            if self._emitted + len(lanes) >= self.max_total:
-                # trip before the over-limit batch exists: a runaway
-                # data-dependent bound must not commit partial state
-                raise SimulationError(
-                    "counter chain exceeded max_total="
-                    f"{self.max_total} iterations; runaway dynamic "
-                    "bound?")
-            lane = dict(outer)
-            lane[self.chain.indices[inner]] = value
-            lanes.append(lane)
-            value += counter.step
-        self._emitted += len(lanes)
+        start = self._cur[inner]
+        stop = min(self._hi[inner], start + counter.par * counter.step)
+        values = list(range(start, stop, counter.step))
+        if self._emitted + len(values) > self.max_total:
+            # trip before the over-limit batch exists: a runaway
+            # data-dependent bound must not commit partial state
+            raise SimulationError(
+                "counter chain exceeded max_total="
+                f"{self.max_total} iterations; runaway dynamic "
+                "bound?")
+        self._emitted += len(values)
         # position after the batch; wrap into outer dims when exhausted
-        self._cur[inner] = value
-        if value >= self._hi[inner]:
+        self._cur[inner] = start + len(values) * counter.step
+        if self._cur[inner] >= self._hi[inner]:
             self._advance(inner - 1)
-        if not lanes:
+        if not values:
             return self.next_batch()
-        return Batch(lanes, outer)
+        return Batch(outer, self.chain.indices[inner], values)

@@ -1,121 +1,491 @@
-"""Datapath evaluation: symbolic expressions over on-chip memory state.
+"""Datapath kernels: expression DAGs compiled once to straight-line Python.
 
-The PCU datapath is evaluated functionally, one lane at a time, while the
-addresses touched per scratchpad are recorded so the caller can charge
-bank-conflict cycles per the banking mode.
+A PCU is statically configured, so nothing about an inner controller's
+body changes between cycles.  Each body is therefore turned — once, on
+the leaf's first vector issue — into the source of one function that
+runs every statement over the lanes of an issue (:func:`compile_body`).
+The once-per-activation scalars (counter bounds, transfer offsets and
+counts, the carry combine) go through the same emitter
+(:class:`Evaluator`).  What the generated code keeps, because the
+bit-identical invariants and the batch recorder rest on it:
+
+* statement-major, lane-minor order; a store is visible to every later
+  lane and statement of the issue, so a scratchpad's buffer is fetched
+  once per issue only when the body never stores to it;
+* a node is evaluated at most once per lane per issue, *across
+  statements*: a node with several users holds the :data:`_U` sentinel
+  until the first of them needs it (and travels to later statements in
+  a per-lane list); reduce and hash combines are scopes of their own,
+  so their loads are re-read and re-recorded;
+* ``Select`` and ``EmitStmt`` values are lazy: the untaken side does no
+  bounds check, records no access and raises nothing;
+* unbounded Python ints, float64 arithmetic rounded to float32 after
+  every FLOAT32-typed node, ``math.*`` transcendentals (they raise);
+* one address list per ``(sram name, load site)`` in lane order, in the
+  ``reads`` map the caller prices bank conflicts from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import struct
+from collections import Counter
+from contextlib import contextmanager
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dhdl.memory import FifoDecl, Reg, Sram
+from repro.dhdl.ir import EmitStmt, HashReduceStmt, ReduceStmt, WriteStmt
+from repro.dhdl.memory import Reg, Sram
 from repro.errors import SimulationError
 from repro.patterns import expr as E
-from repro.patterns.collections import _np_dtype
+from repro.patterns.expr import _BINARY_EVAL, _UNARY_EVAL
 from repro.sim.scratchpad import MemoryState
 
+#: value of a node that has not been evaluated / a symbol that is unbound
+_U = object()
 
-class LaneContext:
-    """Evaluates expressions for one activation of an inner controller.
+_PACK_F32 = struct.Struct("f").pack
+_UNPACK_F32 = struct.Struct("f").unpack
 
-    ``version`` selects which N-buffer generation reads observe.
-    ``accesses`` accumulates ``(sram name, load site) -> [flat
-    addresses]`` for the current vector of lanes; the controller drains
-    it each cycle to price bank conflicts.  Each load site is priced as
-    its own pipelined operand stream (distinct pipeline stages issue
-    their reads on different cycles).
-    """
 
-    def __init__(self, mem: MemoryState, version: int):
+def _rnd(value):
+    """Round a float to float32, as every FLOAT32-typed node does; ints
+    and bools pass through unchanged."""
+    if isinstance(value, float):
+        try:
+            return _UNPACK_F32(_PACK_F32(value))[0]
+        except OverflowError:       # finite but beyond float32: +-inf
+            return float(np.float32(value))
+    return value
+
+
+def _fail(*parts):
+    raise SimulationError("".join(map(str, parts)))
+
+
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "mod": "%", "lt": "<",
+          "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
+_PREFIX = {"neg": "-", "not": "not "}
+
+_NAMESPACE = {"_U": _U, "_rnd": _rnd, "_fail": _fail}
+_NAMESPACE.update((f"_b_{op}", fn) for op, fn in _BINARY_EVAL.items())
+_NAMESPACE.update((f"_u_{op}", fn) for op, fn in _UNARY_EVAL.items())
+
+
+class _Emitter:
+    """Source text of one generated function plus the objects it names.
+
+    ``head`` runs once per call (symbol fetches, address lists, hoisted
+    buffers), ``body`` is the code proper, ``tail`` tidies up."""
+
+    def __init__(self, mem: MemoryState, stored=()):
         self.mem = mem
-        self.version = version
-        self.accesses: Dict[str, List[int]] = {}
-        self.fifo_pops: List[Tuple[FifoDecl, object]] = []
+        #: names of memories the code itself stores to: their buffers
+        #: and registers are fetched per load, the others' once per call
+        self.stored = frozenset(stored)
+        self.ns = dict(_NAMESPACE)
+        self.head: List[str] = []
+        self.body: List[str] = []
+        self.tail: List[str] = []
+        self.ind = 1
+        self._n = 0
+        #: symbol / load site / memory -> the local or global naming it
+        self._named: Dict[object, str] = {}
+        self._checked = set()
 
-    def reset_accesses(self) -> Dict[str, List[int]]:
-        """Return and clear the recorded accesses."""
-        out, self.accesses = self.accesses, {}
-        return out
+    def name(self, prefix: str) -> str:
+        self._n += 1
+        return f"{prefix}{self._n}"
 
-    # -- evaluation ---------------------------------------------------------------
-    def eval(self, node: E.Expr, bindings, cache=None):
-        """Evaluate one expression to a scalar under lane bindings."""
-        if cache is None:
-            cache = {}
-        if node in cache:
-            return cache[node]
-        result = self._eval(node, bindings, cache)
-        if isinstance(result, float) and node.dtype == E.FLOAT32:
-            result = float(np.float32(result))
-        cache[node] = result
-        return result
+    def const(self, obj, prefix: str = "k") -> str:
+        """Bind an object into the function's globals; returns its name."""
+        name = self.name(prefix)
+        self.ns[name] = obj
+        return name
 
-    def _eval(self, node, bindings, cache):
+    def line(self, text: str) -> None:
+        self.body.append("    " * self.ind + text)
+
+    def local(self, prefix: str, text: str) -> str:
+        """Assign an expression to a fresh local; returns the local."""
+        var = self.name(prefix)
+        self.line(f"{var} = {text}")
+        return var
+
+    @staticmethod
+    def fail(before: str, value: str = "''", after: str = "") -> str:
+        """A call raising ``SimulationError(before + str(value) + after)``
+        where ``value`` is an expression of the generated code."""
+        return f"_fail({before!r}, {value}, {after!r})"
+
+    def symbol(self, node, lazy: bool) -> str:
+        """Local holding ``env[node]``, fetched once per call.  The
+        unbound check is hoisted with it unless only lazily evaluated
+        paths read the symbol (then each of them checks)."""
+        var = self._named.get(node)
+        if var is None:
+            var = self._named[node] = self.name("s")
+            self.head.append(f"    {var} = env.get({self.const(node)}, _U)")
+            if isinstance(node, E.Var) and node.dtype == E.FLOAT32:
+                self.head.append(f"    {var} = _rnd({var})")
+        if node not in self._checked:
+            check = f"if {var} is _U: " + self.fail(
+                f"unbound symbol {node!r} in datapath")
+            if lazy:
+                self.line(check)
+            else:
+                self.head.append("    " + check)
+                self._checked.add(node)
+        return var
+
+    def site(self, node: E.Load, lazy: bool) -> str:
+        """The address list of one load site, created in first-use
+        order like the access map it joins; a site no lane reached
+        leaves no entry."""
+        var = self._named.get(node)
+        if var is None:
+            var = self._named[node] = self.name("a")
+            key = self.const((node.array.name, id(node)))
+            self.head.append(f"    {var} = reads.setdefault({key}, [])")
+            if lazy:
+                self.tail.append(f"    if not {var}: del reads[{key}]")
+        return var
+
+    def memory(self, target) -> str:
+        """Name bound to the runtime state of memory ``target`` (one
+        that was never placed fails the build)."""
+        key = (type(target), target.name)
+        if key not in self._named:
+            sim = self.mem.reg(target) if isinstance(target, Reg) \
+                else self.mem.scratch(target)
+            self._named[key] = self.const(sim, "m")
+        return self._named[key]
+
+    def read(self, target, flat: str, lazy: bool) -> str:
+        """Expression reading a register, or word ``flat`` of a
+        scratchpad (cells unbox to exactly representable values, so
+        loads need no rounding)."""
+        is_reg = isinstance(target, Reg)
+        fetch = self.memory(target) + (
+            ".read()" if is_reg else ".read_buffer(version).item")
+        # reading a never-written version creates it, so a buffer only
+        # lazy paths read is fetched where it is read
+        if target.name not in self.stored and (is_reg or not lazy):
+            key = ("hoisted", target.name)
+            if key not in self._named:
+                self._named[key] = self.name("b")
+                self.head.append(f"    {self._named[key]} = {fetch}")
+            fetch = self._named[key]
+        return fetch if is_reg else f"{fetch}({flat})"
+
+    def build(self, name: str, params: Sequence[str],
+              result: str = "") -> Callable:
+        lines = [f"def {name}({', '.join(params)}):"] + self.head \
+            + self.body + self.tail
+        if result:
+            lines.append(f"    return {result}")
+        source = "\n".join(lines) + "\n"
+        try:
+            code = compile(source, f"<datapath {name}>", "exec")
+        except SyntaxError as err:      # ~100 Selects nested in branches
+            raise SimulationError(
+                f"datapath {name} nests too deeply to compile: {err.msg}")
+        exec(code, self.ns)
+        fn = self.ns[name]
+        fn.source = source
+        return fn
+
+
+class _Scope:
+    """One memo scope over the DAG under ``roots``.  A node with one
+    user is computed where that user is; a node with several (the
+    keys of ``var``) starts each lane as :data:`_U` and is computed by
+    whichever user reaches it first."""
+
+    def __init__(self, em: _Emitter, bound: Dict[E.Expr, str],
+                 roots: Sequence[E.Expr]):
+        self.em = em
+        self.roots = roots
+        #: symbols the generated code binds itself (loop index,
+        #: accumulator operands) -> the expression holding them
+        self.bound = bound
+        uses = Counter(roots)
+        for node in {n: None for r in roots for n in E.postorder(r)}:
+            uses.update(node.children())
+        #: shared node -> its local (the other nodes get theirs on use)
+        self.var: Dict[E.Expr, str] = {
+            n: em.name("v") for n, count in uses.items() if count > 1
+            and not isinstance(n, (E.Const, E.Idx, E.Var))}
+        #: shared nodes some / every path to this point has evaluated
+        self.touched, self.done = set(), set()
+        #: > 0 while emitting code only some executions reach
+        self.depth = 0
+
+    @contextmanager
+    def lazily(self, depth: int = 1):
+        """Emit an indented block only some executions enter."""
+        self.em.ind += 1
+        self.depth += depth
+        done = set(self.done)
+        try:
+            yield
+        finally:
+            self.done = done
+            self.depth -= depth
+            self.em.ind -= 1
+
+    def reset(self, nodes) -> str:
+        """Statement marking (shared) ``nodes`` as not evaluated."""
+        return " = ".join([self.var[n] for n in nodes] + ["_U"])
+
+    def need(self, node: E.Expr) -> str:
+        """Emit whatever evaluates ``node`` here; returns the expression
+        naming its value."""
+        em = self.em
         if isinstance(node, E.Const):
-            return node.value
+            value = _rnd(node.value) if node.dtype == E.FLOAT32 \
+                else node.value
+            if type(value) in (int, bool) or (
+                    type(value) is float and abs(value) < float("inf")):
+                return f"({value!r})" if value < 0 else repr(value)
+            return em.const(value)
         if isinstance(node, (E.Idx, E.Var)):
-            try:
-                return bindings[node]
-            except KeyError:
-                raise SimulationError(
-                    f"unbound symbol {node!r} in datapath") from None
+            return self.bound.get(node) or em.symbol(node, self.depth > 0)
+        var = self.var.get(node)
+        if var is None:                 # its only user: compute it here
+            var = em.name("v")
+            self._compute(node, var)
+        elif node not in self.touched:  # the first user to be emitted
+            self.touched.add(node)
+            self._compute(node, var)
+            self.done.add(node)
+        elif node not in self.done:
+            # reaching this point evaluates the node one way or the
+            # other, so the guarded block is no lazier than this point
+            em.line(f"if {var} is _U:")
+            with self.lazily(depth=0):
+                self._compute(node, var)
+            self.done.add(node)
+        return var
+
+    def need_int(self, node: E.Expr) -> str:
+        """``int(value of node)``: indices and keys truncate."""
+        text = self.need(node)
+        if isinstance(node, E.Idx) or (
+                isinstance(node, E.Const) and type(node.value) is int):
+            return text
+        return self.em.local("j", f"int({text})")
+
+    def _compute(self, node: E.Expr, var: str) -> None:
+        em = self.em
+        rounds = node.dtype == E.FLOAT32
         if isinstance(node, E.Load):
-            return self._load(node, bindings, cache)
-        if isinstance(node, E.BinOp):
-            return E.eval_binary(node.op,
-                                 self.eval(node.lhs, bindings, cache),
-                                 self.eval(node.rhs, bindings, cache))
-        if isinstance(node, E.UnOp):
-            return E.eval_unary(node.op,
-                                self.eval(node.operand, bindings, cache))
+            self._load(node, var)
+            return
         if isinstance(node, E.Select):
-            cond = self.eval(node.cond, bindings, cache)
-            branch = node.if_true if cond else node.if_false
-            return self.eval(branch, bindings, cache)
-        raise SimulationError(f"cannot evaluate {node!r} on the datapath")
+            em.line(f"if {self.need(node.cond)}:")
+            for branch in (node.if_true, node.if_false):
+                with self.lazily():
+                    text = self.need(branch)
+                    # a FLOAT32 branch has rounded its value already
+                    if rounds and branch.dtype != E.FLOAT32:
+                        text = f"_rnd({text})"
+                    em.line(f"{var} = {text}")
+                if branch is node.if_true:
+                    em.line("else:")
+            return
+        if isinstance(node, E.BinOp):
+            lhs, rhs = self.need(node.lhs), self.need(node.rhs)
+            text = f"{lhs} {_INFIX[node.op]} {rhs}" if node.op in _INFIX \
+                else f"_b_{node.op}({lhs}, {rhs})"
+        elif isinstance(node, E.UnOp):
+            operand = self.need(node.operand)
+            text = f"{_PREFIX[node.op]}{operand}" if node.op in _PREFIX \
+                else f"_u_{node.op}({operand})"
+        else:
+            text = em.fail(f"cannot evaluate {node!r} on the datapath")
+        em.line(f"{var} = _rnd({text})" if rounds else f"{var} = {text}")
 
-    def _load(self, node: E.Load, bindings, cache):
+    def _load(self, node: E.Load, var: str) -> None:
+        em = self.em
         target = node.array
+        lazy = self.depth > 0
         if isinstance(target, Reg):
-            return self.mem.reg(target).read()
-        if isinstance(target, Sram):
-            idxs = [int(self.eval(i, bindings, cache))
-                    for i in node.indices]
-            scratch = self.mem.scratch(target)
-            buf = scratch.read_buffer(self.version)
-            flat = 0
-            for axis, idx in enumerate(idxs):
-                if idx < 0 or idx >= buf.shape[axis]:
-                    raise SimulationError(
-                        f"scratchpad OOB: {target.name}[{idxs}] shape "
-                        f"{buf.shape}")
-                flat = flat * buf.shape[axis] + idx
-            self.accesses.setdefault((target.name, id(node)),
-                                     []).append(flat)
-            return buf[tuple(idxs)].item()
-        raise SimulationError(
-            f"datapath cannot read {type(target).__name__} "
-            f"{getattr(target, 'name', '?')!r}")
+            em.line(f"{var} = {em.read(target, '', lazy)}")
+            return
+        if not isinstance(target, Sram):
+            em.line(em.fail(f"datapath cannot read {type(target).__name__} "
+                            f"{getattr(target, 'name', '?')!r}"))
+            return
+        idxs = [self.need_int(i) for i in node.indices]
+        shape = target.shape
+        checks = " and ".join(f"0 <= {i} < {dim}"
+                              for i, dim in zip(idxs, shape))
+        em.line(f"if not ({checks}): " + em.fail(
+            f"scratchpad OOB: {target.name}[", f"[{', '.join(idxs)}]",
+            f"] shape {shape}"))
+        flat = idxs[0]
+        for i, dim in zip(idxs[1:], shape[1:]):
+            flat = f"({flat}) * {dim} + {i}"
+        if len(idxs) > 1:
+            flat = em.local("j", flat)
+        em.line(f"{em.site(node, lazy)}.append({flat})")
+        em.line(f"{var} = {em.read(target, flat, lazy)}")
 
-    # -- writes -------------------------------------------------------------------
-    def write_sram(self, sram: Sram, idxs, value) -> int:
-        """Write one element into the version buffer; returns flat addr."""
-        scratch = self.mem.scratch(sram)
-        buf = scratch.buffer(self.version)
-        flat = 0
-        for axis, idx in enumerate(idxs):
-            if idx < 0 or idx >= buf.shape[axis]:
-                raise SimulationError(
-                    f"scratchpad OOB write: {sram.name}[{list(idxs)}] "
-                    f"shape {buf.shape}")
-            flat = flat * buf.shape[axis] + idx
-        buf[tuple(int(i) for i in idxs)] = _np_dtype(sram.dtype)(value)
-        scratch.note_write(self.version, flat)
-        return flat
+    def operand(self, var: E.Var, source, text: str) -> None:
+        """Bind accumulator operand ``var`` to the value ``text`` of
+        node ``source`` (None: unknown origin).  Reading a FLOAT32
+        operand rounds, which only shows when the value did not come
+        from a FLOAT32 node."""
+        if var.dtype == E.FLOAT32 and (source is None
+                                       or source.dtype != E.FLOAT32):
+            text = self.em.local("p", f"_rnd({text})")
+        self.bound[var] = text
 
-    def write_reg(self, reg: Reg, value) -> None:
-        """Write a scalar register."""
-        self.mem.reg(reg).write(value)
+
+class Evaluator:
+    """Per-simulator cache of compiled scalar expressions: counter
+    bounds, transfer offsets and counts, carry combines."""
+
+    def __init__(self, mem: MemoryState):
+        self.mem = mem
+        self._fns: Dict[object, Callable] = {}
+
+    def _compile(self, key, roots: Sequence[E.Expr],
+                 operands: Sequence[E.Var] = ()) -> Callable:
+        """``fn(version, env, reads, *operand values)`` -> root values."""
+        em = _Emitter(self.mem)
+        params = [em.name("q") for _ in operands]
+        scope = _Scope(em, {}, roots)
+        if scope.var:
+            em.line(scope.reset(scope.var))
+        for var, param in zip(operands, params):
+            scope.operand(var, None, param)
+        result = ", ".join([scope.need(root) for root in roots])
+        fn = self._fns[key] = em.build(
+            "scalar", ["version", "env", "reads"] + params, f"[{result}]")
+        return fn
+
+    def __call__(self, expr: E.Expr, env: dict, version, reads=None):
+        """Value of ``expr`` under symbol bindings ``env``; loads land
+        in ``reads`` (dropped when the caller prices nothing)."""
+        if type(expr) is E.Const and type(expr.value) is int:
+            return expr.value           # most counter bounds
+        fn = self._fns.get(expr) or self._compile(expr, (expr,))
+        return fn(version, env, {} if reads is None else reads)[0]
+
+    def combine(self, stmt: ReduceStmt, env: dict, version,
+                current: Sequence, values: Sequence) -> list:
+        """``stmt.combines`` over (current target contents, reduced
+        values) in one fresh scope — the carry step at activation end.
+        Its loads are not priced."""
+        fn = self._fns.get(stmt) or self._compile(
+            stmt, stmt.combines, stmt.acc_a + stmt.acc_b)
+        return fn(version, env, {}, *current, *values)
+
+
+def compile_body(sim) -> Callable:
+    """The kernel of one inner controller:
+    ``kernel(version, env, lanes, reads, writes, accs)`` runs every
+    statement of ``sim.leaf`` for the innermost index values ``lanes``
+    under the outer bindings ``env``.  Effects go through ``sim``'s
+    ``_write_sram/_write_reg/_hash_store/_emit_values`` primitives; load
+    addresses land in ``reads``, store addresses in ``writes``, reduce
+    state in ``accs[stmt index][key] = (env, lane, *values)``."""
+    stmts = sim.leaf.stmts
+    em = _Emitter(sim.mem, {s.mem.name for s in stmts
+                            if isinstance(s, (WriteStmt, HashReduceStmt))})
+    index = sim.leaf.chain.indices[-1]
+    # what each statement's lanes evaluate in the scope they share:
+    # everything but the combines, which are scopes of their own
+    roots = [[r for r in s.exprs() if r is not getattr(s, "combine", None)
+              and r not in getattr(s, "combines", ())] for s in stmts]
+    main = _Scope(em, {index: "x"}, [r for rs in roots for r in rs])
+    reach = [{n for r in rs for n in E.postorder(r)} for rs in roots]
+    #: shared node -> per-lane list an earlier statement left it in
+    carried: Dict[E.Expr, str] = {}
+    kernel = em.body
+    for si, stmt in enumerate(stmts):
+        here = [n for n in main.var if n in reach[si]]
+        imports = [n for n in here if n in carried]
+        loop = "for x in lanes:" if not imports else \
+            "for x, {} in zip(lanes, {}):".format(
+                ", ".join(main.var[n] for n in imports),
+                ", ".join(carried[n] for n in imports))
+        em.body, em.ind = [], 2
+        if len(here) > len(imports):
+            em.line(main.reset([n for n in here if n not in carried]))
+        before, after = _emit_statement(em, sim, main, si, stmt, index)
+        for node in here:
+            if any(node in later for later in reach[si + 1:]):
+                carried[node] = em.name("c")
+                before.append(f"{carried[node]} = []")
+                em.line(f"{carried[node]}.append({main.var[node]})")
+        kernel += ["    " + text for text in before + [loop]] + em.body \
+            + ["    " + text for text in after]
+    em.body = kernel
+    return em.build("kernel", ["version", "env", "lanes", "reads",
+                               "writes", "accs"])
+
+
+def _emit_statement(em: _Emitter, sim, main: _Scope, si: int, stmt,
+                    index) -> Tuple[List[str], List[str]]:
+    """Emit one statement's per-lane code; returns the lines that go
+    before and after its lane loop."""
+    if isinstance(stmt, WriteStmt):
+        value = main.need(stmt.value)
+        target = em.const(stmt.mem)
+        if isinstance(stmt.mem, Reg):
+            em.line(f"{em.const(sim._write_reg, 'f')}({target}, {value})")
+            return [], []
+        idxs = ", ".join([main.need_int(a) for a in stmt.addr])
+        em.line(f"w{si}.append({em.const(sim._write_sram, 'f')}"
+                f"({target}, [{idxs}], {value}))")
+        return [f"w{si} = writes.setdefault({stmt.mem.name!r}, [])"], []
+    if isinstance(stmt, EmitStmt):
+        em.line(f"if {main.need(stmt.cond)}:")
+        with main.lazily():
+            em.line(f"out{si}.append({main.need(stmt.value)})")
+        push = "{}({}, out{})".format(
+            em.const(sim._emit_values, "f"),
+            em.const(sim.fifos[stmt.fifo.name]), si)
+        return [f"out{si} = []"], [f"if out{si}: {push}"]
+    if isinstance(stmt, ReduceStmt):
+        values = [main.need(v) for v in stmt.values]
+        key = "({}{})".format(
+            ", ".join([main.need_int(a) for a in stmt.addr]),
+            "," if len(stmt.addr) == 1 else "")
+        prev = [em.name("p") for _ in values]
+        # inits are raw: reading the accumulator operand rounds them
+        inits = [em.const(_rnd(i) if a.dtype == E.FLOAT32 else i)
+                 for i, a in zip(stmt.inits, stmt.acc_a)]
+        em.line(f"_p = acc{si}.get({key})")
+        em.line(f"if _p is None: {', '.join(prev)} = {', '.join(inits)}")
+        em.line(f"else: _, _, {', '.join(prev)} = _p")
+        scope = _Scope(em, {index: "x"}, stmt.combines)
+        for k, p in enumerate(prev):
+            scope.operand(stmt.acc_a[k], stmt.combines[k], p)
+            scope.operand(stmt.acc_b[k], stmt.values[k], values[k])
+        before = [f"acc{si} = accs[{si}]"]
+        store = f"acc{si}[{key}] = (env, x, {{}})"
+    elif isinstance(stmt, HashReduceStmt):
+        # a lane-sequential read-modify-write of one bin
+        key = main.need_int(stmt.key)
+        value = main.need(stmt.value)
+        size = int(np.prod(stmt.mem.shape))
+        em.line(f"_buf = {em.memory(stmt.mem)}.buffer(version)")
+        em.line(f"if not (0 <= {key} < {size}): " + em.fail(
+            f"{sim.name}: hash key ", key, f" outside [0, {size})"))
+        scope = _Scope(em, {index: "x"}, (stmt.combine,))
+        scope.bound[stmt.acc_a] = em.local("p", f"_buf.item({key})")
+        scope.operand(stmt.acc_b, stmt.value, value)
+        before = [f"w{si} = writes.setdefault({stmt.mem.name!r}, [])"]
+        store = "{}({}, _buf, {}, {{}}); w{}.append({})".format(
+            em.const(sim._hash_store, "f"), em.const(stmt.mem), key, si,
+            key)
+    else:
+        raise SimulationError(f"unknown stmt {stmt!r}")
+    if scope.var:
+        em.line(scope.reset(scope.var))
+    em.line(store.format(", ".join([scope.need(c) for c in scope.roots])))
+    return before, []

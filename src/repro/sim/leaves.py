@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.dhdl.ir import (EmitStmt, Gather, HashReduceStmt, InnerCompute,
                            ReduceStmt, Scatter, StreamStore, TileLoad,
-                           TileStore, WriteStmt)
+                           TileStore)
 from repro.dhdl.memory import Reg, Sram
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
@@ -27,7 +27,7 @@ from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.sim.config import FabricConfig
 from repro.sim.counters import Batch, ChainEnumerator
-from repro.sim.datapath import LaneContext
+from repro.sim.datapath import Evaluator, compile_body
 from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
 from repro.sim.scheduler import Park
@@ -74,13 +74,12 @@ class _LeafCommon(NodeSim):
         self._sched = None
         #: park descriptor the last tick produced (event scheduler only)
         self._park = None
+        #: once-per-activation scalars (bounds, offsets, counts)
+        self._evaluate = Evaluator(mem)
 
     @property
     def busy(self) -> bool:
         return self._active
-
-    def _ctx(self, version: int) -> LaneContext:
-        return LaneContext(self.mem, version)
 
 
 class InnerComputeSim(_LeafCommon):
@@ -100,13 +99,19 @@ class InnerComputeSim(_LeafCommon):
         self.timing = config.timing_for(leaf.name)
         self.fifos = fifos
         self._enum: Optional[ChainEnumerator] = None
-        self._ctx_cur: Optional[LaneContext] = None
+        #: compiled body, built on the first vector issue
+        self._kernel = None
+        #: (sram name, load site) -> lane addresses since the last
+        #: priced issue (bound expressions evaluated while the counter
+        #: chain wraps read into the same map)
+        self._reads: Dict[Tuple, List[int]] = {}
         self._blocked_fifo: Optional[FifoSim] = None
         self._stall_until = 0
         self._drain_until = 0
         self._pending: Optional[Batch] = None
-        # reduce accumulators: stmt index -> {key: (bindings, value)}
-        self._accs: Dict[int, Dict[Tuple, Tuple[dict, object]]] = {}
+        # reduce accumulators: stmt index -> {key: (outer bindings,
+        # last lane's index value, *accumulated values)}
+        self._accs: Dict[int, Dict[Tuple, Tuple]] = {}
         self._version: tuple = ()
         # the statement list is frozen at construction, so the op count
         # per lane and the per-lane FIFO word demand are constants
@@ -141,11 +146,11 @@ class InnerComputeSim(_LeafCommon):
     def _begin_body(self, bindings: dict, version) -> None:
         """Set up evaluation state for one activation (overridden by the
         batch record/replay leaves)."""
-        self._ctx_cur = self._ctx(version)
-        ctx = self._ctx_cur
+        reads = self._reads = {}
+        scalar = self._evaluate
 
         def evaluate(expr, bnd):
-            return ctx.eval(expr, bnd, {})
+            return scalar(expr, bnd, version, reads)
 
         self._enum = ChainEnumerator(self.leaf.chain, evaluate, bindings)
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
@@ -234,7 +239,6 @@ class InnerComputeSim(_LeafCommon):
         Returns the extra stall cycles, or None if an EmitStmt found its
         FIFO full (the batch must be retried unchanged).
         """
-        ctx = self._ctx_cur
         # pre-check FIFO room for the worst case (all lanes emit);
         # demand is summed per FIFO — several EmitStmts feeding the same
         # FIFO each need batch.lanes words, and checking them one at a
@@ -242,20 +246,15 @@ class InnerComputeSim(_LeafCommon):
         if not self._check_fifo_room(batch.lanes):
             return None
 
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = compile_body(self)
+        reads = self._reads
         write_addrs: Dict[str, List[int]] = {}
-        lane_caches = [dict() for _ in batch.lane_bindings]
-        for si, stmt in enumerate(self.leaf.stmts):
-            if isinstance(stmt, WriteStmt):
-                self._do_write(stmt, batch, ctx, lane_caches, write_addrs)
-            elif isinstance(stmt, ReduceStmt):
-                self._do_reduce(si, stmt, batch, ctx, lane_caches)
-            elif isinstance(stmt, HashReduceStmt):
-                self._do_hash(stmt, batch, ctx, lane_caches, write_addrs)
-            elif isinstance(stmt, EmitStmt):
-                self._do_emit(stmt, batch, ctx, lane_caches)
-            else:
-                raise SimulationError(f"unknown stmt {stmt!r}")
-        extra = self._price(ctx.reset_accesses(), write_addrs)
+        kernel(self._version, batch.outer, batch.values, reads,
+               write_addrs, self._accs)
+        extra = self._price(reads, write_addrs)
+        reads.clear()
         self.stats.conflict_cycles += extra
         self.stats.ops_executed += self._ops_per_lane * batch.lanes
         return extra
@@ -287,69 +286,17 @@ class InnerComputeSim(_LeafCommon):
     # effect-application primitives: every architecturally visible write
     # funnels through one of these, so the batch recorder/replayer can
     # intercept them without touching evaluation logic
-    def _write_sram(self, ctx, mem, idxs, value) -> int:
-        return ctx.write_sram(mem, idxs, value)
+    def _write_sram(self, mem, idxs, value) -> int:
+        return self.mem.scratch(mem).store(self._version, idxs, value)
 
-    def _write_reg(self, ctx, mem, value) -> None:
-        ctx.write_reg(mem, value)
+    def _write_reg(self, mem, value) -> None:
+        self.mem.reg(mem).write(value)
 
     def _hash_store(self, mem, buf, key, value) -> None:
         buf.flat[key] = value
 
     def _emit_values(self, fifo: FifoSim, values: List) -> None:
         fifo.push(values)
-
-    def _do_write(self, stmt: WriteStmt, batch, ctx, caches, write_addrs):
-        for lane, cache in zip(batch.lane_bindings, caches):
-            value = ctx.eval(stmt.value, lane, cache)
-            if isinstance(stmt.mem, Reg):
-                self._write_reg(ctx, stmt.mem, value)
-                continue
-            idxs = [int(ctx.eval(a, lane, cache)) for a in stmt.addr]
-            flat = self._write_sram(ctx, stmt.mem, idxs, value)
-            write_addrs.setdefault(stmt.mem.name, []).append(flat)
-
-    def _do_reduce(self, si: int, stmt: ReduceStmt, batch, ctx, caches):
-        accs = self._accs[si]
-        for lane, cache in zip(batch.lane_bindings, caches):
-            values = [ctx.eval(v, lane, cache) for v in stmt.values]
-            key: Tuple = tuple(int(ctx.eval(a, lane, cache))
-                               for a in stmt.addr)
-            prev = accs[key][1] if key in accs else list(stmt.inits)
-            cbind = dict(lane)
-            for k in range(stmt.width):
-                cbind[stmt.acc_a[k]] = prev[k]
-                cbind[stmt.acc_b[k]] = values[k]
-            ccache = {}
-            combined = [ctx.eval(c, cbind, ccache) for c in stmt.combines]
-            accs[key] = (lane, combined)
-
-    def _do_hash(self, stmt: HashReduceStmt, batch, ctx, caches,
-                 write_addrs):
-        for lane, cache in zip(batch.lane_bindings, caches):
-            key = int(ctx.eval(stmt.key, lane, cache))
-            value = ctx.eval(stmt.value, lane, cache)
-            scratch = self.mem.scratch(stmt.mem)
-            buf = scratch.buffer(self._version)
-            if key < 0 or key >= buf.size:
-                raise SimulationError(
-                    f"{self.name}: hash key {key} outside "
-                    f"[0, {buf.size})")
-            cbind = dict(lane)
-            cbind[stmt.acc_a] = buf.flat[key].item()
-            cbind[stmt.acc_b] = value
-            self._hash_store(stmt.mem, buf, key,
-                             ctx.eval(stmt.combine, cbind, {}))
-            write_addrs.setdefault(stmt.mem.name, []).append(key)
-
-    def _do_emit(self, stmt: EmitStmt, batch, ctx, caches):
-        fifo = self.fifos[stmt.fifo.name]
-        values = []
-        for lane, cache in zip(batch.lane_bindings, caches):
-            if ctx.eval(stmt.cond, lane, cache):
-                values.append(ctx.eval(stmt.value, lane, cache))
-        if values:
-            self._emit_values(fifo, values)
 
     # -- completion ---------------------------------------------------------------
     def _finish(self) -> None:
@@ -362,32 +309,26 @@ class InnerComputeSim(_LeafCommon):
 
     def _apply_finals(self) -> None:
         """Apply the end-of-activation reduce results."""
-        ctx = self._ctx_cur
+        version = self._version
+        index = self.leaf.chain.indices[-1]
         for si, accs in self._accs.items():
             stmt = self.leaf.stmts[si]
-            for key, (snapshot, values) in accs.items():
+            for key, (outer, lane, *values) in accs.items():
                 if stmt.carry:
-                    current = []
-                    for mem in stmt.mems:
-                        if isinstance(mem, Reg):
-                            current.append(self.mem.reg(mem).read())
-                        else:
-                            buf = self.mem.scratch(mem).read_buffer(
-                                self._version)
-                            current.append(buf[key].item())
-                    cbind = dict(snapshot)
-                    for k in range(stmt.width):
-                        cbind[stmt.acc_a[k]] = current[k]
-                        cbind[stmt.acc_b[k]] = values[k]
-                    ccache = {}
-                    values = [ctx.eval(c, cbind, ccache)
-                              for c in stmt.combines]
+                    current = [
+                        self.mem.reg(mem).read() if isinstance(mem, Reg)
+                        else self.mem.scratch(mem).read_buffer(
+                            version)[key].item()
+                        for mem in stmt.mems]
+                    # the combine's own loads are not priced
+                    values = self._evaluate.combine(
+                        stmt, {**outer, index: lane}, version, current,
+                        values)
                 for mem, value in zip(stmt.mems, values):
                     if isinstance(mem, Reg):
-                        self._write_reg(ctx, mem, value)
+                        self._write_reg(mem, value)
                     else:
-                        self._write_sram(ctx, mem, list(key), value)
-        ctx.reset_accesses()
+                        self._write_sram(mem, list(key), value)
 
 
 class _TransferCommon(_LeafCommon):
@@ -483,8 +424,8 @@ class TileLoadSim(_TransferCommon):
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
         self._version = version
-        ctx = self._ctx(version)
-        offsets = [int(ctx.eval(o, bindings, {})) for o in self.leaf.offsets]
+        offsets = [int(self._evaluate(o, bindings, version))
+                   for o in self.leaf.offsets]
         self._spans = list(self._tile_spans(offsets))
         # ensure destination buffer exists even for fully-clipped tiles
         self.mem.scratch(self.leaf.sram).buffer(version)
@@ -598,11 +539,11 @@ class TileStoreSim(_TransferCommon):
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
         self._version = version
-        ctx = self._ctx(version)
-        offsets = [int(ctx.eval(o, bindings, {})) for o in self.leaf.offsets]
+        offsets = [int(self._evaluate(o, bindings, version))
+                   for o in self.leaf.offsets]
         limit = None
         if self.leaf.count is not None:
-            limit = int(ctx.eval(self.leaf.count, bindings, {}))
+            limit = int(self._evaluate(self.leaf.count, bindings, version))
         loader = TileLoadSim.__new__(TileLoadSim)  # reuse span generator
         loader.leaf = self.leaf
         spans = list(TileLoadSim._tile_spans(loader, offsets))
@@ -676,11 +617,10 @@ class GatherSim(_TransferCommon):
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
         self._version = version
-        ctx = self._ctx(version)
         scratch = self.mem.scratch(self.leaf.addr_sram)
         addr_buf = scratch.read_buffer(version).reshape(-1)
         if self.leaf.count is not None:
-            count = int(ctx.eval(self.leaf.count, bindings, {}))
+            count = int(self._evaluate(self.leaf.count, bindings, version))
             count = min(count, addr_buf.size)
         else:
             # dynamic: gather exactly the addresses produced upstream
@@ -761,14 +701,14 @@ class ScatterSim(_TransferCommon):
 
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
-        ctx = self._ctx(version)
         addr_scratch = self.mem.scratch(self.leaf.addr_sram)
         addr_buf = addr_scratch.read_buffer(version).reshape(-1)
         val_buf = self.mem.scratch(
             self.leaf.val_sram).read_buffer(version).reshape(-1)
         count = min(addr_buf.size, val_buf.size)
         if self.leaf.count is not None:
-            count = min(int(ctx.eval(self.leaf.count, bindings, {})), count)
+            count = min(int(self._evaluate(self.leaf.count, bindings,
+                                           version)), count)
         else:
             produced = addr_scratch.watermark_for(version)
             if produced:
@@ -843,8 +783,8 @@ class StreamStoreSim(_TransferCommon):
 
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
-        ctx = self._ctx(version)
-        self._base_word = int(ctx.eval(self.leaf.base_offset, bindings, {}))
+        self._base_word = int(self._evaluate(self.leaf.base_offset,
+                                             bindings, version))
         self._written = 0
         self._staging = []
 

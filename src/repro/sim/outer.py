@@ -32,7 +32,7 @@ from repro.dhdl.control import Scheme
 from repro.dhdl.ir import OuterController
 from repro.errors import SimulationError
 from repro.sim.counters import ChainEnumerator
-from repro.sim.datapath import LaneContext
+from repro.sim.datapath import Evaluator
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import NodeSim
 from repro.sim.scheduler import EMPTY_PARK, Park
@@ -97,6 +97,7 @@ class OuterControllerSim(NodeSim):
         self._completed = [0] * len(self.children)
         self._stopped = False
         self._base_bindings: dict = {}
+        self._evaluate = Evaluator(mem)
         # precompute per-child producer and consumer edges
         self._producers: Dict[int, List[DepEdge]] = {}
         self._consumers: Dict[int, List[DepEdge]] = {}
@@ -127,10 +128,10 @@ class OuterControllerSim(NodeSim):
         self._completed = [0] * len(self.children)
         self._stopped = False
         if self.ctrl.chain is not None:
-            ctx = LaneContext(self.mem, version)
+            scalar = self._evaluate
 
             def evaluate(expr, bnd):
-                return ctx.eval(expr, bnd, {})
+                return scalar(expr, bnd, version)
 
             self._enum = ChainEnumerator(self.ctrl.chain, evaluate,
                                          bindings)

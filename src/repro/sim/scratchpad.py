@@ -33,6 +33,9 @@ class ScratchpadSim:
         self.sram = sram
         self.banks = banks
         self.versions: Dict[int, np.ndarray] = {}
+        #: version -> the older buffer a reader of it falls back to;
+        #: valid until ``versions`` gains or loses an entry
+        self._fallback: Dict[int, np.ndarray] = {}
         #: highest flat address written + 1, per version (how much of the
         #: buffer holds live data; drives dynamic gather/scatter counts)
         self.watermark: Dict[int, int] = {}
@@ -45,6 +48,11 @@ class ScratchpadSim:
     def _blank(self) -> np.ndarray:
         return np.zeros(self.sram.shape, dtype=_np_dtype(self.sram.dtype))
 
+    @staticmethod
+    def _newest_before(versions: dict, version):
+        """The newest key older than ``version`` (None: there is none)."""
+        return max((v for v in versions if v < version), default=None)
+
     def buffer(self, version: int) -> np.ndarray:
         """The buffer for a version, creating it on first write.
 
@@ -52,13 +60,29 @@ class ScratchpadSim:
         physical buffer's contents persist until overwritten, which is
         what cross-activation accumulation (carry) relies on.
         """
-        if version not in self.versions:
-            older = [v for v in self.versions if v < version]
-            if older:
-                self.versions[version] = self.versions[max(older)].copy()
-            else:
-                self.versions[version] = self._blank()
-        return self.versions[version]
+        buf = self.versions.get(version)
+        if buf is None:
+            older = self._newest_before(self.versions, version)
+            buf = self._blank() if older is None \
+                else self.versions[older].copy()
+            self.versions[version] = buf
+            self._fallback.clear()
+        return buf
+
+    def store(self, version: int, idxs: Sequence[int], value) -> int:
+        """Write one element into the version buffer (bounds-checked);
+        returns its flat address."""
+        buf = self.buffer(version)
+        flat = 0
+        for idx, dim in zip(idxs, buf.shape):
+            if idx < 0 or idx >= dim:
+                raise SimulationError(
+                    f"scratchpad OOB write: {self.sram.name}[{list(idxs)}] "
+                    f"shape {buf.shape}")
+            flat = flat * dim + idx
+        buf[tuple(idxs)] = _np_dtype(self.sram.dtype)(value)
+        self.note_write(version, flat)
+        return flat
 
     def note_write(self, version: int, flat: int) -> None:
         """Track the written extent of a version (for dynamic counts)."""
@@ -69,12 +93,9 @@ class ScratchpadSim:
     def watermark_for(self, version: int) -> int:
         """Written extent of the newest version <= requested (0 if
         never written)."""
-        if version in self.watermark:
-            return self.watermark[version]
-        older = [v for v in self.watermark if v < version]
-        if older:
-            return self.watermark[max(older)]
-        return 0
+        if version not in self.watermark:
+            version = self._newest_before(self.watermark, version)
+        return self.watermark.get(version, 0)
 
     def read_buffer(self, version: int) -> np.ndarray:
         """Reader view: the newest version <= requested.
@@ -83,13 +104,15 @@ class ScratchpadSim:
         older version models loop-carried scratchpads in sequential
         loops (the reader sees the last completed write).
         """
-        if version in self.versions:
-            return self.versions[version]
-        older = [v for v in self.versions if v < version]
-        if older:
-            return self.versions[max(older)]
-        # never written: architectural zeros
-        return self.buffer(version)
+        buf = self.versions.get(version)
+        if buf is None:
+            buf = self._fallback.get(version)
+        if buf is None:
+            older = self._newest_before(self.versions, version)
+            if older is None:       # never written: architectural zeros
+                return self.buffer(version)
+            buf = self._fallback[version] = self.versions[older]
+        return buf
 
     def retire_old(self) -> None:
         """Bound live buffers to the N-buffer depth (plus one carried
@@ -98,6 +121,7 @@ class ScratchpadSim:
         live = sorted(self.versions)
         for version in live[:-keep]:
             del self.versions[version]
+        self._fallback.clear()
 
     # -- timing ------------------------------------------------------------------
     def read_extra(self, flat_addrs: Sequence[int]) -> int:
@@ -129,13 +153,11 @@ class ScratchpadSim:
         Identical addresses are one physical read broadcast to all
         requesting lanes, so they are deduplicated first.
         """
-        stride = self.sram.bank_stride
-        counts: Dict[int, int] = {}
-        for addr in set(flat_addrs):
-            bank = (addr // stride) % self.banks
-            counts[bank] = counts.get(bank, 0) + 1
-        worst = max(counts.values(), default=1)
-        return worst - 1
+        stride, banks = self.sram.bank_stride, self.banks
+        hit = [(addr // stride) % banks for addr in set(flat_addrs)]
+        if len(set(hit)) == len(hit):   # no bank twice (or no access)
+            return 0
+        return max(map(hit.count, set(hit))) - 1
 
     def write_extra(self, flat_addrs: Sequence[int]) -> int:
         """Pure conflict cost of one vector of lane writes."""

@@ -43,6 +43,8 @@ def test_compare_batch_gates_on_speedup_floor():
                 "instances": report["instances"]}
     failures = compare_batch(report, baseline)
     assert any("speedup regression" in f for f in failures)
+    # a ratio is reported with its base: the solo run it divides by
+    assert any("base: solo" in f and "ms/run" in f for f in failures)
     baseline["min_speedup"] = 0.0
     assert compare_batch(report, baseline) == []
 

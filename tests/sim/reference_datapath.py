@@ -1,0 +1,304 @@
+"""The per-lane tree-walking datapath interpreter, kept as a reference.
+
+``repro.sim.datapath`` compiles every inner-controller body into one
+generated kernel.  This module is the recursive, ``isinstance``-
+dispatched interpreter the kernels replaced — evaluation order, memo
+scope, lazy ``Select``, float32 rounding, access recording and error
+messages exactly as it was — so the differential tests can run both
+and compare every vector issue.  It is slow on purpose; nothing under
+``src/`` may import it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
+                           ReduceStmt, WriteStmt)
+from repro.dhdl.memory import Reg, Sram
+from repro.errors import SimulationError
+from repro.patterns import expr as E
+from repro.sim.counters import ChainEnumerator
+from repro.sim.leaves import InnerComputeSim
+from repro.sim.machine import Machine
+
+
+class LaneContext:
+    """Evaluates expressions for one activation of an inner controller.
+
+    ``accesses`` accumulates ``(sram name, load site) -> [flat
+    addresses]`` for the current vector of lanes."""
+
+    def __init__(self, mem, version):
+        self.mem = mem
+        self.version = version
+        self.accesses: Dict[Tuple, List[int]] = {}
+
+    def reset_accesses(self) -> Dict[Tuple, List[int]]:
+        out, self.accesses = self.accesses, {}
+        return out
+
+    def eval(self, node: E.Expr, bindings, cache=None):
+        """Evaluate one expression to a scalar under lane bindings."""
+        if cache is None:
+            cache = {}
+        if node in cache:
+            return cache[node]
+        result = self._eval(node, bindings, cache)
+        if isinstance(result, float) and node.dtype == E.FLOAT32:
+            result = float(np.float32(result))
+        cache[node] = result
+        return result
+
+    def _eval(self, node, bindings, cache):
+        if isinstance(node, E.Const):
+            return node.value
+        if isinstance(node, (E.Idx, E.Var)):
+            try:
+                return bindings[node]
+            except KeyError:
+                raise SimulationError(
+                    f"unbound symbol {node!r} in datapath") from None
+        if isinstance(node, E.Load):
+            return self._load(node, bindings, cache)
+        if isinstance(node, E.BinOp):
+            return E.eval_binary(node.op,
+                                 self.eval(node.lhs, bindings, cache),
+                                 self.eval(node.rhs, bindings, cache))
+        if isinstance(node, E.UnOp):
+            return E.eval_unary(node.op,
+                                self.eval(node.operand, bindings, cache))
+        if isinstance(node, E.Select):
+            cond = self.eval(node.cond, bindings, cache)
+            branch = node.if_true if cond else node.if_false
+            return self.eval(branch, bindings, cache)
+        raise SimulationError(f"cannot evaluate {node!r} on the datapath")
+
+    def _load(self, node: E.Load, bindings, cache):
+        target = node.array
+        if isinstance(target, Reg):
+            return self.mem.reg(target).read()
+        if isinstance(target, Sram):
+            idxs = [int(self.eval(i, bindings, cache))
+                    for i in node.indices]
+            scratch = self.mem.scratch(target)
+            buf = scratch.read_buffer(self.version)
+            flat = 0
+            for axis, idx in enumerate(idxs):
+                if idx < 0 or idx >= buf.shape[axis]:
+                    raise SimulationError(
+                        f"scratchpad OOB: {target.name}[{idxs}] shape "
+                        f"{buf.shape}")
+                flat = flat * buf.shape[axis] + idx
+            self.accesses.setdefault((target.name, id(node)),
+                                     []).append(flat)
+            return buf[tuple(idxs)].item()
+        raise SimulationError(
+            f"datapath cannot read {type(target).__name__} "
+            f"{getattr(target, 'name', '?')!r}")
+
+
+class ReferenceInnerComputeSim(InnerComputeSim):
+    """An inner compute whose body is interpreted, not compiled.  Every
+    effect still goes through the ``_write_sram/_write_reg/_hash_store/
+    _emit_values/_price`` primitives of the real leaf."""
+
+    def _begin_body(self, bindings, version):
+        ctx = self._ctx = LaneContext(self.mem, version)
+        self._enum = ChainEnumerator(
+            self.leaf.chain, lambda expr, bnd: ctx.eval(expr, bnd, {}),
+            bindings)
+        self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
+                      if isinstance(s, ReduceStmt)}
+
+    def _execute(self, batch):
+        ctx = self._ctx
+        if not self._check_fifo_room(batch.lanes):
+            return None
+        lanes = batch.lane_bindings
+        write_addrs: Dict[str, List[int]] = {}
+        caches = [dict() for _ in lanes]
+        for si, stmt in enumerate(self.leaf.stmts):
+            if isinstance(stmt, WriteStmt):
+                self._do_write(stmt, lanes, ctx, caches, write_addrs)
+            elif isinstance(stmt, ReduceStmt):
+                self._do_reduce(si, stmt, lanes, ctx, caches)
+            elif isinstance(stmt, HashReduceStmt):
+                self._do_hash(stmt, lanes, ctx, caches, write_addrs)
+            elif isinstance(stmt, EmitStmt):
+                self._do_emit(stmt, lanes, ctx, caches)
+            else:
+                raise SimulationError(f"unknown stmt {stmt!r}")
+        extra = self._price(ctx.reset_accesses(), write_addrs)
+        self.stats.conflict_cycles += extra
+        self.stats.ops_executed += self._ops_per_lane * batch.lanes
+        return extra
+
+    def _do_write(self, stmt, lanes, ctx, caches, write_addrs):
+        for lane, cache in zip(lanes, caches):
+            value = ctx.eval(stmt.value, lane, cache)
+            if isinstance(stmt.mem, Reg):
+                self._write_reg(stmt.mem, value)
+                continue
+            idxs = [int(ctx.eval(a, lane, cache)) for a in stmt.addr]
+            flat = self._write_sram(stmt.mem, idxs, value)
+            write_addrs.setdefault(stmt.mem.name, []).append(flat)
+
+    def _do_reduce(self, si, stmt, lanes, ctx, caches):
+        accs = self._accs[si]
+        for lane, cache in zip(lanes, caches):
+            values = [ctx.eval(v, lane, cache) for v in stmt.values]
+            key = tuple(int(ctx.eval(a, lane, cache)) for a in stmt.addr)
+            prev = accs[key][1] if key in accs else list(stmt.inits)
+            cbind = dict(lane)
+            for k in range(stmt.width):
+                cbind[stmt.acc_a[k]] = prev[k]
+                cbind[stmt.acc_b[k]] = values[k]
+            ccache = {}
+            combined = [ctx.eval(c, cbind, ccache) for c in stmt.combines]
+            accs[key] = (lane, combined)
+
+    def _do_hash(self, stmt, lanes, ctx, caches, write_addrs):
+        for lane, cache in zip(lanes, caches):
+            key = int(ctx.eval(stmt.key, lane, cache))
+            value = ctx.eval(stmt.value, lane, cache)
+            scratch = self.mem.scratch(stmt.mem)
+            buf = scratch.buffer(self._version)
+            if key < 0 or key >= buf.size:
+                raise SimulationError(
+                    f"{self.name}: hash key {key} outside "
+                    f"[0, {buf.size})")
+            cbind = dict(lane)
+            cbind[stmt.acc_a] = buf.flat[key].item()
+            cbind[stmt.acc_b] = value
+            self._hash_store(stmt.mem, buf, key,
+                             ctx.eval(stmt.combine, cbind, {}))
+            write_addrs.setdefault(stmt.mem.name, []).append(key)
+
+    def _do_emit(self, stmt, lanes, ctx, caches):
+        fifo = self.fifos[stmt.fifo.name]
+        values = []
+        for lane, cache in zip(lanes, caches):
+            if ctx.eval(stmt.cond, lane, cache):
+                values.append(ctx.eval(stmt.value, lane, cache))
+        if values:
+            self._emit_values(fifo, values)
+
+    def _apply_finals(self):
+        ctx = self._ctx
+        for si, accs in self._accs.items():
+            stmt = self.leaf.stmts[si]
+            for key, (snapshot, values) in accs.items():
+                if stmt.carry:
+                    current = []
+                    for mem in stmt.mems:
+                        if isinstance(mem, Reg):
+                            current.append(self.mem.reg(mem).read())
+                        else:
+                            buf = self.mem.scratch(mem).read_buffer(
+                                self._version)
+                            current.append(buf[key].item())
+                    cbind = dict(snapshot)
+                    for k in range(stmt.width):
+                        cbind[stmt.acc_a[k]] = current[k]
+                        cbind[stmt.acc_b[k]] = values[k]
+                    ccache = {}
+                    values = [ctx.eval(c, cbind, ccache)
+                              for c in stmt.combines]
+                for mem, value in zip(stmt.mems, values):
+                    if isinstance(mem, Reg):
+                        self._write_reg(mem, value)
+                    else:
+                        self._write_sram(mem, list(key), value)
+        ctx.reset_accesses()
+
+
+class IssueLog:
+    """Mixin over an inner-compute sim: appends to ``self.log`` one
+    record per vector issue — the read/write address maps it priced,
+    their conflict cost, and every effect it applied, in order — and one
+    per activation end.  The read map is compared as a set of sites (its
+    key order is the one deliberate difference, see ARCHITECTURE.md)."""
+
+    log: list
+    _effects = None     # effects since the last record
+
+    def _record(self, kind, *what):
+        effects, self._effects = self._effects or [], None
+        self.log.append((kind, self.name) + what + (repr(effects),))
+
+    def _fx_add(self, *effect):
+        if self._effects is None:
+            self._effects = []
+        self._effects.append(effect)
+
+    def _price(self, reads, writes):
+        extra = super()._price(reads, writes)
+        self._record("issue",
+                     sorted((key, list(v)) for key, v in reads.items()),
+                     [(key, list(v)) for key, v in writes.items()], extra)
+        return extra
+
+    def _apply_finals(self):
+        super()._apply_finals()
+        self._record("finish")
+
+    def _write_sram(self, mem, idxs, value):
+        flat = super()._write_sram(mem, idxs, value)
+        self._fx_add("sram", mem.name, flat, value)
+        return flat
+
+    def _write_reg(self, mem, value):
+        super()._write_reg(mem, value)
+        self._fx_add("reg", mem.name, value)
+
+    def _hash_store(self, mem, buf, key, value):
+        super()._hash_store(mem, buf, key, value)
+        self._fx_add("hash", mem.name, key, value, buf.flat[key].item())
+
+    def _emit_values(self, fifo, values):
+        super()._emit_values(fifo, values)
+        self._fx_add("emit", fifo.decl.name, list(values))
+
+
+class LoggedKernelSim(IssueLog, InnerComputeSim):
+    pass
+
+
+class LoggedReferenceSim(IssueLog, ReferenceInnerComputeSim):
+    pass
+
+
+def assert_same_memory(mem, ref) -> None:
+    """Every live scratchpad version, access counter and register of two
+    ``MemoryState``s must agree exactly."""
+    for name, pad in mem.scratchpads.items():
+        other = ref.scratchpads[name]
+        assert sorted(pad.versions) == sorted(other.versions), name
+        for version, buf in pad.versions.items():
+            np.testing.assert_array_equal(buf, other.versions[version])
+        assert (pad.reads, pad.writes, pad.conflict_cycles) == \
+            (other.reads, other.writes, other.conflict_cycles), name
+    for name, reg in mem.registers.items():
+        assert repr(reg.value) == repr(ref.registers[name].value), name
+
+
+class LoggingMachine(Machine):
+    """A Machine whose inner computes log every vector issue;
+    ``reference=True`` makes them interpret their bodies."""
+
+    def __init__(self, dhdl, config, reference: bool = False, **kwargs):
+        self.issue_log: list = []
+        self._leaf_cls = LoggedReferenceSim if reference \
+            else LoggedKernelSim
+        super().__init__(dhdl, config, **kwargs)
+
+    def _build_leaf(self, ctrl):
+        if isinstance(ctrl, InnerCompute):
+            sim = self._leaf_cls(ctrl, self.config, self.mem, self.stats,
+                                 self.fifos)
+            sim.log = self.issue_log
+            return sim
+        return super()._build_leaf(ctrl)

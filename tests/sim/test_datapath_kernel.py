@@ -1,0 +1,407 @@
+"""The compiled datapath kernel against the tree-walking reference.
+
+``repro.sim.datapath`` turns each inner-controller body into one
+generated function.  The hand-built leaves below each isolate one
+behaviour of the interpreter it replaced that the bit-identical
+invariants depend on; every one is run through the kernel *and* through
+``tests/sim/reference_datapath.py`` and the per-issue logs (addresses
+priced, conflict cost, every store/emit in order) must agree exactly.
+The differential tests then do the same over the app registry and 200
+fuzz programs.
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps.registry import ALL_APPS
+from repro.compiler import compile_program
+from repro.compiler.artifact import freeze_program
+from repro.dhdl import (Counter, CounterChain, EmitStmt, HashReduceStmt,
+                        InnerCompute, ReduceStmt, WriteStmt)
+from repro.dhdl.memory import FifoDecl, Reg, Sram
+from repro.errors import SimulationError
+from repro.fuzz.generator import build_program, gen_spec, spec_name
+from repro.fuzz.oracle import FUZZ_OPTIONS
+from repro.patterns import expr as E
+from repro.sim import FabricConfig, FifoSim, LeafTiming, MemoryState
+from repro.sim.stats import SimStats
+
+from tests.sim.reference_datapath import (LoggedKernelSim,
+                                          LoggedReferenceSim,
+                                          LoggingMachine,
+                                          assert_same_memory)
+
+F32, I32 = E.FLOAT32, E.INT32
+OLD, NOW = (0,), (1,)       # version the inputs live in / the leaf runs at
+
+
+class Rig:
+    """One inner-compute leaf on its own memory, driven tick by tick."""
+
+    def __init__(self, reference, stmts, counters, srams=(), regs=(),
+                 fifos=(), data=None, indices=None):
+        indices = indices or [E.Idx(f"i{k}") for k in range(len(counters))]
+        leaf = InnerCompute("leaf", CounterChain(counters, indices), stmts)
+        self.mem = MemoryState(srams, regs)
+        for name, values in (data or {}).items():
+            buf = self.mem.scratchpads[name].buffer(OLD)
+            buf[...] = np.asarray(values).reshape(buf.shape)
+        config = FabricConfig()
+        config.leaf_timing["leaf"] = LeafTiming()
+        self.fifos = {f.name: FifoSim(f) for f in fifos}
+        cls = LoggedReferenceSim if reference else LoggedKernelSim
+        self.sim = cls(leaf, config, self.mem, SimStats(), self.fifos)
+        self.sim.log = self.log = []
+        self.sim.start({}, NOW)
+        self.cycle = 0
+
+    def tick(self, n=1):
+        for _ in range(n):
+            self.sim.tick(self.cycle)
+            self.cycle += 1
+
+    def run(self):
+        while self.sim.busy:
+            self.tick()
+            assert self.cycle < 10_000
+        return self
+
+    def buf(self, name):
+        return self.mem.scratchpads[name].read_buffer(NOW)
+
+    def issues(self):
+        return [rec for rec in self.log if rec[0] == "issue"]
+
+
+def both(*args, **kwargs):
+    """Run a leaf to completion under the kernel and the reference;
+    their logs and memories must match.  Returns the kernel's rig."""
+    kernel = Rig(False, *args, **kwargs).run()
+    reference = Rig(True, *args, **kwargs).run()
+    assert kernel.log == reference.log
+    assert kernel.cycle == reference.cycle
+    assert_same_memory(kernel.mem, reference.mem)
+    for name, fifo in kernel.fifos.items():
+        assert list(fifo.items) == list(reference.fifos[name].items)
+    return kernel
+
+
+def both_raise(match, *args, **kwargs):
+    messages = []
+    for reference in (False, True):
+        with pytest.raises(SimulationError, match=match) as err:
+            Rig(reference, *args, **kwargs).run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def lanes16(hi=16):
+    return [Counter(0, hi, par=16)]
+
+
+# -- 1. order: statement-major, lane-minor, stores visible at once ----------
+
+
+def test_store_is_visible_to_later_lanes_of_the_same_issue():
+    m = Sram("m", (17,), F32)
+    i = E.Idx("i")
+    # every lane reads the cell the previous lane just wrote; the first
+    # store also creates the leaf's version (copy-on-write), so lane 0
+    # reads the old version and every later lane the new one
+    rig = both([WriteStmt(m, (i + 1,), m[i] + 1.0)], lanes16(), [m],
+               data={"m": [5.0] + [0.0] * 16}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("m"), np.arange(17) + 5.0)
+    assert len(rig.issues()) == 1
+    assert sorted(rig.mem.scratchpads["m"].versions) == [OLD, NOW]
+
+
+def test_store_is_visible_to_later_statements_of_the_same_issue():
+    a, m, o = Sram("a", (16,), F32), Sram("m", (16,), F32), \
+        Sram("o", (16,), F32)
+    i = E.Idx("i")
+    data = np.arange(16, dtype=np.float32)
+    rig = both([WriteStmt(m, (i,), a[i] * 2.0),
+                WriteStmt(o, (i,), m[15 - i])],     # written by lane 15-i
+               lanes16(), [a, m, o], data={"a": data}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"), data[::-1] * 2)
+
+
+# -- 2. memo scope -----------------------------------------------------------
+
+
+def test_node_shared_across_statements_is_evaluated_once_per_lane():
+    a, o1, o2 = (Sram(n, (16,), F32) for n in ("a", "o1", "o2"))
+    i = E.Idx("i")
+    shared = a[i] * 3.0
+    rig = both([WriteStmt(o1, (i,), shared),
+                WriteStmt(o2, (i,), shared + 1.0)],
+               lanes16(), [a, o1, o2],
+               data={"a": np.arange(16)}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o2"), np.arange(16) * 3.0 + 1)
+    (_, _, reads, _, _, _), = rig.issues()
+    assert [addrs for _key, addrs in reads] == [list(range(16))]
+    assert rig.mem.scratchpads["a"].reads == 16
+
+
+def test_lazily_shared_node_is_finished_by_the_later_statement():
+    a, b, o = (Sram(n, (16,), F32) for n in ("a", "b", "o"))
+    fifo = FifoDecl("f", F32, depth=4)
+    i = E.Idx("i")
+    shared = b[i] * 2.0
+    data = {"a": [1, -1] * 8, "b": np.arange(16)}
+    rig = both([EmitStmt(fifo, a[i] > 0.0, shared),    # even lanes only
+                WriteStmt(o, (i,), shared)],
+               lanes16(), [a, b, o], fifos=[fifo], data=data, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"), np.arange(16) * 2.0)
+    assert list(rig.fifos["f"].items) == [2.0 * k for k in range(0, 16, 2)]
+    (_, _, reads, _, _, _), = rig.issues()
+    b_addrs = [addrs for (name, _site), addrs in reads if name == "b"]
+    # one load per lane: the emitting lanes' first, then the others'
+    assert b_addrs == [list(range(0, 16, 2)) + list(range(1, 16, 2))]
+
+
+def test_reduce_combine_runs_with_a_fresh_memo():
+    a, w = Sram("a", (16,), F32), Sram("w", (1,), F32)
+    acc = Reg("acc", F32, init=0.0)
+    i = E.Idx("i")
+    scale = w[0]                    # one node, read by value and combine
+    va, vb = E.Var("acc_a0", F32), E.Var("acc_b0", F32)
+    rig = both([ReduceStmt([acc], [a[i] * scale], [va + vb * scale],
+                           [va], [vb], [0.0])],
+               lanes16(), [a, w], [acc],
+               data={"a": np.arange(16), "w": [0.5]}, indices=[i])
+    assert rig.mem.registers["acc"].read() == sum(range(16)) * 0.25
+    # per lane once for the value, once more inside the combine
+    assert rig.mem.scratchpads["w"].reads == 32
+
+
+# -- 3. lazy Select ----------------------------------------------------------
+
+
+def test_untaken_select_branch_is_not_evaluated():
+    a, d, o = Sram("a", (16,), F32), Sram("d", (16,), I32), \
+        Sram("o", (16,), F32)
+    i = E.Idx("i")
+    far = a[i + 100]                            # out of range if read
+    ratio = E.to_float(E.wrap(12) / d[i])       # int division by d
+    data = {"a": np.arange(16), "d": [0, 3] * 8}
+    rig = both([WriteStmt(o, (i,),
+                          E.select(i < 16, a[i], far)
+                          + E.select(d[i].eq(0), -1.0, ratio))],
+               lanes16(), [a, d, o], data=data, indices=[i])
+    np.testing.assert_array_equal(
+        rig.buf("o"), np.arange(16) + np.array([-1.0, 4.0] * 8))
+    (_, _, reads, _, _, _), = rig.issues()
+    assert id(far) not in {site for (_name, site), _addrs in reads}
+
+
+def test_taken_select_branch_still_raises():
+    a, o = Sram("a", (16,), F32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    both_raise(r"scratchpad OOB: a\[\[108\]\] shape \(16,\)",
+               [WriteStmt(o, (i,), E.select(i < 8, a[i], a[i + 100]))],
+               lanes16(), [a, o], indices=[i])
+
+
+# -- 4. scalar semantics -----------------------------------------------------
+
+
+def test_float32_rounding_of_a_non_representable_init():
+    a = Sram("a", (16,), F32)
+    acc = Reg("acc", F32, init=0.0)
+    i = E.Idx("i")
+    va, vb = E.Var("acc_a0", F32), E.Var("acc_b0", F32)
+    rig = both([ReduceStmt([acc], [a[i]], [E.maximum(va, vb)], [va], [vb],
+                           [0.1])],
+               lanes16(), [a], [acc], data={"a": [0.0] * 16}, indices=[i])
+    (_, _, effects), = [r for r in rig.log if r[0] == "finish"]
+    rounded = float(np.float32(0.1))
+    assert rounded != 0.1
+    assert effects == repr([("reg", "acc", rounded)])
+
+
+def test_integers_are_unbounded_and_division_truncates_toward_zero():
+    d, o = Sram("d", (16,), I32), Sram("o", (16,), I32)
+    i = E.Idx("i")
+    big = (d[i] * (2 ** 40)) * (2 ** 40)        # far beyond int64
+    value = (big / (2 ** 79)) + (d[i] - 8) / 3 + (d[i] - 8) % 3
+    rig = both([WriteStmt(o, (i,), value)], lanes16(), [d, o],
+               data={"d": np.arange(16)}, indices=[i])
+    want = [k * 2 + int((k - 8) / 3) + (k - 8) % 3 for k in range(16)]
+    np.testing.assert_array_equal(rig.buf("o"), want)
+
+
+def test_transcendentals_raise_instead_of_returning_nan():
+    a, o = Sram("a", (16,), F32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    for reference in (False, True):
+        with pytest.raises(ValueError):
+            Rig(reference, [WriteStmt(o, (i,), E.log(a[i] - 1.0))],
+                lanes16(), [a, o], indices=[i]).run()
+
+
+# -- 5. reductions -----------------------------------------------------------
+
+
+def test_duplicate_hash_keys_in_one_issue_accumulate_in_lane_order():
+    k, v, bins = Sram("k", (16,), I32), Sram("v", (16,), F32), \
+        Sram("bins", (4,), F32)
+    i = E.Idx("i")
+    va, vb = E.Var("acc_a", F32), E.Var("acc_b", F32)
+    keys = [0, 0, 1, 3] * 4
+    rig = both([HashReduceStmt(bins, k[i], v[i], va * 2.0 + vb, va, vb,
+                               0.0)],
+               lanes16(), [k, v, bins],
+               data={"k": keys, "v": np.arange(16)}, indices=[i])
+    want = [0.0] * 4
+    for key, value in zip(keys, range(16)):
+        want[key] = want[key] * 2.0 + value         # order-sensitive
+    np.testing.assert_array_equal(rig.buf("bins"), want)
+    (_, _, _, writes, _, _), = rig.issues()
+    assert writes == [("bins", keys)]
+
+
+def test_carry_combine_uses_the_last_lanes_bindings_unpriced():
+    a, w = Sram("a", (4, 8), F32), Sram("w", (8,), F32)
+    out = Sram("out", (4,), F32)
+    r, c = E.Idx("r"), E.Idx("c")
+    va, vb = E.Var("acc_a0", F32), E.Var("acc_b0", F32)
+    weights = np.arange(8, dtype=np.float32) + 1
+    rig = both([ReduceStmt([out], [a[r, c]], [va + vb * w[c]], [va], [vb],
+                           [0.0], addr=(r,), carry=True)],
+               [Counter(0, 4), Counter(0, 8, par=8)], [a, w, out],
+               data={"a": np.ones(32), "w": weights, "out": [10.0] * 4},
+               indices=[r, c])
+    # per row: fold of w[c] over the lanes, then carried into the old
+    # contents with the *last* lane's c (w[7] == 8)
+    np.testing.assert_array_equal(rig.buf("out"),
+                                  [10.0 + weights.sum() * 8.0] * 4)
+    # the carry combine's own loads of w are not counted
+    assert rig.mem.scratchpads["w"].reads == 32
+
+
+# -- 6. access recording -----------------------------------------------------
+
+
+def test_bound_loads_are_priced_with_the_issue_that_wraps():
+    lens, a, o = Sram("lens", (3,), I32), Sram("a", (3, 16), F32), \
+        Sram("o", (3, 16), F32)
+    r, c = E.Idx("r"), E.Idx("c")
+    rig = both([WriteStmt(o, (r, c), a[r, c] + 1.0)],
+               [Counter(0, 3), Counter(0, lens[r], par=16)], [lens, a, o],
+               data={"lens": [16, 0, 5], "a": np.zeros(48)},
+               indices=[r, c])
+    first, second = rig.issues()
+    bound_reads = [[addrs for (name, _site), addrs in rec[2]
+                    if name == "lens"] for rec in (first, second)]
+    # priming reads lens[0]; wrapping out of row 0 reads lens[1] (an
+    # empty row) and lens[2] (once to skip to it, once to enter it) —
+    # all before, and priced with, the first issue
+    assert bound_reads == [[[0, 1, 2, 2]], []]
+    assert rig.mem.scratchpads["lens"].reads == 4
+    np.testing.assert_array_equal(
+        rig.buf("o").sum(axis=1), [16.0, 0.0, 5.0])
+
+
+def test_fifo_full_retry_evaluates_nothing():
+    a = Sram("a", (32,), F32)
+    fifo = FifoDecl("f", F32, depth=1)          # one 16-word vector
+    i = E.Idx("i")
+    stmts = [EmitStmt(fifo, E.wrap(True), a[i])]
+    rigs = [Rig(reference, stmts, lanes16(32), [a], fifos=[fifo],
+                data={"a": np.arange(32)}, indices=[i])
+            for reference in (False, True)]
+    for rig in rigs:
+        rig.tick(5)             # one issue fits; the second is blocked
+        assert len(rig.issues()) == 1
+        assert rig.mem.scratchpads["a"].reads == 16
+        assert rig.sim.stats.fifo_stall_cycles == 4
+        assert rig.fifos["f"].pop(16) == list(range(16))
+        rig.run()
+        assert rig.mem.scratchpads["a"].reads == 32
+    assert rigs[0].log == rigs[1].log
+
+
+# -- 7. typed errors ---------------------------------------------------------
+
+
+def test_out_of_bounds_load_and_store():
+    a, o = Sram("a", (4, 4), F32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    both_raise(r"scratchpad OOB: a\[\[1, 4\]\] shape \(4, 4\)",
+               [WriteStmt(o, (i,), a[1, i])], lanes16(), [a, o],
+               indices=[i])
+    both_raise(r"scratchpad OOB write: o\[\[16\]\] shape \(16,\)",
+               [WriteStmt(o, (i + 1,), a[0, 0])], lanes16(), [a, o],
+               indices=[i])
+
+
+def test_hash_key_out_of_range():
+    bins = Sram("bins", (4,), F32)
+    i = E.Idx("i")
+    va, vb = E.Var("acc_a", F32), E.Var("acc_b", F32)
+    both_raise(r"leaf: hash key 4 outside \[0, 4\)",
+               [HashReduceStmt(bins, i, E.wrap(1.0), va + vb, va, vb,
+                               0.0)],
+               lanes16(), [bins], indices=[i])
+
+
+def test_unbound_symbol():
+    o = Sram("o", (16,), F32)
+    i, ghost = E.Idx("i"), E.Idx("ghost")
+    both_raise(r"unbound symbol Idx\(ghost\) in datapath",
+               [WriteStmt(o, (i,), E.to_float(ghost))], lanes16(), [o],
+               indices=[i])
+    # ... but not while only an untaken branch reads it
+    both([WriteStmt(o, (i,), E.select(i < 16, 1.0, E.to_float(ghost)))],
+         lanes16(), [o], indices=[i])
+
+
+def test_selects_nested_beyond_the_compilers_reach_fail_typed():
+    """Known limit: each Select nested in a branch indents the generated
+    code one level and Python stops at 100 (the interpreter recursed
+    about 500 deep before its own RecursionError)."""
+    a, o = Sram("a", (16,), F32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    value = a[i]
+    for k in range(90):
+        value = E.select(i.eq(100 + k), float(k), value)
+    stmts = [WriteStmt(o, (i,), value)]
+    both(stmts, lanes16(), [a, o], data={"a": np.arange(16)}, indices=[i])
+    for k in range(30):
+        value = E.select(i.eq(200 + k), float(k), value)
+    with pytest.raises(SimulationError, match="nests too deeply"):
+        Rig(False, [WriteStmt(o, (i,), value)], lanes16(), [a, o],
+            indices=[i]).run()
+
+
+# -- differential: every vector issue of real programs -----------------------
+
+
+def assert_same_issues(dhdl, config):
+    kernel = LoggingMachine(dhdl, config)
+    reference = LoggingMachine(dhdl, config, reference=True)
+    assert kernel.run().as_dict() == reference.run().as_dict()
+    assert len(kernel.issue_log) == len(reference.issue_log)
+    for k, (got, want) in enumerate(zip(kernel.issue_log,
+                                        reference.issue_log)):
+        assert got == want, f"record {k} differs"
+    assert_same_memory(kernel.mem, reference.mem)
+    return len(kernel.issue_log)
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("app", ALL_APPS, ids=lambda app: app.name)
+def test_registry_issue_by_issue(app, scale):
+    compiled = compile_program(app.build(scale))
+    assert assert_same_issues(compiled.dhdl, compiled.config) > 0
+
+
+@pytest.mark.parametrize("first", range(0, 200, 25))
+def test_fuzz_issue_by_issue(first):
+    for seed in range(first, first + 25):
+        spec = gen_spec(seed)
+        program, _outputs = build_program(spec)
+        artifact = freeze_program(program, spec_name(spec), "fuzz",
+                                  options=FUZZ_OPTIONS)
+        assert_same_issues(artifact.dhdl, artifact.config)
