@@ -286,7 +286,8 @@ def _cmd_run_multi(args) -> int:
                      watchdog=args.watchdog,
                      max_cycles=args.max_cycles,
                      priorities=priorities,
-                     bandwidth_aware=args.bandwidth_aware)
+                     bandwidth_aware=args.bandwidth_aware,
+                     scheduler=args.scheduler)
     except MappingError as err:
         print(f"repro run --multi: {err}", file=sys.stderr)
         return 1

@@ -8,7 +8,9 @@ interleaving).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import heapq
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dram.channel import Channel
 from repro.dram.request import DramRequest
@@ -41,9 +43,10 @@ class DramModel:
         #: tenant id -> submit/deliver tallies (multi-tenant runs only)
         self._tenant_counts: Dict[int, Dict[str, int]] = {}
         self._callbacks: Dict[int, Callable[[DramRequest], None]] = {}
-        self._completed: List[DramRequest] = []
-        #: earliest ``complete_cycle`` among ``_completed`` (None: empty)
-        self._next_completion: Optional[int] = None
+        #: undelivered completions, a heap of ``(complete_cycle,
+        #: arrival, request)``: the head is the next one to mature
+        self._completed: List[Tuple[int, int, DramRequest]] = []
+        self._arrivals = 0
 
     def attach_trace(self, tracer, tenant: Optional[int] = None) -> None:
         """Register every channel as an event track on ``tracer``.
@@ -114,10 +117,9 @@ class DramModel:
         for channel in self.channels:
             channel.tick(self.cycle)
             for request in channel.drain_completed():
-                self._completed.append(request)
-                earliest = self._next_completion
-                if earliest is None or request.complete_cycle < earliest:
-                    self._next_completion = request.complete_cycle
+                heapq.heappush(self._completed, (request.complete_cycle,
+                                                 self._arrivals, request))
+                self._arrivals += 1
 
     def next_completion(self) -> Optional[int]:
         """Cycle of the earliest undelivered completion (None if none).
@@ -126,7 +128,7 @@ class DramModel:
         requests have no completion cycle until the FR-FCFS scheduler
         issues them.
         """
-        return self._next_completion
+        return self._completed[0][0] if self._completed else None
 
     def advance_to(self, cycle: int) -> None:
         """Fast-forward the memory clock across provably idle cycles.
@@ -141,17 +143,18 @@ class DramModel:
         """Requests whose data transfer has finished by the current cycle.
 
         Completions are buffered until their ``complete_cycle`` passes,
-        then returned (and callbacks fired) exactly once.
+        then returned (and callbacks fired) exactly once, in the order
+        the channels handed them over.
         """
-        earliest = self._next_completion
-        if earliest is None or earliest > self.cycle:
+        completed = self._completed
+        now = self.cycle
+        if not completed or completed[0][0] > now:
             return []           # nothing matures on most cycles
-        ready = [r for r in self._completed
-                 if r.complete_cycle <= self.cycle]
-        self._completed = [r for r in self._completed
-                           if r.complete_cycle > self.cycle]
-        self._next_completion = min(
-            (r.complete_cycle for r in self._completed), default=None)
+        matured = []
+        while completed and completed[0][0] <= now:
+            matured.append(heapq.heappop(completed))
+        matured.sort(key=itemgetter(1))   # back to arrival order
+        ready = [entry[2] for entry in matured]
         for request in ready:
             if request.tenant is not None:
                 counts = self._tenant_counts.get(request.tenant)

@@ -28,10 +28,11 @@ per-lane interpreter; far less with the compiled kernels of
   replay the recorded effects instead of evaluating expressions.
   Conflict pricing is re-derived per instance from the recorded address
   groups, so ``banks`` overrides still reshape every stall.
-* Followers step **jointly**: each instance's scheduler runs as a
-  resumable span generator, and the driver always resumes the instance
-  with the smallest next-wake cycle (a numpy masked argmin over the
-  per-instance wake array, retired instances masked out).
+* Instances run **back to back**, each to completion through the
+  ordinary ``Machine.run`` (leaders first, then followers): they own
+  separate DRAM models and share nothing, so nothing observes their
+  interleaving.  Stepping them jointly through one driver was measured
+  to *cost* ~8 % of a Figure-7 sweep; record/replay is what pays.
 
 Per-instance ``SimStats``, memory images, and stall attribution are
 bit-identical to N sequential ``Machine.run`` calls; the equivalence
@@ -54,7 +55,7 @@ from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.patterns.collections import _np_dtype
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.machine import Machine
-from repro.sim.scheduler import SCHEDULER_MODES
+from repro.sim.scheduler import check_mode
 from repro.sim.stats import SimStats
 
 #: overrides that only change *when* things happen, never *what* values
@@ -477,7 +478,7 @@ class _ReplayMachine(Machine):
 
 
 # ---------------------------------------------------------------------------
-# The joint driver
+# Results and the driver
 # ---------------------------------------------------------------------------
 
 
@@ -522,43 +523,13 @@ class BatchResult:
         return [r.stats for r in self.instances]
 
 
-def _spans_for(machine: Machine, mode: str):
-    """A resumable span generator running this machine to completion."""
-    if mode == "dense":
-        from repro.sim.scheduler import dense_spans
-        return dense_spans(machine, machine.max_cycles)
-    from repro.sim.scheduler import EventScheduler
-    sched = EventScheduler(machine)
-    machine.scheduler_stats = sched
-    return sched.spans(machine.max_cycles)
-
-
-def _drive_jointly(jobs: List[Tuple[InstanceResult, Machine]],
-                   mode: str) -> None:
-    """Step many instances together, always resuming the one with the
-    smallest next-wake cycle; retired/errored instances are masked out
-    of the wake array."""
-    n = len(jobs)
-    if n == 0:
-        return
-    gens = [_spans_for(machine, mode) for _, machine in jobs]
-    next_wake = np.zeros(n, dtype=np.int64)
-    live = np.ones(n, dtype=bool)
-    retired = np.iinfo(np.int64).max
-    while True:
-        masked = np.where(live, next_wake, retired)
-        i = int(np.argmin(masked))
-        if masked[i] == retired:
-            break
-        slot, machine = jobs[i]
-        try:
-            next_wake[i] = next(gens[i])
-        except StopIteration:
-            live[i] = False
-            slot.stats = machine.stats
-        except (SimulationError, DeadlockError) as err:
-            live[i] = False
-            slot.error = f"{type(err).__name__}: {err}"
+def _run(slot: InstanceResult, machine: Machine) -> None:
+    """Run one instance to completion, capturing its error in its slot."""
+    slot.machine = machine
+    try:
+        slot.stats = machine.run()
+    except (SimulationError, DeadlockError) as err:
+        slot.error = f"{type(err).__name__}: {err}"
 
 
 def run_batch(source, param_list, scheduler: str = "event",
@@ -575,10 +546,7 @@ def run_batch(source, param_list, scheduler: str = "event",
     images, and stall attribution are bit-identical to sequential
     ``Machine.run`` calls with the same overrides.
     """
-    if scheduler not in SCHEDULER_MODES:
-        raise SimulationError(
-            f"unknown scheduler {scheduler!r}; one of: "
-            f"{', '.join(SCHEDULER_MODES)}")
+    check_mode(scheduler)
     dhdl_config = _unpack(source)
     entries = [normalize_params(p) for p in param_list]
     results = [InstanceResult(i, param_list[i] if param_list[i] else {})
@@ -597,9 +565,8 @@ def run_batch(source, param_list, scheduler: str = "event",
     for i, entry in enumerate(entries):
         cohorts.setdefault(cohort_key(entry), []).append(i)
 
-    # phase A: leaders (recording) and singletons (plain), jointly
+    # phase A: leaders (recording) and singletons (plain)
     logs: Dict[Tuple, dict] = {}
-    phase_a: List[Tuple[InstanceResult, Machine]] = []
     for key, members in cohorts.items():
         lead = members[0]
         if len(members) == 1:
@@ -611,14 +578,11 @@ def run_batch(source, param_list, scheduler: str = "event",
                 dhdl_config, entries[lead], machine_cls=_RecordingMachine,
                 log=logs[key], **kwargs_for(lead))
             results[lead].role = "leader"
-        results[lead].machine = machine
-        phase_a.append((results[lead], machine))
-    _drive_jointly(phase_a, scheduler)
+        _run(results[lead], machine)
 
     # phase B: followers replay their leader's log; cohorts whose
     # leader failed fall back to full solo runs
     replayed = 0
-    phase_b: List[Tuple[InstanceResult, Machine]] = []
     for key, members in cohorts.items():
         leader_ok = results[members[0]].ok
         for i in members[1:]:
@@ -631,9 +595,7 @@ def run_batch(source, param_list, scheduler: str = "event",
             else:
                 machine = instantiate(dhdl_config, entries[i],
                                       **kwargs_for(i))
-            results[i].machine = machine
-            phase_b.append((results[i], machine))
-    _drive_jointly(phase_b, scheduler)
+            _run(results[i], machine)
 
     return BatchResult(instances=results, cohorts=len(cohorts),
                        replayed=replayed)

@@ -2,23 +2,26 @@
 
 One :class:`Fabric` hosts several tenant :class:`~repro.sim.machine.
 Machine` instances — each configured into a *disjoint* rectangular
-region of the grid by the tenancy packer — and steps them jointly
-against a single shared :class:`~repro.dram.model.DramModel`.  Compute
-never interferes (disjoint PCUs/PMUs/switches by construction); the
-DRAM channels are the shared resource, so every request is stamped with
-its tenant and the model keeps per-tenant bandwidth, stall and
-row-buffer accounting.
+region of the grid by the tenancy packer — wired to a single shared
+:class:`~repro.dram.model.DramModel`.  Compute never interferes
+(disjoint PCUs/PMUs/switches by construction); the DRAM channels are
+the shared resource, so every request is stamped with its tenant and
+the model keeps per-tenant bandwidth, stall and row-buffer accounting.
+
+The fabric is tenant *bookkeeping* only — regions, DRAM-slice
+relocation, QoS weights, per-tenant views.  It has no cycle loop:
+:meth:`Fabric.run` hands its tenant machines to the stepping core
+(:mod:`repro.sim.scheduler`), which steps any set of machines sharing
+one DRAM model, under either scheduler mode.
 
 Equivalence invariant
 ---------------------
 A tenant running *alone* on a Fabric is bit-identical to a solo
-``Machine.run``: the per-cycle loop below is exactly the dense
-reference loop (``repro.sim.scheduler.dense_spans``) specialised to one
-machine — same tick order, same retirement sweep, same watchdog
-cadence — and tenant 0 keeps its artifact's natural DRAM layout, so
-the address stream (and hence FR-FCFS timing) is unchanged.  The test
-suite asserts this for every registry app: identical ``SimStats``,
-DRAM image and stall attribution.
+``Machine.run`` because it *is* the same loop over a one-machine list,
+and tenant 0 keeps its artifact's natural DRAM layout, so the address
+stream (and hence FR-FCFS timing) is unchanged.  The test suite asserts
+this for every registry app: identical ``SimStats``, DRAM image and
+stall attribution.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.errors import SimulationError
 from repro.sim.config import FabricConfig
 from repro.sim.dram_image import assign_bases
 from repro.sim.machine import Machine
+from repro.sim.scheduler import run_machines
 from repro.sim.stats import SimStats
 from repro.trace.tracer import Tracer
 
@@ -53,15 +57,20 @@ class Tenant:
         self.machine = machine
         #: QoS arbitration weight on the shared DRAM channels
         self.priority = priority
-        self.done = False
-        #: cycle at which the root controller completed (None while busy)
-        self.finish_cycle: Optional[int] = None
-        self._last_key = None
-        self._last_progress = 0
 
     @property
     def stats(self) -> SimStats:
         return self.machine.stats
+
+    @property
+    def done(self) -> bool:
+        return self.machine.finished
+
+    @property
+    def finish_cycle(self) -> Optional[int]:
+        """Cycle at which the root controller completed (None while
+        busy)."""
+        return self.machine.stats.cycles if self.done else None
 
     def __repr__(self):
         state = f"done@{self.finish_cycle}" if self.done else "running"
@@ -78,11 +87,6 @@ class Fabric:
     running until every tenant is done.
     """
 
-    #: tenant DRAM slices start on a full channel-interleave stride so
-    #: relocation never changes how a tenant's bursts stripe across
-    #: channels (channel = burst % channels is offset-invariant)
-    _SLICE_ALIGN_DEFAULT = None  # computed from geometry in __init__
-
     def __init__(self, dram: Optional[DramModel] = None,
                  watchdog: int = 50_000,
                  max_cycles: int = 20_000_000):
@@ -90,7 +94,13 @@ class Fabric:
         self.watchdog = watchdog
         self.max_cycles = max_cycles
         self.tenants: List[Tenant] = []
-        self.cycle = 0
+        #: the EventScheduler of the last :meth:`run` (executed vs
+        #: fast-forwarded cycles); None under the dense reference
+        self.scheduler_stats = None
+        # tenant DRAM slices start on a full channel-interleave stride
+        # so relocation never changes how a tenant's bursts stripe
+        # across channels (channel = burst % channels is
+        # offset-invariant)
         geometry = self.dram.geometry
         self._slice_align = geometry.row_bytes * geometry.channels
         self._addr_cursor = 0
@@ -171,76 +181,26 @@ class Fabric:
         return end
 
     # -- execution ---------------------------------------------------------------
-    def run(self, max_cycles: Optional[int] = None
-            ) -> Dict[str, SimStats]:
+    @property
+    def cycle(self) -> int:
+        """The fabric clock: the latest cycle any tenant has reached."""
+        return max((t.machine.cycle for t in self.tenants), default=0)
+
+    def run(self, max_cycles: Optional[int] = None,
+            scheduler: str = "event") -> Dict[str, SimStats]:
         """Step all tenants to completion; per-tenant stats by name.
 
-        The per-cycle order mirrors the dense reference loop exactly:
-        memory system first, then every active tenant's controllers
-        (outers before leaves), then the scratchpad retirement sweep,
-        then per-tenant progress/watchdog checks.  ``self.dram.tenant``
-        is focused on each tenant around its tick pass so every burst it
-        submits is stamped for attribution.
+        ``scheduler`` is the stepping core's mode, as for
+        ``Machine.run``; both are cycle-exact.  Each tenant retires on
+        its own root's completion; one tenant's deadlock or a
+        ``max_cycles`` trip raises for the whole fabric.
         """
         if not self.tenants:
             raise SimulationError("fabric has no tenants")
         limit = max_cycles if max_cycles is not None else self.max_cycles
-        dram = self.dram
-        live = [t for t in self.tenants if not t.done]
-        for tenant in live:
-            tenant.machine.root.start({}, ())
-        cycle = self.cycle
-        while live:
-            cycle += 1
-            if cycle > limit:
-                for tenant in live:
-                    faults = tenant.machine.faults
-                    if faults is not None and faults.fired:
-                        raise faults.fault_error(
-                            f"exceeded max_cycles={limit} with "
-                            f"{[t.name for t in live]} still running",
-                            cycle=cycle)
-                raise SimulationError(
-                    f"exceeded max_cycles={limit} with "
-                    f"{[t.name for t in live]} still running")
-            for tenant in live:
-                machine = tenant.machine
-                machine.cycle = cycle
-                faults = machine.faults
-                if faults is not None and faults.next_cycle <= cycle:
-                    faults.apply(cycle)
-                if machine.tracer is not None:
-                    machine.tracer.begin_cycle(cycle)
-            dram.tick()
-            dram.deliver()
-            for tenant in live:
-                dram.tenant = tenant.id
-                tenant.machine.tick_units(cycle)
-            dram.tenant = None
-            if cycle % 256 == 0:
-                for tenant in live:
-                    tenant.machine.mem.retire_old()
-            finished = False
-            for tenant in live:
-                machine = tenant.machine
-                key = machine._progress_key()
-                if key != tenant._last_key:
-                    tenant._last_key = key
-                    tenant._last_progress = cycle
-                    if machine.tracer is not None:
-                        machine.tracer.progress(cycle)
-                elif cycle - tenant._last_progress > machine.watchdog:
-                    machine._raise_deadlock(tenant._last_progress)
-                if machine.tracer is not None:
-                    machine.tracer.end_cycle()
-                if not machine.root.busy:
-                    tenant.done = True
-                    tenant.finish_cycle = cycle
-                    machine._epilogue()
-                    finished = True
-            if finished:
-                live = [t for t in live if not t.done]
-        self.cycle = cycle
+        live = [t.machine for t in self.tenants if not t.done]
+        if live:
+            self.scheduler_stats = run_machines(live, limit, scheduler)
         return {t.name: t.machine.stats for t in self.tenants}
 
     # -- aggregate views ----------------------------------------------------------

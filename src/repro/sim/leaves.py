@@ -213,7 +213,7 @@ class InnerComputeSim(_LeafCommon):
                     counters=("fifo_stall_cycles",),
                     fifo_counters=((fifo, "full_stalls"),),
                     marks=((self.name, StallCause.FIFO_FULL),),
-                    wake_fifos=(fifo.decl.name,))
+                    wake_fifos=(fifo,))
             return
         # the issue cycle itself; conflict serialisation cycles charge
         # themselves one by one in the stall branch above
@@ -862,5 +862,5 @@ class StreamStoreSim(_TransferCommon):
         return Park(busy_unit=busy_unit, counters=tuple(counters),
                     fifo_counters=tuple(fifo_counters),
                     marks=((self.name, mark),),
-                    wake_fifos=(self.fifo.decl.name,),
+                    wake_fifos=(self.fifo,),
                     wake_dram_room=blocked)

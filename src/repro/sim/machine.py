@@ -28,6 +28,7 @@ from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,
                               ScatterSim, StreamStoreSim, TileLoadSim,
                               TileStoreSim)
 from repro.sim.outer import DepEdge, OuterControllerSim
+from repro.sim.scheduler import run_machines
 from repro.sim.scratchpad import MemoryState
 from repro.sim.stats import SimStats
 from repro.trace.tracer import Tracer
@@ -77,8 +78,14 @@ class Machine:
         self._outers: List[OuterControllerSim] = []
         self.root = self._build(dhdl.root)
         self.cycle = 0
-        #: filled by run() in event mode (executed vs fast-forwarded)
+        #: the EventScheduler that ran this machine solo (executed vs
+        #: fast-forwarded cycles); None under the dense reference
         self.scheduler_stats = None
+        #: liveness state kept by the stepping core (sim/scheduler.py):
+        #: last progress key, the cycle it last changed, root completed
+        self._last_key = None
+        self._last_progress = 0
+        self.finished = False
         self._nbuf_by_name = {s.name: s.nbuf for s in dhdl.srams}
         for reg in dhdl.regs:
             self._nbuf_by_name[reg.name] = reg.nbuf
@@ -206,22 +213,17 @@ class Machine:
             scheduler: Optional[str] = None) -> SimStats:
         """Run to completion; returns the statistics object.
 
-        ``scheduler`` selects the cycle loop: ``"event"`` (the default)
-        parks provably blocked units and fast-forwards across all-parked
-        spans; ``"dense"`` is the reference tick-everything loop.  Both
-        are cycle-exact: identical SimStats and stall attribution.
+        This is the one-machine case of the stepping core
+        (:mod:`repro.sim.scheduler`).  ``scheduler`` selects its mode:
+        ``"event"`` (the default) parks provably blocked units and
+        fast-forwards across all-parked spans; ``"dense"`` is the
+        reference tick-everything loop.  Both are cycle-exact:
+        identical SimStats and stall attribution.
         """
-        from repro.sim.scheduler import EventScheduler, run_dense
         mode = scheduler if scheduler is not None else self.scheduler
         limit = max_cycles if max_cycles is not None else self.max_cycles
-        if mode == "dense":
-            return run_dense(self, limit)
-        if mode == "event":
-            sched = EventScheduler(self)
-            self.scheduler_stats = sched
-            return sched.run(limit)
-        raise SimulationError(
-            f"unknown scheduler {mode!r}; one of: event, dense")
+        self.scheduler_stats = run_machines([self], limit, mode)
+        return self.stats
 
     @classmethod
     def run_batch(cls, source, param_list, scheduler: str = "event",
@@ -229,9 +231,8 @@ class Machine:
         """Simulate N instances of one compiled design in one pass.
 
         Cohorts of instances sharing the same functional inputs run as
-        one fully-evaluated leader plus log-replaying followers, stepped
-        jointly at the minimum next-wake cycle; results are bit-exact
-        against sequential :meth:`run` calls.  See
+        one fully-evaluated leader plus log-replaying followers; results
+        are bit-exact against sequential :meth:`run` calls.  See
         :func:`repro.sim.batch.run_batch`.
         """
         from repro.sim.batch import run_batch as _run_batch
@@ -241,9 +242,8 @@ class Machine:
     def tick_units(self, cycle: int) -> None:
         """Tick every controller for one cycle (outers, then leaves).
 
-        The shared inner body of the dense loop and of the multi-tenant
-        Fabric loop: control decisions first so leaves observe
-        up-to-date enables, then the datapaths.
+        The inner body of the dense reference loop: control decisions
+        first so leaves observe up-to-date enables, then the datapaths.
         """
         for outer in self._outers:
             outer.tick(cycle)
@@ -292,14 +292,6 @@ class Machine:
                 detail={"busy_leaves": busy, "stall_causes": waits,
                         "last_progress_cycle": last_progress_cycle})
         raise DeadlockError(message)
-
-    def _raise_limit(self, limit: int):
-        """Max-cycles trip, converted to a typed :class:`FaultError`
-        when an injected fault has fired (never an unattributed hang)."""
-        message = f"{self._whoami()}exceeded max_cycles={limit}"
-        if self.faults is not None and self.faults.fired:
-            raise self.faults.fault_error(message, cycle=self.cycle)
-        raise SimulationError(message)
 
     def _epilogue(self) -> None:
         self.stats.cycles = self.cycle

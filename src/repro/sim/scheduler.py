@@ -1,40 +1,61 @@
-"""Simulation schedulers: the dense reference loop and the event-driven
-wakeup scheduler.
+"""The stepping core: one event scheduler (plus its dense reference)
+driving a *set of machines that share one DRAM model*.
 
-The machine can run under two interchangeable, cycle-exact schedulers:
+Plasticine has no central sequencer: tokens, credits and FIFO
+backpressure leave every unit idle until the event that enables it, and
+all units of the chip — whoever configured them — meet only at the DDR3
+channels.  So a solo ``Machine.run`` is the one-machine case of this
+loop and a multi-tenant ``Fabric.run`` hands over its tenant machines;
+there is no other per-cycle loop in ``repro``.
 
-* :func:`run_dense` — the reference implementation: every controller and
-  scratchpad ticks on every cycle.  Simple, obviously correct, slow.
+Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
+
+* :func:`run_dense` — the reference: every controller of every live
+  machine ticks on every cycle.  Simple, obviously correct, slow.
 * :class:`EventScheduler` — the default: units that report a *park*
   (a provable no-op tick with constant per-cycle accounting) leave the
   tick set and are re-armed only by the event that can unblock them
   (FIFO push/pop/close, DRAM queue room, DRAM completion, a timer, or a
-  child activation/completion).  When *nothing* is runnable and all DRAM
-  channel queues are empty, the scheduler fast-forwards the cycle
-  counter to the next known event and bulk-applies the skipped cycles'
-  accounting.
+  child activation/completion).  When *nothing* is runnable on any
+  machine and all DRAM channel queues are empty, the scheduler
+  fast-forwards the cycle counter to the next known event and
+  bulk-applies the skipped cycles' accounting.
+
+Per-cycle order (both modes): machines in admission order; per machine
+due faults and tracer open; park timers; ``dram.tick()``;
+``dram.deliver()``; each machine's units (outers in postorder, then
+leaves) with ``dram.tenant`` focused on that machine so its bursts are
+stamped; then per machine the retirement sweep, the progress/watchdog
+check and — at the end of the cycle its root goes idle — retirement.
+Each machine keeps its own progress key, watchdog and fault injector;
+one machine's deadlock raises for the whole set.
 
 Cycle-exactness contract
 ------------------------
-Both schedulers must produce identical :class:`~repro.sim.stats.SimStats`
-and identical stall-attribution counters/timelines for any program.  The
-event scheduler guarantees this by construction:
+Both modes must produce identical :class:`~repro.sim.stats.SimStats`
+and identical stall-attribution counters/timelines for any program and
+any mix of co-resident programs.  The event scheduler guarantees this
+by construction:
 
 * a unit parks only from inside a tick branch that performed *only*
   constant per-cycle accounting (the :class:`Park` records exactly those
-  effects, which are replayed for every skipped cycle);
+  effects, which are replayed for every skipped cycle into the unit's
+  own machine);
 * wakeups are liberal — a spurious wake just re-runs a tick the dense
   loop would have run anyway — while every event that could change a
-  parked unit's behaviour is guaranteed to wake it;
+  parked unit's behaviour is guaranteed to wake it (FIFO waiters are
+  keyed by the ``FifoSim`` object: co-tenants of one app share every
+  FIFO *name*);
 * per-cycle processing iterates units in the dense loop's order, so
   intra-cycle interactions (who grabs the last DRAM queue slot, when a
   parent observes a child's completion) resolve identically;
-* fast-forward only happens when no unit is runnable *and* every DRAM
-  channel queue is empty, so the only future events are completions at
-  known cycles and parked-unit timers.  Skipped cycles are accounted in
-  bulk (including the every-256-cycle scratchpad retirement sweep and
-  the deadlock watchdog, which trips at the same cycle it would under
-  the dense loop).
+* fast-forward only happens when no unit of any live machine is
+  runnable *and* every DRAM channel queue is empty, so the only future
+  events are completions at known cycles, parked-unit timers and
+  scheduled faults.  Skipped cycles are accounted in bulk per machine
+  (including the every-256-cycle scratchpad retirement sweep and the
+  deadlock watchdog, which trips at the same cycle it would under the
+  dense loop).
 
 Sampled *discrete* trace events (the diagnostic ring buffer) are not
 replayed for skipped cycles; attribution counters and RLE timelines —
@@ -46,14 +67,11 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.errors import SimulationError
 from repro.trace.events import StallCause
 
-#: recognised scheduler modes (CLI + Machine API)
+#: recognised scheduler modes (CLI + Machine/Fabric/run_batch API)
 SCHEDULER_MODES = ("event", "dense")
-
-#: executed cycles between voluntary yields of the span generators
-#: (bounds how long one batch instance can monopolise the driver)
-_SPAN_CYCLES = 2048
 
 
 class Park:
@@ -70,7 +88,7 @@ class Park:
     ``marks``          — ``(unit_name, StallCause)`` attribution marks
                          emitted per cycle (first mark wins, as in the
                          dense loop);
-    ``wake_fifos``     — FIFO names whose push/pop/close/reopen re-arms
+    ``wake_fifos``     — ``FifoSim``s whose push/pop/close/reopen re-arm
                          the unit;
     ``wake_dram_room`` — re-arm when any DRAM channel dequeues (queue
                          room may have freed).
@@ -88,7 +106,7 @@ class Park:
                  counters: Tuple[str, ...] = (),
                  fifo_counters: Tuple = (),
                  marks: Tuple[Tuple[str, StallCause], ...] = (),
-                 wake_fifos: Tuple[str, ...] = (),
+                 wake_fifos: Tuple = (),
                  wake_dram_room: bool = False):
         self.until = until
         self.busy_unit = busy_unit
@@ -103,48 +121,101 @@ class Park:
 EMPTY_PARK = Park()
 
 
-def run_dense(machine, max_cycles: int):
-    """The reference dense loop: tick everything, every cycle."""
-    for _ in dense_spans(machine, max_cycles):
-        pass
-    return machine.stats
+def check_mode(mode: str) -> None:
+    """Reject anything but :data:`SCHEDULER_MODES`."""
+    if mode not in SCHEDULER_MODES:
+        raise SimulationError(
+            f"unknown scheduler {mode!r}; one of: "
+            f"{', '.join(SCHEDULER_MODES)}")
 
 
-def dense_spans(machine, max_cycles: int):
-    """:func:`run_dense` as a resumable generator (see
-    :meth:`EventScheduler.spans`): yields the current cycle every
-    ``_SPAN_CYCLES`` cycles so a batch driver can interleave instances."""
-    machine.root.start({}, ())
-    trace = machine.tracer
+def run_machines(machines, max_cycles: int, mode: str = "event"):
+    """Run ``machines`` — all wired to ONE :class:`~repro.dram.model.
+    DramModel` — to completion under scheduler ``mode``.
+
+    Returns the :class:`EventScheduler` (executed vs fast-forwarded
+    cycle split), or None under the dense reference.
+    """
+    check_mode(mode)
+    if mode == "dense":
+        run_dense(machines, max_cycles)
+        return None
+    sched = EventScheduler(machines)
+    sched.run(max_cycles)
+    return sched
+
+
+def _raise_limit(live, limit: int, cycle: int):
+    """Max-cycles trip at ``cycle`` with ``live`` machines unfinished:
+    a typed :class:`FaultError` when an injected fault has fired on any
+    of them (never an unattributed hang)."""
+    message = f"exceeded max_cycles={limit}"
+    if live[0].tenant is not None:
+        message += f" with {[m.tenant_name for m in live]} still running"
+    for machine in live:
+        machine.cycle = cycle
+    for machine in live:
+        faults = machine.faults
+        if faults is not None and faults.fired:
+            raise faults.fault_error(message, cycle=cycle)
+    raise SimulationError(message)
+
+
+def _open_cycle(machine, cycle: int) -> None:
+    """One machine's start-of-cycle duties: due faults, tracer open."""
+    machine.cycle = cycle
     faults = machine.faults
-    last_progress_key = None
-    last_progress_cycle = 0
-    while machine.root.busy:
-        machine.cycle += 1
-        if machine.cycle > max_cycles:
-            machine._raise_limit(max_cycles)
-        if faults is not None and faults.next_cycle <= machine.cycle:
-            faults.apply(machine.cycle)
+    if faults is not None and faults.next_cycle <= cycle:
+        faults.apply(cycle)
+    if machine.tracer is not None:
+        machine.tracer.begin_cycle(cycle)
+
+
+def _close_cycle(machine, cycle: int) -> bool:
+    """One machine's end-of-cycle duties: the every-256-cycle scratchpad
+    retirement sweep, the progress/watchdog check, tracer close.  True
+    when the machine's root went idle this cycle: it is finished
+    (``stats.cycles`` is this cycle) and leaves every later pass."""
+    if cycle % 256 == 0:
+        machine.mem.retire_old()
+    trace = machine.tracer
+    key = machine._progress_key()
+    if key != machine._last_key:
+        machine._last_key = key
+        machine._last_progress = cycle
         if trace is not None:
-            trace.begin_cycle(machine.cycle)
-        machine.dram.tick()
-        machine.dram.deliver()
-        machine.tick_units(machine.cycle)
-        if machine.cycle % 256 == 0:
-            machine.mem.retire_old()
-        key = machine._progress_key()
-        if key != last_progress_key:
-            last_progress_key = key
-            last_progress_cycle = machine.cycle
-            if trace is not None:
-                trace.progress(machine.cycle)
-        elif machine.cycle - last_progress_cycle > machine.watchdog:
-            machine._raise_deadlock(last_progress_cycle)
-        if trace is not None:
-            trace.end_cycle()
-        if machine.cycle % _SPAN_CYCLES == 0:
-            yield machine.cycle
+            trace.progress(cycle)
+    elif cycle - machine._last_progress > machine.watchdog:
+        machine._raise_deadlock(machine._last_progress)
+    if trace is not None:
+        trace.end_cycle()
+    if machine.root.busy:
+        return False
+    machine.finished = True
     machine._epilogue()
+    return True
+
+
+def run_dense(machines, max_cycles: int) -> None:
+    """The reference dense loop: tick everything, every cycle."""
+    dram = machines[0].dram
+    live = list(machines)
+    for machine in live:
+        machine.root.start({}, ())
+    cycle = dram.cycle
+    while live:
+        cycle += 1
+        if cycle > max_cycles:
+            _raise_limit(live, max_cycles, cycle)
+        for machine in live:
+            _open_cycle(machine, cycle)
+        dram.tick()
+        dram.deliver()
+        for machine in live:
+            dram.tenant = machine.tenant
+            machine.tick_units(cycle)
+        dram.tenant = None
+        live = [m for m in live if not _close_cycle(m, cycle)]
 
 
 #: unit states under the event scheduler
@@ -152,27 +223,28 @@ _IDLE, _RUNNING, _PARKED = 0, 1, 2
 
 
 class EventScheduler:
-    """Event-driven wakeup scheduler (cycle-exact vs the dense loop)."""
+    """Event-driven wakeup scheduler over machines sharing one DRAM
+    model (cycle-exact vs the dense loop)."""
 
-    def __init__(self, machine):
-        self.m = machine
-        self.outers = machine._outers
-        self.leaves = machine._leaves
+    def __init__(self, machines):
+        self.machines = list(machines)
+        self.dram = self.machines[0].dram
         #: child sim -> parent OuterControllerSim (completion wakeups)
         self._parent: Dict[int, object] = {}
-        for outer in self.outers:
-            for child in outer.children:
-                self._parent[id(child)] = outer
-        for node in self.outers + self.leaves:
-            node._sched = self
-            node._sched_state = _IDLE
-            node._park = None
-        for fifo in machine.fifos.values():
-            fifo.sched = self
-        for channel in machine.dram.channels:
+        for machine in self.machines:
+            for outer in machine._outers:
+                for child in outer.children:
+                    self._parent[id(child)] = outer
+            for node in machine._outers + machine._leaves:
+                node._sched = self
+                node._sched_state = _IDLE
+                node._park = None
+            for fifo in machine.fifos.values():
+                fifo.sched = self
+        for channel in self.dram.channels:
             channel.on_dequeue = self._dram_room_event
         self.num_running = 0
-        self._fifo_waiters: Dict[str, Set] = {}
+        self._fifo_waiters: Dict[object, Set] = {}
         self._room_waiters: Set = set()
         self._timers: List[Tuple[int, int, object]] = []
         self._timer_seq = 0
@@ -198,13 +270,14 @@ class EventScheduler:
 
     def fifo_event(self, fifo) -> None:
         """A FIFO changed (push/pop/close/reopen): wake its waiters."""
-        waiters = self._fifo_waiters.get(fifo.decl.name)
+        waiters = self._fifo_waiters.get(fifo)
         if waiters:
             for node in list(waiters):
                 self._wake(node)
 
     def _dram_room_event(self) -> None:
-        """A channel dequeued a request: queue room may have freed."""
+        """A channel dequeued a request: queue room may have freed
+        (for any machine — the channels are shared)."""
         if self._room_waiters:
             for node in list(self._room_waiters):
                 self._wake(node)
@@ -221,8 +294,8 @@ class EventScheduler:
         park = node._park
         if park is None:
             return
-        for name in park.wake_fifos:
-            waiters = self._fifo_waiters.get(name)
+        for fifo in park.wake_fifos:
+            waiters = self._fifo_waiters.get(fifo)
             if waiters is not None:
                 waiters.discard(node)
         if park.wake_dram_room:
@@ -233,8 +306,8 @@ class EventScheduler:
         park = node._park
         node._sched_state = _PARKED
         self.num_running -= 1
-        for name in park.wake_fifos:
-            self._fifo_waiters.setdefault(name, set()).add(node)
+        for fifo in park.wake_fifos:
+            self._fifo_waiters.setdefault(fifo, set()).add(node)
         if park.wake_dram_room:
             self._room_waiters.add(node)
         if park.until is not None:
@@ -249,31 +322,6 @@ class EventScheduler:
         if parent is not None:
             self._wake(parent)
 
-    # -- per-cycle effect replay ------------------------------------------------
-    def _apply_park_effects(self, park: Park, n: int) -> None:
-        """Replay ``n`` skipped cycles' worth of a park's accounting."""
-        stats = self.m.stats
-        if park.busy_unit is not None:
-            stats.busy(park.busy_unit, n)
-        for attr in park.counters:
-            setattr(stats, attr, getattr(stats, attr) + n)
-        for fifo, attr in park.fifo_counters:
-            setattr(fifo, attr, getattr(fifo, attr) + n)
-
-    def _parked_cause_map(self) -> Dict[str, StallCause]:
-        """Merged per-unit attribution for a span of all-parked cycles,
-        in dense tick order (outers before leaves, first mark wins)."""
-        cause_map: Dict[str, StallCause] = {}
-        for outer in self.outers:
-            if outer._sched_state == _PARKED:
-                for unit, cause in outer._park.marks:
-                    cause_map.setdefault(unit, cause)
-        for leaf in self.leaves:
-            if leaf._sched_state == _PARKED:
-                for unit, cause in leaf._park.marks:
-                    cause_map.setdefault(unit, cause)
-        return cause_map
-
     # -- fast-forward -----------------------------------------------------------
     def _next_timer(self) -> Optional[int]:
         """Earliest valid park timer (lazily discarding stale entries)."""
@@ -287,9 +335,9 @@ class EventScheduler:
             heapq.heappop(timers)
         return None
 
-    def _fast_forward(self, cycle: int, last_progress: int,
-                      max_cycles: int) -> int:
-        """No unit is runnable: jump towards the next known event.
+    def _fast_forward(self, cycle: int, live, max_cycles: int) -> int:
+        """No unit of any live machine is runnable: jump towards the
+        next known event.
 
         Returns the (possibly advanced) current cycle; the main loop
         resumes normal processing at the cycle after it.  Only legal to
@@ -297,92 +345,81 @@ class EventScheduler:
         requests make the FR-FCFS schedule cycle-sensitive, so those
         regimes step cycle by cycle (with only the DRAM model active).
         """
-        m = self.m
-        dram = m.dram
+        dram = self.dram
         for channel in dram.channels:
             if channel.queue:
                 return cycle
-        wd_trip = last_progress + m.watchdog + 1
-        target = wd_trip  # nothing pending: emulate the watchdog spin
+        target = max_cycles + 1
+        for machine in live:
+            # nothing pending: emulate this machine's watchdog spin
+            trip = machine._last_progress + machine.watchdog + 1
+            if trip < target:
+                target = trip
+            # never jump over a scheduled fault event: resume normal
+            # processing at its exact cycle so injection stays
+            # deterministic
+            faults = machine.faults
+            if faults is not None and faults.next_cycle < target:
+                target = faults.next_cycle
         timer = self._next_timer()
         if timer is not None and timer < target:
             target = timer
         completion = dram.next_completion()
         if completion is not None and completion < target:
             target = completion
-        # never jump over a scheduled fault event: resume normal
-        # processing at its exact cycle so injection stays deterministic
-        if m.faults is not None and m.faults.next_cycle < target:
-            target = m.faults.next_cycle
-        if target > max_cycles + 1:
-            target = max_cycles + 1
         skipped = target - 1 - cycle
         if skipped <= 0:
             return cycle
-        for leaf in self.leaves:
-            if leaf._sched_state == _PARKED:
-                self._apply_park_effects(leaf._park, skipped)
-        trace = m.tracer
-        if trace is not None:
-            trace.account_span(self._parked_cause_map(), cycle + 1,
-                               skipped)
         # the dense loop's every-256-cycle retirement sweep falls inside
         # the skipped span: run it (once is equivalent — no unit writes
         # between the skipped boundaries)
-        if (cycle + skipped) // 256 > cycle // 256:
-            m.mem.retire_old()
+        sweep = (cycle + skipped) // 256 > cycle // 256
+        for machine in live:
+            stats = machine.stats
+            trace = machine.tracer
+            #: per-unit attribution for the span, in dense tick order
+            #: (outers before leaves, first mark wins)
+            cause_map: Dict[str, StallCause] = {}
+            for node in machine._outers + machine._leaves:
+                if node._sched_state != _PARKED:
+                    continue
+                park = node._park
+                if park.busy_unit is not None:
+                    stats.busy(park.busy_unit, skipped)
+                for attr in park.counters:
+                    setattr(stats, attr, getattr(stats, attr) + skipped)
+                for fifo, attr in park.fifo_counters:
+                    setattr(fifo, attr, getattr(fifo, attr) + skipped)
+                if trace is not None:
+                    for unit, cause in park.marks:
+                        cause_map.setdefault(unit, cause)
+            if trace is not None:
+                trace.account_span(cause_map, cycle + 1, skipped)
+            if sweep:
+                machine.mem.retire_old()
         dram.advance_to(cycle + skipped)
         self.fast_forwarded_cycles += skipped
         return cycle + skipped
 
     # -- main loop ----------------------------------------------------------------
-    def run(self, max_cycles: int):
-        for _ in self.spans(max_cycles):
-            pass
-        return self.m.stats
-
-    def spans(self, max_cycles: int):
-        """Run as a resumable generator, yielding the current cycle at
-        span boundaries (after each fast-forward jump and every
-        ``_SPAN_CYCLES`` executed cycles).
-
-        This is how :func:`repro.sim.batch.run_batch` interleaves many
-        instances of one design: each instance's scheduler is advanced
-        span by span, with the batch driver always resuming the instance
-        whose next-wake cycle is smallest.  :meth:`run` drains the
-        generator in place, so a solo run is the single-instance special
-        case of the same loop.
-        """
-        m = self.m
-        m.root.start({}, ())
-        self.node_started(m.root)
-        trace = m.tracer
-        faults = m.faults
-        stats = m.stats
-        outers = self.outers
-        leaves = self.leaves
-        root = m.root
-        dram_tick = m.dram.tick
-        dram_deliver = m.dram.deliver
-        progress_key = m._progress_key
-        retire = m.mem.retire_old
-        watchdog = m.watchdog
+    def run(self, max_cycles: int) -> None:
+        """Step every machine to completion."""
+        live = list(self.machines)
+        for machine in live:
+            machine.root.start({}, ())
+            self.node_started(machine.root)
+        dram = self.dram
+        dram_tick = dram.tick
+        dram_deliver = dram.deliver
         timers = self._timers
-        last_progress_key = None
-        last_progress_cycle = 0
-        executed = 0
-        cycle = m.cycle
-        while root.busy:
+        cycle = dram.cycle
+        while live:
             cycle += 1
-            m.cycle = cycle
             if cycle > max_cycles:
-                self.executed_cycles += executed
-                m._raise_limit(max_cycles)
-            if faults is not None and faults.next_cycle <= cycle:
-                faults.apply(cycle)
-            executed += 1
-            if trace is not None:
-                trace.begin_cycle(cycle)
+                _raise_limit(live, max_cycles, cycle)
+            self.executed_cycles += 1
+            for machine in live:
+                _open_cycle(machine, cycle)
             while timers and timers[0][0] <= cycle:
                 until, _, node = heapq.heappop(timers)
                 park = node._park
@@ -391,59 +428,43 @@ class EventScheduler:
                     self._wake(node)
             dram_tick()      # may free queue room -> wakes waiters
             dram_deliver()   # completions -> wake issuing units
-            for outer in outers:
-                state = outer._sched_state
-                if state == _RUNNING:
-                    outer._park = None
-                    outer.tick(cycle)
-                    if not outer.busy:
-                        self._finish_node(outer)
-                    elif outer._park is not None:
-                        self._park_node(outer)
-                elif state == _PARKED and trace is not None:
-                    for unit, cause in outer._park.marks:
-                        trace.mark(unit, cause)
-            for leaf in leaves:
-                state = leaf._sched_state
-                if state == _RUNNING:
-                    leaf._park = None
-                    leaf.tick(cycle)
-                    if not leaf.busy:
-                        self._finish_node(leaf)
-                    elif leaf._park is not None:
-                        self._park_node(leaf)
-                elif state == _PARKED:
-                    park = leaf._park
-                    if park.busy_unit is not None:
-                        stats.busy(park.busy_unit)
-                    for attr in park.counters:
-                        setattr(stats, attr, getattr(stats, attr) + 1)
-                    for fifo, attr in park.fifo_counters:
-                        setattr(fifo, attr, getattr(fifo, attr) + 1)
-                    if trace is not None:
-                        for unit, cause in park.marks:
+            for machine in live:
+                dram.tenant = machine.tenant
+                trace = machine.tracer
+                stats = machine.stats
+                for outer in machine._outers:
+                    state = outer._sched_state
+                    if state == _RUNNING:
+                        outer._park = None
+                        outer.tick(cycle)
+                        if not outer.busy:
+                            self._finish_node(outer)
+                        elif outer._park is not None:
+                            self._park_node(outer)
+                    elif state == _PARKED and trace is not None:
+                        for unit, cause in outer._park.marks:
                             trace.mark(unit, cause)
-            if cycle % 256 == 0:
-                retire()
-            key = progress_key()
-            if key != last_progress_key:
-                last_progress_key = key
-                last_progress_cycle = cycle
-                if trace is not None:
-                    trace.progress(cycle)
-            elif cycle - last_progress_cycle > watchdog:
-                self.executed_cycles += executed
-                m._raise_deadlock(last_progress_cycle)
-            if trace is not None:
-                trace.end_cycle()
-            if self.num_running == 0 and root.busy:
-                jumped = self._fast_forward(cycle, last_progress_cycle,
-                                            max_cycles)
-                if jumped != cycle:
-                    cycle = jumped
-                    m.cycle = cycle
-                    yield cycle
-            if executed % _SPAN_CYCLES == 0:
-                yield cycle
-        self.executed_cycles += executed
-        m._epilogue()
+                for leaf in machine._leaves:
+                    state = leaf._sched_state
+                    if state == _RUNNING:
+                        leaf._park = None
+                        leaf.tick(cycle)
+                        if not leaf.busy:
+                            self._finish_node(leaf)
+                        elif leaf._park is not None:
+                            self._park_node(leaf)
+                    elif state == _PARKED:
+                        park = leaf._park
+                        if park.busy_unit is not None:
+                            stats.busy(park.busy_unit)
+                        for attr in park.counters:
+                            setattr(stats, attr, getattr(stats, attr) + 1)
+                        for fifo, attr in park.fifo_counters:
+                            setattr(fifo, attr, getattr(fifo, attr) + 1)
+                        if trace is not None:
+                            for unit, cause in park.marks:
+                                trace.mark(unit, cause)
+            dram.tenant = None
+            live = [m for m in live if not _close_cycle(m, cycle)]
+            if self.num_running == 0 and live:
+                cycle = self._fast_forward(cycle, live, max_cycles)

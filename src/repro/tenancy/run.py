@@ -86,7 +86,8 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
            tracer_factory=None,
            packing: Optional[PackReport] = None,
            priorities: Optional[Sequence[int]] = None,
-           bandwidth_aware: bool = False) -> CoRunResult:
+           bandwidth_aware: bool = False,
+           scheduler: str = "event") -> CoRunResult:
     """Pack ``apps`` onto one fabric, run to completion, validate.
 
     ``tracer_factory`` (tenant name -> Tracer) attaches one tracer per
@@ -103,7 +104,8 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
     priorities run the bit-identical plain FR-FCFS scheduler.
     ``bandwidth_aware`` turns on the packer's profile phase (solo-run
     classification + complementary placement + predicted per-channel
-    demand in the pack report).
+    demand in the pack report).  ``scheduler`` is the stepping core's
+    mode, as for ``Machine.run`` (cycle-exact either way).
     """
     from repro.apps.registry import get_app
     from repro.compiler.artifact import compile_to_bitstream
@@ -144,7 +146,7 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
             artifact.dhdl, artifact.config, name=name, tracer=tracer,
             priority=priorities[k] if priorities is not None else 1)
         handles.append(handle)
-    fabric.run()
+    fabric.run(scheduler=scheduler)
     tenants = []
     for (name, app, artifact, region), handle in zip(entries, handles):
         validated = False

@@ -176,3 +176,42 @@ def test_pending_counts():
     assert model.pending == 1
     run_until_idle(model)
     assert model.pending == 0
+
+
+def test_deliver_pops_the_matured_prefix_in_handover_order():
+    """Undelivered completions are kept ordered by completion cycle, but
+    one ``deliver`` call still returns (and calls back) in the order the
+    channels handed them over — also across a fast-forward jump that
+    matures completions of several different cycles at once."""
+    model = DramModel()
+    handed = []
+    for channel in model.channels:
+        def spy(drain=channel.drain_completed):
+            done = drain()
+            handed.extend(done)
+            return done
+        channel.drain_completed = spy
+    called = []
+    # random bursts over a few rows: hits and conflicts interleave, so
+    # hand-over order is not completion order
+    import random
+    rng = random.Random(3)
+    for _ in range(48):
+        model.submit(DramRequest(byte_addr=64 * rng.randrange(1 << 12)),
+                     callback=called.append)
+    while any(channel.queue for channel in model.channels):
+        model.tick()
+    cycles = [r.complete_cycle for r in handed]
+    assert len(handed) == 48 and cycles != sorted(cycles)
+    assert model.next_completion() == min(cycles)
+    middle = sorted(cycles)[24]
+    model.advance_to(middle)
+    first = model.deliver()
+    assert first == [r for r in handed if r.complete_cycle <= middle]
+    assert called == first
+    assert model.next_completion() == min(c for c in cycles if c > middle)
+    model.advance_to(max(cycles))
+    assert first + model.deliver() == sorted(
+        handed, key=lambda r: (r.complete_cycle > middle, handed.index(r)))
+    assert model.deliver() == [] and model.next_completion() is None
+    assert model.idle and model.pending == 0

@@ -88,8 +88,9 @@ def test_batch_of_one_matches_plain_run():
 
 
 def test_mixed_retirement_batch():
-    """Instances that abort early (max-cycles, watchdog) must retire
-    from the joint step loop without disturbing the survivors."""
+    """Instances that abort early (max-cycles, watchdog) record their
+    error in their own slot without disturbing the survivors (instances
+    run back to back; a follower's abort is not its leader's)."""
     compiled = _compiled("gemm")
     source = (compiled.dhdl, compiled.config)
     params = [{}, {"max_cycles": 40}, {"stages": 6},

@@ -21,6 +21,7 @@ from repro.compiler.artifact import compile_to_bitstream
 from repro.compiler.place_route import Region
 from repro.errors import SimulationError
 from repro.sim import Fabric, Machine
+from repro.sim.scheduler import SCHEDULER_MODES
 from repro.trace import RingTracer
 
 PAIR = ("gemm", "tpchq6")
@@ -33,12 +34,12 @@ def _solo(artifact, traced=False):
     return machine, stats, tracer
 
 
-def _lone_tenant(artifact, name, traced=False):
+def _lone_tenant(artifact, name, traced=False, scheduler="event"):
     tracer = RingTracer(sample=4) if traced else None
     fabric = Fabric()
     tenant = fabric.add_tenant(artifact.dhdl, artifact.config,
                                name=name, tracer=tracer)
-    fabric.run()
+    fabric.run(scheduler=scheduler)
     return fabric, tenant, tracer
 
 
@@ -51,16 +52,19 @@ def _lone_tenant(artifact, name, traced=False):
 def test_lone_tenant_bit_identical_to_solo(app):
     artifact = compile_to_bitstream(app.name, "tiny")
     solo_machine, solo_stats, _ = _solo(artifact)
-    _, tenant, _ = _lone_tenant(artifact, app.name)
-
-    assert dataclasses.asdict(tenant.stats) \
-        == dataclasses.asdict(solo_stats)
-    # identical final DRAM image, array by array
     solo_bufs = solo_machine.image.buffers
-    ten_bufs = tenant.machine.image.buffers
-    assert set(solo_bufs) == set(ten_bufs)
-    for name in solo_bufs:
-        np.testing.assert_array_equal(solo_bufs[name], ten_bufs[name])
+    for scheduler in SCHEDULER_MODES:
+        fabric, tenant, _ = _lone_tenant(artifact, app.name,
+                                         scheduler=scheduler)
+        assert fabric.cycle == tenant.finish_cycle == solo_stats.cycles
+        assert dataclasses.asdict(tenant.stats) \
+            == dataclasses.asdict(solo_stats)
+        # identical final DRAM image, array by array
+        ten_bufs = tenant.machine.image.buffers
+        assert set(solo_bufs) == set(ten_bufs)
+        for name in solo_bufs:
+            np.testing.assert_array_equal(solo_bufs[name],
+                                          ten_bufs[name])
 
 
 @pytest.mark.parametrize("app", PAIR)

@@ -21,7 +21,9 @@ from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array
 from repro.patterns import expr as E
-from repro.sim import AgAssignment, FabricConfig, LeafTiming, Machine
+from repro.sim import (AgAssignment, Fabric, FabricConfig, LeafTiming,
+                       Machine)
+from repro.tenancy import co_run
 from repro.trace import RingTracer
 
 
@@ -77,10 +79,23 @@ def test_dense_scheduler_has_no_scheduler_stats():
 
 
 def test_unknown_scheduler_rejected():
+    """Every entry point takes the same modes and raises the same
+    error for anything else."""
     compiled = compile_program(ALL_APPS[0].build("tiny"))
-    with pytest.raises((ValueError, SimulationError)):
-        Machine(compiled.dhdl, compiled.config,
-                scheduler="optimistic").run()
+    fabric = Fabric()
+    fabric.add_tenant(compiled.dhdl, compiled.config)
+    for run in (
+            Machine(compiled.dhdl, compiled.config,
+                    scheduler="optimistic").run,
+            lambda: fabric.run(scheduler="optimistic"),
+            lambda: Machine.run_batch(compiled, [{}],
+                                      scheduler="optimistic"),
+            lambda: co_run([ALL_APPS[0].name],
+                           scheduler="optimistic")):
+        with pytest.raises(SimulationError,
+                           match="unknown scheduler 'optimistic'; "
+                                 "one of: event, dense"):
+            run()
 
 
 def _rowconf_machine(scheduler):

@@ -91,3 +91,23 @@ def test_run_without_trace_has_no_attribution(capsys):
     assert main(["run", "gemm", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out
     assert "Stall attribution" not in out
+
+
+@pytest.mark.parametrize("mode", ["event", "dense"])
+def test_run_multi_forwards_scheduler(mode, capsys, monkeypatch):
+    """``--scheduler`` means the same with and without ``--multi``."""
+    import repro.sim.fabric as fabric_mod
+    seen = []
+    run_machines = fabric_mod.run_machines
+
+    def spy(machines, limit, scheduler):
+        seen.append(scheduler)
+        return run_machines(machines, limit, scheduler)
+
+    monkeypatch.setattr(fabric_mod, "run_machines", spy)
+    assert main(["run", "--multi", "gemm", "tpchq6", "--scale", "tiny",
+                 "--scheduler", mode]) == 0
+    assert seen == [mode]
+    out = capsys.readouterr().out
+    assert "2 tenants, 161 cycles" in out
+    assert out.count("yes") == 2
