@@ -23,16 +23,19 @@ Commands
 ``bench [--quick] [--baseline PATH] [--jobs N] [--batch]``
     Simulator performance harness: run the benchmark registry, report
     wall-clock seconds / simulated cycles / cycles-per-second per
-    benchmark, and write ``BENCH_<rev>.json``.  With ``--baseline``
-    compare against a committed report and fail on regression.
-    ``--batch`` instead times ``Machine.run_batch`` on a
-    Figure-7-style 78-instance grid against a sampled sequential
-    estimate and (with ``--baseline benchmarks/batch_baseline.json``)
-    enforces the committed minimum speedup — the CI ``batch-gate``
-    job.  ``repro run --batch`` likewise simulates N timing variants
-    (``--sweep stages=4,8,16 --sweep banks=4,16`` or an explicit
-    ``--batch-params`` JSON list) of one compiled design in a single
-    batched pass.
+    benchmark, and write ``BENCH_<rev>.json``.  ``--baseline PATH``
+    gates the report against a committed baseline — a partial report
+    whose leaves are exact pins and whose ``min_``/``max_`` keys are
+    bounds (``repro.eval.gate``); a failed pin exits 1, an unusable
+    baseline exits 2 before anything runs.  ``--batch`` instead times
+    ``Machine.run_batch`` on a Figure-7-style 78-instance grid against
+    a sampled sequential estimate (baseline
+    ``benchmarks/batch_baseline.json``, the CI ``gates`` job), and
+    ``--multi`` the co-resident fabric (``multi_baseline.json``,
+    ``--qos-baseline``).  ``repro run --batch`` likewise simulates N
+    timing variants (``--sweep stages=4,8,16 --sweep banks=4,16`` or an
+    explicit ``--batch-params`` JSON list) of one compiled design in a
+    single batched pass.
 ``table5 | table6 | table7``
     Regenerate a paper table.  ``--jobs N`` evaluates benchmarks on a
     process pool; compiles go through the artifact cache (``--cache-dir``
@@ -47,7 +50,8 @@ Commands
 ``loadtest [--requests N] [--concurrency N] [--spawn]``
     Replay a deterministic mix of concurrent requests against a server
     (or a self-spawned one with ``--spawn``) and report p50/p99
-    latency, throughput, and coalesce/cache-hit rates.
+    latency, throughput, and coalesce/cache-hit rates; ``--baseline``
+    gates the report like ``bench``.
 ``chaos [--seed N] [--scenarios M]``
     Run registry apps under seeded random fault plans
     (``repro.faults``): every scenario must end bit-correct (clean,
@@ -158,16 +162,29 @@ def _cmd_run_artifact(args) -> int:
           f"{artifact.config.pmus_used} PMUs "
           f"({100 * util['pmu']:.1f}%), "
           f"{artifact.config.ags_used} AGs")
-    if tracer is not None:
-        from repro.trace import render_waterfall, write_chrome_trace
-        report = machine.trace_report()
-        print()
-        print(report.render())
-        print()
-        print(render_waterfall(tracer, report))
-        if args.trace:
-            write_chrome_trace(args.trace, tracer, report)
-            print(f"\nwrote Chrome trace to {args.trace}")
+    return _print_trace(machine, tracer, args.trace)
+
+
+def _print_trace(machine, tracer, path) -> int:
+    """Stall attribution + waterfall of a traced run; Chrome trace JSON
+    to ``path`` when one was given.  Returns the exit status."""
+    if tracer is None:
+        return 0
+    from repro.trace import render_waterfall, write_chrome_trace
+    report = machine.trace_report()
+    print()
+    print(report.render())
+    print()
+    print(render_waterfall(tracer, report))
+    if path:
+        try:
+            write_chrome_trace(path, tracer, report)
+        except OSError as err:
+            print(f"cannot write trace to {path}: {err}",
+                  file=sys.stderr)
+            return 1
+        print(f"\nwrote Chrome trace to {path} "
+              f"(load in chrome://tracing or ui.perfetto.dev)")
     return 0
 
 
@@ -396,23 +413,7 @@ def _cmd_run(args) -> int:
     if args.floorplan:
         print()
         print(render_floorplan(compiled))
-    if tracer is not None:
-        from repro.trace import render_waterfall, write_chrome_trace
-        report = machine.trace_report()
-        print()
-        print(report.render())
-        print()
-        print(render_waterfall(tracer, report))
-        if args.trace:
-            try:
-                write_chrome_trace(args.trace, tracer, report)
-            except OSError as err:
-                print(f"cannot write trace to {args.trace}: {err}",
-                      file=sys.stderr)
-                return 1
-            print(f"\nwrote Chrome trace to {args.trace} "
-                  f"(load in chrome://tracing or ui.perfetto.dev)")
-    return 0
+    return _print_trace(machine, tracer, args.trace)
 
 
 def render_floorplan(compiled) -> str:
@@ -663,13 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=".", metavar="DIR",
                        help="directory for BENCH_<rev>.json")
     bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="compare against a committed report and "
-                            "fail on >threshold cycles/sec regression "
-                            "or any simulated-cycle-count change")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       metavar="F",
-                       help="allowed fractional cycles/sec regression "
-                            "vs the baseline (default 0.25)")
+                       help="gate the report against a committed "
+                            "baseline (exact pins and min_/max_ bounds, "
+                            "see repro.eval.gate), e.g. "
+                            "benchmarks/baseline.json")
     bench.add_argument("--jobs", type=_positive_int, default=1,
                        metavar="N",
                        help="time benchmarks on N worker processes "
@@ -806,13 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--out", default=None, metavar="PATH",
                       help="also write the JSON report here")
     load.add_argument("--baseline", default=None, metavar="PATH",
-                      help="compare against a committed report "
-                           "(e.g. benchmarks/serve_baseline.json) and "
-                           "fail on regression")
-    load.add_argument("--threshold", type=float, default=0.5,
-                      metavar="F",
-                      help="allowed fractional latency/throughput "
-                           "regression vs the baseline (default 0.5)")
+                      help="gate the report against a committed "
+                           "baseline (e.g. benchmarks/"
+                           "serve_baseline.json)")
     chaos = sub.add_parser(
         "chaos", help="run seeded random fault-injection scenarios")
     chaos.add_argument("--seed", type=int, default=0, metavar="N",

@@ -9,14 +9,12 @@ benchmark registry and writes a machine-readable report,
   cycles were executed vs fast-forwarded;
 * totals — aggregate cycles, seconds and cycles/sec.
 
-The report doubles as a regression gate: :func:`compare` checks a fresh
-report against a committed baseline and fails on
-
-* any *simulated cycle count* change (the simulator's answer changed —
-  a correctness, not performance, regression), or
-* a cycles-per-second drop beyond the allowed threshold on the
-  aggregate throughput (per-benchmark wall times are too noisy on
-  shared CI runners to gate individually).
+The report doubles as a regression gate (:mod:`repro.eval.gate`):
+``benchmarks/baseline.json`` pins every *simulated cycle count* (a
+change means the simulator's answer changed — a correctness, not
+performance, regression) and puts a floor under the aggregate
+cycles-per-second (per-benchmark wall times are too noisy on shared CI
+runners to gate individually).
 
 Wall-clock timing covers ``Machine.run`` only; program build and
 compilation are reported separately and not gated.
@@ -24,11 +22,12 @@ compilation are reported separately and not gated.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
 from typing import Dict, List, Optional
+
+from repro.eval import gate
 
 #: report format version (bump on incompatible layout changes)
 FORMAT = 1
@@ -225,44 +224,8 @@ def run_benchmarks(scale: str = "small", scheduler: str = "event",
     }
 
 
-def write_report(report: dict, out_dir: str = ".") -> str:
-    """Write ``BENCH_<rev>.json``; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{report['rev']}.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def compare(current: dict, baseline: dict,
-            threshold: float = 0.25) -> List[str]:
-    """Regression check; returns a list of failure messages (empty =
-    pass)."""
-    failures: List[str] = []
-    base_rows = {r["name"]: r for r in baseline.get("benchmarks", ())}
-    for row in current["benchmarks"]:
-        base = base_rows.get(row["name"])
-        if base is None:
-            continue  # new benchmark: nothing to regress against
-        if row["cycles"] != base["cycles"]:
-            failures.append(
-                f"{row['name']}: simulated cycles changed "
-                f"{base['cycles']} -> {row['cycles']} (the simulator's "
-                f"answer changed; refresh the baseline only if this is "
-                f"an intended model change)")
-    cur_rate = current["totals"]["cycles_per_sec"]
-    base_rate = baseline["totals"]["cycles_per_sec"]
-    if base_rate > 0 and cur_rate < base_rate * (1.0 - threshold):
-        failures.append(
-            f"throughput regression: {cur_rate} cycles/sec vs baseline "
-            f"{base_rate} (allowed: >= {1.0 - threshold:.0%} of "
-            f"baseline)")
-    return failures
-
-
 # ---------------------------------------------------------------------------
-# Batched-simulation benchmark (the CI batch-gate workload)
+# Batched-simulation benchmark (`repro bench --batch`, the CI gates job)
 # ---------------------------------------------------------------------------
 
 #: batch report format version
@@ -362,33 +325,6 @@ def run_batch_benchmark(app: str = "gemm", scale: str = "small",
     }
 
 
-def compare_batch(report: dict, baseline: dict) -> List[str]:
-    """Batch-gate check; returns failure messages (empty = pass).
-
-    The committed baseline pins the minimum acceptable
-    batch-vs-sequential speedup; any equivalence mismatch or instance
-    error found during the benchmark fails the gate outright.
-    """
-    failures = list(report.get("mismatches", ()))
-    failures += report.get("errors", ())
-    min_speedup = float(baseline.get("min_speedup", 0.0))
-    if report["speedup"] < min_speedup:
-        failures.append(
-            f"batch speedup regression: {report['speedup']:.1f}x vs "
-            f"committed floor {min_speedup:.1f}x "
-            f"(base: solo {report['per_run_s'] * 1e3:.0f} ms/run x "
-            f"{report['instances']} instances = "
-            f"{report['est_sequential_s']:.2f}s; batch "
-            f"{report['batch_s']:.2f}s)")
-    want_n = baseline.get("instances")
-    if want_n is not None and report["instances"] != want_n:
-        failures.append(
-            f"batch workload changed: {report['instances']} instances "
-            f"vs baseline {want_n} (update benchmarks/"
-            f"batch_baseline.json if intended)")
-    return failures
-
-
 def render_batch(report: dict) -> str:
     """Human-readable batch benchmark summary."""
     return "\n".join([
@@ -411,39 +347,18 @@ def render_batch(report: dict) -> str:
 
 def cmd_bench_batch(args) -> int:
     """The ``repro bench --batch`` path (wired from :func:`cmd_bench`)."""
-    import sys
-
     from repro.bitstream.cache import CompileCache
 
+    baseline = gate.load(args.baseline)
     app = (args.apps[0] if args.apps else "gemm")
     scale = "tiny" if args.quick else args.scale
     cache = CompileCache(args.cache_dir) if args.cache_dir else None
     report = run_batch_benchmark(app=app, scale=scale,
                                  scheduler=args.scheduler, cache=cache)
     print(render_batch(report))
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"BATCH_{report['rev']}.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {path}")
-    status = 0
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = compare_batch(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"batch gate passed: {report['speedup']:.1f}x over a "
-              f"base of {report['per_run_s'] * 1e3:.0f} ms per solo run "
-              f"(floor {baseline.get('min_speedup', 0):.1f}x)")
-    elif report["mismatches"] or report["errors"]:
-        for failure in report["mismatches"] + report["errors"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        status = 1
-    return status
+    return gate.finish(report, path, baseline,
+                       {"mismatches": [], "errors": []})
 
 
 def render(report: dict) -> str:
@@ -476,8 +391,6 @@ def render(report: dict) -> str:
 
 def cmd_bench(args) -> int:
     """Entry point for ``repro bench`` (wired from the CLI)."""
-    import sys
-
     from repro.bitstream.cache import CompileCache
     from repro.eval.driver import CacheTally
 
@@ -486,6 +399,7 @@ def cmd_bench(args) -> int:
         return cmd_bench_multi(args)
     if getattr(args, "batch", False):
         return cmd_bench_batch(args)
+    baseline = gate.load(args.baseline)
     scale = "tiny" if args.quick else args.scale
     repeat = 1 if args.quick else args.repeat
     # caching is opt-in for bench: compile_s is part of the report, and
@@ -499,17 +413,5 @@ def cmd_bench(args) -> int:
     print(render(report))
     if tally.lookups:
         print(tally.summary())
-    path = write_report(report, args.out)
-    print(f"\nwrote {path}")
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = compare(report, baseline, threshold=args.threshold)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed "
-              f"(threshold {args.threshold:.0%}, baseline rev "
-              f"{baseline.get('rev', '?')})")
-    return 0
+    path = os.path.join(args.out, f"BENCH_{report['rev']}.json")
+    return gate.finish(report, path, baseline)

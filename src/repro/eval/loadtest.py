@@ -12,15 +12,15 @@ coalescing and the compile/result caches actually saved.
 Backpressure is part of the protocol, not an error: a 429 is retried
 after the server's ``Retry-After`` hint and counted separately.  With
 ``--spawn`` the harness forks its own ``repro serve`` subprocess on a
-free port, waits for ``/healthz``, replays, and tears it down — the CI
-``serve-smoke`` job and the committed ``benchmarks/serve_baseline.json``
-both use that mode.
+free port, waits for ``/healthz``, replays, and tears it down — the
+mode every CI job uses.  ``--baseline`` holds the report against one of
+the committed ``benchmarks/serve_*baseline.json`` files through
+:mod:`repro.eval.gate`; failed requests fail the command either way.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import signal
@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.eval import gate
 from repro.eval.report import format_table
 from repro.fuzz.generator import gen_spec
 from repro.serve.client import ServeClient, sync_request, wait_healthy
@@ -233,6 +234,8 @@ def run_loadtest(host: str, port: int, requests: int = 200,
         "coscheduled_ok": len(cosched_ok),
         "ok": len(oks),
         "errors": len(records) - len(oks),
+        "dedup_saved": delta("requests", "coalesced")
+        + delta("requests", "result_cache_hits"),
         "backpressure_retries": sum(r["retries"] for r in records),
         "kill_every": kill_every,
         "kills": chaos["kills"],
@@ -316,46 +319,6 @@ def render(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Baseline comparison (mirrors repro bench --baseline)
-# ---------------------------------------------------------------------------
-
-
-def compare(current: dict, baseline: dict,
-            threshold: float = 0.5) -> List[str]:
-    """Serving-latency regressions vs a committed baseline.
-
-    Correctness counters must not regress at all; latency/throughput
-    may drift by ``threshold`` (wall-clock noise across machines is
-    large, hence the permissive default).
-    """
-    problems = []
-    if current["errors"]:
-        problems.append(f"{current['errors']} failed requests "
-                        f"(baseline expects 0)")
-    for key, worse_is_higher in (("p50_ms", True), ("p99_ms", True),
-                                 ("throughput_rps", False)):
-        was, now = baseline.get(key), current.get(key)
-        if not was or not now:
-            continue
-        ratio = (now / was) if worse_is_higher else (was / now)
-        if ratio > 1 + threshold:
-            problems.append(
-                f"{key}: {now} vs baseline {was} "
-                f"({100 * (ratio - 1):.0f}% worse, "
-                f"allowed {100 * threshold:.0f}%)")
-    base_server = baseline.get("server", {})
-    if base_server.get("coalesced", 0) + base_server.get(
-            "result_cache_hits", 0) > 0:
-        saved = (current["server"]["coalesced"]
-                 + current["server"]["result_cache_hits"])
-        if saved == 0:
-            problems.append(
-                "no request ever coalesced or hit the result cache "
-                "(baseline run saved work; dedup machinery regressed?)")
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # Server spawning (CI / baseline mode)
 # ---------------------------------------------------------------------------
 
@@ -409,6 +372,7 @@ def spawned_server(jobs: int, queue_depth: int,
 
 def cmd_loadtest(args) -> int:
     """``repro loadtest`` behind the CLI."""
+    baseline = gate.load(args.baseline)
     if args.spawn:
         with spawned_server(args.jobs, args.queue_depth,
                             cache_dir=args.cache_dir,
@@ -437,26 +401,4 @@ def cmd_loadtest(args) -> int:
             priority_every=args.priority_every,
             kill_every=args.kill_every)
     print(render(report))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
-    status = 0
-    if report["errors"]:
-        print(f"\n{report['errors']} requests failed", file=sys.stderr)
-        status = 1
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        problems = compare(report, baseline, threshold=args.threshold)
-        if problems:
-            print("\nserving regressions vs baseline:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\nwithin {100 * args.threshold:.0f}% of baseline "
-                  f"{args.baseline}")
-    return status
+    return gate.finish(report, args.out, baseline, {"errors": 0})

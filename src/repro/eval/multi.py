@@ -12,18 +12,19 @@ cycles* (deterministic, so the CI gate is noise-free):
 * per-tenant slowdowns and per-channel utilization expose the DRAM
   interference the sharing introduces.
 
-``compare_multi`` gates a fresh report against the committed
-``benchmarks/multi_baseline.json``: exact cycle counts (the model's
-answer must not drift silently), the aggregate-throughput floor, and
-the solo-equivalence invariant.
+The committed ``benchmarks/multi_baseline.json`` and
+``qos_baseline.json`` gate fresh reports through
+:mod:`repro.eval.gate`: exact cycle counts (the model's answer must not
+drift silently), the speedup floors, and the invariants the reports
+carry (``equivalence_failures``, ``validated``, ``priority_helped``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
+from repro.eval import gate
 from repro.eval.bench import git_rev
 
 #: report format version
@@ -104,36 +105,6 @@ def run_multi_benchmark(apps: Sequence[str] = DEFAULT_PAIR,
     }
 
 
-def compare_multi(report: dict, baseline: dict) -> List[str]:
-    """Multi-gate check; returns failure messages (empty = pass)."""
-    failures = list(report.get("equivalence_failures", ()))
-    want_apps = baseline.get("apps")
-    if want_apps is not None and report["apps"] != want_apps:
-        failures.append(
-            f"multi workload changed: {report['apps']} vs baseline "
-            f"{want_apps} (update benchmarks/multi_baseline.json if "
-            f"intended)")
-        return failures
-    for key in ("sequential_cycles", "fabric_cycles"):
-        want = baseline.get(key)
-        if want is not None and report[key] != want:
-            failures.append(
-                f"{key} changed: {want} -> {report[key]} (the model's "
-                f"answer changed; refresh the baseline only if this is "
-                f"an intended change)")
-    floor = float(baseline.get("min_aggregate_speedup", 0.0))
-    if report["aggregate_speedup"] < floor:
-        failures.append(
-            f"aggregate-throughput regression: co-resident speedup "
-            f"{report['aggregate_speedup']:.3f}x vs committed floor "
-            f"{floor:.3f}x (sequential {report['sequential_cycles']} "
-            f"cycles, fabric {report['fabric_cycles']} cycles)")
-    for row in report["tenants"]:
-        if not row["validated"]:
-            failures.append(f"{row['name']}: outputs not validated")
-    return failures
-
-
 def render_multi(report: dict) -> str:
     """Human-readable multi benchmark summary."""
     lines = [
@@ -204,6 +175,10 @@ def run_qos_benchmark(apps: Sequence[str] = QOS_APPS,
         "unweighted_hi_cycles": hi_base.finish_cycle,
         "weighted_hi_cycles": hi_weighted.finish_cycle,
         "hi_speedup": round(speedup, 4),
+        # pinned true by the baseline: a zero floor must not let
+        # "priority buys nothing" through
+        "priority_helped":
+            hi_weighted.finish_cycle < hi_base.finish_cycle,
         "unweighted_fabric_cycles": base.fabric_cycles,
         "weighted_fabric_cycles": weighted.fabric_cycles,
         "bandwidth_classes": {
@@ -213,42 +188,6 @@ def run_qos_benchmark(apps: Sequence[str] = QOS_APPS,
         "validated": all(t.validated for t in base.tenants)
         and all(t.validated for t in weighted.tenants),
     }
-
-
-def compare_qos(report: dict, baseline: dict) -> List[str]:
-    """QoS-gate check; returns failure messages (empty = pass)."""
-    failures: List[str] = []
-    for key in ("apps", "priorities"):
-        want = baseline.get(key)
-        if want is not None and report[key] != want:
-            failures.append(
-                f"qos workload changed: {key} {report[key]} vs "
-                f"baseline {want} (update "
-                f"benchmarks/qos_baseline.json if intended)")
-    if failures:
-        return failures
-    if not report["validated"]:
-        failures.append("qos benchmark tenants were not validated")
-    for key in ("unweighted_hi_cycles", "weighted_hi_cycles",
-                "unweighted_fabric_cycles", "weighted_fabric_cycles"):
-        want = baseline.get(key)
-        if want is not None and report[key] != want:
-            failures.append(
-                f"{key} changed: {want} -> {report[key]} (the "
-                f"model's answer changed; refresh the baseline only "
-                f"if this is an intended change)")
-    if report["weighted_hi_cycles"] >= report["unweighted_hi_cycles"]:
-        failures.append(
-            f"priority buys nothing: high-priority tenant finished at "
-            f"cycle {report['weighted_hi_cycles']} weighted vs "
-            f"{report['unweighted_hi_cycles']} unweighted")
-    floor = float(baseline.get("min_hi_speedup", 0.0))
-    if report["hi_speedup"] < floor:
-        failures.append(
-            f"qos regression: high-priority completion speedup "
-            f"{report['hi_speedup']:.3f}x vs committed floor "
-            f"{floor:.3f}x")
-    return failures
 
 
 def render_qos(report: dict) -> str:
@@ -279,53 +218,19 @@ def render_qos(report: dict) -> str:
 
 def cmd_bench_multi(args) -> int:
     """The ``repro bench --multi`` path (wired from ``cmd_bench``)."""
-    import sys
-
-    apps: Optional[List[str]] = args.apps or None
+    baseline = gate.load(args.baseline)
+    qos_baseline = gate.load(args.qos_baseline)
     scale = "tiny" if args.quick else args.scale
-    report = run_multi_benchmark(apps=apps or list(DEFAULT_PAIR),
+    report = run_multi_benchmark(apps=args.apps or list(DEFAULT_PAIR),
                                  scale=scale)
     print(render_multi(report))
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"MULTI_{report['rev']}.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {path}")
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = compare_multi(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"multi gate passed (floor "
-              f"{baseline.get('min_aggregate_speedup', 0):.3f}x)")
-    elif report["equivalence_failures"]:
-        for failure in report["equivalence_failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if getattr(args, "qos_baseline", None):
-        with open(args.qos_baseline) as fh:
-            qos_baseline = json.load(fh)
-        qos_report = run_qos_benchmark(
-            apps=qos_baseline.get("apps", QOS_APPS),
-            priorities=qos_baseline.get("priorities", QOS_PRIORITIES),
-            scale=scale)
-        print()
-        print(render_qos(qos_report))
-        qos_path = os.path.join(args.out,
-                                f"QOS_{qos_report['rev']}.json")
-        with open(qos_path, "w") as fh:
-            json.dump(qos_report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {qos_path}")
-        qos_failures = compare_qos(qos_report, qos_baseline)
-        if qos_failures:
-            for failure in qos_failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"qos gate passed (floor "
-              f"{qos_baseline.get('min_hi_speedup', 0):.3f}x)")
-    return 0
+    status = gate.finish(report, path, baseline,
+                         {"equivalence_failures": []})
+    if status or qos_baseline is None:
+        return status
+    qos_report = run_qos_benchmark(scale=scale)
+    print()
+    print(render_qos(qos_report))
+    path = os.path.join(args.out, f"QOS_{qos_report['rev']}.json")
+    return gate.finish(qos_report, path, qos_baseline)

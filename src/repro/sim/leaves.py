@@ -412,6 +412,59 @@ class _TransferCommon(_LeafCommon):
             # about to complete in this same tick: never parked
 
 
+def tile_spans(leaf, offsets):
+    """Yield (dram_word_off, word_count, sram_flat_off) per tile row.
+
+    A tile of shape T over a row-major DRAM array of shape S starting
+    at ``offsets`` decomposes into contiguous runs of the innermost
+    dimension; runs are clipped to the array extents (partial edge
+    tiles load what exists, the rest of the scratchpad keeps its
+    previous/zero contents).
+    """
+    dram_shape = [int(d) if isinstance(d, int) else None
+                  for d in leaf.dram.shape]
+    if not dram_shape:          # 0-d cell: a single word
+        dram_shape = [1]
+        offsets = [0]
+    tile = leaf.tile_shape or (1,)
+    inner = tile[-1]
+    outer_dims = tile[:-1]
+    total_words = leaf.dram.words()
+    inner_limit = (dram_shape[-1] if dram_shape[-1] is not None
+                   else total_words)
+
+    def flatten(prefix_positions):
+        """Row-major flat word offset of (prefix..., offsets[-1])."""
+        flat = 0
+        for k, pos in enumerate(prefix_positions):
+            flat = flat * dram_shape[k] + pos if k else pos
+        if len(dram_shape) > 1:
+            flat = flat * dram_shape[-1]
+        return flat + offsets[-1]
+
+    def rec(axis, prefix, sram_off):
+        if axis == len(outer_dims):
+            start = flatten(prefix)
+            count = min(inner, inner_limit - offsets[-1],
+                        total_words - start)
+            if count > 0:
+                yield (start, count, sram_off)
+            return
+        size = dram_shape[axis] if dram_shape[axis] is not None \
+            else 1 << 30
+        inner_words = 1
+        for d in tile[axis + 1:]:
+            inner_words *= d
+        for t in range(outer_dims[axis]):
+            pos = offsets[axis] + t
+            if pos >= size:
+                continue
+            yield from rec(axis + 1, prefix + [pos],
+                           sram_off + t * inner_words)
+
+    yield from rec(0, [], 0)
+
+
 class TileLoadSim(_TransferCommon):
     """Dense DRAM -> scratchpad burst load."""
 
@@ -426,61 +479,9 @@ class TileLoadSim(_TransferCommon):
         self._version = version
         offsets = [int(self._evaluate(o, bindings, version))
                    for o in self.leaf.offsets]
-        self._spans = list(self._tile_spans(offsets))
+        self._spans = list(tile_spans(self.leaf, offsets))
         # ensure destination buffer exists even for fully-clipped tiles
         self.mem.scratch(self.leaf.sram).buffer(version)
-
-    def _tile_spans(self, offsets):
-        """Yield (dram_word_off, word_count, sram_flat_off) per tile row.
-
-        A tile of shape T over a row-major DRAM array of shape S starting
-        at ``offsets`` decomposes into contiguous runs of the innermost
-        dimension; runs are clipped to the array extents (partial edge
-        tiles load what exists, the rest of the scratchpad keeps its
-        previous/zero contents).
-        """
-        dram_shape = [int(d) if isinstance(d, int) else None
-                      for d in self.leaf.dram.shape]
-        if not dram_shape:          # 0-d cell: a single word
-            dram_shape = [1]
-            offsets = [0]
-        tile = self.leaf.tile_shape or (1,)
-        inner = tile[-1]
-        outer_dims = tile[:-1]
-        total_words = self.leaf.dram.words()
-        inner_limit = (dram_shape[-1] if dram_shape[-1] is not None
-                       else total_words)
-
-        def flatten(prefix_positions):
-            """Row-major flat word offset of (prefix..., offsets[-1])."""
-            flat = 0
-            for k, pos in enumerate(prefix_positions):
-                flat = flat * dram_shape[k] + pos if k else pos
-            if len(dram_shape) > 1:
-                flat = flat * dram_shape[-1]
-            return flat + offsets[-1]
-
-        def rec(axis, prefix, sram_off):
-            if axis == len(outer_dims):
-                start = flatten(prefix)
-                count = min(inner, inner_limit - offsets[-1],
-                            total_words - start)
-                if count > 0:
-                    yield (start, count, sram_off)
-                return
-            size = dram_shape[axis] if dram_shape[axis] is not None \
-                else 1 << 30
-            inner_words = 1
-            for d in tile[axis + 1:]:
-                inner_words *= d
-            for t in range(outer_dims[axis]):
-                pos = offsets[axis] + t
-                if pos >= size:
-                    continue
-                yield from rec(axis + 1, prefix + [pos],
-                               sram_off + t * inner_words)
-
-        yield from rec(0, [], 0)
 
     def tick(self, cycle: int) -> None:
         if not self._active:
@@ -544,9 +545,7 @@ class TileStoreSim(_TransferCommon):
         limit = None
         if self.leaf.count is not None:
             limit = int(self._evaluate(self.leaf.count, bindings, version))
-        loader = TileLoadSim.__new__(TileLoadSim)  # reuse span generator
-        loader.leaf = self.leaf
-        spans = list(TileLoadSim._tile_spans(loader, offsets))
+        spans = list(tile_spans(self.leaf, offsets))
         if limit is not None:
             clipped = []
             remaining = limit

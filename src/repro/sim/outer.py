@@ -96,6 +96,8 @@ class OuterControllerSim(NodeSim):
         self._next_k = 0
         self._completed = [0] * len(self.children)
         self._stopped = False
+        #: chain-less controller: its single iteration not yet handed out
+        self._single_pending = False
         self._base_bindings: dict = {}
         self._evaluate = Evaluator(mem)
         # precompute per-child producer and consumer edges
@@ -144,7 +146,7 @@ class OuterControllerSim(NodeSim):
         if self._stopped:
             return None
         if self._enum is None:
-            if getattr(self, "_single_pending", False):
+            if self._single_pending:
                 self._single_pending = False
                 return dict(self._base_bindings)
             return None

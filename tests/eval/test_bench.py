@@ -1,11 +1,10 @@
-"""The ``repro bench`` perf harness: report shape, regression gate,
-synthetic workloads, and CLI wiring."""
+"""The ``repro bench`` perf harness: report shape, its report held to
+``benchmarks/baseline.json``-shaped gates, synthetic workloads, and CLI
+wiring."""
 
 import json
 
-import pytest
-
-from repro.eval import bench
+from repro.eval import bench, gate
 
 
 def _report(**totals):
@@ -27,40 +26,49 @@ def _report(**totals):
     return base
 
 
+def _baseline(**totals):
+    """What ``benchmarks/baseline.json`` states about :func:`_report`."""
+    return {"scale": "tiny", "scheduler": "event",
+            "benchmarks": [{"name": "gemm", "cycles": 1000}],
+            "totals": {"cycles": 1000, **totals}}
+
+
 def test_compare_passes_against_itself():
-    report = _report()
-    assert bench.compare(report, report) == []
+    assert gate.check(_report(), _baseline(min_cycles_per_sec=20000)) \
+        == []
 
 
 def test_compare_flags_cycle_count_change_as_correctness():
-    current = _report()
-    baseline = _report()
+    baseline = _baseline()
     baseline["benchmarks"][0]["cycles"] = 999
-    failures = bench.compare(current, baseline)
+    failures = gate.check(_report(), baseline)
     assert len(failures) == 1
-    assert "gemm" in failures[0]
+    assert failures[0].startswith("benchmarks[gemm].cycles: 1000")
     assert "answer changed" in failures[0]
 
 
 def test_compare_flags_throughput_regression_beyond_threshold():
-    current = _report(cycles_per_sec=14000)   # 30% below baseline
-    baseline = _report(cycles_per_sec=20000)
-    failures = bench.compare(current, baseline, threshold=0.25)
-    assert len(failures) == 1
-    assert "throughput regression" in failures[0]
+    failures = gate.check(_report(cycles_per_sec=14000),
+                          _baseline(min_cycles_per_sec=15000))
+    assert failures == ["totals.cycles_per_sec: 14000 is below the "
+                        "committed floor 15000"]
 
 
 def test_compare_tolerates_regression_within_threshold():
-    current = _report(cycles_per_sec=16000)   # 20% below baseline
-    baseline = _report(cycles_per_sec=20000)
-    assert bench.compare(current, baseline, threshold=0.25) == []
+    assert gate.check(_report(cycles_per_sec=16000),
+                      _baseline(min_cycles_per_sec=15000)) == []
 
 
 def test_compare_ignores_benchmarks_missing_from_baseline():
+    baseline = _baseline()
+    baseline["benchmarks"] = [{"name": "gemm", "cycles": 1000}]
     current = _report()
-    baseline = _report()
-    baseline["benchmarks"] = []
-    assert bench.compare(current, baseline) == []
+    current["benchmarks"].append({"name": "brand_new", "cycles": 7})
+    assert gate.check(current, baseline) == []
+    # ...but a benchmark that vanished from the report is a failure
+    baseline["benchmarks"].append({"name": "kmeans", "cycles": 1052})
+    assert any("benchmarks[kmeans]" in f
+               for f in gate.check(current, baseline))
 
 
 def test_run_benchmarks_report_shape():
@@ -97,11 +105,12 @@ def test_synthetic_rowconf_is_row_miss_bound():
     assert stats.dram["row_misses"] > 0
 
 
-def test_write_report_creates_directory(tmp_path):
-    out = tmp_path / "nested" / "dir"
-    path = bench.write_report(_report(), str(out))
-    with open(path) as fh:
-        assert json.load(fh)["rev"] == "abc1234"
+def test_write_report_creates_directory(tmp_path, capsys):
+    path = tmp_path / "nested" / "dir" / "BENCH_abc1234.json"
+    assert gate.finish(_report(), str(path), None) == 0
+    assert json.loads(path.read_text()) == _report()
+    out = capsys.readouterr().out
+    assert f"wrote {path}" in out and "gate passed" not in out
 
 
 def test_cli_bench_quick_with_baseline(tmp_path, capsys):
@@ -112,11 +121,23 @@ def test_cli_bench_quick_with_baseline(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     report_path = next(out.glob("BENCH_*.json"))
-    baseline.write_text(report_path.read_text())
+    row = json.loads(report_path.read_text())["benchmarks"][0]
+    baseline.write_text(json.dumps({
+        "benchmarks": [{"name": row["name"], "cycles": row["cycles"]}],
+        "totals": {"cycles": row["cycles"], "min_cycles_per_sec": 1}}))
     rc = main(["bench", "--quick", "--apps", "innerproduct",
                "--out", str(out), "--baseline", str(baseline)])
     assert rc == 0
-    assert "baseline check passed" in capsys.readouterr().out
+    assert "gate passed: all 4 baseline pins held" \
+        in capsys.readouterr().out
+    # no code path accepts the old raw-report baselines: every leaf of
+    # a report is an exact pin, the wall-clock fields included (any one
+    # of them can tie at microsecond resolution, not all of them)
+    baseline.write_text(report_path.read_text())
+    rc = main(["bench", "--quick", "--apps", "innerproduct",
+               "--out", str(out), "--baseline", str(baseline)])
+    assert rc == 1
+    assert "_s: " in capsys.readouterr().err
 
 
 def test_cli_bench_fails_on_cycle_change(tmp_path, capsys):
@@ -126,13 +147,15 @@ def test_cli_bench_fails_on_cycle_change(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     report = json.loads(next(out.glob("BENCH_*.json")).read_text())
-    report["benchmarks"][0]["cycles"] += 1
+    cycles = report["benchmarks"][0]["cycles"]
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
+    baseline.write_text(json.dumps({"benchmarks": [
+        {"name": "innerproduct", "cycles": cycles + 1}]}))
     rc = main(["bench", "--quick", "--apps", "innerproduct",
                "--out", str(out), "--baseline", str(baseline)])
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().err
+    assert (f"FAIL: benchmarks[innerproduct].cycles: {cycles}, pinned "
+            f"at {cycles + 1}") in capsys.readouterr().err
 
 
 def test_render_lists_every_benchmark():

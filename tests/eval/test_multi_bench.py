@@ -1,18 +1,19 @@
 """The multi-tenancy benchmark and its CI gate logic.
 
 One real ``run_multi_benchmark`` call (tiny scale) anchors the report
-shape and the solo-equivalence invariant; the gate tests then exercise
-``compare_multi`` against doctored baselines — the cycle counts are
-deterministic, so the gate demands *exact* equality and a committed
-aggregate-throughput floor.
+shape and the solo-equivalence invariant; the gate tests then hold it
+to doctored ``benchmarks/multi_baseline.json``-shaped baselines — the
+cycle counts are deterministic, so the gate demands *exact* equality
+and a committed aggregate-throughput floor.
 """
 
 import copy
 
 import pytest
 
-from repro.eval.multi import (DEFAULT_PAIR, compare_multi,
-                              render_multi, run_multi_benchmark)
+from repro.eval.gate import check
+from repro.eval.multi import (DEFAULT_PAIR, render_multi,
+                              run_multi_benchmark)
 
 
 @pytest.fixture(scope="module")
@@ -39,46 +40,57 @@ def test_report_shape_and_equivalence(report):
                for row in report["tenants"])
 
 
-def test_gate_passes_against_its_own_numbers(report):
-    baseline = {
+def _baseline(report, **overrides):
+    base = {
         "apps": report["apps"],
         "sequential_cycles": report["sequential_cycles"],
         "fabric_cycles": report["fabric_cycles"],
         "min_aggregate_speedup": round(
             report["aggregate_speedup"] - 0.05, 3),
+        "equivalence_failures": [],
+        "tenants": [{"name": row["name"], "validated": True}
+                    for row in report["tenants"]],
     }
-    assert compare_multi(report, baseline) == []
+    base.update(overrides)
+    return base
+
+
+def test_gate_passes_against_its_own_numbers(report):
+    assert check(report, _baseline(report)) == []
 
 
 def test_gate_catches_cycle_drift(report):
-    baseline = {"apps": report["apps"],
-                "fabric_cycles": report["fabric_cycles"] + 1}
-    failures = compare_multi(report, baseline)
-    assert any("fabric_cycles changed" in f for f in failures)
+    failures = check(report, _baseline(
+        report, fabric_cycles=report["fabric_cycles"] + 1))
+    assert len(failures) == 1
+    assert failures[0].startswith(
+        f"fabric_cycles: {report['fabric_cycles']}, pinned at")
 
 
 def test_gate_catches_throughput_regression(report):
-    baseline = {"apps": report["apps"],
-                "min_aggregate_speedup":
-                    report["aggregate_speedup"] + 0.5}
-    failures = compare_multi(report, baseline)
-    assert any("aggregate-throughput regression" in f
-               for f in failures)
+    failures = check(report, _baseline(
+        report,
+        min_aggregate_speedup=report["aggregate_speedup"] + 0.5))
+    assert len(failures) == 1
+    assert failures[0].startswith("aggregate_speedup: ")
+    assert "below the committed floor" in failures[0]
 
 
 def test_gate_catches_workload_change(report):
-    failures = compare_multi(report, {"apps": ["gemm", "kmeans"]})
+    failures = check(report, {"apps": ["gemm", "kmeans"]})
     assert len(failures) == 1
-    assert "workload changed" in failures[0]
+    assert failures[0].startswith("apps: ['gemm', 'tpchq6'], pinned")
 
 
 def test_gate_propagates_equivalence_and_validation_failures(report):
     doctored = copy.deepcopy(report)
     doctored["equivalence_failures"] = ["gemm: diverged"]
     doctored["tenants"][0]["validated"] = False
-    failures = compare_multi(doctored, {"apps": report["apps"]})
-    assert "gemm: diverged" in failures
-    assert any("not validated" in f for f in failures)
+    failures = check(doctored, _baseline(report))
+    assert len(failures) == 2
+    assert "gemm: diverged" in failures[0]
+    name = report["tenants"][0]["name"]
+    assert failures[1].startswith(f"tenants[{name}].validated: False")
 
 
 def test_render_mentions_every_tenant(report):

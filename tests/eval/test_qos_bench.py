@@ -1,18 +1,18 @@
 """The QoS arbitration benchmark and its CI gate logic.
 
 One real ``run_qos_benchmark`` call (a small two-tenant workload)
-anchors the report shape; the gate tests then drive ``compare_qos``
-against doctored baselines.  Cycle counts are deterministic, so the
-gate demands exact equality, a strict weighted-beats-unweighted check,
-and a committed high-priority-speedup floor.
+anchors the report shape; the gate tests then hold it to doctored
+``benchmarks/qos_baseline.json``-shaped baselines.  Cycle counts are
+deterministic, so the gate demands exact equality, a strict
+weighted-beats-unweighted invariant (``priority_helped``), and a
+committed high-priority-speedup floor.
 """
-
-import copy
 
 import pytest
 
-from repro.eval.multi import (QOS_APPS, QOS_PRIORITIES, compare_qos,
-                              render_qos, run_qos_benchmark)
+from repro.eval.gate import check
+from repro.eval.multi import (QOS_APPS, QOS_PRIORITIES, render_qos,
+                              run_qos_benchmark)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,15 @@ def test_report_shape(report):
 
 def test_priority_actually_buys_latency(report):
     assert report["weighted_hi_cycles"] < report["unweighted_hi_cycles"]
+    assert report["priority_helped"] is True
+
+
+def test_priority_helped_is_false_when_weights_buy_nothing():
+    """All-equal weights run plain FR-FCFS on both sides: same finish
+    cycle, so the field a zero floor cannot hide must read false."""
+    flat = run_qos_benchmark(("gemm", "tpchq6"), (1, 1), scale="tiny")
+    assert flat["weighted_hi_cycles"] == flat["unweighted_hi_cycles"]
+    assert flat["priority_helped"] is False
 
 
 def test_default_workload_is_one_hi_many_riders():
@@ -70,49 +79,54 @@ def _baseline(report, **overrides):
         "unweighted_fabric_cycles": report["unweighted_fabric_cycles"],
         "weighted_fabric_cycles": report["weighted_fabric_cycles"],
         "min_hi_speedup": 1.0,
+        "priority_helped": True,
+        "validated": True,
     }
     base.update(overrides)
     return base
 
 
 def test_gate_passes_against_matching_baseline(report):
-    assert compare_qos(report, _baseline(report)) == []
+    assert check(report, _baseline(report)) == []
 
 
 def test_gate_fails_on_workload_mismatch(report):
-    failures = compare_qos(report,
-                           _baseline(report, apps=["gemm", "gemm"]))
-    assert failures and "workload changed" in failures[0]
+    failures = check(report, _baseline(report, apps=["gemm", "gemm"]))
+    assert len(failures) == 1 and failures[0].startswith("apps: ")
 
 
 def test_gate_pins_exact_cycles(report):
     doctored = _baseline(report,
                          weighted_hi_cycles=report["weighted_hi_cycles"]
                          + 1)
-    failures = compare_qos(report, doctored)
-    assert any("weighted_hi_cycles changed" in f for f in failures)
+    failures = check(report, doctored)
+    assert len(failures) == 1
+    assert failures[0].startswith("weighted_hi_cycles: ")
+    assert "answer changed" in failures[0]
 
 
 def test_gate_enforces_speedup_floor(report):
-    failures = compare_qos(
+    failures = check(
         report, _baseline(report,
                           min_hi_speedup=report["hi_speedup"] + 1.0))
-    assert any("committed floor" in f for f in failures)
+    assert len(failures) == 1
+    assert failures[0].startswith("hi_speedup: ")
+    assert "committed floor" in failures[0]
 
 
 def test_gate_rejects_useless_priority(report):
-    doctored = copy.deepcopy(report)
-    doctored["weighted_hi_cycles"] = doctored["unweighted_hi_cycles"]
-    doctored["hi_speedup"] = 1.0
+    doctored = dict(report, hi_speedup=1.0, priority_helped=False,
+                    weighted_hi_cycles=report["unweighted_hi_cycles"])
     baseline = _baseline(
         doctored, weighted_hi_cycles=doctored["weighted_hi_cycles"],
         min_hi_speedup=0.0)
-    failures = compare_qos(doctored, baseline)
-    assert any("priority buys nothing" in f for f in failures)
+    failures = check(doctored, baseline)
+    assert len(failures) == 1
+    assert failures[0].startswith("priority_helped: False, pinned at "
+                                  "True")
 
 
 def test_gate_rejects_unvalidated_report(report):
-    doctored = copy.deepcopy(report)
-    doctored["validated"] = False
-    failures = compare_qos(doctored, _baseline(report))
-    assert any("not validated" in f for f in failures)
+    failures = check(dict(report, validated=False), _baseline(report))
+    assert len(failures) == 1
+    assert failures[0].startswith("validated: False, pinned at True")

@@ -1,10 +1,14 @@
 """Loadtest harness units: the deterministic request mix, exact
-percentiles, and the baseline comparator (no sockets here — the
-live-replay path is exercised by the CI serve-smoke job)."""
+percentiles, the report held to ``benchmarks/serve_*baseline.json``
+-shaped gates, and one small live replay against a spawned server (the
+full-size ones are the CI serve-smoke / multi-smoke / chaos-smoke
+jobs)."""
 
 import pytest
 
-from repro.eval.loadtest import compare, make_requests, _percentile
+from repro.eval.gate import check
+from repro.eval.loadtest import (_percentile, make_requests,
+                                 run_loadtest, spawned_server)
 from repro.serve.protocol import spec_digest
 
 
@@ -38,32 +42,54 @@ def test_percentile_is_exact_and_interpolated():
 def _report(**overrides):
     report = {
         "errors": 0, "p50_ms": 100.0, "p99_ms": 400.0,
-        "throughput_rps": 20.0,
-        "server": {"coalesced": 5, "result_cache_hits": 3},
+        "throughput_rps": 20.0, "dedup_saved": 8,
     }
     report.update(overrides)
     return report
 
 
+#: ``_report()``'s numbers with 50 % headroom, written as a baseline
+BASELINE = {"errors": 0, "max_p50_ms": 150.0, "max_p99_ms": 600.0,
+            "min_throughput_rps": 13.33, "min_dedup_saved": 1}
+
+
 def test_compare_accepts_within_threshold():
-    assert compare(_report(p50_ms=120.0), _report(),
-                   threshold=0.5) == []
+    assert check(_report(p50_ms=120.0), BASELINE) == []
 
 
 def test_compare_flags_errors_latency_and_lost_dedup():
-    baseline = _report()
-    problems = compare(
+    failures = check(
         _report(errors=2, p50_ms=500.0, throughput_rps=5.0,
-                server={"coalesced": 0, "result_cache_hits": 0}),
-        baseline, threshold=0.5)
-    text = "\n".join(problems)
-    assert "failed requests" in text
-    assert "p50_ms" in text
-    assert "throughput_rps" in text
-    assert "coalesced" in text
-    # a baseline that never deduped imposes no dedup requirement
-    no_dedup = _report(server={"coalesced": 0, "result_cache_hits": 0})
-    assert compare(no_dedup, no_dedup, threshold=0.5) == []
+                dedup_saved=0), BASELINE)
+    assert [f.split(":")[0] for f in failures] == [
+        "errors", "p50_ms", "throughput_rps", "dedup_saved"]
+    assert "2, pinned at 0" in failures[0]
+    assert "above the committed ceiling 150.0" in failures[1]
+    assert "below the committed floor 13.33" in failures[2]
+    # a baseline without the floor imposes no dedup requirement
+    relaxed = {k: v for k, v in BASELINE.items()
+               if k != "min_dedup_saved"}
+    assert check(_report(dedup_saved=0), relaxed) == []
+
+
+def test_live_report_carries_every_key_the_serve_baselines_gate():
+    """One tiny replay over real sockets: ``dedup_saved`` is the sum the
+    CI heredoc used to compute, and every key of every committed serve
+    baseline exists in the report ``run_loadtest`` writes."""
+    from tests.eval.test_gate import unresolved
+
+    with spawned_server(jobs=1, queue_depth=16) as (host, port):
+        report = run_loadtest(host, port, requests=8, concurrency=2,
+                              unique=2)
+    assert report["errors"] == 0
+    server = report["server"]
+    assert report["dedup_saved"] == \
+        server["coalesced"] + server["result_cache_hits"] == 6
+    assert server["compiles"] == report["unique_specs"] == 2
+    for name in ("serve_baseline.json", "serve_nightly_baseline.json",
+                 "serve_multi_baseline.json",
+                 "serve_chaos_baseline.json"):
+        assert unresolved(report, name) == [], name
 
 
 def test_request_mix_multi_slots_are_deterministic():

@@ -87,6 +87,26 @@ def test_run_with_trace_path_writes_chrome_json(tmp_path, capsys):
     assert doc["otherData"]["sample"] == 4
 
 
+@pytest.mark.parametrize("from_artifact", [False, True],
+                         ids=["app", "artifact"])
+def test_run_unwritable_trace_path_is_an_error_not_a_traceback(
+        from_artifact, tmp_path, capsys):
+    """Both ``run`` paths share one trace tail; the artifact path used
+    to die with a ``FileNotFoundError`` traceback."""
+    target = ["innerproduct", "--scale", "tiny"]
+    if from_artifact:
+        saved = tmp_path / "a.json"
+        assert main(["compile", "innerproduct", "--scale", "tiny",
+                     "--no-cache", "--out", str(saved)]) == 0
+        target = ["--artifact", str(saved)]
+    missing = tmp_path / "no" / "such" / "dir" / "t.json"
+    assert main(["run", *target, f"--trace={missing}"]) == 1
+    captured = capsys.readouterr()
+    assert "VALIDATED" in captured.out
+    assert "Stall attribution" in captured.out
+    assert f"cannot write trace to {missing}" in captured.err
+
+
 def test_run_without_trace_has_no_attribution(capsys):
     assert main(["run", "gemm", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out

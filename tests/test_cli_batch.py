@@ -96,7 +96,9 @@ def test_bench_batch_baseline_gate_failure(tmp_path, capsys):
     assert main(["bench", "--batch", "--quick", "--apps",
                  "innerproduct", "--out", str(tmp_path),
                  "--baseline", str(baseline)]) == 1
-    assert "speedup regression" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAIL: speedup: " in err
+    assert "below the committed floor 10000.0" in err
 
 
 def test_fuzz_batch_oracle(capsys):
