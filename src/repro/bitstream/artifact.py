@@ -49,6 +49,11 @@ def canonical_json(data: dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def hash_bytes(blob: bytes) -> str:
+    """The content hash of an artifact's canonical bytes."""
+    return hashlib.sha256(blob).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Compile options (part of the cache key)
 # ---------------------------------------------------------------------------
@@ -254,7 +259,7 @@ class Bitstream:
     @property
     def content_hash(self) -> str:
         """sha256 of the canonical bytes — the artifact's identity."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        return hash_bytes(self.to_bytes())
 
     @property
     def key(self) -> str:
@@ -263,8 +268,12 @@ class Bitstream:
                            self.options)
 
     # -- files --------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
+    def save(self, path: Union[str, Path],
+             blob: Optional[bytes] = None) -> Path:
         """Write the artifact to ``path`` (canonical JSON, atomic).
+
+        ``blob`` is this artifact's :meth:`to_bytes`, for a caller that
+        already holds it and would otherwise pay for a second encode.
 
         The temp name is unique per process, so concurrent writers of
         the same path (e.g. pool workers all missing on one cache key)
@@ -277,7 +286,7 @@ class Bitstream:
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
         try:
-            tmp.write_bytes(self.to_bytes())
+            tmp.write_bytes(self.to_bytes() if blob is None else blob)
             tmp.replace(path)
         finally:
             # a failed rename (e.g. ENOSPC midway) must not litter the

@@ -127,8 +127,12 @@ class CompileCache:
         self.stats.hits += 1
         return artifact
 
-    def put(self, artifact: Bitstream) -> Path:
+    def put(self, artifact: Bitstream,
+            blob: Optional[bytes] = None) -> Path:
         """Store an artifact under its own compile key (atomic).
+
+        ``blob`` is the artifact's ``to_bytes()`` when the caller
+        already holds it (see :meth:`Bitstream.save`).
 
         Safe under multi-process races: concurrent writers of the same
         key each write a uniquely named temp file and atomically rename
@@ -137,7 +141,7 @@ class CompileCache:
         counts exactly one store regardless of how the race resolves.
         """
         path = self.path_for(artifact.key)
-        artifact.save(path)
+        artifact.save(path, blob)
         self.stats.stores += 1
         return path
 

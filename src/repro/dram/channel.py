@@ -71,8 +71,11 @@ class Channel:
         #: tenant id -> tracer (multi-tenant runs attach one per tenant;
         #: a request's events go to its issuing tenant's tracer)
         self.tenant_traces: dict = {}
-        #: recent row-activation times, for the tFAW window
+        #: recent row-activation times, for the tFAW window (ascending)
         self._activates: List[int] = []
+        #: scan memo: no queued request can issue before this cycle
+        #: unless a new one arrives (see ``_schedule``); 0 = unknown
+        self.scan_at = 0
         #: attached by the DramModel when tracing is enabled
         self.trace = None
         self.trace_name = "?"
@@ -93,11 +96,20 @@ class Channel:
         if not self.can_accept():
             raise DramProtocolError("channel queue overflow")
         request.arrival_cycle = now
+        if request.bank < 0:    # handed straight to the channel
+            _, request.bank, request.row, _ = self.geometry.map_address(
+                request.byte_addr)
         self.queue.append(request)
+        self.scan_at = 0
 
     def tick(self, now: int) -> None:
-        """Advance one cycle: maybe issue one request to a bank."""
-        if not self.queue:
+        """Advance one cycle: maybe issue one request to a bank.
+
+        Costs a queue scan only when one could find something: not on
+        an empty queue, and not before the cycle the last fruitless
+        scan proved to be the earliest any queued request can issue.
+        """
+        if not self.queue or now < self.scan_at:
             return
         choice = self._schedule(now)
         if choice is None:
@@ -105,7 +117,7 @@ class Channel:
         self.queue.remove(choice)
         if self.on_dequeue is not None:
             self.on_dequeue()
-        _, bank_id, row, _ = self.geometry.map_address(choice.byte_addr)
+        bank_id, row = choice.bank, choice.row
         bank = self.banks[bank_id]
         hit = bank.is_hit(row)
         empty = bank.open_row is None
@@ -167,22 +179,51 @@ class Channel:
     def _schedule(self, now: int) -> Optional[DramRequest]:
         """FR-FCFS: oldest row hit, else oldest request whose bank is
         ready soonest.  With non-uniform tenant weights registered,
-        "issuing tenant still has deficit credit" leads the key."""
-        window = self.timing.t_faw
-        self._activates = [t for t in self._activates if t > now - window]
-        faw_full = len(self._activates) >= self.timing.faw_activates
-        skip_horizon = now + self.timing.busy_skip_cycles
+        "issuing tenant still has deficit credit" leads the key.
+
+        A scan that finds nothing issuable returns None and records in
+        ``scan_at`` the earliest cycle at which it could find
+        something.  That is exact because, with the queue and the banks
+        untouched, "issuable at ``now``" is monotone in ``now`` for
+        each queued request: its bank must satisfy ``ready_at <= now +
+        busy_skip_cycles``, and a non-hit additionally needs fewer than
+        ``faw_activates`` activates newer than ``now - t_faw``, i.e.
+        ``now >= _activates[-faw_activates] + t_faw``.  The memo is the
+        minimum over the queue of the later of the two.  Banks and
+        ``_activates`` change only at an issue — which needs a scan at
+        or after the memo, leaving it stale-low, so the next tick scans
+        — and the queue otherwise only in ``submit``, which clears it.
+        An empty scan has no other effect (the ``_activates`` prune is
+        idempotent and the weighted arbiter is only entered with a
+        non-empty set), so the scans the memo skips are unobservable.
+        """
+        timing = self.timing
+        expired = now - timing.t_faw
+        activates = self._activates
+        if activates and activates[0] <= expired:
+            activates = self._activates = [t for t in activates
+                                           if t > expired]
+        faw_full = len(activates) >= timing.faw_activates
+        skip = timing.busy_skip_cycles
+        skip_horizon = now + skip
+        banks = self.banks
         issuable = []
         for request in self.queue:
-            _, bank_id, row, _ = self.geometry.map_address(request.byte_addr)
-            bank = self.banks[bank_id]
+            bank = banks[request.bank]
             if bank.ready_at > skip_horizon:
                 continue  # bank deeply busy; skip this cycle
-            hit = bank.is_hit(row)
+            hit = bank.open_row == request.row
             if not hit and faw_full:
                 continue  # would need an activate; tFAW window exhausted
             issuable.append((request, hit))
         if not issuable:
+            # every non-hit waits for the tFAW window to reopen
+            faw_open = (activates[-timing.faw_activates] + timing.t_faw
+                        if faw_full else 0)
+            self.scan_at = min(
+                max(banks[r.bank].ready_at - skip,
+                    0 if banks[r.bank].open_row == r.row else faw_open)
+                for r in self.queue)
             return None
         if not self._weighted:
             best = None

@@ -47,6 +47,8 @@ class DramModel:
         #: arrival, request)``: the head is the next one to mature
         self._completed: List[Tuple[int, int, DramRequest]] = []
         self._arrivals = 0
+        #: completions handed back by ``deliver`` so far
+        self._delivered = 0
 
     def attach_trace(self, tracer, tenant: Optional[int] = None) -> None:
         """Register every channel as an event track on ``tracer``.
@@ -90,9 +92,14 @@ class DramModel:
     def submit(self, request: DramRequest,
                callback: Optional[Callable[[DramRequest], None]] = None
                ) -> None:
-        """Enqueue one burst request (stamped with the current tenant)."""
-        channel = self.channels[self.channel_of(request.byte_addr)]
-        channel.submit(request, self.cycle)
+        """Enqueue one burst request (stamped with the current tenant).
+
+        The address is decoded here, once; the channel scheduler reads
+        the request's ``bank``/``row`` from then on.
+        """
+        channel_id, request.bank, request.row, _ = \
+            self.geometry.map_address(request.byte_addr)
+        self.channels[channel_id].submit(request, self.cycle)
         if request.is_write:
             self.writes += 1
         else:
@@ -112,14 +119,23 @@ class DramModel:
 
     # -- time -------------------------------------------------------------------
     def tick(self) -> None:
-        """Advance the memory system one core cycle."""
-        self.cycle += 1
+        """Advance the memory system one core cycle.
+
+        Only a channel that might issue is visited — one with a queue,
+        at or past its scan memo (``Channel.scan_at``) — and its
+        ``completed`` list is drained only when it did issue.
+        """
+        self.cycle = now = self.cycle + 1
         for channel in self.channels:
-            channel.tick(self.cycle)
-            for request in channel.drain_completed():
-                heapq.heappush(self._completed, (request.complete_cycle,
-                                                 self._arrivals, request))
-                self._arrivals += 1
+            if not channel.queue or now < channel.scan_at:
+                continue
+            channel.tick(now)
+            if channel.completed:
+                for request in channel.drain_completed():
+                    heapq.heappush(self._completed,
+                                   (request.complete_cycle,
+                                    self._arrivals, request))
+                    self._arrivals += 1
 
     def next_completion(self) -> Optional[int]:
         """Cycle of the earliest undelivered completion (None if none).
@@ -155,6 +171,7 @@ class DramModel:
             matured.append(heapq.heappop(completed))
         matured.sort(key=itemgetter(1))   # back to arrival order
         ready = [entry[2] for entry in matured]
+        self._delivered += len(ready)
         for request in ready:
             if request.tenant is not None:
                 counts = self._tenant_counts.get(request.tenant)
@@ -173,9 +190,9 @@ class DramModel:
 
     @property
     def pending(self) -> int:
-        """Requests queued across all channels plus undelivered ones."""
-        return (sum(c.pending for c in self.channels)
-                + len(self._completed))
+        """Requests queued across all channels plus undelivered ones:
+        everything submitted that ``deliver`` has not yet handed back."""
+        return self.reads + self.writes - self._delivered
 
     def stats(self) -> dict:
         """Aggregate statistics across channels."""
@@ -215,7 +232,8 @@ class DramModel:
 
         ``None`` is the solo view; a tenant id narrows every component
         to that tenant's requests so one tenant's traffic cannot mask
-        another's livelock.
+        another's livelock.  Called once per machine per executed
+        cycle: both views read counters, neither walks a queue.
         """
         if tenant is None:
             return (self.reads, self.writes, self.pending)

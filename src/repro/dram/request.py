@@ -27,6 +27,11 @@ class DramRequest:
     #: time; None outside multi-tenant runs).  Drives per-tenant
     #: bandwidth accounting and interference attribution.
     tenant: Optional[int] = None
+    #: bank and row within the owning channel, decoded from
+    #: ``byte_addr`` once at submit so the scheduler's queue scans
+    #: never re-derive them (-1 until submitted)
+    bank: int = -1
+    row: int = -1
 
     @property
     def done(self) -> bool:

@@ -22,7 +22,8 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.bitstream.artifact import Bitstream, CompileOptions, compile_key
+from repro.bitstream.artifact import (Bitstream, CompileOptions,
+                                      compile_key, hash_bytes)
 from repro.bitstream.cache import CompileCache
 from repro.errors import DeadlockError, ReproError, SimulationError
 
@@ -50,10 +51,16 @@ def _options(params: dict) -> CompileOptions:
 
 def _resolve_artifact(payload: dict,
                       cache: Optional[CompileCache]
-                      ) -> Tuple[Bitstream, dict]:
-    """Obtain the bitstream for a job: load, cache hit, or compile."""
+                      ) -> Tuple[Bitstream, Optional[bytes], dict]:
+    """Obtain the bitstream for a job: load, cache hit, or compile.
+
+    Also returns the artifact's canonical bytes when getting it meant
+    encoding it (a fresh spec compile written to the cache), so the job
+    never encodes the same artifact twice; None otherwise.
+    """
     params = payload["params"]
     kind = payload["kind"]
+    blob = None
     started = time.perf_counter()
     if kind == "artifact":
         path = artifact_path(payload["data_dir"],
@@ -87,7 +94,8 @@ def _resolve_artifact(payload: dict,
             artifact = freeze_program(program, app_name, "serve",
                                       options=options)
             if cache is not None:
-                cache.put(artifact)
+                blob = artifact.to_bytes()
+                cache.put(artifact, blob)
                 meta = {"outcome": "miss",
                         "corrupt": cache.stats.corrupt,
                         "compiled": True}
@@ -96,15 +104,23 @@ def _resolve_artifact(payload: dict,
                         "compiled": True}
     meta["compile_ms"] = round(
         (time.perf_counter() - started) * 1e3, 3)
-    return artifact, meta
+    return artifact, blob, meta
 
 
-def _store_artifact(artifact: Bitstream, data_dir: str) -> str:
-    """Content-address the artifact under the data dir; returns hash."""
-    digest = artifact.content_hash
+def _store_artifact(artifact: Bitstream, blob: Optional[bytes],
+                    data_dir: str) -> str:
+    """Content-address the artifact under the data dir; returns hash.
+
+    ``blob`` is the artifact's canonical bytes if the job already has
+    them; they are encoded here — once, for the hash and the file —
+    otherwise.
+    """
+    if blob is None:
+        blob = artifact.to_bytes()
+    digest = hash_bytes(blob)
     path = artifact_path(data_dir, digest)
     if not path.is_file():
-        artifact.save(path)
+        artifact.save(path, blob)
     return digest
 
 
@@ -157,13 +173,13 @@ def execute_job(payload: dict) -> dict:
     cache = (CompileCache(payload["cache_dir"])
              if payload["cache_dir"] is not None else None)
     try:
-        artifact, compile_meta = _resolve_artifact(payload, cache)
+        artifact, blob, compile_meta = _resolve_artifact(payload, cache)
     except FileNotFoundError as err:
         return _error(404, "resolve", err)
     except ReproError as err:
         # structurally valid spec the compiler still rejects
         return _error(422, "compile", err)
-    content_hash = _store_artifact(artifact, payload["data_dir"])
+    content_hash = _store_artifact(artifact, blob, payload["data_dir"])
     result = {
         "ok": True, "status": 200,
         "app": artifact.app, "scale": artifact.scale,

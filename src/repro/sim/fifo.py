@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from repro.dhdl.memory import FifoDecl
 from repro.errors import SimulationError
+from repro.sim.scheduler import Progress
 from repro.trace.events import EventKind
 
 
@@ -28,6 +29,9 @@ class FifoSim:
         self.popped = 0
         self.full_stalls = 0
         self.empty_stalls = 0
+        #: liveness counters of the owning machine (which replaces this
+        #: private one): every word pushed or popped bumps ``fifo_flow``
+        self.progress = Progress()
         #: attached by the machine when tracing is enabled
         self.trace = None
         #: attached by the event scheduler: notified on every state
@@ -62,6 +66,7 @@ class FifoSim:
             raise SimulationError(f"FIFO {self.decl.name!r} overflow")
         self.items.extend(values)
         self.pushed += len(values)
+        self.progress.fifo_flow += len(values)
         if self.trace is not None:
             self.trace.emit(EventKind.FIFO_PUSH, self.decl.name,
                             (len(values), len(self.items)))
@@ -74,6 +79,7 @@ class FifoSim:
         while self.items and len(out) < count:
             out.append(self.items.popleft())
         self.popped += len(out)
+        self.progress.fifo_flow += len(out)
         if out and self.trace is not None:
             self.trace.emit(EventKind.FIFO_POP, self.decl.name,
                             (len(out), len(self.items)))

@@ -342,18 +342,14 @@ class _TransferCommon(_LeafCommon):
         self.image = image
         self.streams = config.ags_for(name).streams
         self._outstanding = 0
+        #: the pure-latency park: nothing left to issue, bursts still in
+        #: flight.  One object per engine, so a completion callback can
+        #: recognise it by identity (see ``_issue``)
+        self._park_latency = Park(
+            busy_unit=name, marks=((name, StallCause.DRAM_LATENCY),))
 
     # parks are immutable and constant per engine: build each variant
     # once and reuse it (parking happens on most wait cycles)
-    @property
-    def _park_latency(self) -> Park:
-        park = self.__dict__.get("_park_latency_c")
-        if park is None:
-            park = Park(busy_unit=self.name,
-                        marks=((self.name, StallCause.DRAM_LATENCY),))
-            self.__dict__["_park_latency_c"] = park
-        return park
-
     def _park_bandwidth(self, busy: bool) -> Park:
         key = "_park_bw_busy" if busy else "_park_bw_idle"
         park = self.__dict__.get(key)
@@ -374,7 +370,16 @@ class _TransferCommon(_LeafCommon):
         def _cb(req):
             self._outstanding -= 1
             on_done(req)
-            if self._sched is not None:
+            # Wake the engine only if its next tick would differ.  On
+            # the latency park with bursts still outstanding it would
+            # not: that park is reached only with nothing left to
+            # issue, so the tick would charge the same busy cycle, mark
+            # the same DRAM_LATENCY and re-park on the same object —
+            # exactly what the park replays, traced or not.  (A unit
+            # that is not parked ignores the wake either way.)
+            if self._sched is not None and not (
+                    self._outstanding
+                    and self._park is self._park_latency):
                 self._sched.node_event(self)
 
         self.dram.submit(request, _cb)
@@ -611,6 +616,8 @@ class GatherSim(_TransferCommon):
         self._queue: List[Tuple[int, int]] = []   # (dst_flat, elem_idx)
         self._open: Dict[int, List[Tuple[int, int]]] = {}
         self._version: tuple = ()
+        #: element count of the DRAM collection (bounds check)
+        self._words = 0
         self.coalesced_hits = 0
 
     def start(self, bindings: dict, version: int) -> None:
@@ -626,6 +633,7 @@ class GatherSim(_TransferCommon):
             count = scratch.watermark_for(version) or addr_buf.size
         self._queue = [(k, int(addr_buf[k])) for k in range(count)]
         self._open = {}
+        self._words = self.leaf.dram.words()
         self.mem.scratch(self.leaf.dst_sram).buffer(version)
 
     def tick(self, cycle: int) -> None:
@@ -637,7 +645,7 @@ class GatherSim(_TransferCommon):
         blocked = False
         while self._queue and budget > 0:
             dst_flat, elem = self._queue[0]
-            if elem < 0 or elem >= self.leaf.dram.words():
+            if elem < 0 or elem >= self._words:
                 raise SimulationError(
                     f"{self.name}: gather index {elem} out of bounds for "
                     f"{self.leaf.dram.name!r}")
@@ -696,6 +704,8 @@ class ScatterSim(_TransferCommon):
         self.leaf = leaf
         self._queue: List[Tuple[int, object]] = []
         self._open: Dict[int, int] = {}
+        #: element count of the DRAM collection (bounds check)
+        self._words = 0
         self.coalesced_hits = 0
 
     def start(self, bindings: dict, version: int) -> None:
@@ -714,6 +724,7 @@ class ScatterSim(_TransferCommon):
                 count = min(count, produced)
         self._queue = [(int(addr_buf[k]), val_buf[k]) for k in range(count)]
         self._open = {}
+        self._words = self.leaf.dram.words()
 
     def tick(self, cycle: int) -> None:
         if not self._active:
@@ -723,7 +734,7 @@ class ScatterSim(_TransferCommon):
         blocked = False
         while self._queue and budget > 0:
             elem, value = self._queue[0]
-            if elem < 0 or elem >= self.leaf.dram.words():
+            if elem < 0 or elem >= self._words:
                 raise SimulationError(
                     f"{self.name}: scatter index {elem} out of bounds "
                     f"for {self.leaf.dram.name!r}")

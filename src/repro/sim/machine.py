@@ -28,7 +28,7 @@ from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,
                               ScatterSim, StreamStoreSim, TileLoadSim,
                               TileStoreSim)
 from repro.sim.outer import DepEdge, OuterControllerSim
-from repro.sim.scheduler import run_machines
+from repro.sim.scheduler import Progress, run_machines
 from repro.sim.scratchpad import MemoryState
 from repro.sim.stats import SimStats
 from repro.trace.tracer import Tracer
@@ -77,6 +77,15 @@ class Machine:
         self._leaves: List[NodeSim] = []
         self._outers: List[OuterControllerSim] = []
         self.root = self._build(dhdl.root)
+        #: every controller in dense tick order (outers, then leaves)
+        self._nodes = tuple(self._outers + self._leaves)
+        #: FIFO-flow and completed-children counters of the watchdog
+        #: key, shared with the objects whose events bump them
+        self._progress = Progress()
+        for fifo in self.fifos.values():
+            fifo.progress = self._progress
+        for outer in self._outers:
+            outer.progress = self._progress
         self.cycle = 0
         #: the EventScheduler that ran this machine solo (executed vs
         #: fast-forwarded cycles); None under the dense reference
@@ -245,17 +254,21 @@ class Machine:
         The inner body of the dense reference loop: control decisions
         first so leaves observe up-to-date enables, then the datapaths.
         """
-        for outer in self._outers:
-            outer.tick(cycle)
-        for leaf in self._leaves:
-            leaf.tick(cycle)
+        for node in self._nodes:
+            node.tick(cycle)
 
     def _progress_key(self) -> Tuple:
-        fifo_flow = sum(f.pushed + f.popped for f in self.fifos.values())
-        completed = sum(sum(o._completed) for o in self._outers)
+        """The watchdog's liveness key: any forward progress changes it.
+
+        Read from counters kept where the events occur (vector issues
+        in ``SimStats``, DRAM traffic in the model, FIFO flow and
+        completed children in ``_progress``), so the check costs the
+        same every cycle however large the machine is.
+        """
+        progress = self._progress
         reads, writes, pending = self.dram.progress_counts(self.tenant)
         return (self.stats.vector_issues, reads, writes, pending,
-                fifo_flow, completed)
+                progress.fifo_flow, progress.completed)
 
     def _whoami(self) -> str:
         """Tenant + region prefix for deadlock/fault attribution."""

@@ -35,7 +35,7 @@ from repro.sim.counters import ChainEnumerator
 from repro.sim.datapath import Evaluator
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import NodeSim
-from repro.sim.scheduler import EMPTY_PARK, Park
+from repro.sim.scheduler import EMPTY_PARK, Park, Progress
 from repro.sim.scratchpad import MemoryState
 from repro.trace.events import EventKind, StallCause
 
@@ -95,6 +95,9 @@ class OuterControllerSim(NodeSim):
         self._live: List[_IterState] = []
         self._next_k = 0
         self._completed = [0] * len(self.children)
+        #: liveness counters of the owning machine (which replaces this
+        #: private one): ``completed`` tracks ``sum(self._completed)``
+        self.progress = Progress()
         self._stopped = False
         #: chain-less controller: its single iteration not yet handed out
         self._single_pending = False
@@ -127,6 +130,7 @@ class OuterControllerSim(NodeSim):
         self._base_version = tuple(version)
         self._live = []
         self._next_k = 0
+        self.progress.completed -= sum(self._completed)
         self._completed = [0] * len(self.children)
         self._stopped = False
         if self.ctrl.chain is not None:
@@ -215,6 +219,7 @@ class OuterControllerSim(NodeSim):
                     if not child.busy:
                         it.status[idx] = "done"
                         self._completed[idx] += 1
+                        self.progress.completed += 1
                         moved = True
                         if trace is not None:
                             trace.emit(EventKind.CHILD_DONE, self.name,
@@ -341,6 +346,7 @@ class OuterControllerSim(NodeSim):
             elif it.status[idx] == "running" and not child.busy:
                 it.status[idx] = "done"
                 self._completed[idx] += 1
+                self.progress.completed += 1
                 moved = True
                 if trace is not None:
                     trace.emit(EventKind.CHILD_DONE, self.name,

@@ -15,11 +15,16 @@ Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
 * :class:`EventScheduler` — the default: units that report a *park*
   (a provable no-op tick with constant per-cycle accounting) leave the
   tick set and are re-armed only by the event that can unblock them
-  (FIFO push/pop/close, DRAM queue room, DRAM completion, a timer, or a
-  child activation/completion).  When *nothing* is runnable on any
-  machine and all DRAM channel queues are empty, the scheduler
-  fast-forwards the cycle counter to the next known event and
-  bulk-applies the skipped cycles' accounting.
+  (FIFO push/pop/close, DRAM queue room, a DRAM completion that changes
+  what the unit would do, a timer, or a child activation/completion).
+  When *nothing* is runnable on any machine and all DRAM channel queues
+  are empty, the scheduler fast-forwards the cycle counter to the next
+  known event and bulk-applies the skipped cycles' accounting.
+
+An executed cycle costs what happens in it: the DRAM model visits only
+channels that might issue (``Channel.scan_at``), and the per-machine
+liveness key is read from counters bumped where the events occur
+(:class:`Progress`) instead of being re-summed over the machine.
 
 Per-cycle order (both modes): machines in admission order; per machine
 due faults and tracer open; park timers; ``dram.tick()``;
@@ -45,7 +50,9 @@ by construction:
   loop would have run anyway — while every event that could change a
   parked unit's behaviour is guaranteed to wake it (FIFO waiters are
   keyed by the ``FifoSim`` object: co-tenants of one app share every
-  FIFO *name*);
+  FIFO *name*).  The one filtered wake — a burst completion reaching a
+  transfer on its latency park with bursts still outstanding — is
+  skipped only because that tick provably equals the park's replay;
 * per-cycle processing iterates units in the dense loop's order, so
   intra-cycle interactions (who grabs the last DRAM queue slot, when a
   parent observes a child's completion) resolve identically;
@@ -93,9 +100,11 @@ class Park:
     ``wake_dram_room`` — re-arm when any DRAM channel dequeues (queue
                          room may have freed).
 
-    DRAM completions always wake the issuing unit (the completion
-    callback notifies the scheduler), so parks never need to subscribe
-    to them explicitly.
+    Parks never subscribe to DRAM completions: the issuing unit's
+    completion callback notifies the scheduler itself — unless the unit
+    sits on its pure-latency park with bursts still outstanding, where
+    the re-tick would only repeat what that park replays
+    (``_TransferCommon._issue``).
     """
 
     __slots__ = ("until", "busy_unit", "counters", "fifo_counters",
@@ -171,6 +180,25 @@ def _open_cycle(machine, cycle: int) -> None:
         machine.tracer.begin_cycle(cycle)
 
 
+class Progress:
+    """One machine's liveness counters that no single object owns,
+    bumped where the events occur so the per-cycle watchdog key
+    (``Machine._progress_key``) reads them instead of re-summing the
+    machine:
+
+    ``fifo_flow``  — words pushed plus words popped over every FIFO;
+    ``completed``  — the sum of every outer controller's per-child
+                     ``_completed`` list (an activation resets its
+                     list, so this goes down as well as up).
+    """
+
+    __slots__ = ("fifo_flow", "completed")
+
+    def __init__(self):
+        self.fifo_flow = 0
+        self.completed = 0
+
+
 def _close_cycle(machine, cycle: int) -> bool:
     """One machine's end-of-cycle duties: the every-256-cycle scratchpad
     retirement sweep, the progress/watchdog check, tracer close.  True
@@ -235,7 +263,7 @@ class EventScheduler:
             for outer in machine._outers:
                 for child in outer.children:
                     self._parent[id(child)] = outer
-            for node in machine._outers + machine._leaves:
+            for node in machine._nodes:
                 node._sched = self
                 node._sched_state = _IDLE
                 node._park = None
@@ -349,6 +377,9 @@ class EventScheduler:
         for channel in dram.channels:
             if channel.queue:
                 return cycle
+        completion = dram.next_completion()
+        if completion is not None and completion <= cycle + 1:
+            return cycle        # due next cycle: nothing to jump over
         target = max_cycles + 1
         for machine in live:
             # nothing pending: emulate this machine's watchdog spin
@@ -364,7 +395,6 @@ class EventScheduler:
         timer = self._next_timer()
         if timer is not None and timer < target:
             target = timer
-        completion = dram.next_completion()
         if completion is not None and completion < target:
             target = completion
         skipped = target - 1 - cycle
@@ -380,7 +410,7 @@ class EventScheduler:
             #: per-unit attribution for the span, in dense tick order
             #: (outers before leaves, first mark wins)
             cause_map: Dict[str, StallCause] = {}
-            for node in machine._outers + machine._leaves:
+            for node in machine._nodes:
                 if node._sched_state != _PARKED:
                     continue
                 park = node._park

@@ -145,6 +145,41 @@ def test_endpoints_end_to_end(tmp_path):
     asyncio.run(scenario())
 
 
+def test_fresh_simulate_encodes_its_artifact_once(tmp_path, monkeypatch):
+    """One job, one ``to_bytes``: the same bytes go to the compile
+    cache, the content hash and the artifact store (it used to encode
+    for each of the three)."""
+    import hashlib
+
+    from repro.bitstream.artifact import Bitstream
+
+    encodes = []
+    to_bytes = Bitstream.to_bytes
+
+    def counting(self):
+        encodes.append(self)
+        return to_bytes(self)
+
+    monkeypatch.setattr(Bitstream, "to_bytes", counting)
+
+    async def scenario():
+        service = ReproService(_config(tmp_path), runner=execute_job)
+        fresh = await dispatch(service, "POST", "/simulate",
+                               _body({"spec": _spec(11)}))
+        assert fresh.status == 200, fresh.json
+        assert fresh.json["compile"]["outcome"] == "miss"
+        assert len(encodes) == 1
+        stored = (tmp_path / "data" / "artifacts"
+                  / f"{fresh.json['content_hash']}.json").read_bytes()
+        (cached,) = (tmp_path / "cache").glob("*/*/*.json")
+        assert cached.read_bytes() == stored == to_bytes(encodes[0])
+        assert hashlib.sha256(stored).hexdigest() \
+            == fresh.json["content_hash"] == encodes[0].content_hash
+        await service.drain()
+
+    asyncio.run(scenario())
+
+
 def test_compiler_rejection_maps_to_422_and_is_not_cached(tmp_path):
     async def scenario():
         def runner(payload):

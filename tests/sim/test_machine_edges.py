@@ -128,9 +128,15 @@ def test_gather_out_of_bounds_index_reported():
     o = p.output("o", (8,))
     p.map("g", o, 8, lambda i: table[idx[i]])
     compiled = compile_program(p)
-    machine = Machine(compiled.dhdl, compiled.config)
-    with pytest.raises(SimulationError, match="out of bounds"):
-        machine.run()
+    for mode in ("dense", "event"):
+        machine = Machine(compiled.dhdl, compiled.config, scheduler=mode)
+        with pytest.raises(SimulationError,
+                           match="gather_tbl: gather index 99 out of "
+                                 "bounds for 'tbl'"):
+            machine.run()
+        # the bound is read once per activation, not per address: the
+        # bad index is still caught on the cycle it reaches the AG
+        assert machine.cycle == 38
 
 
 def test_deadlock_message_reports_progress_and_stall_causes():

@@ -234,6 +234,37 @@ def test_scatter_random_writes():
     np.testing.assert_allclose(machine.result("o"), expect)
 
 
+def test_scatter_out_of_bounds_index_reported():
+    """A bad scatter index is rejected with the unit, the index and the
+    array, on the same cycle under both schedulers."""
+    from repro.errors import SimulationError
+    n = 16
+    idx = np.arange(n, dtype=np.int32)
+    idx[11] = n                      # one past the end
+    cycles = []
+    for mode in ("dense", "event"):
+        dhdl = DhdlProgram("scatter")
+        dram_idx = dhdl.dram(Array("idx", (n,), E.INT32, data=idx))
+        dram_val = dhdl.dram(Array("val", (n,), E.FLOAT32,
+                                   data=np.ones(n, dtype=np.float32)))
+        dram_out = dhdl.dram(Array("o", (n,), E.FLOAT32))
+        idx_tile = dhdl.sram("idx_tile", (n,), E.INT32)
+        val_tile = dhdl.sram("val_tile", (n,), E.FLOAT32)
+        body = OuterController("pipe", Scheme.PIPELINE)
+        dhdl.root.add(body)
+        body.add(TileLoad("load_idx", dram_idx, idx_tile, (0,), (n,)))
+        body.add(TileLoad("load_val", dram_val, val_tile, (0,), (n,)))
+        body.add(Scatter("scatter", dram_out, idx_tile, val_tile))
+        validate(dhdl)
+        machine = Machine(dhdl, default_config(dhdl), scheduler=mode)
+        with pytest.raises(SimulationError,
+                           match="scatter: scatter index 16 out of "
+                                 "bounds for 'o'"):
+            machine.run()
+        cycles.append(machine.cycle)
+    assert cycles[0] == cycles[1] > 0
+
+
 def test_streaming_filter_with_dynamic_count():
     n = 64
     data = np.random.default_rng(4).standard_normal(n).astype(np.float32)
