@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.requirements import DesignRequirements
@@ -117,14 +117,18 @@ def compile_program(program: Program,
                         sched.num_stages) * lanes
         regs_used += sched.max_live * lanes * part.num_pcus
 
+    # memory names each inner controller reads: one walk of its
+    # expression DAGs, shared by scratchpad placement and routing
+    reads_of = {leaf.name: {m.name for m in leaf.memories_read()}
+                for leaf in inner_leaves}
+
     # 2. place scratchpads near their consumers
     for sram in dhdl.srams:
         part = partition_pmu(sram.words(), sram.nbuf, params.pmu.banks,
                              params.pmu)
         near = None
         for leaf in inner_leaves:
-            mems = [m.name for m in leaf.memories_read()]
-            if sram.name in mems:
+            if sram.name in reads_of[leaf.name]:
                 near = fabric.centroid(leaf.name)
                 break
         sites = fabric.place_pmus(sram.name, part.num_pmus, near=near)
@@ -155,7 +159,7 @@ def compile_program(program: Program,
 
     # 3. route producer->consumer nets (vector network) and refine the
     # leaf timings with real hop distances
-    _route_dataflow(dhdl, fabric, config)
+    _route_dataflow(dhdl, fabric, config, reads_of)
 
     # 4. allocate AGs round-robin with the requested width per transfer
     next_ag = 0
@@ -193,12 +197,14 @@ def _streams_for(leaf, default: int) -> int:
 
 
 def _route_dataflow(dhdl: DhdlProgram, fabric: Fabric,
-                    config: FabricConfig) -> None:
+                    config: FabricConfig,
+                    reads_of: Dict[str, Set[str]]) -> None:
     """Route every on-chip producer->consumer pair that is placed.
 
     Scratchpad traffic rides the vector network; register (scalar)
     traffic rides the scalar network between the producing and consuming
     units.  Both share the switch topology (Section 3.3).
+    ``reads_of`` maps each inner controller to the memory names it reads.
     """
     from repro.dhdl.memory import Reg as _Reg
 
@@ -218,7 +224,7 @@ def _route_dataflow(dhdl: DhdlProgram, fabric: Fabric,
         if not isinstance(leaf, InnerCompute) or leaf.address_class:
             continue
         hops_in = []
-        for mem_name in sorted({m.name for m in leaf.memories_read()}):
+        for mem_name in sorted(reads_of[leaf.name]):
             if mem_name in fabric.placed:
                 net = fabric.route(mem_name, leaf.name, "vector")
                 hops_in.append(net.hops)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
@@ -90,31 +91,59 @@ class Region:
                 f"({self.col0},{self.row0})")
 
 
-def site_kinds(params: PlasticineParams,
-               pmu_fraction: float = 0.5) -> Dict[Site, str]:
-    """Kind (``"pcu"``/``"pmu"``) of every site on the full grid.
+@lru_cache(maxsize=16)
+def _checkerboard(grid_cols: int, grid_rows: int, pmu_fraction: float
+                  ) -> Tuple[Dict[Site, str], Tuple[Tuple[int, ...], ...]]:
+    """The one quota scan of the full grid, row-major: the kind of
+    every site, and a summed-area table of the PCU sites
+    (``table[r][c]`` = PCU sites with ``row < r`` and ``col < c``).
 
-    The quota scan runs over the *whole* fabric regardless of any
-    region, so a site's kind never depends on which region looks at it.
+    A pure function of the three values it reads, so the result is
+    memoized; both products come from the same walk and cannot drift.
+    Callers must not mutate the dict (``site_kinds`` hands out copies).
     """
     kinds: Dict[Site, str] = {}
+    table = [[0] * (grid_cols + 1)]
     quota = 0.0
-    for row in range(params.grid_rows):
-        for col in range(params.grid_cols):
+    for row in range(grid_rows):
+        above = table[-1]
+        sums = [0]
+        in_row = 0
+        for col in range(grid_cols):
             quota += pmu_fraction
             if quota >= 1.0:
                 quota -= 1.0
                 kinds[(col, row)] = "pmu"
             else:
                 kinds[(col, row)] = "pcu"
-    return kinds
+                in_row += 1
+            sums.append(above[col + 1] + in_row)
+        table.append(sums)
+    return kinds, tuple(tuple(sums) for sums in table)
+
+
+def site_kinds(params: PlasticineParams,
+               pmu_fraction: float = 0.5) -> Dict[Site, str]:
+    """Kind (``"pcu"``/``"pmu"``) of every site on the full grid, in
+    row-major order (a fresh dict per call).
+
+    The quota scan runs over the *whole* fabric regardless of any
+    region, so a site's kind never depends on which region looks at it.
+    """
+    return dict(_checkerboard(params.grid_cols, params.grid_rows,
+                              pmu_fraction)[0])
 
 
 def region_capacity(params: PlasticineParams, region: Region,
                     pmu_fraction: float = 0.5) -> Tuple[int, int]:
-    """``(pcu_sites, pmu_sites)`` the region contributes."""
-    kinds = site_kinds(params, pmu_fraction)
-    pcus = sum(1 for s in region.sites() if kinds[s] == "pcu")
+    """``(pcu_sites, pmu_sites)`` the region contributes: four lookups
+    in the full grid's summed-area table of PCU sites (the packer prices
+    thousands of candidate rectangles per plan)."""
+    table = _checkerboard(params.grid_cols, params.grid_rows,
+                          pmu_fraction)[1]
+    top, bottom = table[region.row0], table[region.row0 + region.rows]
+    left, right = region.col0, region.col0 + region.cols
+    pcus = bottom[right] - bottom[left] - top[right] + top[left]
     return pcus, region.area - pcus
 
 
@@ -163,19 +192,12 @@ class Fabric:
             (int(c), int(r)) for c, r in (excluded_sites or ()))
         self.free_pcus: List[Site] = []
         self.free_pmus: List[Site] = []
-        quota = 0.0
-        for row in range(params.grid_rows):
-            for col in range(params.grid_cols):
-                quota += pmu_fraction
-                site = (col, row)
-                usable = (self.region.contains(site)
-                          and site not in self.excluded)
-                if quota >= 1.0:
-                    quota -= 1.0
-                    if usable:
-                        self.free_pmus.append(site)
-                elif usable:
-                    self.free_pcus.append(site)
+        kinds = _checkerboard(params.grid_cols, params.grid_rows,
+                              pmu_fraction)[0]
+        for site, kind in kinds.items():
+            if self.region.contains(site) and site not in self.excluded:
+                (self.free_pmus if kind == "pmu"
+                 else self.free_pcus).append(site)
         self._initial_pcus = len(self.free_pcus)
         self._initial_pmus = len(self.free_pmus)
         self.placed: Dict[str, List[Site]] = {}

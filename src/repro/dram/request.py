@@ -9,12 +9,17 @@ from typing import Optional
 _ids = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class DramRequest:
     """One 64-byte burst transaction.
 
     ``tag`` is an opaque handle the issuer uses to match completions
     (e.g. which gather element this burst serves).
+
+    Requests compare by identity: ``req_id`` is unique, so field
+    equality could say nothing else, and the channel queue's
+    ``remove`` must not run a nine-field comparison against every
+    older entry.
     """
 
     byte_addr: int

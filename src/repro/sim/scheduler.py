@@ -14,17 +14,21 @@ Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
   machine ticks on every cycle.  Simple, obviously correct, slow.
 * :class:`EventScheduler` — the default: units that report a *park*
   (a provable no-op tick with constant per-cycle accounting) leave the
-  tick set and are re-armed only by the event that can unblock them
+  run queue and are re-armed only by the event that can unblock them
   (FIFO push/pop/close, DRAM queue room, a DRAM completion that changes
   what the unit would do, a timer, or a child activation/completion).
   When *nothing* is runnable on any machine and all DRAM channel queues
   are empty, the scheduler fast-forwards the cycle counter to the next
-  known event and bulk-applies the skipped cycles' accounting.
+  known event.
 
-An executed cycle costs what happens in it: the DRAM model visits only
-channels that might issue (``Channel.scan_at``), and the per-machine
-liveness key is read from counters bumped where the events occur
-(:class:`Progress`) instead of being re-summed over the machine.
+An executed cycle costs what happens in it, not what the machines hold:
+the unit phase pops running nodes from a heap of dense positions and
+visits no other; a parked node is charged once, ``span x effect``, when
+its park ends (jumped-over cycles are inside the span, so a jump
+charges nothing); the DRAM model visits only channels that might issue
+(``Channel.scan_at``); and the per-machine liveness key is read from
+counters bumped where the events occur (:class:`Progress`) instead of
+being re-summed over the machine.
 
 Per-cycle order (both modes): machines in admission order; per machine
 due faults and tracer open; park timers; ``dram.tick()``;
@@ -44,29 +48,34 @@ by construction:
 
 * a unit parks only from inside a tick branch that performed *only*
   constant per-cycle accounting (the :class:`Park` records exactly those
-  effects, which are replayed for every skipped cycle into the unit's
-  own machine);
+  effects, which are charged to the unit's own machine for every cycle
+  the park spans — when it ends, or when an error exit flushes it);
 * wakeups are liberal — a spurious wake just re-runs a tick the dense
   loop would have run anyway — while every event that could change a
   parked unit's behaviour is guaranteed to wake it (FIFO waiters are
   keyed by the ``FifoSim`` object: co-tenants of one app share every
   FIFO *name*).  The one filtered wake — a burst completion reaching a
   transfer on its latency park with bursts still outstanding — is
-  skipped only because that tick provably equals the park's replay;
-* per-cycle processing iterates units in the dense loop's order, so
-  intra-cycle interactions (who grabs the last DRAM queue slot, when a
-  parent observes a child's completion) resolve identically;
+  skipped only because that tick provably equals what the park
+  charges;
+* running units tick in the dense loop's order — every node has its
+  dense position, and one that wakes or starts mid-cycle joins this
+  cycle's queue if the unit phase has not reached its position yet and
+  the next cycle's otherwise — so intra-cycle interactions (who grabs
+  the last DRAM queue slot, when a parent observes a child's
+  completion) resolve identically;
 * fast-forward only happens when no unit of any live machine is
   runnable *and* every DRAM channel queue is empty, so the only future
   events are completions at known cycles, parked-unit timers and
-  scheduled faults.  Skipped cycles are accounted in bulk per machine
-  (including the every-256-cycle scratchpad retirement sweep and the
-  deadlock watchdog, which trips at the same cycle it would under the
-  dense loop).
+  scheduled faults.  A jump runs the every-256-cycle scratchpad
+  retirement sweep it crosses and stops short of the deadlock watchdog,
+  which trips at the same cycle it would under the dense loop.
 
-Sampled *discrete* trace events (the diagnostic ring buffer) are not
-replayed for skipped cycles; attribution counters and RLE timelines —
-the numbers every report is built from — stay exact.
+Tracing is the one per-unit cost kept: a parked unit's attribution
+marks are emitted once per executed cycle and handed to
+``Tracer.account_span`` for a jump, so counters and RLE timelines — the
+numbers every report is built from — stay exact.  Sampled *discrete*
+trace events (the diagnostic ring buffer) reflect executed ticks only.
 """
 
 from __future__ import annotations
@@ -83,7 +92,9 @@ SCHEDULER_MODES = ("event", "dense")
 
 class Park:
     """One parked unit: its wakeup set plus the exact per-cycle effects
-    the dense loop would have applied while it stays blocked.
+    the dense loop would have applied while it stays blocked.  The
+    numeric ones are charged once, ``span x effect``, when the park
+    ends (``EventScheduler._charge``); marks only matter to a tracer.
 
     ``until``          — absolute cycle at which the unit must re-tick
                          (pipeline drain, bank-conflict serialisation);
@@ -93,8 +104,8 @@ class Park:
     ``fifo_counters``  — ``(FifoSim, attr)`` pairs incremented per cycle
                          (e.g. ``full_stalls``);
     ``marks``          — ``(unit_name, StallCause)`` attribution marks
-                         emitted per cycle (first mark wins, as in the
-                         dense loop);
+                         a traced machine emits per cycle (first mark
+                         wins, as in the dense loop);
     ``wake_fifos``     — ``FifoSim``s whose push/pop/close/reopen re-arm
                          the unit;
     ``wake_dram_room`` — re-arm when any DRAM channel dequeues (queue
@@ -103,7 +114,7 @@ class Park:
     Parks never subscribe to DRAM completions: the issuing unit's
     completion callback notifies the scheduler itself — unless the unit
     sits on its pure-latency park with bursts still outstanding, where
-    the re-tick would only repeat what that park replays
+    the re-tick would only repeat what that park charges
     (``_TransferCommon._issue``).
     """
 
@@ -259,6 +270,9 @@ class EventScheduler:
         self.dram = self.machines[0].dram
         #: child sim -> parent OuterControllerSim (completion wakeups)
         self._parent: Dict[int, object] = {}
+        #: every node at its dense position: machines in admission
+        #: order, per machine outers in postorder, then leaves
+        self._nodes: List = []
         for machine in self.machines:
             for outer in machine._outers:
                 for child in outer.children:
@@ -267,11 +281,29 @@ class EventScheduler:
                 node._sched = self
                 node._sched_state = _IDLE
                 node._park = None
+                node._pos = len(self._nodes)
+                node._machine = machine
+                node._parked_at = 0
+                self._nodes.append(node)
             for fifo in machine.fifos.values():
                 fifo.sched = self
         for channel in self.dram.channels:
             channel.on_dequeue = self._dram_room_event
-        self.num_running = 0
+        #: machines whose parked units still owe a mark per cycle
+        self._traced = [m for m in self.machines if m.tracer is not None]
+        #: the run queue, as dense positions: running nodes the current
+        #: cycle's unit phase has yet to reach (a min-heap), and those
+        #: it has passed, which tick next cycle.  A node is in exactly
+        #: one of {``_heap``, ``_next``, parked, idle} — or is the one
+        #: being ticked
+        self._heap: List[int] = []
+        self._next: List[int] = []
+        #: position being ticked; -1 before the unit phase (a node woken
+        #: by a timer or by DRAM is ahead of everything: it ticks this
+        #: cycle), ``len(_nodes)`` after it
+        self._pos = -1
+        #: the cycle being executed (after a jump: its last cycle)
+        self._cycle = self.dram.cycle
         self._fifo_waiters: Dict[object, Set] = {}
         self._room_waiters: Set = set()
         self._timers: List[Tuple[int, int, object]] = []
@@ -280,17 +312,21 @@ class EventScheduler:
         self.executed_cycles = 0
         self.fast_forwarded_cycles = 0
 
+    @property
+    def num_running(self) -> int:
+        """Nodes in the run queue (between unit phases: all of them on
+        the next cycle's list)."""
+        return len(self._heap) + len(self._next)
+
     # -- wakeup plumbing (called from units, FIFOs, and DRAM) ------------------
     def node_started(self, node) -> None:
-        """A parent activated ``node``: it joins the tick set."""
+        """A parent activated ``node``: it joins the run queue."""
         state = node._sched_state
         if state == _RUNNING:
             return
         if state == _PARKED:
-            self._unsubscribe(node)
-        node._park = None
-        node._sched_state = _RUNNING
-        self.num_running += 1
+            self._end_park(node)
+        self._enqueue(node)
 
     def node_event(self, node) -> None:
         """Something happened *to* a unit (a DRAM completion): re-arm."""
@@ -313,27 +349,26 @@ class EventScheduler:
     def _wake(self, node) -> None:
         if node._sched_state != _PARKED:
             return
-        self._unsubscribe(node)
-        node._park = None
-        node._sched_state = _RUNNING
-        self.num_running += 1
+        self._end_park(node)
+        self._enqueue(node)
 
-    def _unsubscribe(self, node) -> None:
-        park = node._park
-        if park is None:
-            return
-        for fifo in park.wake_fifos:
-            waiters = self._fifo_waiters.get(fifo)
-            if waiters is not None:
-                waiters.discard(node)
-        if park.wake_dram_room:
-            self._room_waiters.discard(node)
-        # timers are invalidated lazily (checked when popped)
+    def _enqueue(self, node) -> None:
+        """``node`` becomes runnable where the dense scan would meet it:
+        this cycle if the unit phase has not reached its position yet,
+        next cycle otherwise."""
+        node._sched_state = _RUNNING
+        pos = node._pos
+        if pos > self._pos:
+            heapq.heappush(self._heap, pos)
+        else:
+            self._next.append(pos)
 
     def _park_node(self, node) -> None:
+        """``node``'s tick, which did this cycle's accounting itself,
+        left a park: the span it will be charged for starts here."""
         park = node._park
         node._sched_state = _PARKED
-        self.num_running -= 1
+        node._parked_at = self._cycle
         for fifo in park.wake_fifos:
             self._fifo_waiters.setdefault(fifo, set()).add(node)
         if park.wake_dram_room:
@@ -343,9 +378,69 @@ class EventScheduler:
                            (park.until, self._timer_seq, node))
             self._timer_seq += 1
 
+    def _end_park(self, node) -> None:
+        """``node``'s park ends (a wake or a restart): drop its
+        subscriptions and charge the span it covered."""
+        park = node._park
+        for fifo in park.wake_fifos:
+            waiters = self._fifo_waiters.get(fifo)
+            if waiters is not None:
+                waiters.discard(node)
+        if park.wake_dram_room:
+            self._room_waiters.discard(node)
+        # timers are invalidated lazily (checked when popped)
+        self._charge(node)
+        if node._pos <= self._pos and node._parked_at < self._cycle:
+            # the unit phase has passed the node, so it does not tick
+            # in this cycle and ``_mark_parked`` will not find it
+            # parked: this cycle's marks are owed now
+            trace = node._machine.tracer
+            if trace is not None:
+                for unit, cause in park.marks:
+                    trace.mark(unit, cause)
+        node._park = None
+
+    def _charge(self, node) -> None:
+        """Charge a park's numeric effects, ``span x effect``: what the
+        dense loop accounted tick by tick since the park began.  The
+        span runs through the current cycle, unless the unit phase has
+        yet to reach the node — then the node's own tick (or, at an
+        error exit, nothing) accounts for this cycle.  Fast-forwarded
+        cycles lie inside the span like any other."""
+        span = self._cycle - node._parked_at
+        if node._pos > self._pos:
+            span -= 1
+        if span <= 0:
+            return
+        park = node._park
+        stats = node._machine.stats
+        if park.busy_unit is not None:
+            stats.busy(park.busy_unit, span)
+        for attr in park.counters:
+            setattr(stats, attr, getattr(stats, attr) + span)
+        for fifo, attr in park.fifo_counters:
+            setattr(fifo, attr, getattr(fifo, attr) + span)
+
+    def _mark_parked(self, cycle: int) -> None:
+        """Traced machines only: every unit parked since before
+        ``cycle`` emits the marks its blocked tick would have.  No
+        other node marks the same unit in the same cycle — a parked
+        leaf is busy, so no ancestor attributes a wait to it, and a
+        parked outer names only leaves of subtrees that stay idle until
+        it ticks again — so "first mark wins" does not depend on these
+        marks coming after the ticks instead of at dense position."""
+        for machine in self._traced:
+            if machine.finished:
+                continue
+            mark = machine.tracer.mark
+            for node in machine._nodes:
+                if (node._sched_state == _PARKED
+                        and node._parked_at != cycle):
+                    for unit, cause in node._park.marks:
+                        mark(unit, cause)
+
     def _finish_node(self, node) -> None:
         node._sched_state = _IDLE
-        self.num_running -= 1
         parent = self._parent.get(id(node))
         if parent is not None:
             self._wake(parent)
@@ -372,6 +467,9 @@ class EventScheduler:
         skip cycles while every DRAM channel queue is empty — queued
         requests make the FR-FCFS schedule cycle-sensitive, so those
         regimes step cycle by cycle (with only the DRAM model active).
+
+        A jump charges nothing numeric: every skipped cycle lies inside
+        the span of each park that is open across it (``_charge``).
         """
         dram = self.dram
         for channel in dram.channels:
@@ -405,30 +503,21 @@ class EventScheduler:
         # between the skipped boundaries)
         sweep = (cycle + skipped) // 256 > cycle // 256
         for machine in live:
-            stats = machine.stats
             trace = machine.tracer
-            #: per-unit attribution for the span, in dense tick order
-            #: (outers before leaves, first mark wins)
-            cause_map: Dict[str, StallCause] = {}
-            for node in machine._nodes:
-                if node._sched_state != _PARKED:
-                    continue
-                park = node._park
-                if park.busy_unit is not None:
-                    stats.busy(park.busy_unit, skipped)
-                for attr in park.counters:
-                    setattr(stats, attr, getattr(stats, attr) + skipped)
-                for fifo, attr in park.fifo_counters:
-                    setattr(fifo, attr, getattr(fifo, attr) + skipped)
-                if trace is not None:
-                    for unit, cause in park.marks:
-                        cause_map.setdefault(unit, cause)
             if trace is not None:
+                #: per-unit attribution for the span, in dense tick
+                #: order (outers before leaves, first mark wins)
+                cause_map: Dict[str, StallCause] = {}
+                for node in machine._nodes:
+                    if node._sched_state == _PARKED:
+                        for unit, cause in node._park.marks:
+                            cause_map.setdefault(unit, cause)
                 trace.account_span(cause_map, cycle + 1, skipped)
             if sweep:
                 machine.mem.retire_old()
         dram.advance_to(cycle + skipped)
         self.fast_forwarded_cycles += skipped
+        self._cycle = cycle + skipped
         return cycle + skipped
 
     # -- main loop ----------------------------------------------------------------
@@ -442,59 +531,63 @@ class EventScheduler:
         dram_tick = dram.tick
         dram_deliver = dram.deliver
         timers = self._timers
+        nodes = self._nodes
+        heap = self._heap
+        passed = self._next
+        heappop = heapq.heappop
         cycle = dram.cycle
-        while live:
-            cycle += 1
-            if cycle > max_cycles:
-                _raise_limit(live, max_cycles, cycle)
-            self.executed_cycles += 1
-            for machine in live:
-                _open_cycle(machine, cycle)
-            while timers and timers[0][0] <= cycle:
-                until, _, node = heapq.heappop(timers)
-                park = node._park
-                if (node._sched_state == _PARKED and park is not None
-                        and park.until == until):
-                    self._wake(node)
-            dram_tick()      # may free queue room -> wakes waiters
-            dram_deliver()   # completions -> wake issuing units
-            for machine in live:
-                dram.tenant = machine.tenant
-                trace = machine.tracer
-                stats = machine.stats
-                for outer in machine._outers:
-                    state = outer._sched_state
-                    if state == _RUNNING:
-                        outer._park = None
-                        outer.tick(cycle)
-                        if not outer.busy:
-                            self._finish_node(outer)
-                        elif outer._park is not None:
-                            self._park_node(outer)
-                    elif state == _PARKED and trace is not None:
-                        for unit, cause in outer._park.marks:
-                            trace.mark(unit, cause)
-                for leaf in machine._leaves:
-                    state = leaf._sched_state
-                    if state == _RUNNING:
-                        leaf._park = None
-                        leaf.tick(cycle)
-                        if not leaf.busy:
-                            self._finish_node(leaf)
-                        elif leaf._park is not None:
-                            self._park_node(leaf)
-                    elif state == _PARKED:
-                        park = leaf._park
-                        if park.busy_unit is not None:
-                            stats.busy(park.busy_unit)
-                        for attr in park.counters:
-                            setattr(stats, attr, getattr(stats, attr) + 1)
-                        for fifo, attr in park.fifo_counters:
-                            setattr(fifo, attr, getattr(fifo, attr) + 1)
-                        if trace is not None:
-                            for unit, cause in park.marks:
-                                trace.mark(unit, cause)
-            dram.tenant = None
-            live = [m for m in live if not _close_cycle(m, cycle)]
-            if self.num_running == 0 and live:
-                cycle = self._fast_forward(cycle, live, max_cycles)
+        try:
+            while live:
+                cycle += 1
+                if cycle > max_cycles:
+                    _raise_limit(live, max_cycles, cycle)
+                self.executed_cycles += 1
+                self._cycle = cycle
+                self._pos = -1
+                if passed:
+                    heap += passed
+                    del passed[:]
+                    heapq.heapify(heap)
+                for machine in live:
+                    _open_cycle(machine, cycle)
+                while timers and timers[0][0] <= cycle:
+                    until, _, node = heappop(timers)
+                    park = node._park
+                    if (node._sched_state == _PARKED and park is not None
+                            and park.until == until):
+                        self._wake(node)
+                dram_tick()      # may free queue room -> wakes waiters
+                dram_deliver()   # completions -> wake issuing units
+                while heap:
+                    self._pos = pos = heappop(heap)
+                    node = nodes[pos]
+                    dram.tenant = node._machine.tenant
+                    node._park = None
+                    node.tick(cycle)
+                    if not node.busy:
+                        self._finish_node(node)
+                    elif node._park is not None:
+                        self._park_node(node)
+                    else:
+                        passed.append(pos)
+                self._pos = len(nodes)
+                dram.tenant = None
+                if self._traced:
+                    self._mark_parked(cycle)
+                still = [m for m in live if not _close_cycle(m, cycle)]
+                if len(still) != len(live):
+                    # a machine's root went idle, so every node under
+                    # it has finished: no park is left to charge
+                    assert not any(node._sched_state == _PARKED
+                                   for machine in live if machine.finished
+                                   for node in machine._nodes)
+                    live = still
+                if not passed and live:
+                    cycle = self._fast_forward(cycle, live, max_cycles)
+        finally:
+            # an error exit (cycle limit, fault, watchdog, a unit's own
+            # exception) leaves parks open: charge them up to where the
+            # dense loop had got to.  A completed run has none left.
+            for node in nodes:
+                if node._sched_state == _PARKED:
+                    self._charge(node)

@@ -2,12 +2,14 @@
 
 Packing is two-phase:
 
-1. *Plan* — each app is compiled solo (full grid) to learn its exact
-   unit footprint, then regions are chosen by first-fit-decreasing over
-   footprint area: apps are considered largest first, and each takes
-   the first (smallest-area shape, row-major anchor) rectangle whose
-   PCU/PMU site capacity covers its footprint and which does not
-   overlap any region already claimed.
+1. *Plan* — each distinct app is compiled solo (full grid), once per
+   call, to learn its exact unit footprint, then regions are chosen by
+   first-fit-decreasing over footprint area: apps are considered
+   largest first, and each takes the first (smallest-area shape,
+   row-major anchor) rectangle whose PCU/PMU site capacity covers its
+   footprint and which does not overlap any region already claimed.
+   Pricing a candidate is O(1) (``region_capacity`` reads a summed-area
+   table), so a plan costs its overlap tests, not the grid.
 2. *Commit* — each app is recompiled constrained to its planned region.
    Placement can still fail inside a capacity-feasible region (routing
    detours consume no sites but fragmentation can defeat the nearest-
@@ -241,7 +243,8 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
     """Plan and commit a packing: region-compiled artifacts for all apps.
 
     Duplicate app names are allowed (the same workload co-resident with
-    itself); each occurrence gets its own tenant and region.
+    itself); each occurrence gets its own tenant and region, and all
+    of them share one footprint measurement.
 
     ``bandwidth_aware`` adds a profile phase: each distinct app is
     solo-run briefly (or replayed from the process-wide profile cache)
@@ -252,10 +255,10 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
     """
     from repro.compiler.artifact import compile_to_bitstream
     names = _unique_names(apps)
-    footprints = []
-    for name, app in zip(names, apps):
-        fp = measure_footprint(app, scale, params, options)
-        footprints.append(Footprint(name, fp.pcus, fp.pmus))
+    measured = {app: measure_footprint(app, scale, params, options)
+                for app in dict.fromkeys(apps)}
+    footprints = [Footprint(name, measured[app].pcus, measured[app].pmus)
+                  for name, app in zip(names, apps)]
     profiles: Optional[Dict[str, BandwidthProfile]] = None
     if bandwidth_aware:
         by_app = {app: profile_app(app, scale, params=params,

@@ -17,7 +17,9 @@ from repro.apps import ALL_APPS
 from repro.arch.params import DEFAULT
 from repro.compiler.place_route import Region, region_capacity
 from repro.tenancy import PackReport, pack_apps, plan_regions
-from repro.tenancy.packer import Footprint
+from repro.tenancy import packer
+from repro.tenancy.packer import Footprint, _first_fit, _shapes
+from tests.compiler.test_region_capacity import brute_force_capacity
 
 APP_NAMES = [a.name for a in ALL_APPS]
 
@@ -144,3 +146,74 @@ def test_region_helpers():
     assert not region.overlaps(Region(6, 1, 2, 2))
     cap = region_capacity(DEFAULT, region)
     assert cap[0] + cap[1] == region.area
+
+
+# ---------------------------------------------------------------------------
+# The capacity table and the footprint dedupe change no packing
+# ---------------------------------------------------------------------------
+
+
+def _reference_first_fit(need_pcus, need_pmus, taken):
+    """``_first_fit``'s search with every candidate priced site by
+    site: the region it must return (or None)."""
+    for cols, rows in _shapes(DEFAULT):
+        for row0 in range(DEFAULT.grid_rows - rows + 1):
+            for col0 in range(DEFAULT.grid_cols - cols + 1):
+                region = Region(col0, row0, cols, rows)
+                if any(region.overlaps(t) for t in taken):
+                    continue
+                cap = brute_force_capacity(DEFAULT, region)
+                if cap[0] >= need_pcus and cap[1] >= need_pmus:
+                    return region, cap
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_fit_equals_brute_force_reference(seed):
+    rng = random.Random(seed)
+    taken = []
+    for _ in range(rng.randint(0, 4)):
+        cols, rows = rng.randint(1, 10), rng.randint(1, 5)
+        taken.append(Region(rng.randint(0, DEFAULT.grid_cols - cols),
+                            rng.randint(0, DEFAULT.grid_rows - rows),
+                            cols, rows))
+    need_pcus, need_pmus = rng.randint(0, 40), rng.randint(0, 40)
+    fit = _first_fit(DEFAULT, need_pcus, need_pmus, taken)
+    expected = _reference_first_fit(need_pcus, need_pmus, taken)
+    if expected is None:
+        assert fit is None
+    else:
+        assert (fit.region, fit.capacity) == expected
+
+
+def test_each_distinct_app_is_measured_once(monkeypatch):
+    measured = []
+    measure = packer.measure_footprint
+
+    def counting(app, *args, **kwargs):
+        measured.append(app)
+        return measure(app, *args, **kwargs)
+
+    monkeypatch.setattr(packer, "measure_footprint", counting)
+    packing = pack_apps(["gemm", "tpchq6", "tpchq6", "tpchq6"], "tiny")
+    assert packing.feasible, packing.reason
+    assert measured == ["gemm", "tpchq6"]
+    assert [t.app for t in packing.tenants] \
+        == ["gemm", "tpchq6", "tpchq6#1", "tpchq6#2"]
+    assert len({(t.footprint.pcus, t.footprint.pmus)
+                for t in packing.tenants[1:]}) == 1
+
+
+@pytest.mark.parametrize("apps,regions", [
+    (("gemm", "tpchq6", "innerproduct", "outerproduct"),
+     [(1, 4, 9, 1), (1, 0, 15, 2), (1, 2, 7, 2), (11, 2, 3, 3)]),
+    (("gemm", "tpchq6", "tpchq6", "tpchq6"),
+     [(1, 6, 9, 1), (1, 0, 15, 2), (1, 2, 15, 2), (1, 4, 15, 2)]),
+], ids=["uniform", "weighted"])
+def test_benchmark_mixes_keep_their_regions(apps, regions):
+    """The two ``multi_tenant`` mixes at ``small``, as packed at
+    ``b1e8b16`` (per-candidate ``site_kinds`` rebuild, one footprint
+    compile per occurrence)."""
+    packing = pack_apps(apps, "small")
+    assert packing.feasible, packing.reason
+    assert [t.region.as_tuple() for t in packing.tenants] == regions
