@@ -8,7 +8,7 @@ its iteration space is exhausted, letting consumers terminate.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import List
 
 from repro.dhdl.memory import FifoDecl
 from repro.errors import SimulationError

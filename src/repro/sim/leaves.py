@@ -12,14 +12,12 @@ drives:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.dhdl.ir import (EmitStmt, Gather, HashReduceStmt, InnerCompute,
-                           ReduceStmt, Scatter, StreamStore, TileLoad,
-                           TileStore)
-from repro.dhdl.memory import Reg, Sram
+from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
+                           ReduceStmt, StreamStore)
+from repro.dhdl.memory import Reg
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
 from repro.errors import SimulationError
@@ -45,7 +43,7 @@ class NodeSim:
     #: names of the physical leaf units in this subtree (tracing)
     leaf_names: Tuple[str, ...] = ()
 
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         """Begin one activation."""
         raise NotImplementedError
 
@@ -60,7 +58,8 @@ class NodeSim:
 
 
 class _LeafCommon(NodeSim):
-    """Shared leaf state: memory handles, stats, config timing."""
+    """Shared leaf state (memory handles, stats, tracer) and the one
+    routine a blocked tick goes through, :meth:`_wait`."""
 
     def __init__(self, name: str, mem: MemoryState, stats: SimStats):
         self.name = name
@@ -72,14 +71,35 @@ class _LeafCommon(NodeSim):
         self.trace = None
         #: attached by the event scheduler; None under the dense loop
         self._sched = None
-        #: park descriptor the last tick produced (event scheduler only)
+        #: the park the last tick left (read by the event scheduler only)
         self._park = None
         #: once-per-activation scalars (bounds, offsets, counts)
         self._evaluate = Evaluator(mem)
+        #: memory version of the current activation (where a leaf
+        #: touches versioned scratchpads after ``start``)
+        self._version: tuple = ()
 
     @property
     def busy(self) -> bool:
         return self._active
+
+    def _wait(self, park: Park, cycle: int) -> None:
+        """This tick is blocked: ``park`` is the whole description of
+        the cycle.  Charge it through the routine the event core uses
+        for the rest of the span, emit its marks, and leave it for the
+        core to park on."""
+        park.charge(self.stats, 1)
+        if self.trace is not None:
+            for unit, cause in park.marks:
+                self.trace.mark(unit, cause)
+        self._rest(park, cycle)
+
+    def _rest(self, park: Park, cycle: int) -> None:
+        """Leave ``park`` for the event core (the dense loop never
+        reads it) — unless it is timed and would end next cycle anyway,
+        when staying in the run queue is cheaper than a timer."""
+        if park.until is None or park.until > cycle + 1:
+            self._park = park
 
 
 class InnerComputeSim(_LeafCommon):
@@ -105,14 +125,14 @@ class InnerComputeSim(_LeafCommon):
         #: priced issue (bound expressions evaluated while the counter
         #: chain wraps read into the same map)
         self._reads: Dict[Tuple, List[int]] = {}
-        self._blocked_fifo: Optional[FifoSim] = None
         self._stall_until = 0
-        self._drain_until = 0
+        #: the timed park of the current conflict stall or drain: built
+        #: once, by the tick that starts it, for every tick inside it
+        self._timed: Optional[Park] = None
         self._pending: Optional[Batch] = None
         # reduce accumulators: stmt index -> {key: (outer bindings,
         # last lane's index value, *accumulated values)}
         self._accs: Dict[int, Dict[Tuple, Tuple]] = {}
-        self._version: tuple = ()
         # the statement list is frozen at construction, so the op count
         # per lane and the per-lane FIFO word demand are constants
         self._ops_per_lane = sum(E.count_ops(root)
@@ -124,16 +144,24 @@ class InnerComputeSim(_LeafCommon):
                 demand[stmt.fifo.name] = demand.get(stmt.fifo.name, 0) + 1
         self._emit_demand: Tuple[Tuple[str, int], ...] = \
             tuple(demand.items())
+        #: the FIFO-full wait, per FIFO this body emits into
+        self._park_full = {
+            name: Park(counters=("fifo_stall_cycles",),
+                       fifo_counters=((fifos[name], "full_stalls"),),
+                       marks=((leaf.name, StallCause.FIFO_FULL),),
+                       wake_fifos=(fifos[name],))
+            for name in demand}
+        #: the one of them the last failed room check ran into
+        self._blocked_on: Optional[Park] = None
 
     # -- activation ---------------------------------------------------------------
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         if self._active:
             raise SimulationError(f"{self.name}: started while busy")
         self._active = True
         self._version = version
         self._pending = None
         self._stall_until = 0
-        self._drain_until = 0
         self._begin_body(bindings, version)
         # dense HashReduce targets start at their init value unless they
         # carry previous contents across activations
@@ -160,77 +188,48 @@ class InnerComputeSim(_LeafCommon):
     def tick(self, cycle: int) -> None:
         if not self._active:
             return
-        trace = self.trace
         if self._enum is None:  # draining
-            if trace is not None:
-                trace.mark(self.name, StallCause.DRAIN)
-            if cycle >= self._drain_until:
+            self._wait(self._timed, cycle)
+            if cycle >= self._timed.until:
                 self._finish()
-            elif (self._sched is not None
-                    and self._drain_until > cycle + 1):
-                self._park = Park(
-                    until=self._drain_until,
-                    marks=((self.name, StallCause.DRAIN),))
             return
         if cycle < self._stall_until:
             # serialising a conflicted vector access: the unit is
             # occupied (counts towards activity) but issues nothing
-            self.stats.busy(self.name)
-            if trace is not None:
-                trace.mark(self.name, StallCause.BANK_CONFLICT)
-            if (self._sched is not None
-                    and self._stall_until > cycle + 1):
-                self._park = Park(
-                    until=self._stall_until, busy_unit=self.name,
-                    marks=((self.name, StallCause.BANK_CONFLICT),))
+            self._wait(self._timed, cycle)
             return
         batch = self._pending or self._enum.next_batch()
         self._pending = None
+        trace = self.trace
         if batch is None:
+            # the chain ended: the coming drain cycles are known now
             self._enum = None
-            self._drain_until = cycle + self.timing.pipeline_depth \
-                + self.timing.output_hops
+            self._timed = Park(
+                until=cycle + self.timing.pipeline_depth
+                + self.timing.output_hops,
+                marks=((self.name, StallCause.DRAIN),))
             self.stats.busy(self.name)
             if trace is not None:
                 trace.mark(self.name, StallCause.DRAIN)
-            if (self._sched is not None
-                    and self._drain_until > cycle + 1):
-                # park through the drain immediately instead of
-                # rediscovering it one tick at a time
-                self._park = Park(
-                    until=self._drain_until,
-                    marks=((self.name, StallCause.DRAIN),))
+            self._rest(self._timed, cycle)
             return
         extra = self._execute(batch)
         if extra is None:           # FIFO full: retry this batch
             self._pending = batch
-            self.stats.fifo_stall_cycles += 1
-            if trace is not None:
-                trace.mark(self.name, StallCause.FIFO_FULL)
-            if self._sched is not None:
-                fifo = self._blocked_fifo
-                self._park = Park(
-                    counters=("fifo_stall_cycles",),
-                    fifo_counters=((fifo, "full_stalls"),),
-                    marks=((self.name, StallCause.FIFO_FULL),),
-                    wake_fifos=(fifo,))
+            self._wait(self._blocked_on, cycle)
             return
-        # the issue cycle itself; conflict serialisation cycles charge
-        # themselves one by one in the stall branch above
         self.stats.busy(self.name)
         self.stats.vector_issues += 1
         if trace is not None:
             trace.mark(self.name, StallCause.BUSY)
             trace.emit(EventKind.ISSUE, self.name, (batch.lanes, extra))
         if extra:
+            # a conflicted issue: its serialisation cycles are known now
             self._stall_until = cycle + 1 + extra
-            if self._sched is not None:
-                # the coming serialisation cycles are known now: park
-                # straight through them (each charges busy + conflict
-                # mark, exactly like the stall branch above)
-                self._park = Park(
-                    until=self._stall_until, busy_unit=self.name,
-                    marks=((self.name, StallCause.BANK_CONFLICT),))
+            self._timed = Park(
+                until=self._stall_until, busy_unit=self.name,
+                marks=((self.name, StallCause.BANK_CONFLICT),))
+            self._rest(self._timed, cycle)
 
     # -- body execution ---------------------------------------------------------------
     def _execute(self, batch: Batch) -> Optional[int]:
@@ -260,14 +259,12 @@ class InnerComputeSim(_LeafCommon):
         return extra
 
     def _check_fifo_room(self, lanes: int) -> bool:
-        """All-lanes-emit FIFO room precheck (first failing FIFO is
-        charged the stall, exactly as the dense loop always did)."""
+        """All-lanes-emit FIFO room precheck (the first failing FIFO is
+        the one the tick waits on and charges the stall to)."""
         for name, per_lane in self._emit_demand:
             needed = per_lane * lanes
-            fifo = self.fifos[name]
-            if not fifo.can_push(needed):
-                fifo.full_stalls += 1
-                self._blocked_fifo = fifo
+            if not self.fifos[name].can_push(needed):
+                self._blocked_on = self._park_full[name]
                 if self.trace is not None:
                     self.trace.emit(EventKind.FIFO_FULL, name, (needed,))
                 return False
@@ -334,9 +331,11 @@ class InnerComputeSim(_LeafCommon):
 class _TransferCommon(_LeafCommon):
     """Shared transfer machinery: DRAM issue bookkeeping and AG limits."""
 
-    def __init__(self, name: str, config: FabricConfig, mem: MemoryState,
+    def __init__(self, leaf, config: FabricConfig, mem: MemoryState,
                  stats: SimStats, dram: DramModel, image: DramImage):
+        name = leaf.name
         super().__init__(name, mem, stats)
+        self.leaf = leaf
         self.config = config
         self.dram = dram
         self.image = image
@@ -347,19 +346,14 @@ class _TransferCommon(_LeafCommon):
         #: recognise it by identity (see ``_issue``)
         self._park_latency = Park(
             busy_unit=name, marks=((name, StallCause.DRAM_LATENCY),))
-
-    # parks are immutable and constant per engine: build each variant
-    # once and reuse it (parking happens on most wait cycles)
-    def _park_bandwidth(self, busy: bool) -> Park:
-        key = "_park_bw_busy" if busy else "_park_bw_idle"
-        park = self.__dict__.get(key)
-        if park is None:
-            park = Park(busy_unit=self.name if busy else None,
-                        counters=("dram_stall_cycles",),
-                        marks=((self.name, StallCause.DRAM_BANDWIDTH),),
-                        wake_dram_room=True)
-            self.__dict__[key] = park
-        return park
+        #: the bandwidth parks — a full DRAM channel queue (or a full
+        #: coalescer) stops the issue — with nothing in flight, and with
+        #: bursts in flight (the engine then counts as busy)
+        bandwidth = dict(counters=("dram_stall_cycles",),
+                         marks=((name, StallCause.DRAM_BANDWIDTH),),
+                         wake_dram_room=True)
+        self._park_bw_idle = Park(**bandwidth)
+        self._park_bw_busy = Park(busy_unit=name, **bandwidth)
 
     def _issue(self, request: DramRequest, on_done) -> None:
         self._outstanding += 1
@@ -384,37 +378,38 @@ class _TransferCommon(_LeafCommon):
 
         self.dram.submit(request, _cb)
 
-    def _account(self, issued: int, blocked: bool) -> None:
-        """Per-cycle busy/stall accounting shared by the AG engines.
+    def _account(self, issued: int, blocked: bool, cycle: int) -> None:
+        """One engine cycle: productive, or the wait it amounts to.
 
         ``issued`` — address-stream slots that made progress this cycle;
         ``blocked`` — True when progress was stopped by a full DRAM
         channel queue (or a full coalescer), i.e. a bandwidth stall.
         """
-        if issued or self._outstanding:
-            self.stats.busy(self.name)
         if issued:
-            cause = StallCause.BUSY
+            self.stats.busy(self.name)
+            if self.trace is not None:
+                self.trace.mark(self.name, StallCause.BUSY)
         elif blocked:
-            self.stats.dram_stall_cycles += 1
-            cause = StallCause.DRAM_BANDWIDTH
+            # repeats verbatim until DRAM queue room frees or a burst
+            # completes
+            self._wait(self._park_bw_busy if self._outstanding
+                       else self._park_bw_idle, cycle)
         elif self._outstanding:
-            cause = StallCause.DRAM_LATENCY
-        else:
-            cause = StallCause.DRAIN
-        if self.trace is not None:
-            self.trace.mark(self.name, cause)
-        if self._sched is not None and not issued:
-            # an unproductive cycle: this tick will repeat verbatim
-            # until DRAM queue room frees or a burst completes — park
-            # with exactly the per-cycle accounting performed above
-            if blocked:
-                self._park = self._park_bandwidth(
-                    bool(self._outstanding))
-            elif self._outstanding:
-                self._park = self._park_latency
-            # DRAIN (no work, nothing in flight) means the engine is
-            # about to complete in this same tick: never parked
+            self._wait(self._park_latency, cycle)
+        elif self.trace is not None:
+            # no work, nothing in flight: the engine completes in this
+            # same tick, so this is no wait
+            self.trace.mark(self.name, StallCause.DRAIN)
+
+    def _settle(self, issued: int) -> None:
+        """Nothing is left to issue: complete once nothing is in flight.
+        If the last issue went out this very cycle, every later tick is
+        provably a pure DRAM-latency wait until a completion callback
+        wakes the engine."""
+        if self._outstanding == 0:
+            self._active = False
+        elif issued:
+            self._park = self._park_latency
 
 
 def tile_spans(leaf, offsets):
@@ -470,23 +465,20 @@ def tile_spans(leaf, offsets):
     yield from rec(0, [], 0)
 
 
-class TileLoadSim(_TransferCommon):
-    """Dense DRAM -> scratchpad burst load."""
+class _TileCommon(_TransferCommon):
+    """Dense burst transfer: walks the tile's DRAM spans, one burst per
+    AG stream per cycle.  A subclass supplies what one burst does."""
 
-    def __init__(self, leaf: TileLoad, config, mem, stats, dram, image):
-        super().__init__(leaf.name, config, mem, stats, dram, image)
-        self.leaf = leaf
+    def __init__(self, leaf, config, mem, stats, dram, image):
+        super().__init__(leaf, config, mem, stats, dram, image)
         self._spans: List[Tuple[int, int, int]] = []  # (word_off, count, sram_flat)
-        self._version: tuple = ()
 
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._version = version
         offsets = [int(self._evaluate(o, bindings, version))
                    for o in self.leaf.offsets]
         self._spans = list(tile_spans(self.leaf, offsets))
-        # ensure destination buffer exists even for fully-clipped tiles
-        self.mem.scratch(self.leaf.sram).buffer(version)
 
     def tick(self, cycle: int) -> None:
         if not self._active:
@@ -500,9 +492,7 @@ class TileLoadSim(_TransferCommon):
             if not self.dram.can_accept(addr):
                 blocked = True
                 break
-            tag = (word_off, burst_words, sram_flat)
-            self._issue(DramRequest(byte_addr=addr, tag=tag),
-                        self._on_burst)
+            self._burst(addr, word_off, burst_words, sram_flat)
             issued += 1
             if burst_words == count:
                 self._spans.pop(0)
@@ -510,15 +500,29 @@ class TileLoadSim(_TransferCommon):
                 self._spans[0] = (word_off + burst_words,
                                   count - burst_words,
                                   sram_flat + burst_words)
-        self._account(issued, blocked)
+        self._account(issued, blocked, cycle)
         if not self._spans:
-            if self._outstanding == 0:
-                self._active = False
-            elif issued and self._sched is not None:
-                # the span queue emptied this very cycle: every later
-                # tick is provably a pure DRAM-latency wait until a
-                # completion callback wakes us
-                self._park = self._park_latency
+            self._settle(issued)
+
+    def _burst(self, addr: int, word_off: int, words: int,
+               sram_flat: int) -> None:
+        """Issue the burst of ``words`` words at DRAM word ``word_off``
+        (byte address ``addr``) <-> scratchpad word ``sram_flat``."""
+        raise NotImplementedError
+
+
+class TileLoadSim(_TileCommon):
+    """Dense DRAM -> scratchpad burst load."""
+
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
+        super().start(bindings, version)
+        # ensure destination buffer exists even for fully-clipped tiles
+        self.mem.scratch(self.leaf.sram).buffer(version)
+
+    def _burst(self, addr, word_off, words, sram_flat) -> None:
+        self._issue(DramRequest(byte_addr=addr,
+                                tag=(word_off, words, sram_flat)),
+                    self._on_burst)
 
     def _on_burst(self, request: DramRequest) -> None:
         word_off, count, sram_flat = request.tag
@@ -533,94 +537,109 @@ class TileLoadSim(_TransferCommon):
         flat_view[sram_flat:sram_flat + count] = words.astype(buf.dtype)
 
 
-class TileStoreSim(_TransferCommon):
+class TileStoreSim(_TileCommon):
     """Dense scratchpad -> DRAM burst store."""
 
-    def __init__(self, leaf: TileStore, config, mem, stats, dram, image):
-        super().__init__(leaf.name, config, mem, stats, dram, image)
-        self.leaf = leaf
-        self._spans: List[Tuple[int, int, int]] = []
-        self._version: tuple = ()
-
-    def start(self, bindings: dict, version: int) -> None:
-        self._active = True
-        self._version = version
-        offsets = [int(self._evaluate(o, bindings, version))
-                   for o in self.leaf.offsets]
-        limit = None
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
+        super().start(bindings, version)
         if self.leaf.count is not None:
-            limit = int(self._evaluate(self.leaf.count, bindings, version))
-        spans = list(tile_spans(self.leaf, offsets))
-        if limit is not None:
+            # dynamic word count: clip the spans to it
+            remaining = int(self._evaluate(self.leaf.count, bindings,
+                                           version))
             clipped = []
-            remaining = limit
-            for word_off, count, sram_flat in spans:
+            for word_off, count, sram_flat in self._spans:
                 if remaining <= 0:
                     break
                 take = min(count, remaining)
                 clipped.append((word_off, take, sram_flat))
                 remaining -= take
-            spans = clipped
-        self._spans = spans
+            self._spans = clipped
+
+    def _burst(self, addr, word_off, words, sram_flat) -> None:
+        # move the data now; the request models timing
+        scratch = self.mem.scratch(self.leaf.sram)
+        buf = scratch.read_buffer(self._version).reshape(-1)
+        scratch.reads += words
+        self.image.write_words(self.leaf.dram.name, word_off,
+                               buf[sram_flat:sram_flat + words])
+        self._issue(DramRequest(byte_addr=addr, is_write=True),
+                    lambda req: None)
+
+
+class _CoalescedCommon(_TransferCommon):
+    """Sparse transfer through the coalescing unit: each AG stream
+    feeds one element address per cycle into it, and addresses falling
+    in a 64-byte burst that is already in flight coalesce into that
+    request (the paper's coalescing cache).  A subclass supplies what a
+    hit and a miss do."""
+
+    #: "gather" / "scatter" (error texts)
+    KIND = "?"
+
+    def __init__(self, leaf, config, mem, stats, dram, image):
+        super().__init__(leaf, config, mem, stats, dram, image)
+        self.COALESCE_ENTRIES = config.coalesce_entries
+        #: (element index, what to do with it) per address to dispatch
+        self._queue: List[Tuple[int, object]] = []
+        #: burst -> open coalescer entry (one request in flight each)
+        self._open: Dict[int, object] = {}
+        #: element count of the DRAM collection (bounds check)
+        self._words = 0
+        self.coalesced_hits = 0
 
     def tick(self, cycle: int) -> None:
         if not self._active:
             return
         issued = 0
         blocked = False
-        while self._spans and issued < self.streams:
-            word_off, count, sram_flat = self._spans[0]
-            burst_words = min(count, WORDS_PER_BURST)
-            addr = self.image.byte_addr(self.leaf.dram.name, word_off)
-            if not self.dram.can_accept(addr):
+        while self._queue and issued < self.streams:
+            elem, item = self._queue[0]
+            if elem < 0 or elem >= self._words:
+                raise SimulationError(
+                    f"{self.name}: {self.KIND} index {elem} out of bounds "
+                    f"for {self.leaf.dram.name!r}")
+            addr = self.image.byte_addr(self.leaf.dram.name, elem)
+            burst = addr // 64
+            if burst in self._open:
+                self._hit(burst, elem, item)
+                self.coalesced_hits += 1
+                if self.trace is not None:
+                    self.trace.emit(EventKind.COALESCE_HIT, self.name,
+                                    (burst,))
+            elif (len(self._open) >= self.COALESCE_ENTRIES
+                    or not self.dram.can_accept(addr)):
                 blocked = True
                 break
-            # move the data now; the request models timing
-            scratch = self.mem.scratch(self.leaf.sram)
-            buf = scratch.read_buffer(self._version).reshape(-1)
-            scratch.reads += burst_words
-            self.image.write_words(
-                self.leaf.dram.name, word_off,
-                buf[sram_flat:sram_flat + burst_words])
-            self._issue(DramRequest(byte_addr=addr, is_write=True),
-                        lambda req: None)
-            issued += 1
-            if burst_words == count:
-                self._spans.pop(0)
             else:
-                self._spans[0] = (word_off + burst_words,
-                                  count - burst_words,
-                                  sram_flat + burst_words)
-        self._account(issued, blocked)
-        if not self._spans:
-            if self._outstanding == 0:
-                self._active = False
-            elif issued and self._sched is not None:
-                # all bursts in flight: pure latency wait from here on
-                self._park = self._park_latency
+                self._miss(addr, burst, elem, item)
+            self._queue.pop(0)
+            issued += 1
+        self._account(issued, blocked, cycle)
+        if not self._queue:
+            # (open coalescer entries imply requests in flight)
+            self._settle(issued)
+
+    def _hit(self, burst: int, elem: int, item) -> None:
+        """``elem`` joins the open entry of ``burst``."""
+        raise NotImplementedError
+
+    def _miss(self, addr: int, burst: int, elem: int, item) -> None:
+        """``elem`` opens an entry for ``burst`` and issues its
+        request."""
+        raise NotImplementedError
 
 
-class GatherSim(_TransferCommon):
-    """Sparse load through the coalescing unit.
+class GatherSim(_CoalescedCommon):
+    """Sparse load.
 
     Addresses (element indices into the flattened DRAM collection) come
     from a scratchpad; one word lands in the destination scratchpad per
-    address.  Addresses falling in the same 64-byte burst coalesce into
-    one DRAM request (the paper's coalescing cache).
+    address (the queue item is its flat destination word).
     """
 
-    def __init__(self, leaf: Gather, config, mem, stats, dram, image):
-        super().__init__(leaf.name, config, mem, stats, dram, image)
-        self.COALESCE_ENTRIES = config.coalesce_entries
-        self.leaf = leaf
-        self._queue: List[Tuple[int, int]] = []   # (dst_flat, elem_idx)
-        self._open: Dict[int, List[Tuple[int, int]]] = {}
-        self._version: tuple = ()
-        #: element count of the DRAM collection (bounds check)
-        self._words = 0
-        self.coalesced_hits = 0
+    KIND = "gather"
 
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._version = version
         scratch = self.mem.scratch(self.leaf.addr_sram)
@@ -631,57 +650,18 @@ class GatherSim(_TransferCommon):
         else:
             # dynamic: gather exactly the addresses produced upstream
             count = scratch.watermark_for(version) or addr_buf.size
-        self._queue = [(k, int(addr_buf[k])) for k in range(count)]
+        self._queue = [(int(addr_buf[k]), k) for k in range(count)]
         self._open = {}
         self._words = self.leaf.dram.words()
         self.mem.scratch(self.leaf.dst_sram).buffer(version)
 
-    def tick(self, cycle: int) -> None:
-        if not self._active:
-            return
-        # each AG stream feeds one address per cycle into the coalescer
-        budget = self.streams
-        issued = 0
-        blocked = False
-        while self._queue and budget > 0:
-            dst_flat, elem = self._queue[0]
-            if elem < 0 or elem >= self._words:
-                raise SimulationError(
-                    f"{self.name}: gather index {elem} out of bounds for "
-                    f"{self.leaf.dram.name!r}")
-            addr = self.image.byte_addr(self.leaf.dram.name, elem)
-            burst = addr // 64
-            if burst in self._open:
-                self._open[burst].append((dst_flat, elem))
-                self._queue.pop(0)
-                self.coalesced_hits += 1
-                if self.trace is not None:
-                    self.trace.emit(EventKind.COALESCE_HIT, self.name,
-                                    (burst,))
-                budget -= 1
-                issued += 1
-                continue
-            if len(self._open) >= self.COALESCE_ENTRIES:
-                blocked = True
-                break
-            if not self.dram.can_accept(addr):
-                blocked = True
-                break
-            self._open[burst] = [(dst_flat, elem)]
-            self._issue(DramRequest(byte_addr=addr, tag=burst),
-                        self._on_burst)
-            self._queue.pop(0)
-            budget -= 1
-            issued += 1
-        self._account(issued, blocked)
-        if not self._queue:
-            if self._outstanding == 0 and not self._open:
-                self._active = False
-            elif issued and self._sched is not None:
-                # every address dispatched: pure latency wait from
-                # here on (open coalescer entries imply requests in
-                # flight, whose completions wake us)
-                self._park = self._park_latency
+    def _hit(self, burst, elem, dst_flat) -> None:
+        self._open[burst].append((dst_flat, elem))
+
+    def _miss(self, addr, burst, elem, dst_flat) -> None:
+        self._open[burst] = [(dst_flat, elem)]
+        self._issue(DramRequest(byte_addr=addr, tag=burst),
+                    self._on_burst)
 
     def _on_burst(self, request: DramRequest) -> None:
         pendings = self._open.pop(request.tag, [])
@@ -695,20 +675,13 @@ class GatherSim(_TransferCommon):
             buf[dst_flat] = value
 
 
-class ScatterSim(_TransferCommon):
-    """Sparse store through the coalescing unit."""
+class ScatterSim(_CoalescedCommon):
+    """Sparse store (the queue item is the value to write).  Data is
+    applied immediately; the requests model timing."""
 
-    def __init__(self, leaf: Scatter, config, mem, stats, dram, image):
-        super().__init__(leaf.name, config, mem, stats, dram, image)
-        self.COALESCE_ENTRIES = config.coalesce_entries
-        self.leaf = leaf
-        self._queue: List[Tuple[int, object]] = []
-        self._open: Dict[int, int] = {}
-        #: element count of the DRAM collection (bounds check)
-        self._words = 0
-        self.coalesced_hits = 0
+    KIND = "scatter"
 
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         addr_scratch = self.mem.scratch(self.leaf.addr_sram)
         addr_buf = addr_scratch.read_buffer(version).reshape(-1)
@@ -726,57 +699,15 @@ class ScatterSim(_TransferCommon):
         self._open = {}
         self._words = self.leaf.dram.words()
 
-    def tick(self, cycle: int) -> None:
-        if not self._active:
-            return
-        budget = self.streams
-        issued = 0
-        blocked = False
-        while self._queue and budget > 0:
-            elem, value = self._queue[0]
-            if elem < 0 or elem >= self._words:
-                raise SimulationError(
-                    f"{self.name}: scatter index {elem} out of bounds "
-                    f"for {self.leaf.dram.name!r}")
-            # data is applied immediately; requests model timing
-            addr = self.image.byte_addr(self.leaf.dram.name, elem)
-            burst = addr // 64
-            if burst in self._open:
-                self.image.write_words(self.leaf.dram.name, elem, [value])
-                self._open[burst] += 1
-                self._queue.pop(0)
-                self.coalesced_hits += 1
-                if self.trace is not None:
-                    self.trace.emit(EventKind.COALESCE_HIT, self.name,
-                                    (burst,))
-                budget -= 1
-                issued += 1
-                continue
-            if len(self._open) >= self.COALESCE_ENTRIES:
-                blocked = True
-                break
-            if not self.dram.can_accept(addr):
-                blocked = True
-                break
-            self.image.write_words(self.leaf.dram.name, elem, [value])
-            self._open[burst] = 1
+    def _hit(self, burst, elem, value) -> None:
+        self.image.write_words(self.leaf.dram.name, elem, [value])
+        self._open[burst] += 1
 
-            def _done(req, burst=burst):
-                self._open.pop(burst, None)
-
-            self._issue(DramRequest(byte_addr=addr, is_write=True,
-                                    tag=burst), _done)
-            self._queue.pop(0)
-            budget -= 1
-            issued += 1
-        self._account(issued, blocked)
-        if not self._queue:
-            if self._outstanding == 0:
-                self._active = False
-            elif issued and self._sched is not None:
-                # every element dispatched: pure latency wait until
-                # the remaining write acknowledgements arrive
-                self._park = self._park_latency
+    def _miss(self, addr, burst, elem, value) -> None:
+        self.image.write_words(self.leaf.dram.name, elem, [value])
+        self._open[burst] = 1
+        self._issue(DramRequest(byte_addr=addr, is_write=True, tag=burst),
+                    lambda req: self._open.pop(req.tag, None))
 
 
 class StreamStoreSim(_TransferCommon):
@@ -784,14 +715,17 @@ class StreamStoreSim(_TransferCommon):
 
     def __init__(self, leaf: StreamStore, config, mem, stats, dram, image,
                  fifos: Dict[str, FifoSim]):
-        super().__init__(leaf.name, config, mem, stats, dram, image)
-        self.leaf = leaf
+        super().__init__(leaf, config, mem, stats, dram, image)
         self.fifo = fifos[leaf.fifo.name]
         self._written = 0
         self._staging: List = []
         self._base_word = 0
+        #: every wait this engine can be in, prebuilt
+        self._parks = {
+            key: self._make_park(*key)
+            for key in itertools.product((False, True), repeat=3)}
 
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._base_word = int(self._evaluate(self.leaf.base_offset,
                                              bindings, version))
@@ -821,26 +755,16 @@ class StreamStoreSim(_TransferCommon):
                 flushed = True
             else:
                 blocked = True
-        starved = (not got and not flushed
-                   and not self.fifo.drained and not self.fifo.items)
-        if starved:
+        if got or flushed:
+            self._account(len(got) + flushed, blocked, cycle)
+        else:
             # upstream has not produced yet: a FIFO-empty stall
-            self.fifo.empty_stalls += 1
-            self.stats.fifo_empty_stall_cycles += 1
-            if self.trace is not None:
+            starved = not self.fifo.drained and not self.fifo.items
+            if starved and self.trace is not None:
                 self.trace.emit(EventKind.FIFO_EMPTY,
                                 self.fifo.decl.name, ())
-        if starved and not self._outstanding:
-            if self.trace is not None:
-                self.trace.mark(self.name, StallCause.FIFO_EMPTY)
-        else:
-            self._account(len(got) + (1 if flushed else 0), blocked)
-        if self._sched is not None and not got and not flushed:
-            # unproductive cycle: park, replicating exactly the
-            # accounting above (which also depends on the FIFO, so the
-            # generic _account park is replaced with one that re-arms
-            # on FIFO activity too)
-            self._park = self._make_park(starved, blocked)
+            self._wait(self._parks[starved, blocked,
+                                   self._outstanding > 0], cycle)
         if (self.fifo.drained and not self._staging
                 and self._outstanding == 0):
             reg = self.mem.reg(self.leaf.count_reg)
@@ -850,21 +774,26 @@ class StreamStoreSim(_TransferCommon):
                 reg.write(self._written)
             self._active = False
 
-    def _make_park(self, starved: bool, blocked: bool) -> Park:
-        """Park descriptor mirroring this tick's stall accounting."""
+    def _make_park(self, starved: bool, blocked: bool,
+                   in_flight: bool) -> Park:
+        """The unproductive cycle in which the FIFO is (not) ``starved``,
+        the flush is (not) ``blocked`` by a full channel queue and bursts
+        are (not) ``in_flight``.  Such a wait depends on the FIFO as
+        well as on DRAM, so — unlike the ``_account`` parks — every one
+        of them re-arms on FIFO activity too."""
         counters = []
         fifo_counters = []
         busy_unit = None
         if starved:
             counters.append("fifo_empty_stall_cycles")
             fifo_counters.append((self.fifo, "empty_stalls"))
-        if starved and not self._outstanding:
+        if starved and not in_flight:
             mark = StallCause.FIFO_EMPTY
         elif blocked:
             counters.append("dram_stall_cycles")
-            busy_unit = self.name if self._outstanding else None
+            busy_unit = self.name if in_flight else None
             mark = StallCause.DRAM_BANDWIDTH
-        elif self._outstanding:
+        elif in_flight:
             busy_unit = self.name
             mark = StallCause.DRAM_LATENCY
         else:

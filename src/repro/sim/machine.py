@@ -18,7 +18,6 @@ from repro.dhdl.control import Scheme
 from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
                            TileStore, EmitStmt)
-from repro.dhdl.memory import FifoDecl, Reg, Sram
 from repro.dram.model import DramModel
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.config import FabricConfig
@@ -218,20 +217,18 @@ class Machine:
         return build_report(self.tracer, self.stats)
 
     # -- execution ---------------------------------------------------------------
-    def run(self, max_cycles: Optional[int] = None,
-            scheduler: Optional[str] = None) -> SimStats:
+    def run(self, max_cycles: Optional[int] = None) -> SimStats:
         """Run to completion; returns the statistics object.
 
         This is the one-machine case of the stepping core
-        (:mod:`repro.sim.scheduler`).  ``scheduler`` selects its mode:
-        ``"event"`` (the default) parks provably blocked units and
-        fast-forwards across all-parked spans; ``"dense"`` is the
-        reference tick-everything loop.  Both are cycle-exact:
+        (:mod:`repro.sim.scheduler`), in the mode the machine was built
+        with: ``scheduler="event"`` (the default) parks provably blocked
+        units and fast-forwards across all-parked spans; ``"dense"`` is
+        the reference tick-everything loop.  Both are cycle-exact:
         identical SimStats and stall attribution.
         """
-        mode = scheduler if scheduler is not None else self.scheduler
         limit = max_cycles if max_cycles is not None else self.max_cycles
-        self.scheduler_stats = run_machines([self], limit, mode)
+        self.scheduler_stats = run_machines([self], limit, self.scheduler)
         return self.stats
 
     @classmethod

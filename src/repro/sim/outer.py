@@ -26,7 +26,7 @@ pipelined producer's *next* iteration stays invisible (N-buffering).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dhdl.control import Scheme
 from repro.dhdl.ir import OuterController
@@ -86,10 +86,8 @@ class OuterControllerSim(NodeSim):
         self.trace = None
         #: attached by the event scheduler; None under the dense loop
         self._sched = None
-        #: park descriptor the last tick produced (event scheduler only)
+        #: the park the last tick left (read by the event scheduler only)
         self._park = None
-        #: wait marks the current tick emitted (collected for the park)
-        self._park_marks: Optional[List] = None
         self._active = False
         self._enum: Optional[ChainEnumerator] = None
         self._live: List[_IterState] = []
@@ -122,7 +120,7 @@ class OuterControllerSim(NodeSim):
         return self._active
 
     # -- activation ---------------------------------------------------------------
-    def start(self, bindings: dict, version: int) -> None:
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         if self._active:
             raise SimulationError(f"{self.name}: started while busy")
         self._active = True
@@ -208,8 +206,8 @@ class OuterControllerSim(NodeSim):
     def _tick_tokened(self) -> None:
         trace = self.trace
         sched = self._sched
-        if sched is not None:
-            self._park_marks = [] if trace is not None else None
+        #: the wait marks this tick emits, in scan order
+        marks: List[Tuple[str, StallCause]] = []
         moved = False
         finished: List[_IterState] = []
         for it in self._live:
@@ -231,7 +229,8 @@ class OuterControllerSim(NodeSim):
                         # in-order per child: effectively a token wait on
                         # the child's own earlier iteration
                         if trace is not None:
-                            self._mark_wait(child, StallCause.TOKEN_WAIT)
+                            self._mark_wait(child, StallCause.TOKEN_WAIT,
+                                            marks)
                         continue
                     if self._can_start(idx, it):
                         child.start({**it.bindings}, it.version + (idx,))
@@ -243,69 +242,20 @@ class OuterControllerSim(NodeSim):
                             trace.emit(EventKind.CHILD_START, self.name,
                                        (child.name, it.k))
                     elif trace is not None:
-                        self._mark_wait(child, self._wait_cause(idx, it))
+                        self._mark_wait(child, self._wait_cause(idx, it),
+                                        marks)
             if all(s == "done" for s in it.status):
                 finished.append(it)
         for it in finished:
             moved = True
             self._live.remove(it)
             self._after_iteration(it)
-        if sched is not None:
-            if not moved:
-                # Every blocking condition above (unit occupied,
-                # in-order token, producer token, consumer credit)
-                # clears only when a child of this controller
-                # completes, which wakes us.
-                marks = self._park_marks
-                self._park = (Park(marks=tuple(marks)) if marks
-                              else EMPTY_PARK)
-            else:
-                # even a productive tick can park when the *next* tick
-                # provably repeats
-                self._park = self._predict_park()
-
-    def _predict_park(self) -> Optional[Park]:
-        """Park decision at the end of a productive tick.
-
-        Re-runs the start/done decision logic read-only to see whether
-        the next tick could move anything *assuming no child completes
-        first*.  Every condition checked (child busy-ness, in-order
-        tokens, producer tokens, consumer credits) changes only when a
-        child of this controller starts (our own tick) or completes
-        (which always wakes us through the parent map), so a "nothing
-        can move" verdict stays valid until a wakeup — even when a
-        child finishes later in this same cycle's leaf pass.  Returns
-        the park replaying the wait marks the next tick would emit, or
-        None when a transition is still reachable.
-        """
-        if len(self._live) < self._window:
-            # the next tick may materialize a fresh iteration whose
-            # children could start
-            return None
-        collect = [] if self.trace is not None else None
-        for it in self._live:
-            status = it.status
-            for idx, child in enumerate(self.children):
-                state = status[idx]
-                if state == "running":
-                    if not child.busy:
-                        return None     # done-transition next tick
-                elif state == "pending":
-                    if child.busy:
-                        continue
-                    if self._earlier_pending(idx, it.k):
-                        if collect is not None:
-                            for name in child.leaf_names:
-                                collect.append(
-                                    (name, StallCause.TOKEN_WAIT))
-                        continue
-                    if self._can_start(idx, it):
-                        return None     # start-transition next tick
-                    if collect is not None:
-                        cause = self._wait_cause(idx, it)
-                        for name in child.leaf_names:
-                            collect.append((name, cause))
-        return Park(marks=tuple(collect)) if collect else EMPTY_PARK
+        if not moved:
+            # Every blocking condition above (unit occupied, in-order
+            # token, producer token, consumer credit) clears only when
+            # a child of this controller completes, which wakes us: the
+            # tick repeats verbatim until then, marks included.
+            self._park = Park(marks=tuple(marks)) if marks else EMPTY_PARK
 
     def _wait_cause(self, child_idx: int, it: _IterState) -> StallCause:
         """Why a startable-slot child could not start: token or credit."""
@@ -314,13 +264,12 @@ class OuterControllerSim(NodeSim):
                 return StallCause.TOKEN_WAIT
         return StallCause.CREDIT_WAIT
 
-    def _mark_wait(self, child: NodeSim, cause: StallCause) -> None:
+    def _mark_wait(self, child: NodeSim, cause: StallCause,
+                   marks: List) -> None:
         """Attribute a control-protocol wait to a child's subtree."""
-        marks = self._park_marks
         for name in child.leaf_names:
             self.trace.mark(name, cause)
-            if marks is not None:
-                marks.append((name, cause))
+            marks.append((name, cause))
 
     def _earlier_pending(self, child_idx: int, k: int) -> bool:
         for other in self._live:
@@ -331,13 +280,11 @@ class OuterControllerSim(NodeSim):
     def _tick_streaming(self) -> None:
         trace = self.trace
         sched = self._sched
-        moved = False
         it = self._live[0]
         for idx, child in enumerate(self.children):
             if it.status[idx] == "pending":
                 child.start({**it.bindings}, it.version + (idx,))
                 it.status[idx] = "running"
-                moved = True
                 if sched is not None:
                     sched.node_started(child)
                 if trace is not None:
@@ -347,28 +294,20 @@ class OuterControllerSim(NodeSim):
                 it.status[idx] = "done"
                 self._completed[idx] += 1
                 self.progress.completed += 1
-                moved = True
                 if trace is not None:
                     trace.emit(EventKind.CHILD_DONE, self.name,
                                (child.name, it.k))
         if all(s == "done" for s in it.status):
-            moved = True
             self._live.remove(it)
             self._after_iteration(it)
-        if sched is not None:
-            if not moved:
-                # streaming children all started on the first tick; the
-                # only observable transition left is a child completing,
-                # which wakes us through the parent map.
-                self._park = EMPTY_PARK
-            elif self._live and all(
-                    s == "done" or (s == "running" and c.busy)
-                    for s, c in zip(self._live[0].status,
-                                    self.children)):
-                # productive tick, but the next one provably repeats:
-                # everything still running is busy and nothing is left
-                # to start (dense streaming wait ticks emit no marks)
-                self._park = EMPTY_PARK
+        elif all(s == "done" or (s == "running" and c.busy)
+                 for s, c in zip(it.status, self.children)):
+            # Nothing is left to start and everything still running is
+            # busy — always so after a tick that moved nothing, and
+            # often after one that did.  The only transition left to
+            # observe is a child completing, which wakes us through the
+            # parent map (streaming wait ticks emit no marks).
+            self._park = EMPTY_PARK
 
     def _after_iteration(self, it: _IterState) -> None:
         reg = self.ctrl.stop_when_zero

@@ -46,10 +46,14 @@ and identical stall-attribution counters/timelines for any program and
 any mix of co-resident programs.  The event scheduler guarantees this
 by construction:
 
-* a unit parks only from inside a tick branch that performed *only*
-  constant per-cycle accounting (the :class:`Park` records exactly those
-  effects, which are charged to the unit's own machine for every cycle
-  the park spans — when it ends, or when an error exit flushes it);
+* a waiting cycle is written down once, as a :class:`Park`: a blocked
+  leaf tick does no accounting of its own — ``_LeafCommon._wait``
+  charges the park that describes the cycle through :meth:`Park.charge`,
+  in both modes — and this core charges the rest of the span through
+  the same routine (when the park ends, or when an error exit flushes
+  it).  The modes agree iff the tick would have named the same park on
+  every cycle of the span, the one property a park must have
+  (docs/ARCHITECTURE.md §5 lists the ticks that may leave one);
 * wakeups are liberal — a spurious wake just re-runs a tick the dense
   loop would have run anyway — while every event that could change a
   parked unit's behaviour is guaranteed to wake it (FIFO waiters are
@@ -91,10 +95,11 @@ SCHEDULER_MODES = ("event", "dense")
 
 
 class Park:
-    """One parked unit: its wakeup set plus the exact per-cycle effects
-    the dense loop would have applied while it stays blocked.  The
-    numeric ones are charged once, ``span x effect``, when the park
-    ends (``EventScheduler._charge``); marks only matter to a tracer.
+    """One waiting cycle of a unit, repeated until a wakeup: the wakeup
+    set plus everything the cycle costs.  Only :meth:`charge` applies
+    the numeric effects — once for the blocked tick that names the park
+    (``_LeafCommon._wait``, both modes) and ``span x effect`` when the
+    park ends (``EventScheduler._charge``); marks only matter to a tracer.
 
     ``until``          — absolute cycle at which the unit must re-tick
                          (pipeline drain, bank-conflict serialisation);
@@ -135,6 +140,16 @@ class Park:
         self.marks = marks
         self.wake_fifos = wake_fifos
         self.wake_dram_room = wake_dram_room
+
+    def charge(self, stats, span: int) -> None:
+        """Apply ``span`` cycles of this wait's numeric effects (to the
+        ``SimStats`` of the unit's own machine)."""
+        if self.busy_unit is not None:
+            stats.busy(self.busy_unit, span)
+        for attr in self.counters:
+            setattr(stats, attr, getattr(stats, attr) + span)
+        for fifo, attr in self.fifo_counters:
+            setattr(fifo, attr, getattr(fifo, attr) + span)
 
 
 #: shared no-effect park (a wait with no per-cycle accounting)
@@ -410,16 +425,8 @@ class EventScheduler:
         span = self._cycle - node._parked_at
         if node._pos > self._pos:
             span -= 1
-        if span <= 0:
-            return
-        park = node._park
-        stats = node._machine.stats
-        if park.busy_unit is not None:
-            stats.busy(park.busy_unit, span)
-        for attr in park.counters:
-            setattr(stats, attr, getattr(stats, attr) + span)
-        for fifo, attr in park.fifo_counters:
-            setattr(fifo, attr, getattr(fifo, attr) + span)
+        if span > 0:
+            node._park.charge(node._machine.stats, span)
 
     def _mark_parked(self, cycle: int) -> None:
         """Traced machines only: every unit parked since before

@@ -22,17 +22,15 @@ def midrun_raise(monkeypatch):
     real_run = Machine.run
 
     def arm(schedulers, exc=None):
-        def boom(self, max_cycles=None, scheduler=None):
-            mode = (scheduler if scheduler is not None
-                    else self.scheduler)
+        def boom(self, max_cycles=None):
+            mode = self.scheduler
             if mode in schedulers:
                 # simulate partial progress before the failure: some
                 # cycles elapsed, the image possibly half-written
                 self.cycle = 17
                 raise (exc or SimulationError(
                     f"synthetic mid-run failure on {mode}"))
-            return real_run(self, max_cycles=max_cycles,
-                            scheduler=scheduler)
+            return real_run(self, max_cycles=max_cycles)
 
         monkeypatch.setattr(Machine, "run", boom)
 

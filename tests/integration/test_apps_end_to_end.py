@@ -54,14 +54,21 @@ def test_requirements_extracted(app):
     assert 0 < util["pmu"] <= 1
 
 
+#: what the coalescing units did at ``tiny`` (``adab8e1``): hits per
+#: gather / scatter leaf — every sparse leaf of the three apps
+COALESCED_HITS_TINY = {
+    "smdv": {"gather_x": 64},
+    "pagerank": {"gather_ranks": 86, "gather_deg": 86},
+    "bfs": {"gather_levels": 65, "mark_scatter": 26},
+}
+
+
 def test_sparse_apps_issue_gathers():
-    for name in ("smdv", "pagerank"):
-        app = get_app(name)
-        compiled, machine, stats = run_app(app, "tiny")
-        gathers = [leaf for leaf in machine._leaves
-                   if type(leaf).__name__ == "GatherSim"]
-        assert gathers, f"{name} should gather from DRAM"
-        assert any(g.coalesced_hits >= 0 for g in gathers)
+    for name, pinned in COALESCED_HITS_TINY.items():
+        compiled, machine, stats = run_app(get_app(name), "tiny")
+        hits = {leaf.name: leaf.coalesced_hits for leaf in machine._leaves
+                if type(leaf).__name__ in ("GatherSim", "ScatterSim")}
+        assert hits == pinned, name
 
 
 def test_bfs_issues_scatters():

@@ -74,6 +74,20 @@ def test_both_schedulers_batch_equivalent(scheduler):
                             MIXED_PARAMS, scheduler=scheduler)
 
 
+def test_coalescer_size_is_a_replayed_timing_override():
+    """bfs led at the default 48 coalescer entries; the replays run at
+    1 (every miss behind an open entry waits for the coalescer) and at
+    2 (which bfs-tiny never fills: same cycles as the leader)."""
+    compiled = _compiled("bfs")
+    batch = assert_batch_equivalent(
+        (compiled.dhdl, compiled.config),
+        [{"coalesce_entries": 48}, {"coalesce_entries": 1},
+         {"coalesce_entries": 2}])
+    assert (batch.cohorts, batch.replayed) == (1, 2)
+    assert [inst.stats.cycles for inst in batch] == [1705, 2470, 1705]
+    assert [inst.stats.dram_stall_cycles for inst in batch] == [0, 716, 0]
+
+
 def test_batch_of_one_matches_plain_run():
     compiled = _compiled("gemm")
     batch = run_batch((compiled.dhdl, compiled.config), [None])

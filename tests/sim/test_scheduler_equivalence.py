@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPS
+from repro.apps import ALL_APPS, get_app
 from repro.compiler import compile_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme, TileLoad,
@@ -57,6 +57,30 @@ def test_registry_attribution_identical(app):
     _, se, re_ = _run(compiled, "event", traced=True)
     assert dataclasses.asdict(sd) == dataclasses.asdict(se)
     assert rd.render() == re_.render()
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+def test_full_coalescer_wait_identical(traced):
+    """bfs with a one-entry coalescing cache: every miss behind an open
+    entry is a bandwidth wait on the *coalescer* (``len(_open) >=
+    COALESCE_ENTRIES``), which the default 48 entries never reach at
+    ``tiny`` (1 705 cycles, no ``dram_stall_cycles``)."""
+    compiled = compile_program(get_app("bfs").build("tiny"))
+    compiled.config = dataclasses.replace(compiled.config,
+                                          coalesce_entries=1)
+    seen = {}
+    for mode in ("dense", "event"):
+        machine, stats, report = _run(compiled, mode, traced)
+        seen[mode] = {"stats": dataclasses.asdict(stats)}
+        if traced:
+            seen[mode]["report"] = report.render()
+            seen[mode]["timelines"] = {
+                unit: list(timeline) for unit, timeline
+                in machine.tracer.timelines.items()}
+    assert seen["event"] == seen["dense"]
+    stats = seen["event"]["stats"]
+    assert (stats["cycles"], stats["dram_stall_cycles"]) == (2470, 716)
 
 
 def test_event_scheduler_fast_forwards():
