@@ -12,7 +12,7 @@ Names are returned as plain strings; DRAM collections are prefixed
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.dhdl.ir import (Gather, InnerCompute, OuterController, Scatter,
                            StreamStore, TileLoad, TileStore)
@@ -97,6 +97,36 @@ def mem_writes(ctrl) -> Set[str]:
             names |= mem_writes(child)
         return names
     raise SimulationError(f"unknown controller {ctrl!r}")
+
+
+def scope_edges(program) -> Dict[OuterController,
+                                  List[Tuple[int, int, str, int]]]:
+    """Producer->consumer edges among the children of every outer scope:
+    ``(producer, consumer, memory, credits)`` by child position, one per
+    memory the earlier child writes and the later one touches.  Credits
+    are the memory's N-buffer depth (DRAM arrays and FIFOs: 1 — FIFOs
+    handle their own backpressure).
+
+    A pure function of the program, so it is computed on the first call
+    and kept on the program: every machine built from one compiled
+    design shares it.  (A program is finished before anything simulates
+    it; nothing edits one a machine was built from.)
+    """
+    edges = program._scope_edges
+    if edges is None:
+        credits = {reg.name: reg.nbuf for reg in program.regs}
+        credits.update((sram.name, sram.nbuf) for sram in program.srams)
+        edges = program._scope_edges = {}
+        for ctrl in program.controllers():
+            if not isinstance(ctrl, OuterController):
+                continue
+            reads = [mem_reads(c) for c in ctrl.children]
+            writes = [mem_writes(c) for c in ctrl.children]
+            edges[ctrl] = [
+                (i, j, name, credits.get(name, 1))
+                for j in range(len(ctrl.children)) for i in range(j)
+                for name in sorted(writes[i] & (reads[j] | writes[j]))]
+    return edges
 
 
 def assign_bases(drams: Iterable[DramRef],

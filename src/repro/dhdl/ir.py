@@ -488,6 +488,8 @@ class DhdlProgram:
         #: registers whose final value must be written back to a DRAM
         #: 0-d cell when execution finishes (Fold results, FlatMap counts)
         self.reg_outputs: Dict[str, str] = {}
+        #: memo of :func:`repro.dhdl.analysis.scope_edges`
+        self._scope_edges = None
 
     # -- declaration helpers ---------------------------------------------------
     def fresh(self, base: str) -> str:

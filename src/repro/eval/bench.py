@@ -304,6 +304,14 @@ def run_batch_benchmark(app: str = "gemm", scale: str = "small",
     errors = [f"instance {r.index}: {r.error}"
               for r in batch if r.error is not None]
     speedup = est_sequential_s / batch_s if batch_s > 0 else 0.0
+    # cycles the stepping core had to execute for the followers (the
+    # dense reference executes every one): deterministic, so the gate
+    # pins it — free-running replay leaves lost shows here as a count
+    followers = [r for r in batch if r.role == "replay" and r.ok]
+    follower_executed = sum(
+        r.stats.cycles if r.machine.scheduler_stats is None
+        else r.machine.scheduler_stats.executed_cycles
+        for r in followers)
     return {
         "format": BATCH_FORMAT,
         "rev": git_rev(),
@@ -313,6 +321,8 @@ def run_batch_benchmark(app: str = "gemm", scale: str = "small",
         "instances": n,
         "cohorts": batch.cohorts,
         "replayed": batch.replayed,
+        "follower_cycles": sum(r.stats.cycles for r in followers),
+        "follower_executed_cycles": follower_executed,
         "sampled": len(picks),
         "compile_s": round(compile_s, 6),
         "per_run_s": round(per_run_s, 6),
@@ -338,6 +348,8 @@ def render_batch(report: dict) -> str:
         f"(measured on {report['sampled']} sampled instances)",
         f"  batch: {report['batch_s']:.2f} s  ->  speedup "
         f"{report['speedup']:.1f}x",
+        f"  followers: {report['follower_executed_cycles']} of "
+        f"{report['follower_cycles']} simulated cycles executed",
         f"  equivalence: {report['verified']}/{report['sampled']} "
         f"sampled instances bit-identical"
         + (f"; MISMATCHES: {report['mismatches']}"

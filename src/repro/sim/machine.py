@@ -12,8 +12,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.dhdl.analysis import mem_reads as _mem_reads
-from repro.dhdl.analysis import mem_writes as _mem_writes
+from repro.dhdl.analysis import scope_edges
 from repro.dhdl.control import Scheme
 from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
@@ -112,7 +111,8 @@ class Machine:
     def _build(self, ctrl) -> NodeSim:
         if isinstance(ctrl, OuterController):
             children = [self._build(c) for c in ctrl.children]
-            edges = self._edges(ctrl)
+            edges = [DepEdge(*edge)
+                     for edge in scope_edges(self.dhdl)[ctrl]]
             fifos_inside = self._fifos_inside(ctrl)
             sim = OuterControllerSim(ctrl, children, edges, self.mem,
                                      fifos_inside)
@@ -148,30 +148,6 @@ class Machine:
             return StreamStoreSim(ctrl, self.config, self.mem, self.stats,
                                   self.dram, self.image, self.fifos)
         raise SimulationError(f"unknown leaf {ctrl!r}")
-
-    def _edges(self, ctrl: OuterController) -> List[DepEdge]:
-        """Producer->consumer edges among the children of one scope."""
-        reads = [_mem_reads(c) for c in ctrl.children]
-        writes = [_mem_writes(c) for c in ctrl.children]
-        edges: List[DepEdge] = []
-        for j in range(len(ctrl.children)):
-            for i in range(j):
-                shared = writes[i] & (reads[j] | writes[j])
-                for name in sorted(shared):
-                    credits = self._credit_of(name)
-                    edges.append(DepEdge(i, j, name, credits))
-        return edges
-
-    def _credit_of(self, name: str) -> int:
-        if name.startswith("dram:"):
-            return 1
-        for sram in self.dhdl.srams:
-            if sram.name == name:
-                return sram.nbuf
-        for reg in self.dhdl.regs:
-            if reg.name == name:
-                return reg.nbuf
-        return 1  # FIFOs handle their own backpressure
 
     def _fifos_inside(self, ctrl: OuterController) -> List[FifoSim]:
         if ctrl.scheme is not Scheme.STREAMING:

@@ -121,6 +121,13 @@ class Park:
     sits on its pure-latency park with bursts still outstanding, where
     the re-tick would only repeat what that park charges
     (``_TransferCommon._issue``).
+
+    The per-cycle effect need not be constant.  A subclass may override
+    :meth:`charge` to apply a *scheduled* one — ``repro.sim.batch.
+    _IssuePark``, a replayed activation whose every issue cycle is
+    known — as long as ``charge`` stays the only way its cycles are
+    accounted: this core and ``_wait`` hand it spans and look no
+    further.
     """
 
     __slots__ = ("until", "busy_unit", "counters", "fifo_counters",

@@ -126,26 +126,27 @@ class ScratchpadSim:
     # -- timing ------------------------------------------------------------------
     def read_extra(self, flat_addrs: Sequence[int]) -> int:
         """Pure conflict cost of one vector of lane reads (no counter
-        side effects) — memoizable per banking configuration."""
+        side effects): what ``repro.sim.batch`` prices a recorded
+        activation with, once per banking configuration."""
         mode = self.sram.banking
         if mode in (BankingMode.FIFO, BankingMode.LINE_BUFFER,
                     BankingMode.DUPLICATION):
             return 0
         return self._conflict_extra(flat_addrs)
 
-    def account_read(self, n_addrs: int, extra: int) -> None:
-        """Charge the counters/trace for one priced vector of reads."""
-        self.reads += n_addrs
+    def read_cost(self, flat_addrs: Sequence[int]) -> int:
+        """Extra cycles (beyond 1) to service one vector of lane reads."""
+        extra = self.read_extra(flat_addrs)
+        self.reads += len(flat_addrs)
+        self._charge_conflict(extra, len(flat_addrs))
+        return extra
+
+    def _charge_conflict(self, extra: int, n_addrs: int) -> None:
+        """Charge one priced vector's serialisation (and tell a tracer)."""
         self.conflict_cycles += extra
         if extra and self.trace is not None:
             self.trace.emit(EventKind.BANK_CONFLICT, self.sram.name,
                             (extra, n_addrs))
-
-    def read_cost(self, flat_addrs: Sequence[int]) -> int:
-        """Extra cycles (beyond 1) to service one vector of lane reads."""
-        extra = self.read_extra(flat_addrs)
-        self.account_read(len(flat_addrs), extra)
-        return extra
 
     def _conflict_extra(self, flat_addrs) -> int:
         """Serialisation beyond 1 cycle under the configured decoder.
@@ -169,18 +170,11 @@ class ScratchpadSim:
             return 0
         return self._conflict_extra(flat_addrs)
 
-    def account_write(self, n_addrs: int, extra: int) -> None:
-        """Charge the counters/trace for one priced vector of writes."""
-        self.writes += n_addrs
-        self.conflict_cycles += extra
-        if extra and self.trace is not None:
-            self.trace.emit(EventKind.BANK_CONFLICT, self.sram.name,
-                            (extra, n_addrs))
-
     def write_cost(self, flat_addrs: Sequence[int]) -> int:
         """Extra cycles to service one vector of lane writes."""
         extra = self.write_extra(flat_addrs)
-        self.account_write(len(flat_addrs), extra)
+        self.writes += len(flat_addrs)
+        self._charge_conflict(extra, len(flat_addrs))
         return extra
 
 

@@ -32,9 +32,23 @@ def test_run_batch_benchmark_reports_and_verifies():
     assert report["errors"] == []
     assert report["batch_s"] > 0 and report["est_sequential_s"] > 0
     assert report["speedup"] > 0
+    # deterministic: three innerproduct-tiny followers of 51, 67 and 55
+    # cycles, of which the event core executes 24 each
+    assert report["follower_cycles"] == 51 + 67 + 55
+    assert report["follower_executed_cycles"] == 3 * 24
     rendered = render_batch(report)
     assert "bit-identical" in rendered
     assert "speedup" in rendered
+    assert "72 of 173 simulated cycles executed" in rendered
+
+
+def test_dense_followers_execute_every_cycle():
+    report = run_batch_benchmark(
+        app="innerproduct", scale="tiny", scheduler="dense",
+        params=batch_param_grid(stages=(4, 8), banks=(16,),
+                                output_hops=(1,)), sample=1)
+    assert report["follower_executed_cycles"] \
+        == report["follower_cycles"] > 0
 
 
 def test_compare_batch_gates_on_speedup_floor():

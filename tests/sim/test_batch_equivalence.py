@@ -14,7 +14,9 @@ from repro.apps import ALL_APPS, get_app
 from repro.compiler import compile_program
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Machine
-from repro.sim.batch import instantiate, run_batch
+from repro.sim import scheduler as core
+from repro.sim.batch import (_IssuePark, _RecordingMachine, _ReplayMachine,
+                             instantiate, run_batch)
 
 #: mixed timing overrides exercised across the whole registry: the
 #: as-compiled design, a shallow/re-banked one, and a deep pipeline on
@@ -35,6 +37,15 @@ def _solo_outcome(source, overrides, scheduler="event"):
         return machine, None
     except (SimulationError, DeadlockError) as err:
         return machine, f"{type(err).__name__}: {err}"
+
+
+def _follower(source, overrides, **kwargs):
+    """A follower built by hand behind an as-compiled leader, so a test
+    can reach it before it runs."""
+    log = {}
+    instantiate(source, {}, machine_cls=_RecordingMachine, log=log).run()
+    return instantiate(source, overrides, machine_cls=_ReplayMachine,
+                       log=log, **kwargs)
 
 
 def assert_batch_equivalent(source, params, scheduler="event"):
@@ -131,14 +142,40 @@ def test_data_override_splits_cohorts():
 
 
 def test_leader_failure_falls_back_to_solo_runs():
+    """Every member overrides a limit, so the first one leads — and
+    trips its own: the rest of the cohort runs solo."""
     compiled = _compiled("gemm")
     source = (compiled.dhdl, compiled.config)
-    params = [{"max_cycles": 30}, {}, {"stages": 5}]
+    params = [{"max_cycles": 30}, {"max_cycles": 10_000},
+              {"stages": 5, "watchdog": 10_000}]
     batch = assert_batch_equivalent(source, params)
     assert not batch[0].ok
     assert batch[1].ok and batch[2].ok
     assert batch.replayed == 0
-    assert batch[1].role == "solo" and batch[2].role == "solo"
+    assert [inst.role for inst in batch] == ["leader", "solo", "solo"]
+
+
+@pytest.mark.parametrize("params,roles", [
+    ([{"max_cycles": 50}, {"banks": 4}, {"banks": 8}],
+     ["replay", "leader", "replay"]),
+    ([{"banks": 4}, {"max_cycles": 50}, {"banks": 8}],
+     ["leader", "replay", "replay"]),
+    ([{"watchdog": 3}, {"max_cycles": 50, "banks": 4}, {}],
+     ["replay", "replay", "leader"]),
+], ids=["limited_first", "limited_second", "unlimited_last"])
+def test_leader_is_the_first_member_without_a_limit(params, roles):
+    """One member's tripping ``max_cycles``/``watchdog`` must not cost
+    the cohort its replay: a member that overrides neither leads, and
+    results stay in input order."""
+    compiled = _compiled("gemm")
+    batch = assert_batch_equivalent((compiled.dhdl, compiled.config),
+                                    params)
+    assert [inst.role for inst in batch] == roles
+    assert [inst.index for inst in batch] == [0, 1, 2]
+    assert [inst.params for inst in batch] == params
+    assert batch.replayed == 2
+    assert [inst.ok for inst in batch] == [
+        not ({"max_cycles", "watchdog"} & set(p)) for p in params]
 
 
 def test_tracer_attribution_matches_sequential():
@@ -162,3 +199,116 @@ def test_batch_runs_from_a_bitstream_artifact():
     artifact = freeze_program(app.build("tiny"), "innerproduct", "tiny")
     batch = assert_batch_equivalent(artifact, [{}, {"stages": 8}])
     assert batch.replayed == 1
+
+
+# ---------------------------------------------------------------------------
+# Error exits and watchdogs: a free-running follower is interrupted
+# everywhere and must leave what its stepped solo twin leaves
+# ---------------------------------------------------------------------------
+
+
+def _left_behind(machine, error):
+    """Everything a run — completed or interrupted — leaves on a
+    machine: stats (with the busy-key order serve responses carry),
+    per-scratchpad and per-FIFO counters, the DRAM image, the error."""
+    return {
+        "error": error,
+        "stats": machine.stats.as_dict(),
+        "busy_order": list(machine.stats.busy_cycles),
+        "scratchpads": {
+            name: (pad.reads, pad.writes, pad.conflict_cycles,
+                   dict(pad.watermark))
+            for name, pad in machine.mem.scratchpads.items()},
+        "fifos": {name: (fifo.full_stalls, fifo.empty_stalls)
+                  for name, fifo in machine.fifos.items()},
+        "image": {name: buf.tobytes()
+                  for name, buf in machine.image.buffers.items()},
+    }
+
+
+def assert_followers_leave_what_solo_leaves(source, params, scheduler):
+    """``params`` replayed behind an as-compiled leader, each against
+    ``instantiate(...).run()``; returns the followers' errors."""
+    batch = run_batch(source, [{}] + params, scheduler=scheduler)
+    errors = []
+    for inst, overrides in zip(batch.instances[1:], params):
+        assert inst.role == "replay"
+        solo, solo_error = _solo_outcome(source, overrides, scheduler)
+        assert (_left_behind(inst.machine, inst.error)
+                == _left_behind(solo, solo_error)), (scheduler, overrides)
+        errors.append(inst.error)
+    return errors
+
+
+#: (app, scale, cycles at banks 4 and at banks 16, the max_cycles
+#: step): gemm and gda serialise every issue at banks=4 (conflict-stall
+#: cycles inside the free run), kmeans restarts its leaves 69 times
+LIMITED = [("gemm", "tiny", (159, 143), 7), ("gda", "tiny", (277, 217), 11),
+           ("kmeans", "tiny", (1052, 1052), 97),
+           ("gda", "small", (2100, 804), 193)]
+
+
+@pytest.mark.parametrize("scheduler", ["event", "dense"])
+@pytest.mark.parametrize("app,scale,cycles,step", LIMITED,
+                         ids=[f"{c[0]}-{c[1]}" for c in LIMITED])
+def test_cycle_limit_inside_a_free_run(app, scale, cycles, step,
+                                       scheduler):
+    compiled = _compiled(app, scale)
+    params = [{"max_cycles": limit, "banks": banks}
+              for banks, total in zip((4, 16), cycles)
+              for limit in range(3, total, step)]
+    errors = assert_followers_leave_what_solo_leaves(
+        (compiled.dhdl, compiled.config), params, scheduler)
+    assert all(error and "max_cycles" in error for error in errors)
+
+
+#: watchdogs shorter than a DRAM round trip trip early; from 21 up the
+#: runs complete, on parks the watchdog cuts short (gemm-small at
+#: banks=16: 75 free-run parks at watchdog 21, 18 at the default)
+WATCHDOGS = (1, 2, 3, 5, 8, 13, 21, 40)
+
+
+@pytest.mark.parametrize("scheduler", ["event", "dense"])
+@pytest.mark.parametrize("app", ["gemm", "gda"])
+def test_watchdog_bounds_the_free_run(app, scheduler):
+    compiled = _compiled(app, "small")
+    params = [{"watchdog": watchdog, "banks": banks}
+              for banks in (4, 16) for watchdog in WATCHDOGS]
+    errors = assert_followers_leave_what_solo_leaves(
+        (compiled.dhdl, compiled.config), params, scheduler)
+    tripped = [error is not None for error in errors]
+    assert tripped == [w < 21 for w in WATCHDOGS] * 2
+    assert all("no progress since" in e for e in errors if e)
+
+
+@pytest.mark.parametrize("every", [1, 2, 3, 7])
+def test_spurious_wake_inside_a_free_run(every, monkeypatch):
+    """Wakes are liberal by contract, so a free-running leaf woken
+    mid-span — here on every ``every``-th cycle of a gda follower at
+    banks=4, issue and conflict-stall cycles alike — must charge each
+    cycle exactly once: the span up to the wake when its park ends, the
+    wake's own cycle in its tick, the rest when it parks again."""
+    source = _compiled("gda")
+    overrides = {"banks": 4}
+    follower = _follower(source, overrides)
+    woken = []
+    open_cycle = core._open_cycle
+
+    def waking(machine, cycle):
+        open_cycle(machine, cycle)
+        if cycle % every == 0:
+            for leaf in machine._leaves:
+                if isinstance(leaf._park, _IssuePark):
+                    woken.append(cycle)
+                    leaf._sched.node_event(leaf)
+
+    monkeypatch.setattr(core, "_open_cycle", waking)
+    # nothing else runs while gda computes: without this the core jumps
+    # over the free run and there is no cycle to wake the leaf in
+    monkeypatch.setattr(core.EventScheduler, "_fast_forward",
+                        lambda self, cycle, live, max_cycles: cycle)
+    follower.run()
+    monkeypatch.undo()
+    solo, _ = _solo_outcome(source, overrides)
+    assert _left_behind(follower, None) == _left_behind(solo, None)
+    assert len(woken) >= 60 // every

@@ -9,6 +9,7 @@ from repro.compiler import compile_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme,
                         StreamStore, TileLoad, WriteStmt)
+from repro.dhdl.analysis import mem_reads, mem_writes, scope_edges
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array, Fold, Program
 from repro.patterns import expr as E
@@ -175,3 +176,35 @@ def test_deadlock_message_reports_progress_and_stall_causes():
     assert "fifo_full" in message  # the producer is backpressured
     # the tracer records the deadlock itself as a discrete event
     assert any(e.kind is EventKind.DEADLOCK for e in tracer.events)
+
+
+@pytest.mark.parametrize("name", ["gemm", "kmeans", "bfs"])
+def test_scope_edges_are_one_analysis_per_program(name):
+    """The producer->consumer edges are a pure function of the program:
+    analysed once, kept on it, and wired identically into every machine
+    built from it.  Credits are the memory's N-buffer depth (DRAM
+    arrays and FIFOs: 1)."""
+    compiled = compile_program(get_app(name).build("tiny"))
+    dhdl = compiled.dhdl
+    edges = scope_edges(dhdl)
+    assert scope_edges(dhdl) is edges
+    nbuf = {mem.name: mem.nbuf for mem in [*dhdl.srams, *dhdl.regs]}
+    for ctrl, scope in edges.items():
+        for producer, consumer, mem, credits in scope:
+            assert producer < consumer
+            assert mem in mem_writes(ctrl.children[producer])
+            assert mem in (mem_reads(ctrl.children[consumer])
+                           | mem_writes(ctrl.children[consumer]))
+            assert credits == nbuf.get(mem, 1)
+
+    def wired(machine):
+        return {outer.name: [(e.producer, e.consumer, e.mem_name,
+                              e.credits) for e in outer.edges]
+                for outer in machine._outers}
+
+    first = wired(Machine(dhdl, compiled.config))
+    assert first == wired(Machine(dhdl, compiled.config))
+    assert first == {ctrl.name: [(p, c, m, max(1, n))
+                                 for p, c, m, n in scope]
+                     for ctrl, scope in edges.items()}
+    assert any(first.values())
