@@ -9,6 +9,7 @@ from repro.apps.dense_linalg import Gemm, InnerProduct, OuterProduct
 from repro.apps.ml import Cnn, Gda, Kmeans, LogReg, Sgd
 from repro.apps.sparse import Bfs, PageRank, Smdv
 from repro.apps.streaming import BlackScholes, TpchQ6
+from repro.errors import UnknownAppError
 
 #: Table 4 order
 ALL_APPS: List[App] = [
@@ -29,6 +30,6 @@ def get_app(name: str) -> App:
     try:
         return BY_NAME[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownAppError(
             f"unknown benchmark {name!r}; available: "
             f"{sorted(BY_NAME)}") from None

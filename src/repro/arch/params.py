@@ -126,11 +126,6 @@ class DramParams:
         """Aggregate peak bandwidth in GB/s (51.2 for the default)."""
         return self.channels * self.channel_gbps
 
-    @property
-    def words_per_burst(self) -> int:
-        """32-bit words per DRAM burst."""
-        return self.burst_bytes // 4
-
 
 @dataclass(frozen=True)
 class PlasticineParams:
@@ -185,10 +180,6 @@ class PlasticineParams:
     def with_pcu(self, **kwargs) -> "PlasticineParams":
         """A copy with modified PCU fields (for design-space sweeps)."""
         return replace(self, pcu=replace(self.pcu, **kwargs))
-
-    def with_pmu(self, **kwargs) -> "PlasticineParams":
-        """A copy with modified PMU fields."""
-        return replace(self, pmu=replace(self.pmu, **kwargs))
 
 
 #: The architecture evaluated in Section 4 of the paper.

@@ -52,13 +52,6 @@ class CacheStats:
         """Total get() calls."""
         return self.hits + self.misses + self.corrupt
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another tally (e.g. from a worker process) into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.corrupt += other.corrupt
-
     def to_dict(self) -> dict:
         """Counters as a plain dict (JSON-able snapshot)."""
         return {"hits": self.hits, "misses": self.misses,
@@ -162,11 +155,3 @@ class CompileCache:
 
     def __repr__(self):
         return f"CompileCache({str(self.dir)!r})"
-
-
-def open_cache(cache_dir: Optional[Union[str, Path]] = None,
-               enabled: bool = True) -> Optional[CompileCache]:
-    """CLI helper: a cache instance, or None when caching is disabled."""
-    if not enabled:
-        return None
-    return CompileCache(cache_dir)

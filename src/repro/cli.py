@@ -20,7 +20,7 @@ Commands
     wakeup scheduler by default, ``dense`` for the tick-everything
     reference), ``--max-cycles`` and ``--watchdog`` bound runaway and
     deadlocked simulations.
-``bench [--quick] [--baseline PATH] [--jobs N] [--batch]``
+``bench [--quick] [--baseline PATH] [--batch]``
     Simulator performance harness: run the benchmark registry, report
     wall-clock seconds / simulated cycles / cycles-per-second per
     benchmark, and write ``BENCH_<rev>.json``.  ``--baseline PATH``
@@ -37,9 +37,8 @@ Commands
     explicit ``--batch-params`` JSON list) of one compiled design in a
     single batched pass.
 ``table5 | table6 | table7``
-    Regenerate a paper table.  ``--jobs N`` evaluates benchmarks on a
-    process pool; compiles go through the artifact cache (``--cache-dir``
-    to relocate it, ``--no-cache`` to disable).
+    Regenerate a paper table: every benchmark is compiled and measured
+    in this process, and nothing is written to disk.
 ``figure7 PARAM``
     Run one Figure 7 sweep (stages, regs_per_stage, scalar_in,
     scalar_out, vector_in, vector_out).
@@ -90,19 +89,14 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cache_from(args):
-    """The compile cache selected by --cache-dir / --no-cache."""
-    from repro.bitstream.cache import open_cache
-    return open_cache(getattr(args, "cache_dir", None),
-                      enabled=not getattr(args, "no_cache", False))
-
-
 def _cmd_compile(args) -> int:
+    from repro.bitstream.cache import CompileCache
     from repro.compiler.artifact import compile_app_cached
 
+    cache = None if args.no_cache else CompileCache(args.cache_dir)
     started = time.time()
     artifact, outcome = compile_app_cached(args.app, args.scale,
-                                           cache=_cache_from(args))
+                                           cache=cache)
     wall_ms = (time.time() - started) * 1e3
     summary = artifact.summary()
     source = {"hit": "loaded from cache", "miss": "compiled and cached",
@@ -117,52 +111,6 @@ def _cmd_compile(args) -> int:
         path = artifact.save(args.out)
         print(f"  wrote {path}")
     return 0
-
-
-def _cmd_run_artifact(args) -> int:
-    from repro.apps import get_app
-    from repro.bitstream import Bitstream
-
-    artifact = Bitstream.load(args.artifact)
-    if args.floorplan:
-        print("--floorplan needs compiler internals; it is unavailable "
-              "when running a saved artifact", file=sys.stderr)
-        return 2
-    if args.ir:
-        from repro.dhdl import format_program
-        print(format_program(artifact.dhdl))
-        print()
-    tracer = None
-    if args.trace is not None:
-        from repro.trace import RingTracer
-        tracer = RingTracer(sample=args.trace_sample)
-    started = time.time()
-    machine = artifact.machine(tracer=tracer, scheduler=args.scheduler,
-                               max_cycles=args.max_cycles,
-                               watchdog=args.watchdog)
-    stats = machine.run()
-    sim_s = time.time() - started
-    try:
-        app = get_app(artifact.app)
-    except KeyError:
-        app = None
-    verdict = "simulated (no registry app to validate against)"
-    if app is not None:
-        expected = app.expected(app.build(artifact.scale))
-        results = {name: machine.result(name) for name in expected}
-        app.check(artifact.dhdl, results, expected)
-        verdict = "VALIDATED against the reference executor"
-    util = artifact.config.utilization()
-    print(f"{artifact.app} ({artifact.scale}) from {args.artifact}: "
-          f"{verdict}")
-    print(f"  cycles: {stats.cycles}  (simulate {sim_s * 1e3:.0f} ms, "
-          f"hash {artifact.content_hash[:12]})")
-    print(f"  fabric: {artifact.config.pcus_used} PCUs "
-          f"({100 * util['pcu']:.1f}%), "
-          f"{artifact.config.pmus_used} PMUs "
-          f"({100 * util['pmu']:.1f}%), "
-          f"{artifact.config.ags_used} AGs")
-    return _print_trace(machine, tracer, args.trace)
 
 
 def _print_trace(machine, tracer, path) -> int:
@@ -232,7 +180,7 @@ def _cmd_run_batch(args) -> int:
 
     try:
         params = _batch_params_from(args)
-    except (ValueError, OSError) as err:
+    except ValueError as err:
         print(f"repro run --batch: {err}", file=sys.stderr)
         return 2
     app = None
@@ -352,7 +300,6 @@ def _cmd_run_multi(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.apps import get_app
-    from repro.compiler import compile_program
     from repro.dhdl import format_program
     from repro.sim import Machine
 
@@ -364,45 +311,68 @@ def _cmd_run(args) -> int:
                   "PATH", file=sys.stderr)
             return 2
         return _cmd_run_batch(args)
+    # a saved artifact and a fresh compile are two sources of (dhdl,
+    # config, app-or-None and its program); everything after is one path
+    compiled = None
     if args.artifact:
-        return _cmd_run_artifact(args)
-    if not args.app:
+        from repro.bitstream import Bitstream
+        if args.floorplan:
+            print("--floorplan needs compiler internals; it is "
+                  "unavailable when running a saved artifact",
+                  file=sys.stderr)
+            return 2
+        artifact = Bitstream.load(args.artifact)
+        dhdl, config, scale = artifact.dhdl, artifact.config, artifact.scale
+        try:
+            app = get_app(artifact.app)
+        except KeyError:
+            app = None
+        program = app.build(scale) if app is not None else None
+        label = f"{artifact.app} ({scale}) from {args.artifact}"
+        origin = f"hash {artifact.content_hash[:12]}"
+    elif args.app:
+        from repro.compiler import compile_program
+        app = get_app(args.app)
+        scale = args.scale
+        program = app.build(scale)
+        started = time.time()
+        compiled = compile_program(program)
+        origin = f"compile {(time.time() - started) * 1e3:.0f} ms"
+        dhdl, config = compiled.dhdl, compiled.config
+        label = f"{app.display} ({scale})"
+    else:
         print("repro run: give an APP name or --artifact PATH",
               file=sys.stderr)
         return 2
-    app = get_app(args.app)
-    program = app.build(args.scale)
-    expected = app.expected(program)
-    started = time.time()
-    compiled = compile_program(program)
-    compile_s = time.time() - started
     if args.ir:
-        print(format_program(compiled.dhdl))
+        print(format_program(dhdl))
         print()
     tracer = None
     if args.trace is not None:
         from repro.trace import RingTracer
         tracer = RingTracer(sample=args.trace_sample)
     started = time.time()
-    machine = Machine(compiled.dhdl, compiled.config, tracer=tracer,
+    machine = Machine(dhdl, config, tracer=tracer,
                       scheduler=args.scheduler,
                       max_cycles=args.max_cycles,
                       watchdog=args.watchdog)
     stats = machine.run()
     sim_s = time.time() - started
-    results = {name: machine.result(name) for name in expected}
-    app.check(program, results, expected)
-    util = compiled.config.utilization()
-    print(f"{app.display} ({args.scale}): VALIDATED against the "
-          f"reference executor")
+    verdict = "simulated (no registry app to validate against)"
+    if app is not None:
+        expected = app.expected(program)
+        results = {name: machine.result(name) for name in expected}
+        app.check(program, results, expected)
+        verdict = "VALIDATED against the reference executor"
+    util = config.utilization()
+    print(f"{label}: {verdict}")
     print(f"  cycles: {stats.cycles}  "
-          f"(compile {compile_s * 1e3:.0f} ms, "
-          f"simulate {sim_s * 1e3:.0f} ms)")
-    print(f"  fabric: {compiled.config.pcus_used} PCUs "
+          f"({origin}, simulate {sim_s * 1e3:.0f} ms)")
+    print(f"  fabric: {config.pcus_used} PCUs "
           f"({100 * util['pcu']:.1f}%), "
-          f"{compiled.config.pmus_used} PMUs "
+          f"{config.pmus_used} PMUs "
           f"({100 * util['pmu']:.1f}%), "
-          f"{compiled.config.ags_used} AGs")
+          f"{config.ags_used} AGs")
     dram = stats.dram
     print(f"  DRAM: {dram['reads']} read / {dram['writes']} write "
           f"bursts, {dram['row_hits']} row hits, "
@@ -450,31 +420,21 @@ def render_floorplan(compiled) -> str:
 
 def _cmd_table(args) -> int:
     from repro.eval import table5, table6, table7
-    from repro.eval.driver import CacheTally
     if args.command == "table5":
         print(table5.render(table5.generate()))
-        return 0
-    cache = _cache_from(args)
-    tally = CacheTally()
-    if args.command == "table6":
-        print(table6.render(table6.generate(
-            scale=args.scale, jobs=args.jobs, cache=cache,
-            tally=tally)))
+    elif args.command == "table6":
+        print(table6.render(table6.generate(scale=args.scale)))
         print()
-        print(table6.render_control(table6.control_overhead(
-            scale="tiny", jobs=args.jobs, cache=cache, tally=tally)))
+        print(table6.render_control(
+            table6.control_overhead(scale="tiny")))
     else:
-        rows = table7.generate(scale=args.scale, validate=False,
-                               jobs=args.jobs, cache=cache, tally=tally)
-        print(table7.render(rows))
-    if tally.lookups:
-        print(tally.summary())
+        print(table7.render(table7.generate(scale=args.scale,
+                                            validate=False)))
     return 0
 
 
 def _cmd_figure7(args) -> int:
     from repro.eval import figure7
-    from repro.eval.driver import CacheTally
     if args.simulate:
         values = figure7.SIM_SWEEPS.get(args.param)
         if values is None:
@@ -483,22 +443,15 @@ def _cmd_figure7(args) -> int:
                   file=sys.stderr)
             return 2
         result = figure7.sim_sweep(args.param, values, app=args.app,
-                                   scale=args.scale,
-                                   cache=_cache_from(args))
+                                   scale=args.scale)
         print(figure7.render_sim(result))
         return 0
     for key, (param, values) in figure7.SWEEPS.items():
         if param == args.param:
-            tally = CacheTally()
-            curves = figure7.sweep(param, values, scale=args.scale,
-                                   jobs=args.jobs,
-                                   cache=_cache_from(args),
-                                   tally=tally)
+            curves = figure7.sweep(param, values, scale=args.scale)
             print(figure7.render(param, curves))
             print(f"\noverhead-minimising value: "
                   f"{figure7.best_value(curves)}")
-            if tally.lookups:
-                print(tally.summary())
             return 0
     print(f"unknown parameter {args.param!r}; one of: "
           f"{[p for p, _ in figure7.SWEEPS.values()]}",
@@ -550,20 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Plasticine (ISCA 2017) reproduction toolkit")
-    def add_cache_args(cmd, jobs: bool = True):
-        if jobs:
-            cmd.add_argument("--jobs", type=_positive_int, default=1,
-                             metavar="N",
-                             help="evaluate benchmarks on N worker "
-                                  "processes (results are identical to "
-                                  "--jobs=1)")
-        cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="compile-cache directory (default "
-                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="always compile; never read or write the "
-                              "artifact cache")
-
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="chip summary")
     sub.add_parser("list", help="benchmark registry")
@@ -574,7 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("tiny", "small"))
     comp.add_argument("--out", default=None, metavar="PATH",
                       help="also write the artifact JSON here")
-    add_cache_args(comp, jobs=False)
+    comp.add_argument("--cache-dir", default=None, metavar="DIR",
+                      help="compile-cache directory (default "
+                           "$REPRO_CACHE_DIR or ~/.cache/repro)")
+    comp.add_argument("--no-cache", action="store_true",
+                      help="always compile; never read or write the "
+                           "artifact cache")
     run = sub.add_parser("run", help="compile+simulate one benchmark")
     run.add_argument("app", nargs="?", default=None)
     run.add_argument("--multi", nargs="+", default=None, metavar="APP",
@@ -668,20 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "baseline (exact pins and min_/max_ bounds, "
                             "see repro.eval.gate), e.g. "
                             "benchmarks/baseline.json")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       metavar="N",
-                       help="time benchmarks on N worker processes "
-                            "(cycles identical; wall times then share "
-                            "cores)")
-    bench.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="opt-in compile cache (off by default so "
-                            "compile_s stays meaningful)")
     for name in ("table5", "table6", "table7"):
         t = sub.add_parser(name, help=f"regenerate {name}")
         t.add_argument("--scale", default="small",
                        choices=("tiny", "small"))
-        if name != "table5":
-            add_cache_args(t)
     fig = sub.add_parser("figure7", help="run one Figure 7 sweep")
     fig.add_argument("param")
     fig.add_argument("--scale", default="small",
@@ -693,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--app", default="gemm", metavar="APP",
                      help="--simulate: which registry benchmark to "
                           "sweep (default gemm)")
-    add_cache_args(fig)
     fuzz = sub.add_parser(
         "fuzz", help="differential-fuzz the executors (see repro.fuzz)")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N",
@@ -816,6 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="M",
                        help="scenarios to run (default 25)")
     chaos.add_argument("--scale", default="tiny",
+                       choices=("tiny", "small"),
                        help="registry-app scale (default tiny)")
     chaos.add_argument("--multi-every", type=int, default=10,
                        metavar="K",
@@ -830,9 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """CLI entry point."""
-    args = build_parser().parse_args(argv)
+def _dispatch(args) -> int:
     if args.command == "info":
         return _cmd_info(args)
     if args.command == "list":
@@ -859,6 +791,23 @@ def main(argv=None) -> int:
         from repro.faults.chaos import cmd_chaos
         return cmd_chaos(args)
     return 2
+
+
+def main(argv=None) -> int:
+    """CLI entry point.
+
+    Bad input — an unknown app, an override the design rejects, a path
+    that cannot be read — is one ``repro <command>: <message>`` line on
+    stderr and exit status 2, never a traceback.
+    """
+    from repro.errors import ReproError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError) as err:
+        print(f"repro {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

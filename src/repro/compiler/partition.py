@@ -35,11 +35,6 @@ class PcuPartition:
     #: stages left idle in the last unit (utilization loss)
     wasted_stages: int
 
-    @property
-    def total_stages(self) -> int:
-        """Physical stages occupied plus wasted."""
-        return self.pipeline_depth + self.wasted_stages
-
 
 def partition_pcu(sched: StageSchedule, pcu: PcuParams) -> PcuPartition:
     """Split one schedule into a chain of physical PCUs.

@@ -347,14 +347,6 @@ class InnerCompute(ControllerBase):
                     mems.append(mem)
         return mems
 
-    def memories_written(self):
-        """Distinct memories written by the body."""
-        mems = []
-        for stmt in self.stmts:
-            if stmt.target not in mems:
-                mems.append(stmt.target)
-        return mems
-
 
 class TransferBase(ControllerBase):
     """Base for DRAM transfer leaves (map to AGs + coalescing units)."""

@@ -9,6 +9,17 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class UnknownAppError(ReproError, KeyError):
+    """No benchmark of that name in the registry.
+
+    Also a :class:`KeyError` — what the failed lookup raised before it
+    was typed — so ``except KeyError`` callers keep working.
+    """
+
+    #: KeyError's own ``__str__`` would ``repr()`` the message
+    __str__ = Exception.__str__
+
+
 class PatternError(ReproError):
     """Malformed parallel pattern (bad domain, bad function arity, ...)."""
 
@@ -88,7 +99,3 @@ class FaultError(SimulationError):
 
 class ArchError(ReproError):
     """Invalid architecture parameters (out of Table 3 ranges, ...)."""
-
-
-class EvalError(ReproError):
-    """An evaluation harness (table/figure regeneration) failed."""

@@ -148,60 +148,32 @@ def _time_benchmark(name, dhdl, config, compile_s, check,
     return row
 
 
-def _bench_worker(payload) -> tuple:
-    """Pool worker: prepare (compile or hand-build) and time one
-    benchmark; returns ``(row, cache_outcome)``."""
-    from repro.eval.driver import CompileSpec, obtain, worker_cache
-
-    kind, name, scale, scheduler, repeat, compare_dense, cache_dir = \
-        payload
-    if kind == "synthetic":
-        dhdl, config, check = SYNTHETIC[name](scale)
-        row = _time_benchmark(name, dhdl, config, 0.0, check,
-                              scheduler, repeat, compare_dense)
-        return row, "off"
-    cache = worker_cache(cache_dir)
-    t0 = time.perf_counter()
-    artifact, outcome = obtain(CompileSpec(name, scale), cache)
-    compile_s = time.perf_counter() - t0
-    row = _time_benchmark(name, artifact.dhdl, artifact.config,
-                          compile_s, None, scheduler, repeat,
-                          compare_dense)
-    return row, outcome
-
-
 def run_benchmarks(scale: str = "small", scheduler: str = "event",
                    repeat: int = 3,
                    apps: Optional[List[str]] = None,
-                   compare_dense: bool = False,
-                   jobs: int = 1, cache=None, tally=None) -> dict:
+                   compare_dense: bool = False) -> dict:
     """Run the registry under one scheduler and collect timings.
 
-    ``jobs > 1`` times benchmarks in parallel worker processes — useful
-    for quick sweeps, but wall-clock numbers then share cores, so the
-    CI gate keeps ``jobs=1``.  The report totals split wall time into
-    ``compile_s`` (artifact preparation, near-zero on cache hits) and
-    ``simulate_s`` (the gated ``Machine.run`` time).
+    The report totals split wall time into ``compile_s`` (artifact
+    preparation) and ``simulate_s`` (the gated ``Machine.run`` time).
     """
     from repro.apps.registry import ALL_APPS
-    from repro.eval.driver import cache_payload, map_tasks
+    from repro.compiler.artifact import compile_to_bitstream
 
-    if apps:
-        selected = [name for name in apps if name not in SYNTHETIC]
-        synthetic = [name for name in apps if name in SYNTHETIC]
-    else:
-        selected = [app.name for app in ALL_APPS]
-        synthetic = list(SYNTHETIC)
-    cache_dir = cache_payload(cache)
-    payloads = [("app", name, scale, scheduler, repeat, compare_dense,
-                 cache_dir) for name in selected]
-    payloads += [("synthetic", name, scale, scheduler, repeat,
-                  compare_dense, None) for name in synthetic]
+    names = apps or [app.name for app in ALL_APPS] + list(SYNTHETIC)
     rows = []
-    for row, outcome in map_tasks(_bench_worker, payloads, jobs=jobs):
-        if tally is not None and row["name"] not in SYNTHETIC:
-            tally.record(outcome)
-        rows.append(row)
+    # registry apps first, then the hand-built stressors (stable sort)
+    for name in sorted(names, key=SYNTHETIC.__contains__):
+        if name in SYNTHETIC:
+            dhdl, config, check = SYNTHETIC[name](scale)
+            compile_s = 0.0
+        else:
+            t0 = time.perf_counter()
+            artifact = compile_to_bitstream(name, scale)
+            compile_s = time.perf_counter() - t0
+            dhdl, config, check = artifact.dhdl, artifact.config, None
+        rows.append(_time_benchmark(name, dhdl, config, compile_s, check,
+                                    scheduler, repeat, compare_dense))
     total_cycles = sum(r["cycles"] for r in rows)
     total_s = sum(r["wall_s"] for r in rows)
     total_compile_s = sum(r["compile_s"] for r in rows)
@@ -211,7 +183,6 @@ def run_benchmarks(scale: str = "small", scheduler: str = "event",
         "scale": scale,
         "scheduler": scheduler,
         "repeat": repeat,
-        "jobs": jobs,
         "benchmarks": rows,
         "totals": {
             "cycles": total_cycles,
@@ -247,7 +218,7 @@ def batch_param_grid(stages=range(4, 17), banks=(4, 8, 16),
 def run_batch_benchmark(app: str = "gemm", scale: str = "small",
                         scheduler: str = "event",
                         params: Optional[List[dict]] = None,
-                        sample: int = 6, cache=None) -> dict:
+                        sample: int = 6) -> dict:
     """Time ``Machine.run_batch`` against a sequential estimate.
 
     The batch side runs the full grid and is timed exactly.  The
@@ -261,11 +232,11 @@ def run_batch_benchmark(app: str = "gemm", scale: str = "small",
     """
     import numpy as np
 
-    from repro.compiler.artifact import compile_app_cached
+    from repro.compiler.artifact import compile_to_bitstream
     from repro.sim.batch import instantiate, run_batch
 
     t0 = time.perf_counter()
-    artifact, _ = compile_app_cached(app, scale, cache=cache)
+    artifact = compile_to_bitstream(app, scale)
     compile_s = time.perf_counter() - t0
     params = params if params is not None else batch_param_grid()
     n = len(params)
@@ -359,14 +330,11 @@ def render_batch(report: dict) -> str:
 
 def cmd_bench_batch(args) -> int:
     """The ``repro bench --batch`` path (wired from :func:`cmd_bench`)."""
-    from repro.bitstream.cache import CompileCache
-
     baseline = gate.load(args.baseline)
     app = (args.apps[0] if args.apps else "gemm")
     scale = "tiny" if args.quick else args.scale
-    cache = CompileCache(args.cache_dir) if args.cache_dir else None
     report = run_batch_benchmark(app=app, scale=scale,
-                                 scheduler=args.scheduler, cache=cache)
+                                 scheduler=args.scheduler)
     print(render_batch(report))
     path = os.path.join(args.out, f"BATCH_{report['rev']}.json")
     return gate.finish(report, path, baseline,
@@ -403,9 +371,6 @@ def render(report: dict) -> str:
 
 def cmd_bench(args) -> int:
     """Entry point for ``repro bench`` (wired from the CLI)."""
-    from repro.bitstream.cache import CompileCache
-    from repro.eval.driver import CacheTally
-
     if getattr(args, "multi", False):
         from repro.eval.multi import cmd_bench_multi
         return cmd_bench_multi(args)
@@ -414,16 +379,9 @@ def cmd_bench(args) -> int:
     baseline = gate.load(args.baseline)
     scale = "tiny" if args.quick else args.scale
     repeat = 1 if args.quick else args.repeat
-    # caching is opt-in for bench: compile_s is part of the report, and
-    # serving artifacts from disk would make it meaningless by default
-    cache = CompileCache(args.cache_dir) if args.cache_dir else None
-    tally = CacheTally()
     report = run_benchmarks(scale=scale, scheduler=args.scheduler,
                             repeat=repeat, apps=args.apps or None,
-                            compare_dense=args.compare_dense,
-                            jobs=args.jobs, cache=cache, tally=tally)
+                            compare_dense=args.compare_dense)
     print(render(report))
-    if tally.lookups:
-        print(tally.summary())
     path = os.path.join(args.out, f"BENCH_{report['rev']}.json")
     return gate.finish(report, path, baseline)

@@ -11,17 +11,15 @@ values (the paper's X marks) come out as ``None``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.apps import ALL_APPS, App
 from repro.arch.area import pcu_area
 from repro.arch.params import DEFAULT, PcuParams
-from repro.bitstream.cache import CompileCache
+from repro.compiler.artifact import compile_to_bitstream
 from repro.compiler.partition import feasible, partition_pcu
 from repro.compiler.scheduling import schedule
 from repro.dhdl.ir import InnerCompute
-from repro.eval.driver import (CacheTally, CompileSpec, cache_payload,
-                               map_tasks, obtain, worker_cache)
 from repro.eval.report import format_table
 
 #: the sweeps shown in Figure 7 (subfigure -> parameter and range)
@@ -46,47 +44,29 @@ def area_for(schedules, pcu: PcuParams) -> Optional[float]:
     return total
 
 
-def _sweep_worker(payload: Tuple[str, str, str, Tuple[int, ...],
-                                 Optional[str]]
-                  ) -> Tuple[str, Dict[int, Optional[float]], str]:
-    """Pool worker: one app's normalized overhead curve."""
-    name, scale, param, values, cache_dir = payload
-    cache = worker_cache(cache_dir)
-    artifact, outcome = obtain(CompileSpec(name, scale), cache)
-    schedules = [schedule(leaf) for leaf in artifact.dhdl.leaves()
-                 if isinstance(leaf, InnerCompute)
-                 and not leaf.address_class]
-    areas: Dict[int, Optional[float]] = {}
-    for value in values:
-        candidate = replace(DEFAULT.pcu, **{param: value})
-        areas[value] = area_for(schedules, candidate)
-    valid = [a for a in areas.values() if a is not None]
-    if not valid:
-        return name, {v: None for v in values}, outcome
-    floor = min(valid)
-    return name, {v: (a / floor - 1.0) if a is not None else None
-                  for v, a in areas.items()}, outcome
-
-
 def sweep(param: str, values: Sequence[int],
           apps: Optional[List[App]] = None,
-          scale: str = "tiny", jobs: int = 1,
-          cache: Optional[CompileCache] = None,
-          tally: Optional[CacheTally] = None
+          scale: str = "tiny"
           ) -> Dict[str, Dict[int, Optional[float]]]:
     """Overhead curves for one parameter across benchmarks.
 
     Returns ``{app: {value: overhead or None-if-infeasible}}``.
     """
     apps = apps or [a for a in ALL_APPS if a.name != "cnn"]
-    payloads = [(app.name, scale, param, tuple(values),
-                 cache_payload(cache)) for app in apps]
     curves: Dict[str, Dict[int, Optional[float]]] = {}
-    for name, curve, outcome in map_tasks(_sweep_worker, payloads,
-                                          jobs=jobs):
-        if tally is not None:
-            tally.record(outcome)
-        curves[name] = curve
+    for app in apps:
+        dhdl = compile_to_bitstream(app.name, scale).dhdl
+        schedules = [schedule(leaf) for leaf in dhdl.leaves()
+                     if isinstance(leaf, InnerCompute)
+                     and not leaf.address_class]
+        areas = {value: area_for(schedules,
+                                 replace(DEFAULT.pcu, **{param: value}))
+                 for value in values}
+        floor = min((a for a in areas.values() if a is not None),
+                    default=None)
+        curves[app.name] = {
+            v: None if a is None else a / floor - 1.0
+            for v, a in areas.items()}
     return curves
 
 
@@ -163,8 +143,7 @@ SIM_SWEEPS = {
 
 
 def sim_sweep(param: str, values: Sequence[int], app: str = "gemm",
-              scale: str = "tiny", scheduler: str = "event",
-              cache: Optional[CompileCache] = None) -> Dict:
+              scale: str = "tiny", scheduler: str = "event") -> Dict:
     """Simulated-cycle curve for one timing parameter via run_batch.
 
     Compiles ``app`` once and simulates every candidate value as one
@@ -175,11 +154,9 @@ def sim_sweep(param: str, values: Sequence[int], app: str = "gemm",
         raise ValueError(
             f"cannot sweep {param!r} in the simulator; one of: "
             f"{sorted(SIM_SWEEPS)}")
-    from repro.compiler.artifact import compile_app_cached
     from repro.sim.batch import run_batch
-    artifact, _ = compile_app_cached(app, scale, cache=cache)
-    batch = run_batch(artifact, [{param: v} for v in values],
-                      scheduler=scheduler)
+    batch = run_batch(compile_to_bitstream(app, scale),
+                      [{param: v} for v in values], scheduler=scheduler)
     curve: Dict[int, Optional[int]] = {}
     for value, inst in zip(values, batch):
         curve[value] = inst.stats.cycles if inst.ok else None

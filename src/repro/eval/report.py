@@ -32,8 +32,3 @@ def _fmt(cell) -> str:
             return f"{cell:.3g}"
         return f"{cell:.2f}"
     return str(cell)
-
-
-def ratio_str(measured: float, paper: float) -> str:
-    """'measured (paper P)' cell for paper-vs-measured tables."""
-    return f"{measured:.2f} (paper {paper:.2f})"

@@ -14,13 +14,11 @@ credits (Section 3.5) — using the exact stall-attribution pass of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps import ALL_APPS, App
 from repro.arch.asic import overhead_table
-from repro.bitstream.cache import CompileCache
-from repro.eval.driver import (CacheTally, CompileSpec, cache_payload,
-                               map_tasks, obtain, worker_cache)
+from repro.compiler.artifact import compile_to_bitstream
 from repro.eval.paper_data import TABLE6_CUMULATIVE, TABLE6_STEP_A
 from repro.eval.report import format_table
 
@@ -28,62 +26,16 @@ from repro.eval.report import format_table
 TABLE6_APPS = [a for a in ALL_APPS if a.name != "cnn"]
 
 
-def _collect(worker, apps: Optional[List[App]], scale: str, jobs: int,
-             cache: Optional[CompileCache],
-             tally: Optional[CacheTally]) -> Dict[str, Dict]:
-    """Fan a per-app worker out over the pool, keeping registry order."""
-    payloads = [(app.name, scale, cache_payload(cache))
-                for app in (apps or TABLE6_APPS)]
-    results: Dict[str, Dict] = {}
-    for name, entry, outcome in map_tasks(worker, payloads, jobs=jobs):
-        if tally is not None:
-            tally.record(outcome)
-        results[name] = entry
-    return results
-
-
-def _overhead_worker(payload: Tuple[str, str, Optional[str]]
-                     ) -> Tuple[str, Dict, str]:
-    name, scale, cache_dir = payload
-    artifact, outcome = obtain(CompileSpec(name, scale),
-                               worker_cache(cache_dir))
-    return name, overhead_table(artifact.config.requirements), outcome
-
-
-def generate(scale: str = "small", apps: Optional[List[App]] = None,
-             jobs: int = 1, cache: Optional[CompileCache] = None,
-             tally: Optional[CacheTally] = None) -> Dict[str, Dict]:
+def generate(scale: str = "small",
+             apps: Optional[List[App]] = None) -> Dict[str, Dict]:
     """Per-benchmark successive and cumulative overheads."""
-    return _collect(_overhead_worker, apps, scale, jobs, cache, tally)
-
-
-def _control_worker(payload: Tuple[str, str, Optional[str]]
-                    ) -> Tuple[str, Dict, str]:
-    from repro.trace import RingTracer, StallCause, build_report
-    name, scale, cache_dir = payload
-    artifact, outcome = obtain(CompileSpec(name, scale),
-                               worker_cache(cache_dir))
-    # counters-only: keep no event ring, sample (almost) nothing
-    tracer = RingTracer(capacity=1, sample=1 << 30)
-    machine = artifact.machine(tracer=tracer)
-    stats = machine.run()
-    report = build_report(tracer, stats)
-    totals = report.totals()
-    return name, {
-        "cycles": stats.cycles,
-        "units": len(report.per_unit),
-        "busy": totals.get(StallCause.BUSY, 0),
-        "token_wait": totals.get(StallCause.TOKEN_WAIT, 0),
-        "credit_wait": totals.get(StallCause.CREDIT_WAIT, 0),
-        "active": report.active_cycles(),
-        "control_overhead": report.control_overhead(),
-    }, outcome
+    return {app.name: overhead_table(
+                compile_to_bitstream(app.name, scale).config.requirements)
+            for app in (apps or TABLE6_APPS)}
 
 
 def control_overhead(scale: str = "tiny",
-                     apps: Optional[List[App]] = None, jobs: int = 1,
-                     cache: Optional[CompileCache] = None,
-                     tally: Optional[CacheTally] = None
+                     apps: Optional[List[App]] = None
                      ) -> Dict[str, Dict]:
     """Per-benchmark control-protocol overhead from stall attribution.
 
@@ -91,7 +43,26 @@ def control_overhead(scale: str = "tiny",
     every unit-cycle with :func:`repro.trace.build_report`; the reported
     overhead is token+credit wait cycles over non-idle cycles.
     """
-    return _collect(_control_worker, apps, scale, jobs, cache, tally)
+    from repro.trace import RingTracer, StallCause, build_report
+    results: Dict[str, Dict] = {}
+    for app in (apps or TABLE6_APPS):
+        # counters-only: keep no event ring, sample (almost) nothing
+        tracer = RingTracer(capacity=1, sample=1 << 30)
+        machine = compile_to_bitstream(app.name, scale).machine(
+            tracer=tracer)
+        stats = machine.run()
+        report = build_report(tracer, stats)
+        totals = report.totals()
+        results[app.name] = {
+            "cycles": stats.cycles,
+            "units": len(report.per_unit),
+            "busy": totals.get(StallCause.BUSY, 0),
+            "token_wait": totals.get(StallCause.TOKEN_WAIT, 0),
+            "credit_wait": totals.get(StallCause.CREDIT_WAIT, 0),
+            "active": report.active_cycles(),
+            "control_overhead": report.control_overhead(),
+        }
+    return results
 
 
 def render_control(results: Dict[str, Dict]) -> str:

@@ -16,14 +16,12 @@ For every benchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.apps import ALL_APPS, App
 from repro.arch.fpga import fpga_power_w, fpga_runtime_s
 from repro.arch.power import chip_power
-from repro.bitstream.cache import CompileCache
-from repro.eval.driver import (CacheTally, CompileSpec, cache_payload,
-                               map_tasks, obtain, worker_cache)
+from repro.compiler.artifact import compile_to_bitstream
 from repro.eval.paper_data import TABLE7, TABLE7_UTIL
 from repro.eval.report import format_table
 from repro.perf import plasticine_runtime_s
@@ -62,16 +60,9 @@ class Table7Row:
 
 
 def evaluate_app(app: App, scale: str = "small",
-                 validate: bool = True,
-                 cache: Optional[CompileCache] = None) -> Table7Row:
-    """Measure one benchmark end to end.
-
-    Compilation goes through the artifact layer: a cache hit skips the
-    compiler entirely and simulates the deserialized bitstream (apps
-    build deterministically, so the frozen input data matches what a
-    fresh build would produce).
-    """
-    artifact, _ = obtain(CompileSpec(app.name, scale), cache)
+                 validate: bool = True) -> Table7Row:
+    """Measure one benchmark end to end."""
+    artifact = compile_to_bitstream(app.name, scale)
     config = artifact.config
     machine = artifact.machine()
     stats = machine.run()
@@ -129,42 +120,11 @@ def evaluate_app(app: App, scale: str = "small",
     return row
 
 
-def _evaluate_worker(payload: Tuple[str, str, bool, Optional[str]]
-                     ) -> Tuple[Table7Row, str]:
-    """Pool worker: evaluate one app, report the cache outcome."""
-    from repro.apps.registry import get_app
-    name, scale, validate, cache_dir = payload
-    cache = worker_cache(cache_dir)
-    row = evaluate_app(get_app(name), scale=scale, validate=validate,
-                       cache=cache)
-    if cache is None:
-        outcome = "off"
-    else:
-        outcome = "hit" if cache.stats.hits else "miss"
-    return row, outcome
-
-
 def generate(scale: str = "small", apps: Optional[List[App]] = None,
-             validate: bool = True, jobs: int = 1,
-             cache: Optional[CompileCache] = None,
-             tally: Optional[CacheTally] = None) -> List[Table7Row]:
-    """Regenerate the full Table 7.
-
-    ``jobs > 1`` evaluates apps on a process pool (one fresh worker per
-    app, results in registry order — the table is identical to a
-    sequential run).  With a ``cache``, compiles are served from disk
-    when possible; pass a ``tally`` to collect hit/miss counts across
-    workers.
-    """
-    payloads = [(app.name, scale, validate, cache_payload(cache))
-                for app in (apps or ALL_APPS)]
-    results = map_tasks(_evaluate_worker, payloads, jobs=jobs)
-    rows = []
-    for row, outcome in results:
-        if tally is not None:
-            tally.record(outcome)
-        rows.append(row)
-    return rows
+             validate: bool = True) -> List[Table7Row]:
+    """Regenerate the full Table 7, one row per app in registry order."""
+    return [evaluate_app(app, scale=scale, validate=validate)
+            for app in (apps or ALL_APPS)]
 
 
 def render(rows: List[Table7Row]) -> str:

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PatternError
 from repro.patterns import expr as E
-from repro.patterns.collections import Array, Dyn
+from repro.patterns.collections import Array
 from repro.patterns.patterns import (FlatMap, Fold, HashReduce, Map, Pattern,
                                      ScatterMap)
 
@@ -275,10 +275,6 @@ class Program:
                 else:
                     yield from _walk(node.body)
         yield from _walk(self.body)
-
-    def dyn_length(self, array: Array) -> Dyn:
-        """Convenience: a :class:`Dyn` extent for a 0-d int32 cell."""
-        return Dyn(array)
 
     def __repr__(self):
         return (f"Program({self.name!r}, arrays={len(self.arrays)}, "

@@ -80,8 +80,5 @@ class JobTable:
         while len(self._results) > self.result_cache_size:
             self._results.popitem(last=False)
 
-    def clear_results(self) -> None:
-        self._results.clear()
-
     def __len__(self) -> int:
         return len(self.inflight)

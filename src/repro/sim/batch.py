@@ -692,9 +692,6 @@ class BatchResult:
     def ok(self) -> bool:
         return all(r.ok for r in self.instances)
 
-    def stats_list(self) -> List[Optional[SimStats]]:
-        return [r.stats for r in self.instances]
-
 
 def _run(slot: InstanceResult, machine: Machine) -> None:
     """Run one instance to completion, capturing its error in its slot."""

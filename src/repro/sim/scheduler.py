@@ -334,12 +334,6 @@ class EventScheduler:
         self.executed_cycles = 0
         self.fast_forwarded_cycles = 0
 
-    @property
-    def num_running(self) -> int:
-        """Nodes in the run queue (between unit phases: all of them on
-        the next cycle's list)."""
-        return len(self._heap) + len(self._next)
-
     # -- wakeup plumbing (called from units, FIFOs, and DRAM) ------------------
     def node_started(self, node) -> None:
         """A parent activated ``node``: it joins the run queue."""

@@ -57,9 +57,6 @@ class CoRunResult:
     #: :meth:`repro.sim.fabric.Fabric.qos_summary`
     qos: Optional[dict] = None
 
-    def by_name(self) -> Dict[str, TenantResult]:
-        return {t.name: t for t in self.tenants}
-
     def as_dict(self) -> dict:
         return {
             "fabric_cycles": self.fabric_cycles,

@@ -108,11 +108,6 @@ class AttributionReport:
         active = self.active_cycles()
         return self.control_cycles() / active if active else 0.0
 
-    def stalled_cycles(self, *causes: StallCause) -> int:
-        """Chip-wide cycles attributed to the given causes."""
-        totals = self.totals()
-        return sum(totals.get(cause, 0) for cause in causes)
-
     # -- machine-readable export ------------------------------------------------------
     def breakdown(self) -> Dict:
         """JSON-able dict consumed by the evaluation harnesses."""

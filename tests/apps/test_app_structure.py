@@ -10,6 +10,7 @@ import pytest
 
 from repro.apps import ALL_APPS, get_app
 from repro.apps.streaming import BlackScholes
+from repro.errors import ReproError
 from repro.patterns import run_program
 from repro.patterns.patterns import (FlatMap, Fold, HashReduce, Map,
                                      ScatterMap)
@@ -19,8 +20,11 @@ def test_registry_names_unique_and_complete():
     names = [a.name for a in ALL_APPS]
     assert len(names) == 13
     assert len(set(names)) == 13
-    with pytest.raises(KeyError):
+    # typed for the CLI's error handler, still a KeyError for lookups
+    with pytest.raises(KeyError) as caught:
         get_app("nope")
+    assert isinstance(caught.value, ReproError)
+    assert str(caught.value).startswith("unknown benchmark 'nope'")
 
 
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)

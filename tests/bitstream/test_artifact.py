@@ -148,15 +148,6 @@ def test_programming_bug_in_decode_propagates(tmp_path, monkeypatch):
     assert cache.path_for(art.key).exists()
 
 
-def test_cache_stats_merge_folds_corrupt(tmp_path):
-    from repro.bitstream.cache import CacheStats
-    a = CacheStats(hits=2, misses=1, stores=1, corrupt=1)
-    b = CacheStats(hits=1, misses=0, stores=0, corrupt=2)
-    a.merge(b)
-    assert (a.hits, a.misses, a.corrupt) == (3, 1, 3)
-    assert a.lookups == 7
-
-
 def test_schema_mismatch_rejected():
     art = compile_to_bitstream("gemm", "tiny")
     stale = art.to_dict()

@@ -84,6 +84,17 @@ def test_run_benchmarks_report_shape():
     assert report["totals"]["cycles"] == row["cycles"]
 
 
+def test_run_benchmarks_keeps_request_order_and_splits_wall():
+    report = bench.run_benchmarks(scale="tiny", repeat=1,
+                                  apps=["gemm", "dram_rowconf"])
+    assert [r["name"] for r in report["benchmarks"]] == \
+        ["gemm", "dram_rowconf"]
+    totals = report["totals"]
+    assert totals["compile_s"] > 0 and totals["simulate_s"] > 0
+    assert totals["simulate_s"] == totals["wall_s"]
+    assert "jobs" not in report
+
+
 def test_run_benchmarks_compare_dense_reports_speedup():
     report = bench.run_benchmarks(scale="tiny", repeat=1,
                                   apps=["dram_rowconf"],

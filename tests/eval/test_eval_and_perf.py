@@ -94,6 +94,13 @@ def test_table7_single_app_row():
     assert "innerproduct" in table7.render([row])
 
 
+def test_table7_generate_is_deterministic_in_registry_order():
+    from repro.apps import ALL_APPS
+    rows = table7.generate("tiny", validate=False)
+    assert [row.name for row in rows] == [app.name for app in ALL_APPS]
+    assert table7.generate("tiny", validate=False) == rows
+
+
 def test_table6_two_apps():
     results = table6.generate(scale="tiny",
                               apps=[get_app("gemm"), get_app("sgd")])

@@ -34,9 +34,51 @@ def test_run_with_ir_and_floorplan(capsys):
     assert "floorplan" in out
 
 
-def test_run_unknown_app():
-    with pytest.raises(KeyError):
-        main(["run", "nonexistent"])
+def test_run_unknown_app(capsys):
+    assert main(["run", "nonexistent"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: unknown benchmark 'nonexistent'; "
+                          "available: ['bfs', ")
+
+
+BAD_INPUT = {
+    "run-unknown-app": ["run", "nosuch"],
+    "compile-unknown-app": ["compile", "nosuch"],
+    "bench-unknown-app": ["bench", "--apps", "nosuch"],
+    "bench-batch-unknown-app": ["bench", "--batch", "--apps", "nosuch"],
+    "figure7-simulate-unknown-app":
+        ["figure7", "stages", "--simulate", "--app", "nosuch"],
+    "run-multi-unknown-app": ["run", "--multi", "gemm", "nosuch"],
+    "run-batch-unknown-sweep-key":
+        ["run", "gemm", "--batch", "--sweep", "foo=1"],
+    "run-batch-params-not-dicts":
+        ["run", "gemm", "--batch", "--batch-params", "[1]"],
+    "run-missing-artifact": ["run", "--artifact", "/nonexistent.json"],
+    "chaos-unknown-scale":
+        ["chaos", "--scale", "huge", "--scenarios", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_is_one_line_on_stderr(argv, tmp_path, monkeypatch,
+                                         capsys):
+    """Each of these used to end in a Python traceback and status 1."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    try:
+        status = main(argv)
+    except SystemExit as exit_:  # argparse rejected the value itself
+        status = exit_.code
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    # argparse prefixes its one line with the command's usage block
+    lines = [line for line in captured.err.splitlines()
+             if not line.startswith(("usage:", " "))]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {argv[0]}: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_table5(capsys):
@@ -131,3 +173,37 @@ def test_run_multi_forwards_scheduler(mode, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "2 tenants, 161 cycles" in out
     assert out.count("yes") == 2
+
+
+@pytest.mark.parametrize("argv", [["table7", "--scale", "tiny"],
+                                  ["figure7", "stages", "--scale", "tiny"]],
+                         ids=["table7", "figure7"])
+def test_evaluation_writes_nothing_to_the_cache_dir(argv, tmp_path,
+                                                    monkeypatch, capsys):
+    """A bare ``repro table7`` used to leave 13 artifacts in the
+    default compile cache."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command",
+                         ["bench", "table6", "table7", "figure7"])
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--cache-dir", "d"],
+                                    ["--no-cache"]],
+                         ids=["jobs", "cache-dir", "no-cache"])
+def test_evaluation_commands_have_no_pool_or_cache_options(
+        command, option, capsys):
+    argv = [command] + (["stages"] if command == "figure7" else [])
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(argv + option)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_compile_keeps_its_cache_options():
+    args = build_parser().parse_args(
+        ["compile", "gemm", "--cache-dir", "d", "--no-cache"])
+    assert (args.cache_dir, args.no_cache) == ("d", True)

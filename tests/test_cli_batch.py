@@ -67,7 +67,7 @@ def test_parse_sweeps_cross_product():
 
 def test_figure7_simulate(capsys):
     assert main(["figure7", "stages", "--simulate", "--scale", "tiny",
-                 "--app", "innerproduct", "--no-cache"]) == 0
+                 "--app", "innerproduct"]) == 0
     out = capsys.readouterr().out
     assert "simulated sweep: stages" in out
 
