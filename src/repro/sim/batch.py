@@ -294,8 +294,7 @@ class _Schedule:
                     scratch = scratchpads[name]
                     col = pads[name]
                     delta[col + write] += len(addrs)
-                    extra = (scratch.write_extra(addrs) if write
-                             else scratch.read_extra(addrs))
+                    extra = scratch.conflict_extra(addrs, write)
                     if extra:
                         delta[col + 2] += extra
                         conflicted.append((name, extra, len(addrs)))
@@ -323,7 +322,12 @@ class _FrozenBatch:
 
 
 class _RawBatch:
-    """Recorded effect events for one vector issue (frozen lazily)."""
+    """The record of one vector issue (frozen lazily): its effect events
+    in program order — ``("s", sram, flat addresses, values)`` per
+    storing statement as the kernel listed it, ``("r", reg, value)``,
+    ``("h", sram, key, cell)`` and ``("e", fifo, words)`` from the
+    recorder's primitives — and the ``(sram, addresses)`` read and write
+    groups the kernel priced."""
 
     __slots__ = ("index", "lanes", "events", "reads", "writes", "_frozen")
 
@@ -353,14 +357,10 @@ def _freeze(events, mem_state) -> _FrozenBatch:
     emits = []
     for ev in events:
         kind = ev[0]
-        if kind == "s":            # SRAM write (tracks watermark)
-            _, name, flat, value = ev
-            bucket = per_mem.get(name)
-            if bucket is None:
-                bucket = per_mem[name] = {}
-            bucket[flat] = value
-            if flat > wm.get(name, -1):
-                wm[name] = flat
+        if kind == "s":            # a statement's SRAM writes, in store
+            _, name, flats, values = ev     # order (track the watermark)
+            per_mem.setdefault(name, {}).update(zip(flats, values))
+            wm[name] = max(wm.get(name, -1), *flats)
         elif kind == "h":          # hash-table write (no watermark)
             _, name, key, value = ev
             bucket = per_mem.get(name)
@@ -403,15 +403,13 @@ class _ReplayEnumerator:
 
 
 class _RecordingInnerComputeSim(InnerComputeSim):
-    """The leader's inner compute: normal execution + effect logging."""
+    """The leader's inner compute: normal execution — the same kernel a
+    solo leaf runs — plus keeping the record each issue leaves."""
 
     def __init__(self, leaf, config, mem, stats, fifos, log):
         super().__init__(leaf, config, mem, stats, fifos)
         self._log = log
         self._act: Optional[_ActivationLog] = None
-        self._sink: Optional[list] = None
-        self._last_reads: tuple = ()
-        self._last_writes: tuple = ()
 
     def _begin_body(self, bindings, version):
         self._act = _ActivationLog()
@@ -419,48 +417,36 @@ class _RecordingInnerComputeSim(InnerComputeSim):
         super()._begin_body(bindings, version)
 
     def _execute(self, batch):
-        self._sink = []
         extra = super()._execute(batch)
         if extra is not None:
-            # FIFO-full retries never reach the effect primitives, so a
-            # None result always leaves an empty (discardable) sink
+            # the issue's record: the groups the kernel priced, and its
+            # effects — the scratchpad stores the kernel listed, the
+            # rest appended by the primitives below, in program order
             batches = self._act.batches
             batches.append(_RawBatch(
-                len(batches), batch.lanes, self._sink, self._last_reads,
-                self._last_writes))
+                len(batches), batch.lanes, self._fx,
+                [(name, addrs) for (name, _site), addrs
+                 in self._reads.items()],
+                list(self._writes.items())))
         return extra
 
-    def _price(self, read_accesses, write_addrs):
-        self._last_reads = tuple(
-            (name, tuple(addrs))
-            for (name, _site), addrs in read_accesses.items())
-        self._last_writes = tuple(
-            (name, tuple(addrs)) for name, addrs in write_addrs.items())
-        return super()._price(read_accesses, write_addrs)
-
     def _apply_finals(self):
-        self._sink = []
         super()._apply_finals()
-        self._act.finish = self._sink
-
-    def _write_sram(self, mem, idxs, value):
-        flat = super()._write_sram(mem, idxs, value)
-        self._sink.append(("s", mem.name, flat, value))
-        return flat
+        self._act.finish = self._fx
 
     def _write_reg(self, mem, value):
         super()._write_reg(mem, value)
-        self._sink.append(("r", mem.name, value))
+        self._fx.append(("r", mem.name, value))
 
     def _hash_store(self, mem, buf, key, value):
         super()._hash_store(mem, buf, key, value)
         # record the post-assignment cell: it carries the exact dtype
         # cast the replayed assignment must reproduce
-        self._sink.append(("h", mem.name, int(key), buf.flat[key]))
+        self._fx.append(("h", mem.name, int(key), buf.flat[key]))
 
     def _emit_values(self, fifo, values):
         super()._emit_values(fifo, values)
-        self._sink.append(("e", fifo.decl.name, tuple(values)))
+        self._fx.append(("e", fifo.decl.name, tuple(values)))
 
 
 class _IssuePark(Park):

@@ -9,9 +9,9 @@ the dims they depend on advance, matching the PMU/PCU counter hardware.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.dhdl.ir import CounterChain
+from repro.dhdl.ir import Counter, CounterChain
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 
@@ -42,14 +42,18 @@ class Batch:
 class ChainEnumerator:
     """Lazily enumerate a counter chain in vector batches.
 
-    ``evaluate`` resolves bound expressions (which may read registers and
-    scratchpads) against the current partial bindings.
+    ``bounds(counter, bindings)`` resolves one counter's ``(lo, hi)``
+    — ``lo`` first; the expressions may read registers and scratchpads —
+    against the current partial bindings.  It is not asked about a
+    counter whose bounds are both integer constants.
     """
 
     def __init__(self, chain: CounterChain,
-                 evaluate: Callable[[E.Expr, dict], int],
+                 bounds: Callable[[Counter, dict], Sequence],
                  base_bindings: Optional[dict] = None,
                  max_total: int = 50_000_000):
+        #: per axis: the constant ``(lo, hi)``, or None
+        self._fixed = []
         for axis, counter in enumerate(chain.counters):
             # _advance only checks ``cur < hi``: a zero step would spin
             # forever and a negative one would walk away from the bound,
@@ -58,8 +62,13 @@ class ChainEnumerator:
                 raise SimulationError(
                     f"counter chain dim {axis} has non-positive step "
                     f"{counter.step}; steps must be >= 1")
+            ends = (counter.lo, counter.hi)
+            self._fixed.append(
+                tuple(end.value for end in ends)
+                if all(type(end) is E.Const and type(end.value) is int
+                       for end in ends) else None)
         self.chain = chain
-        self.evaluate = evaluate
+        self.bounds = bounds
         self.base = dict(base_bindings or {})
         self.max_total = max_total
         self._emitted = 0
@@ -67,23 +76,28 @@ class ChainEnumerator:
         self._lo = [0] * depth
         self._hi = [0] * depth
         self._cur = [0] * depth
+        #: bindings of everything outside the innermost counter, rebuilt
+        #: when an outer counter moves: every batch of one outer
+        #: iteration shares the dict (nothing mutates ``Batch.outer``)
+        self._outer: dict = {}
         self._exhausted = False
         self._primed = False
 
     # -- bound evaluation ---------------------------------------------------------
-    def _bindings_upto(self, axis: int) -> dict:
-        bindings = dict(self.base)
-        for k in range(axis):
-            bindings[self.chain.indices[k]] = self._cur[k]
-        return bindings
-
     def _eval_bounds(self, axis: int) -> bool:
         """(Re)compute lo/hi for ``axis``; True if the range is non-empty."""
-        bindings = self._bindings_upto(axis)
-        counter = self.chain.counters[axis]
-        self._lo[axis] = int(self.evaluate(counter.lo, bindings))
-        self._hi[axis] = int(self.evaluate(counter.hi, bindings))
-        return self._lo[axis] < self._hi[axis]
+        fixed = self._fixed[axis]
+        inner = axis == self.chain.depth - 1
+        if fixed is None or inner:
+            bindings = dict(self.base)
+            for k in range(axis):
+                bindings[self.chain.indices[k]] = self._cur[k]
+            if inner:
+                self._outer = bindings
+        lo, hi = fixed or self.bounds(self.chain.counters[axis], bindings)
+        lo = self._lo[axis] = int(lo)
+        hi = self._hi[axis] = int(hi)
+        return lo < hi
 
     def _descend(self, axis: int) -> bool:
         """Initialise dims ``axis..`` to their first values; False when the
@@ -122,7 +136,7 @@ class ChainEnumerator:
                 return None
         inner = self.chain.depth - 1
         counter = self.chain.counters[inner]
-        outer = self._bindings_upto(inner)
+        outer = self._outer
         start = self._cur[inner]
         stop = min(self._hi[inner], start + counter.par * counter.step)
         values = list(range(start, stop, counter.step))

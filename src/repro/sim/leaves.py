@@ -25,7 +25,8 @@ from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.sim.config import FabricConfig
 from repro.sim.counters import Batch, ChainEnumerator
-from repro.sim.datapath import Evaluator, compile_body
+from repro.sim.datapath import (Evaluator, compile_body,
+                                datapath_fault)
 from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
 from repro.sim.scheduler import Park
@@ -121,10 +122,18 @@ class InnerComputeSim(_LeafCommon):
         self._enum: Optional[ChainEnumerator] = None
         #: compiled body, built on the first vector issue
         self._kernel = None
-        #: (sram name, load site) -> lane addresses since the last
-        #: priced issue (bound expressions evaluated while the counter
-        #: chain wraps read into the same map)
+        #: the record of the last vector issue, kept for whoever
+        #: listens (the batch recorder, the test harness; nothing here
+        #: reads it back): ``(sram name, load site) -> lane addresses``
+        #: of every priced read group — bound expressions evaluated
+        #: while the counter chain wraps read into the same map, ahead
+        #: of the issue they are priced with — ``sram name -> flat
+        #: addresses`` of every priced write group, and the issue's
+        #: scratchpad stores, ``("s", sram name, flat addresses,
+        #: values)`` per storing statement in statement order
         self._reads: Dict[Tuple, List[int]] = {}
+        self._writes: Dict[str, List[int]] = {}
+        self._fx: List[Tuple] = []
         self._stall_until = 0
         #: the timed park of the current conflict stall or drain: built
         #: once, by the tick that starts it, for every tick inside it
@@ -175,12 +184,12 @@ class InnerComputeSim(_LeafCommon):
         """Set up evaluation state for one activation (overridden by the
         batch record/replay leaves)."""
         reads = self._reads = {}
-        scalar = self._evaluate
+        scalar = self._evaluate.bounds
 
-        def evaluate(expr, bnd):
-            return scalar(expr, bnd, version, reads)
+        def bounds(counter, bnd):
+            return scalar(counter, bnd, version, reads)
 
-        self._enum = ChainEnumerator(self.leaf.chain, evaluate, bindings)
+        self._enum = ChainEnumerator(self.leaf.chain, bounds, bindings)
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
                       if isinstance(s, ReduceStmt)}
 
@@ -198,7 +207,15 @@ class InnerComputeSim(_LeafCommon):
             # occupied (counts towards activity) but issues nothing
             self._wait(self._timed, cycle)
             return
-        batch = self._pending or self._enum.next_batch()
+        batch = self._pending
+        if batch is None:
+            # the last issue's record ends where the chain may read
+            # bounds into the next one's
+            self._reads.clear()
+            try:
+                batch = self._enum.next_batch()
+            except (ArithmeticError, ValueError) as err:
+                raise datapath_fault(self.name, "counter bounds", err)
         self._pending = None
         trace = self.trace
         if batch is None:
@@ -248,12 +265,14 @@ class InnerComputeSim(_LeafCommon):
         kernel = self._kernel
         if kernel is None:
             kernel = self._kernel = compile_body(self)
-        reads = self._reads
-        write_addrs: Dict[str, List[int]] = {}
-        kernel(self._version, batch.outer, batch.values, reads,
-               write_addrs, self._accs)
-        extra = self._price(reads, write_addrs)
-        reads.clear()
+        self._writes, self._fx = {}, []
+        try:
+            extra = kernel(self._version, batch.outer, batch.values,
+                           self._reads, self._writes, self._fx, self._accs)
+        except (ArithmeticError, ValueError) as err:
+            raise datapath_fault(
+                self.name, f"lanes {batch.values[0]}..{batch.values[-1]}",
+                err)
         self.stats.conflict_cycles += extra
         self.stats.ops_executed += self._ops_per_lane * batch.lanes
         return extra
@@ -270,22 +289,9 @@ class InnerComputeSim(_LeafCommon):
                 return False
         return True
 
-    def _price(self, read_accesses: Dict, write_addrs: Dict) -> int:
-        """Price the cycle: bank conflicts on reads and writes, per
-        operand stream (each load site reads in its own stage)."""
-        extra = 0
-        for (name, _site), addrs in read_accesses.items():
-            extra = max(extra, self.mem.scratchpads[name].read_cost(addrs))
-        for name, addrs in write_addrs.items():
-            extra = max(extra, self.mem.scratchpads[name].write_cost(addrs))
-        return extra
-
-    # effect-application primitives: every architecturally visible write
-    # funnels through one of these, so the batch recorder/replayer can
-    # intercept them without touching evaluation logic
-    def _write_sram(self, mem, idxs, value) -> int:
-        return self.mem.scratch(mem).store(self._version, idxs, value)
-
+    # effect-application primitives: a register, hash-bin or FIFO write
+    # funnels through one of these, so the batch recorder can log it
+    # (scratchpad stores it reads from the issue's record)
     def _write_reg(self, mem, value) -> None:
         self.mem.reg(mem).write(value)
 
@@ -305,27 +311,35 @@ class InnerComputeSim(_LeafCommon):
         self._active = False
 
     def _apply_finals(self) -> None:
-        """Apply the end-of-activation reduce results."""
+        """Apply the end-of-activation reduce results (their scratchpad
+        stores are left in ``_fx``, like an issue's)."""
         version = self._version
         index = self.leaf.chain.indices[-1]
-        for si, accs in self._accs.items():
-            stmt = self.leaf.stmts[si]
-            for key, (outer, lane, *values) in accs.items():
-                if stmt.carry:
-                    current = [
-                        self.mem.reg(mem).read() if isinstance(mem, Reg)
-                        else self.mem.scratch(mem).read_buffer(
-                            version)[key].item()
-                        for mem in stmt.mems]
-                    # the combine's own loads are not priced
-                    values = self._evaluate.combine(
-                        stmt, {**outer, index: lane}, version, current,
-                        values)
-                for mem, value in zip(stmt.mems, values):
-                    if isinstance(mem, Reg):
-                        self._write_reg(mem, value)
-                    else:
-                        self._write_sram(mem, list(key), value)
+        fx = self._fx = []
+        try:
+            for si, accs in self._accs.items():
+                stmt = self.leaf.stmts[si]
+                for key, (outer, lane, *values) in accs.items():
+                    if stmt.carry:
+                        current = [
+                            self.mem.reg(mem).read() if isinstance(mem, Reg)
+                            else self.mem.scratch(mem).read_buffer(
+                                version)[key].item()
+                            for mem in stmt.mems]
+                        # the combine's own loads are not priced
+                        values = self._evaluate.combine(
+                            stmt, {**outer, index: lane}, version, current,
+                            values)
+                    for mem, value in zip(stmt.mems, values):
+                        if isinstance(mem, Reg):
+                            self._write_reg(mem, value)
+                        else:
+                            flat = self.mem.scratch(mem).store(
+                                version, key, value)
+                            fx.append(("s", mem.name, [flat], [value]))
+        except (ArithmeticError, ValueError) as err:
+            raise datapath_fault(self.name, "the end-of-activation reduce",
+                                 err)
 
 
 class _TransferCommon(_LeafCommon):

@@ -32,7 +32,7 @@ from repro.dhdl.control import Scheme
 from repro.dhdl.ir import OuterController
 from repro.errors import SimulationError
 from repro.sim.counters import ChainEnumerator
-from repro.sim.datapath import Evaluator
+from repro.sim.datapath import Evaluator, datapath_fault
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import NodeSim
 from repro.sim.scheduler import EMPTY_PARK, Park, Progress
@@ -132,12 +132,12 @@ class OuterControllerSim(NodeSim):
         self._completed = [0] * len(self.children)
         self._stopped = False
         if self.ctrl.chain is not None:
-            scalar = self._evaluate
+            scalar = self._evaluate.bounds
 
-            def evaluate(expr, bnd):
-                return scalar(expr, bnd, version)
+            def bounds(counter, bnd):
+                return scalar(counter, bnd, version)
 
-            self._enum = ChainEnumerator(self.ctrl.chain, evaluate,
+            self._enum = ChainEnumerator(self.ctrl.chain, bounds,
                                          bindings)
         else:
             self._enum = None
@@ -152,7 +152,10 @@ class OuterControllerSim(NodeSim):
                 self._single_pending = False
                 return dict(self._base_bindings)
             return None
-        batch = self._enum.next_batch()
+        try:
+            batch = self._enum.next_batch()
+        except (ArithmeticError, ValueError) as err:
+            raise datapath_fault(self.name, "counter bounds", err)
         if batch is None:
             return None
         if batch.lanes != 1:

@@ -12,6 +12,14 @@ banking mode determines how many lane accesses one cycle can service:
 * ``FIFO`` — in-order streaming; always conflict-free.
 * ``LINE_BUFFER`` — sliding-window reads; conflict-free for unit-stride
   window accesses.
+
+:meth:`ScratchpadSim.conflict_extra` is that rule, the only one.  On
+the hot path nobody calls :meth:`ScratchpadSim.store` or the rule per
+lane or per group: a datapath kernel (``repro.sim.datapath``) stores in
+line, and decides in line the groups the banking mode or one of the
+rule's two structural shortcuts decides; ``store`` serves the
+end-of-activation reduce results, ``read_cost`` / ``write_cost`` the
+groups left over.
 """
 
 from __future__ import annotations
@@ -124,57 +132,65 @@ class ScratchpadSim:
         self._fallback.clear()
 
     # -- timing ------------------------------------------------------------------
-    def read_extra(self, flat_addrs: Sequence[int]) -> int:
-        """Pure conflict cost of one vector of lane reads (no counter
-        side effects): what ``repro.sim.batch`` prices a recorded
-        activation with, once per banking configuration."""
+    def conflict_extra(self, flat_addrs: Sequence[int],
+                       write: bool = False) -> int:
+        """Extra cycles (beyond 1) to service one vector of lane
+        accesses — the one pricing rule, free of side effects:
+        ``repro.sim.batch`` prices a recorded activation with it once
+        per banking configuration, and a datapath kernel calls it (via
+        :meth:`read_cost` / :meth:`write_cost`) for every group its own
+        in-line copy of the two structural shortcuts does not decide.
+
+        Only ``STRIDED`` serialises reads: identical addresses are one
+        physical access broadcast to the requesting lanes, the distinct
+        ones queue per bank.  Two shapes cost 0 by construction and are
+        recognised before any bank is computed: a *broadcast* (every
+        lane one address) and a *unit-stride run* of at most ``banks``
+        addresses under ``bank_stride == 1`` (consecutive words sit in
+        consecutive banks)."""
         mode = self.sram.banking
-        if mode in (BankingMode.FIFO, BankingMode.LINE_BUFFER,
-                    BankingMode.DUPLICATION):
+        count = len(flat_addrs)
+        if mode is not BankingMode.STRIDED:
+            # DUPLICATION broadcasts a write to every bank: one word
+            # per cycle; FIFO and LINE_BUFFER cannot conflict
+            return count - 1 if write and count \
+                and mode is BankingMode.DUPLICATION else 0
+        if not count:
             return 0
-        return self._conflict_extra(flat_addrs)
-
-    def read_cost(self, flat_addrs: Sequence[int]) -> int:
-        """Extra cycles (beyond 1) to service one vector of lane reads."""
-        extra = self.read_extra(flat_addrs)
-        self.reads += len(flat_addrs)
-        self._charge_conflict(extra, len(flat_addrs))
-        return extra
-
-    def _charge_conflict(self, extra: int, n_addrs: int) -> None:
-        """Charge one priced vector's serialisation (and tell a tracer)."""
-        self.conflict_cycles += extra
-        if extra and self.trace is not None:
-            self.trace.emit(EventKind.BANK_CONFLICT, self.sram.name,
-                            (extra, n_addrs))
-
-    def _conflict_extra(self, flat_addrs) -> int:
-        """Serialisation beyond 1 cycle under the configured decoder.
-
-        Identical addresses are one physical read broadcast to all
-        requesting lanes, so they are deduplicated first.
-        """
+        first = flat_addrs[0]
+        if flat_addrs.count(first) == count:
+            return 0
         stride, banks = self.sram.bank_stride, self.banks
+        if stride == 1 and count <= banks \
+                and flat_addrs[-1] - first == count - 1 \
+                and list(flat_addrs) == list(range(first, first + count)):
+            return 0
         hit = [(addr // stride) % banks for addr in set(flat_addrs)]
-        if len(set(hit)) == len(hit):   # no bank twice (or no access)
+        if len(set(hit)) == len(hit):   # no bank twice
             return 0
         return max(map(hit.count, set(hit))) - 1
 
-    def write_extra(self, flat_addrs: Sequence[int]) -> int:
-        """Pure conflict cost of one vector of lane writes."""
-        mode = self.sram.banking
-        if mode is BankingMode.DUPLICATION:
-            # every write is broadcast to all banks: one word per cycle
-            return max(0, len(flat_addrs) - 1)
-        if mode in (BankingMode.FIFO, BankingMode.LINE_BUFFER):
-            return 0
-        return self._conflict_extra(flat_addrs)
+    def read_cost(self, flat_addrs: Sequence[int]) -> int:
+        """Count and charge one vector of lane reads; returns its extra
+        cycles."""
+        self.reads += len(flat_addrs)
+        return self._charge(self.conflict_extra(flat_addrs),
+                            len(flat_addrs))
 
     def write_cost(self, flat_addrs: Sequence[int]) -> int:
-        """Extra cycles to service one vector of lane writes."""
-        extra = self.write_extra(flat_addrs)
+        """Count and charge one vector of lane writes; returns its extra
+        cycles."""
         self.writes += len(flat_addrs)
-        self._charge_conflict(extra, len(flat_addrs))
+        return self._charge(self.conflict_extra(flat_addrs, True),
+                            len(flat_addrs))
+
+    def _charge(self, extra: int, n_addrs: int) -> int:
+        """Charge one priced vector's serialisation (and tell a tracer)."""
+        if extra:
+            self.conflict_cycles += extra
+            if self.trace is not None:
+                self.trace.emit(EventKind.BANK_CONFLICT, self.sram.name,
+                                (extra, n_addrs))
         return extra
 
 

@@ -1,12 +1,16 @@
 """The per-lane tree-walking datapath interpreter, kept as a reference.
 
 ``repro.sim.datapath`` compiles every inner-controller body into one
-generated kernel.  This module is the recursive, ``isinstance``-
-dispatched interpreter the kernels replaced — evaluation order, memo
-scope, lazy ``Select``, float32 rounding, access recording and error
-messages exactly as it was — so the differential tests can run both
-and compare every vector issue.  It is slow on purpose; nothing under
-``src/`` may import it.
+generated kernel that also stores, counts and prices its own lanes.
+This module is the recursive, ``isinstance``-dispatched interpreter the
+kernels replaced — evaluation order, memo scope, lazy ``Select``,
+float32 rounding, access recording and error messages exactly as it
+was, every store one ``ScratchpadSim.store`` call, every group priced
+by ``read_cost`` / ``write_cost`` — so the differential tests can run
+both and compare every vector issue.  It leaves the same per-issue
+record on the leaf (``_reads``, ``_writes``, ``_fx``) the kernel does,
+and :class:`IssueLog` reads either.  It is slow on purpose; nothing
+under ``src/`` may import it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.dhdl.memory import Reg, Sram
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.sim.counters import ChainEnumerator
+from repro.sim.datapath import datapath_fault
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.machine import Machine
 
@@ -101,14 +106,17 @@ class LaneContext:
 
 
 class ReferenceInnerComputeSim(InnerComputeSim):
-    """An inner compute whose body is interpreted, not compiled.  Every
-    effect still goes through the ``_write_sram/_write_reg/_hash_store/
-    _emit_values/_price`` primitives of the real leaf."""
+    """An inner compute whose body is interpreted, not compiled: every
+    scratchpad store is one ``ScratchpadSim.store`` call, every address
+    group one ``read_cost`` / ``write_cost`` call, lane by lane and
+    group by group."""
 
     def _begin_body(self, bindings, version):
         ctx = self._ctx = LaneContext(self.mem, version)
         self._enum = ChainEnumerator(
-            self.leaf.chain, lambda expr, bnd: ctx.eval(expr, bnd, {}),
+            self.leaf.chain,
+            lambda counter, bnd: (ctx.eval(counter.lo, bnd, {}),
+                                  ctx.eval(counter.hi, bnd, {})),
             bindings)
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
                       if isinstance(s, ReduceStmt)}
@@ -118,23 +126,45 @@ class ReferenceInnerComputeSim(InnerComputeSim):
         if not self._check_fifo_room(batch.lanes):
             return None
         lanes = batch.lane_bindings
-        write_addrs: Dict[str, List[int]] = {}
+        write_addrs = self._writes = {}
+        self._fx = []
         caches = [dict() for _ in lanes]
-        for si, stmt in enumerate(self.leaf.stmts):
-            if isinstance(stmt, WriteStmt):
-                self._do_write(stmt, lanes, ctx, caches, write_addrs)
-            elif isinstance(stmt, ReduceStmt):
-                self._do_reduce(si, stmt, lanes, ctx, caches)
-            elif isinstance(stmt, HashReduceStmt):
-                self._do_hash(stmt, lanes, ctx, caches, write_addrs)
-            elif isinstance(stmt, EmitStmt):
-                self._do_emit(stmt, lanes, ctx, caches)
-            else:
-                raise SimulationError(f"unknown stmt {stmt!r}")
-        extra = self._price(ctx.reset_accesses(), write_addrs)
+        try:
+            for si, stmt in enumerate(self.leaf.stmts):
+                if isinstance(stmt, WriteStmt):
+                    self._do_write(stmt, lanes, ctx, caches, write_addrs)
+                elif isinstance(stmt, ReduceStmt):
+                    self._do_reduce(si, stmt, lanes, ctx, caches)
+                elif isinstance(stmt, HashReduceStmt):
+                    self._do_hash(stmt, lanes, ctx, caches, write_addrs)
+                elif isinstance(stmt, EmitStmt):
+                    self._do_emit(stmt, lanes, ctx, caches)
+                else:
+                    raise SimulationError(f"unknown stmt {stmt!r}")
+        except (ArithmeticError, ValueError) as err:
+            raise datapath_fault(
+                self.name, f"lanes {batch.values[0]}..{batch.values[-1]}",
+                err)
+        reads = self._reads = ctx.reset_accesses()
+        extra = self._price(reads, write_addrs)
         self.stats.conflict_cycles += extra
         self.stats.ops_executed += self._ops_per_lane * batch.lanes
         return extra
+
+    def _price(self, read_accesses, write_addrs) -> int:
+        """Price the cycle: bank conflicts on reads and writes, per
+        operand stream (each load site reads in its own stage)."""
+        extra = 0
+        for (name, _site), addrs in read_accesses.items():
+            extra = max(extra, self.mem.scratchpads[name].read_cost(addrs))
+        for name, addrs in write_addrs.items():
+            extra = max(extra, self.mem.scratchpads[name].write_cost(addrs))
+        return extra
+
+    def _write_sram(self, mem, idxs, value) -> int:
+        flat = self.mem.scratch(mem).store(self._version, idxs, value)
+        self._fx.append(("s", mem.name, [flat], [value]))
+        return flat
 
     def _do_write(self, stmt, lanes, ctx, caches, write_addrs):
         for lane, cache in zip(lanes, caches):
@@ -188,6 +218,7 @@ class ReferenceInnerComputeSim(InnerComputeSim):
 
     def _apply_finals(self):
         ctx = self._ctx
+        self._fx = []
         for si, accs in self._accs.items():
             stmt = self.leaf.stmts[si]
             for key, (snapshot, values) in accs.items():
@@ -219,48 +250,50 @@ class IssueLog:
     """Mixin over an inner-compute sim: appends to ``self.log`` one
     record per vector issue — the read/write address maps it priced,
     their conflict cost, and every effect it applied, in order — and one
-    per activation end.  The read map is compared as a set of sites (its
-    key order is the one deliberate difference, see ARCHITECTURE.md)."""
+    per activation end, all taken from the record the issue left on the
+    leaf (a statement's columnar ``("s", name, flats, values)`` entry
+    reads as one store per lane).  The read map is compared as a set of
+    sites (its key order is the one deliberate difference, see
+    ARCHITECTURE.md)."""
 
     log: list
-    _effects = None     # effects since the last record
 
     def _record(self, kind, *what):
-        effects, self._effects = self._effects or [], None
+        effects = []
+        for effect in self._fx:
+            if effect[0] == "s":
+                _, name, flats, values = effect
+                effects += [("sram", name, flat, value)
+                            for flat, value in zip(flats, values)]
+            else:
+                effects.append(effect)
         self.log.append((kind, self.name) + what + (repr(effects),))
 
-    def _fx_add(self, *effect):
-        if self._effects is None:
-            self._effects = []
-        self._effects.append(effect)
-
-    def _price(self, reads, writes):
-        extra = super()._price(reads, writes)
-        self._record("issue",
-                     sorted((key, list(v)) for key, v in reads.items()),
-                     [(key, list(v)) for key, v in writes.items()], extra)
+    def _execute(self, batch):
+        extra = super()._execute(batch)
+        if extra is not None:
+            self._record(
+                "issue",
+                sorted((key, list(v)) for key, v in self._reads.items()),
+                [(key, list(v)) for key, v in self._writes.items()], extra)
         return extra
 
     def _apply_finals(self):
         super()._apply_finals()
         self._record("finish")
 
-    def _write_sram(self, mem, idxs, value):
-        flat = super()._write_sram(mem, idxs, value)
-        self._fx_add("sram", mem.name, flat, value)
-        return flat
-
     def _write_reg(self, mem, value):
         super()._write_reg(mem, value)
-        self._fx_add("reg", mem.name, value)
+        self._fx.append(("reg", mem.name, value))
 
     def _hash_store(self, mem, buf, key, value):
         super()._hash_store(mem, buf, key, value)
-        self._fx_add("hash", mem.name, key, value, buf.flat[key].item())
+        self._fx.append(("hash", mem.name, key, value,
+                         buf.flat[key].item()))
 
     def _emit_values(self, fifo, values):
         super()._emit_values(fifo, values)
-        self._fx_add("emit", fifo.decl.name, list(values))
+        self._fx.append(("emit", fifo.decl.name, list(values)))
 
 
 class LoggedKernelSim(IssueLog, InnerComputeSim):

@@ -12,11 +12,18 @@ import pytest
 
 from repro.apps import ALL_APPS, get_app
 from repro.compiler import compile_program
+from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
+                        InnerCompute, OuterController, Scheme, StreamStore,
+                        TileLoad, TileStore, WriteStmt, validate)
 from repro.errors import DeadlockError, SimulationError
+from repro.patterns import Array
+from repro.patterns import expr as E
 from repro.sim import Machine
 from repro.sim import scheduler as core
 from repro.sim.batch import (_IssuePark, _RecordingMachine, _ReplayMachine,
                              instantiate, run_batch)
+
+from tests.sim.test_machine_handbuilt import default_config
 
 #: mixed timing overrides exercised across the whole registry: the
 #: as-compiled design, a shallow/re-banked one, and a deep pipeline on
@@ -312,3 +319,67 @@ def test_spurious_wake_inside_a_free_run(every, monkeypatch):
     solo, _ = _solo_outcome(source, overrides)
     assert _left_behind(follower, None) == _left_behind(solo, None)
     assert len(woken) >= 60 // every
+
+
+def test_columnar_store_record_keeps_program_order():
+    """One issue stores to each address of ``o_tile`` four times — two
+    lanes of one statement, then two lanes of a later one — writes a
+    register in between and emits into a FIFO.  The recorder keeps a
+    statement's stores as address/value columns, not as per-lane events;
+    a follower must still end with what the last store, the last
+    register write and the FIFO order of a solo run leave."""
+    n = 64
+    data = np.random.default_rng(11).standard_normal(n).astype(np.float32)
+    dhdl = DhdlProgram("twice")
+    dram_in = dhdl.dram(Array("a", (n,), E.FLOAT32, data=data))
+    dram_out = dhdl.dram(Array("o", (n // 2,), E.FLOAT32))
+    dram_kept = dhdl.dram(Array("kept", (n,), E.FLOAT32))
+    dhdl.dram(Array("count", (), E.INT32))
+    a_tile = dhdl.sram("a_tile", (n,), E.FLOAT32)
+    o_tile = dhdl.sram("o_tile", (n // 2,), E.FLOAT32)
+    fifo = dhdl.fifo("kept_fifo", E.FLOAT32, depth=4)
+    last = dhdl.reg("last", E.FLOAT32)
+    count_reg = dhdl.reg("count_reg", E.INT32)
+    pipe = OuterController("pipe", Scheme.PIPELINE)
+    dhdl.root.add(pipe)
+    pipe.add(TileLoad("load_a", dram_in, a_tile, (0,), (n,)))
+    stream = OuterController("stream", Scheme.STREAMING)
+    pipe.add(stream)
+    i = E.Idx("i")
+    stream.add(InnerCompute(
+        "mix", CounterChain([Counter(0, n, par=16)], [i]),
+        [WriteStmt(o_tile, (i / 2,), a_tile[i]),
+         WriteStmt(last, (), a_tile[i] * 3.0),
+         WriteStmt(o_tile, (i / 2,), a_tile[i] + 1.0),
+         EmitStmt(fifo, a_tile[i] > 0.0, a_tile[i])]))
+    stream.add(StreamStore("drain", dram_kept, fifo, count_reg))
+    pipe.add(TileStore("store_o", dram_out, o_tile, (0,), (n // 2,)))
+    dhdl.reg_outputs[count_reg.name] = "count"
+    validate(dhdl)
+    source = (dhdl, default_config(dhdl))
+    overrides = {"stages": 3, "banks": 4}
+    solo, error = _solo_outcome(source, overrides)
+    assert error is None
+    follower = _follower(source, overrides)
+    follower.run()
+    assert follower.stats.as_dict() == solo.stats.as_dict()
+    np.testing.assert_array_equal(solo.result("o"), data[1::2] + 1.0)
+    for name, pad in solo.mem.scratchpads.items():
+        other = follower.mem.scratchpads[name]
+        assert sorted(pad.versions) == sorted(other.versions)
+        for version, buf in pad.versions.items():
+            np.testing.assert_array_equal(buf, other.versions[version])
+        assert pad.watermark == other.watermark
+        assert (pad.reads, pad.writes, pad.conflict_cycles) == \
+            (other.reads, other.writes, other.conflict_cycles)
+    for name, reg in solo.mem.registers.items():
+        assert repr(reg.value) == repr(follower.mem.registers[name].value)
+    assert solo.mem.registers["last"].read() == \
+        float(np.float32(data[-1] * np.float32(3.0)))
+    for name, queue in solo.fifos.items():
+        other = follower.fifos[name]
+        assert (queue.pushed, queue.popped) == (other.pushed, other.popped)
+    for name, buf in solo.image.buffers.items():
+        np.testing.assert_array_equal(buf, follower.image.buffers[name])
+    kept = data[data > 0]
+    np.testing.assert_array_equal(solo.result("kept")[:len(kept)], kept)

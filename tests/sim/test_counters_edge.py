@@ -18,9 +18,8 @@ from repro.patterns import expr as E
 from repro.sim.counters import ChainEnumerator
 
 
-def _const_eval(expr, bindings):
-    assert isinstance(expr, E.Const)
-    return expr.value
+def _const_eval(counter, bindings):
+    raise AssertionError("constant bounds need no evaluation")
 
 
 def _chain(counters, names):
@@ -96,10 +95,10 @@ def test_max_total_catches_data_dependent_runaway():
     hi = E.Var("runaway_len", E.INT32)
     chain = CounterChain([Counter(E.wrap(0), hi, par=16)], [E.Idx("i")])
 
-    def ev(expr, bindings):
-        if expr is hi:
-            return 2 ** 31  # uninitialised/corrupted length register
-        return expr.value
+    def ev(counter, bindings):
+        assert counter.hi is hi
+        # uninitialised/corrupted length register
+        return counter.lo.value, 2 ** 31
 
     enum = ChainEnumerator(chain, ev, max_total=1_000)
     emitted = 0

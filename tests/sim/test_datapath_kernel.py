@@ -1,9 +1,10 @@
 """The compiled datapath kernel against the tree-walking reference.
 
 ``repro.sim.datapath`` turns each inner-controller body into one
-generated function.  The hand-built leaves below each isolate one
-behaviour of the interpreter it replaced that the bit-identical
-invariants depend on; every one is run through the kernel *and* through
+generated function that evaluates, stores, counts and prices a vector
+issue.  The hand-built leaves below each isolate one behaviour of the
+interpreter it replaced that the bit-identical invariants depend on;
+every one is run through the kernel *and* through
 ``tests/sim/reference_datapath.py`` and the per-issue logs (addresses
 priced, conflict cost, every store/emit in order) must agree exactly.
 The differential tests then do the same over the app registry and 200
@@ -12,18 +13,24 @@ fuzz programs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.apps.registry import ALL_APPS
+from repro.apps.registry import ALL_APPS, get_app
 from repro.compiler import compile_program
 from repro.compiler.artifact import freeze_program
 from repro.dhdl import (Counter, CounterChain, EmitStmt, HashReduceStmt,
                         InnerCompute, ReduceStmt, WriteStmt)
-from repro.dhdl.memory import FifoDecl, Reg, Sram
+from repro.dhdl.memory import BankingMode, FifoDecl, Reg, Sram
 from repro.errors import SimulationError
 from repro.fuzz.generator import build_program, gen_spec, spec_name
 from repro.fuzz.oracle import FUZZ_OPTIONS
 from repro.patterns import expr as E
-from repro.sim import FabricConfig, FifoSim, LeafTiming, MemoryState
+from repro.sim import (FabricConfig, FifoSim, LeafTiming, Machine,
+                       MemoryState)
+from repro.sim.batch import _RecordingMachine
+from repro.sim.leaves import InnerComputeSim
+from repro.sim.scratchpad import ScratchpadSim
 from repro.sim.stats import SimStats
 
 from tests.sim.reference_datapath import (LoggedKernelSim,
@@ -39,10 +46,10 @@ class Rig:
     """One inner-compute leaf on its own memory, driven tick by tick."""
 
     def __init__(self, reference, stmts, counters, srams=(), regs=(),
-                 fifos=(), data=None, indices=None):
+                 fifos=(), data=None, indices=None, banks=16):
         indices = indices or [E.Idx(f"i{k}") for k in range(len(counters))]
         leaf = InnerCompute("leaf", CounterChain(counters, indices), stmts)
-        self.mem = MemoryState(srams, regs)
+        self.mem = MemoryState(srams, regs, banks)
         for name, values in (data or {}).items():
             buf = self.mem.scratchpads[name].buffer(OLD)
             buf[...] = np.asarray(values).reshape(buf.shape)
@@ -234,10 +241,10 @@ def test_integers_are_unbounded_and_division_truncates_toward_zero():
 def test_transcendentals_raise_instead_of_returning_nan():
     a, o = Sram("a", (16,), F32), Sram("o", (16,), F32)
     i = E.Idx("i")
-    for reference in (False, True):
-        with pytest.raises(ValueError):
-            Rig(reference, [WriteStmt(o, (i,), E.log(a[i] - 1.0))],
-                lanes16(), [a, o], indices=[i]).run()
+    both_raise(r"leaf: arithmetic fault in lanes 0\.\.15: ValueError: "
+               r"math domain error",
+               [WriteStmt(o, (i,), E.log(a[i] - 1.0))],
+               lanes16(), [a, o], indices=[i])
 
 
 # -- 5. reductions -----------------------------------------------------------
@@ -303,6 +310,24 @@ def test_bound_loads_are_priced_with_the_issue_that_wraps():
         rig.buf("o").sum(axis=1), [16.0, 0.0, 5.0])
 
 
+def test_load_the_bounds_share_is_one_group_with_their_reads():
+    lens, a, o = Sram("lens", (3,), I32), Sram("a", (3, 16), F32), \
+        Sram("o", (3, 16), F32)
+    r, c = E.Idx("r"), E.Idx("c")
+    length = lens[r]                    # one node: the bound and the body
+    rig = both([WriteStmt(o, (r, c), a[r, c] + E.to_float(length))],
+               [Counter(0, 3), Counter(0, length, par=16)], [lens, a, o],
+               data={"lens": [2, 0, 3], "a": np.zeros(48)},
+               indices=[r, c])
+    first, second = rig.issues()
+    groups = [[addrs for (name, _site), addrs in rec[2] if name == "lens"]
+              for rec in (first, second)]
+    # the bound reads of the wrap (rows 0, 1, 2, 2) and the two lanes'
+    assert groups == [[[0, 1, 2, 2, 0, 0]], [[2, 2, 2]]]
+    assert "reads.items())" in rig.sim._kernel.source
+    np.testing.assert_array_equal(rig.buf("o").sum(axis=1), [4, 0, 9])
+
+
 def test_fifo_full_retry_evaluates_nothing():
     a = Sram("a", (32,), F32)
     fifo = FifoDecl("f", F32, depth=1)          # one 16-word vector
@@ -333,6 +358,16 @@ def test_out_of_bounds_load_and_store():
                indices=[i])
     both_raise(r"scratchpad OOB write: o\[\[16\]\] shape \(16,\)",
                [WriteStmt(o, (i + 1,), a[0, 0])], lanes16(), [a, o],
+               indices=[i])
+
+
+def test_arithmetic_fault_in_a_counter_bound_is_typed():
+    d, o = Sram("d", (4,), I32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    both_raise(r"leaf: arithmetic fault in counter bounds: "
+               r"ZeroDivisionError: ",
+               [WriteStmt(o, (i,), E.to_float(i))],
+               [Counter(0, E.wrap(16) / d[0], par=16)], [d, o],
                indices=[i])
 
 
@@ -373,6 +408,272 @@ def test_selects_nested_beyond_the_compilers_reach_fail_typed():
     with pytest.raises(SimulationError, match="nests too deeply"):
         Rig(False, [WriteStmt(o, (i,), value)], lanes16(), [a, o],
             indices=[i]).run()
+
+
+# -- 8. the store / count / price seam ---------------------------------------
+
+
+def test_two_lanes_storing_one_address_last_wins_both_priced():
+    a, o = Sram("a", (16,), F32), Sram("o", (8,), F32)
+    i = E.Idx("i")
+    rig = both([WriteStmt(o, (i / 2,), a[i])], lanes16(), [a, o],
+               data={"a": np.arange(16)}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"), np.arange(1, 16, 2))
+    (_, _, _, writes, extra, _), = rig.issues()
+    assert writes == [("o", [k // 2 for k in range(16)])]
+    assert extra == 0                   # eight distinct banks
+    assert rig.mem.scratchpads["o"].writes == 16
+
+
+def test_out_of_bounds_store_messages_are_the_scratchpads_own():
+    a = Sram("a", (16,), F32)
+    o2, o3 = Sram("o2", (4, 4), F32), Sram("o3", (2, 3, 4), F32)
+    i = E.Idx("i")
+    # lane 3 is the first out of range in both
+    for sram, idxs, first_bad in [
+            (o2, (i / 4, i % 4 + 1), [0, 4]),
+            (o3, (i / 4, i % 4, E.wrap(0)), [0, 3, 0])]:
+        with pytest.raises(SimulationError) as stored:
+            ScratchpadSim(sram).store(NOW, first_bad, 1.0)
+        assert str(stored.value).startswith(
+            f"scratchpad OOB write: {sram.name}[{first_bad}] shape ")
+        for reference in (False, True):
+            with pytest.raises(SimulationError) as issued:
+                Rig(reference, [WriteStmt(sram, idxs, a[i])], lanes16(),
+                    [a, sram], indices=[i]).run()
+            assert str(issued.value) == str(stored.value)
+
+
+def test_store_creates_its_version_copy_on_write_and_moves_the_watermark():
+    o = Sram("o", (4, 16), F32)
+    r, c = E.Idx("r"), E.Idx("c")
+    args = ([WriteStmt(o, (r, 15 - c), E.to_float(r * 16 + c))],
+            [Counter(1, 3), Counter(0, 16, par=8)], [o])
+    old = np.arange(64, dtype=np.float32) + 100.0
+    rigs = [Rig(reference, *args, data={"o": old}, indices=[r, c])
+            for reference in (False, True)]
+    marks = []
+    while rigs[0].sim.busy:
+        for rig in rigs:
+            rig.tick()
+        pads = [rig.mem.scratchpads["o"] for rig in rigs]
+        assert pads[0].watermark == pads[1].watermark
+        assert pads[0].watermark_for(NOW) == pads[1].watermark_for(NOW)
+        marks.append(pads[0].watermark_for(NOW))
+    assert rigs[0].log == rigs[1].log
+    assert_same_memory(rigs[0].mem, rigs[1].mem)
+    # rows 1 and 2, high half of the row first: the mark is the highest
+    # word stored so far, not the last
+    assert marks[:4] == [32, 32, 48, 48]
+    want = old.reshape(4, 16).copy()
+    want[1:3] = (np.arange(16, 48, dtype=np.float32)
+                 .reshape(2, 16)[:, ::-1])
+    np.testing.assert_array_equal(rigs[0].buf("o"), want)
+    # ... and the version the leaf read its copy from is untouched
+    np.testing.assert_array_equal(
+        rigs[0].mem.scratchpads["o"].versions[OLD].reshape(-1), old)
+
+
+def test_stores_cast_through_the_scratchpads_dtype():
+    a = Sram("a", (16,), F32)
+    ints, flags = Sram("ints", (16,), I32), Sram("flags", (16,), E.BOOL)
+    i = E.Idx("i")
+    data = np.linspace(-2.0, 5.5, 16, dtype=np.float32)
+    rig = both([WriteStmt(ints, (i,), a[i] * 1.5),
+                WriteStmt(flags, (i,), a[i])],
+               lanes16(), [a, ints, flags], data={"a": data}, indices=[i])
+    assert rig.buf("ints").dtype == np.int32
+    np.testing.assert_array_equal(
+        rig.buf("ints"), [np.int32(float(np.float32(v) * 1.5))
+                          for v in data])
+    assert rig.buf("flags").dtype == np.bool_
+    np.testing.assert_array_equal(rig.buf("flags"), data != 0)
+
+
+def test_load_site_no_lane_reaches_leaves_no_group():
+    a, b, o = (Sram(n, (16,), F32) for n in ("a", "b", "o"))
+    i = E.Idx("i")
+    lane = i % 16
+    rig = both([WriteStmt(o, (lane,),
+                          E.select(a[lane] > i * 10.0, b[lane], a[lane]))],
+               lanes16(32), [a, b, o],
+               data={"a": [0.0] * 15 + [200.0], "b": np.arange(16)},
+               indices=[i])
+    first, second = rig.issues()
+    sites = [{name for (name, _site), _addrs in rec[2]}
+             for rec in (first, second)]
+    # lane 15 of the first issue takes the branch; in the second issue
+    # (i * 10 >= 160 > every a) no lane does, and b is neither in the
+    # record nor counted
+    assert sites == [{"a", "b"}, {"a"}]
+    assert rig.mem.scratchpads["b"].reads == 1
+
+
+def test_uniform_load_is_read_once_and_priced_once_per_lane():
+    ptr, a, o = Sram("ptr", (4,), I32), Sram("a", (32,), F32), \
+        Sram("o", (16,), F32)
+    i = E.Idx("i")
+    rig = both([WriteStmt(o, (i,), a[i + ptr[1]])], lanes16(), [ptr, a, o],
+               data={"ptr": [0, 7, 9, 9], "a": np.arange(32)}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"), np.arange(16) + 7.0)
+    assert rig.mem.scratchpads["ptr"].reads == 16
+    source = rig.sim._kernel.source
+    head, loop = source.split("for x in lanes:")
+    assert "(1)" in head and "[1] * len(lanes)" in head
+    assert "ptr" not in loop
+
+
+def test_uniform_load_under_a_lazily_shared_node_stays_per_lane():
+    a, b, o = (Sram(n, (16,), F32) for n in ("a", "b", "o"))
+    ptr = Sram("ptr", (4,), F32)
+    fifo = FifoDecl("f", F32, depth=4)
+    i = E.Idx("i")
+    # the emitting lanes evaluate ``shared`` (and read ptr[1]) first,
+    # the store statement finishes the others: one read per lane in all
+    shared = (b[i] + ptr[1]) * 2.0
+    rig = both([EmitStmt(fifo, a[i] > 0.0, shared),
+                WriteStmt(o, (i,), shared)],
+               lanes16(), [a, b, o, ptr], fifos=[fifo],
+               data={"a": [1, -1] * 8, "b": np.arange(16),
+                     "ptr": [0, 5, 0, 0]}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"), (np.arange(16) + 5) * 2.0)
+    assert rig.mem.scratchpads["ptr"].reads == 16
+
+
+MODES = st.sampled_from(list(BankingMode))
+
+
+def _general_rule(addrs, mode, stride, banks, write):
+    """The pricing rule with no shortcut in it (the pre-kernel text)."""
+    if mode is BankingMode.DUPLICATION and write:
+        return max(0, len(addrs) - 1)
+    if mode is not BankingMode.STRIDED:
+        return 0
+    hit = [(addr // stride) % banks for addr in set(addrs)]
+    if len(set(hit)) == len(hit):
+        return 0
+    return max(map(hit.count, set(hit))) - 1
+
+
+ADDRESS_LISTS = st.one_of(
+    st.lists(st.integers(0, 255), min_size=0, max_size=24),
+    # the shapes the shortcuts decide, and their near misses
+    st.builds(lambda lo, n, step: list(range(lo, lo + n * step, step)),
+              st.integers(0, 200), st.integers(1, 24), st.integers(1, 3)),
+    st.builds(lambda addr, n, odd: [addr] * n + odd,
+              st.integers(0, 255), st.integers(1, 24),
+              st.lists(st.integers(0, 255), max_size=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ADDRESS_LISTS, MODES, st.sampled_from([1, 2, 4, 16]),
+       st.sampled_from([1, 4, 16, 32]), st.booleans())
+def test_shortcut_pricing_equals_the_general_rule(addrs, mode, stride,
+                                                  banks, write):
+    pad = ScratchpadSim(Sram("t", (256,), F32, mode, bank_stride=stride),
+                        banks)
+    want = _general_rule(addrs, mode, stride, banks, write)
+    assert pad.conflict_extra(addrs, write) == want
+    assert pad.conflict_extra(tuple(addrs), write) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=16, max_size=16), MODES,
+       st.sampled_from([1, 4]), st.sampled_from([4, 16]))
+def test_kernel_prices_gathers_and_scatters_like_the_reference(
+        addrs, mode, stride, banks):
+    d = Sram("d", (16,), I32)
+    a = Sram("a", (64,), F32, mode, bank_stride=stride)
+    o = Sram("o", (64,), F32, mode, bank_stride=stride)
+    i = E.Idx("i")
+    rig = both([WriteStmt(o, (d[i],), a[d[i]] + a[i])], lanes16(),
+               [d, a, o], data={"d": addrs, "a": np.arange(64)},
+               indices=[i], banks=banks)
+    (_, _, _, _, extra, _), = rig.issues()
+    pads = rig.mem.scratchpads
+    lanes = list(range(16))
+    assert extra == max(pads["d"].conflict_extra(lanes),
+                        pads["a"].conflict_extra(lanes),
+                        pads["a"].conflict_extra(addrs),
+                        pads["o"].conflict_extra(addrs, True))
+
+
+# -- pins: one kernel, no per-lane round trip --------------------------------
+
+
+def test_store_statement_calls_nothing_of_the_leaf():
+    a, o = Sram("a", (16,), F32), Sram("o", (4, 4), F32)
+    i = E.Idx("i")
+    rig = both([WriteStmt(o, (i / 4, i % 4), a[i])], lanes16(), [a, o],
+               data={"a": np.arange(16)}, indices=[i])
+    kernel = rig.sim._kernel
+    assert "_write_sram" not in kernel.source
+    bound = [name for name, obj in kernel.__globals__.items()
+             if getattr(obj, "__self__", None) is rig.sim]
+    assert bound == []
+    assert not hasattr(InnerComputeSim, "_write_sram")
+    assert not hasattr(InnerComputeSim, "_price")
+
+
+def test_solo_recording_and_logging_leaves_run_the_same_kernel():
+    compiled = compile_program(get_app("smdv").build("tiny"))
+    machines = [Machine(compiled.dhdl, compiled.config),
+                _RecordingMachine(compiled.dhdl, compiled.config, {}),
+                LoggingMachine(compiled.dhdl, compiled.config)]
+    sources = []
+    for machine in machines:
+        machine.run()
+        sources.append({leaf.name: leaf._kernel.source
+                        for leaf in machine._leaves
+                        if isinstance(leaf, InnerComputeSim)})
+    assert sources[0] and sources[0] == sources[1] == sources[2]
+
+
+@pytest.mark.parametrize("app, scale, pinned", [
+    ("smdv", "small", (772, 252, 0)), ("gemm", "tiny", (32, 0, 16))])
+def test_general_rule_runs_once_per_undecided_group(monkeypatch, app,
+                                                    scale, pinned):
+    """A solo run calls the scratchpad's rule only where the kernel's
+    in-line shortcuts decide nothing: for the counter chain's bound
+    reads (priced as found, whatever their shape) and for strided
+    groups that are neither a broadcast nor a short unit-stride run."""
+    compiled = compile_program(get_app(app).build(scale))
+    logged = LoggingMachine(compiled.dhdl, compiled.config)
+    logged.run()
+    pads = logged.mem.scratchpads
+    bound_sites = {
+        id(node) for leaf in compiled.dhdl.leaves()
+        if isinstance(leaf, InnerCompute)
+        for counter in leaf.chain.counters
+        for end in (counter.lo, counter.hi) for node in E.postorder(end)}
+
+    def undecided(pad, addrs):
+        count = len(addrs)
+        return (pad.sram.banking is BankingMode.STRIDED
+                and addrs.count(addrs[0]) != count
+                and not (pad.sram.bank_stride == 1 and count <= pad.banks
+                         and addrs == list(range(addrs[0],
+                                                 addrs[0] + count))))
+
+    issues = [rec for rec in logged.issue_log if rec[0] == "issue"]
+    reads = [(site, pads[name], addrs) for rec in issues
+             for (name, site), addrs in rec[2]]
+    writes = [(pads[name], addrs) for rec in issues
+              for name, addrs in rec[3]]
+    bound = sum(site in bound_sites for site, _pad, _addrs in reads)
+    general = sum(undecided(pad, addrs) for site, pad, addrs in reads
+                  if site not in bound_sites) \
+        + sum(undecided(pad, addrs) for pad, addrs in writes)
+
+    calls = []
+    rule = ScratchpadSim.conflict_extra
+    monkeypatch.setattr(
+        ScratchpadSim, "conflict_extra",
+        lambda self, addrs, write=False:
+            calls.append(1) or rule(self, addrs, write))
+    Machine(compiled.dhdl, compiled.config).run()
+    assert len(calls) == bound + general
+    assert (len(reads) + len(writes), bound, general) == pinned
 
 
 # -- differential: every vector issue of real programs -----------------------
