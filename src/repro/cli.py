@@ -251,7 +251,6 @@ def _cmd_run_multi(args) -> int:
                      watchdog=args.watchdog,
                      max_cycles=args.max_cycles,
                      priorities=priorities,
-                     bandwidth_aware=args.bandwidth_aware,
                      scheduler=args.scheduler)
     except MappingError as err:
         print(f"repro run --multi: {err}", file=sys.stderr)
@@ -285,16 +284,6 @@ def _cmd_run_multi(args) -> int:
             print(f"    {name}: weight {entry['priority']}, "
                   f"won {entry['arb_won']} / deferred "
                   f"{entry['arb_deferred']} contended grants")
-    bandwidth = (res.pack_report or {}).get("bandwidth")
-    if bandwidth:
-        classes = ", ".join(
-            f"{name}={prof['class']}"
-            for name, prof in sorted(bandwidth["tenants"].items()))
-        print(f"  bandwidth classes: {classes}")
-        demand = bandwidth["predicted_channel_demand"]
-        peak = max(v["fraction_of_peak"] for v in demand.values())
-        print(f"  predicted channel demand: "
-              f"{100 * peak:.1f}% of peak per channel")
     return 0
 
 
@@ -530,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --multi: one QoS weight per app for "
                           "the shared DRAM arbitration (all-equal "
                           "weights run plain FR-FCFS bit-identically)")
-    run.add_argument("--bandwidth-aware", action="store_true",
-                     help="with --multi: profile each app solo, "
-                          "classify compute- vs memory-bound, and "
-                          "interleave the classes when packing regions")
     run.add_argument("--artifact", default=None, metavar="PATH",
                      help="simulate a saved bitstream artifact instead "
                           "of compiling")

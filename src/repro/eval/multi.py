@@ -153,7 +153,6 @@ def run_qos_benchmark(apps: Sequence[str] = QOS_APPS,
     earlier while total makespan stays sane.
     """
     from repro.tenancy import co_run
-    from repro.tenancy.profile import profile_app
 
     if len(priorities) != len(apps):
         raise ValueError(f"{len(priorities)} priorities for "
@@ -181,9 +180,6 @@ def run_qos_benchmark(apps: Sequence[str] = QOS_APPS,
             hi_weighted.finish_cycle < hi_base.finish_cycle,
         "unweighted_fabric_cycles": base.fabric_cycles,
         "weighted_fabric_cycles": weighted.fabric_cycles,
-        "bandwidth_classes": {
-            app: profile_app(app, scale).klass
-            for app in dict.fromkeys(apps)},
         "qos": weighted.qos,
         "validated": all(t.validated for t in base.tenants)
         and all(t.validated for t in weighted.tenants),
@@ -194,12 +190,9 @@ def render_qos(report: dict) -> str:
     """Human-readable QoS benchmark summary."""
     pairs = ", ".join(f"{a}:{p}" for a, p in zip(report["apps"],
                                                  report["priorities"]))
-    classes = ", ".join(f"{a}={c}" for a, c
-                        in sorted(report["bandwidth_classes"].items()))
     lines = [
         f"qos arbitration — {pairs} ({report['scale']}), "
         f"rev={report['rev']}",
-        f"  bandwidth classes: {classes}",
         f"  high-priority tenant {report['hi_tenant']}: finish cycle "
         f"{report['unweighted_hi_cycles']} unweighted -> "
         f"{report['weighted_hi_cycles']} weighted "

@@ -47,7 +47,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.bitstream.cache import default_cache_root
 from repro.serve.jobs import Job, JobOutcome, JobTable
@@ -55,10 +55,46 @@ from repro.serve.metrics import CircuitBreaker, ServiceStats
 from repro.serve.protocol import JobRequest, RequestError, parse_request
 from repro.serve.workers import execute_job
 
+#: mean per-channel data-bus occupancy of a solo run (fraction of its
+#: cycles) at or above which an app counts as memory-bound when
+#: co-schedule flushes are seated
+MEMORY_BOUND_OCCUPANCY = 0.20
+
 
 def default_data_dir() -> Path:
     """Artifact/trace store: ``<cache root>/serve`` by default."""
     return default_cache_root() / "serve"
+
+
+def classify(bus_util: float) -> str:
+    """Bandwidth class from a solo run's mean data-bus occupancy."""
+    return "memory" if bus_util >= MEMORY_BOUND_OCCUPANCY else "compute"
+
+
+def compose_batches(items: Sequence[tuple], max_size: int
+                    ) -> "list[list]":
+    """Partition (key, class) items into co-residency groups.
+
+    Memory-bound items are dealt round-robin across the groups first
+    (spreading the bandwidth demand), then compute-bound and unknown
+    items fill the emptiest group — so each fabric mixes classes
+    instead of stacking its memory-bound arrivals together, FIFO-style.
+    A class is ``"memory"``, ``"compute"`` or None (unknown); returns
+    groups of the original items, input order preserved per class.
+    """
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    items = list(items)
+    groups: "list[list]" = [[] for _ in range(
+        -(-len(items) // max_size))]
+    memory = [it for it in items if it[1] == "memory"]
+    rest = [it for it in items if it[1] != "memory"]
+    for k, item in enumerate(memory):
+        groups[k % len(groups)].append(item)
+    for item in rest:
+        target = min(groups, key=len)
+        target.append(item)
+    return [g for g in groups if g]
 
 
 def _worker_init() -> None:
@@ -144,7 +180,7 @@ class ReproService:
         #: fabric (each tenant keeps its own weight)
         self._cosched: dict = {}
         #: learned bandwidth classes: (app, scale) -> "memory"/"compute"
-        #: folded from completed solo runs and profiled pack reports;
+        #: folded from completed solo runs of registry apps;
         #: co-schedule flushes seat batches with these
         self._bw_classes: "dict[tuple, str]" = {}
         self._breakers: "dict[str, CircuitBreaker]" = {
@@ -305,12 +341,11 @@ class ReproService:
 
         High-priority jobs are seated first (they get fabric seats even
         when a flush overflows into several batches), then
-        :func:`repro.tenancy.profile.compose_batches` deals memory-bound
-        jobs — per the classes the service has learned from completed
-        runs — round-robin across the batches so no single fabric
-        stacks all the bandwidth demand.
+        :func:`compose_batches` deals memory-bound jobs — per the
+        classes the service has learned from completed runs —
+        round-robin across the batches so no single fabric stacks all
+        the bandwidth demand.
         """
-        from repro.tenancy.profile import compose_batches
         ranked = sorted(entries,
                         key=lambda e: -e[0].params.priority)  # stable
         items = [(entry, self._bw_classes.get((entry[0].app, scale)))
@@ -398,7 +433,7 @@ class ReproService:
         except BaseException as err:  # noqa: BLE001 — waiters must wake
             outcome = (500, {"error": f"internal error: "
                                       f"{type(err).__name__}: {err}"})
-        self._account(outcome, mode=request.mode)
+        self._account(outcome, request)
         self.table.remember(job.key, outcome)  # 200s only, both modes
         self.table.retire(job)
         job.finish(outcome)
@@ -473,7 +508,7 @@ class ReproService:
             self.stats.respawns += 1
 
     def _account(self, outcome: JobOutcome,
-                 mode: Optional[str] = None) -> None:
+                 request: Optional[JobRequest] = None) -> None:
         status, result = outcome
         if status == 200:
             self.stats.completed += 1
@@ -481,8 +516,8 @@ class ReproService:
             self.stats.failed += 1
         # breaker sees executed jobs only (never cache hits or
         # coalesced waiters): 5xx = infrastructure failure
-        if mode is not None and mode in self._breakers:
-            self._breakers[mode].record(status < 500)
+        if request is not None and request.mode in self._breakers:
+            self._breakers[request.mode].record(status < 500)
         if not isinstance(result, dict):
             return
         compile_meta = result.get("compile")
@@ -495,40 +530,23 @@ class ReproService:
             self.stats.sims += 1
         if result.get("mode") == "multi":
             self.stats.multis += 1
-        if status == 200:
-            self._learn_bandwidth(result)
+        if status == 200 and request is not None and request.kind == "app":
+            self._learn_class(request, result)
 
-    def _learn_bandwidth(self, result: dict) -> None:
-        """Fold a finished job's bandwidth evidence into the classes
-        used to seat future co-schedule batches.
+    def _learn_class(self, request: JobRequest, result: dict) -> None:
+        """Fold a solo registry-app run's data-bus occupancy into the
+        classes used to seat future co-schedule batches.
 
-        Solo simulate results carry the exact per-channel occupancy the
-        profiler would measure; bandwidth-profiled pack reports carry
-        ready-made classes.  Co-scheduled per-tenant stats are skipped —
-        co-resident occupancy is skewed by the batch mix.
+        Seating looks classes up by (registry app, scale), so spec and
+        stored-artifact runs — which nothing could ever read back — are
+        never learned from, and neither are co-scheduled per-tenant
+        stats (co-resident occupancy is skewed by the batch mix).
         """
-        from repro.tenancy.profile import classify
-        app, scale = result.get("app"), result.get("scale")
-        stats = result.get("stats")
-        if (app and scale and isinstance(stats, dict)
-                and not result.get("coscheduled")):
-            channels = stats.get("dram_channels") or {}
-            utils = [entry.get("util", 0.0)
-                     for entry in channels.values()
-                     if isinstance(entry, dict)]
-            if utils:
-                self._bw_classes[(app, scale)] = classify(
-                    sum(utils) / len(utils))
-        report = result.get("pack_report")
-        bandwidth = (report.get("bandwidth")
-                     if isinstance(report, dict) else None)
-        if isinstance(bandwidth, dict):
-            for prof in (bandwidth.get("tenants") or {}).values():
-                if isinstance(prof, dict) and prof.get("app") \
-                        and prof.get("class"):
-                    self._bw_classes[(prof["app"],
-                                      prof.get("scale", "tiny"))] = \
-                        prof["class"]
+        channels = (result.get("stats") or {}).get("dram_channels") or {}
+        utils = [entry.get("util", 0.0) for entry in channels.values()]
+        if utils:
+            self._bw_classes[(request.app, request.scale)] = classify(
+                sum(utils) / len(utils))
 
     # -- chaos injection ---------------------------------------------------------
     def chaos_kill_worker(self) -> JobOutcome:

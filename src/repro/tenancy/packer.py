@@ -9,7 +9,10 @@ Packing is two-phase:
    row-major anchor) rectangle whose PCU/PMU site capacity covers its
    footprint and which does not overlap any region already claimed.
    Pricing a candidate is O(1) (``region_capacity`` reads a summed-area
-   table), so a plan costs its overlap tests, not the grid.
+   table), so a plan costs its overlap tests, not the grid.  Area is
+   the only ordering key: every tenant's DRAM slice stripes over all
+   channels wherever its region sits, so placement cannot change DRAM
+   contention.
 2. *Commit* — each app is recompiled constrained to its planned region.
    Placement can still fail inside a capacity-feasible region (routing
    detours consume no sites but fragmentation can defeat the nearest-
@@ -31,9 +34,6 @@ from repro.arch.params import DEFAULT, PlasticineParams
 from repro.bitstream.artifact import Bitstream, CompileOptions
 from repro.compiler.place_route import Region, region_capacity
 from repro.errors import MappingError
-from repro.tenancy.profile import (BandwidthProfile,
-                                   predicted_channel_demand,
-                                   profile_app)
 
 #: commit retries per app before the packing is declared infeasible
 _MAX_RETRIES = 4
@@ -78,9 +78,6 @@ class PackReport:
     #: populated when infeasible: which app failed, and why
     failed_app: Optional[str] = None
     reason: Optional[str] = None
-    #: bandwidth-aware packs only: per-tenant class + predicted
-    #: per-channel demand (see :mod:`repro.tenancy.profile`)
-    bandwidth: Optional[dict] = None
 
     def as_dict(self) -> dict:
         return {
@@ -94,7 +91,6 @@ class PackReport:
             "sites_total": self.sites_total,
             "failed_app": self.failed_app,
             "reason": self.reason,
-            "bandwidth": self.bandwidth,
         }
 
 
@@ -147,50 +143,21 @@ def _first_fit(params: PlasticineParams, need_pcus: int, need_pmus: int,
     return None
 
 
-def _plan_order(footprints: Sequence[Footprint],
-                profiles: Optional[Dict[str, BandwidthProfile]]
-                ) -> List[Footprint]:
-    """Placement order: FFD by area, bandwidth-interleaved if profiled.
-
-    With profiles, memory-bound and compute-bound apps alternate (each
-    class still largest-first) so complementary tenants land in
-    adjacent regions and the memory-bound ones spread out instead of
-    clustering wherever pure area order happened to drop them.
-    """
-    by_area = sorted(footprints, key=lambda f: f.area, reverse=True)
-    if not profiles:
-        return by_area
-    memory = [f for f in by_area
-              if profiles.get(f.app) is not None
-              and profiles[f.app].memory_bound]
-    memory_ids = {id(f) for f in memory}
-    rest = [f for f in by_area if id(f) not in memory_ids]
-    order: List[Footprint] = []
-    while memory or rest:
-        if memory:
-            order.append(memory.pop(0))
-        if rest:
-            order.append(rest.pop(0))
-    return order
-
-
 def plan_regions(footprints: Sequence[Footprint],
                  params: PlasticineParams = DEFAULT,
-                 slack: Optional[Dict[str, Tuple[int, int]]] = None,
-                 profiles: Optional[Dict[str, BandwidthProfile]] = None
+                 slack: Optional[Dict[str, Tuple[int, int]]] = None
                  ) -> PackReport:
     """First-fit-decreasing region plan for a list of footprints.
 
     ``slack`` maps app name -> extra ``(pcus, pmus)`` to demand beyond
     the measured footprint (the commit phase uses it to grow — along
     the failing resource only — a region whose exact-capacity
-    placement failed).  ``profiles`` switches placement order to the
-    bandwidth-interleaved discipline (see :func:`_plan_order`).  Order
-    within the returned report follows the *input* order, so tenant
-    ids are stable regardless of the packing order.
+    placement failed).  Order within the returned report follows the
+    *input* order, so tenant ids are stable regardless of the packing
+    order.
     """
     slack = slack or {}
-    order = _plan_order(footprints, profiles)
+    order = sorted(footprints, key=lambda f: f.area, reverse=True)
     taken: List[Region] = []
     placed: Dict[str, PackedTenant] = {}
     total = params.grid_cols * params.grid_rows
@@ -238,20 +205,12 @@ def _grow_slack(slack: Dict[str, Tuple[int, int]], app: str,
 
 def pack_apps(apps: Sequence[str], scale: str = "tiny",
               params: PlasticineParams = DEFAULT,
-              options: Optional[CompileOptions] = None,
-              bandwidth_aware: bool = False) -> PackReport:
+              options: Optional[CompileOptions] = None) -> PackReport:
     """Plan and commit a packing: region-compiled artifacts for all apps.
 
     Duplicate app names are allowed (the same workload co-resident with
     itself); each occurrence gets its own tenant and region, and all
     of them share one footprint measurement.
-
-    ``bandwidth_aware`` adds a profile phase: each distinct app is
-    solo-run briefly (or replayed from the process-wide profile cache)
-    and classified compute- vs memory-bound from its measured
-    per-channel data-bus occupancy; placement then interleaves the
-    classes so complementary tenants sit side by side, and the report
-    carries per-tenant classes plus predicted per-channel demand.
     """
     from repro.compiler.artifact import compile_to_bitstream
     names = _unique_names(apps)
@@ -259,18 +218,10 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
                 for app in dict.fromkeys(apps)}
     footprints = [Footprint(name, measured[app].pcus, measured[app].pmus)
                   for name, app in zip(names, apps)]
-    profiles: Optional[Dict[str, BandwidthProfile]] = None
-    if bandwidth_aware:
-        by_app = {app: profile_app(app, scale, params=params,
-                                   options=options)
-                  for app in set(apps)}
-        profiles = {name: by_app[app]
-                    for name, app in zip(names, apps)}
     slack: Dict[str, Tuple[int, int]] = {}
     report = None
     for _ in range(_MAX_RETRIES):
-        report = plan_regions(footprints, params, slack,
-                              profiles=profiles)
+        report = plan_regions(footprints, params, slack)
         if not report.feasible:
             return report
         failed = None
@@ -283,9 +234,6 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
                 failed = (tenant.app, str(err))
                 break
         if failed is None:
-            if profiles is not None:
-                report.bandwidth = _bandwidth_section(
-                    names, profiles, params)
             return report
         # grow the offender's demanded capacity along the failing
         # resource and replan
@@ -293,17 +241,6 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
         report.feasible = False
         report.failed_app, report.reason = failed
     return report
-
-
-def _bandwidth_section(names: Sequence[str],
-                       profiles: Dict[str, BandwidthProfile],
-                       params: PlasticineParams) -> dict:
-    """The ``PackReport.bandwidth`` payload for a profiled packing."""
-    return {
-        "tenants": {name: profiles[name].as_dict() for name in names},
-        "predicted_channel_demand": predicted_channel_demand(
-            [profiles[name] for name in names], params),
-    }
 
 
 def repack(report: PackReport, failed_region: Region,

@@ -14,7 +14,7 @@ flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.params import DEFAULT, PlasticineParams
@@ -83,7 +83,6 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
            tracer_factory=None,
            packing: Optional[PackReport] = None,
            priorities: Optional[Sequence[int]] = None,
-           bandwidth_aware: bool = False,
            scheduler: str = "event") -> CoRunResult:
     """Pack ``apps`` onto one fabric, run to completion, validate.
 
@@ -99,10 +98,12 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
     ``priorities`` (one int >= 1 per app) weights each tenant in the
     shared DRAM channels' QoS arbitration; omitted or all-equal
     priorities run the bit-identical plain FR-FCFS scheduler.
-    ``bandwidth_aware`` turns on the packer's profile phase (solo-run
-    classification + complementary placement + predicted per-channel
-    demand in the pack report).  ``scheduler`` is the stepping core's
-    mode, as for ``Machine.run`` (cycle-exact either way).
+    ``scheduler`` is the stepping core's mode, as for ``Machine.run``
+    (cycle-exact either way).
+
+    ``validate`` builds and executes each distinct app's reference
+    program once and checks every tenant running it against that one
+    result.
     """
     from repro.apps.registry import get_app
     from repro.compiler.artifact import compile_to_bitstream
@@ -121,8 +122,7 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
     else:
         if packing is None:
             packing = pack_apps(apps, scale, params=params,
-                                options=options,
-                                bandwidth_aware=bandwidth_aware)
+                                options=options)
         report = packing.as_dict()
         if not packing.feasible:
             raise MappingError(
@@ -144,15 +144,21 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
             priority=priorities[k] if priorities is not None else 1)
         handles.append(handle)
     fabric.run(scheduler=scheduler)
+    references = {}
+    if validate:
+        for app in dict.fromkeys(apps):
+            application = get_app(app)
+            program = application.build(scale)
+            references[app] = (application, program,
+                               application.expected(program))
     tenants = []
-    for (name, app, artifact, region), handle in zip(entries, handles):
+    for (name, app, _artifact, region), handle in zip(entries, handles):
         validated = False
         if validate:
-            application = get_app(app)
-            expected = application.expected(application.build(scale))
+            application, program, expected = references[app]
             results = {out: handle.machine.result(out)
                        for out in expected}
-            application.check(artifact.dhdl, results, expected)
+            application.check(program, results, expected)
             validated = True
         tenants.append(TenantResult(
             app=app, name=handle.name, stats=handle.machine.stats,

@@ -31,8 +31,6 @@ def test_report_shape(report):
     assert report["hi_speedup"] == pytest.approx(
         report["unweighted_hi_cycles"] / report["weighted_hi_cycles"],
         abs=1e-4)
-    assert report["bandwidth_classes"] == {"gemm": "compute",
-                                           "tpchq6": "memory"}
     assert report["qos"]["weighted"] is True
 
 

@@ -11,9 +11,14 @@ classes from completed solo runs to seat future batches.
 import asyncio
 import json
 
+import pytest
+
 from repro.serve import ReproService, ServeConfig, dispatch, execute_job
 from repro.serve.protocol import (MAX_PRIORITY, RequestError,
                                   parse_request)
+from repro.serve.service import (MEMORY_BOUND_OCCUPANCY, classify,
+                                 compose_batches)
+from tests.serve.test_service import _spec
 
 PAIR = ["gemm", "tpchq6"]
 QOS_BODY = {"apps": ["gemm", "tpchq6", "tpchq6"],
@@ -188,6 +193,85 @@ def test_service_learns_classes_from_solo_runs(tmp_path):
         await service.drain()
 
     asyncio.run(scenario())
+
+
+def test_spec_and_artifact_jobs_learn_no_class(tmp_path):
+    """Seating reads classes by (registry app, scale): a spec or stored
+    artifact run must not leave an entry nothing can ever read."""
+    async def scenario():
+        service = ReproService(_config(tmp_path), runner=execute_job)
+        for seed in range(3):
+            response = await dispatch(service, "POST", "/simulate",
+                                      _body({"spec": _spec(seed)}))
+            assert response.status == 200, response.json
+        compiled = await dispatch(
+            service, "POST", "/compile",
+            _body({"app": "gda", "scale": "tiny"}))
+        assert compiled.status == 200, compiled.json
+        stored = await dispatch(
+            service, "POST", "/simulate",
+            _body({"artifact_hash": compiled.json["content_hash"]}))
+        assert stored.status == 200, stored.json
+        stats = (await dispatch(service, "GET", "/statsz")).json
+        assert stats["qos"]["bandwidth_classes"] == {}
+
+        response = await dispatch(service, "POST", "/simulate",
+                                  _body({"app": "gda", "scale": "tiny"}))
+        assert response.status == 200, response.json
+        stats = (await dispatch(service, "GET", "/statsz")).json
+        assert stats["qos"]["bandwidth_classes"] == {"gda:tiny": "memory"}
+        await service.drain()
+
+    asyncio.run(scenario())
+
+
+def test_classify_threshold():
+    assert classify(MEMORY_BOUND_OCCUPANCY) == "memory"
+    assert classify(MEMORY_BOUND_OCCUPANCY - 0.01) == "compute"
+
+
+def test_compose_batches_spreads_memory_bound():
+    items = [("m1", "memory"), ("m2", "memory"),
+             ("c1", "compute"), ("c2", "compute")]
+    groups = compose_batches(items, 2)
+    assert len(groups) == 2
+    for group in groups:
+        classes = sorted(klass for _, klass in group)
+        assert classes == ["compute", "memory"]
+
+
+def test_compose_batches_accepts_strings_and_none():
+    items = [("a", "memory"), ("b", None), ("c", "compute"),
+             ("d", "memory")]
+    groups = compose_batches(items, 2)
+    assert sorted(name for g in groups for name, _ in g) \
+        == ["a", "b", "c", "d"]
+    # the two memory-bound items land in different groups
+    homes = [k for k, g in enumerate(groups)
+             for name, _ in g if name in ("a", "d")]
+    assert homes[0] != homes[1]
+
+
+def test_compose_batches_preserves_order_within_class():
+    items = [(f"m{k}", "memory") for k in range(4)]
+    groups = compose_batches(items, 2)
+    # round-robin deal: group 0 gets m0,m2 / group 1 gets m1,m3
+    assert [name for name, _ in groups[0]] == ["m0", "m2"]
+    assert [name for name, _ in groups[1]] == ["m1", "m3"]
+
+
+def test_compose_batches_single_group():
+    items = [("a", "memory"), ("b", "compute")]
+    assert compose_batches(items, 4) == [items]
+
+
+def test_compose_batches_rejects_bad_max_size():
+    with pytest.raises(ValueError, match="max_size"):
+        compose_batches([("a", None)], 0)
+
+
+def test_compose_batches_empty():
+    assert compose_batches([], 3) == []
 
 
 def test_compose_cosched_seats_by_priority_and_class(tmp_path):

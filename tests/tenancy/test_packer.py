@@ -131,6 +131,8 @@ def test_pack_report_as_dict_is_json_shaped():
         assert row["pcus"] >= 1 and row["pmus"] >= 1
         assert isinstance(row["capacity"], list)
     assert 0 < d["sites_used"] <= d["sites_total"]
+    assert set(d) == {"feasible", "tenants", "sites_used", "sites_total",
+                      "failed_app", "reason"}
 
 
 def test_pack_report_type_exported():
@@ -215,5 +217,20 @@ def test_benchmark_mixes_keep_their_regions(apps, regions):
     ``b1e8b16`` (per-candidate ``site_kinds`` rebuild, one footprint
     compile per occurrence)."""
     packing = pack_apps(apps, "small")
+    assert packing.feasible, packing.reason
+    assert [t.region.as_tuple() for t in packing.tenants] == regions
+
+
+@pytest.mark.parametrize("apps,regions", [
+    (("tpchq6", "gemm", "tpchq6"),
+     [(1, 0, 7, 1), (1, 1, 5, 1), (9, 0, 7, 1)]),
+    (("gemm", "cnn", "gda", "logreg"),
+     [(9, 3, 5, 1), (5, 0, 3, 4), (9, 0, 3, 3), (1, 0, 3, 5)]),
+], ids=["repeated", "mixed"])
+def test_default_packing_keeps_its_regions(apps, regions):
+    """Mixes of memory- and compute-bound apps at ``tiny``, as packed
+    at ``4d89fd4`` (before area became the packer's only ordering
+    key)."""
+    packing = pack_apps(apps, "tiny")
     assert packing.feasible, packing.reason
     assert [t.region.as_tuple() for t in packing.tenants] == regions

@@ -1,156 +1,13 @@
-"""Bandwidth profiling and bandwidth-aware packing.
+"""The pack report carries no bandwidth profile.
 
-Profiles are *measured* (a solo sim, not a heuristic), so the class
-assignments asserted here — gemm compute-bound, the streaming apps
-memory-bound — are properties of the model, and the cache must hand
-back the very same measurement to every caller.
+Packing is by region area alone; nothing measures an app's DRAM
+bandwidth before it is placed, so the report has no section for it.
 """
 
-import pytest
-
-from repro.tenancy import (BandwidthProfile, compose_batches, pack_apps,
-                           profile_app)
-from repro.tenancy.profile import (MEMORY_BOUND_UTIL, classify,
-                                   clear_profile_cache,
-                                   predicted_channel_demand)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_profile_cache()
-    yield
-    clear_profile_cache()
-
-
-# ---------------------------------------------------------------------------
-# Measurement + classification
-# ---------------------------------------------------------------------------
-
-
-def test_classify_threshold():
-    assert classify(MEMORY_BOUND_UTIL) == "memory"
-    assert classify(MEMORY_BOUND_UTIL - 0.01) == "compute"
-    assert classify(0.9, threshold=0.95) == "compute"
-
-
-def test_gemm_is_compute_bound():
-    profile = profile_app("gemm", "tiny")
-    assert profile.klass == "compute"
-    assert profile.memory_bound is False
-    assert profile.bus_util < MEMORY_BOUND_UTIL
-    assert profile.cycles > 0
-    assert profile.dram_bytes > 0
-
-
-def test_streaming_apps_are_memory_bound():
-    for app in ("tpchq6", "gda"):
-        profile = profile_app(app, "tiny")
-        assert profile.memory_bound, \
-            f"{app} bus_util={profile.bus_util}"
-
-
-def test_profile_is_cached():
-    first = profile_app("gemm", "tiny")
-    assert profile_app("gemm", "tiny") is first
-    clear_profile_cache()
-    assert profile_app("gemm", "tiny") is not first
-
-
-def test_as_dict_shape():
-    d = profile_app("tpchq6", "tiny").as_dict()
-    assert d["app"] == "tpchq6"
-    assert d["scale"] == "tiny"
-    assert d["class"] == "memory"
-    assert set(d) == {"app", "scale", "cycles", "dram_bytes",
-                      "bytes_per_cycle", "bus_util", "class"}
-
-
-def test_predicted_channel_demand():
-    profiles = [profile_app(a, "tiny") for a in ("gemm", "tpchq6")]
-    demand = predicted_channel_demand(profiles)
-    assert set(demand) == {"ch0", "ch1", "ch2", "ch3"}
-    want = round(sum(p.bytes_per_cycle for p in profiles) / 4, 3)
-    for entry in demand.values():
-        assert entry["bytes_per_cycle"] == want
-        assert 0.0 < entry["fraction_of_peak"] < 1.0
-
-
-# ---------------------------------------------------------------------------
-# Batch composition
-# ---------------------------------------------------------------------------
-
-
-def _item(name, klass):
-    return (name, klass)
-
-
-def test_compose_batches_spreads_memory_bound():
-    items = [_item("m1", "memory"), _item("m2", "memory"),
-             _item("c1", "compute"), _item("c2", "compute")]
-    groups = compose_batches(items, 2)
-    assert len(groups) == 2
-    for group in groups:
-        classes = sorted(klass for _, klass in group)
-        assert classes == ["compute", "memory"]
-
-
-def test_compose_batches_accepts_profiles_strings_and_none():
-    profile = BandwidthProfile(
-        app="x", scale="tiny", cycles=10, dram_bytes=640,
-        bytes_per_cycle=64.0, bus_util=0.5, klass="memory")
-    items = [("a", profile), ("b", None), ("c", "compute"),
-             ("d", "memory")]
-    groups = compose_batches(items, 2)
-    assert sorted(name for g in groups for name, _ in g) \
-        == ["a", "b", "c", "d"]
-    # the two memory-bound items land in different groups
-    homes = [k for k, g in enumerate(groups)
-             for name, _ in g if name in ("a", "d")]
-    assert homes[0] != homes[1]
-
-
-def test_compose_batches_preserves_order_within_class():
-    items = [_item(f"m{k}", "memory") for k in range(4)]
-    groups = compose_batches(items, 2)
-    flat = [name for g in groups for name, _ in g]
-    assert sorted(flat) == ["m0", "m1", "m2", "m3"]
-    # round-robin deal: group 0 gets m0,m2 / group 1 gets m1,m3
-    assert [name for name, _ in groups[0]] == ["m0", "m2"]
-    assert [name for name, _ in groups[1]] == ["m1", "m3"]
-
-
-def test_compose_batches_single_group():
-    items = [_item("a", "memory"), _item("b", "compute")]
-    assert compose_batches(items, 4) == [items[:1] + items[1:]]
-
-
-def test_compose_batches_rejects_bad_max_size():
-    with pytest.raises(ValueError, match="max_size"):
-        compose_batches([("a", None)], 0)
-
-
-def test_compose_batches_empty():
-    assert compose_batches([], 3) == []
-
-
-# ---------------------------------------------------------------------------
-# pack_apps integration
-# ---------------------------------------------------------------------------
-
-
-def test_pack_apps_bandwidth_aware_attaches_report():
-    packing = pack_apps(["gemm", "tpchq6"], "tiny",
-                        bandwidth_aware=True)
-    assert packing.feasible, packing.reason
-    section = packing.as_dict()["bandwidth"]
-    tenants = section["tenants"]
-    assert tenants["gemm"]["class"] == "compute"
-    assert tenants["tpchq6"]["class"] == "memory"
-    assert set(section["predicted_channel_demand"]) \
-        == {"ch0", "ch1", "ch2", "ch3"}
+from repro.tenancy import pack_apps
 
 
 def test_pack_apps_default_has_no_bandwidth_section():
     packing = pack_apps(["gemm", "tpchq6"], "tiny")
     assert packing.feasible
-    assert packing.as_dict()["bandwidth"] is None
+    assert "bandwidth" not in packing.as_dict()

@@ -60,8 +60,28 @@ def test_as_dict_carries_priority_and_qos():
                 "finish_cycle"} <= set(entry)
 
 
-def test_bandwidth_aware_pack_report():
-    result = co_run(PAIR, scale="tiny", bandwidth_aware=True)
-    section = result.pack_report["bandwidth"]
-    assert section["tenants"]["gemm"]["class"] == "compute"
-    assert section["tenants"]["tpchq6"]["class"] == "memory"
+
+def test_validation_executes_each_distinct_app_once(monkeypatch):
+    """Three tpchq6 riders share one reference execution, and every
+    tenant is still checked — against the real ``Program``."""
+    from repro.apps import base
+    from repro.patterns.program import Program
+
+    executed, checked = [], []
+    run_program, check = base.run_program, base.App.check
+
+    def counting_run(program, *args, **kwargs):
+        executed.append(program.name)
+        return run_program(program, *args, **kwargs)
+
+    def counting_check(self, program, *args, **kwargs):
+        checked.append(program)
+        return check(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(base, "run_program", counting_run)
+    monkeypatch.setattr(base.App, "check", counting_check)
+    result = co_run(["tpchq6"] * 3, scale="tiny")
+    assert executed == ["tpchq6"]
+    assert len(checked) == 3
+    assert all(isinstance(program, Program) for program in checked)
+    assert all(tenant.validated for tenant in result.tenants)
