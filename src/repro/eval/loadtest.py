@@ -261,7 +261,6 @@ def run_loadtest(host: str, port: int, requests: int = 200,
             "coschedule_batches": delta("work", "coschedule_batches"),
             "coschedule_jobs": delta("work", "coschedule_jobs"),
             "priority_jobs": delta("qos", "priority_jobs"),
-            "cosched_reordered": delta("qos", "cosched_reordered"),
             "worker_crashes": delta("faults", "worker_crashes"),
             "worker_retries": delta("faults", "retries"),
             "respawns": delta("faults", "respawns"),
@@ -304,8 +303,8 @@ def render(report: dict) -> str:
     if report.get("priority_every"):
         rows.append(
             ["qos", f"{server['priority_jobs']} priority jobs",
-             f"{server['cosched_reordered']} batches re-seated "
-             f"off FIFO order"])
+             f"1 in {report['priority_every']} multi-tenant bodies "
+             f"elevated"])
     if report.get("kill_every"):
         rows.append(
             ["chaos", f"{report['kills']} workers killed",

@@ -15,7 +15,7 @@ For every benchmark:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.apps import ALL_APPS, App
@@ -98,8 +98,6 @@ def evaluate_app(app: App, scale: str = "small",
         switch_activity=min(1.0, max(activity.switch_activity, 0.4)),
     )
     power = chip_power(projected, params)
-    measured_eff = stats.dram_busy_fraction if \
-        stats.dram_busy_fraction > 0.05 else None
     plasticine_s = plasticine_runtime_s(profile)
     fpga_s = fpga_runtime_s(profile)
     fpga_w = fpga_power_w(profile)

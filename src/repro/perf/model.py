@@ -8,8 +8,8 @@ a roofline-style model whose terms mirror the simulator's mechanisms:
 
 * **compute** — utilized FLOPs/cycle = lanes x pipeline stages in use x
   duplicated inner controllers, capped at the chip peak;
-* **streaming** — dense traffic at the DDR3 peak times a measured or
-  default efficiency;
+* **streaming** — dense traffic at the DDR3 peak times a calibrated
+  efficiency;
 * **random** — gathers/scatters limited by the tFAW activation budget
   (16 row activations per 30 ns across 4 channels), multiplied by the
   useful words each burst carries after coalescing;
@@ -21,8 +21,7 @@ Every constant is either a hardware parameter from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.workload import WorkloadProfile
@@ -57,12 +56,10 @@ def random_access_gbps(params: PlasticineParams = DEFAULT,
     return bursts_per_ns * knobs.coalesce_words * 4.0
 
 
-def plasticine_runtime_s(profile: WorkloadProfile,
-                         params: PlasticineParams = DEFAULT,
-                         knobs: PerfKnobs = DEFAULT_KNOBS,
-                         measured_stream_eff: Optional[float] = None
-                         ) -> float:
-    """Estimated Plasticine runtime in seconds for one workload."""
+def _roofs(profile: WorkloadProfile, params: PlasticineParams,
+           knobs: PerfKnobs) -> "dict[str, float]":
+    """Seconds each roof takes for one workload, per-app overrides
+    applied: ``compute``, ``stream``, ``random`` and ``sequential``."""
     clock_hz = params.clock_ghz * 1e9
 
     # compute roof: lanes x pipeline x outer duplication, chip capped
@@ -76,39 +73,34 @@ def plasticine_runtime_s(profile: WorkloadProfile,
                      * profile.outer_parallelism)
     per_cycle = min(peak_per_cycle,
                     exploited) * knobs.compute_efficiency
-    compute_s = profile.flops / (per_cycle * clock_hz)
 
     # memory roofs
-    eff = (measured_stream_eff if measured_stream_eff
-           else knobs.stream_efficiency)
-    stream_s = profile.stream_bytes / (params.dram.peak_gbps * 1e9 * eff)
     if profile.plasticine_coalesce_words is not None:
-        from dataclasses import replace
         knobs = replace(knobs,
                         coalesce_words=profile.plasticine_coalesce_words)
-    random_s = (4.0 * profile.random_accesses
-                / (random_access_gbps(params, knobs) * 1e9))
+    return {
+        "compute": profile.flops / (per_cycle * clock_hz),
+        "stream": profile.stream_bytes / (params.dram.peak_gbps * 1e9
+                                          * knobs.stream_efficiency),
+        "random": (4.0 * profile.random_accesses
+                   / (random_access_gbps(params, knobs) * 1e9)),
+        "sequential": (profile.sequential_iters
+                       * knobs.seq_overhead_cycles) / clock_hz,
+    }
 
-    seq_s = (profile.sequential_iters
-             * knobs.seq_overhead_cycles) / clock_hz
-    return max(compute_s, stream_s + random_s) + seq_s
+
+def plasticine_runtime_s(profile: WorkloadProfile,
+                         params: PlasticineParams = DEFAULT,
+                         knobs: PerfKnobs = DEFAULT_KNOBS) -> float:
+    """Estimated Plasticine runtime in seconds for one workload."""
+    roofs = _roofs(profile, params, knobs)
+    return (max(roofs["compute"], roofs["stream"] + roofs["random"])
+            + roofs["sequential"])
 
 
 def bound_of(profile: WorkloadProfile,
              params: PlasticineParams = DEFAULT,
              knobs: PerfKnobs = DEFAULT_KNOBS) -> str:
     """Which roof binds this workload on Plasticine."""
-    clock_hz = params.clock_ghz * 1e9
-    peak_per_cycle = params.num_pcus * params.pcu.fus
-    exploited = (profile.inner_parallelism
-                 * max(1, min(profile.pipeline_ops,
-                              params.pcu.stages * 16))
-                 * profile.outer_parallelism)
-    per_cycle = min(peak_per_cycle, exploited) * knobs.compute_efficiency
-    compute_s = profile.flops / (per_cycle * clock_hz)
-    stream_s = profile.stream_bytes / (params.dram.peak_gbps * 1e9
-                                       * knobs.stream_efficiency)
-    random_s = (4.0 * profile.random_accesses
-                / (random_access_gbps(params, knobs) * 1e9))
-    terms = {"compute": compute_s, "stream": stream_s, "random": random_s}
-    return max(terms, key=terms.get)
+    roofs = _roofs(profile, params, knobs)
+    return max(("compute", "stream", "random"), key=roofs.get)

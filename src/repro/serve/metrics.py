@@ -155,7 +155,6 @@ class ServiceStats:
     multis: int = 0            # multi-tenant fabric runs
     cosched_batches: int = 0   # co-schedule batches flushed to a fabric
     cosched_jobs: int = 0      # jobs served by co-scheduling
-    cosched_reordered: int = 0  # flushes whose composed seating != FIFO
     priority_jobs: int = 0     # requests claiming a QoS weight > 1
     cache_hits: int = 0
     cache_misses: int = 0

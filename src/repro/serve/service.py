@@ -47,7 +47,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.bitstream.cache import default_cache_root
 from repro.serve.jobs import Job, JobOutcome, JobTable
@@ -55,46 +55,10 @@ from repro.serve.metrics import CircuitBreaker, ServiceStats
 from repro.serve.protocol import JobRequest, RequestError, parse_request
 from repro.serve.workers import execute_job
 
-#: mean per-channel data-bus occupancy of a solo run (fraction of its
-#: cycles) at or above which an app counts as memory-bound when
-#: co-schedule flushes are seated
-MEMORY_BOUND_OCCUPANCY = 0.20
-
 
 def default_data_dir() -> Path:
     """Artifact/trace store: ``<cache root>/serve`` by default."""
     return default_cache_root() / "serve"
-
-
-def classify(bus_util: float) -> str:
-    """Bandwidth class from a solo run's mean data-bus occupancy."""
-    return "memory" if bus_util >= MEMORY_BOUND_OCCUPANCY else "compute"
-
-
-def compose_batches(items: Sequence[tuple], max_size: int
-                    ) -> "list[list]":
-    """Partition (key, class) items into co-residency groups.
-
-    Memory-bound items are dealt round-robin across the groups first
-    (spreading the bandwidth demand), then compute-bound and unknown
-    items fill the emptiest group — so each fabric mixes classes
-    instead of stacking its memory-bound arrivals together, FIFO-style.
-    A class is ``"memory"``, ``"compute"`` or None (unknown); returns
-    groups of the original items, input order preserved per class.
-    """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    items = list(items)
-    groups: "list[list]" = [[] for _ in range(
-        -(-len(items) // max_size))]
-    memory = [it for it in items if it[1] == "memory"]
-    rest = [it for it in items if it[1] != "memory"]
-    for k, item in enumerate(memory):
-        groups[k % len(groups)].append(item)
-    for item in rest:
-        target = min(groups, key=len)
-        target.append(item)
-    return [g for g in groups if g]
 
 
 def _worker_init() -> None:
@@ -179,10 +143,6 @@ class ReproService:
         #: params are priority-normalized so mixed-priority jobs share a
         #: fabric (each tenant keeps its own weight)
         self._cosched: dict = {}
-        #: learned bandwidth classes: (app, scale) -> "memory"/"compute"
-        #: folded from completed solo runs of registry apps;
-        #: co-schedule flushes seat batches with these
-        self._bw_classes: "dict[tuple, str]" = {}
         self._breakers: "dict[str, CircuitBreaker]" = {
             mode: CircuitBreaker(self.config.breaker_threshold,
                                  self.config.breaker_cooldown_s)
@@ -329,29 +289,22 @@ class ReproService:
             pass
         del self._cosched[group]
         scale, params = group
-        batches = self._compose_cosched(entries, scale)
-        if [e for batch in batches for e in batch] != entries:
-            self.stats.cosched_reordered += 1
         await asyncio.gather(*(
             self._run_cosched_batch(batch, scale, params)
-            for batch in batches))
+            for batch in self._compose_cosched(entries)))
 
-    def _compose_cosched(self, entries, scale: str) -> "list[list]":
-        """Seat a flush's jobs into fabric batches, not FIFO.
+    def _compose_cosched(self, entries) -> "list[list]":
+        """Seat a flush's jobs into fabric batches: priority, then arrival.
 
-        High-priority jobs are seated first (they get fabric seats even
-        when a flush overflows into several batches), then
-        :func:`compose_batches` deals memory-bound jobs — per the
-        classes the service has learned from completed runs —
-        round-robin across the batches so no single fabric stacks all
-        the bandwidth demand.
+        The jobs are stable-sorted by descending priority and dealt
+        round-robin into ``ceil(n / coschedule_max)`` batches, so an
+        overflowing flush seats its high-priority jobs first and every
+        batch holds at most ``coschedule_max`` tenants.
         """
         ranked = sorted(entries,
                         key=lambda e: -e[0].params.priority)  # stable
-        items = [(entry, self._bw_classes.get((entry[0].app, scale)))
-                 for entry in ranked]
-        return [[item[0] for item in group] for group in
-                compose_batches(items, self.config.coschedule_max)]
+        count = -(-len(ranked) // self.config.coschedule_max)
+        return [ranked[k::count] for k in range(count)]
 
     async def _run_cosched_batch(self, entries, scale, params) -> None:
         """Run one composed batch on one shared fabric; wake waiters."""
@@ -377,11 +330,10 @@ class ReproService:
                                             f"{err}"}
         self.stats.cosched_batches += 1
         self.stats.cosched_jobs += len(entries)
-        # one fabric execution, one breaker observation (the clients
-        # all came through /simulate)
+        # one fabric execution: one breaker observation (the clients
+        # all came through /simulate) and one run's work counters
         self._breakers["simulate"].record(status < 500)
-        if status == 200:
-            self.stats.multis += 1
+        self._account_run(result)
         for index, (request, future) in enumerate(entries):
             outcome = self._cosched_outcome(status, result, index,
                                             request, apps)
@@ -434,6 +386,7 @@ class ReproService:
             outcome = (500, {"error": f"internal error: "
                                       f"{type(err).__name__}: {err}"})
         self._account(outcome, request)
+        self._account_run(outcome[1])
         self.table.remember(job.key, outcome)  # 200s only, both modes
         self.table.retire(job)
         job.finish(outcome)
@@ -509,7 +462,9 @@ class ReproService:
 
     def _account(self, outcome: JobOutcome,
                  request: Optional[JobRequest] = None) -> None:
-        status, result = outcome
+        """Fold one answered request into the request counters and,
+        given its request, its endpoint's breaker."""
+        status, _ = outcome
         if status == 200:
             self.stats.completed += 1
         else:
@@ -518,6 +473,11 @@ class ReproService:
         # coalesced waiters): 5xx = infrastructure failure
         if request is not None and request.mode in self._breakers:
             self._breakers[request.mode].record(status < 500)
+
+    def _account_run(self, result) -> None:
+        """Fold one worker execution into the work counters — once per
+        run, however many requests share it (a co-scheduled batch is
+        one fabric run, so one sim)."""
         if not isinstance(result, dict):
             return
         compile_meta = result.get("compile")
@@ -530,23 +490,6 @@ class ReproService:
             self.stats.sims += 1
         if result.get("mode") == "multi":
             self.stats.multis += 1
-        if status == 200 and request is not None and request.kind == "app":
-            self._learn_class(request, result)
-
-    def _learn_class(self, request: JobRequest, result: dict) -> None:
-        """Fold a solo registry-app run's data-bus occupancy into the
-        classes used to seat future co-schedule batches.
-
-        Seating looks classes up by (registry app, scale), so spec and
-        stored-artifact runs — which nothing could ever read back — are
-        never learned from, and neither are co-scheduled per-tenant
-        stats (co-resident occupancy is skewed by the batch mix).
-        """
-        channels = (result.get("stats") or {}).get("dram_channels") or {}
-        utils = [entry.get("util", 0.0) for entry in channels.values()]
-        if utils:
-            self._bw_classes[(request.app, request.scale)] = classify(
-                sum(utils) / len(utils))
 
     # -- chaos injection ---------------------------------------------------------
     def chaos_kill_worker(self) -> JobOutcome:
@@ -594,14 +537,7 @@ class ReproService:
         snapshot["breakers"] = {
             mode: breaker.snapshot()
             for mode, breaker in sorted(self._breakers.items())}
-        snapshot["qos"] = {
-            "priority_jobs": self.stats.priority_jobs,
-            "cosched_reordered": self.stats.cosched_reordered,
-            "bandwidth_classes": {
-                f"{app}:{scale}": klass
-                for (app, scale), klass
-                in sorted(self._bw_classes.items())},
-        }
+        snapshot["qos"] = {"priority_jobs": self.stats.priority_jobs}
         snapshot["config"] = {
             "jobs": self.config.jobs,
             "queue_depth": self.config.queue_depth,

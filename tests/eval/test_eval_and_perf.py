@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import get_app
+from repro.arch.params import DEFAULT
 from repro.arch.workload import WorkloadProfile
 from repro.eval import figure7, table3, table5, table6, table7
 from repro.eval.paper_data import TABLE5, TABLE7
@@ -40,6 +41,22 @@ def test_bound_classification():
                                     stream_bytes=1e9)) == "stream"
     assert bound_of(WorkloadProfile("r", flops=1e3,
                                     random_accesses=1e9)) == "random"
+
+
+def test_bound_follows_per_app_overrides():
+    """``bound_of`` reads the same roofs as the runtime, overrides
+    included: a parallelism override that moves the binding roof from
+    compute to stream moves the named bound with it."""
+    base = WorkloadProfile("p", flops=1e10, stream_bytes=1e9)
+    unrolled = WorkloadProfile("p", flops=1e10, stream_bytes=1e9,
+                               plasticine_parallelism=4096)
+    stream_s = 1e9 / (DEFAULT.dram.peak_gbps * 1e9
+                      * DEFAULT_KNOBS.stream_efficiency)
+    assert bound_of(base) == "compute"
+    assert plasticine_runtime_s(base) > 10 * stream_s
+    assert bound_of(unrolled) == "stream"
+    assert plasticine_runtime_s(unrolled) == pytest.approx(stream_s,
+                                                           rel=1e-3)
 
 
 def test_coalesce_hint_speeds_random_workloads():

@@ -1,24 +1,20 @@
-"""Serve-tier QoS: priorities, weighted /multi, batch composition.
+"""Serve-tier QoS: priorities, weighted /multi, co-schedule seating.
 
 Priorities change the answer a multi-tenant fabric computes, so they
 must participate in the job key (no cross-priority cache hits) and
 flow all the way into the result's ``qos`` section.  Co-scheduled jobs
 with different priorities must still share one fabric — the priority
-is per tenant, not per batch — and the service must learn bandwidth
-classes from completed solo runs to seat future batches.
+is per tenant, not per batch — and a flush that overflows
+``coschedule_max`` is seated by priority, then arrival, dealt
+round-robin across its fabric batches.
 """
 
 import asyncio
 import json
 
-import pytest
-
 from repro.serve import ReproService, ServeConfig, dispatch, execute_job
 from repro.serve.protocol import (MAX_PRIORITY, RequestError,
                                   parse_request)
-from repro.serve.service import (MEMORY_BOUND_OCCUPANCY, classify,
-                                 compose_batches)
-from tests.serve.test_service import _spec
 
 PAIR = ["gemm", "tpchq6"]
 QOS_BODY = {"apps": ["gemm", "tpchq6", "tpchq6"],
@@ -174,113 +170,24 @@ def test_mixed_priority_jobs_share_one_fabric(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Bandwidth-class learning + batch composition
+# Co-schedule seating: priority, then arrival
 # ---------------------------------------------------------------------------
 
-
-def test_service_learns_classes_from_solo_runs(tmp_path):
-    async def scenario():
-        service = ReproService(_config(tmp_path), runner=execute_job)
-        for app in PAIR:
-            response = await dispatch(
-                service, "POST", "/simulate",
-                _body({"app": app, "scale": "tiny"}))
-            assert response.status == 200, response.json
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        classes = stats["qos"]["bandwidth_classes"]
-        assert classes["gemm:tiny"] == "compute"
-        assert classes["tpchq6:tiny"] == "memory"
-        await service.drain()
-
-    asyncio.run(scenario())
+OVERFLOW = ["gemm", "tpchq6", "gda", "logreg", "cnn"]
 
 
-def test_spec_and_artifact_jobs_learn_no_class(tmp_path):
-    """Seating reads classes by (registry app, scale): a spec or stored
-    artifact run must not leave an entry nothing can ever read."""
-    async def scenario():
-        service = ReproService(_config(tmp_path), runner=execute_job)
-        for seed in range(3):
-            response = await dispatch(service, "POST", "/simulate",
-                                      _body({"spec": _spec(seed)}))
-            assert response.status == 200, response.json
-        compiled = await dispatch(
-            service, "POST", "/compile",
-            _body({"app": "gda", "scale": "tiny"}))
-        assert compiled.status == 200, compiled.json
-        stored = await dispatch(
-            service, "POST", "/simulate",
-            _body({"artifact_hash": compiled.json["content_hash"]}))
-        assert stored.status == 200, stored.json
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["qos"]["bandwidth_classes"] == {}
-
-        response = await dispatch(service, "POST", "/simulate",
-                                  _body({"app": "gda", "scale": "tiny"}))
-        assert response.status == 200, response.json
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["qos"]["bandwidth_classes"] == {"gda:tiny": "memory"}
-        await service.drain()
-
-    asyncio.run(scenario())
+def _coschedule(service, app, priority=1):
+    return dispatch(service, "POST", "/simulate",
+                    _body({"app": app, "scale": "tiny",
+                           "params": {"coschedule": True,
+                                      "priority": priority}}))
 
 
-def test_classify_threshold():
-    assert classify(MEMORY_BOUND_OCCUPANCY) == "memory"
-    assert classify(MEMORY_BOUND_OCCUPANCY - 0.01) == "compute"
-
-
-def test_compose_batches_spreads_memory_bound():
-    items = [("m1", "memory"), ("m2", "memory"),
-             ("c1", "compute"), ("c2", "compute")]
-    groups = compose_batches(items, 2)
-    assert len(groups) == 2
-    for group in groups:
-        classes = sorted(klass for _, klass in group)
-        assert classes == ["compute", "memory"]
-
-
-def test_compose_batches_accepts_strings_and_none():
-    items = [("a", "memory"), ("b", None), ("c", "compute"),
-             ("d", "memory")]
-    groups = compose_batches(items, 2)
-    assert sorted(name for g in groups for name, _ in g) \
-        == ["a", "b", "c", "d"]
-    # the two memory-bound items land in different groups
-    homes = [k for k, g in enumerate(groups)
-             for name, _ in g if name in ("a", "d")]
-    assert homes[0] != homes[1]
-
-
-def test_compose_batches_preserves_order_within_class():
-    items = [(f"m{k}", "memory") for k in range(4)]
-    groups = compose_batches(items, 2)
-    # round-robin deal: group 0 gets m0,m2 / group 1 gets m1,m3
-    assert [name for name, _ in groups[0]] == ["m0", "m2"]
-    assert [name for name, _ in groups[1]] == ["m1", "m3"]
-
-
-def test_compose_batches_single_group():
-    items = [("a", "memory"), ("b", "compute")]
-    assert compose_batches(items, 4) == [items]
-
-
-def test_compose_batches_rejects_bad_max_size():
-    with pytest.raises(ValueError, match="max_size"):
-        compose_batches([("a", None)], 0)
-
-
-def test_compose_batches_empty():
-    assert compose_batches([], 3) == []
-
-
-def test_compose_cosched_seats_by_priority_and_class(tmp_path):
-    """Unit-level: an oversized flush splits into batches with the
-    high-priority job seated first and memory-bound jobs spread."""
+def test_compose_cosched_seats_by_priority(tmp_path):
+    """Unit-level: an oversized flush is stable-sorted by descending
+    priority and dealt round-robin, so the weight-8 job sits first in
+    batch 0 and the rest keep their arrival order."""
     service = ReproService(_config(tmp_path, coschedule_max=2))
-    service._bw_classes = {("tpchq6", "tiny"): "memory",
-                           ("gda", "tiny"): "memory",
-                           ("gemm", "tiny"): "compute"}
 
     def entry(app, priority):
         request = parse_request(
@@ -291,25 +198,90 @@ def test_compose_cosched_seats_by_priority_and_class(tmp_path):
 
     entries = [entry("tpchq6", 1), entry("gda", 1),
                entry("gemm", 8), entry("gemm", 1)]
-    batches = service._compose_cosched(entries, "tiny")
-    assert len(batches) == 2
-    assert all(len(batch) == 2 for batch in batches)
-    for batch in batches:
-        classes = sorted(service._bw_classes[(request.app, "tiny")]
-                         for request, _ in batch)
-        assert classes == ["compute", "memory"]
-    # seating differs from FIFO arrival order
-    flat = [request.app for batch in batches for request, _ in batch]
-    assert flat != [request.app for request, _ in entries]
+    batches = service._compose_cosched(entries)
+    assert [[(request.app, request.params.priority)
+             for request, _ in batch] for batch in batches] \
+        == [[("gemm", 8), ("gda", 1)], [("tpchq6", 1), ("gemm", 1)]]
+
+
+def test_overflowing_flush_seats_by_arrival(tmp_path):
+    """Five co-scheduled jobs over ``coschedule_max=2`` are dealt
+    round-robin in arrival order onto three fabrics, and solo runs of
+    the same apps in between leave that seating unchanged."""
+    async def scenario():
+        service = ReproService(
+            _config(tmp_path, coschedule_window_s=5.0,
+                    coschedule_max=2),
+            runner=execute_job)
+
+        async def flush():
+            responses = await asyncio.gather(
+                *(_coschedule(service, app) for app in OVERFLOW))
+            for app, response in zip(OVERFLOW, responses):
+                assert response.status == 200, response.json
+                payload = response.json
+                assert payload["served"] == "coscheduled"
+                assert payload["app"] == app
+                assert payload["coscheduled"]["tenant"] == app
+                assert payload["simulate"]["cycles"] \
+                    == payload["stats"]["cycles"] > 0
+            return {tuple(r.json["coscheduled"]["apps"])
+                    for r in responses}
+
+        seating = {("gemm", "logreg"), ("tpchq6", "cnn"), ("gda",)}
+        assert await flush() == seating
+        stats = (await dispatch(service, "GET", "/statsz")).json
+        assert stats["work"]["coschedule_batches"] == 3
+        assert stats["work"]["coschedule_jobs"] == 5
+
+        for app in OVERFLOW:
+            solo = await dispatch(service, "POST", "/simulate",
+                                  _body({"app": app, "scale": "tiny"}))
+            assert solo.status == 200, solo.json
+        assert await flush() == seating
+        stats = (await dispatch(service, "GET", "/statsz")).json
+        assert stats["work"]["coschedule_batches"] == 6
+        await service.drain()
+
+    asyncio.run(scenario())
+
+
+def test_coscheduled_batch_counts_one_sim(tmp_path):
+    """A co-scheduled batch is one fabric run, so it adds one to
+    ``sims`` — as the same pair through POST /multi does — while
+    ``completed`` still counts every answered job."""
+    async def scenario():
+        service = ReproService(
+            _config(tmp_path, coschedule_window_s=5.0,
+                    coschedule_max=2),
+            runner=execute_job)
+
+        async def work():
+            stats = (await dispatch(service, "GET", "/statsz")).json
+            return (stats["work"]["sims"], stats["work"]["multis"],
+                    stats["requests"]["completed"])
+
+        await asyncio.gather(*(_coschedule(service, app) for app in PAIR))
+        assert await work() == (1, 1, 2)
+        response = await dispatch(service, "POST", "/multi",
+                                  _body({"apps": PAIR, "scale": "tiny"}))
+        assert response.status == 200, response.json
+        assert await work() == (2, 2, 3)
+
+        # an overflowing flush: five jobs, three fabrics, three sims
+        await asyncio.gather(
+            *(_coschedule(service, app) for app in OVERFLOW))
+        assert await work() == (5, 5, 8)
+        await service.drain()
+
+    asyncio.run(scenario())
 
 
 def test_statsz_qos_section_shape(tmp_path):
     async def scenario():
         service = ReproService(_config(tmp_path))
         stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["qos"] == {"priority_jobs": 0,
-                                "cosched_reordered": 0,
-                                "bandwidth_classes": {}}
+        assert stats["qos"] == {"priority_jobs": 0}
         await service.drain()
 
     asyncio.run(scenario())
