@@ -10,7 +10,7 @@ TFLOPS, and total scratchpad capacity is 64 x 256 KB = 16 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.errors import ArchError
@@ -176,10 +176,6 @@ class PlasticineParams:
     def onchip_mb(self) -> float:
         """Total scratchpad capacity in MB."""
         return self.num_pmus * self.pmu.scratch_kb / 1024.0
-
-    def with_pcu(self, **kwargs) -> "PlasticineParams":
-        """A copy with modified PCU fields (for design-space sweeps)."""
-        return replace(self, pcu=replace(self.pcu, **kwargs))
 
 
 #: The architecture evaluated in Section 4 of the paper.

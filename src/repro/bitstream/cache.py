@@ -138,15 +138,6 @@ class CompileCache:
         self.stats.stores += 1
         return path
 
-    def stats_snapshot(self) -> dict:
-        """JSON-able counter snapshot (for pollers like ``/statsz``).
-
-        A copy, not a live view: mutating the returned dict cannot
-        corrupt the cache's own accounting, and callers never touch
-        private fields.
-        """
-        return self.stats.to_dict()
-
     def entries(self) -> int:
         """Number of artifacts currently stored."""
         if not self.dir.is_dir():

@@ -694,14 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--multi-every", type=int, default=0,
                       metavar="N",
                       help="mix in multi-tenant work: every N-th "
-                           "request is a POST /multi pair, with a "
-                           "coschedule-opted app job between (0 "
-                           "disables)")
+                           "request is a POST /multi pair (0 disables)")
     load.add_argument("--priority-every", type=int, default=0,
                       metavar="N",
-                      help="with --multi-every: every N-th multi-"
-                           "tenant body claims an elevated QoS "
-                           "priority, exercising weighted DRAM "
+                      help="with --multi-every: every N-th /multi "
+                           "pair claims an elevated QoS priority for "
+                           "its first tenant, exercising weighted DRAM "
                            "arbitration under load (0 disables)")
     load.add_argument("--kill-every", type=int, default=0,
                       metavar="N",

@@ -536,10 +536,6 @@ class DhdlProgram:
         """All leaf controllers."""
         yield from self.root.leaves()
 
-    def onchip_words(self) -> int:
-        """Total scratchpad words including N-buffers."""
-        return sum(s.total_words() for s in self.srams)
-
     def __repr__(self):
         leaves = sum(1 for _ in self.leaves())
         return (f"DhdlProgram({self.name!r}, leaves={leaves}, "

@@ -289,8 +289,3 @@ class DramModel:
             out[f"ch{k}"] = entry
         return out
 
-    def achieved_gbps(self) -> float:
-        """Average achieved bandwidth so far (GB/s at 1 GHz)."""
-        if self.cycle == 0:
-            return 0.0
-        return self.stats()["bytes"] / self.cycle  # bytes/ns == GB/s

@@ -61,38 +61,23 @@ def make_requests(total: int, unique: int, seed: int = 0,
     to ``total`` with duplicates, deterministically shuffled.
 
     ``multi_every`` mixes in multi-tenant work: every N-th slot becomes
-    a direct ``POST /multi`` pair, and the slot halfway between becomes
-    an app-simulate job opted into service-side co-scheduling — so a
-    concurrent replay exercises both the explicit and the batched
-    co-residency paths.  ``priority_every`` makes every N-th of those
-    multi-tenant bodies claim an elevated QoS weight (the /multi pair
-    boosts its first tenant; the coschedule job boosts itself), so a
-    mixed replay drives the weighted DRAM arbitration too.  Bodies
-    carry a ``_path`` hint the replay worker pops before sending.
+    a ``POST /multi`` pair.  ``priority_every`` boosts the first tenant
+    of every N-th of those pairs to an elevated QoS weight, so a mixed
+    replay drives the weighted DRAM arbitration too.  Bodies carry a
+    ``_path`` hint the replay worker pops before sending.
     """
     unique = max(1, min(unique, total))
     specs = [gen_spec(seed * 100_000 + k) for k in range(unique)]
     rng = np.random.default_rng(seed)
     bodies = []
-    multis = 0
     for k in range(total):
         if multi_every and k % multi_every == 0:
             pair = [MULTI_APPS[(k // multi_every) % len(MULTI_APPS)],
                     MULTI_APPS[(k // multi_every + 1) % len(MULTI_APPS)]]
             body = {"_path": "/multi", "apps": pair, "scale": "tiny"}
-            multis += 1
-            if priority_every and multis % priority_every == 0:
+            if priority_every \
+                    and (k // multi_every + 1) % priority_every == 0:
                 body["priorities"] = [4, 1]
-            bodies.append(body)
-            continue
-        if multi_every and k % multi_every == max(1, multi_every // 2):
-            app = MULTI_APPS[(k // multi_every) % len(MULTI_APPS)]
-            body = {"_path": "/simulate", "app": app,
-                    "scale": "tiny",
-                    "params": {"coschedule": True}}
-            multis += 1
-            if priority_every and multis % priority_every == 0:
-                body["params"]["priority"] = 4
             bodies.append(body)
             continue
         spec = specs[k] if k < unique else \
@@ -222,7 +207,6 @@ def run_loadtest(host: str, port: int, requests: int = 200,
         return (a or 0) - (b or 0)
 
     multi_ok = [r for r in oks if r["path"] == "/multi"]
-    cosched_ok = [r for r in oks if r["served"] == "coscheduled"]
     return {
         "requests": requests,
         "unique_specs": unique,
@@ -231,7 +215,6 @@ def run_loadtest(host: str, port: int, requests: int = 200,
         "multi_every": multi_every,
         "priority_every": priority_every,
         "multi_ok": len(multi_ok),
-        "coscheduled_ok": len(cosched_ok),
         "ok": len(oks),
         "errors": len(records) - len(oks),
         "dedup_saved": delta("requests", "coalesced")
@@ -258,8 +241,6 @@ def run_loadtest(host: str, port: int, requests: int = 200,
             "rejected": delta("requests", "rejected"),
             "timeouts": delta("requests", "timeouts"),
             "multis": delta("work", "multis"),
-            "coschedule_batches": delta("work", "coschedule_batches"),
-            "coschedule_jobs": delta("work", "coschedule_jobs"),
             "priority_jobs": delta("qos", "priority_jobs"),
             "worker_crashes": delta("faults", "worker_crashes"),
             "worker_retries": delta("faults", "retries"),
@@ -296,14 +277,11 @@ def render(report: dict) -> str:
     if report.get("multi_every"):
         rows.append(
             ["multi-tenant", f"{report['multi_ok']} multi ok",
-             f"{report['coscheduled_ok']} coscheduled ok, "
-             f"{server['coschedule_batches']} batches / "
-             f"{server['coschedule_jobs']} batched jobs, "
              f"{server['multis']} fabric runs"])
     if report.get("priority_every"):
         rows.append(
             ["qos", f"{server['priority_jobs']} priority jobs",
-             f"1 in {report['priority_every']} multi-tenant bodies "
+             f"1 in {report['priority_every']} /multi pairs "
              f"elevated"])
     if report.get("kill_every"):
         rows.append(

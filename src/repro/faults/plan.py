@@ -123,12 +123,6 @@ class FaultPlan:
         return FaultPlan([e for e in self.events if e.kind not in drop],
                          seed=self.seed)
 
-    def without_events(self, events: Iterable[FaultEvent]) -> "FaultPlan":
-        """A copy with the specific events removed."""
-        gone = set(events)
-        return FaultPlan([e for e in self.events if e not in gone],
-                         seed=self.seed)
-
     def to_dict(self) -> dict:
         return {"seed": self.seed,
                 "events": [e.to_dict() for e in self.events]}

@@ -66,10 +66,6 @@ class InvalidSpecError(PatternError):
             shown += f" (+{len(self.errors) - 4} more)"
         super().__init__(f"invalid program spec: {shown}")
 
-    def to_json(self) -> List[Dict[str, str]]:
-        """The structured 400 payload the service returns."""
-        return [e.to_dict() for e in self.errors]
-
 
 # ---------------------------------------------------------------------------
 # Field checkers

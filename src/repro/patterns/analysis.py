@@ -126,47 +126,3 @@ def classify_load(load: E.Load) -> LoadClass:
             return LoadClass(load, None)
         forms.append(form)
     return LoadClass(load, tuple(forms))
-
-
-def classify_loads(root: E.Expr):
-    """Classify every load in an expression DAG."""
-    return [classify_load(load) for load in E.collect_loads(root)]
-
-
-def innermost_stride(load_class: LoadClass, innermost: E.Idx,
-                     shape) -> Optional[int]:
-    """Stride of the innermost (vectorised) index in flat address space.
-
-    Stride 1 means lanes read consecutive words — the strided-banking
-    sweet spot; stride 0 means a broadcast; None means a gather.
-    """
-    flat = load_class.flat_affine(shape)
-    if flat is None:
-        return None
-    return flat.stride_of(innermost)
-
-
-def expression_stats(root: E.Expr) -> Dict[str, int]:
-    """Operation and operand statistics used by the sizing model (Fig. 7).
-
-    Returns counts of compute ops, loads (affine/gather), distinct indices,
-    and the live-value high-water mark of a greedy linearisation (a proxy
-    for pipeline-register pressure).
-    """
-    ops = 0
-    affine = 0
-    gather = 0
-    for node in E.postorder(root):
-        if isinstance(node, (E.BinOp, E.UnOp, E.Select)):
-            ops += 1
-        elif isinstance(node, E.Load):
-            if classify_load(node).is_affine:
-                affine += 1
-            else:
-                gather += 1
-    return {
-        "ops": ops,
-        "affine_loads": affine,
-        "gather_loads": gather,
-        "indices": len(E.collect_indices(root)),
-    }

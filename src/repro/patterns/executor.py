@@ -143,15 +143,9 @@ def iterate_domain(dims, indices, env: Env, bindings):
 def _run_fold(fold: Fold, env: Env, bindings):
     """Evaluate a Fold to its tuple of accumulator values."""
     acc = list(fold.init)
-    first = True
     for point in iterate_domain(fold.dims, fold.indices, env, bindings):
         cache = {}
         vals = [eval_expr(b, env, point, cache) for b in fold.body]
-        if first and _init_is_identityless(fold):
-            acc = vals
-            first = False
-            continue
-        first = False
         cbind = dict(point)
         for k in range(fold.width):
             cbind[fold.acc_a[k]] = acc[k]
@@ -159,15 +153,6 @@ def _run_fold(fold: Fold, env: Env, bindings):
         ccache = {}
         acc = [eval_expr(c, env, cbind, ccache) for c in fold.combine]
     return tuple(acc)
-
-
-def _init_is_identityless(fold: Fold) -> bool:
-    """Folds whose init is None-like are seeded from the first element.
-
-    We always seed from ``init`` (the paper's Fold takes an explicit init),
-    so this hook returns False; kept as one place to change the policy.
-    """
-    return False
 
 
 def _offset_indices(point, indices):

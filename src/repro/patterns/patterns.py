@@ -147,13 +147,6 @@ class Map(Pattern):
         multiple accumulators, e.g. argmin's (best, argbest))."""
         return self.inner.width if self.inner is not None else self.width
 
-    @property
-    def out_dtypes(self) -> Tuple[str, ...]:
-        """Per-output element dtype."""
-        if self.inner is not None:
-            return tuple(b.dtype for b in self.inner.body)
-        return tuple(b.dtype for b in self.body)
-
     def __repr__(self):
         nested = ", nested" if self.inner is not None else ""
         return f"Map(ndim={self.ndim}{nested})"

@@ -16,13 +16,12 @@ Endpoints
 ``GET  /statsz``             counters, queue gauges, latency histogram
 ``POST /compile``            compile a spec or registry app; stores the
                              artifact content-addressed
-``POST /simulate``           compile if needed, then simulate; returns
-                             SimStats (+ attribution / trace URL with
-                             ``params.trace``); ``params.coschedule``
-                             opts an app job into service-side batching
-                             onto a shared fabric
+``POST /simulate``           compile if needed, then simulate the job
+                             alone; returns SimStats (+ attribution /
+                             trace URL with ``params.trace``)
 ``POST /multi``              co-simulate several registry apps as
-                             tenants of one fabric; returns per-tenant
+                             tenants of one fabric (optionally weighted
+                             by ``"priorities"``); returns per-tenant
                              SimStats plus shared-channel utilization
 ``GET  /artifacts/<hash>``   download a stored bitstream artifact
 ``GET  /traces/<name>``      download a recorded Chrome trace

@@ -153,9 +153,7 @@ class ServiceStats:
     compiles: int = 0          # actual compilations (cache miss or off)
     sims: int = 0              # actual simulator runs
     multis: int = 0            # multi-tenant fabric runs
-    cosched_batches: int = 0   # co-schedule batches flushed to a fabric
-    cosched_jobs: int = 0      # jobs served by co-scheduling
-    priority_jobs: int = 0     # requests claiming a QoS weight > 1
+    priority_jobs: int = 0     # /multi bodies claiming a QoS weight > 1
     cache_hits: int = 0
     cache_misses: int = 0
     cache_off: int = 0
@@ -192,8 +190,6 @@ class ServiceStats:
                 "compiles": self.compiles,
                 "sims": self.sims,
                 "multis": self.multis,
-                "coschedule_batches": self.cosched_batches,
-                "coschedule_jobs": self.cosched_jobs,
             },
             "compile_cache": {
                 "hits": self.cache_hits,

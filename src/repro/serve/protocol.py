@@ -13,8 +13,10 @@ A client submits one of three job *kinds*:
 and one of two *modes*: ``compile`` (produce and store the artifact,
 no simulation) or ``simulate`` (compile if needed — through the shared
 :class:`~repro.bitstream.cache.CompileCache` — then run the simulator
-and return ``SimStats``, optionally with stall attribution and a
-downloadable trace).
+on the job alone and return ``SimStats``, optionally with stall
+attribution and a downloadable trace).  A third mode, ``multi``, is
+the only request for a shared fabric: registry apps co-simulated as
+tenants, optionally weighted by per-tenant ``priorities``.
 
 Everything that can change the answer participates in the **job key**:
 the identifying payload (canonical spec / app+scale / artifact hash),
@@ -37,10 +39,10 @@ SCHEDULERS = ("event", "dense")
 SCALES = ("tiny", "small")
 MODES = ("compile", "simulate", "multi")
 
-#: tenants one multi request (or one co-schedule batch) may carry
+#: tenants one multi request may carry
 MAX_TENANTS = 6
 
-#: highest QoS weight a request may claim in the shared DRAM
+#: highest QoS weight a ``/multi`` tenant may claim in the shared DRAM
 #: arbitration (weights are small integers; 1 = best effort)
 MAX_PRIORITY = 8
 
@@ -82,15 +84,6 @@ class JobParams:
     #: the fuzz harness: spec programs are fuzz-sized)
     tile_words: int = 128
     whole_budget: int = 4096
-    #: opt in to service-side co-scheduling: app-simulate requests with
-    #: this flag may be batched onto one shared fabric with other
-    #: queued coschedule jobs (answers then depend on the batch mix, so
-    #: they bypass the result cache)
-    coschedule: bool = False
-    #: QoS weight in the shared DRAM arbitration when this job lands on
-    #: a multi-tenant fabric (co-scheduling); 1 = best effort, up to
-    #: :data:`MAX_PRIORITY`.  Solo runs ignore it (nothing to arbitrate)
-    priority: int = 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -99,7 +92,6 @@ class JobParams:
 _PARAM_FIELDS = {
     "scheduler": str, "max_cycles": int, "watchdog": int, "trace": bool,
     "trace_sample": int, "tile_words": int, "whole_budget": int,
-    "coschedule": bool, "priority": int,
 }
 
 
@@ -129,17 +121,12 @@ def _parse_params(data: Any) -> JobParams:
         errors.append({"path": "params.scheduler",
                        "message": f"expected one of {list(SCHEDULERS)}"})
     for name in ("max_cycles", "watchdog", "trace_sample", "tile_words",
-                 "whole_budget", "priority"):
+                 "whole_budget"):
         value = data.get(name)
         if isinstance(value, int) and not isinstance(value, bool) \
                 and value < 1:
             errors.append({"path": f"params.{name}",
                            "message": "must be a positive integer"})
-    priority = data.get("priority")
-    if isinstance(priority, int) and not isinstance(priority, bool) \
-            and priority > MAX_PRIORITY:
-        errors.append({"path": "params.priority",
-                       "message": f"at most {MAX_PRIORITY}"})
     if errors:
         raise RequestError(400, "invalid params", errors)
     merged = {**JobParams().to_dict(), **data}

@@ -17,7 +17,9 @@
 5. **execution** — ``jobs`` concurrent slots drain onto a
    :class:`~concurrent.futures.ProcessPoolExecutor` running the
    stateless :func:`repro.serve.workers.execute_job` (tests may inject
-   any callable runner instead);
+   any callable runner instead).  Each job runs once, on its own: only
+   a ``multi`` request puts several apps on one fabric, and one
+   execution answers exactly one job;
 6. **timeout** — each job gets ``timeout_s`` of wall clock, enforced
    with ``asyncio.wait_for``.  The simulator itself is bounded too:
    request ``max_cycles``/``watchdog`` are clamped to server caps, so a
@@ -45,7 +47,7 @@ import random
 import signal
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -86,12 +88,6 @@ class ServeConfig:
     data_dir: Optional[str] = None      # None -> default_data_dir()
     timeout_s: float = 300.0
     result_cache: int = 256
-    #: co-scheduling: app-simulate requests opting in via
-    #: ``params.coschedule`` are held up to this long to be batched
-    #: with other opted-in jobs onto one shared fabric
-    coschedule_window_s: float = 0.05
-    #: tenants per co-schedule batch (a full batch flushes early)
-    coschedule_max: int = 4
     #: worker-crash recovery: re-dispatches per job after a
     #: ``BrokenExecutor``, and the base backoff before the first retry
     #: (doubled per retry, with jitter)
@@ -137,12 +133,6 @@ class ReproService:
         self._running = 0      # holding a worker slot right now
         self._draining = False
         self._tasks: "set[asyncio.Task]" = set()
-        #: open co-schedule batches: (scale, params) -> (entries, event)
-        #: where entries is a list of (JobRequest, Future) and the event
-        #: flushes a full batch before its window expires.  The group
-        #: params are priority-normalized so mixed-priority jobs share a
-        #: fabric (each tenant keeps its own weight)
-        self._cosched: dict = {}
         self._breakers: "dict[str, CircuitBreaker]" = {
             mode: CircuitBreaker(self.config.breaker_threshold,
                                  self.config.breaker_cooldown_s)
@@ -203,13 +193,12 @@ class ReproService:
         except RequestError as err:
             self.stats.invalid += 1
             return err.status, err.body()
-        if request.params.priority > 1 or (
-                request.priorities and max(request.priorities) > 1):
+        if request.priorities and max(request.priorities) > 1:
             self.stats.priority_jobs += 1
         if self._draining:
             return 503, {"error": "service is draining"}
-        breaker = self._breakers.get(request.mode)
-        if breaker is not None and not breaker.allow():
+        breaker = self._breakers[request.mode]
+        if not breaker.allow():
             self.stats.breaker_shed += 1
             return 503, {
                 "error": f"circuit breaker open for /{request.mode} "
@@ -217,9 +206,6 @@ class ReproService:
                 "retry_after_s": round(max(0.05,
                                            breaker.retry_after()), 3),
                 "breaker": breaker.snapshot()}
-        if (request.mode == "simulate" and request.kind == "app"
-                and request.params.coschedule):
-            return await self._submit_coscheduled(request)
         key = request.key
         cached = self.table.lookup_result(key)
         if cached is not None:
@@ -245,124 +231,6 @@ class ReproService:
         task.add_done_callback(self._tasks.discard)
         return await job.wait()
 
-    # -- co-scheduling -----------------------------------------------------------
-    async def _submit_coscheduled(self, request: JobRequest
-                                  ) -> JobOutcome:
-        """Hold an opted-in app-simulate job briefly to share a fabric.
-
-        Jobs arriving within ``coschedule_window_s`` of each other (and
-        agreeing on scale + params, QoS priority aside) are packed as
-        tenants of shared multi-tenant fabric runs; each gets back its
-        own per-tenant stats.  Answers depend on the batch composition,
-        so these jobs bypass the result cache and coalescing table
-        entirely.
-        """
-        if self._queued >= self.config.queue_depth:
-            self.stats.rejected += 1
-            return 429, {"error": "job queue is full",
-                         "retry_after_s": self.retry_after()}
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        # priority is per tenant, not per batch: normalize it out of
-        # the group key so mixed-priority arrivals share a fabric
-        group = (request.scale, replace(request.params, priority=1))
-        batch = self._cosched.get(group)
-        if batch is None:
-            batch = ([], asyncio.Event())
-            self._cosched[group] = batch
-            task = loop.create_task(self._flush_coscheduled(group))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        entries, full = batch
-        entries.append((request, future))
-        self._queued += 1
-        if len(entries) >= self.config.coschedule_max:
-            full.set()
-        return await asyncio.shield(future)
-
-    async def _flush_coscheduled(self, group) -> None:
-        entries, full = self._cosched[group]
-        try:
-            await asyncio.wait_for(
-                full.wait(), timeout=self.config.coschedule_window_s)
-        except asyncio.TimeoutError:
-            pass
-        del self._cosched[group]
-        scale, params = group
-        await asyncio.gather(*(
-            self._run_cosched_batch(batch, scale, params)
-            for batch in self._compose_cosched(entries)))
-
-    def _compose_cosched(self, entries) -> "list[list]":
-        """Seat a flush's jobs into fabric batches: priority, then arrival.
-
-        The jobs are stable-sorted by descending priority and dealt
-        round-robin into ``ceil(n / coschedule_max)`` batches, so an
-        overflowing flush seats its high-priority jobs first and every
-        batch holds at most ``coschedule_max`` tenants.
-        """
-        ranked = sorted(entries,
-                        key=lambda e: -e[0].params.priority)  # stable
-        count = -(-len(ranked) // self.config.coschedule_max)
-        return [ranked[k::count] for k in range(count)]
-
-    async def _run_cosched_batch(self, entries, scale, params) -> None:
-        """Run one composed batch on one shared fabric; wake waiters."""
-        apps = [request.app for request, _ in entries]
-        multi = JobRequest(
-            mode="multi", kind="multi", params=params,
-            apps=tuple(apps), scale=scale,
-            priorities=tuple(request.params.priority
-                             for request, _ in entries),
-            ident=f"cosched:{'+'.join(apps)}:{scale}")
-        try:
-            await self._slots.acquire()
-            self._queued -= len(entries)
-            self._running += 1
-            try:
-                status, result = await self._execute(multi)
-            finally:
-                self._running -= 1
-                self._slots.release()
-        except BaseException as err:  # noqa: BLE001 — waiters must wake
-            status, result = 500, {"error": f"internal error: "
-                                            f"{type(err).__name__}: "
-                                            f"{err}"}
-        self.stats.cosched_batches += 1
-        self.stats.cosched_jobs += len(entries)
-        # one fabric execution: one breaker observation (the clients
-        # all came through /simulate) and one run's work counters
-        self._breakers["simulate"].record(status < 500)
-        self._account_run(result)
-        for index, (request, future) in enumerate(entries):
-            outcome = self._cosched_outcome(status, result, index,
-                                            request, apps)
-            self._account(outcome)
-            if not future.done():
-                future.set_result(outcome)
-
-    @staticmethod
-    def _cosched_outcome(status: int, result: dict, index: int,
-                         request: JobRequest, apps) -> JobOutcome:
-        """One tenant's slice of a co-scheduled batch result."""
-        if status != 200 or not isinstance(result, dict):
-            return status, result
-        tenant = result["tenants"][index]
-        return 200, {
-            "ok": True, "status": 200, "served": "coscheduled",
-            "app": request.app, "scale": request.scale,
-            "coscheduled": {"batch": len(apps), "apps": list(apps),
-                            "tenant": tenant["name"],
-                            "region": tenant["region"],
-                            "priority": tenant.get("priority", 1),
-                            "fabric_cycles": result["fabric_cycles"]},
-            "qos": result.get("qos"),
-            "simulate": {"sim_ms": result["simulate"]["sim_ms"],
-                         "cycles": tenant["stats"]["cycles"]},
-            "stats": tenant["stats"],
-            "channel_util": tenant.get("channel_util"),
-        }
-
     def retry_after(self) -> int:
         """A Retry-After estimate (s): queue length x mean latency."""
         mean_s = (self.stats.latency.sum_ms / 1e3
@@ -386,7 +254,6 @@ class ReproService:
             outcome = (500, {"error": f"internal error: "
                                       f"{type(err).__name__}: {err}"})
         self._account(outcome, request)
-        self._account_run(outcome[1])
         self.table.remember(job.key, outcome)  # 200s only, both modes
         self.table.retire(job)
         job.finish(outcome)
@@ -460,24 +327,17 @@ class ReproService:
             self._executor = None
             self.stats.respawns += 1
 
-    def _account(self, outcome: JobOutcome,
-                 request: Optional[JobRequest] = None) -> None:
-        """Fold one answered request into the request counters and,
-        given its request, its endpoint's breaker."""
-        status, _ = outcome
+    def _account(self, outcome: JobOutcome, request: JobRequest) -> None:
+        """Fold one executed job into the request and work counters and
+        its endpoint's breaker."""
+        status, result = outcome
         if status == 200:
             self.stats.completed += 1
         else:
             self.stats.failed += 1
         # breaker sees executed jobs only (never cache hits or
         # coalesced waiters): 5xx = infrastructure failure
-        if request is not None and request.mode in self._breakers:
-            self._breakers[request.mode].record(status < 500)
-
-    def _account_run(self, result) -> None:
-        """Fold one worker execution into the work counters — once per
-        run, however many requests share it (a co-scheduled batch is
-        one fabric run, so one sim)."""
+        self._breakers[request.mode].record(status < 500)
         if not isinstance(result, dict):
             return
         compile_meta = result.get("compile")
@@ -543,8 +403,6 @@ class ReproService:
             "queue_depth": self.config.queue_depth,
             "timeout_s": self.config.timeout_s,
             "result_cache": self.config.result_cache,
-            "coschedule_window_s": self.config.coschedule_window_s,
-            "coschedule_max": self.config.coschedule_max,
             "max_retries": self.config.max_retries,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_cooldown_s": self.config.breaker_cooldown_s,

@@ -39,12 +39,6 @@ def test_banks_must_match_lanes():
         PlasticineParams(pcu=PcuParams(lanes=8)).validate()
 
 
-def test_with_pcu_copies():
-    tweaked = DEFAULT.with_pcu(stages=8)
-    assert tweaked.pcu.stages == 8
-    assert DEFAULT.pcu.stages == 6  # original untouched
-
-
 # -- Table 5 calibration -----------------------------------------------------
 
 def test_pcu_area_matches_table5():

@@ -121,13 +121,6 @@ def test_program_dram_dedup():
     assert len(prog.drams) == 1
 
 
-def test_onchip_words_counts_nbuf():
-    prog = DhdlProgram("t")
-    prog.sram("a", (64,), E.FLOAT32, nbuf=2)
-    prog.sram("b", (32,), E.FLOAT32)
-    assert prog.onchip_words() == 64 * 2 + 32
-
-
 def test_format_expr_round_trips_structure():
     i = E.Idx("i")
     text = format_expr((i + 1) * 2)

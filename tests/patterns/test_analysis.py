@@ -2,9 +2,7 @@
 
 from repro.patterns import Array
 from repro.patterns import expr as E
-from repro.patterns.analysis import (Affine, as_affine, classify_load,
-                                     classify_loads, expression_stats,
-                                     innermost_stride)
+from repro.patterns.analysis import Affine, as_affine, classify_load
 
 
 def test_affine_of_constant():
@@ -72,37 +70,20 @@ def test_flat_affine_row_major():
 def test_innermost_stride_unit():
     a = Array("a", (4, 8))
     i, j = E.Idx("i"), E.Idx("j")
-    assert innermost_stride(classify_load(a[i, j]), j, a.shape) == 1
-    assert innermost_stride(classify_load(a[j, i]), j, a.shape) == 8
-    assert innermost_stride(classify_load(a[i, i]), j, a.shape) == 0
+
+    def stride(load):
+        return classify_load(load).flat_affine(a.shape).stride_of(j)
+
+    assert stride(a[i, j]) == 1
+    assert stride(a[j, i]) == 8
+    assert stride(a[i, i]) == 0
 
 
 def test_innermost_stride_gather_is_none():
     idx = Array("idx", (8,), E.INT32)
     data = Array("d", (64,))
     i = E.Idx("i")
-    assert innermost_stride(classify_load(data[idx[i]]), i,
-                            data.shape) is None
-
-
-def test_expression_stats_counts():
-    a = Array("a", (8,))
-    idx = Array("idx", (8,), E.INT32)
-    i = E.Idx("i")
-    root = a[i] * 2.0 + a[idx[i]]
-    stats = expression_stats(root)
-    assert stats["ops"] == 2
-    assert stats["affine_loads"] == 2  # a[i] and idx[i]
-    assert stats["gather_loads"] == 1  # a[idx[i]]
-    assert stats["indices"] == 1
-
-
-def test_classify_loads_bulk():
-    a = Array("a", (8,))
-    i = E.Idx("i")
-    classes = classify_loads(a[i] + a[i + 1])
-    assert len(classes) == 2
-    assert all(c.is_affine for c in classes)
+    assert classify_load(data[idx[i]]).flat_affine(data.shape) is None
 
 
 def test_affine_add_and_scale():

@@ -14,7 +14,6 @@ def test_map_trace_scalar_body():
     assert m.ndim == 1
     assert m.inner is None
     assert m.out_width == 1
-    assert m.out_dtypes == (E.FLOAT32,)
 
 
 def test_map_multi_output():

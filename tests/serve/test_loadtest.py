@@ -93,23 +93,23 @@ def test_live_report_carries_every_key_the_serve_baselines_gate():
 
 
 def test_request_mix_multi_slots_are_deterministic():
-    a = make_requests(40, 10, seed=3, multi_every=5)
-    assert a == make_requests(40, 10, seed=3, multi_every=5)
+    a = make_requests(40, 10, seed=3, multi_every=5, priority_every=2)
+    assert a == make_requests(40, 10, seed=3, multi_every=5,
+                              priority_every=2)
     multi = [b for b in a if b.get("_path") == "/multi"]
-    cosched = [b for b in a if b.get("params", {}).get("coschedule")]
     assert len(multi) == 8                  # every 5th of 40 slots
-    assert len(cosched) == 8                # the slot halfway between
     for body in multi:
         assert body["scale"] == "tiny"
         assert len(body["apps"]) == 2
         assert body["apps"][0] != body["apps"][1]
-    for body in cosched:
-        assert body["_path"] == "/simulate"
-        assert isinstance(body["app"], str)
+    # every 2nd pair boosts its first tenant
+    assert sum(b.get("priorities") == [4, 1] for b in multi) == 4
+    assert all("priorities" not in b
+               for b in make_requests(40, 10, seed=3, multi_every=5))
     # the rest are plain spec jobs with no path hint
     rest = [b for b in a
             if "_path" not in b and "spec" in b]
-    assert len(rest) == 40 - 16
+    assert len(rest) == 40 - 8
 
 
 def test_request_mix_without_multi_has_no_path_hints():

@@ -1,11 +1,9 @@
-"""Serve-tier multi-tenancy: ``POST /multi`` and co-scheduling.
+"""Serve-tier multi-tenancy: ``POST /multi``.
 
 Driven in-process through :func:`dispatch` like the rest of the serve
 suite.  ``/multi`` is deterministic (packing and co-simulation are pure
 functions of apps+scale), so it participates in the result cache like
-any other job; co-scheduled ``/simulate`` jobs instead bypass the cache
-— their answer depends on the batch they land in — and are batched
-service-side onto one shared fabric.
+any other job.
 """
 
 import asyncio
@@ -65,15 +63,6 @@ def test_parse_multi_rejections():
         .status == 400
 
 
-def test_parse_coschedule_param():
-    request = parse_request(
-        {"app": "gemm", "scale": "tiny",
-         "params": {"coschedule": True}}, "simulate")
-    assert request.params.coschedule is True
-    err = _parse_error({"apps": PAIR, "params": {"coschedule": 7}})
-    assert err.status == 400
-
-
 # ---------------------------------------------------------------------------
 # /multi endpoint
 # ---------------------------------------------------------------------------
@@ -103,8 +92,10 @@ def test_multi_endpoint_end_to_end(tmp_path):
         assert again.status == 200
         assert again.json["served"] == "result-cache"
 
+        # one execution answered one request; the replay adds none
         stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["work"]["multis"] == 1
+        assert stats["work"] == {"compiles": 0, "sims": 1, "multis": 1}
+        assert stats["requests"]["completed"] == 1
         assert stats["requests"]["result_cache_hits"] == 1
 
         bad = await dispatch(service, "POST", "/multi",
@@ -128,79 +119,6 @@ def test_multi_infeasible_packing_is_422(tmp_path):
                                          "scale": "tiny"}))
         assert response.status == 422, response.json
         assert response.json["error"]["stage"] == "pack"
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
-# ---------------------------------------------------------------------------
-# Co-scheduling
-# ---------------------------------------------------------------------------
-
-
-def test_coscheduled_jobs_batch_onto_one_fabric(tmp_path):
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=5.0,
-                    coschedule_max=2),
-            runner=execute_job)
-
-        def post(app):
-            return dispatch(service, "POST", "/simulate",
-                            _body({"app": app, "scale": "tiny",
-                                   "params": {"coschedule": True}}))
-
-        responses = await asyncio.gather(post("gemm"), post("tpchq6"))
-        payloads = [r.json for r in responses]
-        for payload, app in zip(payloads, PAIR):
-            assert payload["ok"], payload
-            assert payload["served"] == "coscheduled"
-            assert payload["app"] == app
-            assert payload["coscheduled"]["apps"] == PAIR
-            assert payload["coscheduled"]["region"] is not None
-            assert payload["stats"]["cycles"] > 0
-        # both riders share one fabric run
-        assert payloads[0]["coscheduled"]["fabric_cycles"] \
-            == payloads[1]["coscheduled"]["fabric_cycles"]
-
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["work"]["multis"] == 1
-        assert stats["work"]["coschedule_batches"] == 1
-        assert stats["work"]["coschedule_jobs"] == 2
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
-def test_lone_coscheduled_job_flushes_on_window(tmp_path):
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=0.01,
-                    coschedule_max=4),
-            runner=execute_job)
-        response = await dispatch(
-            service, "POST", "/simulate",
-            _body({"app": "gemm", "scale": "tiny",
-                   "params": {"coschedule": True}}))
-        payload = response.json
-        assert payload["ok"], payload
-        assert payload["served"] == "coscheduled"
-        assert payload["coscheduled"]["apps"] == ["gemm"]
-        assert payload["stats"]["cycles"] > 0
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
-def test_statsz_reports_coschedule_config(tmp_path):
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=0.25,
-                    coschedule_max=3))
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        config = stats["config"]
-        assert config["coschedule_window_s"] == 0.25
-        assert config["coschedule_max"] == 3
         await service.drain()
 
     asyncio.run(scenario())

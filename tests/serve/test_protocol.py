@@ -98,10 +98,18 @@ def test_params_validate_clamp_and_default():
     assert parse_request({"spec": SPEC}, "simulate").params == \
         JobParams()
     for bad in ({"scheduler": "fifo"}, {"max_cycles": 0},
-                {"max_cycles": True}, {"trace": 1}, {"mystery": 1}, []):
+                {"max_cycles": True}, {"trace": 1}, []):
         with pytest.raises(RequestError) as excinfo:
             parse_request({"spec": SPEC, "params": bad}, "simulate")
         assert excinfo.value.status == 400
+    for name, value in (("mystery", 1), ("coschedule", True),
+                        ("priority", 4)):
+        with pytest.raises(RequestError) as excinfo:
+            parse_request({"spec": SPEC, "params": {name: value}},
+                          "simulate")
+        assert excinfo.value.status == 400
+        assert excinfo.value.errors == [{"path": f"params.{name}",
+                                         "message": "unknown parameter"}]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,8 @@
-"""Serve-tier QoS: priorities, weighted /multi, co-schedule seating.
+"""Serve-tier QoS: ``POST /multi`` priorities.
 
 Priorities change the answer a multi-tenant fabric computes, so they
 must participate in the job key (no cross-priority cache hits) and
-flow all the way into the result's ``qos`` section.  Co-scheduled jobs
-with different priorities must still share one fabric — the priority
-is per tenant, not per batch — and a flush that overflows
-``coschedule_max`` is seated by priority, then arrival, dealt
-round-robin across its fabric batches.
+flow all the way into the result's ``qos`` section.
 """
 
 import asyncio
@@ -43,27 +39,6 @@ def _parse_error(body, mode="multi"):
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def test_params_priority_parses_and_bounds():
-    request = parse_request({"app": "gemm",
-                             "params": {"priority": 3}}, "simulate")
-    assert request.params.priority == 3
-    assert parse_request({"app": "gemm"}, "simulate") \
-        .params.priority == 1
-    for bad in (0, -1, MAX_PRIORITY + 1, True, "high", 2.5):
-        err = _parse_error({"app": "gemm",
-                            "params": {"priority": bad}}, "simulate")
-        assert err.status == 400, bad
-
-
-def test_params_priority_joins_job_key():
-    base = parse_request({"app": "gemm",
-                          "params": {"coschedule": True}}, "simulate")
-    hi = parse_request({"app": "gemm",
-                        "params": {"coschedule": True,
-                                   "priority": 8}}, "simulate")
-    assert base.key != hi.key
 
 
 def test_multi_priorities_parse():
@@ -124,164 +99,18 @@ def test_weighted_multi_endpoint(tmp_path):
     asyncio.run(scenario())
 
 
-# ---------------------------------------------------------------------------
-# Mixed-priority co-scheduling
-# ---------------------------------------------------------------------------
-
-
-def test_mixed_priority_jobs_share_one_fabric(tmp_path):
-    """The group key normalizes priority away: a weight-8 job and a
-    weight-1 job arriving together ride the same fabric, each keeping
-    its own weight in the shared arbitration."""
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=5.0,
-                    coschedule_max=2),
-            runner=execute_job)
-
-        def post(app, priority):
-            return dispatch(service, "POST", "/simulate",
-                            _body({"app": app, "scale": "tiny",
-                                   "params": {"coschedule": True,
-                                              "priority": priority}}))
-
-        responses = await asyncio.gather(post("gemm", 8),
-                                         post("tpchq6", 1))
-        payloads = [r.json for r in responses]
-        for payload in payloads:
-            assert payload["ok"], payload
-            assert payload["served"] == "coscheduled"
-            assert sorted(payload["coscheduled"]["apps"]) \
-                == sorted(PAIR)
-            assert payload["qos"]["weighted"] is True
-        prios = {p["app"]: p["coscheduled"]["priority"]
-                 for p in payloads}
-        assert prios == {"gemm": 8, "tpchq6": 1}
-        # one batch, one fabric
-        assert payloads[0]["coscheduled"]["fabric_cycles"] \
-            == payloads[1]["coscheduled"]["fabric_cycles"]
-
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["work"]["coschedule_batches"] == 1
-        assert stats["qos"]["priority_jobs"] == 1
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
-# ---------------------------------------------------------------------------
-# Co-schedule seating: priority, then arrival
-# ---------------------------------------------------------------------------
-
-OVERFLOW = ["gemm", "tpchq6", "gda", "logreg", "cnn"]
-
-
-def _coschedule(service, app, priority=1):
-    return dispatch(service, "POST", "/simulate",
-                    _body({"app": app, "scale": "tiny",
-                           "params": {"coschedule": True,
-                                      "priority": priority}}))
-
-
-def test_compose_cosched_seats_by_priority(tmp_path):
-    """Unit-level: an oversized flush is stable-sorted by descending
-    priority and dealt round-robin, so the weight-8 job sits first in
-    batch 0 and the rest keep their arrival order."""
-    service = ReproService(_config(tmp_path, coschedule_max=2))
-
-    def entry(app, priority):
-        request = parse_request(
-            {"app": app, "scale": "tiny",
-             "params": {"coschedule": True,
-                        "priority": priority}}, "simulate")
-        return (request, None)
-
-    entries = [entry("tpchq6", 1), entry("gda", 1),
-               entry("gemm", 8), entry("gemm", 1)]
-    batches = service._compose_cosched(entries)
-    assert [[(request.app, request.params.priority)
-             for request, _ in batch] for batch in batches] \
-        == [[("gemm", 8), ("gda", 1)], [("tpchq6", 1), ("gemm", 1)]]
-
-
-def test_overflowing_flush_seats_by_arrival(tmp_path):
-    """Five co-scheduled jobs over ``coschedule_max=2`` are dealt
-    round-robin in arrival order onto three fabrics, and solo runs of
-    the same apps in between leave that seating unchanged."""
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=5.0,
-                    coschedule_max=2),
-            runner=execute_job)
-
-        async def flush():
-            responses = await asyncio.gather(
-                *(_coschedule(service, app) for app in OVERFLOW))
-            for app, response in zip(OVERFLOW, responses):
-                assert response.status == 200, response.json
-                payload = response.json
-                assert payload["served"] == "coscheduled"
-                assert payload["app"] == app
-                assert payload["coscheduled"]["tenant"] == app
-                assert payload["simulate"]["cycles"] \
-                    == payload["stats"]["cycles"] > 0
-            return {tuple(r.json["coscheduled"]["apps"])
-                    for r in responses}
-
-        seating = {("gemm", "logreg"), ("tpchq6", "cnn"), ("gda",)}
-        assert await flush() == seating
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["work"]["coschedule_batches"] == 3
-        assert stats["work"]["coschedule_jobs"] == 5
-
-        for app in OVERFLOW:
-            solo = await dispatch(service, "POST", "/simulate",
-                                  _body({"app": app, "scale": "tiny"}))
-            assert solo.status == 200, solo.json
-        assert await flush() == seating
-        stats = (await dispatch(service, "GET", "/statsz")).json
-        assert stats["work"]["coschedule_batches"] == 6
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
-def test_coscheduled_batch_counts_one_sim(tmp_path):
-    """A co-scheduled batch is one fabric run, so it adds one to
-    ``sims`` — as the same pair through POST /multi does — while
-    ``completed`` still counts every answered job."""
-    async def scenario():
-        service = ReproService(
-            _config(tmp_path, coschedule_window_s=5.0,
-                    coschedule_max=2),
-            runner=execute_job)
-
-        async def work():
-            stats = (await dispatch(service, "GET", "/statsz")).json
-            return (stats["work"]["sims"], stats["work"]["multis"],
-                    stats["requests"]["completed"])
-
-        await asyncio.gather(*(_coschedule(service, app) for app in PAIR))
-        assert await work() == (1, 1, 2)
-        response = await dispatch(service, "POST", "/multi",
-                                  _body({"apps": PAIR, "scale": "tiny"}))
-        assert response.status == 200, response.json
-        assert await work() == (2, 2, 3)
-
-        # an overflowing flush: five jobs, three fabrics, three sims
-        await asyncio.gather(
-            *(_coschedule(service, app) for app in OVERFLOW))
-        assert await work() == (5, 5, 8)
-        await service.drain()
-
-    asyncio.run(scenario())
-
-
 def test_statsz_qos_section_shape(tmp_path):
+    """``qos`` counts weighted /multi bodies, ``work`` counts
+    executions, and ``config`` lists exactly the service's settings."""
     async def scenario():
         service = ReproService(_config(tmp_path))
         stats = (await dispatch(service, "GET", "/statsz")).json
         assert stats["qos"] == {"priority_jobs": 0}
+        assert stats["work"] == {"compiles": 0, "sims": 0, "multis": 0}
+        assert set(stats["config"]) == {
+            "jobs", "queue_depth", "timeout_s", "result_cache",
+            "max_retries", "breaker_threshold", "breaker_cooldown_s",
+            "chaos", "cache_dir", "data_dir"}
         await service.drain()
 
     asyncio.run(scenario())

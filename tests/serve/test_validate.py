@@ -66,9 +66,9 @@ def test_invalid_spec_error_is_a_pattern_error():
     with pytest.raises(PatternError) as excinfo:
         check_spec({"version": 1, "n": 16, "steps": [{"kind": "x"}]})
     assert isinstance(excinfo.value, InvalidSpecError)
-    payload = excinfo.value.to_json()
-    assert payload[0]["path"] == "steps[0].kind"
-    assert "message" in payload[0]
+    finding = excinfo.value.errors[0].to_dict()
+    assert finding["path"] == "steps[0].kind"
+    assert "message" in finding
 
 
 def test_scatter_bijection_is_enforced():
