@@ -31,7 +31,3 @@ __all__ = [
     "ScatterMap",
     "Loop", "Program", "Step",
 ]
-
-from repro.patterns.executor import run_sparse_hash_reduce  # noqa: E402
-
-__all__.append("run_sparse_hash_reduce")

@@ -14,12 +14,12 @@ bit for bit, except that a value computed through ``exp`` / ``log`` /
 agrees with the scalar result only to within the fuzz oracle's
 tolerance.  The rules:
 
-* ints are int64 and floats float64, rounded to float32 after every
-  FLOAT32-typed node that yields a float — constants and bound symbols
-  (a fold's ``init``) included.  A load widens its buffer's dtype (a 0-d
-  cell too).  Python's types travel with the values: a node whose points
-  disagree (a ``Select`` over an int and a float branch) holds both, and
-  an operation on it runs once per type combination;
+* a node's value has the node's static dtype at every point: a FLOAT32
+  node yields float64 rounded to float32 whatever produced it — an int
+  operand, a ``Select`` branch, a ``min`` / ``max`` winner, a constant,
+  a bound symbol, a fold's ``init`` — an INT32 node int64, a BOOL node
+  bool.  So an int divides truncating only where both operands are
+  INT32 nodes.  A load widens its buffer's dtype (a 0-d cell too);
 * a ``Select`` evaluates each branch only on the points that take it,
   and a FlatMap emission value only where its condition holds, so an
   untaken side does no bounds check and raises nothing.  Nodes are
@@ -108,125 +108,25 @@ class Env:
 
 
 # ---------------------------------------------------------------------------
-# Values: one array per node over a point set
+# Values: one array per node over a point set, of the node's dtype
 # ---------------------------------------------------------------------------
 
-
-class _Mixed:
-    """A value that is an int at some points and a float at others.
-    Division, rounding and casts depend on the type, so both travel."""
-
-    __slots__ = ("isf", "ints", "floats")
-
-    def __init__(self, isf, ints, floats):
-        self.isf = isf
-        self.ints = ints
-        self.floats = floats
-
-    def __len__(self):
-        return len(self.isf)
+#: what a node of each dtype computes in
+_WIDE = {E.FLOAT32: np.float64, E.INT32: np.int64, E.BOOL: np.bool_}
 
 
-def _take(value, sel):
-    """``value`` at positions ``sel``."""
-    if not isinstance(value, _Mixed):
-        return value[sel]
-    isf = value.isf[sel]
-    if isf.all():
-        return value.floats[sel]
-    if not isf.any():
-        return value.ints[sel]
-    return _Mixed(isf, value.ints[sel], value.floats[sel])
+def _typed(value: np.ndarray, dtype: str) -> np.ndarray:
+    """``value`` as a node of ``dtype`` holds it: a FLOAT32 node's are
+    float64 rounded to float32, whatever computed them."""
+    if dtype == E.FLOAT32:
+        return value.astype(np.float64, copy=False).astype(
+            np.float32).astype(np.float64)
+    return value.astype(_WIDE[dtype], copy=False)
 
 
-def _merge(n: int, parts):
-    """One value over ``n`` points from disjoint ``(positions, value)``
-    parts that cover them."""
-    parts = [(sel, v) for sel, v in parts if len(sel)] or parts[:1]
-    kinds = {v.dtype.kind if isinstance(v, np.ndarray) else "m"
-             for _, v in parts}
-    if len(kinds) == 1 or kinds == {"b", "i"}:
-        dtype = parts[0][1].dtype if len(kinds) == 1 else np.int64
-        if "m" not in kinds:
-            out = np.empty(n, dtype)
-            for sel, v in parts:
-                out[sel] = v
-            return out
-    mixed = _Mixed(np.zeros(n, bool), np.zeros(n, np.int64), np.zeros(n))
-    for sel, v in parts:
-        if isinstance(v, _Mixed):
-            mixed.isf[sel] = v.isf
-            mixed.ints[sel] = v.ints
-            mixed.floats[sel] = v.floats
-        elif v.dtype.kind == "f":
-            mixed.isf[sel] = True
-            mixed.floats[sel] = v
-        else:
-            mixed.ints[sel] = v
-    return _take(mixed, slice(None))
-
-
-def _assign(dst, where, src):
-    """``dst`` with positions ``where`` replaced by ``src``."""
-    if isinstance(dst, np.ndarray) and isinstance(src, np.ndarray) \
-            and dst.dtype == src.dtype:
-        dst[where] = src
-        return dst
-    keep = np.ones(len(dst), bool)
-    keep[where] = False
-    rest = np.flatnonzero(keep)
-    return _merge(len(dst), [(rest, _take(dst, rest)), (where, src)])
-
-
-def _lift(fn, *args):
-    """``fn`` over uniformly typed arrays, applied to ``args`` once per
-    combination of types their points hold."""
-    mixed = [a for a in args if isinstance(a, _Mixed)]
-    if not mixed:
-        return fn(*args)
-    code = np.zeros(len(mixed[0]), np.int64)
-    for a in mixed:
-        code = code * 2 + a.isf
-    parts = []
-    for c in np.unique(code):
-        sel = np.flatnonzero(code == c)
-        parts.append((sel, fn(*[_take(a, sel) for a in args])))
-    return _merge(len(code), parts)
-
-
-def _widen(a: np.ndarray) -> np.ndarray:
-    """A buffer's values as the executor computes with them."""
-    if a.dtype.kind == "f":
-        return a.astype(np.float64)
-    if a.dtype.kind in "iu":
-        return a.astype(np.int64)
-    return a
-
-
-def _round32(value):
-    """Round the float points of a FLOAT32-typed node to float32."""
-    if isinstance(value, _Mixed):
-        return _Mixed(value.isf, value.ints, _round32(value.floats))
-    if value.dtype.kind == "f":
-        return value.astype(np.float32).astype(np.float64)
-    return value
-
-
-def _num(a: np.ndarray) -> np.ndarray:
-    """Bools count as ints in arithmetic, as Python's do."""
-    return a.astype(np.int64) if a.dtype == bool else a
-
-
-def _truth(value) -> np.ndarray:
+def _truth(value: np.ndarray) -> np.ndarray:
     """Python truthiness per point (NaN is true)."""
-    return _lift(lambda a: a if a.dtype == bool else a != 0, value)
-
-
-def _item(value, pos: int = 0):
-    """The Python scalar at one position."""
-    if isinstance(value, _Mixed):
-        value = value.floats if value.isf[pos] else value.ints
-    return value[pos].item()
+    return value if value.dtype == bool else value != 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +160,13 @@ def _cast(value, dtype, unit: str) -> np.ndarray:
     into an int buffer; NaN, infinity and ints past int32 fault there."""
     if dtype == np.bool_:
         return _truth(value)
-
-    def cast(a):
-        if dtype == np.float32:
-            return a.astype(np.float32)
-        whole = np.trunc(a) if a.dtype.kind == "f" else a
-        bad = ~((whole >= _I32.min) & (whole <= _I32.max))
-        if bad.any():
-            _raise_first(unit, bad, _store_scalar, a)
-        return a.astype(np.int32)
-    return _lift(cast, value)
+    if dtype == np.float32:
+        return value.astype(np.float32)
+    whole = np.trunc(value) if value.dtype.kind == "f" else value
+    bad = ~((whole >= _I32.min) & (whole <= _I32.max))
+    if bad.any():
+        _raise_first(unit, bad, _store_scalar, value)
+    return value.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +194,11 @@ def _binary(op: str, a: np.ndarray, b: np.ndarray, unit: str):
         return _truth(a) & _truth(b)
     if op == "or":
         return _truth(a) | _truth(b)
-    a, b = _num(a), _num(b)
     if op in _ARITH:
         return _ARITH[op](a, b)
     if op in ("min", "max"):
-        # min(a, b) keeps a unless b beats it — and keeps a's type
-        pick = b < a if op == "min" else b > a
-        if a.dtype == b.dtype:
-            return np.where(pick, b, a)
-        return _merge(len(a), [(np.flatnonzero(pick), b[pick]),
-                               (np.flatnonzero(~pick), a[~pick])])
+        # min(a, b) keeps a unless b beats it
+        return np.where(b < a if op == "min" else b > a, b, a)
     zero = b == 0
     if zero.any():
         _raise_first(unit, zero, E._BINARY_EVAL[op], a, b)
@@ -322,8 +214,7 @@ def _unary(op: str, x: np.ndarray, unit: str):
     if op == "not":
         return ~_truth(x)
     if op == "relu":
-        return x if x.dtype == bool else np.where(x > 0, x, x.dtype.type(0))
-    x = _num(x)
+        return np.where(x > 0, x, x.dtype.type(0))
     if op == "neg":
         return -x
     if op == "abs":
@@ -377,7 +268,7 @@ class _Points:
         if sel is None:
             bind, n = dict(self.bind), self.n
         else:
-            bind = {k: _take(v, sel) for k, v in self.bind.items()}
+            bind = {k: v[sel] for k, v in self.bind.items()}
             n = len(sel)
         if extra:
             bind.update(extra)
@@ -391,7 +282,7 @@ class _Points:
             pts = pts.parent
             value = pts.memo.get(node)
             if value is not None:
-                return value if sel is None else _take(value, sel)
+                return value if sel is None else value[sel]
         return None
 
 
@@ -406,52 +297,49 @@ def _eval(node: E.Expr, pts: _Points):
     return value
 
 
-def _compute(node: E.Expr, pts: _Points):
+def _compute(node: E.Expr, pts: _Points) -> np.ndarray:
+    if isinstance(node, E.Load):
+        return _load(node, pts)     # a buffer holds its array's dtype
     if isinstance(node, E.Const):
         value = np.full(pts.n, node.value)
     elif isinstance(node, (E.Idx, E.Var)):
         value = pts.bind.get(node)
         if value is None:
             raise SimulationError(f"unbound symbol {node!r}")
-    elif isinstance(node, E.Load):
-        value = _load(node, pts)
     elif isinstance(node, E.BinOp):
-        lhs, rhs = _eval(node.lhs, pts), _eval(node.rhs, pts)
-        value = _lift(lambda a, b: _binary(node.op, a, b, pts.unit),
-                      lhs, rhs)
+        value = _binary(node.op, _eval(node.lhs, pts),
+                        _eval(node.rhs, pts), pts.unit)
     elif isinstance(node, E.UnOp):
-        value = _lift(lambda x: _unary(node.op, x, pts.unit),
-                      _eval(node.operand, pts))
+        value = _unary(node.op, _eval(node.operand, pts), pts.unit)
     elif isinstance(node, E.Select):
         value = _select(node, pts)
     else:
         raise SimulationError(f"cannot evaluate node {node!r}")
-    return _round32(value) if node.dtype == E.FLOAT32 else value
+    return _typed(value, node.dtype)
 
 
-def _select(node: E.Select, pts: _Points):
+def _select(node: E.Select, pts: _Points) -> np.ndarray:
     take = _truth(_eval(node.cond, pts))
     if take.all():
         return _eval(node.if_true, pts)
     if not take.any():
         return _eval(node.if_false, pts)
     yes, no = np.flatnonzero(take), np.flatnonzero(~take)
-    return _merge(pts.n, [(yes, _eval(node.if_true, pts.subset(yes))),
-                          (no, _eval(node.if_false, pts.subset(no)))])
-
-
-def _index(value, unit: str) -> np.ndarray:
-    return _lift(lambda a: _to_int(_num(a), unit), value)
+    value = np.empty(pts.n, _WIDE[node.dtype])
+    value[yes] = _eval(node.if_true, pts.subset(yes))
+    value[no] = _eval(node.if_false, pts.subset(no))
+    return value
 
 
 def _load(node: E.Load, pts: _Points) -> np.ndarray:
     buf = pts.env.buffers[node.array.name]
+    wide = _WIDE[node.dtype]
     if not node.indices:
-        return _widen(np.full(pts.n, buf[()] if buf.shape == ()
-                              else buf.reshape(-1)[0]))
-    idxs = [_index(_eval(i, pts), pts.unit) for i in node.indices]
+        return np.full(pts.n, buf[()] if buf.shape == ()
+                       else buf.reshape(-1)[0], wide)
+    idxs = [_to_int(_eval(i, pts), pts.unit) for i in node.indices]
     if not pts.n:
-        return _widen(buf.reshape(-1)[:0])
+        return np.empty(0, wide)
     bad = np.zeros(pts.n, bool)
     for axis, ix in enumerate(idxs):
         size = buf.shape[axis] if axis < buf.ndim else 0
@@ -461,7 +349,7 @@ def _load(node: E.Load, pts: _Points) -> np.ndarray:
         raise SimulationError(
             f"out-of-bounds read {node.array.name}"
             f"[{[int(ix[j]) for ix in idxs]}] (buffer shape {buf.shape})")
-    return _widen(buf[tuple(idxs)])
+    return buf[tuple(idxs)].astype(wide)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +365,8 @@ def _bounds(dim, pts: _Points):
         return (np.zeros(pts.n, np.int64),
                 np.full(pts.n, pts.env.scalar(dim.dyn.length_of)))
     if isinstance(dim, RangeDim):
-        return (_index(_eval(dim.lo, pts), pts.unit),
-                _index(_eval(dim.hi, pts), pts.unit))
+        return (_to_int(_eval(dim.lo, pts), pts.unit),
+                _to_int(_eval(dim.hi, pts), pts.unit))
     raise SimulationError(f"unknown dim {dim!r}")
 
 
@@ -522,37 +410,27 @@ def _simple_combine(pattern) -> bool:
                                   pattern.acc_b))
 
 
-def _reduce(op: str, init, vals, acc: E.Var):
-    """``acc = acc ⊕ v`` over ``vals`` in order from ``init``, in one
-    pass; ``None`` when the types would change along the way."""
-    if isinstance(vals, _Mixed):
-        return None
-    vals = _num(vals)
-    if not len(vals):
-        return init
-    if vals.dtype.kind == "f" and type(init) is float \
-            and acc.dtype == E.FLOAT32:
-        first = np.float32(init)
-        if op == "add":     # accumulate is sequential, in float32
-            return float(np.add.accumulate(np.concatenate(
-                [[first], vals.astype(np.float32)]))[-1])
-        seq = np.concatenate([[float(first)], vals])
-        if np.isnan(seq[0]):
-            return seq[0].item()
-    elif vals.dtype.kind == "i" and type(init) in (int, bool):
-        if op == "add":
-            return int(init) + int(vals.sum())
-        seq = np.concatenate([[int(init)], vals])
-    else:
-        return None
+def _reduce(op: str, seq: np.ndarray) -> np.ndarray:
+    """``acc = acc ⊕ v`` over ``seq`` = ``[init, v0, v1, ...]`` in order,
+    in one pass."""
+    if op == "add":
+        if seq.dtype.kind != "f":
+            return seq.sum(keepdims=True)
+        # accumulate is sequential, in float32
+        return np.add.accumulate(seq.astype(np.float32))[-1:].astype(
+            np.float64)
+    if seq.dtype.kind == "f" and np.isnan(seq[0]):
+        return seq[:1]
     # min / max keep the first element no later one beats (NaNs never do)
     best = np.nanmin(seq) if op == "min" else np.nanmax(seq)
-    return seq[np.argmax(seq == best)].item()
+    return seq[np.argmax(seq == best)][None]
 
 
 def _inits(pattern, bins: int):
-    """``bins`` fresh copies of each accumulator's ``init``."""
-    return [_widen(np.full(bins, init)) for init in pattern.init]
+    """``bins`` fresh copies of each accumulator's ``init``, of the
+    accumulator's dtype."""
+    return [_typed(np.full(bins, init), acc.dtype)
+            for init, acc in zip(pattern.init, pattern.acc_a)]
 
 
 def _combine(pattern, pts: _Points, keys: np.ndarray, accs, vals):
@@ -571,10 +449,11 @@ def _combine(pattern, pts: _Points, keys: np.ndarray, accs, vals):
         rows = by_rank[start:stop]
         where = keys[rows]
         step = pts.subset(rows, {
-            **{a: _take(acc, where) for a, acc in zip(pattern.acc_a, accs)},
-            **{b: _take(v, rows) for b, v in zip(pattern.acc_b, vals)}})
+            **{a: acc[where] for a, acc in zip(pattern.acc_a, accs)},
+            **{b: v[rows] for b, v in zip(pattern.acc_b, vals)}})
         new = [_eval(c, step) for c in pattern.combine]
-        accs = [_assign(acc, where, v) for acc, v in zip(accs, new)]
+        for acc, value in zip(accs, new):
+            acc[where] = value
     return accs
 
 
@@ -586,13 +465,11 @@ def _fold_values(fold: Fold, outer: _Points, in_order: bool = False):
         return _fold_stepped(fold, outer)
     pts = _expand(fold.dims, fold.indices, outer)
     vals = [_eval(body, pts) for body in fold.body]
+    accs = _inits(fold, 1)
     if _simple_combine(fold):
-        done = [_reduce(c.op, init, v, a) for c, init, v, a in
-                zip(fold.combine, fold.init, vals, fold.acc_a)]
-        if all(d is not None for d in done):
-            return [np.array([d]) for d in done]
-    return _combine(fold, pts, np.zeros(pts.n, np.int64), _inits(fold, 1),
-                    vals)
+        return [_reduce(c.op, np.concatenate([acc, v]))
+                for c, acc, v in zip(fold.combine, accs, vals)]
+    return _combine(fold, pts, np.zeros(pts.n, np.int64), accs, vals)
 
 
 def _fold_stepped(fold: Fold, outer: _Points):
@@ -637,10 +514,11 @@ def _fold_stepped(fold: Fold, outer: _Points):
         point = at(rows, m)
         vals = [_eval(body, point) for body in fold.body]
         step = point.subset(None, {
-            **{a: _take(acc, rows) for a, acc in zip(fold.acc_a, accs)},
+            **{a: acc[rows] for a, acc in zip(fold.acc_a, accs)},
             **dict(zip(fold.acc_b, vals))})
         new = [_eval(c, step) for c in fold.combine]
-        accs = [_assign(acc, rows, v) for acc, v in zip(accs, new)]
+        for acc, value in zip(accs, new):
+            acc[rows] = value
         live[rows] = False
         settle(rows, m - 1, True)
     return accs
@@ -714,7 +592,7 @@ def _run_hash_reduce(step: Step, root: _Points, slabs) -> None:
     pattern = step.pattern
     accs = _inits(pattern, pattern.bins)
     for pts in slabs:
-        keys = _index(_eval(pattern.key, pts), pts.unit)
+        keys = _to_int(_eval(pattern.key, pts), pts.unit)
         bad = (keys < 0) | (keys >= pattern.bins)
         if bad.any():
             raise SimulationError(
@@ -729,7 +607,7 @@ def _run_hash_reduce(step: Step, root: _Points, slabs) -> None:
 def _run_scatter(step: Step, pts: _Points) -> None:
     pattern, target = step.pattern, step.outputs[0]
     limit = pts.env.buffers[target.name].shape[0]
-    where = _index(_eval(pattern.index, pts), pts.unit)
+    where = _to_int(_eval(pattern.index, pts), pts.unit)
     bad = (where < 0) | (where >= limit)
     if bad.any():
         raise SimulationError(
@@ -832,53 +710,9 @@ def eval_expr(node: E.Expr, env: Env, bindings):
     """
     with np.errstate(all="ignore"):
         pts = _Points(env, "expression", 1,
-                      {sym: _widen(np.array([value]))
+                      {sym: np.array([value])
                        for sym, value in bindings.items()})
-        return _item(_eval(node, pts))
-
-
-def _sparse_in_order(pattern: HashReduce, root: _Points):
-    """``run_sparse_hash_reduce`` one point at a time in domain order."""
-    accs = {}
-    for pts in _in_order(pattern.dims, pattern.indices, root):
-        key = _item(_eval(pattern.key, pts))
-        vals = [_eval(v, pts) for v in pattern.value]
-        step = pts.subset(None, {
-            **dict(zip(pattern.acc_a, accs.get(key) or _inits(pattern, 1))),
-            **dict(zip(pattern.acc_b, vals))})
-        accs[key] = [_eval(c, step) for c in pattern.combine]
-    return {key: tuple(_item(acc) for acc in values)
-            for key, values in accs.items()}
-
-
-def run_sparse_hash_reduce(pattern: HashReduce, env: Env,
-                           bindings=None):
-    """Evaluate a *sparse* HashReduce (``bins=None``): keys are not
-    known ahead of time, so accumulators are allocated on the fly.
-
-    Returns ``{key: (v0, v1, ...)}`` — one accumulator tuple per key
-    actually produced, in order of first appearance.  The paper supports
-    this form architecturally; this reproduction executes it
-    functionally only (the evaluated benchmarks all use the dense form).
-    A fault is named as in :func:`run_step`.
-    """
-    with np.errstate(all="ignore"):
-        root = _Points(env, "sparse HashReduce", 1,
-                       {sym: _widen(np.array([value]))
-                        for sym, value in (bindings or {}).items()})
-        try:
-            pts = _expand(pattern.dims, pattern.indices, root)
-            keys = _eval(pattern.key, pts)
-            vals = [_eval(v, pts) for v in pattern.value]
-            uniq, first, bins = np.unique(keys, return_index=True,
-                                          return_inverse=True)
-            accs = _combine(pattern, pts, bins.reshape(-1),
-                            _inits(pattern, len(uniq)), vals)
-        except SimulationError:
-            _sparse_in_order(pattern, root)
-            raise
-    return {uniq[b].item(): tuple(_item(acc, b) for acc in accs)
-            for b in np.argsort(first)}
+        return _eval(node, pts)[0].item()
 
 
 def run_program(program: Program,

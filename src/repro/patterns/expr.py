@@ -10,6 +10,12 @@ simulator evaluate.
 The IR is deliberately small: constants, loop indices, loads from symbolic
 collections, unary/binary arithmetic, comparisons, select (mux), and a fixed
 set of math calls that map one-to-one onto PCU functional-unit opcodes.
+
+Every node has a static ``dtype`` — a PCU functional unit works on 32-bit
+words of a fixed type — and its value has that dtype at every point:
+arithmetic on a BOOL operand is rejected here, a transcendental is
+FLOAT32, and an int reaching a FLOAT32 node (a Select branch, a ``min``
+winner, a fold's ``init``) becomes a float32 there.
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ FLOAT32 = "float32"
 INT32 = "int32"
 BOOL = "bool"
 
-_NUMERIC = (FLOAT32, INT32)
+#: opcodes that compute on numbers: a BOOL operand is a trace error
+_ARITHMETIC = frozenset({"add", "sub", "mul", "div", "mod", "neg", "abs",
+                         "relu"})
+
+#: opcodes whose result is FLOAT32 whatever their operand
+_TRANSCENDENTAL = frozenset({"exp", "log", "sqrt", "sigmoid", "tanh"})
 
 
 def unify_dtypes(a: str, b: str) -> str:
@@ -227,6 +238,8 @@ class BinOp(Expr):
     def __init__(self, op: str, lhs: Expr, rhs: Expr):
         if op not in BINARY_OPS:
             raise TraceError(f"unknown binary op {op!r}")
+        if op in _ARITHMETIC and BOOL in (lhs.dtype, rhs.dtype):
+            raise TraceError(f"{op!r} of a bool operand")
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -255,11 +268,13 @@ class UnOp(Expr):
     def __init__(self, op: str, operand: Expr):
         if op not in UNARY_OPS:
             raise TraceError(f"unknown unary op {op!r}")
+        if op in _ARITHMETIC and operand.dtype == BOOL:
+            raise TraceError(f"{op!r} of a bool operand")
         self.op = op
         self.operand = operand
         if op == "not":
             self.dtype = BOOL
-        elif op == "to_float":
+        elif op == "to_float" or op in _TRANSCENDENTAL:
             self.dtype = FLOAT32
         elif op == "to_int":
             self.dtype = INT32

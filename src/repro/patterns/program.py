@@ -58,10 +58,6 @@ class Step:
                 raise PatternError("FlatMap output must be dynamic")
             return
         if isinstance(pattern, HashReduce):
-            if not pattern.dense:
-                raise PatternError(
-                    "only dense HashReduce can be a program step; use the "
-                    "reference executor for the sparse form")
             if len(self.outputs) != pattern.width:
                 raise PatternError("HashReduce outputs must match width")
             for out in self.outputs:
@@ -236,7 +232,7 @@ class Program:
     def hash_reduce(self, name: str, out: Union[Array, Sequence[Array]],
                     domain, bins: int, key: Callable, value: Callable,
                     r: Callable, init=0.0) -> Step:
-        """Append a dense HashReduce step with ``bins`` accumulators."""
+        """Append a HashReduce step with ``bins`` accumulators."""
         outs = (out,) if isinstance(out, Array) else tuple(out)
         return self.step(
             name, HashReduce(domain, key, value, r, bins=bins, init=init),

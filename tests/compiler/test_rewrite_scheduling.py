@@ -62,6 +62,21 @@ def test_simplify_select_constant_condition():
     assert taken is i
 
 
+def test_simplify_never_changes_a_dtype():
+    """An identity whose survivor has another dtype is not applied, and
+    a folded constant has the node's dtype."""
+    x = E.Var("x", E.INT32)
+    for node in (x + E.Const(0.0), E.Const(0.0) + x, x - E.Const(0.0),
+                 x * E.Const(1.0), E.Const(1.0) * x):
+        assert simplify(node).dtype == E.FLOAT32
+    picked = simplify(E.select(E.wrap(True), 1, 2.5))
+    assert picked.dtype == E.FLOAT32
+    folded = simplify(E.minimum(E.wrap(1), E.wrap(2.5)))
+    assert isinstance(folded, E.Const)
+    assert folded.dtype == E.FLOAT32 and type(folded.value) is float
+    assert simplify(x + 0) is x
+
+
 def test_simplify_preserves_semantics():
     from repro.patterns.executor import Env, eval_expr
     from repro.patterns.program import Program

@@ -50,6 +50,30 @@ def test_dtype_unify_rejects_bool_plus_int():
         E.unify_dtypes(E.BOOL, E.INT32)
 
 
+def test_arithmetic_on_bool_is_a_trace_error():
+    """A node's value has its dtype at every point: bool + bool would be
+    an int at a BOOL node."""
+    i = E.Idx("i")
+    flag = i < 1
+    for build in (lambda: flag + flag, lambda: -flag, lambda: flag * flag,
+                  lambda: E.absolute(flag), lambda: E.relu(flag),
+                  lambda: flag % flag, lambda: flag / flag):
+        with pytest.raises(TraceError, match="bool operand"):
+            build()
+    # logic, comparison, selection and casts of a bool stay legal
+    assert (flag & flag).dtype == (~flag).dtype == E.BOOL
+    assert E.select(flag, flag, ~flag).dtype == E.BOOL
+    assert E.to_int(flag).dtype == E.INT32
+
+
+def test_transcendentals_are_float32():
+    i = E.Idx("i")
+    for fn in (E.exp, E.log, E.sqrt, E.sigmoid, E.tanh):
+        assert fn(i).dtype == E.FLOAT32
+        assert fn(E.wrap(2)).dtype == E.FLOAT32
+    assert E.absolute(i).dtype == E.relu(i).dtype == (-i).dtype == E.INT32
+
+
 def test_comparison_ops_are_bool():
     i = E.Idx("i")
     for node in (i < 1, i <= 1, i > 1, i >= 1, i.eq(1), i.ne(1)):
