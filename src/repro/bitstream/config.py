@@ -9,8 +9,7 @@ consumes exactly this — it never re-runs placement decisions.
 
 The module lives in :mod:`repro.bitstream` (not :mod:`repro.sim`) so
 that the compiler can emit configurations without importing the
-simulator; :mod:`repro.sim.config` re-exports everything for backward
-compatibility.
+simulator.
 """
 
 from __future__ import annotations

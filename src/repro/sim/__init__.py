@@ -1,9 +1,10 @@
 """Cycle-level simulator of the Plasticine fabric."""
 
-from repro.sim.config import (AgAssignment, FabricConfig, LeafTiming,
-                              MemoryPlacement)
+from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
+                                    MemoryPlacement)
+from repro.dhdl.analysis import assign_bases
 from repro.sim.counters import Batch, ChainEnumerator
-from repro.sim.dram_image import DramImage, assign_bases
+from repro.sim.dram_image import DramImage
 from repro.sim.fabric import Fabric, Tenant
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,

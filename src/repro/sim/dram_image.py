@@ -12,7 +12,6 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from repro.dhdl.analysis import assign_bases  # noqa: F401  (re-export)
 from repro.dhdl.memory import DramRef
 from repro.errors import SimulationError
 from repro.patterns.collections import _np_dtype

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bitstream.config import FabricConfig
+from repro.dhdl.analysis import assign_bases
 from repro.dhdl.ir import DhdlProgram
 from repro.dram.model import DramModel
 from repro.errors import SimulationError
-from repro.sim.config import FabricConfig
-from repro.sim.dram_image import assign_bases
 from repro.sim.machine import Machine
 from repro.sim.scheduler import run_machines
 from repro.sim.stats import SimStats

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from repro.bitstream.config import FabricConfig
 from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
                            ReduceStmt, StreamStore)
 from repro.dhdl.memory import Reg
@@ -23,7 +24,6 @@ from repro.dram.request import DramRequest
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
-from repro.sim.config import FabricConfig
 from repro.sim.counters import Batch, ChainEnumerator
 from repro.sim.datapath import (Evaluator, compile_body,
                                 datapath_fault)

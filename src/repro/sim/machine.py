@@ -1,7 +1,7 @@
 """The machine: assembles and runs one configured application.
 
 Builds per-controller simulators from a DHDL program and a
-:class:`~repro.sim.config.FabricConfig`, wires them to the scratchpad,
+:class:`~repro.bitstream.config.FabricConfig`, wires them to the scratchpad,
 FIFO, DRAM-image and DDR3-timing models, and runs the cycle loop until
 the root controller completes (with a deadlock watchdog).
 """
@@ -12,15 +12,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.dhdl.analysis import scope_edges
+from repro.bitstream.config import FabricConfig
+from repro.dhdl.analysis import assign_bases, scope_edges
 from repro.dhdl.control import Scheme
 from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
                            TileStore, EmitStmt)
 from repro.dram.model import DramModel
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.config import FabricConfig
-from repro.sim.dram_image import DramImage, assign_bases
+from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,
                               ScatterSim, StreamStoreSim, TileLoadSim,

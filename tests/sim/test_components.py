@@ -13,10 +13,10 @@ from repro.dram.request import DramRequest
 from repro.errors import ConfigError, SimulationError
 from repro.patterns import Array
 from repro.patterns import expr as E
-from repro.sim import (AgAssignment, FabricConfig, FifoSim, InnerComputeSim,
-                       LeafTiming, MemoryState, RegSim, ScratchpadSim,
-                       SimStats, StreamStoreSim, TileLoadSim)
-from repro.sim.dram_image import DramImage, assign_bases
+from repro.sim import (AgAssignment, DramImage, FabricConfig, FifoSim,
+                       InnerComputeSim, LeafTiming, MemoryState, RegSim,
+                       ScratchpadSim, SimStats, StreamStoreSim, TileLoadSim,
+                       assign_bases)
 from repro.trace import RingTracer
 from repro.trace.events import StallCause
 
