@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fuzz.validate import validate_spec
 
-SCHEDULERS = ("event", "dense")
 SCALES = ("tiny", "small")
 MODES = ("compile", "simulate", "multi")
 
@@ -74,7 +73,6 @@ class RequestError(Exception):
 class JobParams:
     """Normalized per-job execution knobs (part of the job key)."""
 
-    scheduler: str = "event"
     max_cycles: int = 2_000_000
     watchdog: int = 50_000
     #: record stall attribution + a downloadable Chrome trace
@@ -90,8 +88,8 @@ class JobParams:
 
 
 _PARAM_FIELDS = {
-    "scheduler": str, "max_cycles": int, "watchdog": int, "trace": bool,
-    "trace_sample": int, "tile_words": int, "whole_budget": int,
+    "max_cycles": int, "watchdog": int, "trace": bool, "trace_sample": int,
+    "tile_words": int, "whole_budget": int,
 }
 
 
@@ -117,9 +115,6 @@ def _parse_params(data: Any) -> JobParams:
             errors.append({"path": f"params.{name}",
                            "message": f"expected {want.__name__}, got "
                                       f"{type(value).__name__}"})
-    if data.get("scheduler") not in (None, *SCHEDULERS):
-        errors.append({"path": "params.scheduler",
-                       "message": f"expected one of {list(SCHEDULERS)}"})
     for name in ("max_cycles", "watchdog", "trace_sample", "tile_words",
                  "whole_budget"):
         value = data.get(name)

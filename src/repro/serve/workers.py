@@ -200,8 +200,7 @@ def execute_job(payload: dict) -> dict:
     started = time.perf_counter()
     try:
         machine = artifact.machine(
-            tracer=tracer, scheduler=params["scheduler"],
-            max_cycles=int(params["max_cycles"]),
+            tracer=tracer, max_cycles=int(params["max_cycles"]),
             watchdog=int(params["watchdog"]))
         stats = machine.run()
     except DeadlockError as err:
@@ -211,8 +210,7 @@ def execute_job(payload: dict) -> dict:
         return {**_error(422, "simulate", err), **{
             "content_hash": content_hash, "compile": compile_meta}}
     sim_ms = round((time.perf_counter() - started) * 1e3, 3)
-    result["simulate"] = {"sim_ms": sim_ms, "cycles": stats.cycles,
-                          "scheduler": params["scheduler"]}
+    result["simulate"] = {"sim_ms": sim_ms, "cycles": stats.cycles}
     result["stats"] = dataclasses.asdict(stats)
     if tracer is not None:
         from repro.trace import write_chrome_trace

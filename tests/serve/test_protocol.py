@@ -28,7 +28,7 @@ def test_spec_request_parses_and_keys_on_content():
     # key covers mode and params, not just identity
     other_mode = parse_request({"spec": SPEC}, "compile")
     other_params = parse_request(
-        {"spec": SPEC, "params": {"scheduler": "dense"}}, "simulate")
+        {"spec": SPEC, "params": {"max_cycles": 1000}}, "simulate")
     assert len({req.key, other_mode.key, other_params.key}) == 3
     # same content, freshly-built dict -> same key
     import copy
@@ -90,20 +90,20 @@ def test_spec_schema_errors_carry_prefixed_paths():
 def test_params_validate_clamp_and_default():
     req = parse_request(
         {"spec": SPEC, "params": {"max_cycles": 10 ** 12,
-                                  "watchdog": 10 ** 9,
-                                  "scheduler": "dense"}}, "simulate")
+                                  "watchdog": 10 ** 9}}, "simulate")
     assert req.params.max_cycles == MAX_CYCLES_CAP
     assert req.params.watchdog == WATCHDOG_CAP
-    assert req.params.scheduler == "dense"
     assert parse_request({"spec": SPEC}, "simulate").params == \
         JobParams()
-    for bad in ({"scheduler": "fifo"}, {"max_cycles": 0},
+    for bad in ({"max_cycles": 0},
                 {"max_cycles": True}, {"trace": 1}, []):
         with pytest.raises(RequestError) as excinfo:
             parse_request({"spec": SPEC, "params": bad}, "simulate")
         assert excinfo.value.status == 400
+    # scheduler: both stepping modes answer bit-identically, so the
+    # knob would only split the job key
     for name, value in (("mystery", 1), ("coschedule", True),
-                        ("priority", 4)):
+                        ("priority", 4), ("scheduler", "dense")):
         with pytest.raises(RequestError) as excinfo:
             parse_request({"spec": SPEC, "params": {name: value}},
                           "simulate")
