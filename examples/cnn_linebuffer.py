@@ -9,6 +9,8 @@ window reads never bank-conflict (Section 4.5's CNN discussion).
 Run:  python examples/cnn_linebuffer.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.apps.ml import Cnn
@@ -34,11 +36,12 @@ def main():
     stats = machine.run()
     expected = app.expected(prog)
     got = machine.result("activated")
-    print("\nconvolution + ReLU matches the reference:",
-          np.allclose(got, expected["activated"], rtol=1e-3, atol=1e-4))
+    ok = np.allclose(got, expected["activated"], rtol=1e-3, atol=1e-4)
+    print("\nconvolution + ReLU matches the reference:", ok)
     print(f"cycles: {stats.cycles}, bank-conflict stalls: "
           f"{stats.conflict_cycles}")
+    return ok
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

@@ -10,6 +10,8 @@ addresses that share a burst.
 Run:  python examples/sparse_pagerank.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.apps.sparse import PageRank
@@ -26,8 +28,8 @@ def main():
 
     ranks = machine.result("ranks")
     expected = app.expected(prog)["ranks"]
-    print("ranks match the reference executor:",
-          np.allclose(ranks, expected, rtol=1e-3, atol=1e-5))
+    ok = np.allclose(ranks, expected, rtol=1e-3, atol=1e-5)
+    print("ranks match the reference executor:", ok)
     print(f"total cycles: {stats.cycles}")
 
     gathers = [leaf for leaf in machine._leaves
@@ -44,7 +46,8 @@ def main():
     top = np.argsort(ranks)[::-1][:5]
     print("top pages:", list(top), "ranks:",
           np.round(ranks[top], 4).tolist())
+    return ok
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

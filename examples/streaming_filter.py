@@ -10,6 +10,8 @@ the paper's FlatMap support (Table 2).
 Run:  python examples/streaming_filter.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.compiler import compile_program
@@ -46,10 +48,12 @@ def main():
     got = machine.result("selected")[:got_count]
     print(f"\nselected {got_count} of {n} orders "
           f"(expected {len(expect)})")
-    print("values match:", np.allclose(got, expect, rtol=1e-5))
+    ok = got_count == len(expect) and np.allclose(got, expect, rtol=1e-5)
+    print("values match:", ok)
     print(f"cycles: {stats.cycles}, FIFO backpressure stalls: "
           f"{stats.fifo_stall_cycles}")
+    return ok
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)
