@@ -40,7 +40,7 @@ from repro.errors import ConfigError
 
 #: Bump whenever the serialized layout changes; the cache segregates
 #: artifacts by schema so stale entries are never misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def canonical_json(data: dict) -> bytes:
@@ -318,17 +318,18 @@ class Bitstream:
 
     def summary(self) -> Dict[str, Any]:
         """Small human-facing description (CLI ``repro compile``)."""
+        blob = self.to_bytes()
         return {
             "app": self.app,
             "scale": self.scale,
             "schema": self.schema,
             "key": self.key,
-            "content_hash": self.content_hash,
+            "content_hash": hash_bytes(blob),
             "leaves": len(self.config.leaf_timing),
             "srams": len(self.dhdl.srams),
             "pcus_used": self.config.pcus_used,
             "pmus_used": self.config.pmus_used,
-            "bytes": len(self.to_bytes()),
+            "bytes": len(blob),
         }
 
     def __repr__(self):

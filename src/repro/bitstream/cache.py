@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.bitstream.artifact import SCHEMA_VERSION, Bitstream
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IRError
 
 
 def default_cache_root() -> Path:
@@ -88,9 +88,9 @@ class CompileCache:
         *transient* read failure (EIO, EACCES, ...) is a miss but the
         entry — which may be perfectly fine — is left in place; an
         undecodable entry (truncated write, schema drift inside a
-        versioned directory) is dropped and counted in
-        ``stats.corrupt``.  Anything else is a programming bug and
-        propagates instead of masquerading as a cache miss.
+        versioned directory, a malformed program) is dropped and
+        counted in ``stats.corrupt``.  Anything else is a programming
+        bug and propagates instead of masquerading as a cache miss.
         """
         path = self.path_for(key)
         try:
@@ -106,11 +106,12 @@ class CompileCache:
         try:
             artifact = Bitstream.from_dict(
                 json.loads(raw.decode("utf-8")))
-        except (ValueError, KeyError, TypeError, ConfigError):
+        except (ValueError, KeyError, TypeError, ConfigError, IRError):
             # undecodable entry (JSONDecodeError/UnicodeDecodeError are
             # ValueErrors; missing or mistyped fields raise
-            # KeyError/TypeError; ConfigError covers schema mismatch):
-            # drop it so the next put can rewrite it
+            # KeyError/TypeError; ConfigError covers schema mismatch,
+            # IRError a malformed program): drop it so the next put can
+            # rewrite it
             try:
                 path.unlink()
             except OSError:

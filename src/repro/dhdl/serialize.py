@@ -19,10 +19,17 @@ Two properties matter beyond mere round-tripping:
   containers (declaration lists, child lists, statement lists), never
   sets, so two processes — regardless of hash randomization — produce
   identical dicts for identical programs.
+
+An array's input data is stored as ``{"shape": [...], "b64": ...}``:
+the base64 of its little-endian dtype bytes in C order, so every bit
+survives (NaN payloads, ``-0.0``, subnormals) and decoding is one
+``np.frombuffer`` behind a length, dtype and BOOL-byte check.
 """
 
 from __future__ import annotations
 
+import base64
+import math
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -33,7 +40,7 @@ from repro.dhdl.ir import (Counter, CounterChain, DhdlProgram, EmitStmt,
                            OuterController, ReduceStmt, Scatter,
                            StreamStore, TileLoad, TileStore, WriteStmt)
 from repro.dhdl.memory import (BankingMode, DramRef, FifoDecl, Reg, Sram)
-from repro.errors import IRError
+from repro.errors import IRError, PatternError
 from repro.patterns import expr as E
 from repro.patterns.collections import Array, Dyn, _np_dtype
 
@@ -216,6 +223,35 @@ class _Encoder:
         raise IRError(f"cannot serialize controller {ctrl!r}")
 
 
+#: how the input data of an array of each dtype is packed: its
+#: little-endian bytes, in C order
+_WIRE = {E.FLOAT32: np.dtype("<f4"), E.INT32: np.dtype("<i4"),
+         E.BOOL: np.dtype("|b1")}
+
+
+def _unpack(spec: dict, dtype: str) -> np.ndarray:
+    """The input data of one array from its ``{"shape", "b64"}`` record.
+    Every malformed record — bad base64, a byte length that disagrees
+    with the shape, a BOOL byte other than 0 or 1 — is an
+    :class:`IRError`."""
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise IRError(f"bad array data shape {shape!r}")
+    try:
+        raw = base64.b64decode(spec["b64"], validate=True)
+    except (TypeError, ValueError) as err:     # binascii.Error too
+        raise IRError(f"bad base64 array data: {err}") from None
+    wire = _WIRE[dtype]
+    want = math.prod(shape) * wire.itemsize
+    if len(raw) != want:
+        raise IRError(f"array data is {len(raw)} bytes; shape {shape} "
+                      f"of {dtype} is {want}")
+    if dtype == E.BOOL and np.frombuffer(raw, np.uint8).max(initial=0) > 1:
+        raise IRError("BOOL array data holds a byte other than 0 or 1")
+    return np.frombuffer(raw, wire).astype(_np_dtype(dtype)).reshape(shape)
+
+
 def _array_to_dict(array: Array) -> dict:
     shape: List[Any] = []
     for dim in array.shape:
@@ -223,8 +259,9 @@ def _array_to_dict(array: Array) -> dict:
                      if isinstance(dim, Dyn) else int(dim))
     data = None
     if array.data is not None:
+        packed = np.ascontiguousarray(array.data, _WIRE[array.dtype])
         data = {"shape": list(array.data.shape),
-                "values": [_plain(v) for v in array.data.ravel().tolist()]}
+                "b64": base64.b64encode(packed.tobytes()).decode("ascii")}
     return {"name": array.name, "shape": shape, "dtype": array.dtype,
             "max_elems": array.max_elems, "offchip": array.offchip,
             "data": data}
@@ -285,6 +322,9 @@ class _Decoder:
             self.arrays[spec["name"]] = self._build_array(spec)
 
     def _build_array(self, spec: dict) -> Array:
+        if spec["dtype"] not in _WIRE:
+            raise IRError(f"array {spec['name']!r} has unknown dtype "
+                          f"{spec['dtype']!r}")
         shape: List[Any] = []
         for dim in spec["shape"]:
             if isinstance(dim, dict):
@@ -295,9 +335,10 @@ class _Decoder:
                       max_elems=spec["max_elems"],
                       offchip=spec["offchip"])
         if spec["data"] is not None:
-            values = np.asarray(spec["data"]["values"],
-                                dtype=_np_dtype(spec["dtype"]))
-            array.set_data(values.reshape(spec["data"]["shape"]))
+            try:
+                array.set_data(_unpack(spec["data"], spec["dtype"]))
+            except PatternError as err:
+                raise IRError(str(err)) from None
         return array
 
     def mem(self, ref: List):

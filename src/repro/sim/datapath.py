@@ -39,10 +39,16 @@ The address lists, and the ``(flat, value)`` columns of every storing
 statement, are also the record an issue leaves for whoever listens —
 the batch recorder and the test harness read it; they intercept
 nothing.
+
+A generated source names the objects it uses (memories, FIFOs, symbols)
+and binds none of them, so its code object is compiled once per process
+(:func:`_code`) and each build ``exec``s it into a namespace of its own:
+machines share code, never state.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -94,6 +100,19 @@ _PREFIX = {"neg": "-", "not": "not "}
 _NAMESPACE = {"_U": _U, "_rnd": _rnd, "_fail": _fail}
 _NAMESPACE.update((f"_b_{op}", fn) for op, fn in _BINARY_EVAL.items())
 _NAMESPACE.update((f"_u_{op}", fn) for op, fn in _UNARY_EVAL.items())
+
+#: entries of the code-object memo: above the distinct sources of one
+#: ``fuzz_mix`` pass (337), so a workload that repeats its programs
+#: never evicts; about 4 KB each
+CODE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CODE_MEMO_SIZE)
+def _code(source: str, name: str):
+    """The code object of one generated source, shared by every build
+    of that source in the process.  A source that fails to compile is
+    not memoised and fails the same way on every build."""
+    return compile(source, f"<datapath {name}>", "exec")
 
 
 class _Emitter:
@@ -237,7 +256,7 @@ class _Emitter:
             lines.append(f"    return {result}")
         source = "\n".join(lines) + "\n"
         try:
-            code = compile(source, f"<datapath {name}>", "exec")
+            code = _code(source, name)
         except SyntaxError as err:      # ~100 Selects nested in branches
             raise SimulationError(
                 f"datapath {name} nests too deeply to compile: {err.msg}")

@@ -7,6 +7,7 @@ cache never changes what a run computes, only whether the compiler ran.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.apps import ALL_APPS
 from repro.arch.params import DEFAULT
 from repro.bitstream import (SCHEMA_VERSION, Bitstream, CompileCache,
                              CompileOptions, compile_key)
+from repro.bitstream.artifact import hash_bytes
 from repro.compiler.artifact import compile_app_cached, compile_to_bitstream
 from repro.errors import ConfigError
 
@@ -105,6 +107,38 @@ def test_undecodable_payloads_count_as_corrupt(tmp_path, payload):
     assert not entry.exists()  # dropped to make room for a re-put
 
 
+def _tamper_program(data):
+    data["program"]["exprs"][0]["k"] = "bogus"
+
+
+def _tamper_data(data):
+    spec = next(s for s in data["program"]["arrays"]
+                if s["data"] is not None)
+    spec["data"]["shape"] = [spec["data"]["shape"][0] + 1]
+
+
+@pytest.mark.parametrize("tamper", [_tamper_program, _tamper_data],
+                         ids=["unknown-expr-kind", "packed-length"])
+def test_malformed_program_counts_as_corrupt(tmp_path, tamper):
+    """Valid JSON holding a program that does not decode (an IRError)
+    is dropped like any corrupt entry, so the next put rewrites it."""
+    cache = CompileCache(tmp_path)
+    art, _ = compile_app_cached("innerproduct", "tiny", cache=cache)
+    entry = cache.path_for(art.key)
+    data = art.to_dict()
+    tamper(data)
+    entry.write_bytes(json.dumps(data).encode("utf-8"))
+    fresh = CompileCache(tmp_path)
+    assert fresh.get(art.key) is None
+    assert (fresh.stats.corrupt, fresh.stats.misses) == (1, 0)
+    assert not entry.exists()
+    again, outcome = compile_app_cached("innerproduct", "tiny",
+                                        cache=fresh)
+    assert outcome == "miss"
+    assert again.content_hash == art.content_hash
+    assert fresh.get(art.key) is not None
+
+
 def test_transient_read_error_is_miss_without_unlink(tmp_path,
                                                      monkeypatch):
     cache = CompileCache(tmp_path)
@@ -173,6 +207,19 @@ def test_content_hash_is_canonical_bytes(tmp_path):
     again = compile_to_bitstream("tpchq6", "tiny")
     assert art.to_bytes() == again.to_bytes()
     assert art.content_hash == again.content_hash
+
+
+def test_summary_encodes_once(monkeypatch):
+    art = compile_to_bitstream("tpchq6", "tiny")
+    blob = art.to_bytes()
+    calls = []
+    real = Bitstream.to_dict
+    monkeypatch.setattr(Bitstream, "to_dict",
+                        lambda self: calls.append(1) or real(self))
+    summary = art.summary()
+    assert len(calls) == 1
+    assert summary["content_hash"] == hash_bytes(blob)
+    assert summary["bytes"] == len(blob)
 
 
 # -- CLI surface ------------------------------------------------------------

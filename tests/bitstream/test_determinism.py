@@ -30,32 +30,32 @@ from repro.apps import ALL_APPS
 from repro.compiler.artifact import compile_to_bitstream
 
 GOLDEN_TINY = {
-    "innerproduct": "2a5dd66db5972d1165278275de3bf842"
-                    "0777994c5ee11961626736ba10ce6bfc",
-    "outerproduct": "c3f872250ec40dacd98f1a75b421cfed"
-                    "6fd85b96c95e4ca9f424ee8e4cadd5ca",
-    "blackscholes": "a3a73e6eadf5beaabd177a0030c43fe6"
-                    "a047a3fd0e0519e9a967a754874e01cc",
-    "tpchq6": "0b524445c368a4bf7437f46950df03d6"
-              "5d1ca28b873ab69de4601623a07d78bc",
-    "gemm": "fb214e7a6a748a173ad1649a5ba4c203"
-            "24791b56e625b2e8f3bd479b4fb61aaa",
-    "gda": "add3505e07dca270a38122258b33dd93"
-           "fd9472935b48ee2ff1dbedd56ccb75e8",
-    "logreg": "bc198a331e08b5f2a0857bc65dcbec02"
-              "1cb7cdd29cbf5dc61b9ed2c1e80e5310",
-    "sgd": "79e5023510c666ad64bc1b086744a63c"
-           "581f66cdf23662598433e02b01e9eaa8",
-    "kmeans": "6971c74816c6f43c9689b6204bd8f09e"
-              "628704345e07b3f9c4aedd034240dfd3",
-    "cnn": "1baa47cf1813d7f65d30e047aad898e5"
-           "498f9d8928ccff09d1a01425109674e5",
-    "smdv": "a48358da55b48c5fc45eeeb2a0cf6157"
-            "119f789ffd3a70c19eb0d2d7c6a29927",
-    "pagerank": "f0a018df0db4207e2b495378ae29d5a1"
-                "685604768f66016a55607954b755fef7",
-    "bfs": "88241642df0ada49a689f0bb8fa354f8"
-           "0296ab527e80b20ac1f3b0f0f3d7eb10",
+    "innerproduct": "4667609ecde274127c99d63fe1fc54fb"
+                    "f418dcdfcab2ef3c43939841919b02ea",
+    "outerproduct": "87ebd1774d42292a0df64843129a40c9"
+                    "3681c5a298315059b3e7b465f5b9cae7",
+    "blackscholes": "6e83f8ba8049b88a8b60af6381949d18"
+                    "54b4ce65f42f9126a3141d69ccde0c94",
+    "tpchq6": "bd972434d4a10f55313c76259b4d12bf"
+              "9915f88dfe0dd20d468645815dfa0eb7",
+    "gemm": "2c01a8a707294c92d0e7856482ea35cf"
+            "d26cd1b9fcd2f596cb53a7514230ece6",
+    "gda": "43d69c15313e66e3238eb5af36226d50"
+           "13413a9a08c671ce2bc796425a9c475c",
+    "logreg": "bbf24a463e770d1643deb2bf4d2dc13a"
+              "67f77715c08f398f446fa1884a87b1c6",
+    "sgd": "985f51b325fb255844edcce530f1c012"
+           "3dbf531d30b2cc24c9799de2a5320a33",
+    "kmeans": "48c653c46a65f1dbdcd5551169e78d2a"
+              "ee340b6b61fe436e83400738c549a600",
+    "cnn": "cc119cff63d602d00ab45e969dd8b4b6"
+           "4dda026a69bdc3a64899089574785835",
+    "smdv": "b8f5a3e4f9887aef4f3e3a5f79305477"
+            "96ee434d378deb12c44ae01fa281405b",
+    "pagerank": "fc4154783b90d8c666b433a9acb4fbd0"
+                "6abdffd2ad7d29bc414180eab54a2cfe",
+    "bfs": "8e9855f28e72d663eadbfa1213825333"
+           "77aef199752f0f9dcb4bb60999e08225",
 }
 
 
