@@ -1,12 +1,10 @@
 """Batched simulation: N instances of one compiled design, one pass.
 
 Figure-7 sweeps, DSE, fuzz campaigns, and service traffic all simulate
-the *same compiled structure* under different parameters.  Running those
-instances independently re-evaluates every datapath expression N times
-(~85% of a solo run when this was written and the datapath was a
-per-lane interpreter; far less with the compiled kernels of
-``repro.sim.datapath`` — docs/ARCHITECTURE.md has the measured ratios).
-``run_batch`` removes that redundancy without giving up cycle-exactness:
+the *same compiled structure* under different parameters.  Every solo
+compute leaf already evaluates its body a block of issues at a time and
+follows the block's log (``repro.sim.leaves``); ``run_batch`` shares
+those logs across instances without giving up cycle-exactness:
 
 * Instances are grouped into **cohorts** by their *functional* inputs
   (the DRAM data they run on).  Timing-only overrides — pipeline depth,
@@ -18,38 +16,24 @@ per-lane interpreter; far less with the compiled kernels of
   same value stream.
 * One member of each cohort (the **leader**: the first that overrides
   neither ``max_cycles`` nor ``watchdog``, so no limit of its own can
-  cut the recording short) runs normally while recording a columnar
-  functional log per inner-compute activation: for every vector issue,
-  the SRAM/register/hash writes it performed (struct-of-arrays: flat
-  addresses and values as numpy arrays), the FIFO words it emitted, and
-  the read/write address groups that price bank conflicts.
+  cut its log short) runs normally; its compute leaves keep the blocks
+  they evaluate, and their end-of-activation reduce results, per
+  activation (:class:`~repro.sim.leaves.Activation`).  A leader's log
+  is just its leaves' own logs.
 * Every other member (a **follower**) runs the same scheduler, outer
-  controllers, transfers, DRAM model and FIFOs, but its inner-compute
-  leaves evaluate nothing.  Each recorded activation is priced **once
-  per banking configuration** into a :class:`_Schedule` — issue ``k``'s
-  cycle offset plus cumulative charges — from the recorded address
-  groups, so a ``banks`` override still reshapes every stall; one
-  routine (``_ReplayInnerComputeSim._apply``) makes issues ``[lo, hi)``
-  happen: effects from the log, counters from the schedule.
-* An inner pipeline is *statically scheduled*: a follower leaf that
-  emits into no FIFO, on an untraced machine, can be delayed by nothing
-  outside itself, so it does not step per vector issue.  After an issue
-  it parks (:class:`_IssuePark`) until the latest issue cycle its
-  watchdog allows — normally the activation's last — and the park's
-  ``charge`` applies the issues inside whatever span it is handed: the
-  event core's end-of-park charge, its error-exit flush and the dense
-  loop's per-cycle wait all land there, so dense ≡ event and a
-  ``max_cycles``/watchdog exit leaves the stepped run's partial state.
-  When one charge covers the whole middle of an activation, its writes
-  come from one merged last-write-wins set built once for the cohort.
-  A leaf that emits (backpressure can stall it between issues) or is
-  traced (it owes BUSY / BANK_CONFLICT marks per cycle) steps issue by
-  issue through the same ``_apply``.
+  controllers, transfers, DRAM model and FIFOs, but its compute leaves
+  evaluate nothing: they follow the leader's blocks exactly as the
+  leader's leaves followed them.  A block is priced **once per banking
+  configuration** (:class:`~repro.sim.block.Schedule`) and shared by
+  the cohort, so a ``banks`` override still reshapes every stall.
+  Followers park across blocks under the rules a solo leaf does, so
+  dense ≡ event and a ``max_cycles``/watchdog exit leaves the stepped
+  run's partial state.
 * Instances run **back to back**, each to completion through the
   ordinary ``Machine.run`` (leaders first, then followers): they own
   separate DRAM models and share nothing, so nothing observes their
   interleaving.  Stepping them jointly through one driver was measured
-  to *cost* ~8 % of a Figure-7 sweep; record/replay is what pays.
+  to *cost* ~8 % of a Figure-7 sweep.
 
 Per-instance ``SimStats``, memory images, and stall attribution are
 bit-identical to N sequential ``Machine.run`` calls; the equivalence
@@ -61,8 +45,6 @@ gracefully: its cohort's remaining members fall back to full solo runs.
 from __future__ import annotations
 
 import hashlib
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -72,11 +54,10 @@ from repro.dhdl.ir import InnerCompute
 from repro.dram.model import DramModel
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.patterns.collections import _np_dtype
-from repro.sim.leaves import InnerComputeSim
+from repro.sim.leaves import Activation, InnerComputeSim
 from repro.sim.machine import Machine
-from repro.sim.scheduler import Park, check_mode
+from repro.sim.scheduler import check_mode
 from repro.sim.stats import SimStats
-from repro.trace.events import EventKind
 
 #: overrides that only change *when* things happen, never *what* values
 #: the datapath computes — cohort members may differ in these freely
@@ -213,301 +194,22 @@ def instantiate(source, overrides: Optional[dict] = None,
 
 
 # ---------------------------------------------------------------------------
-# The functional log (leader writes, followers replay)
+# The functional log (a leader's leaves keep it, followers replay it)
 # ---------------------------------------------------------------------------
 
 
-class _ActivationLog:
-    """Everything one inner-compute activation did, batch by batch."""
-
-    __slots__ = ("batches", "finish", "_schedules", "_middle", "_finals")
-
-    def __init__(self):
-        self.batches: List[_RawBatch] = []
-        #: effect events of the end-of-activation reduce results
-        self.finish: list = []
-        #: banking configuration -> the activation priced under it
-        self._schedules: Dict[Tuple, _Schedule] = {}
-        self._middle: Optional[_FrozenBatch] = None
-        self._finals: Optional[_FrozenBatch] = None
-
-    def schedule(self, banking: Tuple, scratchpads) -> "_Schedule":
-        """The activation's timeline under one banking configuration,
-        priced once (against any follower's ``scratchpads`` so banked)
-        and shared by every follower banked alike."""
-        schedule = self._schedules.get(banking)
-        if schedule is None:
-            schedule = self._schedules[banking] = _Schedule(
-                self.batches, scratchpads)
-        return schedule
-
-    def middle(self, mem_state) -> "_FrozenBatch":
-        """Every issue but the first and the last as one merged
-        last-write-wins effect set, built once for the cohort: what a
-        free-running follower applies between its two ticks."""
-        if self._middle is None:
-            events = [ev for batch in self.batches[1:-1]
-                      for ev in batch.events]
-            self._middle = _freeze(events, mem_state)
-        return self._middle
-
-    def finals(self, mem_state) -> "_FrozenBatch":
-        """The end-of-activation effects, frozen once for the cohort."""
-        if self._finals is None:
-            self._finals = _freeze(self.finish, mem_state)
-        return self._finals
-
-
-class _Schedule:
-    """One activation priced under one banking configuration.
-
-    Nothing outside the unit can delay an issue once the activation
-    runs (FIFO backpressure aside, which stalls between issues and
-    shifts the rest), so issue ``k`` leaves ``offsets[k]`` cycles after
-    issue 0 — the sum of ``1 + extra`` over the issues before it — and
-    ``rows[k]`` holds what those issues charged, cumulatively: conflict
-    cycles, lanes, then reads / writes / conflict cycles of each
-    scratchpad in ``pads`` (name -> first of its three columns).
-    ``rows[hi] - rows[lo]`` is what issues ``[lo, hi)`` charge.
-    ``conflicts[k]`` lists issue ``k``'s conflicted groups as
-    ``(scratchpad, extra, lanes)`` — the events a tracer is owed.
-    """
-
-    __slots__ = ("offsets", "rows", "pads", "conflicts")
-
-    def __init__(self, batches, scratchpads):
-        self.offsets = offsets = array("l", (0,))
-        touched = dict.fromkeys(
-            name for batch in batches
-            for name, _ in batch.reads + batch.writes)
-        self.pads = pads = {name: 2 + 3 * j
-                            for j, name in enumerate(touched)}
-        self.conflicts: Dict[int, tuple] = {}
-        width = 2 + 3 * len(pads)
-        deltas = [[0] * width]
-        for k, batch in enumerate(batches):
-            delta = [0] * width
-            delta[1] = batch.lanes
-            conflicted = []
-            for write, groups in enumerate((batch.reads, batch.writes)):
-                for name, addrs in groups:
-                    scratch = scratchpads[name]
-                    col = pads[name]
-                    delta[col + write] += len(addrs)
-                    extra = scratch.conflict_extra(addrs, write)
-                    if extra:
-                        delta[col + 2] += extra
-                        conflicted.append((name, extra, len(addrs)))
-            if conflicted:
-                self.conflicts[k] = tuple(conflicted)
-                delta[0] = max(extra for _, extra, _ in conflicted)
-            offsets.append(offsets[-1] + 1 + delta[0])
-            deltas.append(delta)
-        self.rows = np.cumsum(np.array(deltas, dtype=np.int32), axis=0,
-                              dtype=np.int32)
-
-
-class _FrozenBatch:
-    """Recorded effects in columnar (struct-of-arrays) form: those of
-    one vector issue, of the merged middle of an activation, or of its
-    end."""
-
-    __slots__ = ("sram", "regs", "emits")
-
-    def __init__(self, sram, regs, emits):
-        #: per scratchpad: (name, flat addrs int64[], values dtype[], wm)
-        self.sram = sram
-        self.regs = regs
-        self.emits = emits
-
-
-class _RawBatch:
-    """The record of one vector issue (frozen lazily): its effect events
-    in program order — ``("s", sram, flat addresses, values)`` per
-    storing statement as the kernel listed it, ``("r", reg, value)``,
-    ``("h", sram, key, cell)`` and ``("e", fifo, words)`` from the
-    recorder's primitives — and the ``(sram, addresses)`` read and write
-    groups the kernel priced."""
-
-    __slots__ = ("index", "lanes", "events", "reads", "writes", "_frozen")
-
-    def __init__(self, index, lanes, events, reads, writes):
-        #: position in the activation's issue order
-        self.index = index
-        self.lanes = lanes
-        self.events = events
-        self.reads = reads
-        self.writes = writes
-        self._frozen: Optional[_FrozenBatch] = None
-
-    def frozen(self, mem_state) -> _FrozenBatch:
-        """Columnar form, built once and shared by all followers."""
-        if self._frozen is None:
-            self._frozen = _freeze(self.events, mem_state)
-        return self._frozen
-
-
-def _freeze(events, mem_state) -> _FrozenBatch:
-    """Recorded effect events in columnar form: per memory the last
-    write to each address (or register) wins, FIFO words keep their
-    order."""
-    per_mem: Dict[str, dict] = {}
-    wm: Dict[str, int] = {}
-    regs = {}
-    emits = []
-    for ev in events:
-        kind = ev[0]
-        if kind == "s":            # a statement's SRAM writes, in store
-            _, name, flats, values = ev     # order (track the watermark)
-            per_mem.setdefault(name, {}).update(zip(flats, values))
-            wm[name] = max(wm.get(name, -1), *flats)
-        elif kind == "h":          # hash-table write (no watermark)
-            _, name, key, value = ev
-            bucket = per_mem.get(name)
-            if bucket is None:
-                bucket = per_mem[name] = {}
-            bucket[key] = value
-        elif kind == "r":
-            regs[ev[1]] = ev[2]
-        else:                      # "e"
-            emits.append((ev[1], ev[2]))
-    sram = []
-    for name, bucket in per_mem.items():
-        # duplicate addresses already collapsed last-write-wins by
-        # the dict, so the vectorized fancy assignment is exact
-        dtype = _np_dtype(mem_state.scratchpads[name].sram.dtype)
-        flats = np.fromiter(bucket.keys(), dtype=np.int64,
-                            count=len(bucket))
-        values = np.array([dtype(v) for v in bucket.values()],
-                          dtype=dtype)
-        sram.append((name, flats, values, wm.get(name, -1)))
-    return _FrozenBatch(tuple(sram), tuple(regs.items()), tuple(emits))
-
-
-class _ReplayEnumerator:
-    """Stand-in for ChainEnumerator: yields the recorded batches."""
-
-    __slots__ = ("batches", "i")
-
-    def __init__(self, batches):
-        self.batches = batches
-        #: the next issue (a free-running leaf's park moves it too)
-        self.i = 0
-
-    def next_batch(self) -> Optional[_RawBatch]:
-        if self.i >= len(self.batches):
-            return None
-        batch = self.batches[self.i]
-        self.i += 1
-        return batch
-
-
-class _RecordingInnerComputeSim(InnerComputeSim):
-    """The leader's inner compute: normal execution — the same kernel a
-    solo leaf runs — plus keeping the record each issue leaves."""
+class _ReplayInnerComputeSim(InnerComputeSim):
+    """A follower's inner compute: zero expression evaluation — it
+    follows the leader's :class:`~repro.sim.leaves.Activation` blocks,
+    each priced under this instance's banking (once per banking, for
+    the cohort), exactly as a solo leaf follows its own."""
 
     def __init__(self, leaf, config, mem, stats, fifos, log):
         super().__init__(leaf, config, mem, stats, fifos)
         self._log = log
-        self._act: Optional[_ActivationLog] = None
-
-    def _begin_body(self, bindings, version):
-        self._act = _ActivationLog()
-        self._log.setdefault(self.name, []).append(self._act)
-        super()._begin_body(bindings, version)
-
-    def _execute(self, batch):
-        extra = super()._execute(batch)
-        if extra is not None:
-            # the issue's record: the groups the kernel priced, and its
-            # effects — the scratchpad stores the kernel listed, the
-            # rest appended by the primitives below, in program order
-            batches = self._act.batches
-            batches.append(_RawBatch(
-                len(batches), batch.lanes, self._fx,
-                [(name, addrs) for (name, _site), addrs
-                 in self._reads.items()],
-                list(self._writes.items())))
-        return extra
-
-    def _apply_finals(self):
-        super()._apply_finals()
-        self._act.finish = self._fx
-
-    def _write_reg(self, mem, value):
-        super()._write_reg(mem, value)
-        self._fx.append(("r", mem.name, value))
-
-    def _hash_store(self, mem, buf, key, value):
-        super()._hash_store(mem, buf, key, value)
-        # record the post-assignment cell: it carries the exact dtype
-        # cast the replayed assignment must reproduce
-        self._fx.append(("h", mem.name, int(key), buf.flat[key]))
-
-    def _emit_values(self, fifo, values):
-        super()._emit_values(fifo, values)
-        self._fx.append(("e", fifo.decl.name, tuple(values)))
-
-
-class _IssuePark(Park):
-    """A free-running follower leaf between two of its own ticks.
-
-    Every cycle of the span is an issue or a conflict-stall cycle of the
-    activation's :class:`_Schedule` — both charge ``busy`` once — so the
-    per-cycle effect is scheduled rather than constant: ``charge``
-    applies the issues that fall inside the cycles it is handed.
-    """
-
-    __slots__ = ("leaf", "at")
-
-    def __init__(self, leaf, at: int, until: int):
-        super().__init__(until=until, busy_unit=leaf.name)
-        self.leaf = leaf
-        #: cycles since issue 0 accounted for (so far: by the leaf's
-        #: own tick, which issued at this offset)
-        self.at = at
-
-    def charge(self, stats, span: int) -> None:
-        leaf = self.leaf
-        enum = leaf._enum
-        offsets = leaf._schedule.offsets
-        self.at += span
-        stats.busy(self.busy_unit, span)
-        hi = bisect_right(offsets, self.at, enum.i, len(offsets) - 1)
-        if hi > enum.i:
-            stats.vector_issues += hi - enum.i
-            leaf._apply(enum.i, hi)
-            enum.i = hi
-
-
-class _ReplayInnerComputeSim(InnerComputeSim):
-    """A follower's inner compute: zero expression evaluation — effects
-    come from the leader's log, timing from the activation's
-    :class:`_Schedule` under this instance's banking.
-
-    A leaf whose body emits into a FIFO, or whose machine is traced,
-    steps issue by issue like any ``InnerComputeSim`` (backpressure can
-    stall it between issues; a tracer is owed BUSY / BANK_CONFLICT marks
-    per cycle).  Any other leaf *runs free* once it has issued: nothing
-    outside the unit can delay it and replay reads nothing, so it parks
-    on an :class:`_IssuePark` until the latest issue cycle its machine's
-    watchdog lets it stay silent until (normally the activation's last
-    issue) and re-ticks there.
-    """
-
-    def __init__(self, leaf, config, mem, stats, fifos, log, watchdog):
-        super().__init__(leaf, config, mem, stats, fifos)
-        self._log = log
-        self._watchdog = watchdog
         self._cursor = 0
-        self._act: Optional[_ActivationLog] = None
-        self._schedule: Optional[_Schedule] = None
-        #: the banking configuration schedules are shared under
-        self._banking = tuple(s.banks for s in mem.scratchpads.values())
-        #: the free-running park, while one is open
-        self._ahead: Optional[_IssuePark] = None
-        #: the issue the current tick made (None: it made none)
-        self._issued: Optional[int] = None
+        self._replay: Optional[Activation] = None
+        self._blocks = iter(())
 
     def _begin_body(self, bindings, version):
         acts = self._log.get(self.name, ())
@@ -516,109 +218,34 @@ class _ReplayInnerComputeSim(InnerComputeSim):
                 f"{self.name}: batch replay log exhausted at activation "
                 f"{self._cursor} — followers may only vary timing "
                 "parameters")
-        self._act = acts[self._cursor]
+        self._replay = acts[self._cursor]
         self._cursor += 1
-        self._accs = {}
-        self._enum = _ReplayEnumerator(self._act.batches)
-        self._schedule = self._act.schedule(self._banking,
-                                            self.mem.scratchpads)
+        self._blocks = iter(self._replay.blocks)
 
-    def tick(self, cycle: int) -> None:
-        ahead = self._ahead
-        if ahead is not None:
-            if cycle < ahead.until:
-                # inside the free run: the dense loop's per-cycle tick
-                # (or a spurious wake) is one more scheduled cycle
-                self._wait(ahead, cycle)
-                return
-            self._ahead = None
-        self._issued = None
-        super().tick(cycle)
-        if (self._issued is not None and not self._emit_demand
-                and self.trace is None):
-            self._run_free(self._issued, cycle)
-
-    def _run_free(self, i: int, cycle: int) -> None:
-        """Issue ``i`` left at ``cycle``: park until the latest issue
-        cycle the watchdog cannot trip before.  The unit re-ticks *on*
-        an issue cycle, so whenever it registers progress the stepped
-        run does too, and from the last issue on they agree."""
-        offsets = self._schedule.offsets
-        k = bisect_right(offsets, offsets[i] + self._watchdog, i,
-                         len(offsets) - 1) - 1
-        if k > i + 1:
-            self._ahead = self._park = _IssuePark(
-                self, offsets[i], cycle + offsets[k] - offsets[i])
-
-    def _execute(self, batch):
-        if not self._check_fifo_room(batch.lanes):
-            return None
-        k = self._issued = batch.index
-        self._apply(k, k + 1)
-        offsets = self._schedule.offsets
-        return offsets[k + 1] - offsets[k] - 1
-
-    def _apply(self, lo: int, hi: int) -> None:
-        """Issues ``[lo, hi)`` of the activation happen: their effects
-        land and every counter ``_execute`` charges for them moves.
-        (Conflict pricing is not replayed: the schedule re-derived it
-        from the recorded address groups against this instance's
-        banking, so a banks override reshapes every stall exactly as a
-        solo run.)"""
-        batches = self._act.batches
-        if lo == 1 and hi == len(batches) - 1:
-            effects = (self._act.middle(self.mem),)
-        else:
-            effects = [batch.frozen(self.mem) for batch in batches[lo:hi]]
-        for rec in effects:
-            self._land(rec)
-        scratchpads = self.mem.scratchpads
-        schedule = self._schedule
-        charged = (schedule.rows[hi] - schedule.rows[lo]).tolist()
-        self.stats.conflict_cycles += charged[0]
-        self.stats.ops_executed += self._ops_per_lane * charged[1]
-        for name, col in schedule.pads.items():
-            scratch = scratchpads[name]
-            scratch.reads += charged[col]
-            scratch.writes += charged[col + 1]
-            scratch.conflict_cycles += charged[col + 2]
-        if self.trace is not None:
-            # a traced unit steps: this is issue ``lo`` alone
-            for name, extra, lanes in schedule.conflicts.get(lo, ()):
-                self.trace.emit(EventKind.BANK_CONFLICT, name,
-                                (extra, lanes))
-
-    def _land(self, rec: _FrozenBatch) -> None:
-        """One frozen effect set reaches this instance's scratchpads,
-        registers and FIFOs."""
-        version = self._version
-        for name, flats, values, wm in rec.sram:
-            scratch = self.mem.scratchpads[name]
-            scratch.buffer(version).reshape(-1)[flats] = values
-            if wm >= 0:
-                scratch.note_write(version, wm)
-        for name, value in rec.regs:
-            self.mem.registers[name].write(value)
-        for name, values in rec.emits:
-            self.fifos[name].push(list(values))
+    def _next_block(self):
+        return next(self._blocks, None)
 
     def _apply_finals(self):
-        self._land(self._act.finals(self.mem))
+        version = self._version
+        for name, flat, value in self._replay.finals:
+            if flat is None:
+                self.mem.registers[name].write(value)
+            else:
+                scratch = self.mem.scratchpads[name]
+                buf = scratch.buffer(version).reshape(-1)
+                buf[flat] = _np_dtype(scratch.sram.dtype)(value)
+                scratch.note_write(version, flat)
 
 
 class _RecordingMachine(Machine):
-    """A Machine whose inner computes log their functional effects."""
+    """A Machine whose inner computes keep their activations' logs in
+    ``log`` (leaf name -> activations)."""
 
     def __init__(self, dhdl, config, log, **kwargs):
-        self._batch_log = log
         super().__init__(dhdl, config, **kwargs)
-
-    def _build_leaf(self, ctrl):
-        if isinstance(ctrl, InnerCompute):
-            return _RecordingInnerComputeSim(
-                ctrl, self.config, self.mem, self.stats, self.fifos,
-                self._batch_log)
-        return super()._build_leaf(ctrl)
+        for leaf in self._leaves:
+            if isinstance(leaf, InnerComputeSim):
+                leaf.record = log.setdefault(leaf.name, [])
 
 
 class _ReplayMachine(Machine):
@@ -632,7 +259,7 @@ class _ReplayMachine(Machine):
         if isinstance(ctrl, InnerCompute):
             return _ReplayInnerComputeSim(
                 ctrl, self.config, self.mem, self.stats, self.fifos,
-                self._batch_log, self.watchdog)
+                self._batch_log)
         return super()._build_leaf(ctrl)
 
 

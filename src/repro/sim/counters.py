@@ -34,8 +34,8 @@ class Batch:
 
     @property
     def lane_bindings(self) -> List[dict]:
-        """Full bindings per lane (built on demand: datapath kernels
-        iterate ``values`` under ``outer`` instead)."""
+        """Full bindings per lane (built on demand: a leaf's block
+        evaluation reads ``values`` under ``outer`` instead)."""
         return [{**self.outer, self.index: v} for v in self.values]
 
 
@@ -100,29 +100,47 @@ class ChainEnumerator:
         return lo < hi
 
     def _descend(self, axis: int) -> bool:
-        """Initialise dims ``axis..`` to their first values; False when the
-        subtree is empty and the caller must advance dim ``axis-1``."""
-        for k in range(axis, self.chain.depth):
-            while True:
-                if not self._eval_bounds(k):
-                    # empty range: advance the nearest outer dim
-                    if not self._advance(k - 1):
-                        return False
+        """Initialise dims ``axis..`` to their first values; an empty
+        range steps the nearest outer dim with room and descends from
+        there.  False when the chain is exhausted.
+
+        A loop, not a recursion, so any number of consecutive ranges may
+        be empty; it evaluates the bounds exactly as the recursive walk
+        did: a level that had to step outward re-evaluates its dims once
+        the descent below it completes (``resume``, innermost last)."""
+        resume: List[int] = []
+        k = axis
+        while True:
+            while k < self.chain.depth:
+                if self._eval_bounds(k):
+                    self._cur[k] = self._lo[k]
+                    k += 1
                     continue
-                self._cur[k] = self._lo[k]
-                break
-        return True
+                resume.append(k)
+                k = self._step_outward(k - 1)
+                if k < 0:
+                    return False
+            if not resume:
+                return True
+            k = resume.pop()
+
+    def _step_outward(self, axis: int) -> int:
+        """Step dim ``axis``, wrapping outward while a dim runs off its
+        end; returns the first dim to (re)initialise, or -1 when the
+        chain is exhausted."""
+        while axis >= 0:
+            self._cur[axis] += self.chain.counters[axis].step
+            if self._cur[axis] < self._hi[axis]:
+                return axis + 1
+            axis -= 1
+        self._exhausted = True
+        return -1
 
     def _advance(self, axis: int) -> bool:
-        """Step dim ``axis``; on wrap, recurse outward.  False = done."""
-        if axis < 0:
-            self._exhausted = True
-            return False
-        counter = self.chain.counters[axis]
-        self._cur[axis] += counter.step
-        if self._cur[axis] < self._hi[axis]:
-            return self._descend(axis + 1)
-        return self._advance(axis - 1)
+        """Step dim ``axis`` and descend into the next non-empty
+        subtree.  False = done."""
+        k = self._step_outward(axis)
+        return k >= 0 and self._descend(k)
 
     # -- batching -----------------------------------------------------------------
     def next_batch(self) -> Optional[Batch]:

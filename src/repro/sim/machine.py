@@ -106,6 +106,12 @@ class Machine:
             from repro.faults.inject import FaultInjector
             self.faults = FaultInjector(fault_plan, self,
                                         sites=fault_sites)
+        for leaf in self._leaves:
+            if isinstance(leaf, InnerComputeSim):
+                # a traced or fault-planned compute leaf steps per issue
+                leaf.free = leaf.free and self.tracer is None \
+                    and self.faults is None
+                leaf.watchdog = watchdog
 
     # -- construction ------------------------------------------------------------
     def _build(self, ctrl) -> NodeSim:
@@ -179,8 +185,7 @@ class Machine:
         for fifo in self.fifos.values():
             fifo.trace = tracer
             tracer.register_track(fifo.decl.name, "fifo")
-        for name, scratch in self.mem.scratchpads.items():
-            scratch.trace = tracer
+        for name in self.mem.scratchpads:
             tracer.register_track(name, "pmu")
         self.dram.attach_trace(tracer, tenant=self.tenant)
 

@@ -123,9 +123,9 @@ class Park:
     (``_TransferCommon._issue``).
 
     The per-cycle effect need not be constant.  A subclass may override
-    :meth:`charge` to apply a *scheduled* one — ``repro.sim.batch.
-    _IssuePark``, a replayed activation whose every issue cycle is
-    known — as long as ``charge`` stays the only way its cycles are
+    :meth:`charge` to apply a *scheduled* one — ``repro.sim.leaves.
+    _IssuePark``, a compute leaf following a block whose every issue
+    cycle is known — as long as ``charge`` stays the only way its cycles are
     accounted: this core and ``_wait`` hand it spans and look no
     further.
     """

@@ -13,25 +13,23 @@ banking mode determines how many lane accesses one cycle can service:
 * ``LINE_BUFFER`` — sliding-window reads; conflict-free for unit-stride
   window accesses.
 
-:meth:`ScratchpadSim.conflict_extra` is that rule, the only one.  On
-the hot path nobody calls :meth:`ScratchpadSim.store` or the rule per
-lane or per group: a datapath kernel (``repro.sim.datapath``) stores in
-line, and decides in line the groups the banking mode or one of the
-rule's two structural shortcuts decides; ``store`` serves the
-end-of-activation reduce results, ``read_cost`` / ``write_cost`` the
-groups left over.
+:meth:`ScratchpadSim.conflict_extra` is that rule, the only one; it
+prices a block of equal-length groups row by row.  On the hot path
+nobody calls :meth:`ScratchpadSim.store` or the rule per lane or per
+group: an inner compute lands a block's stores as columns and prices
+its groups once per block (``repro.sim.block``); ``store`` serves
+the end-of-activation reduce results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.dhdl.memory import BankingMode, Reg, Sram
 from repro.errors import SimulationError
 from repro.patterns.collections import _np_dtype
-from repro.trace.events import EventKind
 
 
 class ScratchpadSim:
@@ -50,8 +48,6 @@ class ScratchpadSim:
         self.reads = 0
         self.writes = 0
         self.conflict_cycles = 0
-        #: attached by the machine when tracing is enabled
-        self.trace = None
 
     def _blank(self) -> np.ndarray:
         return np.zeros(self.sram.shape, dtype=_np_dtype(self.sram.dtype))
@@ -132,65 +128,55 @@ class ScratchpadSim:
         self._fallback.clear()
 
     # -- timing ------------------------------------------------------------------
-    def conflict_extra(self, flat_addrs: Sequence[int],
-                       write: bool = False) -> int:
-        """Extra cycles (beyond 1) to service one vector of lane
-        accesses — the one pricing rule, free of side effects:
-        ``repro.sim.batch`` prices a recorded activation with it once
-        per banking configuration, and a datapath kernel calls it (via
-        :meth:`read_cost` / :meth:`write_cost`) for every group its own
-        in-line copy of the two structural shortcuts does not decide.
+    def conflict_extra(self, flat_addrs, write: bool = False):
+        """Extra cycles (beyond 1) to service vectors of lane accesses —
+        the one pricing rule, free of side effects.  ``flat_addrs`` is
+        one group (a sequence: returns an int) or a 2-D block of
+        equal-length groups, one per row (returns an int array): a
+        leaf's :class:`~repro.sim.block.Schedule` prices a block of
+        issues with it once per banking configuration.
 
         Only ``STRIDED`` serialises reads: identical addresses are one
         physical access broadcast to the requesting lanes, the distinct
-        ones queue per bank.  Two shapes cost 0 by construction and are
-        recognised before any bank is computed: a *broadcast* (every
-        lane one address) and a *unit-stride run* of at most ``banks``
-        addresses under ``bank_stride == 1`` (consecutive words sit in
-        consecutive banks)."""
-        mode = self.sram.banking
-        count = len(flat_addrs)
-        if mode is not BankingMode.STRIDED:
+        ones queue per bank (a broadcast, or a unit-stride run of at
+        most ``banks`` addresses under ``bank_stride == 1``, costs 0)."""
+        shape = np.shape(flat_addrs)
+        one = len(shape) == 1
+        count, mode = shape[-1], self.sram.banking
+        if mode is not BankingMode.STRIDED or not count:
             # DUPLICATION broadcasts a write to every bank: one word
             # per cycle; FIFO and LINE_BUFFER cannot conflict
-            return count - 1 if write and count \
+            cost = count - 1 if write and count \
                 and mode is BankingMode.DUPLICATION else 0
-        if not count:
-            return 0
-        first = flat_addrs[0]
-        if flat_addrs.count(first) == count:
-            return 0
-        stride, banks = self.sram.bank_stride, self.banks
-        if stride == 1 and count <= banks \
-                and flat_addrs[-1] - first == count - 1 \
-                and list(flat_addrs) == list(range(first, first + count)):
-            return 0
-        hit = [(addr // stride) % banks for addr in set(flat_addrs)]
-        if len(set(hit)) == len(hit):   # no bank twice
-            return 0
-        return max(map(hit.count, set(hit))) - 1
+            return cost if one else np.full(shape[0], cost, np.int64)
+        rows = np.asarray(flat_addrs, dtype=np.int64).reshape(-1, count)
+        ordered = np.sort(rows, axis=1)
+        distinct = np.ones(ordered.shape, np.bool_)
+        distinct[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        banks = self.banks
+        bank = (ordered // self.sram.bank_stride) % banks
+        cell = (np.arange(len(rows))[:, None] * banks + bank)[distinct]
+        per_bank = np.bincount(cell, minlength=len(rows) * banks)
+        extra = per_bank.reshape(len(rows), banks).max(axis=1) - 1
+        return int(extra[0]) if one else extra
 
     def read_cost(self, flat_addrs: Sequence[int]) -> int:
         """Count and charge one vector of lane reads; returns its extra
         cycles."""
-        self.reads += len(flat_addrs)
-        return self._charge(self.conflict_extra(flat_addrs),
-                            len(flat_addrs))
+        return self._charge(flat_addrs, False)
 
     def write_cost(self, flat_addrs: Sequence[int]) -> int:
         """Count and charge one vector of lane writes; returns its extra
         cycles."""
-        self.writes += len(flat_addrs)
-        return self._charge(self.conflict_extra(flat_addrs, True),
-                            len(flat_addrs))
+        return self._charge(flat_addrs, True)
 
-    def _charge(self, extra: int, n_addrs: int) -> int:
-        """Charge one priced vector's serialisation (and tell a tracer)."""
-        if extra:
-            self.conflict_cycles += extra
-            if self.trace is not None:
-                self.trace.emit(EventKind.BANK_CONFLICT, self.sram.name,
-                                (extra, n_addrs))
+    def _charge(self, flat_addrs: Sequence[int], write: bool) -> int:
+        extra = self.conflict_extra(flat_addrs, write)
+        if write:
+            self.writes += len(flat_addrs)
+        else:
+            self.reads += len(flat_addrs)
+        self.conflict_cycles += extra
         return extra
 
 

@@ -1,17 +1,17 @@
 """The per-lane tree-walking datapath interpreter, kept as a reference.
 
-``repro.sim.datapath`` compiles every inner-controller body into one
-generated kernel that also stores, counts and prices its own lanes.
-This module is the recursive, ``isinstance``-dispatched interpreter the
-kernels replaced — evaluation order, memo scope, lazy ``Select``,
+``repro.sim.datapath`` evaluates an inner-controller body one block of
+vector issues at a time, and the leaf follows the block's log.  This
+module is the recursive, ``isinstance``-dispatched per-issue interpreter
+that came before — evaluation order, memo scope, lazy ``Select``,
 float32 rounding (of whatever a FLOAT32 node yields), access recording
 and error messages exactly as it was, every store one
 ``ScratchpadSim.store`` call, every group priced by ``read_cost`` /
-``write_cost`` — so the differential tests can run both and compare
-every vector issue.  It leaves the same per-issue record on the leaf
-(``_reads``, ``_writes``, ``_fx``) the kernel does, and
-:class:`IssueLog` reads either.  It is slow on purpose; nothing under
-``src/`` may import it.
+``write_cost``, one issue per tick — so the differential tests can run
+both and compare every vector issue: :class:`IssueLog` records the
+interpreter's issues as they happen, :class:`BlockLog` the same record
+for each issue a block-following leaf applies.  It is slow on purpose;
+nothing under ``src/`` may import it.
 """
 
 from __future__ import annotations
@@ -107,10 +107,16 @@ class LaneContext:
 
 
 class ReferenceInnerComputeSim(InnerComputeSim):
-    """An inner compute whose body is interpreted, not compiled: every
+    """An inner compute whose body is interpreted issue by issue: every
     scratchpad store is one ``ScratchpadSim.store`` call, every address
     group one ``read_cost`` / ``write_cost`` call, lane by lane and
-    group by group."""
+    group by group.  It leaves each issue's record on the leaf:
+    ``_reads`` (``(sram name, load site) -> addresses``), ``_writes``
+    (``sram name -> addresses``) and ``_fx`` (its effects in order)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.free = False
 
     def _begin_body(self, bindings, version):
         ctx = self._ctx = LaneContext(self.mem, version)
@@ -121,6 +127,15 @@ class ReferenceInnerComputeSim(InnerComputeSim):
             bindings)
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
                       if isinstance(s, ReduceStmt)}
+
+    def _next_issue(self):
+        """The next ``Batch`` (the bound reads it makes are priced with
+        it), None at the chain's end."""
+        self._ctx.reset_accesses()
+        try:
+            return self._enum.next_batch()
+        except (ArithmeticError, ValueError) as err:
+            raise datapath_fault(self.name, "counter bounds", err)
 
     def _execute(self, batch):
         ctx = self._ctx
@@ -161,6 +176,16 @@ class ReferenceInnerComputeSim(InnerComputeSim):
         for name, addrs in write_addrs.items():
             extra = max(extra, self.mem.scratchpads[name].write_cost(addrs))
         return extra
+
+    # effect primitives (the logging mixin records through them)
+    def _write_reg(self, mem, value) -> None:
+        self.mem.reg(mem).write(value)
+
+    def _hash_store(self, mem, buf, key, value) -> None:
+        buf.flat[key] = value
+
+    def _emit_values(self, fifo, values) -> None:
+        fifo.push(values)
 
     def _write_sram(self, mem, idxs, value) -> int:
         flat = self.mem.scratch(mem).store(self._version, idxs, value)
@@ -247,19 +272,23 @@ class ReferenceInnerComputeSim(InnerComputeSim):
         ctx.reset_accesses()
 
 
+def _record(log, kind, name, what, effects):
+    log.setdefault(name, []).append((kind, name) + what + (repr(effects),))
+
+
 class IssueLog:
-    """Mixin over an inner-compute sim: appends to ``self.log`` one
-    record per vector issue — the read/write address maps it priced,
-    their conflict cost, and every effect it applied, in order — and one
-    per activation end, all taken from the record the issue left on the
-    leaf (a statement's columnar ``("s", name, flats, values)`` entry
-    reads as one store per lane).  The read map is compared as a set of
-    sites (its key order is the one deliberate difference, see
-    ARCHITECTURE.md)."""
+    """Mixin over the reference interpreter: appends to ``self.log[leaf
+    name]`` one record per vector issue — the read/write address maps
+    it priced, their conflict cost, and every effect it applied, in
+    order — and one per activation end, all taken from the record the
+    issue left on the leaf (a statement's columnar ``("s", name, flats,
+    values)`` entry reads as one store per lane).  The read map is
+    compared as a set of sites (its key order is the one deliberate
+    difference, see ARCHITECTURE.md)."""
 
-    log: list
+    log: dict
 
-    def _record(self, kind, *what):
+    def _effects(self):
         effects = []
         for effect in self._fx:
             if effect[0] == "s":
@@ -268,20 +297,20 @@ class IssueLog:
                             for flat, value in zip(flats, values)]
             else:
                 effects.append(effect)
-        self.log.append((kind, self.name) + what + (repr(effects),))
+        return effects
 
     def _execute(self, batch):
         extra = super()._execute(batch)
         if extra is not None:
-            self._record(
-                "issue",
+            _record(self.log, "issue", self.name, (
                 sorted((key, list(v)) for key, v in self._reads.items()),
-                [(key, list(v)) for key, v in self._writes.items()], extra)
+                [(key, list(v)) for key, v in self._writes.items()],
+                extra), self._effects())
         return extra
 
     def _apply_finals(self):
         super()._apply_finals()
-        self._record("finish")
+        _record(self.log, "finish", self.name, (), self._effects())
 
     def _write_reg(self, mem, value):
         super()._write_reg(mem, value)
@@ -297,7 +326,61 @@ class IssueLog:
         self._fx.append(("emit", fifo.decl.name, list(values)))
 
 
-class LoggedKernelSim(IssueLog, InnerComputeSim):
+def issue_record(leaf, k):
+    """The :class:`IssueLog` record of issue ``k`` of ``leaf``'s current
+    block, read from the block's columns."""
+    block, schedule = leaf._block, leaf._schedule
+    reads, writes = [], []
+    for name, write, key, addrs, off in block.streams:
+        group = addrs[off[k]:off[k + 1]].tolist()
+        if not group:
+            continue
+        if write:
+            writes.append((name, group))
+        else:
+            reads.append((key, group))
+    extra = schedule.offsets[k + 1] - schedule.offsets[k] - 1
+    effects = []
+    for si, stmt in enumerate(leaf.leaf.stmts):
+        if si not in block.stmts:
+            continue
+        off, cols = block.stmts[si]
+        cols = [c[off[k]:off[k + 1]].tolist() for c in cols]
+        if isinstance(stmt, EmitStmt):
+            if cols[0]:
+                effects.append(("emit", stmt.fifo.name, cols[0]))
+        elif isinstance(stmt, HashReduceStmt):
+            effects += [("hash", stmt.mem.name) + row
+                        for row in zip(*cols)]
+        elif isinstance(stmt.mem, Reg):
+            effects += [("reg", stmt.mem.name, v) for v in cols[0]]
+        else:
+            effects += [("sram", stmt.mem.name, flat, value)
+                        for flat, value, _cell in zip(*cols)]
+    return (sorted(reads), writes, extra), effects
+
+
+class BlockLog:
+    """Mixin over a block-following leaf: the :class:`IssueLog` record
+    of every issue it applies, and of every activation end."""
+
+    log: dict
+
+    def _apply(self, lo, hi):
+        for k in range(lo, hi):
+            what, effects = issue_record(self, k)
+            _record(self.log, "issue", self.name, what, effects)
+        super()._apply(lo, hi)
+
+    def _apply_finals(self):
+        super()._apply_finals()
+        _record(self.log, "finish", self.name, (), [
+            ("reg", name, value) if flat is None
+            else ("sram", name, flat, value)
+            for name, flat, value in self._finals])
+
+
+class LoggedBlockSim(BlockLog, InnerComputeSim):
     pass
 
 
@@ -320,13 +403,13 @@ def assert_same_memory(mem, ref) -> None:
 
 
 class LoggingMachine(Machine):
-    """A Machine whose inner computes log every vector issue;
+    """A Machine whose inner computes log every vector issue, per leaf;
     ``reference=True`` makes them interpret their bodies."""
 
     def __init__(self, dhdl, config, reference: bool = False, **kwargs):
-        self.issue_log: list = []
+        self.issue_log: dict = {}
         self._leaf_cls = LoggedReferenceSim if reference \
-            else LoggedKernelSim
+            else LoggedBlockSim
         super().__init__(dhdl, config, **kwargs)
 
     def _build_leaf(self, ctrl):

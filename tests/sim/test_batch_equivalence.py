@@ -20,8 +20,9 @@ from repro.patterns import Array
 from repro.patterns import expr as E
 from repro.sim import Machine
 from repro.sim import scheduler as core
-from repro.sim.batch import (_IssuePark, _RecordingMachine, _ReplayMachine,
-                             instantiate, run_batch)
+from repro.sim.batch import _RecordingMachine, _ReplayMachine, instantiate, \
+    run_batch
+from repro.sim.leaves import _IssuePark
 
 from tests.sim.test_machine_handbuilt import default_config
 

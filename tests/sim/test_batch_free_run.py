@@ -162,20 +162,27 @@ def test_follower_compute_ticks_and_executed_cycles(app, overrides, cycles,
     assert (calls[0], sched.executed_cycles) == (ticks, executed)
 
 
-def test_one_charge_applies_the_merged_middle_once_per_cohort():
-    """The whole middle of an activation is one merged last-write-wins
-    effect set, frozen once for the cohort; the issues it covers are
-    never frozen one by one."""
+def test_one_charge_applies_the_merged_middle_once_per_cohort(monkeypatch):
+    """The whole middle of a block is one charge — one ``_apply`` of
+    issues ``[1, n - 1)``, each address its range's last write — and
+    the block is priced once per banking configuration for the cohort."""
+    applied = []
+    apply = InnerComputeSim._apply
+
+    def watching(self, lo, hi):
+        applied.append((self, lo, hi))
+        apply(self, lo, hi)
+
+    monkeypatch.setattr(InnerComputeSim, "_apply", watching)
     source = _compiled("gemm", "small")
     result = run_batch(source, [{}, {"banks": 4}, {"banks": 8}, {}])
     assert result.replayed == 3
     leaf = next(leaf for leaf in result[1].machine._leaves
                 if isinstance(leaf, InnerComputeSim))
-    activations = leaf._log[leaf.name]
-    assert activations
-    for act in activations:
-        assert act._middle is not None
-        frozen = [b.index for b in act.batches if b._frozen is not None]
-        assert frozen == [0, len(act.batches) - 1]
-        # priced once per banking configuration: 16 (twice), 4 and 8
-        assert len(act._schedules) == 3
+    blocks = [block for act in leaf._log[leaf.name] for block in act.blocks]
+    assert blocks
+    assert [(lo, hi) for who, lo, hi in applied if who is leaf] == [
+        span for block in blocks
+        for span in ((0, 1), (1, block.n - 1), (block.n - 1, block.n))]
+    # priced once per banking configuration: 16 (twice), 4 and 8
+    assert all(len(block._schedules) == 3 for block in blocks)

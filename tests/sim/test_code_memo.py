@@ -1,26 +1,25 @@
-"""The process-wide memo of datapath code objects.
+"""The process-wide memo of scalar datapath code objects.
 
-Every build of one generated source shares a code object; each build
-``exec``s it into a namespace of its own, which binds that machine's
-memories, FIFOs and symbols.  So machines built from one artifact — solo
+Counter bounds, transfer offsets and counts and carry combines are
+compiled to Python; every build of one generated source shares a code
+object, and each build ``exec``s it into a namespace of its own, which
+binds that machine's memories and symbols.  So machines built from one artifact — solo
 or as tenants of one fabric — share code and never state, and finish
 exactly as they do with no memo at all.
 """
 
-import numpy as np
 import pytest
 
 from repro.compiler.artifact import compile_to_bitstream
-from repro.dhdl import WriteStmt
+from repro.dhdl import Counter, WriteStmt
 from repro.dhdl.memory import Sram
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.sim import datapath
 from repro.sim.fabric import Fabric
-from repro.sim.leaves import InnerComputeSim
 from repro.tenancy import pack_apps
 
-from tests.sim.test_datapath_kernel import Rig, lanes16
+from tests.sim.test_datapath_kernel import Rig
 
 
 def _compile_afresh(source, name):
@@ -39,9 +38,9 @@ def _without_memo(run):
 
 def _functions(machine):
     """Every generated function of a run machine, in build order: the
-    leaf kernels, then the scalars of each node's evaluator."""
-    fns = [leaf._kernel for leaf in machine._leaves
-           if isinstance(leaf, InnerComputeSim) and leaf._kernel]
+    scalars of each node's evaluator (counter bounds, transfer offsets
+    and counts, carry combines)."""
+    fns = []
     for node in machine._nodes:
         fns += list(node._evaluate._fns.values())
     return fns
@@ -69,7 +68,7 @@ def _assert_share_code_not_state(a, b):
         assert x.__globals__ is not y.__globals__
 
 
-@pytest.mark.parametrize("app", ["gemm", "tpchq6", "bfs"])
+@pytest.mark.parametrize("app", ["smdv", "tpchq6", "bfs"])
 def test_two_machines_of_one_artifact_share_code_not_state(app):
     artifact = compile_to_bitstream(app, "tiny")
 
@@ -90,7 +89,7 @@ def test_two_machines_of_one_artifact_share_code_not_state(app):
 
 
 def _fabric_run():
-    packing = pack_apps(["gemm", "gemm"], "tiny")
+    packing = pack_apps(["smdv", "smdv"], "tiny")
     assert packing.feasible, packing.reason
     fabric = Fabric()
     tenants = [fabric.add_tenant(t.artifact.dhdl, t.artifact.config,
@@ -121,17 +120,21 @@ def test_memo_never_grows_past_its_capacity():
 
 
 def test_too_deep_kernel_fails_the_same_on_every_build():
-    a, o = Sram("a", (16,), E.FLOAT32), Sram("o", (16,), E.FLOAT32)
+    """A scalar kernel — here a counter bound — nested too deeply to
+    compile fails typed, the same way on every build, and is never
+    memoised."""
+    ptr, o = Sram("ptr", (4,), E.INT32), Sram("o", (16,), E.FLOAT32)
     i = E.Idx("i")
-    value = a[i]
+    value = ptr[0]
     for k in range(120):
-        value = E.select(i.eq(100 + k), float(k), value)
+        value = E.select(ptr[0].eq(100 + k), k, value)
     messages = []
     for _ in range(3):
         size = datapath._code.cache_info().currsize
         with pytest.raises(SimulationError, match="nests too deeply") as err:
-            Rig(False, [WriteStmt(o, (i,), value)], lanes16(), [a, o],
-                data={"a": np.arange(16)}, indices=[i]).run()
+            Rig(False, [WriteStmt(o, (i,), E.to_float(i))],
+                [Counter(0, value, par=16)], [ptr, o],
+                data={"ptr": [16, 0, 0, 0]}, indices=[i]).run()
         messages.append(str(err.value))
         assert datapath._code.cache_info().currsize == size
     assert len(set(messages)) == 1

@@ -109,3 +109,74 @@ def test_max_total_catches_data_dependent_runaway():
                 break
             emitted += batch.lanes
     assert emitted <= 1_000
+
+
+# -- consecutive empty ranges: a loop, not a recursion -----------------------
+
+
+class _RecursiveWalk(ChainEnumerator):
+    """The recursive walk the enumerator used before: ``_descend`` and
+    ``_advance`` recursed once per consecutive empty range."""
+
+    def _descend(self, axis):
+        for k in range(axis, self.chain.depth):
+            while True:
+                if not self._eval_bounds(k):
+                    if not self._advance(k - 1):
+                        return False
+                    continue
+                self._cur[k] = self._lo[k]
+                break
+        return True
+
+    def _advance(self, axis):
+        if axis < 0:
+            self._exhausted = True
+            return False
+        self._cur[axis] += self.chain.counters[axis].step
+        if self._cur[axis] < self._hi[axis]:
+            return self._descend(axis + 1)
+        return self._advance(axis - 1)
+
+
+def _walk(cls, sizes, depth):
+    """Every batch and every bound evaluation of a chain whose inner
+    dims run ``[0, sizes[...])`` — many of them empty."""
+    idx = [E.Idx(f"d{k}") for k in range(depth)]
+    counters = [Counter(0, 3)] + [Counter(0, E.Idx(f"b{k}"), par=2)
+                                  for k in range(1, depth)]
+    asked = []
+
+    def bounds(counter, bindings):
+        key = tuple(bindings[i] for i in idx[:len(bindings)])
+        asked.append(key)
+        return 0, sizes[key] if key in sizes else (hash(key) % 3 == 0)
+
+    enum = cls(CounterChain(counters, idx), bounds)
+    batches = []
+    while (batch := enum.next_batch()) is not None:
+        batches.append((sorted(batch.outer.values()), batch.values))
+    return batches, asked
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_iterative_walk_evaluates_bounds_like_the_recursive_one(depth):
+    """Same batches, and the same bound evaluations in the same order
+    (they are priced reads when a bound loads), as the recursion."""
+    sizes = {(0,): 0, (1,): 0, (2,): 2, (2, 0): 0, (2, 1): 3}
+    assert _walk(ChainEnumerator, sizes, depth) == \
+        _walk(_RecursiveWalk, sizes, depth)
+
+
+def test_a_long_run_of_empty_ranges_needs_no_recursion():
+    rows = 10_000
+    ends = [0] * rows + [5]
+    i, j = E.Idx("i"), E.Idx("j")
+    chain = CounterChain([Counter(0, rows), Counter(0, E.Idx("n"), par=4)],
+                         [i, j])
+    enum = ChainEnumerator(
+        chain, lambda counter, b: (0, ends[b[i] + 1] - ends[b[i]]))
+    batch = enum.next_batch()
+    assert batch.outer == {i: rows - 1} and batch.values == [0, 1, 2, 3]
+    assert enum.next_batch().values == [4]
+    assert enum.next_batch() is None

@@ -1,10 +1,10 @@
-"""The compiled datapath kernel against the tree-walking reference.
+"""The block evaluator of leaf bodies against the tree-walking reference.
 
-``repro.sim.datapath`` turns each inner-controller body into one
-generated function that evaluates, stores, counts and prices a vector
-issue.  The hand-built leaves below each isolate one behaviour of the
-interpreter it replaced that the bit-identical invariants depend on;
-every one is run through the kernel *and* through
+``repro.sim.datapath`` evaluates an inner-controller body over a block
+of vector issues in one numpy pass, and the leaf follows the block's
+log.  The hand-built leaves below each isolate one behaviour of the
+per-issue interpreter that the bit-identical invariants depend on;
+every one is run through the block evaluator *and* through
 ``tests/sim/reference_datapath.py`` and the per-issue logs (addresses
 priced, conflict cost, every store/emit in order) must agree exactly.
 The differential tests then do the same over the app registry and 200
@@ -33,7 +33,7 @@ from repro.sim.leaves import InnerComputeSim
 from repro.sim.scratchpad import ScratchpadSim
 from repro.sim.stats import SimStats
 
-from tests.sim.reference_datapath import (LoggedKernelSim,
+from tests.sim.reference_datapath import (LoggedBlockSim,
                                           LoggedReferenceSim,
                                           LoggingMachine,
                                           assert_same_memory)
@@ -56,9 +56,9 @@ class Rig:
         config = FabricConfig()
         config.leaf_timing["leaf"] = LeafTiming()
         self.fifos = {f.name: FifoSim(f) for f in fifos}
-        cls = LoggedReferenceSim if reference else LoggedKernelSim
+        cls = LoggedReferenceSim if reference else LoggedBlockSim
         self.sim = cls(leaf, config, self.mem, SimStats(), self.fifos)
-        self.sim.log = self.log = []
+        self.sim.log = {}
         self.sim.start({}, NOW)
         self.cycle = 0
 
@@ -73,6 +73,10 @@ class Rig:
             assert self.cycle < 10_000
         return self
 
+    @property
+    def log(self):
+        return self.sim.log.get("leaf", [])
+
     def buf(self, name):
         return self.mem.scratchpads[name].read_buffer(NOW)
 
@@ -81,8 +85,9 @@ class Rig:
 
 
 def both(*args, **kwargs):
-    """Run a leaf to completion under the kernel and the reference;
-    their logs and memories must match.  Returns the kernel's rig."""
+    """Run a leaf to completion under the block evaluator and the
+    reference; their logs and memories must match.  Returns the block
+    evaluator's rig."""
     kernel = Rig(False, *args, **kwargs).run()
     reference = Rig(True, *args, **kwargs).run()
     assert kernel.log == reference.log
@@ -268,6 +273,57 @@ def test_duplicate_hash_keys_in_one_issue_accumulate_in_lane_order():
     assert writes == [("bins", keys)]
 
 
+def test_hash_bins_combine_in_issue_then_lane_order_across_a_block():
+    """Four issues in one block, two bins: every bin sees its values in
+    issue-then-lane order through an order-sensitive combine."""
+    k, v, bins = Sram("k", (64,), I32), Sram("v", (64,), F32), \
+        Sram("bins", (2,), F32)
+    i = E.Idx("i")
+    va, vb = E.Var("acc_a", F32), E.Var("acc_b", F32)
+    keys = [(j * 7) % 3 % 2 for j in range(64)]
+    rig = both([HashReduceStmt(bins, k[i], v[i], va * 0.5 + vb, va, vb,
+                               0.0)],
+               lanes16(64), [k, v, bins],
+               data={"k": keys, "v": np.arange(64)}, indices=[i])
+    want = [0.0, 0.0]
+    for key, value in zip(keys, range(64)):
+        want[key] = float(np.float32(want[key] * 0.5 + value))
+    np.testing.assert_array_equal(rig.buf("bins"), want)
+    assert len(rig.issues()) == 4
+
+
+def test_float32_fold_steps_in_lane_order():
+    """One accumulator over 256 lanes: 2**24 + 1 + 1 + ... stays 2**24
+    when added in lane order, where a pairwise sum would first add the
+    ones up."""
+    a = Sram("a", (256,), F32)
+    acc = Reg("acc", F32, init=0.0)
+    i = E.Idx("i")
+    va, vb = E.Var("acc_a0", F32), E.Var("acc_b0", F32)
+    data = np.ones(256, np.float32)
+    data[0] = 2.0 ** 24
+    rig = both([ReduceStmt([acc], [a[i]], [va + vb], [va], [vb], [0.0])],
+               lanes16(256), [a], [acc], data={"a": data}, indices=[i])
+    assert rig.mem.registers["acc"].read() == 2.0 ** 24
+    assert float(np.add.reduce(data)) != 2.0 ** 24
+
+
+def test_transcendentals_are_the_scalar_ones_bit_for_bit():
+    a = Sram("a", (64,), F32)
+    outs = {op: Sram(f"o_{op}", (64,), F32)
+            for op in ("exp", "log", "sqrt", "sigmoid", "tanh")}
+    i = E.Idx("i")
+    data = np.linspace(0.01, 7.3, 64, dtype=np.float32)
+    rig = both([WriteStmt(o, (i,), getattr(E, op)(a[i]))
+                for op, o in outs.items()],
+               lanes16(64), [a, *outs.values()], data={"a": data},
+               indices=[i])
+    for op, o in outs.items():
+        fn = E._UNARY_EVAL[op]
+        want = np.array([fn(float(x)) for x in data], np.float32)
+        assert rig.buf(o.name).tobytes() == want.tobytes(), op
+
+
 def test_carry_combine_uses_the_last_lanes_bindings_unpriced():
     a, w = Sram("a", (4, 8), F32), Sram("w", (8,), F32)
     out = Sram("out", (4,), F32)
@@ -324,7 +380,6 @@ def test_load_the_bounds_share_is_one_group_with_their_reads():
               for rec in (first, second)]
     # the bound reads of the wrap (rows 0, 1, 2, 2) and the two lanes'
     assert groups == [[[0, 1, 2, 2, 0, 0]], [[2, 2, 2]]]
-    assert "reads.items())" in rig.sim._kernel.source
     np.testing.assert_array_equal(rig.buf("o").sum(axis=1), [4, 0, 9])
 
 
@@ -392,22 +447,20 @@ def test_unbound_symbol():
          lanes16(), [o], indices=[i])
 
 
-def test_selects_nested_beyond_the_compilers_reach_fail_typed():
-    """Known limit: each Select nested in a branch indents the generated
-    code one level and Python stops at 100 (the interpreter recursed
-    about 500 deep before its own RecursionError)."""
+def test_selects_nested_deeply_evaluate_like_the_reference():
+    """Selects nested in branches a hundred deep and more (the per-issue
+    code generator stopped at about 100) evaluate lane by lane like the
+    interpreter."""
     a, o = Sram("a", (16,), F32), Sram("o", (16,), F32)
     i = E.Idx("i")
     value = a[i]
-    for k in range(90):
+    for k in range(120):
         value = E.select(i.eq(100 + k), float(k), value)
-    stmts = [WriteStmt(o, (i,), value)]
-    both(stmts, lanes16(), [a, o], data={"a": np.arange(16)}, indices=[i])
-    for k in range(30):
-        value = E.select(i.eq(200 + k), float(k), value)
-    with pytest.raises(SimulationError, match="nests too deeply"):
-        Rig(False, [WriteStmt(o, (i,), value)], lanes16(), [a, o],
-            indices=[i]).run()
+    value = E.select(i.eq(3), value + 1.0, value)
+    rig = both([WriteStmt(o, (i,), value)], lanes16(), [a, o],
+               data={"a": np.arange(16)}, indices=[i])
+    np.testing.assert_array_equal(rig.buf("o"),
+                                  np.arange(16) + (np.arange(16) == 3))
 
 
 # -- 8. the store / count / price seam ---------------------------------------
@@ -517,10 +570,6 @@ def test_uniform_load_is_read_once_and_priced_once_per_lane():
                data={"ptr": [0, 7, 9, 9], "a": np.arange(32)}, indices=[i])
     np.testing.assert_array_equal(rig.buf("o"), np.arange(16) + 7.0)
     assert rig.mem.scratchpads["ptr"].reads == 16
-    source = rig.sim._kernel.source
-    head, loop = source.split("for x in lanes:")
-    assert "(1)" in head and "[1] * len(lanes)" in head
-    assert "ptr" not in loop
 
 
 def test_uniform_load_under_a_lazily_shared_node_stays_per_lane():
@@ -598,97 +647,61 @@ def test_kernel_prices_gathers_and_scatters_like_the_reference(
                         pads["o"].conflict_extra(addrs, True))
 
 
-# -- pins: one kernel, no per-lane round trip --------------------------------
+# -- pins: one pass per block, no per-lane round trip ------------------------
 
 
-def test_store_statement_calls_nothing_of_the_leaf():
-    a, o = Sram("a", (16,), F32), Sram("o", (4, 4), F32)
-    i = E.Idx("i")
-    rig = both([WriteStmt(o, (i / 4, i % 4), a[i])], lanes16(), [a, o],
-               data={"a": np.arange(16)}, indices=[i])
-    kernel = rig.sim._kernel
-    assert "_write_sram" not in kernel.source
-    bound = [name for name, obj in kernel.__globals__.items()
-             if getattr(obj, "__self__", None) is rig.sim]
-    assert bound == []
-    assert not hasattr(InnerComputeSim, "_write_sram")
-    assert not hasattr(InnerComputeSim, "_price")
-
-
-def test_solo_recording_and_logging_leaves_run_the_same_kernel():
-    compiled = compile_program(get_app("smdv").build("tiny"))
-    machines = [Machine(compiled.dhdl, compiled.config),
-                _RecordingMachine(compiled.dhdl, compiled.config, {}),
-                LoggingMachine(compiled.dhdl, compiled.config)]
-    sources = []
-    for machine in machines:
-        machine.run()
-        sources.append({leaf.name: leaf._kernel.source
-                        for leaf in machine._leaves
-                        if isinstance(leaf, InnerComputeSim)})
-    assert sources[0] and sources[0] == sources[1] == sources[2]
-
-
-@pytest.mark.parametrize("app, scale, pinned", [
-    ("smdv", "small", (772, 252, 0)), ("gemm", "tiny", (32, 0, 16))])
-def test_general_rule_runs_once_per_undecided_group(monkeypatch, app,
-                                                    scale, pinned):
-    """A solo run calls the scratchpad's rule only where the kernel's
-    in-line shortcuts decide nothing: for the counter chain's bound
-    reads (priced as found, whatever their shape) and for strided
-    groups that are neither a broadcast nor a short unit-stride run."""
-    compiled = compile_program(get_app(app).build(scale))
-    logged = LoggingMachine(compiled.dhdl, compiled.config)
-    logged.run()
-    pads = logged.mem.scratchpads
-    bound_sites = {
-        id(node) for leaf in compiled.dhdl.leaves()
-        if isinstance(leaf, InnerCompute)
-        for counter in leaf.chain.counters
-        for end in (counter.lo, counter.hi) for node in E.postorder(end)}
-
-    def undecided(pad, addrs):
-        count = len(addrs)
-        return (pad.sram.banking is BankingMode.STRIDED
-                and addrs.count(addrs[0]) != count
-                and not (pad.sram.bank_stride == 1 and count <= pad.banks
-                         and addrs == list(range(addrs[0],
-                                                 addrs[0] + count))))
-
-    issues = [rec for rec in logged.issue_log if rec[0] == "issue"]
-    reads = [(site, pads[name], addrs) for rec in issues
-             for (name, site), addrs in rec[2]]
-    writes = [(pads[name], addrs) for rec in issues
-              for name, addrs in rec[3]]
-    bound = sum(site in bound_sites for site, _pad, _addrs in reads)
-    general = sum(undecided(pad, addrs) for site, pad, addrs in reads
-                  if site not in bound_sites) \
-        + sum(undecided(pad, addrs) for pad, addrs in writes)
-
+def test_store_statement_calls_nothing_of_the_leaf(monkeypatch):
+    """A block's stores land as columns: no per-lane ``store`` call and
+    no per-group pricing call, and the leaf keeps no per-lane hooks."""
     calls = []
-    rule = ScratchpadSim.conflict_extra
-    monkeypatch.setattr(
-        ScratchpadSim, "conflict_extra",
-        lambda self, addrs, write=False:
-            calls.append(1) or rule(self, addrs, write))
-    Machine(compiled.dhdl, compiled.config).run()
-    assert len(calls) == bound + general
-    assert (len(reads) + len(writes), bound, general) == pinned
+    monkeypatch.setattr(ScratchpadSim, "store",
+                        lambda *a: calls.append("store"))
+    monkeypatch.setattr(ScratchpadSim, "read_cost",
+                        lambda *a: calls.append("read_cost"))
+    monkeypatch.setattr(ScratchpadSim, "write_cost",
+                        lambda *a: calls.append("write_cost"))
+    a, o = Sram("a", (64,), F32), Sram("o", (16, 4), F32)
+    i = E.Idx("i")
+    rig = Rig(False, [WriteStmt(o, (i / 4, i % 4), a[i])], lanes16(64),
+              [a, o], data={"a": np.arange(64)}, indices=[i]).run()
+    np.testing.assert_array_equal(rig.buf("o").reshape(-1), np.arange(64))
+    assert calls == []
+    assert len(rig.issues()) == 4
+    for name in ("_write_sram", "_price", "_write_reg", "_hash_store",
+                 "_emit_values", "_kernel"):
+        assert not hasattr(InnerComputeSim, name)
+
+
+def test_solo_recording_and_logging_leaves_follow_the_same_log():
+    compiled = compile_program(get_app("smdv").build("tiny"))
+    log = {}
+    machines = [Machine(compiled.dhdl, compiled.config),
+                _RecordingMachine(compiled.dhdl, compiled.config, log),
+                LoggingMachine(compiled.dhdl, compiled.config)]
+    stats = [machine.run().as_dict() for machine in machines]
+    assert stats[0] == stats[1] == stats[2]
+    issues = {name: sum(block.n for act in acts for block in act.blocks)
+              for name, acts in log.items()}
+    logged = {name: sum(rec[0] == "issue" for rec in recs)
+              for name, recs in machines[2].issue_log.items()}
+    assert issues and issues == logged
 
 
 # -- differential: every vector issue of real programs -----------------------
 
 
 def assert_same_issues(dhdl, config):
-    kernel = LoggingMachine(dhdl, config)
+    blocks = LoggingMachine(dhdl, config)
     reference = LoggingMachine(dhdl, config, reference=True)
-    assert kernel.run().as_dict() == reference.run().as_dict()
-    assert len(kernel.issue_log) == len(reference.issue_log)
-    for k, (got, want) in enumerate(zip(kernel.issue_log,
-                                        reference.issue_log)):
-        assert got == want, f"record {k} differs"
-    assert_same_memory(kernel.mem, reference.mem)
-    return len(kernel.issue_log)
+    assert blocks.run().as_dict() == reference.run().as_dict()
+    assert sorted(blocks.issue_log) == sorted(reference.issue_log)
+    for name, want in reference.issue_log.items():
+        got = blocks.issue_log[name]
+        assert len(got) == len(want), name
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"{name}: record {k} differs"
+    assert_same_memory(blocks.mem, reference.mem)
+    return sum(map(len, blocks.issue_log.values()))
 
 
 @pytest.mark.parametrize("scale", ["tiny", "small"])
