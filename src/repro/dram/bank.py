@@ -11,9 +11,9 @@ from repro.errors import DramProtocolError
 class Bank:
     """One DRAM bank: at most one open row, busy windows between commands.
 
-    The bank exposes ``access_latency`` (what a request issued *now* would
-    cost) and ``issue`` (commit to servicing it), enforcing tRCD/tRP/tRAS
-    windows.  Time is the caller's monotonically non-decreasing cycle.
+    ``issue`` commits the bank to servicing one column access, enforcing
+    tRCD/tRP/tRAS windows.  Time is the caller's monotonically
+    non-decreasing cycle.
     """
 
     def __init__(self, timing: DdrTiming):
@@ -26,23 +26,6 @@ class Bank:
         self.hits = 0
         self.misses = 0
         self.empties = 0
-
-    def is_hit(self, row: int) -> bool:
-        """Would this row be a row-buffer hit right now?"""
-        return self.open_row == row
-
-    def access_latency(self, row: int, now: int) -> int:
-        """Cycles from ``now`` until data for ``row`` finishes bursting."""
-        start = max(now, self.ready_at)
-        timing = self.timing
-        if self.open_row == row:
-            return (start - now) + timing.row_hit_latency
-        if self.open_row is None:
-            return (start - now) + timing.row_empty_latency
-        # row conflict: honour minimum row-open time before precharge
-        earliest_pre = max(start,
-                           self.activated_at + timing.t_ras)
-        return (earliest_pre - now) + timing.row_miss_latency
 
     def issue(self, row: int, now: int, is_write: bool) -> int:
         """Commit a column access to ``row``; returns completion cycle."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.dram.bank import Bank
@@ -14,6 +16,10 @@ from repro.trace.events import EventKind
 #: credit a tenant may bank across refill rounds, in multiples of its
 #: weight — bounds the burst a long-idle tenant can unleash at once
 _CREDIT_CAP_ROUNDS = 4
+
+#: a request's age: FR-FCFS breaks ties by it, and the queue is kept
+#: sorted by it
+_age = attrgetter("arrival_cycle", "req_id")
 
 
 class Channel:
@@ -92,14 +98,27 @@ class Channel:
         return len(self.queue) < self.queue_depth
 
     def submit(self, request: DramRequest, now: int) -> None:
-        """Enqueue a request (caller must have checked ``can_accept``)."""
-        if not self.can_accept():
+        """Enqueue a request (caller must have checked ``can_accept``).
+
+        The queue stays sorted by age, ``(arrival_cycle, req_id)``: a
+        request built and submitted at once is the youngest and is
+        appended; one built before a request already queued (or a
+        ``now`` earlier than the newest arrival) is inserted in place.
+        """
+        queue = self.queue
+        if len(queue) >= self.queue_depth:
             raise DramProtocolError("channel queue overflow")
         request.arrival_cycle = now
         if request.bank < 0:    # handed straight to the channel
             _, request.bank, request.row, _ = self.geometry.map_address(
                 request.byte_addr)
-        self.queue.append(request)
+        if queue and (queue[-1].arrival_cycle > now
+                      or (queue[-1].arrival_cycle == now
+                          and queue[-1].req_id > request.req_id)):
+            queue.insert(bisect_right([_age(r) for r in queue],
+                                      (now, request.req_id)), request)
+        else:
+            queue.append(request)
         self.scan_at = 0
 
     def tick(self, now: int) -> None:
@@ -119,7 +138,7 @@ class Channel:
             self.on_dequeue()
         bank_id, row = choice.bank, choice.row
         bank = self.banks[bank_id]
-        hit = bank.is_hit(row)
+        hit = bank.open_row == row
         empty = bank.open_row is None
         if not hit:
             self._activates.append(now)
@@ -181,6 +200,14 @@ class Channel:
         ready soonest.  With non-uniform tenant weights registered,
         "issuing tenant still has deficit credit" leads the key.
 
+        A request is *ready* when its bank's ``ready_at`` is within
+        ``busy_skip_cycles`` of ``now``, and a ready non-hit needs an
+        activate, which the tFAW window must allow.  The queue is in
+        age order (``submit``), so the unweighted pick is one pass: the
+        first ready row hit in queue order, else the first ready
+        request if tFAW allows — what minimising the key ``(not hit,
+        arrival_cycle, req_id)`` over the issuable requests would pick.
+
         A scan that finds nothing issuable returns None and records in
         ``scan_at`` the earliest cycle at which it could find
         something.  That is exact because, with the queue and the banks
@@ -207,34 +234,38 @@ class Channel:
         skip = timing.busy_skip_cycles
         skip_horizon = now + skip
         banks = self.banks
-        issuable = []
-        for request in self.queue:
-            bank = banks[request.bank]
-            if bank.ready_at > skip_horizon:
-                continue  # bank deeply busy; skip this cycle
-            hit = bank.open_row == request.row
-            if not hit and faw_full:
-                continue  # would need an activate; tFAW window exhausted
-            issuable.append((request, hit))
-        if not issuable:
-            # every non-hit waits for the tFAW window to reopen
-            faw_open = (activates[-timing.faw_activates] + timing.t_faw
-                        if faw_full else 0)
-            self.scan_at = min(
-                max(banks[r.bank].ready_at - skip,
-                    0 if banks[r.bank].open_row == r.row else faw_open)
-                for r in self.queue)
-            return None
         if not self._weighted:
-            best = None
-            best_key = None
-            for request, hit in issuable:
-                key = (0 if hit else 1, request.arrival_cycle,
-                       request.req_id)
-                if best_key is None or key < best_key:
-                    best, best_key = request, key
-            return best
-        return self._schedule_weighted(issuable)
+            first_ready = None
+            for request in self.queue:
+                bank = banks[request.bank]
+                if bank.ready_at > skip_horizon:
+                    continue  # bank deeply busy; skip this cycle
+                if bank.open_row == request.row:
+                    return request
+                if first_ready is None and not faw_full:
+                    first_ready = request
+            if first_ready is not None:
+                return first_ready
+        else:
+            issuable = []
+            for request in self.queue:
+                bank = banks[request.bank]
+                if bank.ready_at > skip_horizon:
+                    continue
+                hit = bank.open_row == request.row
+                if not hit and faw_full:
+                    continue  # would need an activate; tFAW exhausted
+                issuable.append((request, hit))
+            if issuable:
+                return self._schedule_weighted(issuable)
+        # every non-hit waits for the tFAW window to reopen
+        faw_open = (activates[-timing.faw_activates] + timing.t_faw
+                    if faw_full else 0)
+        self.scan_at = min(
+            max(banks[r.bank].ready_at - skip,
+                0 if banks[r.bank].open_row == r.row else faw_open)
+            for r in self.queue)
+        return None
 
     def _schedule_weighted(self, issuable) -> DramRequest:
         """Deficit-credit arbitration over the issuable set.

@@ -16,6 +16,7 @@ from repro.dram.channel import Channel
 from repro.dram.request import DramRequest
 from repro.dram.timing import (DDR3_1600, DEFAULT_GEOMETRY, DdrTiming,
                                DramGeometry)
+from repro.errors import DramProtocolError
 
 
 class DramModel:
@@ -23,7 +24,8 @@ class DramModel:
 
     Usage: ``submit`` burst requests (checking ``can_accept`` per
     channel), call ``tick`` once per core cycle, and consume completions
-    via the optional per-request callback or ``drain_completed``.
+    via the optional per-request callback or the list ``deliver``
+    returns.
     """
 
     def __init__(self, timing: DdrTiming = DDR3_1600,
@@ -42,7 +44,6 @@ class DramModel:
         self.tenant: Optional[int] = None
         #: tenant id -> submit/deliver tallies (multi-tenant runs only)
         self._tenant_counts: Dict[int, Dict[str, int]] = {}
-        self._callbacks: Dict[int, Callable[[DramRequest], None]] = {}
         #: undelivered completions, a heap of ``(complete_cycle,
         #: arrival, request)``: the head is the next one to mature
         self._completed: List[Tuple[int, int, DramRequest]] = []
@@ -81,25 +82,28 @@ class DramModel:
         return any(c._weighted for c in self.channels)
 
     # -- submission -------------------------------------------------------------
-    def channel_of(self, byte_addr: int) -> int:
-        """Channel index servicing a byte address."""
-        return self.geometry.map_address(byte_addr)[0]
-
     def can_accept(self, byte_addr: int) -> bool:
         """True when the owning channel queue has room."""
-        return self.channels[self.channel_of(byte_addr)].can_accept()
+        return self.channels[
+            self.geometry.map_address(byte_addr)[0]].can_accept()
 
     def submit(self, request: DramRequest,
-               callback: Optional[Callable[[DramRequest], None]] = None
-               ) -> None:
-        """Enqueue one burst request (stamped with the current tenant).
+               callback: Optional[Callable[[DramRequest], None]] = None,
+               channel: Optional[Channel] = None) -> None:
+        """Enqueue one burst request (stamped with the current tenant);
+        ``deliver`` calls ``callback`` with it once, when it completes.
 
-        The address is decoded here, once; the channel scheduler reads
-        the request's ``bank``/``row`` from then on.
+        Without ``channel`` the address is decoded here; an issuer that
+        has decoded it already passes the owning ``channel`` and sets
+        the request's ``bank``/``row``.  Either way the channel
+        scheduler reads those from then on.
         """
-        channel_id, request.bank, request.row, _ = \
-            self.geometry.map_address(request.byte_addr)
-        self.channels[channel_id].submit(request, self.cycle)
+        if channel is None:
+            channel_id, request.bank, request.row, _ = \
+                self.geometry.map_address(request.byte_addr)
+            channel = self.channels[channel_id]
+        request.callback = callback
+        channel.submit(request, self.cycle)
         if request.is_write:
             self.writes += 1
         else:
@@ -114,8 +118,6 @@ class DramModel:
                     "delivered": 0}
             counts["writes" if request.is_write else "reads"] += 1
             counts["submitted"] += 1
-        if callback is not None:
-            self._callbacks[request.req_id] = callback
 
     # -- time -------------------------------------------------------------------
     def tick(self) -> None:
@@ -152,7 +154,14 @@ class DramModel:
         Valid only while all channel queues are empty (ticking an empty
         channel is a no-op, so skipping those ticks is exact); in-flight
         completions mature against the advanced clock via ``deliver``.
+        A queued request raises ``DramProtocolError``: its issue cycle
+        depends on the cycles the jump would skip.
         """
+        for k, channel in enumerate(self.channels):
+            if channel.queue:
+                raise DramProtocolError(
+                    f"advance_to({cycle}) at cycle {self.cycle} with "
+                    f"{len(channel.queue)} request(s) queued on ch{k}")
         self.cycle = cycle
 
     def deliver(self) -> List[DramRequest]:
@@ -177,7 +186,7 @@ class DramModel:
                 counts = self._tenant_counts.get(request.tenant)
                 if counts is not None:
                     counts["delivered"] += 1
-            callback = self._callbacks.pop(request.req_id, None)
+            callback = request.callback
             if callback is not None:
                 callback(request)
         return ready

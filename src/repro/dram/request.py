@@ -3,40 +3,45 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
 
 _ids = itertools.count()
 
 
-@dataclass(eq=False)
 class DramRequest:
     """One 64-byte burst transaction.
 
     ``tag`` is an opaque handle the issuer uses to match completions
-    (e.g. which gather element this burst serves).
+    (e.g. which gather element this burst serves); ``callback``, set by
+    ``DramModel.submit``, is called with the request once its data has
+    transferred.
 
     Requests compare by identity: ``req_id`` is unique, so field
     equality could say nothing else, and the channel queue's
-    ``remove`` must not run a nine-field comparison against every
-    older entry.
+    ``remove`` must not compare fields against every older entry.
     """
 
-    byte_addr: int
-    is_write: bool = False
-    tag: object = None
-    req_id: int = field(default_factory=lambda: next(_ids))
-    arrival_cycle: int = 0
-    complete_cycle: Optional[int] = None
-    #: tenant that issued the burst (stamped by the DramModel at submit
-    #: time; None outside multi-tenant runs).  Drives per-tenant
-    #: bandwidth accounting and interference attribution.
-    tenant: Optional[int] = None
-    #: bank and row within the owning channel, decoded from
-    #: ``byte_addr`` once at submit so the scheduler's queue scans
-    #: never re-derive them (-1 until submitted)
-    bank: int = -1
-    row: int = -1
+    __slots__ = ("byte_addr", "is_write", "tag", "req_id", "arrival_cycle",
+                 "complete_cycle", "tenant", "bank", "row", "callback")
+
+    def __init__(self, byte_addr: int, is_write: bool = False,
+                 tag: object = None, bank: int = -1, row: int = -1):
+        self.byte_addr = byte_addr
+        self.is_write = is_write
+        self.tag = tag
+        self.req_id = next(_ids)
+        self.arrival_cycle = 0
+        #: set when the channel scheduler issues the burst
+        self.complete_cycle = None
+        #: tenant that issued the burst (stamped by the DramModel at
+        #: submit time; None outside multi-tenant runs).  Drives
+        #: per-tenant bandwidth accounting and interference attribution.
+        self.tenant = None
+        #: bank and row within the owning channel: decoded from
+        #: ``byte_addr`` once, by the issuer or at submit, so the
+        #: scheduler's queue scans never re-derive them (-1: not yet)
+        self.bank = bank
+        self.row = row
+        self.callback = None
 
     @property
     def done(self) -> bool:

@@ -13,6 +13,7 @@ drives:
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections import deque
 from typing import Dict, List, Optional, Tuple
@@ -563,29 +564,42 @@ class _TransferCommon(_LeafCommon):
                          wake_dram_room=True)
         self._park_bw_idle = Park(**bandwidth)
         self._park_bw_busy = Park(busy_unit=name, **bandwidth)
+        #: the one callback every request of this engine carries
+        self._completion = self._complete
 
-    def _issue(self, request: DramRequest, on_done) -> None:
+    def _issue(self, request: DramRequest, channel) -> None:
+        """Submit ``request`` — already decoded: ``channel`` owns its
+        address and its ``bank``/``row`` are set — with this engine's
+        completion handler."""
         self._outstanding += 1
         if self.trace is not None:
             self.trace.emit(EventKind.AG_BURST, self.name,
                             (request.byte_addr, int(request.is_write)))
+        self.dram.submit(request, self._completion, channel)
 
-        def _cb(req):
-            self._outstanding -= 1
-            on_done(req)
-            # Wake the engine only if its next tick would differ.  On
-            # the latency park with bursts still outstanding it would
-            # not: that park is reached only with nothing left to
-            # issue, so the tick would charge the same busy cycle, mark
-            # the same DRAM_LATENCY and re-park on the same object —
-            # exactly what the park replays, traced or not.  (A unit
-            # that is not parked ignores the wake either way.)
-            if self._sched is not None and not (
-                    self._outstanding
-                    and self._park is self._park_latency):
-                self._sched.node_event(self)
+    def _decode(self, addr: int):
+        """``(channel, bank, row)`` of a byte address."""
+        channel, bank, row, _ = self.dram.geometry.map_address(addr)
+        return self.dram.channels[channel], bank, row
 
-        self.dram.submit(request, _cb)
+    def _complete(self, request: DramRequest) -> None:
+        """A burst's data has transferred (every request's callback)."""
+        self._outstanding -= 1
+        self._on_burst(request)
+        # Wake the engine only if its next tick would differ.  On the
+        # latency park with bursts still outstanding it would not: that
+        # park is reached only with nothing left to issue, so the tick
+        # would charge the same busy cycle, mark the same DRAM_LATENCY
+        # and re-park on the same object — exactly what the park
+        # replays, traced or not.  (A unit that is not parked ignores
+        # the wake either way.)
+        if self._sched is not None and not (
+                self._outstanding and self._park is self._park_latency):
+            self._sched.node_event(self)
+
+    def _on_burst(self, request: DramRequest) -> None:
+        """What a completed burst does besides ending (nothing: the
+        stores move their data at issue)."""
 
     def _account(self, issued: int, blocked: bool, cycle: int) -> None:
         """One engine cycle: productive, or the wait it amounts to.
@@ -621,14 +635,22 @@ class _TransferCommon(_LeafCommon):
             self._park = self._park_latency
 
 
-def tile_spans(leaf, offsets):
-    """Yield (dram_word_off, word_count, sram_flat_off) per tile row.
+def tile_bursts(leaf, offsets, base: int, geometry,
+                limit: Optional[int] = None) -> List[tuple]:
+    """The bursts of one tile transfer, in issue order: one
+    ``(byte_addr, channel, bank, row, word_off, words, sram_flat)``
+    entry per burst of up to ``WORDS_PER_BURST`` words at DRAM word
+    ``word_off`` <-> scratchpad word ``sram_flat``, its address decoded
+    as ``geometry.map_address`` does, from the array's ``base`` byte
+    address.
 
     A tile of shape T over a row-major DRAM array of shape S starting
-    at ``offsets`` decomposes into contiguous runs of the innermost
-    dimension; runs are clipped to the array extents (partial edge
-    tiles load what exists, the rest of the scratchpad keeps its
-    previous/zero contents).
+    at ``offsets`` decomposes into one contiguous span per tile row
+    (innermost dimension), clipped to the array extents (partial edge
+    tiles move what exists; the rest of the scratchpad keeps its
+    previous/zero contents), then — given a dynamic word ``limit`` —
+    to the first ``limit`` words.  Each span is cut into bursts from
+    its first word.
     """
     dram_shape = [int(d) if isinstance(d, int) else None
                   for d in leaf.dram.shape]
@@ -637,86 +659,98 @@ def tile_spans(leaf, offsets):
         offsets = [0]
     tile = leaf.tile_shape or (1,)
     inner = tile[-1]
-    outer_dims = tile[:-1]
     total_words = leaf.dram.words()
-    inner_limit = (dram_shape[-1] if dram_shape[-1] is not None
-                   else total_words)
-
-    def flatten(prefix_positions):
-        """Row-major flat word offset of (prefix..., offsets[-1])."""
-        flat = 0
-        for k, pos in enumerate(prefix_positions):
-            flat = flat * dram_shape[k] + pos if k else pos
-        if len(dram_shape) > 1:
-            flat = flat * dram_shape[-1]
-        return flat + offsets[-1]
-
-    def rec(axis, prefix, sram_off):
-        if axis == len(outer_dims):
-            start = flatten(prefix)
-            count = min(inner, inner_limit - offsets[-1],
-                        total_words - start)
-            if count > 0:
-                yield (start, count, sram_off)
-            return
-        size = dram_shape[axis] if dram_shape[axis] is not None \
-            else 1 << 30
-        inner_words = 1
-        for d in tile[axis + 1:]:
-            inner_words *= d
-        for t in range(outer_dims[axis]):
-            pos = offsets[axis] + t
-            if pos >= size:
-                continue
-            yield from rec(axis + 1, prefix + [pos],
-                           sram_off + t * inner_words)
-
-    yield from rec(0, [], 0)
+    inner_room = (dram_shape[-1] if dram_shape[-1] is not None
+                  else total_words) - offsets[-1]
+    # the rows: (row-major flat position of the row's outer indices,
+    # scratchpad word of its first element), row-major over the tile's
+    # outer dimensions, skipping indices past the array's extent
+    rows = [(0, 0)]
+    for axis, dim in enumerate(tile[:-1]):
+        size = dram_shape[axis]
+        low = offsets[axis]
+        high = min(low + dim, size if size is not None else 1 << 30)
+        scale = dram_shape[axis] if axis else 0     # axis 0 starts it
+        stride = math.prod(tile[axis + 1:])
+        rows = [(flat * scale + pos, sram + (pos - low) * stride)
+                for flat, sram in rows for pos in range(low, high)]
+    row_words = dram_shape[-1] if len(dram_shape) > 1 else 1
+    burst_bytes = geometry.burst_bytes
+    channels = geometry.channels
+    banks = geometry.banks_per_channel
+    per_row = channels * banks * (geometry.row_bytes // burst_bytes)
+    bursts = []
+    for flat, sram in rows:
+        start = flat * row_words + offsets[-1]
+        count = min(inner, inner_room, total_words - start)
+        if limit is not None:
+            count = min(count, limit)
+            limit -= max(count, 0)
+        for step in range(0, count, WORDS_PER_BURST):
+            addr = base + 4 * (start + step)
+            burst = addr // burst_bytes
+            bursts.append((addr, burst % channels,
+                           burst // channels % banks, burst // per_row,
+                           start + step,
+                           min(count - step, WORDS_PER_BURST),
+                           sram + step))
+    return bursts
 
 
 class _TileCommon(_TransferCommon):
-    """Dense burst transfer: walks the tile's DRAM spans, one burst per
-    AG stream per cycle.  A subclass supplies what one burst does."""
+    """Dense burst transfer: issues the activation's burst table (see
+    :func:`tile_bursts`), one burst per AG stream per cycle.  A
+    subclass supplies what one burst does."""
 
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
-        self._spans: List[Tuple[int, int, int]] = []  # (word_off, count, sram_flat)
+        self._bursts: List[tuple] = []
+        #: index of the next burst to issue
+        self._at = 0
 
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._version = version
-        offsets = [int(self._evaluate(o, bindings, version))
-                   for o in self.leaf.offsets]
-        self._spans = list(tile_spans(self.leaf, offsets))
+        self._at = 0
+        self._bursts = tile_bursts(
+            self.leaf, [int(self._evaluate(o, bindings, version))
+                        for o in self.leaf.offsets],
+            self.image.base[self.leaf.dram.name], self.dram.geometry,
+            self._limit(bindings, version))
+
+    def _limit(self, bindings: dict, version) -> Optional[int]:
+        """The activation's dynamic word count (None: the whole tile)."""
+        return None
 
     def tick(self, cycle: int) -> None:
         if not self._active:
             return
-        issued = 0
+        bursts = self._bursts
+        at = first = self._at
+        end = min(len(bursts), at + self.streams)
+        channels = self.dram.channels
         blocked = False
-        while self._spans and issued < self.streams:
-            word_off, count, sram_flat = self._spans[0]
-            burst_words = min(count, WORDS_PER_BURST)
-            addr = self.image.byte_addr(self.leaf.dram.name, word_off)
-            if not self.dram.can_accept(addr):
+        while at < end:
+            entry = bursts[at]
+            channel = channels[entry[1]]
+            if len(channel.queue) >= channel.queue_depth:
                 blocked = True
                 break
-            self._burst(addr, word_off, burst_words, sram_flat)
-            issued += 1
-            if burst_words == count:
-                self._spans.pop(0)
-            else:
-                self._spans[0] = (word_off + burst_words,
-                                  count - burst_words,
-                                  sram_flat + burst_words)
+            self._burst(entry, channel)
+            at += 1
+        issued = at - first
+        if at == len(bursts):
+            # all issued: the in-flight requests carry what they need,
+            # and a batch keeps many engines alive
+            self._bursts, at = [], 0
+        self._at = at
         self._account(issued, blocked, cycle)
-        if not self._spans:
+        if not self._bursts:
             self._settle(issued)
 
-    def _burst(self, addr: int, word_off: int, words: int,
-               sram_flat: int) -> None:
-        """Issue the burst of ``words`` words at DRAM word ``word_off``
-        (byte address ``addr``) <-> scratchpad word ``sram_flat``."""
+    def _burst(self, entry: tuple, channel) -> None:
+        """Issue the burst ``entry`` of the table to ``channel`` (which
+        has room)."""
         raise NotImplementedError
 
 
@@ -728,13 +762,12 @@ class TileLoadSim(_TileCommon):
         # ensure destination buffer exists even for fully-clipped tiles
         self.mem.scratch(self.leaf.sram).buffer(version)
 
-    def _burst(self, addr, word_off, words, sram_flat) -> None:
-        self._issue(DramRequest(byte_addr=addr,
-                                tag=(word_off, words, sram_flat)),
-                    self._on_burst)
+    def _burst(self, entry, channel) -> None:
+        self._issue(DramRequest(entry[0], False, entry, entry[2], entry[3]),
+                    channel)
 
     def _on_burst(self, request: DramRequest) -> None:
-        word_off, count, sram_flat = request.tag
+        _, _, _, _, word_off, count, sram_flat = request.tag
         words = self.image.read_words(self.leaf.dram.name, word_off, count)
         scratch = self.mem.scratch(self.leaf.sram)
         buf = scratch.buffer(self._version)
@@ -749,30 +782,20 @@ class TileLoadSim(_TileCommon):
 class TileStoreSim(_TileCommon):
     """Dense scratchpad -> DRAM burst store."""
 
-    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
-        super().start(bindings, version)
-        if self.leaf.count is not None:
-            # dynamic word count: clip the spans to it
-            remaining = int(self._evaluate(self.leaf.count, bindings,
-                                           version))
-            clipped = []
-            for word_off, count, sram_flat in self._spans:
-                if remaining <= 0:
-                    break
-                take = min(count, remaining)
-                clipped.append((word_off, take, sram_flat))
-                remaining -= take
-            self._spans = clipped
+    def _limit(self, bindings: dict, version) -> Optional[int]:
+        if self.leaf.count is None:
+            return None
+        return int(self._evaluate(self.leaf.count, bindings, version))
 
-    def _burst(self, addr, word_off, words, sram_flat) -> None:
+    def _burst(self, entry, channel) -> None:
         # move the data now; the request models timing
+        byte_addr, _, bank, row, word_off, words, sram_flat = entry
         scratch = self.mem.scratch(self.leaf.sram)
         buf = scratch.read_buffer(self._version).reshape(-1)
         scratch.reads += words
         self.image.write_words(self.leaf.dram.name, word_off,
                                buf[sram_flat:sram_flat + words])
-        self._issue(DramRequest(byte_addr=addr, is_write=True),
-                    lambda req: None)
+        self._issue(DramRequest(byte_addr, True, None, bank, row), channel)
 
 
 class _CoalescedCommon(_TransferCommon):
@@ -784,6 +807,8 @@ class _CoalescedCommon(_TransferCommon):
 
     #: "gather" / "scatter" (error texts)
     KIND = "?"
+    #: the bursts are writes
+    WRITES = False
 
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
@@ -815,12 +840,16 @@ class _CoalescedCommon(_TransferCommon):
                 if self.trace is not None:
                     self.trace.emit(EventKind.COALESCE_HIT, self.name,
                                     (burst,))
-            elif (len(self._open) >= self.COALESCE_ENTRIES
-                    or not self.dram.can_accept(addr)):
+            elif len(self._open) >= self.COALESCE_ENTRIES:
                 blocked = True
                 break
             else:
-                self._miss(addr, burst, elem, item)
+                channel, bank, row = self._decode(addr)
+                if len(channel.queue) >= channel.queue_depth:
+                    blocked = True
+                    break
+                self._miss(DramRequest(addr, self.WRITES, burst, bank, row),
+                           channel, elem, item)
             self._queue.pop(0)
             issued += 1
         self._account(issued, blocked, cycle)
@@ -832,9 +861,10 @@ class _CoalescedCommon(_TransferCommon):
         """``elem`` joins the open entry of ``burst``."""
         raise NotImplementedError
 
-    def _miss(self, addr: int, burst: int, elem: int, item) -> None:
-        """``elem`` opens an entry for ``burst`` and issues its
-        request."""
+    def _miss(self, request: DramRequest, channel, elem: int,
+              item) -> None:
+        """``elem`` opens an entry for the burst ``request.tag`` and
+        issues ``request`` to ``channel`` (which has room)."""
         raise NotImplementedError
 
 
@@ -867,10 +897,9 @@ class GatherSim(_CoalescedCommon):
     def _hit(self, burst, elem, dst_flat) -> None:
         self._open[burst].append((dst_flat, elem))
 
-    def _miss(self, addr, burst, elem, dst_flat) -> None:
-        self._open[burst] = [(dst_flat, elem)]
-        self._issue(DramRequest(byte_addr=addr, tag=burst),
-                    self._on_burst)
+    def _miss(self, request, channel, elem, dst_flat) -> None:
+        self._open[request.tag] = [(dst_flat, elem)]
+        self._issue(request, channel)
 
     def _on_burst(self, request: DramRequest) -> None:
         pendings = self._open.pop(request.tag, [])
@@ -889,6 +918,7 @@ class ScatterSim(_CoalescedCommon):
     applied immediately; the requests model timing."""
 
     KIND = "scatter"
+    WRITES = True
 
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
@@ -912,11 +942,13 @@ class ScatterSim(_CoalescedCommon):
         self.image.write_words(self.leaf.dram.name, elem, [value])
         self._open[burst] += 1
 
-    def _miss(self, addr, burst, elem, value) -> None:
+    def _miss(self, request, channel, elem, value) -> None:
         self.image.write_words(self.leaf.dram.name, elem, [value])
-        self._open[burst] = 1
-        self._issue(DramRequest(byte_addr=addr, is_write=True, tag=burst),
-                    lambda req: self._open.pop(req.tag, None))
+        self._open[request.tag] = 1
+        self._issue(request, channel)
+
+    def _on_burst(self, request: DramRequest) -> None:
+        self._open.pop(request.tag, None)
 
 
 class StreamStoreSim(_TransferCommon):
@@ -954,11 +986,12 @@ class StreamStoreSim(_TransferCommon):
         if flush:
             word_off = self._base_word + self._written
             addr = self.image.byte_addr(self.leaf.dram.name, word_off)
-            if self.dram.can_accept(addr):
+            channel, bank, row = self._decode(addr)
+            if len(channel.queue) < channel.queue_depth:
                 self.image.write_words(self.leaf.dram.name, word_off,
                                        self._staging)
-                self._issue(DramRequest(byte_addr=addr, is_write=True),
-                            lambda req: None)
+                self._issue(DramRequest(addr, True, None, bank, row),
+                            channel)
                 self._written += len(self._staging)
                 self._staging = []
                 flushed = True

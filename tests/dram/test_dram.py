@@ -57,15 +57,6 @@ def test_bank_conflict_pays_precharge():
     assert bank.misses == 1
 
 
-def test_bank_access_latency_is_consistent_with_issue():
-    bank = Bank(DDR3_1600)
-    bank.issue(row=1, now=0, is_write=False)
-    now = bank.ready_at + 3
-    predicted = bank.access_latency(2, now)
-    done = bank.issue(2, now, is_write=False)
-    assert done - now == predicted
-
-
 def test_bank_hit_miss_counters():
     bank = Bank(DDR3_1600)
     for row in (1, 1, 1, 2, 2, 1):
@@ -215,3 +206,19 @@ def test_deliver_pops_the_matured_prefix_in_handover_order():
         handed, key=lambda r: (r.complete_cycle > middle, handed.index(r)))
     assert model.deliver() == [] and model.next_completion() is None
     assert model.idle and model.pending == 0
+
+
+def test_advance_to_refuses_a_queued_request():
+    """Skipping cycles is exact only with every queue empty: a queued
+    request's issue cycle depends on the cycles skipped."""
+    from repro.errors import DramProtocolError
+    model = DramModel()
+    model.submit(DramRequest(byte_addr=64 * 5))
+    with pytest.raises(DramProtocolError, match="queued on ch1"):
+        model.advance_to(100)
+    assert model.cycle == 0
+    while model.channels[1].queue:
+        model.tick()
+    in_flight = model.next_completion()
+    model.advance_to(in_flight)         # in flight, not queued: fine
+    assert model.cycle == in_flight and len(model.deliver()) == 1
