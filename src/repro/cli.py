@@ -245,11 +245,24 @@ def _cmd_run_multi(args) -> int:
               f"app ({len(args.multi)} apps, {len(priorities)} "
               f"weights)", file=sys.stderr)
         return 2
+    if args.trace:
+        print("repro run --multi: --trace takes no PATH here (each "
+              "tenant's stall attribution is printed)", file=sys.stderr)
+        return 2
+    tracers = []
+    tracer_factory = None
+    if args.trace is not None:
+        from repro.trace import RingTracer
+
+        def tracer_factory(name):
+            tracers.append(RingTracer(sample=args.trace_sample))
+            return tracers[-1]
     started = time.time()
     try:
         res = co_run(args.multi, scale=args.scale,
                      watchdog=args.watchdog,
                      max_cycles=args.max_cycles,
+                     tracer_factory=tracer_factory,
                      priorities=priorities,
                      scheduler=args.scheduler)
     except MappingError as err:
@@ -284,6 +297,11 @@ def _cmd_run_multi(args) -> int:
             print(f"    {name}: weight {entry['priority']}, "
                   f"won {entry['arb_won']} / deferred "
                   f"{entry['arb_deferred']} contended grants")
+    if tracers:
+        from repro.trace.attribution import build_report
+        for t, tracer in zip(res.tenants, tracers):
+            print(f"\n{t.name}:")
+            print(build_report(tracer, t.stats).render())
     return 0
 
 

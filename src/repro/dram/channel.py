@@ -207,6 +207,10 @@ class Channel:
         first ready row hit in queue order, else the first ready
         request if tFAW allows — what minimising the key ``(not hit,
         arrival_cycle, req_id)`` over the issuable requests would pick.
+        The weighted pick is one pass too: credit is per tenant, so a
+        tenant's first issuable row hit, else its first issuable
+        request, is the only one of its requests that can win
+        (:meth:`_schedule_weighted`).
 
         A scan that finds nothing issuable returns None and records in
         ``scan_at`` the earliest cycle at which it could find
@@ -247,7 +251,10 @@ class Channel:
             if first_ready is not None:
                 return first_ready
         else:
-            issuable = []
+            # each tenant's first issuable request and first issuable
+            # row hit, in age order: no other request of a tenant can
+            # beat both under the weighted key
+            first = {}
             for request in self.queue:
                 bank = banks[request.bank]
                 if bank.ready_at > skip_horizon:
@@ -255,9 +262,13 @@ class Channel:
                 hit = bank.open_row == request.row
                 if not hit and faw_full:
                     continue  # would need an activate; tFAW exhausted
-                issuable.append((request, hit))
-            if issuable:
-                return self._schedule_weighted(issuable)
+                pick = first.get(request.tenant)
+                if pick is None:
+                    first[request.tenant] = [request, hit]
+                elif hit and not pick[1]:
+                    pick[0], pick[1] = request, True
+            if first:
+                return self._schedule_weighted(first)
         # every non-hit waits for the tFAW window to reopen
         faw_open = (activates[-timing.faw_activates] + timing.t_faw
                     if faw_full else 0)
@@ -267,35 +278,38 @@ class Channel:
             for r in self.queue)
         return None
 
-    def _schedule_weighted(self, issuable) -> DramRequest:
-        """Deficit-credit arbitration over the issuable set.
+    def _schedule_weighted(self, first) -> DramRequest:
+        """Deficit-credit arbitration over ``first``: tenant -> its best
+        issuable request (its first row hit, else its first request)
+        and whether that is a hit.
 
         Refill happens when no issuable request's tenant has credit:
         every tenant with *queued* work (issuable or not) gains credits
         proportional to its weight, capped so a long-blocked tenant
-        cannot bank an unbounded burst.  The winner spends one credit.
+        cannot bank an unbounded burst.  The winner minimises ``(no
+        credit, not hit, age)`` — the key over every issuable request,
+        whose minimum is one of these candidates — and spends one
+        credit.
         """
         credits = self._credits
         weights = self.tenant_weights
-        if not any(credits.get(r.tenant, 0) > 0 for r, _ in issuable):
+        if not any(credits.get(tenant, 0) > 0 for tenant in first):
             for tenant in {r.tenant for r in self.queue}:
                 weight = weights.get(tenant, 1)
                 credits[tenant] = min(credits.get(tenant, 0) + weight,
                                       weight * _CREDIT_CAP_ROUNDS)
         best = None
         best_key = None
-        for request, hit in issuable:
-            key = (0 if credits.get(request.tenant, 0) > 0 else 1,
-                   0 if hit else 1, request.arrival_cycle,
-                   request.req_id)
+        for tenant, (request, hit) in first.items():
+            key = (credits.get(tenant, 0) <= 0, not hit,
+                   request.arrival_cycle, request.req_id)
             if best_key is None or key < best_key:
                 best, best_key = request, key
         winner = best.tenant
         credits[winner] = credits.get(winner, 0) - 1
-        contenders = {r.tenant for r, _ in issuable}
-        if len(contenders) > 1:
+        if len(first) > 1:
             self._arb_tally(winner)["arb_won"] += 1
-            for tenant in contenders:
+            for tenant in first:
                 if tenant != winner:
                     self._arb_tally(tenant)["arb_deferred"] += 1
         return best

@@ -148,6 +148,34 @@ class DramModel:
         """
         return self._completed[0][0] if self._completed else None
 
+    def maturing(self) -> List[DramRequest]:
+        """The undelivered requests due at ``next_completion()`` — all
+        of them, in no particular order — without taking them off the
+        heap.  Every heap entry of that cycle hangs from the root
+        through entries of that cycle (a parent's key is no larger than
+        its child's), so only those and their children are visited."""
+        heap = self._completed
+        if not heap:
+            return []
+        due = heap[0][0]
+        size = len(heap)
+        if (size < 2 or heap[1][0] != due) and (size < 3
+                                                 or heap[2][0] != due):
+            return [heap[0][2]]     # the usual case: one is due
+        found = []
+        stack = [0]
+        while stack:
+            at = stack.pop()
+            entry = heap[at]
+            if entry[0] == due:
+                found.append(entry[2])
+                child = 2 * at + 1
+                if child < size:
+                    stack.append(child)
+                    if child + 1 < size:
+                        stack.append(child + 1)
+        return found
+
     def advance_to(self, cycle: int) -> None:
         """Fast-forward the memory clock across provably idle cycles.
 
@@ -175,10 +203,11 @@ class DramModel:
         now = self.cycle
         if not completed or completed[0][0] > now:
             return []           # nothing matures on most cycles
-        matured = []
+        matured = [heapq.heappop(completed)]
         while completed and completed[0][0] <= now:
             matured.append(heapq.heappop(completed))
-        matured.sort(key=itemgetter(1))   # back to arrival order
+        if len(matured) > 1:
+            matured.sort(key=itemgetter(1))   # back to arrival order
         ready = [entry[2] for entry in matured]
         self._delivered += len(ready)
         for request in ready:

@@ -81,6 +81,11 @@ class FaultInjector:
             if leaf is not None:
                 leaf.tick = _dead_tick
                 self.killed[event.unit] = event
+                if leaf._sched is not None:
+                    # a parked unit would go on being charged its park,
+                    # which the dead tick no longer names: end the park
+                    # here, as the dense loop's dead ticks do
+                    leaf._sched.node_event(leaf)
         elif event.kind == "link_degrade":
             leaf = self._leaf_by_name.get(event.unit)
             timing = getattr(leaf, "timing", None)

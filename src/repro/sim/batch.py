@@ -226,15 +226,44 @@ class _ReplayInnerComputeSim(InnerComputeSim):
         return next(self._blocks, None)
 
     def _apply_finals(self):
+        act = self._replay
+        if act.grouped is None:
+            act.grouped = group_finals(act.finals, self.mem.scratchpads)
         version = self._version
-        for name, flat, value in self._replay.finals:
-            if flat is None:
-                self.mem.registers[name].write(value)
+        for name, flats, values in act.grouped:
+            if flats is None:
+                self.mem.registers[name].write(values)
             else:
                 scratch = self.mem.scratchpads[name]
-                buf = scratch.buffer(version).reshape(-1)
-                buf[flat] = _np_dtype(scratch.sram.dtype)(value)
-                scratch.note_write(version, flat)
+                scratch.buffer(version).reshape(-1)[flats] = values
+                scratch.note_write(version, int(flats[-1]))
+
+
+def group_finals(finals, scratchpads) -> List[Tuple]:
+    """A leader's end-of-activation results (``Activation.finals``:
+    ``(memory, flat address or None, value)`` in write order) as a
+    follower applies them: each register write as it was, then one
+    ``(scratchpad, flats, values)`` write per scratchpad — its distinct
+    addresses ascending, each with the value its last write left.
+    Every value is converted as a single store converts it
+    (``_np_dtype(dtype)(value)``: float32 rounding, an out-of-range
+    int32 raises), so one assignment per scratchpad lands what the
+    writes one by one did.  Built once per activation, for the cohort.
+    """
+    grouped = []
+    writes: Dict[str, List[Tuple[int, object]]] = {}
+    for name, flat, value in finals:
+        if flat is None:
+            grouped.append((name, None, value))
+        else:
+            writes.setdefault(name, []).append((flat, value))
+    for name, pairs in writes.items():
+        convert = _np_dtype(scratchpads[name].sram.dtype)
+        cells = {flat: convert(value) for flat, value in pairs}
+        flats = sorted(cells)
+        grouped.append((name, np.array(flats, np.int64),
+                        np.array([cells[flat] for flat in flats], convert)))
+    return grouped
 
 
 class _RecordingMachine(Machine):

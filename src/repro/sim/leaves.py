@@ -144,11 +144,15 @@ class Activation:
     flat address or None for a register, value)`` — kept by a batch
     leader's leaves for the followers to replay."""
 
-    __slots__ = ("blocks", "finals")
+    __slots__ = ("blocks", "finals", "grouped")
 
     def __init__(self):
         self.blocks: List[Block] = []
         self.finals: List[Tuple] = []
+        #: ``finals`` as the followers apply them, one write per
+        #: scratchpad (``repro.sim.batch.group_finals``; built by the
+        #: first follower to finish the activation)
+        self.grouped: Optional[List[Tuple]] = None
 
 
 class InnerComputeSim(_LeafCommon):

@@ -89,9 +89,12 @@ class Machine:
         #: fast-forwarded cycles); None under the dense reference
         self.scheduler_stats = None
         #: liveness state kept by the stepping core (sim/scheduler.py):
-        #: last progress key, the cycle it last changed, root completed
+        #: last progress key, the cycle it last changed, the last cycle
+        #: a unit of it ticked or a burst of it was delivered, root
+        #: completed
         self._last_key = None
         self._last_progress = 0
+        self._touched = -1
         self.finished = False
         self._nbuf_by_name = {s.name: s.nbuf for s in dhdl.srams}
         for reg in dhdl.regs:

@@ -19,7 +19,8 @@ Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
   what the unit would do, a timer, or a child activation/completion).
   When *nothing* is runnable on any machine and all DRAM channel queues
   are empty, the scheduler fast-forwards the cycle counter to the next
-  known event.
+  event a unit observes, delivering on the way the completions that
+  wake nobody.
 
 An executed cycle costs what happens in it, not what the machines hold:
 the unit phase pops running nodes from a heap of dense positions and
@@ -28,7 +29,8 @@ its park ends (jumped-over cycles are inside the span, so a jump
 charges nothing); the DRAM model visits only channels that might issue
 (``Channel.scan_at``); and the per-machine liveness key is read from
 counters bumped where the events occur (:class:`Progress`) instead of
-being re-summed over the machine.
+being re-summed over the machine — and only for a machine the cycle
+touched (a unit of it ticked, or a burst of it was delivered).
 
 Per-cycle order (both modes): machines in admission order; per machine
 due faults and tracer open; park timers; ``dram.tick()``;
@@ -71,9 +73,12 @@ by construction:
 * fast-forward only happens when no unit of any live machine is
   runnable *and* every DRAM channel queue is empty, so the only future
   events are completions at known cycles, parked-unit timers and
-  scheduled faults.  A jump runs the every-256-cycle scratchpad
-  retirement sweep it crosses and stops short of the deadlock watchdog,
-  which trips at the same cycle it would under the dense loop.
+  scheduled faults.  A completion the wake filter would not pass on is
+  delivered inside the jump at its own cycle; the jump stops at the
+  first completion that wakes a unit, runs the every-256-cycle
+  scratchpad retirement sweeps where the dense loop runs them, and
+  stops short of the deadlock watchdog, which trips at the same cycle
+  it would under the dense loop.
 
 Tracing is the one per-unit cost kept: a parked unit's attribution
 marks are emitted once per executed cycle and handed to
@@ -120,7 +125,8 @@ class Park:
     completion callback notifies the scheduler itself — unless the unit
     sits on its pure-latency park with bursts still outstanding, where
     the re-tick would only repeat what that park charges
-    (``_TransferCommon._issue``).
+    (``_TransferCommon._complete``; such a completion may be delivered
+    inside a fast-forward, :meth:`EventScheduler._fast_forward`).
 
     The per-cycle effect need not be constant.  A subclass may override
     :meth:`charge` to apply a *scheduled* one — ``repro.sim.leaves.
@@ -236,11 +242,19 @@ def _close_cycle(machine, cycle: int) -> bool:
     """One machine's end-of-cycle duties: the every-256-cycle scratchpad
     retirement sweep, the progress/watchdog check, tracer close.  True
     when the machine's root went idle this cycle: it is finished
-    (``stats.cycles`` is this cycle) and leaves every later pass."""
+    (``stats.cycles`` is this cycle) and leaves every later pass.
+
+    The progress key is read only when this cycle touched the machine
+    (``machine._touched``: a unit of it ticked or a burst of it was
+    delivered).  Nothing else moves it — every term is bumped by a
+    tick of the machine's own units or by a delivery to its tenant — so
+    an untouched machine keeps its last key and only checks the
+    watchdog."""
     if cycle % 256 == 0:
         machine.mem.retire_old()
     trace = machine.tracer
-    key = machine._progress_key()
+    key = machine._progress_key() if machine._touched == cycle \
+        else machine._last_key
     if key != machine._last_key:
         machine._last_key = key
         machine._last_progress = cycle
@@ -274,6 +288,7 @@ def run_dense(machines, max_cycles: int) -> None:
         dram.deliver()
         for machine in live:
             dram.tenant = machine.tenant
+            machine._touched = cycle
             machine.tick_units(cycle)
         dram.tenant = None
         live = [m for m in live if not _close_cycle(m, cycle)]
@@ -313,6 +328,10 @@ class EventScheduler:
             channel.on_dequeue = self._dram_room_event
         #: machines whose parked units still owe a mark per cycle
         self._traced = [m for m in self.machines if m.tracer is not None]
+        #: a delivered burst's machine, by the tenant stamped on it
+        #: (co-resident machines have distinct tenant ids; a solo
+        #: machine's bursts carry None)
+        self._by_tenant = {m.tenant: m for m in self.machines}
         #: the run queue, as dense positions: running nodes the current
         #: cycle's unit phase has yet to reach (a min-heap), and those
         #: it has passed, which tick next cycle.  A node is in exactly
@@ -466,50 +485,66 @@ class EventScheduler:
             heapq.heappop(timers)
         return None
 
-    def _fast_forward(self, cycle: int, live, max_cycles: int) -> int:
-        """No unit of any live machine is runnable: jump towards the
-        next known event.
-
-        Returns the (possibly advanced) current cycle; the main loop
-        resumes normal processing at the cycle after it.  Only legal to
-        skip cycles while every DRAM channel queue is empty — queued
-        requests make the FR-FCFS schedule cycle-sensitive, so those
-        regimes step cycle by cycle (with only the DRAM model active).
-
-        A jump charges nothing numeric: every skipped cycle lies inside
-        the span of each park that is open across it (``_charge``).
-        """
-        dram = self.dram
-        for channel in dram.channels:
-            if channel.queue:
-                return cycle
-        completion = dram.next_completion()
-        if completion is not None and completion <= cycle + 1:
-            return cycle        # due next cycle: nothing to jump over
+    def _horizon(self, live, max_cycles: int) -> int:
+        """The first cycle a jump must execute: the earliest valid park
+        timer, scheduled fault event (injection stays at its exact
+        cycle), watchdog trip (the minimum over live machines: a trip
+        raises at the cycle the dense loop's would) or cycle limit."""
         target = max_cycles + 1
         for machine in live:
-            # nothing pending: emulate this machine's watchdog spin
             trip = machine._last_progress + machine.watchdog + 1
             if trip < target:
                 target = trip
-            # never jump over a scheduled fault event: resume normal
-            # processing at its exact cycle so injection stays
-            # deterministic
             faults = machine.faults
             if faults is not None and faults.next_cycle < target:
                 target = faults.next_cycle
         timer = self._next_timer()
         if timer is not None and timer < target:
             target = timer
-        if completion is not None and completion < target:
-            target = completion
-        skipped = target - 1 - cycle
-        if skipped <= 0:
-            return cycle
-        # the dense loop's every-256-cycle retirement sweep falls inside
-        # the skipped span: run it (once is equivalent — no unit writes
-        # between the skipped boundaries)
-        sweep = (cycle + skipped) // 256 > cycle // 256
+        return target
+
+    @staticmethod
+    def _silent(requests) -> bool:
+        """True when delivering ``requests`` — every completion due in
+        one cycle — wakes no unit: each carries no callback or reaches
+        a transfer engine parked on its own ``_park_latency`` that still
+        has a burst outstanding after all of its completions in the
+        group (the wake filter of ``_TransferCommon._complete``, rule 1
+        of ARCHITECTURE §5)."""
+        if len(requests) == 1:
+            callback = requests[0].callback
+            if callback is None:
+                return True
+            engine = getattr(callback, "__self__", None)
+            latency = getattr(engine, "_park_latency", None)
+            return (latency is not None and engine._park is latency
+                    and engine._outstanding > 1)
+        counts = {}
+        for request in requests:
+            callback = request.callback
+            if callback is None:
+                continue
+            engine = getattr(callback, "__self__", None)
+            latency = getattr(engine, "_park_latency", None)
+            if latency is None or engine._park is not latency:
+                return False
+            counts[engine] = counts.get(engine, 0) + 1
+        for engine, count in counts.items():
+            if engine._outstanding <= count:
+                return False
+        return True
+
+    def _pass(self, live, done: int, last: int) -> None:
+        """Cycles ``done + 1 .. last`` pass inside a jump with no unit
+        ticking: traced machines account the parked units' marks for
+        them, and the every-256-cycle retirement sweep runs if they
+        cross a boundary (once is equivalent: nothing writes a
+        scratchpad between two boundaries of one pass).  Nothing
+        numeric is charged: the cycles lie inside the span of every
+        park open across them."""
+        span = last - done
+        if span <= 0:
+            return
         for machine in live:
             trace = machine.tracer
             if trace is not None:
@@ -520,13 +555,85 @@ class EventScheduler:
                     if node._sched_state == _PARKED:
                         for unit, cause in node._park.marks:
                             cause_map.setdefault(unit, cause)
-                trace.account_span(cause_map, cycle + 1, skipped)
-            if sweep:
+                trace.account_span(cause_map, done + 1, span)
+        if last // 256 > done // 256:
+            for machine in live:
                 machine.mem.retire_old()
-        dram.advance_to(cycle + skipped)
-        self.fast_forwarded_cycles += skipped
-        self._cycle = cycle + skipped
-        return cycle + skipped
+
+    def _fast_forward(self, cycle: int, live, max_cycles: int) -> int:
+        """No unit of any live machine is runnable: jump towards the
+        next event a unit observes.
+
+        Returns the (possibly advanced) current cycle; the main loop
+        resumes normal processing at the cycle after it.  Only legal to
+        skip cycles while every DRAM channel queue is empty — queued
+        requests make the FR-FCFS schedule cycle-sensitive, so those
+        regimes step cycle by cycle (with only the DRAM model active).
+
+        A completion that wakes nobody (:meth:`_silent`) does not end
+        the jump.  It is delivered inside it, at its own cycle and in
+        arrival order, as that executed cycle would: the clocks stand
+        at that cycle with the unit phase ahead (an ``_on_burst`` error
+        names the cycle, and the error exit charges every park through
+        the cycle before), ``deliver`` keeps the per-tenant tallies,
+        and the machine it reaches has progress there.  The jump then
+        goes on to the next completion, park timer, fault event,
+        watchdog trip or cycle limit.  Silence is tested on the head
+        cycle's completions before anything else, so a jump that cannot
+        start costs one look at them.
+
+        A delivery always moves its machine's progress key (its pending
+        count falls), and nothing else in a jump moves any key, so each
+        such machine reads its key once, after the last delivery.
+
+        A jump charges nothing numeric: every skipped cycle lies inside
+        the span of each park that is open across it (``_charge``).
+        """
+        dram = self.dram
+        for channel in dram.channels:
+            if channel.queue:
+                return cycle
+        due = dram.next_completion()
+        silent = due is not None and self._silent(dram.maturing())
+        if due is not None and due <= cycle + 1 and not silent:
+            return cycle        # due next cycle: nothing to jump over
+        bound = self._horizon(live, max_cycles)
+        by_tenant = self._by_tenant
+        done = cycle            # the cycles through ``done`` are closed
+        while silent:
+            if due >= bound:
+                # a delivery moved its machine's watchdog trip on
+                bound = self._horizon(live, max_cycles)
+                if due >= bound:
+                    break
+            if self._traced or (due - 1) // 256 > done // 256:
+                self._pass(live, done, due - 1)
+            self._cycle = due
+            self._pos = -1
+            for machine in live:
+                machine.cycle = due
+            dram.advance_to(due)
+            for request in dram.deliver():
+                machine = by_tenant[request.tenant]
+                machine._last_progress = due
+                if machine.tracer is not None:
+                    machine.tracer.progress(due)
+            # ``due`` itself still owes its marks and its sweep
+            done = due - 1
+            due = dram.next_completion()
+            silent = due is not None and self._silent(dram.maturing())
+        last = (bound if due is None or bound < due else due) - 1
+        if last <= cycle:
+            return cycle
+        for machine in live:
+            if machine._last_progress > cycle:
+                machine._last_key = machine._progress_key()
+        self._pass(live, done, last)
+        self._pos = len(self._nodes)
+        dram.advance_to(last)
+        self.fast_forwarded_cycles += last - cycle
+        self._cycle = last
+        return last
 
     # -- main loop ----------------------------------------------------------------
     def run(self, max_cycles: int) -> None:
@@ -543,6 +650,7 @@ class EventScheduler:
         heap = self._heap
         passed = self._next
         heappop = heapq.heappop
+        by_tenant = self._by_tenant
         cycle = dram.cycle
         try:
             while live:
@@ -565,11 +673,19 @@ class EventScheduler:
                             and park.until == until):
                         self._wake(node)
                 dram_tick()      # may free queue room -> wakes waiters
-                dram_deliver()   # completions -> wake issuing units
+                # completions -> wake issuing units
+                for request in dram_deliver():
+                    by_tenant[request.tenant]._touched = cycle
+                # positions rise through the phase, so each machine's
+                # nodes tick in one run
+                machine = None
                 while heap:
                     self._pos = pos = heappop(heap)
                     node = nodes[pos]
-                    dram.tenant = node._machine.tenant
+                    if node._machine is not machine:
+                        machine = node._machine
+                        machine._touched = cycle
+                        dram.tenant = machine.tenant
                     node._park = None
                     node.tick(cycle)
                     if not node.busy:

@@ -138,8 +138,10 @@ class ScratchpadSim:
 
         Only ``STRIDED`` serialises reads: identical addresses are one
         physical access broadcast to the requesting lanes, the distinct
-        ones queue per bank (a broadcast, or a unit-stride run of at
-        most ``banks`` addresses under ``bank_stride == 1``, costs 0)."""
+        ones queue per bank.  Under ``bank_stride == 1`` a group whose
+        addresses span fewer than ``banks`` words costs 0 (a broadcast,
+        a unit-stride run): a block of only such groups is priced
+        without the sort."""
         shape = np.shape(flat_addrs)
         one = len(shape) == 1
         count, mode = shape[-1], self.sram.banking
@@ -150,10 +152,15 @@ class ScratchpadSim:
                 and mode is BankingMode.DUPLICATION else 0
             return cost if one else np.full(shape[0], cost, np.int64)
         rows = np.asarray(flat_addrs, dtype=np.int64).reshape(-1, count)
+        banks = self.banks
+        if self.sram.bank_stride == 1 and (
+                rows.max(axis=1) - rows.min(axis=1) < banks).all():
+            # every row spans fewer than ``banks`` words: its distinct
+            # addresses sit in distinct banks
+            return 0 if one else np.zeros(len(rows), np.int64)
         ordered = np.sort(rows, axis=1)
         distinct = np.ones(ordered.shape, np.bool_)
         distinct[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        banks = self.banks
         bank = (ordered // self.sram.bank_stride) % banks
         cell = (np.arange(len(rows))[:, None] * banks + bank)[distinct]
         per_bank = np.bincount(cell, minlength=len(rows) * banks)

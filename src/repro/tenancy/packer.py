@@ -128,8 +128,15 @@ def _shapes(params: PlasticineParams) -> List[Tuple[int, int]]:
 
 def _first_fit(params: PlasticineParams, need_pcus: int, need_pmus: int,
                taken: Sequence[Region]) -> Optional[PackedTenant]:
-    """Smallest capacity-feasible free rectangle, row-major anchors."""
+    """Smallest capacity-feasible free rectangle, row-major anchors.
+
+    A rectangle's capacity is ``(pcus, area - pcus)``, so one whose
+    area is below ``need_pcus + need_pmus`` can never fit: those shapes
+    are not priced."""
+    need = need_pcus + need_pmus
     for cols, rows in _shapes(params):
+        if cols * rows < need:
+            continue
         for row0 in range(params.grid_rows - rows + 1):
             for col0 in range(params.grid_cols - cols + 1):
                 region = Region(col0, row0, cols, rows)

@@ -5,8 +5,9 @@ in one pass: the first ready row hit in queue order, else the first
 ready request if tFAW allows.  This module is the scan that came
 before: the queue in submit order, every issuable request collected as
 a ``(request, hit)`` pair, and the pick the one minimising the key
-``(not hit, arrival_cycle, req_id)`` — scan memo, tFAW prune and the
-weighted arbiter exactly as they were.  The differential tests drive
+``(not hit, arrival_cycle, req_id)`` — or, under non-uniform weights,
+``(no credit, not hit, arrival_cycle, req_id)`` over that whole set —
+with scan memo, tFAW prune and credit refill exactly as they were.  The differential tests drive
 the same streams through both and compare everything observable.  It is
 slow on purpose; nothing under ``src/`` may import it.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dram import DramModel, DramRequest
-from repro.dram.channel import Channel
+from repro.dram.channel import _CREDIT_CAP_ROUNDS, Channel
 from repro.errors import DramProtocolError
 
 
@@ -71,7 +72,36 @@ class KeyedChannel(Channel):
                 if best_key is None or key < best_key:
                     best, best_key = request, key
             return best
-        return self._schedule_weighted(issuable)
+        return self._keyed_weighted(issuable)
+
+    def _keyed_weighted(self, issuable) -> DramRequest:
+        """Deficit-credit arbitration over the whole issuable set, as
+        the channel arbitrated before its one-pass candidates: refill,
+        key ``(no credit, not hit, arrival_cycle, req_id)``, tallies."""
+        credits = self._credits
+        weights = self.tenant_weights
+        if not any(credits.get(r.tenant, 0) > 0 for r, _ in issuable):
+            for tenant in {r.tenant for r in self.queue}:
+                weight = weights.get(tenant, 1)
+                credits[tenant] = min(credits.get(tenant, 0) + weight,
+                                      weight * _CREDIT_CAP_ROUNDS)
+        best = None
+        best_key = None
+        for request, hit in issuable:
+            key = (0 if credits.get(request.tenant, 0) > 0 else 1,
+                   0 if hit else 1, request.arrival_cycle,
+                   request.req_id)
+            if best_key is None or key < best_key:
+                best, best_key = request, key
+        winner = best.tenant
+        credits[winner] = credits.get(winner, 0) - 1
+        contenders = {r.tenant for r, _ in issuable}
+        if len(contenders) > 1:
+            self._arb_tally(winner)["arb_won"] += 1
+            for tenant in contenders:
+                if tenant != winner:
+                    self._arb_tally(tenant)["arb_deferred"] += 1
+        return best
 
 
 def keyed_model(queue_depth: int = 64) -> DramModel:

@@ -7,8 +7,11 @@ through both — requests built in one order and submitted in another,
 row hits queued behind misses, saturated tFAW windows, a mid-run
 ``dram_slow`` latency bump, weighted tenants and full queues — and
 issue order, completion and delivery cycles, bank hit/miss/empty
-tallies, arbitration tallies and every channel's ``scan_at`` after
-every tick must be equal.
+tallies, credits, arbitration tallies and every channel's ``scan_at``
+after every tick must be equal.  Under non-uniform weights the reference
+keys the whole issuable set, the channel only each tenant's first
+issuable hit and first issuable request; the four-tenant 8:1:1:1
+stream keeps two 64-deep queues full while they arbitrate.
 """
 
 import random
@@ -67,6 +70,15 @@ def _two_tenants(n, seed):
             for k in range(n)]
 
 
+def _four_tenants_two_channels(n, seed):
+    """Channels 0 and 1 only, random banks and rows, four tenants in
+    turn: with enough in flight both 64-deep queues stay full."""
+    rng = random.Random(seed)
+    return [(64 * (4 * rng.randrange(1 << 12) + rng.randrange(2)),
+             rng.random() < 0.2, k % 4)
+            for k in range(n)]
+
+
 CASES = {
     "random_rows": dict(stream=_random_rows),
     "hits_behind_misses": dict(stream=_hits_behind_misses),
@@ -75,6 +87,10 @@ CASES = {
     "tenants_8_to_1": dict(stream=_two_tenants, weights={0: 8, 1: 1}),
     "tenants_uniform": dict(stream=_two_tenants, weights={0: 2, 1: 2}),
     "full_queue": dict(stream=_random_rows, queue_depth=4),
+    "tenants_8_1_1_1_saturated": dict(
+        stream=_four_tenants_two_channels,
+        weights={0: 8, 1: 1, 2: 1, 3: 1}, requests=720, per_cycle=64,
+        in_flight=400),
 }
 
 
@@ -95,7 +111,8 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
     waiting = []        # accepted, not yet issued
     issues, delivered, scans = [], [], []
     index_of = {}
-    seen = {"inserted": 0, "passed_head": 0, "faw_full": 0}
+    seen = {"inserted": 0, "passed_head": 0, "faw_full": 0,
+            "saturated": 0}
     while len(delivered) < len(stream):
         fresh = min(per_cycle, len(stream) - built,
                     in_flight - (accepted - len(delivered)))
@@ -126,6 +143,8 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
             model.channels[bump[1]].extra_latency += bump[2]
         heads = [channel.queue[0] if channel.queue else None
                  for channel in model.channels]
+        seen["saturated"] += sum(len(channel.queue) == channel.queue_depth
+                                 for channel in model.channels)
         model.tick()
         for request in [r for r in waiting if r.done]:
             waiting.remove(request)
@@ -150,6 +169,7 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
         "issues": issues, "delivered": delivered, "scan_at": scans,
         "banks": banks, "cycle": model.cycle, "stats": model.stats(),
         "arb": [channel.arb_stats for channel in model.channels],
+        "credits": [channel._credits for channel in model.channels],
         "tenants": [channel.tenant_stats for channel in model.channels]}
     return observed, seen
 
@@ -157,7 +177,7 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
 def _run(case, seed, reference):
     kwargs = dict(CASES[case])
     depth = kwargs.pop("queue_depth", 64)
-    stream = kwargs.pop("stream")(240, seed)
+    stream = kwargs.pop("stream")(kwargs.pop("requests", 240), seed)
     model = keyed_model(depth) if reference else DramModel(
         queue_depth=depth)
     return _drive(model, stream, seed, check_order=not reference,
@@ -170,7 +190,7 @@ def test_one_pass_pick_equals_keyed_scan(case, seed):
     got, seen = _run(case, seed, reference=False)
     want, _ = _run(case, seed, reference=True)
     assert got == want
-    assert len(got["issues"]) == 240
+    assert len(got["issues"]) == CASES[case].get("requests", 240)
     # built out of submit order, and inserted in age order
     assert seen["inserted"] > 0
 
@@ -180,11 +200,25 @@ def test_one_pass_pick_equals_keyed_scan(case, seed):
     ("random_rows", "passed_head"),
     ("faw_storm", "faw_full"),
     ("full_queue", "passed_head"),
+    ("tenants_8_1_1_1_saturated", "saturated"),
 ])
 def test_streams_exercise_what_they_are_for(case, what):
     """Equality above says nothing about a situation no stream reached."""
     _, seen = _run(case, 0, reference=False)
     assert seen[what] > 0
+
+
+def test_weighted_four_tenants_contend_on_full_queues():
+    """The 8:1:1:1 stream holds both queues full for most of its ticks
+    and every tenant both wins and is deferred: the one-pass pick is
+    compared where all four candidates are live."""
+    got, seen = _run("tenants_8_1_1_1_saturated", 0, reference=False)
+    assert seen["saturated"] > 400
+    for arb in got["arb"][:2]:
+        assert sorted(arb) == [0, 1, 2, 3]
+        assert all(t["arb_won"] and t["arb_deferred"] for t in arb.values())
+    won = sum(channel[0]["arb_won"] for channel in got["arb"][:2])
+    assert won > sum(channel[1]["arb_won"] for channel in got["arb"][:2])
 
 
 def test_submit_keeps_the_queue_in_age_order():

@@ -33,13 +33,14 @@ def test_run_batch_benchmark_reports_and_verifies():
     assert report["batch_s"] > 0 and report["est_sequential_s"] > 0
     assert report["speedup"] > 0
     # deterministic: three innerproduct-tiny followers of 51, 67 and 55
-    # cycles, of which the event core executes 24 each
+    # cycles, of which the event core executes 22 each (24 before
+    # completions that wake no unit were delivered inside jumps)
     assert report["follower_cycles"] == 51 + 67 + 55
-    assert report["follower_executed_cycles"] == 3 * 24
+    assert report["follower_executed_cycles"] == 3 * 22
     rendered = render_batch(report)
     assert "bit-identical" in rendered
     assert "speedup" in rendered
-    assert "72 of 173 simulated cycles executed" in rendered
+    assert "66 of 173 simulated cycles executed" in rendered
 
 
 def test_dense_followers_execute_every_cycle():

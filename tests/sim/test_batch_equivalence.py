@@ -13,8 +13,9 @@ import pytest
 from repro.apps import ALL_APPS, get_app
 from repro.compiler import compile_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
-                        InnerCompute, OuterController, Scheme, StreamStore,
-                        TileLoad, TileStore, WriteStmt, validate)
+                        InnerCompute, OuterController, ReduceStmt, Scheme,
+                        StreamStore, TileLoad, TileStore, WriteStmt,
+                        validate)
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array
 from repro.patterns import expr as E
@@ -384,3 +385,59 @@ def test_columnar_store_record_keeps_program_order():
         np.testing.assert_array_equal(buf, follower.image.buffers[name])
     kept = data[data > 0]
     np.testing.assert_array_equal(solo.result("kept")[:len(kept)], kept)
+
+
+def test_finals_to_one_cell_land_as_their_last_write():
+    """Per row, a sum and then a max both end in ``rs_tile[r]`` and a
+    count in ``n_tile[r]``: the end-of-activation results name each
+    ``rs_tile`` cell twice.  A follower applies each scratchpad's
+    results as one write; every cell must hold what the last of the
+    one-by-one writes left — the max — with the solo watermark."""
+    rows, cols = 8, 48
+    data = np.random.default_rng(5).standard_normal(
+        (rows, cols)).astype(np.float32)
+    dhdl = DhdlProgram("twice_per_row")
+    dram_in = dhdl.dram(Array("m", (rows, cols), E.FLOAT32, data=data))
+    dram_out = dhdl.dram(Array("rs", (rows,), E.FLOAT32))
+    dram_count = dhdl.dram(Array("n", (rows,), E.INT32))
+    tile_in = dhdl.sram("m_tile", (rows, cols), E.FLOAT32)
+    tile_out = dhdl.sram("rs_tile", (rows,), E.FLOAT32)
+    tile_count = dhdl.sram("n_tile", (rows,), E.INT32)
+    body = OuterController("pipe", Scheme.PIPELINE)
+    dhdl.root.add(body)
+    body.add(TileLoad("load_m", dram_in, tile_in, (0, 0), (rows, cols)))
+    r, c = E.Idx("r"), E.Idx("c")
+    a, b = E.Var("a0", E.FLOAT32), E.Var("b0", E.FLOAT32)
+    x, y = E.Var("x0", E.INT32), E.Var("y0", E.INT32)
+    body.add(InnerCompute(
+        "fold", CounterChain([Counter(0, rows, par=1),
+                              Counter(0, cols, par=16)], [r, c]),
+        [ReduceStmt((tile_out,), (tile_in[r, c],), (a + b,), (a,), (b,),
+                    (0.0,), addr=(r,)),
+         ReduceStmt((tile_count,), (1,), (x + y,), (x,), (y,), (0,),
+                    addr=(r,)),
+         ReduceStmt((tile_out,), (tile_in[r, c],), (E.maximum(a, b),),
+                    (a,), (b,), (-1e30,), addr=(r,))]))
+    body.add(TileStore("store", dram_out, tile_out, (0,), (rows,)))
+    body.add(TileStore("store_n", dram_count, tile_count, (0,), (rows,)))
+    validate(dhdl)
+    source = (dhdl, default_config(dhdl))
+    overrides = {"banks": 4}
+    solo, error = _solo_outcome(source, overrides)
+    assert error is None
+    np.testing.assert_array_equal(solo.result("rs"), data.max(axis=1))
+    np.testing.assert_array_equal(solo.result("n"), np.full(rows, cols))
+    follower = _follower(source, overrides)
+    leaf = next(leaf for leaf in follower._leaves if leaf.name == "fold")
+    follower.run()
+    act, = leaf._log["fold"]
+    flats = [flat for name, flat, _ in act.finals if name == "rs_tile"]
+    assert sorted(flats) == sorted(2 * list(range(rows)))
+    assert follower.stats.as_dict() == solo.stats.as_dict()
+    for name, pad in solo.mem.scratchpads.items():
+        other = follower.mem.scratchpads[name]
+        for version, buf in pad.versions.items():
+            np.testing.assert_array_equal(buf, other.versions[version])
+        assert pad.watermark == other.watermark
+    for name, buf in solo.image.buffers.items():
+        np.testing.assert_array_equal(buf, follower.image.buffers[name])

@@ -5,9 +5,12 @@ import pytest
 
 from repro.apps import get_app
 from repro.compiler import compile_program
+from repro.dhdl.memory import Reg, Sram
 from repro.errors import ConfigError
-from repro.sim.batch import (TIMING_KEYS, cohort_key, instantiate,
-                             normalize_params, run_batch)
+from repro.patterns import expr as E
+from repro.sim.batch import (TIMING_KEYS, cohort_key, group_finals,
+                             instantiate, normalize_params, run_batch)
+from repro.sim.scratchpad import MemoryState
 
 
 def _compiled(name="gemm", scale="tiny"):
@@ -116,3 +119,33 @@ def test_run_batch_empty_param_list():
     assert len(result) == 0
     assert result.ok
     assert result.cohorts == 0
+
+
+def test_group_finals_converts_each_value_and_keeps_the_last_write():
+    """One write per scratchpad, addresses ascending, each with its
+    last value converted as a single store converts it; registers keep
+    every write, in order."""
+    pads = MemoryState([Sram("f", (8,), E.FLOAT32),
+                        Sram("i", (8,), E.INT32)], [Reg("r", E.INT32)])
+    finals = [("f", 5, 0.1), ("r", None, 7), ("i", 2, 3), ("f", 1, 2.5),
+              ("f", 5, 1 / 3), ("r", None, 9), ("i", 2, -4)]
+    grouped = group_finals(finals, pads.scratchpads)
+    assert grouped[:2] == [("r", None, 7), ("r", None, 9)]
+    (f, f_flats, f_values), (i, i_flats, i_values) = grouped[2:]
+    assert (f, f_flats.tolist(), i, i_flats.tolist()) == ("f", [1, 5],
+                                                          "i", [2])
+    assert f_values.dtype == np.float32 and i_values.dtype == np.int32
+    assert f_values.tobytes() == np.array(
+        [np.float32(2.5), np.float32(1 / 3)]).tobytes()
+    assert i_values.tolist() == [-4]
+
+
+def test_group_finals_raises_where_a_single_store_would():
+    """An int32 cell given a value int32 cannot hold raises the error
+    ``np.int32(value)`` raises, even when a later write replaces it."""
+    pads = MemoryState([Sram("i", (8,), E.INT32)], [])
+    with pytest.raises(OverflowError) as grouped:
+        group_finals([("i", 0, 1 << 40), ("i", 0, 1)], pads.scratchpads)
+    with pytest.raises(OverflowError) as single:
+        np.int32(1 << 40)
+    assert str(grouped.value) == str(single.value)

@@ -626,6 +626,41 @@ def test_shortcut_pricing_equals_the_general_rule(addrs, mode, stride,
     assert pad.conflict_extra(tuple(addrs), write) == want
 
 
+@st.composite
+def _blocks(draw):
+    """``(banks, rows)``: a block of equal-length groups, each row's
+    addresses drawn from a window of random width that its first two
+    lanes span end to end.  Windows narrower than ``banks`` take the
+    fast exit of ``conflict_extra`` (every row spans fewer words than
+    there are banks); windows of exactly ``banks`` words, whose two
+    ends share a bank, and one wide row among narrow ones do not."""
+    banks = draw(st.sampled_from([1, 2, 4, 16, 32]))
+    count = draw(st.integers(2, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        low = draw(st.integers(0, 200))
+        width = draw(st.one_of(st.integers(1, 40),
+                               st.sampled_from([banks - 1 or 1, banks,
+                                                banks + 1])))
+        rows.append([low, low + width - 1] + draw(st.lists(
+            st.integers(low, low + width - 1), min_size=count - 2,
+            max_size=count - 2)))
+    return banks, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_blocks(), MODES, st.sampled_from([1, 2, 4, 16]), st.booleans())
+def test_block_pricing_equals_the_general_rule_row_by_row(block, mode,
+                                                          stride, write):
+    banks, rows = block
+    pad = ScratchpadSim(Sram("t", (256,), F32, mode, bank_stride=stride),
+                        banks)
+    want = [_general_rule(row, mode, stride, banks, write) for row in rows]
+    got = pad.conflict_extra(np.array(rows, np.int64), write)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 63), min_size=16, max_size=16), MODES,
        st.sampled_from([1, 4]), st.sampled_from([4, 16]))

@@ -175,6 +175,26 @@ def test_run_multi_forwards_scheduler(mode, capsys, monkeypatch):
     assert out.count("yes") == 2
 
 
+def test_run_multi_trace_prints_each_tenants_attribution(capsys):
+    """A weighted, traced co-run prints one stall-attribution table per
+    tenant, and the dense reference prints the same output but for the
+    wall time in the header line."""
+    argv = ["run", "--multi", "gemm", "tpchq6", "--scale", "tiny",
+            "--priority", "8", "1", "--trace"]
+    outputs = []
+    for mode in ("event", "dense"):
+        assert main(argv + ["--scheduler", mode]) == 0
+        outputs.append(capsys.readouterr().out.split("\n", 1)[1])
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("Stall attribution over") == 2
+    assert "\ngemm:\nStall attribution over 151 cycles" in outputs[0]
+    assert "QoS arbitration" in outputs[0]
+    assert main(["run", "--multi", "gemm", "tpchq6", "--trace=t.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro run --multi: --trace takes no")
+
+
 @pytest.mark.parametrize("argv", [["table7", "--scale", "tiny"],
                                   ["figure7", "stages", "--scale", "tiny"]],
                          ids=["table7", "figure7"])
