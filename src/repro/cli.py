@@ -19,23 +19,20 @@ Commands
     trace JSON.  ``--scheduler`` selects the cycle loop (event-driven
     wakeup scheduler by default, ``dense`` for the tick-everything
     reference), ``--max-cycles`` and ``--watchdog`` bound runaway and
-    deadlocked simulations.
-``bench [--quick] [--baseline PATH] [--batch]``
-    Simulator performance harness: run the benchmark registry, report
-    wall-clock seconds / simulated cycles / cycles-per-second per
-    benchmark, and write ``BENCH_<rev>.json``.  ``--baseline PATH``
-    gates the report against a committed baseline — a partial report
-    whose leaves are exact pins and whose ``min_``/``max_`` keys are
-    bounds (``repro.eval.gate``); a failed pin exits 1, an unusable
-    baseline exits 2 before anything runs.  ``--batch`` instead times
-    ``Machine.run_batch`` on a Figure-7-style 78-instance grid against
-    a sampled sequential estimate (baseline
-    ``benchmarks/batch_baseline.json``, the CI ``gates`` job), and
-    ``--multi`` the co-resident fabric (``multi_baseline.json``,
-    ``--qos-baseline``).  ``repro run --batch`` likewise simulates N
-    timing variants (``--sweep stages=4,8,16 --sweep banks=4,16`` or an
-    explicit ``--batch-params`` JSON list) of one compiled design in a
-    single batched pass.
+    deadlocked simulations.  ``--batch`` simulates N timing variants
+    (``--sweep stages=4,8,16 --sweep banks=4,16`` or an explicit
+    ``--batch-params`` JSON list) of one compiled design in a single
+    batched pass.
+``bench [--out DIR] [--baseline PATH]``
+    The answer gate: one deterministic run of four sections — the
+    registry at ``tiny`` (``solo``), ``run_batch`` over a 78-instance
+    Figure-7-style grid (``batch``), a two-app co-run (``multi``) and a
+    weighted QoS co-run (``qos``) — written as ``GATE_<rev>.json``.
+    Nothing in it is timed.  ``--baseline PATH`` gates the report
+    against a committed baseline (``benchmarks/baseline.json``) — a
+    partial report whose leaves are exact pins and whose
+    ``min_``/``max_`` keys are bounds (``repro.eval.gate``); a failed
+    pin exits 1, an unusable baseline exits 2 before anything runs.
 ``table5 | table6 | table7``
     Regenerate a paper table: every benchmark is compiled and measured
     in this process, and nothing is written to disk.
@@ -575,41 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="raise DeadlockError after N cycles without "
                           "forward progress")
     bench = sub.add_parser(
-        "bench", help="simulator performance harness")
-    bench.add_argument("--multi", action="store_true",
-                       help="benchmark co-resident multi-tenancy: solo "
-                            "vs shared-fabric cycles, aggregate "
-                            "throughput and solo-equivalence (gate "
-                            "with --baseline "
-                            "benchmarks/multi_baseline.json)")
-    bench.add_argument("--batch", action="store_true",
-                       help="benchmark Machine.run_batch on a Figure-7 "
-                            "style 78-instance grid instead of the "
-                            "registry loop; with --baseline, gate on "
-                            "benchmarks/batch_baseline.json")
-    bench.add_argument("--qos-baseline", default=None, metavar="PATH",
-                       help="with --multi: also run the QoS benchmark "
-                            "(high-priority tenant among memory-bound "
-                            "riders, weighted vs unweighted DRAM "
-                            "arbitration) and gate against e.g. "
-                            "benchmarks/qos_baseline.json")
-    bench.add_argument("--scale", default="small",
-                       choices=("tiny", "small"))
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny scale, single repetition (CI mode)")
-    bench.add_argument("--scheduler", default="event",
-                       choices=("event", "dense"))
-    bench.add_argument("--compare-dense", action="store_true",
-                       help="also run the dense reference loop and "
-                            "report the event-scheduler speedup")
-    bench.add_argument("--repeat", type=_positive_int, default=3,
-                       metavar="N",
-                       help="timing repetitions per benchmark "
-                            "(best-of-N)")
-    bench.add_argument("--apps", nargs="*", metavar="APP",
-                       help="subset of registry benchmarks")
+        "bench", help="check the simulator's answers against a baseline")
     bench.add_argument("--out", default=".", metavar="DIR",
-                       help="directory for BENCH_<rev>.json")
+                       help="directory for GATE_<rev>.json")
     bench.add_argument("--baseline", default=None, metavar="PATH",
                        help="gate the report against a committed "
                             "baseline (exact pins and min_/max_ bounds, "

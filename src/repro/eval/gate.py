@@ -17,8 +17,9 @@ produced:
   misspelt floor cannot silently gate nothing.
 
 :func:`load` runs *before* the benchmark (a baseline that cannot gate
-anything is a usage error, exit 2, not a traceback after minutes of
-simulation); :func:`finish` is the shared tail of every gated command.
+anything, or whose bound is not a number, is a usage error, exit 2, not
+a traceback after minutes of simulation); :func:`finish` is the shared
+tail of every gated command.
 """
 
 from __future__ import annotations
@@ -45,6 +46,25 @@ def pins(baseline) -> int:
     if _named_rows(baseline):
         return sum(pins(row) for row in baseline)
     return 1
+
+
+def _bad_bounds(baseline, path: str = "") -> List[str]:
+    """Key paths of ``min_``/``max_`` values that are not numbers."""
+    bad: List[str] = []
+    for key, value in baseline.items():
+        if key in _COMMENTS:
+            continue
+        where = path + key
+        if key[:4] in ("min_", "max_"):
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float)):
+                bad.append(f"{where} = {value!r}")
+        elif isinstance(value, dict):
+            bad += _bad_bounds(value, where + ".")
+        elif _named_rows(value):
+            for row in value:
+                bad += _bad_bounds(row, f"{where}[{row['name']}].")
+    return bad
 
 
 def check(report, baseline: dict, path: str = "") -> List[str]:
@@ -97,8 +117,8 @@ def load(path: Optional[str]) -> Optional[dict]:
     """Read and validate a ``--baseline`` file (``None`` = ungated).
 
     Exits with status 2 and one line on stderr, like any other bad
-    command-line argument, when the file is missing, is not JSON or
-    pins nothing.
+    command-line argument, when the file is missing, is not JSON, pins
+    nothing or bounds a value by something other than a number.
     """
     if not path:
         return None
@@ -108,6 +128,10 @@ def load(path: Optional[str]) -> Optional[dict]:
         if not isinstance(baseline, dict) or not pins(baseline):
             raise ValueError("it pins nothing (want a JSON object with "
                              "at least one gated key; see docs/CI.md)")
+        bad = _bad_bounds(baseline)
+        if bad:
+            raise ValueError(f"a min_/max_ bound must be a number: "
+                             f"{', '.join(bad)}")
     except (OSError, ValueError) as err:
         print(f"unusable baseline {path}: {err}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -129,7 +153,9 @@ def finish(report: dict, path: Optional[str], baseline: Optional[dict],
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"\nwrote {path}")
-    failures = check(report, {**(invariants or {}), **(baseline or {})})
+    # a key both pin fails both checks with the same message: print it once
+    failures = list(dict.fromkeys(check(report, invariants or {})
+                                  + check(report, baseline or {})))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if baseline is not None and not failures:

@@ -1,4 +1,4 @@
-"""Multi-tenancy benchmark: ``repro bench --multi``.
+"""The ``multi`` and ``qos`` sections of ``repro bench``.
 
 Quantifies what co-residency buys and costs, entirely in *simulated
 cycles* (deterministic, so the CI gate is noise-free):
@@ -12,26 +12,17 @@ cycles* (deterministic, so the CI gate is noise-free):
 * per-tenant slowdowns and per-channel utilization expose the DRAM
   interference the sharing introduces.
 
-The committed ``benchmarks/multi_baseline.json`` and
-``qos_baseline.json`` gate fresh reports through
+The ``multi`` and ``qos`` sections of the committed
+``benchmarks/baseline.json`` gate fresh reports through
 :mod:`repro.eval.gate`: exact cycle counts (the model's answer must not
-drift silently), the speedup floors, and the invariants the reports
-carry (``equivalence_failures``, ``validated``, ``priority_helped``).
+drift silently), the simulated-cycle speedup floors, and the invariants
+the reports carry (``equivalence_failures``, ``validated``,
+``priority_helped``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence
-
-from repro.eval import gate
-from repro.eval.bench import git_rev
-
-#: report format version
-MULTI_FORMAT = 1
-
-#: QoS report format version
-QOS_FORMAT = 1
 
 #: default co-resident pair: compute-light, DRAM-hungry streaming apps
 #: whose footprints trivially fit side by side at every scale
@@ -90,8 +81,6 @@ def run_multi_benchmark(apps: Sequence[str] = DEFAULT_PAIR,
             "validated": tenant.validated,
         })
     return {
-        "format": MULTI_FORMAT,
-        "rev": git_rev(),
         "scale": scale,
         "apps": list(apps),
         "tenants": rows,
@@ -109,7 +98,7 @@ def render_multi(report: dict) -> str:
     """Human-readable multi benchmark summary."""
     lines = [
         f"multi-tenant fabric — {'+'.join(report['apps'])} "
-        f"({report['scale']}), rev={report['rev']}",
+        f"({report['scale']})",
         f"  {'tenant':14s} {'region':>10s} {'solo':>8s} {'co':>8s} "
         f"{'slowdown':>9s} {'dram stalls':>12s}",
     ]
@@ -165,8 +154,6 @@ def run_qos_benchmark(apps: Sequence[str] = QOS_APPS,
     speedup = (hi_base.finish_cycle / hi_weighted.finish_cycle
                if hi_weighted.finish_cycle else 0.0)
     return {
-        "format": QOS_FORMAT,
-        "rev": git_rev(),
         "scale": scale,
         "apps": list(apps),
         "priorities": list(priorities),
@@ -191,8 +178,7 @@ def render_qos(report: dict) -> str:
     pairs = ", ".join(f"{a}:{p}" for a, p in zip(report["apps"],
                                                  report["priorities"]))
     lines = [
-        f"qos arbitration — {pairs} ({report['scale']}), "
-        f"rev={report['rev']}",
+        f"qos arbitration — {pairs} ({report['scale']})",
         f"  high-priority tenant {report['hi_tenant']}: finish cycle "
         f"{report['unweighted_hi_cycles']} unweighted -> "
         f"{report['weighted_hi_cycles']} weighted "
@@ -208,22 +194,3 @@ def render_qos(report: dict) -> str:
             f"contended grants")
     return "\n".join(lines)
 
-
-def cmd_bench_multi(args) -> int:
-    """The ``repro bench --multi`` path (wired from ``cmd_bench``)."""
-    baseline = gate.load(args.baseline)
-    qos_baseline = gate.load(args.qos_baseline)
-    scale = "tiny" if args.quick else args.scale
-    report = run_multi_benchmark(apps=args.apps or list(DEFAULT_PAIR),
-                                 scale=scale)
-    print(render_multi(report))
-    path = os.path.join(args.out, f"MULTI_{report['rev']}.json")
-    status = gate.finish(report, path, baseline,
-                         {"equivalence_failures": []})
-    if status or qos_baseline is None:
-        return status
-    qos_report = run_qos_benchmark(scale=scale)
-    print()
-    print(render_qos(qos_report))
-    path = os.path.join(args.out, f"QOS_{qos_report['rev']}.json")
-    return gate.finish(qos_report, path, qos_baseline)

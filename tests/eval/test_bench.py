@@ -1,41 +1,38 @@
-"""The ``repro bench`` perf harness: report shape, its report held to
-``benchmarks/baseline.json``-shaped gates, synthetic workloads, and CLI
-wiring."""
+"""``repro bench``, the answer gate: the ``solo`` section's shape, its
+rows held to ``benchmarks/baseline.json``-shaped gates, the synthetic
+workload, and CLI wiring."""
 
+import copy
 import json
+import os
 
 from repro.eval import bench, gate
+from tests.eval.test_gate import BENCHMARKS, gate_report
 
 
-def _report(**totals):
-    base = {
-        "format": bench.FORMAT,
-        "rev": "abc1234",
+def _report():
+    """A ``solo`` section."""
+    return {
         "scale": "tiny",
         "scheduler": "event",
-        "repeat": 1,
         "benchmarks": [
-            {"name": "gemm", "compile_s": 0.01, "cycles": 1000,
-             "wall_s": 0.05, "cycles_per_sec": 20000,
-             "executed_cycles": 400, "fast_forwarded_cycles": 600},
+            {"name": "gemm", "cycles": 1000, "executed_cycles": 400,
+             "fast_forwarded_cycles": 600},
         ],
-        "totals": {"cycles": 1000, "wall_s": 0.05,
-                   "cycles_per_sec": 20000},
+        "totals": {"cycles": 1000},
     }
-    base["totals"].update(totals)
-    return base
 
 
-def _baseline(**totals):
+def _baseline():
     """What ``benchmarks/baseline.json`` states about :func:`_report`."""
     return {"scale": "tiny", "scheduler": "event",
             "benchmarks": [{"name": "gemm", "cycles": 1000}],
-            "totals": {"cycles": 1000, **totals}}
+            "totals": {"cycles": 1000}}
 
 
 def test_compare_passes_against_itself():
-    assert gate.check(_report(), _baseline(min_cycles_per_sec=20000)) \
-        == []
+    assert gate.check(_report(), _baseline()) == []
+    assert gate.check(_report(), _report()) == []
 
 
 def test_compare_flags_cycle_count_change_as_correctness():
@@ -47,21 +44,8 @@ def test_compare_flags_cycle_count_change_as_correctness():
     assert "answer changed" in failures[0]
 
 
-def test_compare_flags_throughput_regression_beyond_threshold():
-    failures = gate.check(_report(cycles_per_sec=14000),
-                          _baseline(min_cycles_per_sec=15000))
-    assert failures == ["totals.cycles_per_sec: 14000 is below the "
-                        "committed floor 15000"]
-
-
-def test_compare_tolerates_regression_within_threshold():
-    assert gate.check(_report(cycles_per_sec=16000),
-                      _baseline(min_cycles_per_sec=15000)) == []
-
-
 def test_compare_ignores_benchmarks_missing_from_baseline():
     baseline = _baseline()
-    baseline["benchmarks"] = [{"name": "gemm", "cycles": 1000}]
     current = _report()
     current["benchmarks"].append({"name": "brand_new", "cycles": 7})
     assert gate.check(current, baseline) == []
@@ -72,37 +56,39 @@ def test_compare_ignores_benchmarks_missing_from_baseline():
 
 
 def test_run_benchmarks_report_shape():
-    report = bench.run_benchmarks(scale="tiny", repeat=1,
-                                  apps=["innerproduct"])
-    assert report["format"] == bench.FORMAT
-    assert [r["name"] for r in report["benchmarks"]] == ["innerproduct"]
-    row = report["benchmarks"][0]
-    assert row["cycles"] > 0
-    assert row["cycles_per_sec"] > 0
-    assert (row["executed_cycles"] + row["fast_forwarded_cycles"]
-            == row["cycles"])
-    assert report["totals"]["cycles"] == row["cycles"]
+    section = gate_report()["solo"]
+    assert section["scale"] == "tiny"
+    assert len(section["benchmarks"]) == 14
+    for row in section["benchmarks"]:
+        assert set(row) == {"name", "cycles", "executed_cycles",
+                            "fast_forwarded_cycles"}
+        assert row["cycles"] > 0
+        assert (row["executed_cycles"] + row["fast_forwarded_cycles"]
+                == row["cycles"])
+    assert section["totals"] == {
+        "cycles": sum(r["cycles"] for r in section["benchmarks"])}
 
 
 def test_run_benchmarks_keeps_request_order_and_splits_wall():
-    report = bench.run_benchmarks(scale="tiny", repeat=1,
-                                  apps=["gemm", "dram_rowconf"])
-    assert [r["name"] for r in report["benchmarks"]] == \
-        ["gemm", "dram_rowconf"]
-    totals = report["totals"]
-    assert totals["compile_s"] > 0 and totals["simulate_s"] > 0
-    assert totals["simulate_s"] == totals["wall_s"]
-    assert "jobs" not in report
+    """Registry apps first, then the hand-built stressors; and no wall
+    time to split any more: no field of the report is timed."""
+    from repro.apps.registry import ALL_APPS
+    report = gate_report()
+    assert [r["name"] for r in report["solo"]["benchmarks"]] == \
+        [app.name for app in ALL_APPS] + list(bench.SYNTHETIC)
 
+    def keys(value):
+        if isinstance(value, dict):
+            for key, inner in value.items():
+                yield key
+                yield from keys(inner)
+        elif isinstance(value, list):
+            for inner in value:
+                yield from keys(inner)
 
-def test_run_benchmarks_compare_dense_reports_speedup():
-    report = bench.run_benchmarks(scale="tiny", repeat=1,
-                                  apps=["dram_rowconf"],
-                                  compare_dense=True)
-    row = report["benchmarks"][0]
-    assert row["cycles"] == row["dense"]["cycles"]
-    assert row["speedup_vs_dense"] > 0
-    assert row["compile_s"] == 0.0  # hand-built DHDL: no compiler run
+    timed = [k for k in keys(report)
+             if k.endswith(("_s", "_per_sec")) or "speedup_vs" in k]
+    assert timed == []
 
 
 def test_synthetic_rowconf_is_row_miss_bound():
@@ -117,59 +103,63 @@ def test_synthetic_rowconf_is_row_miss_bound():
 
 
 def test_write_report_creates_directory(tmp_path, capsys):
-    path = tmp_path / "nested" / "dir" / "BENCH_abc1234.json"
+    path = tmp_path / "nested" / "dir" / "GATE_abc1234.json"
     assert gate.finish(_report(), str(path), None) == 0
     assert json.loads(path.read_text()) == _report()
     out = capsys.readouterr().out
     assert f"wrote {path}" in out and "gate passed" not in out
 
 
-def test_cli_bench_quick_with_baseline(tmp_path, capsys):
+def test_cli_bench_quick_with_baseline(tmp_path, capsys, monkeypatch):
+    """The real command holds the committed baseline; its report, used
+    as a baseline, then holds a second, independent run whole: every
+    field is a simulated answer, so two runs agree on all of them."""
     from repro.cli import main
-    baseline = tmp_path / "baseline.json"
     out = tmp_path / "out"
-    rc = main(["bench", "--quick", "--apps", "innerproduct",
-               "--out", str(out)])
-    assert rc == 0
-    report_path = next(out.glob("BENCH_*.json"))
-    row = json.loads(report_path.read_text())["benchmarks"][0]
-    baseline.write_text(json.dumps({
-        "benchmarks": [{"name": row["name"], "cycles": row["cycles"]}],
-        "totals": {"cycles": row["cycles"], "min_cycles_per_sec": 1}}))
-    rc = main(["bench", "--quick", "--apps", "innerproduct",
-               "--out", str(out), "--baseline", str(baseline)])
-    assert rc == 0
-    assert "gate passed: all 4 baseline pins held" \
+    assert main(["bench", "--out", str(out), "--baseline",
+                 os.path.join(BENCHMARKS, "baseline.json")]) == 0
+    assert "gate passed: all 78 baseline pins held" \
         in capsys.readouterr().out
-    # no code path accepts the old raw-report baselines: every leaf of
-    # a report is an exact pin, the wall-clock fields included (any one
-    # of them can tie at microsecond resolution, not all of them)
-    baseline.write_text(report_path.read_text())
-    rc = main(["bench", "--quick", "--apps", "innerproduct",
-               "--out", str(out), "--baseline", str(baseline)])
-    assert rc == 1
-    assert "_s: " in capsys.readouterr().err
+    report_path = next(out.glob("GATE_*.json"))
+    monkeypatch.setattr(bench, "run_gate",
+                        lambda: copy.deepcopy(gate_report()))
+    assert main(["bench", "--out", str(out),
+                 "--baseline", str(report_path)]) == 0
+    assert "baseline pins held" in capsys.readouterr().out
 
 
-def test_cli_bench_fails_on_cycle_change(tmp_path, capsys):
+def test_cli_bench_fails_on_cycle_change(tmp_path, capsys, monkeypatch):
     from repro.cli import main
-    out = tmp_path / "out"
-    rc = main(["bench", "--quick", "--apps", "innerproduct",
-               "--out", str(out)])
-    assert rc == 0
-    report = json.loads(next(out.glob("BENCH_*.json")).read_text())
-    cycles = report["benchmarks"][0]["cycles"]
+    monkeypatch.setattr(bench, "run_gate",
+                        lambda: copy.deepcopy(gate_report()))
+    cycles = next(row["cycles"]
+                  for row in gate_report()["solo"]["benchmarks"]
+                  if row["name"] == "innerproduct")
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"benchmarks": [
-        {"name": "innerproduct", "cycles": cycles + 1}]}))
-    rc = main(["bench", "--quick", "--apps", "innerproduct",
-               "--out", str(out), "--baseline", str(baseline)])
+    baseline.write_text(json.dumps({"solo": {"benchmarks": [
+        {"name": "innerproduct", "cycles": cycles + 1}]}}))
+    rc = main(["bench", "--out", str(tmp_path / "out"),
+               "--baseline", str(baseline)])
     assert rc == 1
-    assert (f"FAIL: benchmarks[innerproduct].cycles: {cycles}, pinned "
-            f"at {cycles + 1}") in capsys.readouterr().err
+    assert (f"FAIL: solo.benchmarks[innerproduct].cycles: {cycles}, "
+            f"pinned at {cycles + 1}") in capsys.readouterr().err
 
 
 def test_render_lists_every_benchmark():
-    text = bench.render(_report())
+    text = bench.render_solo(_report())
     assert "gemm" in text
     assert "total" in text
+    whole = bench.render(gate_report())
+    for title in ("solo", "batched simulation", "multi-tenant fabric",
+                  "qos arbitration"):
+        assert title in whole
+
+
+def test_bench_has_only_out_and_baseline_options():
+    from repro.cli import build_parser
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if action.dest == "command").choices["bench"]
+    assert sorted(opt for action in sub._actions
+                  for opt in action.option_strings) == \
+        ["--baseline", "--help", "--out", "-h"]

@@ -3,11 +3,14 @@
 ``CASES`` is the format, row by row: a baseline is a partial report
 whose leaves are exact pins, whose ``min_``/``max_`` keys are bounds,
 and in which a key the report lacks is a failure.  The bottom of the
-file holds the *committed* ``benchmarks/*_baseline.json`` files against
-reports produced in-process, so a model drift fails tier-1 and not only
-CI.
+file holds the *committed* ``benchmarks/baseline.json`` against the
+report ``repro bench`` builds in-process, so a model drift fails tier-1
+and not only CI.
 """
 
+import copy
+import functools
+import json
 import os
 
 import pytest
@@ -127,16 +130,53 @@ def test_load_rejects_unusable_baseline(tmp_path, capsys, content, why):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench", "--quick"],
-    ["bench", "--batch", "--quick"],
-    ["bench", "--multi", "--quick"],
-    ["bench", "--multi", "--quick", "--qos-baseline"],
-    ["loadtest", "--spawn"],
+@pytest.mark.parametrize("bound", ["5", None, True, [1], {"x": 1}],
+                         ids=["str", "null", "bool", "list", "dict"])
+@pytest.mark.parametrize("baseline, where", [
+    (lambda b: {"min_speedup": b}, "min_speedup"),
+    (lambda b: {"batch": {"instances": 78, "max_errors": b}},
+     "batch.max_errors"),
+    (lambda b: {"solo": {"benchmarks": [{"name": "gemm",
+                                         "min_cycles": b}]}},
+     "solo.benchmarks[gemm].min_cycles"),
+], ids=["top", "nested", "named-row"])
+def test_load_rejects_a_bound_that_is_not_a_number(
+        tmp_path, capsys, bound, baseline, where):
+    """``check`` compared the report with the bound only after the
+    whole run, and a string or ``null`` bound raised ``TypeError``
+    there; ``True`` passed as 1."""
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline(bound)))
+    with pytest.raises(SystemExit) as exit_info:
+        gate.load(str(path))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{where} = {bound!r}" in err and "must be a number" in err
+    assert err.count("\n") == 1
+
+
+def test_load_accepts_int_and_float_bounds(tmp_path):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"min_a": 1, "max_b": 2.5,
+                                "comment": "min_ in prose is fine",
+                                "c": {"min_d": 0}}))
+    assert gate.load(str(path))["c"] == {"min_d": 0}
+
+
+@pytest.mark.parametrize("argv, baseline, why", [
+    (["bench"], {}, "pins nothing"),
+    (["bench"], {"batch": {"min_follower_cycles": "201613"}},
+     "batch.min_follower_cycles = '201613'"),
+    (["bench"], {"multi": {"min_aggregate_speedup": None}},
+     "multi.min_aggregate_speedup = None"),
+    (["bench"], {"qos": {"min_hi_speedup": True}},
+     "qos.min_hi_speedup = True"),
+    (["loadtest", "--spawn"], {}, "pins nothing"),
 ], ids=["bench", "batch", "multi", "qos", "loadtest"])
 def test_cli_rejects_empty_baseline_before_any_simulation(
-        argv, tmp_path, capsys, monkeypatch):
-    """``{}`` used to print ``multi gate passed (floor 0.000x)``."""
+        argv, baseline, why, tmp_path, capsys, monkeypatch):
+    """``{}`` used to print ``multi gate passed (floor 0.000x)``; a
+    bound that is not a number, in any section, is just as unusable."""
     from repro.cli import main
     from repro.eval import bench, loadtest, multi
 
@@ -146,15 +186,14 @@ def test_cli_rejects_empty_baseline_before_any_simulation(
     monkeypatch.setattr(bench, "run_benchmarks", must_not_run)
     monkeypatch.setattr(bench, "run_batch_benchmark", must_not_run)
     monkeypatch.setattr(multi, "run_multi_benchmark", must_not_run)
+    monkeypatch.setattr(multi, "run_qos_benchmark", must_not_run)
     monkeypatch.setattr(loadtest, "spawned_server", must_not_run)
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    if argv[-1] != "--qos-baseline":
-        argv = argv + ["--baseline"]
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline))
     with pytest.raises(SystemExit) as exit_info:
-        main(argv + [str(empty)])
+        main(argv + ["--baseline", str(path)])
     assert exit_info.value.code == 2
-    assert "pins nothing" in capsys.readouterr().err
+    assert why in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +242,56 @@ def _committed(name):
     return gate.load(os.path.join(BENCHMARKS, name))
 
 
-def test_committed_baselines_hold():
-    """Cycle pins and invariants of the three deterministic tiny-scale
-    gates; only the host-speed floor is left to CI."""
-    from repro.eval.bench import run_benchmarks
-    from repro.eval.multi import run_multi_benchmark, run_qos_benchmark
+@functools.lru_cache(maxsize=None)
+def _gate_report():
+    from repro.eval.bench import run_gate
+    return run_gate()
 
-    perf = _committed("baseline.json")
-    assert perf["totals"].pop("min_cycles_per_sec") > 0
-    assert gate.check(run_benchmarks(scale="tiny", repeat=1), perf) == []
-    assert gate.check(run_multi_benchmark(scale="tiny"),
-                      _committed("multi_baseline.json")) == []
-    assert gate.check(run_qos_benchmark(scale="tiny"),
-                      _committed("qos_baseline.json")) == []
+
+def gate_report():
+    """The report ``repro bench`` builds, simulated once per process
+    (a fresh copy per call)."""
+    return copy.deepcopy(_gate_report())
+
+
+#: one exact pin per section, and the failure doctoring it must cause
+DOCTORED = {
+    "solo": (("benchmarks", 13, "executed_cycles"),
+             "solo.benchmarks[dram_rowconf].executed_cycles: 899"),
+    "batch": (("follower_executed_cycles",),
+              "batch.follower_executed_cycles: 9202"),
+    "multi": (("tenants", 1, "co_cycles"),
+              "multi.tenants[tpchq6].co_cycles: 95"),
+    "qos": (("weighted_hi_cycles",), "qos.weighted_hi_cycles: 171"),
+}
+
+
+def test_committed_baselines_hold():
+    """The whole committed baseline — every section, every pin — holds
+    the report ``repro bench`` builds; one doctored pin per section
+    fails by name."""
+    report = gate_report()
+    baseline = _committed("baseline.json")
+    assert gate.pins(baseline) == 78
+    assert gate.check(report, baseline) == []
+    for section, (keys, failure) in DOCTORED.items():
+        doctored = copy.deepcopy(baseline)
+        *inner, last = (section,) + keys
+        target = doctored
+        for key in inner:
+            target = target[key]
+        target[last] += 1
+        assert [f.split(",")[0] for f in gate.check(report, doctored)] \
+            == [failure], section
 
 
 def unresolved(report, baseline_name):
     """Failures that mean a committed baseline names a key (or row)
-    its report does not have — a typo, or a renamed report field.  The
-    perf, multi and QoS baselines are held whole above; the batch and
-    serve ones need runs too big for tier-1, so ``test_bench_batch.py``
-    and ``tests/serve/test_loadtest.py`` hold their *keys* to a small
-    report with this."""
+    its report does not have — a typo, or a renamed report field.
+    ``baseline.json`` is held whole above; the serve baselines need runs
+    too big for tier-1, so ``tests/serve/test_loadtest.py`` holds their
+    *keys* to a small report with this (and ``test_bench_batch.py`` the
+    batch section's keys to a small grid)."""
     return [failure
             for failure in gate.check(report, _committed(baseline_name))
             if "the report has no" in failure]

@@ -2,9 +2,10 @@
 
 One real ``run_multi_benchmark`` call (tiny scale) anchors the report
 shape and the solo-equivalence invariant; the gate tests then hold it
-to doctored ``benchmarks/multi_baseline.json``-shaped baselines — the
-cycle counts are deterministic, so the gate demands *exact* equality
-and a committed aggregate-throughput floor.
+to doctored baselines shaped like the ``multi`` section of
+``benchmarks/baseline.json`` — the cycle counts are deterministic, so
+the gate demands *exact* equality and a committed aggregate-throughput
+floor.
 """
 
 import copy

@@ -2,10 +2,11 @@
 
 One real ``run_qos_benchmark`` call (a small two-tenant workload)
 anchors the report shape; the gate tests then hold it to doctored
-``benchmarks/qos_baseline.json``-shaped baselines.  Cycle counts are
-deterministic, so the gate demands exact equality, a strict
-weighted-beats-unweighted invariant (``priority_helped``), and a
-committed high-priority-speedup floor.
+baselines shaped like the ``qos`` section of
+``benchmarks/baseline.json``.  Cycle counts are deterministic, so the
+gate demands exact equality, a strict weighted-beats-unweighted
+invariant (``priority_helped``), and a committed high-priority-speedup
+floor.
 """
 
 import pytest

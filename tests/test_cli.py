@@ -44,8 +44,7 @@ def test_run_unknown_app(capsys):
 BAD_INPUT = {
     "run-unknown-app": ["run", "nosuch"],
     "compile-unknown-app": ["compile", "nosuch"],
-    "bench-unknown-app": ["bench", "--apps", "nosuch"],
-    "bench-batch-unknown-app": ["bench", "--batch", "--apps", "nosuch"],
+    "bench-out-not-a-directory": ["bench", "--out", "/dev/null"],
     "figure7-simulate-unknown-app":
         ["figure7", "stages", "--simulate", "--app", "nosuch"],
     "run-multi-unknown-app": ["run", "--multi", "gemm", "nosuch"],

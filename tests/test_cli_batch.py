@@ -77,28 +77,33 @@ def test_figure7_simulate_rejects_area_params(capsys):
     assert "cannot sweep" in capsys.readouterr().err
 
 
-def test_bench_batch_quick(tmp_path, capsys):
-    assert main(["bench", "--batch", "--quick", "--apps",
-                 "innerproduct", "--out", str(tmp_path)]) == 0
+def test_bench_batch_quick(tmp_path, capsys, monkeypatch):
+    from repro.eval import bench
+    from tests.eval.test_gate import gate_report
+    monkeypatch.setattr(bench, "run_gate", gate_report)
+    assert main(["bench", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "batched simulation" in out
     assert "bit-identical" in out
-    reports = list(tmp_path.glob("BATCH_*.json"))
+    reports = list(tmp_path.glob("GATE_*.json"))
     assert len(reports) == 1
-    report = json.loads(reports[0].read_text())
+    report = json.loads(reports[0].read_text())["batch"]
     assert report["instances"] == 78
     assert report["mismatches"] == []
 
 
-def test_bench_batch_baseline_gate_failure(tmp_path, capsys):
-    baseline = tmp_path / "floor.json"
-    baseline.write_text(json.dumps({"min_speedup": 10000.0}))
-    assert main(["bench", "--batch", "--quick", "--apps",
-                 "innerproduct", "--out", str(tmp_path),
+def test_bench_batch_baseline_gate_failure(tmp_path, capsys, monkeypatch):
+    from repro.eval import bench
+    from tests.eval.test_gate import gate_report
+    monkeypatch.setattr(bench, "run_gate", gate_report)
+    baseline = tmp_path / "pins.json"
+    baseline.write_text(json.dumps(
+        {"batch": {"follower_executed_cycles": 9203}}))
+    assert main(["bench", "--out", str(tmp_path),
                  "--baseline", str(baseline)]) == 1
     err = capsys.readouterr().err
-    assert "FAIL: speedup: " in err
-    assert "below the committed floor 10000.0" in err
+    assert "FAIL: batch.follower_executed_cycles: 9202, pinned at 9203" \
+        in err
 
 
 def test_fuzz_batch_oracle(capsys):
