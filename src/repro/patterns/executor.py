@@ -2,8 +2,8 @@
 
 This is the functional semantics of the pattern language — the ground truth
 every compiled-and-simulated configuration is validated against.  It shares
-no code with the simulator's datapath generator (``repro.sim.datapath``),
-because both simulators are judged against it.
+no code with the simulator's datapath (``repro.sim.block`` and
+``repro.sim.datapath``), because the simulator is judged against it.
 
 A pattern's index domain is static and data-parallel by construction, so
 each :class:`Step` is evaluated once over its whole domain: every

@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.patterns.expr import _BINARY_EVAL, _UNARY_EVAL
+from repro.sim.counters import Batch
 from repro.sim.datapath import _rnd
 
 #: lanes one block evaluation covers at most (whole issues): enough to
@@ -261,6 +262,15 @@ def _site_order(stmts) -> List[E.Load]:
     return sites
 
 
+def _shared(roots) -> set:
+    """The nodes under ``roots`` with several users: the only ones a pass
+    memoises (a node with one user is needed once per lane anyway)."""
+    uses = Counter(roots)
+    for node in {n: None for r in roots for n in E.postorder(r)}:
+        uses.update(node.children())
+    return {n for n, count in uses.items() if count > 1}
+
+
 def _fold_parts(stmt):
     """``(combines, acc_a, acc_b)`` of a reduce or hash statement."""
     if isinstance(stmt, ReduceStmt):
@@ -326,13 +336,7 @@ class Datapath:
         self.simple = {si: _simple_op(*_fold_parts(s))
                        for si, s in enumerate(self.stmts)
                        if isinstance(s, (ReduceStmt, HashReduceStmt))}
-        #: nodes with several users: the only ones a pass memoises (a
-        #: node with one user is needed once per lane anyway)
-        uses = Counter(r for s in self.stmts for r in s.exprs())
-        for node in {n: None for s in self.stmts for r in s.exprs()
-                     for n in E.postorder(r)}:
-            uses.update(node.children())
-        self.shared = {n for n, count in uses.items() if count > 1}
+        self.shared = _shared([r for s in self.stmts for r in s.exprs()])
 
     def evaluate(self, issues, bounds, version, accs, steps=False):
         """The :class:`Block` of ``issues`` (each with the bound-read
@@ -685,6 +689,63 @@ class _Pass:
     # -- the log ------------------------------------------------------------------------
     def block(self, bounds) -> "Block":
         return Block(self, bounds)
+
+
+class _BoundPass(_Pass):
+    """One scope of a counter bound over a window of positions, one lane
+    per position.  Its ``stmt`` counts the loads made, so every piece of
+    ``rec`` carries its place in the order they were made in."""
+
+    def load(self, node: E.Load, sel) -> np.ndarray:
+        self.stmt += 1
+        return super().load(node, sel)
+
+    def columns(self) -> List[tuple]:
+        """Every load piece in the order it was made, ``(site key,
+        addresses)``: a list over all lanes, or a dict of the lanes it
+        covers (a lane reads a site at most once per scope)."""
+        pieces = sorted((stmt, key, lanes, flat.tolist())
+                        for key, got in self.rec.items()
+                        for lanes, flat, stmt, _phase in got)
+        return [(key, flat if lanes is None
+                 else dict(zip(lanes.tolist(), flat)))
+                for _stmt, key, lanes, flat in pieces]
+
+
+class BoundWindow:
+    """A leaf's innermost counter bounds over a window of positions of
+    the enclosing counter (``index``): one lane per position, ``lo`` and
+    ``hi`` each one pass in a scope of its own — what the scalar walk
+    computes and reads at each position, in one numpy pass per end."""
+
+    def __init__(self, mem, chain):
+        self.mem = mem
+        self.index = chain.indices[-2]
+        self.ends = (chain.counters[-1].lo, chain.counters[-1].hi)
+        self.shared = _shared(self.ends)
+        self.srams = {n.array for r in self.ends for n in E.postorder(r)
+                      if isinstance(n, E.Load) and isinstance(n.array, Sram)}
+
+    def evaluate(self, outer: dict, values: range, version):
+        """``(lo, hi, reads)`` at each of ``values`` of ``index`` (the
+        dims outside it bound by ``outer``): two lists of values and the
+        :meth:`_BoundPass.columns` of both ends, ``lo``'s first.  None
+        where the pass faults, or where a read would create a buffer
+        version (the walk may create it later, or never)."""
+        positions = [Batch(outer, self.index, list(values))]
+        try:
+            if any(not any(v <= version for v in self.mem.scratch(s).versions)
+                   for s in self.srams):
+                return None
+            ends, reads = [], []
+            with np.errstate(all="ignore"):
+                for end in self.ends:
+                    p = _BoundPass(self, positions, version, {}, False)
+                    ends.append(p.need(end, None).tolist())
+                    reads += p.columns()
+        except (ArithmeticError, ValueError, SimulationError, _Redo):
+            return None
+        return ends[0], ends[1], reads
 
 
 def _chain(op: str, dtype: str, acc, vals: np.ndarray):

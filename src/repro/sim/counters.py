@@ -3,13 +3,13 @@
 A :class:`ChainEnumerator` walks a (possibly data-dependent) counter chain
 lazily, producing one *vector batch* per call: the current values of all
 outer counters plus up to ``par`` consecutive innermost values (the SIMD
-lanes issued in one cycle).  Bounds expressions are re-evaluated whenever
-the dims they depend on advance, matching the PMU/PCU counter hardware.
+lanes issued in one cycle).  Each dim's bounds are evaluated once per
+position of the dims outside it, matching the PMU/PCU counter hardware.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.dhdl.ir import Counter, CounterChain
 from repro.errors import SimulationError
@@ -46,12 +46,21 @@ class ChainEnumerator:
     — ``lo`` first; the expressions may read registers and scratchpads —
     against the current partial bindings.  It is not asked about a
     counter whose bounds are both integer constants.
+
+    ``window(bindings, values)``, when given, answers for the innermost
+    counter of a chain two or more deep: an iterator of its ``(lo, hi)``
+    at each of the enclosing dim's ``values`` from the current one on
+    (``bindings`` binds the dims outside that one).  Where it stops
+    early, ``bounds`` walks each position until the window is dropped
+    (:meth:`drop_window`) or the enclosing dim restarts.
     """
 
     def __init__(self, chain: CounterChain,
                  bounds: Callable[[Counter, dict], Sequence],
                  base_bindings: Optional[dict] = None,
-                 max_total: int = 50_000_000):
+                 max_total: int = 50_000_000, *,
+                 window: Optional[Callable[[dict, range],
+                                           Iterator]] = None):
         #: per axis: the constant ``(lo, hi)``, or None
         self._fixed = []
         for axis, counter in enumerate(chain.counters):
@@ -69,6 +78,9 @@ class ChainEnumerator:
                        for end in ends) else None)
         self.chain = chain
         self.bounds = bounds
+        self.window = window if chain.depth > 1 else None
+        #: the open window (None: none; False: it stopped, walk)
+        self._win = None
         self.base = dict(base_bindings or {})
         self.max_total = max_total
         self._emitted = 0
@@ -88,16 +100,42 @@ class ChainEnumerator:
         """(Re)compute lo/hi for ``axis``; True if the range is non-empty."""
         fixed = self._fixed[axis]
         inner = axis == self.chain.depth - 1
+        if axis == self.chain.depth - 2:
+            self._win = None            # the enclosing dim restarts
         if fixed is None or inner:
             bindings = dict(self.base)
             for k in range(axis):
                 bindings[self.chain.indices[k]] = self._cur[k]
             if inner:
                 self._outer = bindings
-        lo, hi = fixed or self.bounds(self.chain.counters[axis], bindings)
+        if fixed is None and inner and self.window is not None:
+            lo, hi = self._windowed(bindings)
+        else:
+            lo, hi = fixed or self.bounds(self.chain.counters[axis],
+                                          bindings)
         lo = self._lo[axis] = int(lo)
         hi = self._hi[axis] = int(hi)
         return lo < hi
+
+    def _windowed(self, bindings: dict) -> Sequence:
+        """The innermost bounds at the enclosing dim's current position,
+        from the window (opened here if none is open)."""
+        if self._win is None:
+            axis = self.chain.depth - 2
+            outer = {k: v for k, v in bindings.items()
+                     if k is not self.chain.indices[axis]}
+            self._win = self.window(outer, range(
+                self._cur[axis], self._hi[axis],
+                self.chain.counters[axis].step))
+        ends = next(self._win, None) if self._win else None
+        if ends is None:
+            self._win = False
+            return self.bounds(self.chain.counters[-1], bindings)
+        return ends
+
+    def drop_window(self) -> None:
+        """Forget the open window: the next position opens another."""
+        self._win = None
 
     def _descend(self, axis: int) -> bool:
         """Initialise dims ``axis..`` to their first values; an empty
@@ -105,24 +143,18 @@ class ChainEnumerator:
         there.  False when the chain is exhausted.
 
         A loop, not a recursion, so any number of consecutive ranges may
-        be empty; it evaluates the bounds exactly as the recursive walk
-        did: a level that had to step outward re-evaluates its dims once
-        the descent below it completes (``resume``, innermost last)."""
-        resume: List[int] = []
+        be empty, and each dim's bounds are evaluated once per position
+        of the dims outside it."""
         k = axis
-        while True:
-            while k < self.chain.depth:
-                if self._eval_bounds(k):
-                    self._cur[k] = self._lo[k]
-                    k += 1
-                    continue
-                resume.append(k)
-                k = self._step_outward(k - 1)
-                if k < 0:
-                    return False
-            if not resume:
-                return True
-            k = resume.pop()
+        while k < self.chain.depth:
+            if self._eval_bounds(k):
+                self._cur[k] = self._lo[k]
+                k += 1
+                continue
+            k = self._step_outward(k - 1)
+            if k < 0:
+                return False
+        return True
 
     def _step_outward(self, axis: int) -> int:
         """Step dim ``axis``, wrapping outward while a dim runs off its

@@ -28,7 +28,8 @@ from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.sim.counters import ChainEnumerator
-from repro.sim.block import BLOCK_LANES, Block, Datapath, Schedule, _Redo
+from repro.sim.block import (BLOCK_LANES, Block, BoundWindow, Datapath,
+                             Schedule, _Redo)
 from repro.sim.datapath import Evaluator, datapath_fault
 from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
@@ -193,6 +194,8 @@ class InnerComputeSim(_LeafCommon):
         self._single = 0
         #: bound reads of the chain since the last pulled issue
         self._reads: Dict[Tuple, List[int]] = {}
+        #: the innermost counter's bounds a window at a time
+        self._window: Optional[BoundWindow] = None
         self._block: Optional[Block] = None
         self._schedule: Optional[Schedule] = None
         #: the block's next issue (a free-running park moves it too)
@@ -265,12 +268,16 @@ class InnerComputeSim(_LeafCommon):
         replays instead)."""
         if self._datapath is None:
             self._datapath = Datapath(self)
+            if self.leaf.chain.depth > 1:
+                self._window = BoundWindow(self.mem, self.leaf.chain)
         scalar = self._evaluate.bounds
 
         def bounds(counter, bnd):
             return scalar(counter, bnd, version, self._reads)
 
-        self._enum = ChainEnumerator(self.leaf.chain, bounds, bindings)
+        self._enum = ChainEnumerator(
+            self.leaf.chain, bounds, bindings,
+            window=None if self._datapath.steps else self._windows)
         self._queue.clear()
         self._single = 0
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
@@ -388,6 +395,26 @@ class InnerComputeSim(_LeafCommon):
             return err
         return None if batch is None else (batch, self._reads)
 
+    def _windows(self, outer, values):
+        """The innermost ``(lo, hi)`` at each of ``values`` of the
+        enclosing counter, :data:`BLOCK_LANES` positions a pass; each
+        position's bound reads join the group of the issue being pulled
+        as it is taken.  Stops where a pass cannot stand in for the
+        walk (:meth:`BoundWindow.evaluate`), which goes on from there."""
+        for at in range(0, len(values), BLOCK_LANES):
+            got = self._window.evaluate(
+                outer, values[at:at + BLOCK_LANES], self._version)
+            if got is None:
+                return
+            los, his, reads = got
+            for j, lo in enumerate(los):
+                group = self._reads
+                for key, addrs in reads:
+                    addr = addrs.get(j) if type(addrs) is dict else addrs[j]
+                    if addr is not None:
+                        group.setdefault(key, []).append(addr)
+                yield lo, his[j]
+
     def _next_block(self) -> Optional[Block]:
         """Evaluate the next block: issues up to :data:`BLOCK_LANES`
         lanes — one at a time where a pass faulted or the body reads
@@ -407,6 +434,8 @@ class InnerComputeSim(_LeafCommon):
             issues.append(item[0])
             bounds.append(item[1])
             lanes += item[0].lanes
+        # a window's bounds are read at this tick or not at all
+        self._enum.drop_window()
         if not issues:
             return None
         if self._single:

@@ -10,12 +10,16 @@ Two classes of bug fixed after differential fuzzing:
   limit *before* the over-limit batch is materialised, not after.
 """
 
+import numpy as np
 import pytest
 
-from repro.dhdl.ir import Counter, CounterChain
+from repro.dhdl.ir import Counter, CounterChain, WriteStmt
+from repro.dhdl.memory import Sram
 from repro.errors import IRError, SimulationError
 from repro.patterns import expr as E
 from repro.sim.counters import ChainEnumerator
+
+from tests.sim.test_datapath_kernel import Rig
 
 
 def _const_eval(counter, bindings):
@@ -161,11 +165,16 @@ def _walk(cls, sizes, depth):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_iterative_walk_evaluates_bounds_like_the_recursive_one(depth):
-    """Same batches, and the same bound evaluations in the same order
-    (they are priced reads when a bound loads), as the recursion."""
+    """Same batches as the recursion, which asked for some positions'
+    bounds again after a run of empty ranges; the loop asks for each
+    position's bounds exactly once (they are priced reads when a bound
+    loads), in position order."""
     sizes = {(0,): 0, (1,): 0, (2,): 2, (2, 0): 0, (2, 1): 3}
-    assert _walk(ChainEnumerator, sizes, depth) == \
-        _walk(_RecursiveWalk, sizes, depth)
+    batches, asked = _walk(ChainEnumerator, sizes, depth)
+    want, reference = _walk(_RecursiveWalk, sizes, depth)
+    assert batches == want
+    assert asked == sorted(set(reference))
+    assert len(reference) > len(asked)
 
 
 def test_a_long_run_of_empty_ranges_needs_no_recursion():
@@ -180,3 +189,23 @@ def test_a_long_run_of_empty_ranges_needs_no_recursion():
     assert batch.outer == {i: rows - 1} and batch.values == [0, 1, 2, 3]
     assert enum.next_batch().values == [4]
     assert enum.next_batch() is None
+
+
+def test_ten_thousand_empty_csr_rows_read_each_ptr_once_through_a_leaf():
+    """A real leaf over a CSR chain whose first 10 000 rows are empty:
+    each row's ``ptr[r]`` and ``ptr[r + 1]`` are read once, in row
+    order, all priced with the one issue that follows them."""
+    rows = 10_000
+    ptr = Sram("ptr", (rows + 2,), E.INT32)
+    out = Sram("out", (8,), E.FLOAT32)
+    r, j = E.Idx("r"), E.Idx("j")
+    rig = Rig(False, [WriteStmt(out, (j,), E.to_float(r))],
+              [Counter(0, rows + 1), Counter(ptr[r], ptr[r + 1], par=16)],
+              [ptr, out], data={"ptr": [0] * (rows + 1) + [5]},
+              indices=[r, j]).run()
+    (issue,) = rig.issues()
+    groups = sorted(addrs for (name, _site), addrs in issue[2]
+                    if name == "ptr")
+    assert groups == [list(range(rows + 1)), list(range(1, rows + 2))]
+    assert rig.mem.scratchpads["ptr"].reads == 2 * (rows + 1)
+    np.testing.assert_array_equal(rig.buf("out")[:5], [rows] * 5)

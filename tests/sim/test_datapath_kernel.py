@@ -29,6 +29,7 @@ from repro.patterns import expr as E
 from repro.sim import (FabricConfig, FifoSim, LeafTiming, Machine,
                        MemoryState)
 from repro.sim.batch import _RecordingMachine
+from repro.sim.block import BLOCK_LANES
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.scratchpad import ScratchpadSim
 from repro.sim.stats import SimStats
@@ -358,10 +359,10 @@ def test_bound_loads_are_priced_with_the_issue_that_wraps():
     bound_reads = [[addrs for (name, _site), addrs in rec[2]
                     if name == "lens"] for rec in (first, second)]
     # priming reads lens[0]; wrapping out of row 0 reads lens[1] (an
-    # empty row) and lens[2] (once to skip to it, once to enter it) —
-    # all before, and priced with, the first issue
-    assert bound_reads == [[[0, 1, 2, 2]], []]
-    assert rig.mem.scratchpads["lens"].reads == 4
+    # empty row) and lens[2], each once — all before, and priced with,
+    # the first issue
+    assert bound_reads == [[[0, 1, 2]], []]
+    assert rig.mem.scratchpads["lens"].reads == 3
     np.testing.assert_array_equal(
         rig.buf("o").sum(axis=1), [16.0, 0.0, 5.0])
 
@@ -378,9 +379,87 @@ def test_load_the_bounds_share_is_one_group_with_their_reads():
     first, second = rig.issues()
     groups = [[addrs for (name, _site), addrs in rec[2] if name == "lens"]
               for rec in (first, second)]
-    # the bound reads of the wrap (rows 0, 1, 2, 2) and the two lanes'
-    assert groups == [[[0, 1, 2, 2, 0, 0]], [[2, 2, 2]]]
+    # the bound reads of the wrap (rows 0, 1, 2) and the two lanes'
+    assert groups == [[[0, 1, 2, 0, 0]], [[2, 2, 2]]]
     np.testing.assert_array_equal(rig.buf("o").sum(axis=1), [4, 0, 9])
+
+
+def _csr(rows, lengths):
+    """``ptr`` of a CSR matrix whose row ``r`` holds ``lengths(r)``
+    elements."""
+    ptr = [0]
+    for r in range(rows):
+        ptr.append(ptr[-1] + lengths(r))
+    return ptr
+
+
+def test_empty_rows_straddling_a_window_and_a_block_boundary():
+    """4 095 rows of two elements fill a block but for one issue; the
+    empty rows after them run past the first bound window (BLOCK_LANES
+    rows from row 0), and the block ends inside the rows after that:
+    every bound read is priced with the issue the reference prices it
+    with."""
+    assert BLOCK_LANES == 8192
+    ptr = _csr(8256, lambda r: 2 if r < 4095 else 3 if r > 8250 else 0)
+    p, o = Sram("ptr", (len(ptr),), I32), Sram("o", (ptr[-1],), F32)
+    r, j = E.Idx("r"), E.Idx("j")
+    rig = both([WriteStmt(o, (j,), E.to_float(r))],
+               [Counter(0, 8256), Counter(p[r], p[r + 1], par=16)], [p, o],
+               data={"ptr": ptr}, indices=[r, j])
+    assert len(rig.issues()) == 4095 + 5
+    assert rig.mem.scratchpads["ptr"].reads == 2 * 8256
+
+
+def test_bound_select_whose_positions_take_different_branches():
+    ptr = _csr(40, lambda r: r % 5)
+    p, lens = Sram("ptr", (41,), I32), Sram("lens", (40,), I32)
+    o = Sram("o", (ptr[-1] + 40,), F32)
+    r, j = E.Idx("r"), E.Idx("j")
+    lo = p[r]
+    hi = E.select((r % 3).eq(0), p[r + 1], lo + lens[r])
+    rig = both([WriteStmt(o, (j,), E.to_float(r))],
+               [Counter(0, 40), Counter(lo, hi, par=4)], [p, lens, o],
+               data={"ptr": ptr, "lens": [(r * 7) % 4 for r in range(40)]},
+               indices=[r, j])
+    sites = {name for rec in rig.issues() for (name, _site), _a in rec[2]}
+    assert sites == {"ptr", "lens"}
+
+
+def test_out_of_range_bound_read_inside_a_window():
+    """Row 21's ``ptr[22]`` is out of range, in the middle of the first
+    window: the same error, at the same cycle, after the same issues.
+    The chain reads it stepping past row 20's only issue, so that issue
+    is the one the fault stops."""
+    p, o = Sram("ptr", (22,), I32), Sram("o", (32,), F32)
+    r, j = E.Idx("r"), E.Idx("j")
+    stmts = [WriteStmt(o, (j,), E.to_float(r))]
+    chain = [Counter(0, 30), Counter(p[r], p[r + 1], par=16)]
+    seen = []
+    for reference in (False, True):
+        rig = Rig(reference, stmts, chain, [p, o],
+                  data={"ptr": list(range(22))}, indices=[r, j])
+        with pytest.raises(SimulationError,
+                           match=r"scratchpad OOB: ptr\[\[22\]\]") as err:
+            rig.run()
+        seen.append((str(err.value), rig.cycle, rig.log))
+    assert seen[0] == seen[1]
+    assert len([rec for rec in seen[0][2] if rec[0] == "issue"]) == 20
+
+
+def test_body_storing_to_the_scratchpad_its_bounds_read():
+    """Each row's stores write the next row's length.  The leaf steps
+    issue by issue, and the chain reads a row's bounds as it steps past
+    the row before, ahead of that row's stores: row 1 has lens[1] == 1
+    lane, whose store leaves lens[2] == 2 — too late for row 2, read
+    as 0 before it, and for row 3."""
+    lens, o = Sram("lens", (4,), I32), Sram("o", (4, 16), F32)
+    r, j = E.Idx("r"), E.Idx("j")
+    rig = both([WriteStmt(lens, (E.minimum(r + 1, 3),), j + 2),
+                WriteStmt(o, (r, j), E.to_float(j))],
+               [Counter(0, 4), Counter(0, lens[r], par=16)], [lens, o],
+               data={"lens": [2, 1, 0, 0]}, indices=[r, j])
+    assert rig.buf("lens").tolist() == [2, 3, 2, 0]
+    assert len(rig.issues()) == 2
 
 
 def test_fifo_full_retry_evaluates_nothing():
@@ -461,6 +540,25 @@ def test_selects_nested_deeply_evaluate_like_the_reference():
                data={"a": np.arange(16)}, indices=[i])
     np.testing.assert_array_equal(rig.buf("o"),
                                   np.arange(16) + (np.arange(16) == 3))
+
+
+def test_select_nested_deeper_than_compiled_code_allowed_bounds_a_counter():
+    """A counter bound of 120 nested Selects (the scalar code generator
+    rejected it as nesting too deeply to compile) is walked like any
+    other: 16 iterations, one issue."""
+    ptr, o = Sram("ptr", (4,), I32), Sram("o", (16,), F32)
+    i = E.Idx("i")
+    value = ptr[0]
+    for k in range(120):
+        value = E.select(ptr[0].eq(100 + k), k, value)
+    rig = both([WriteStmt(o, (i,), E.to_float(i))],
+               [Counter(0, value, par=16)], [ptr, o],
+               data={"ptr": [16, 0, 0, 0]}, indices=[i])
+    (issue,) = rig.issues()
+    # every Select's condition reads ptr[0] at a load site of its own
+    assert [addrs for (name, _site), addrs in issue[2]
+            if name == "ptr"] == [[0]] * 121
+    np.testing.assert_array_equal(rig.buf("o"), np.arange(16))
 
 
 # -- 8. the store / count / price seam ---------------------------------------

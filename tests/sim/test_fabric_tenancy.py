@@ -22,7 +22,11 @@ from repro.compiler.place_route import Region
 from repro.errors import SimulationError
 from repro.sim import Fabric, Machine
 from repro.sim.scheduler import SCHEDULER_MODES
+from repro.tenancy import pack_apps
 from repro.trace import RingTracer
+
+from tests.sim.test_machine_edges import (assert_same_images,
+                                          assert_share_no_state, outcome)
 
 PAIR = ("gemm", "tpchq6")
 
@@ -176,6 +180,32 @@ def test_per_tenant_tracers_attribute_dram_traffic():
 # ---------------------------------------------------------------------------
 # Safety checks
 # ---------------------------------------------------------------------------
+
+
+def _smdv_pair():
+    packing = pack_apps(["smdv", "smdv"], "tiny")
+    assert packing.feasible, packing.reason
+    fabric = Fabric()
+    tenants = [fabric.add_tenant(t.artifact.dhdl, t.artifact.config,
+                                 name=t.app) for t in packing.tenants]
+    fabric.run()
+    return packing, [t.machine for t in tenants]
+
+
+def test_two_tenants_of_one_app_finish_like_solo_runs():
+    """Two smdv tenants write what a solo smdv run writes, a repeated
+    co-run finishes exactly as the first, and the tenants share no
+    state."""
+    packing, machines = _smdv_pair()
+    _, again = _smdv_pair()
+    solo = packing.tenants[0].artifact.machine()
+    solo.run()
+    for machine, repeat in zip(machines, again):
+        stats, images = outcome(machine)
+        assert stats == outcome(repeat)[0]
+        assert_same_images(images, outcome(repeat)[1])
+        assert_same_images(images, outcome(solo)[1])
+    assert_share_no_state(*machines)
 
 
 def test_fabric_requires_regions_beyond_first_tenant():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.compiler import compile_program
+from repro.compiler.artifact import compile_to_bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme,
                         StreamStore, TileLoad, WriteStmt)
@@ -117,6 +118,50 @@ def test_sim_is_deterministic():
         results.append((stats.cycles, stats.ops_executed,
                         machine.result("centroids").tobytes()))
     assert results[0] == results[1]
+
+
+def outcome(machine):
+    """What a run leaves: its stats and its DRAM image."""
+    return machine.stats.as_dict(), {
+        name: buf.copy() for name, buf in machine.image.buffers.items()}
+
+
+def assert_same_images(got, want):
+    assert got.keys() == want.keys()
+    for name, buf in want.items():
+        assert got[name].dtype == buf.dtype
+        assert got[name].tobytes() == buf.tobytes(), name
+
+
+def assert_share_no_state(a, b):
+    """No memory, register or DRAM buffer of machine ``a`` is ``b``'s."""
+    assert a.mem is not b.mem and a.image is not b.image
+    for name, pad in a.mem.scratchpads.items():
+        other = b.mem.scratchpads[name]
+        assert pad is not other
+        for buf in pad.versions.values():
+            assert not any(np.shares_memory(buf, theirs)
+                           for theirs in other.versions.values()), name
+    for name, reg in a.mem.registers.items():
+        assert reg is not b.mem.registers[name]
+    for name, buf in a.image.buffers.items():
+        assert not np.shares_memory(buf, b.image.buffers[name]), name
+
+
+@pytest.mark.parametrize("app", ["smdv", "tpchq6", "bfs"])
+def test_two_machines_of_one_artifact_finish_like_a_solo_run(app):
+    artifact = compile_to_bitstream(app, "tiny")
+    solo = artifact.machine()
+    solo.run()
+    want = outcome(solo)
+    first, second = artifact.machine(), artifact.machine()
+    first.run()
+    second.run()
+    for machine in (first, second):
+        stats, images = outcome(machine)
+        assert stats == want[0]
+        assert_same_images(images, want[1])
+    assert_share_no_state(first, second)
 
 
 def test_gather_out_of_bounds_index_reported():
