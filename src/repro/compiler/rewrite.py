@@ -93,8 +93,14 @@ def _is_const(node, value=None):
                                           or node.value == value)
 
 
-def _const(value, dtype: str) -> E.Const:
-    """A folded constant of ``dtype`` (a FLOAT32 one holds a float)."""
+def _fold(fn, dtype: str, *values) -> Optional[E.Const]:
+    """The constant ``fn(*values)`` folds to, of ``dtype`` (a FLOAT32 one
+    holds a float); None where the operation faults, so the node stays
+    and faults when it runs."""
+    try:
+        value = fn(*values)
+    except (ArithmeticError, ValueError):
+        return None
     return E.Const(float(value) if dtype == E.FLOAT32 else value, dtype)
 
 
@@ -109,7 +115,9 @@ def _simplify_node(node: E.Expr, memo) -> E.Expr:
     if isinstance(node, E.UnOp):
         operand = simplify(node.operand, memo)
         if isinstance(operand, E.Const) and node.op in ("neg", "not"):
-            return _const(E.eval_unary(node.op, operand.value), node.dtype)
+            folded = _fold(E.eval_unary, node.dtype, node.op, operand.value)
+            if folded is not None:
+                return folded
         if operand is node.operand:
             return node
         return E.UnOp(node.op, operand)
@@ -131,8 +139,10 @@ def _simplify_node(node: E.Expr, memo) -> E.Expr:
         op = node.op
         if _is_const(lhs) and _is_const(rhs) and op in (
                 "add", "sub", "mul", "min", "max"):
-            return _const(E.eval_binary(op, lhs.value, rhs.value),
-                          node.dtype)
+            folded = _fold(E.eval_binary, node.dtype, op, lhs.value,
+                           rhs.value)
+            if folded is not None:
+                return folded
         if op == "add":
             if _is_const(lhs, 0) and rhs.dtype == node.dtype:
                 return rhs

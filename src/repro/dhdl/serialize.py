@@ -359,36 +359,39 @@ class _Decoder:
 
     # -- expressions --------------------------------------------------------------
     def _decode_exprs(self) -> None:
-        for spec in self.data["exprs"]:
-            kind = spec["k"]
-            if kind == "const":
-                value = spec["v"]
-                if spec["dt"] == E.BOOL:
-                    value = bool(value)
-                elif spec["dt"] == E.INT32:
-                    value = int(value)
+        try:
+            for spec in self.data["exprs"]:
+                kind = spec["k"]
+                if kind == "const":
+                    value = spec["v"]
+                    if spec["dt"] == E.BOOL:
+                        value = bool(value)
+                    elif spec["dt"] == E.INT32:
+                        value = int(value)
+                    else:
+                        value = float(value)
+                    node: E.Expr = E.Const(value, spec["dt"])
+                elif kind == "idx":
+                    node = E.Idx(spec["name"], spec["extent"])
+                elif kind == "var":
+                    node = E.Var(spec["name"], spec["dt"])
+                elif kind == "load":
+                    node = E.Load(self.mem(spec["mem"]),
+                                  [self.exprs[i] for i in spec["ix"]])
+                elif kind == "bin":
+                    node = E.BinOp(spec["op"], self.exprs[spec["a"]],
+                                   self.exprs[spec["b"]])
+                elif kind == "un":
+                    node = E.UnOp(spec["op"], self.exprs[spec["a"]])
+                elif kind == "sel":
+                    node = E.Select(self.exprs[spec["c"]],
+                                    self.exprs[spec["t"]],
+                                    self.exprs[spec["f"]])
                 else:
-                    value = float(value)
-                node: E.Expr = E.Const(value, spec["dt"])
-            elif kind == "idx":
-                node = E.Idx(spec["name"], spec["extent"])
-            elif kind == "var":
-                node = E.Var(spec["name"], spec["dt"])
-            elif kind == "load":
-                node = E.Load(self.mem(spec["mem"]),
-                              [self.exprs[i] for i in spec["ix"]])
-            elif kind == "bin":
-                node = E.BinOp(spec["op"], self.exprs[spec["a"]],
-                               self.exprs[spec["b"]])
-            elif kind == "un":
-                node = E.UnOp(spec["op"], self.exprs[spec["a"]])
-            elif kind == "sel":
-                node = E.Select(self.exprs[spec["c"]],
-                                self.exprs[spec["t"]],
-                                self.exprs[spec["f"]])
-            else:
-                raise IRError(f"unknown expression kind {kind!r}")
-            self.exprs.append(node)
+                    raise IRError(f"unknown expression kind {kind!r}")
+                self.exprs.append(node)
+        except PatternError as err:    # a node the tracer rejects
+            raise IRError(f"serialized expression: {err}") from None
 
     def expr(self, idx: Optional[int]) -> Optional[E.Expr]:
         return None if idx is None else self.exprs[idx]

@@ -1,9 +1,11 @@
 """Reference executor: interprets a :class:`~repro.patterns.program.Program`.
 
 This is the functional semantics of the pattern language — the ground truth
-every compiled-and-simulated configuration is validated against.  It shares
-no code with the simulator's datapath (``repro.sim.block`` and
-``repro.sim.datapath``), because the simulator is judged against it.
+every compiled-and-simulated configuration is validated against.  Its
+element-wise operations are the simulator's (``repro.patterns.kernel``);
+what it does not share with the simulator is everything around them —
+domains, memos, folds, stores — and both are checked against per-element
+interpreters kept under ``tests/``.
 
 A pattern's index domain is static and data-parallel by construction, so
 each :class:`Step` is evaluated once over its whole domain: every
@@ -12,7 +14,7 @@ The answers are those of a per-element interpreter over Python scalars:
 bit for bit, except that a value computed through ``exp`` / ``log`` /
 ``sigmoid`` / ``tanh`` uses numpy's functions, not ``math``'s, and
 agrees with the scalar result only to within the fuzz oracle's
-tolerance.  The rules:
+tolerance (the simulator uses the same numpy functions).  The rules:
 
 * a node's value has the node's static dtype at every point: a FLOAT32
   node yields float64 rounded to float32 whatever produced it — an int
@@ -29,13 +31,13 @@ tolerance.  The rules:
   across the whole outer domain, dropping the points whose range has
   ended: each point accumulates in its own order, and memory stays one
   slab of the outer domain;
-* a top-level Fold (or one under a single outer point) whose combine is
-  exactly ``acc_a ⊕ acc_b`` for ⊕ in {add, min, max} reduces in one
-  pass (a sequential float32 ``accumulate`` for a sum, the first
-  extreme for min / max); any other
-  combine, and a HashReduce's, steps by occurrence rank within each key,
-  points sorted by key in domain order, so every bin sees its values in
-  domain order;
+* a top-level Fold (or one under a single outer point) whose combines
+  are all exactly ``acc_a ⊕ acc_b`` for one ⊕ in {add, min, max}
+  (``kernel.simple_op``) reduces in one pass (``kernel.chain``: a
+  sequential float32 ``accumulate`` for a float sum, the first extreme
+  for min / max); any other combine, and a HashReduce's, steps by
+  occurrence rank within each key, points sorted by key in domain
+  order, so every bin sees its values in domain order;
 * a FlatMap's output is point-major, pair-minor: positions come from a
   cumsum over the stacked emission masks.  A ScatterMap is one
   fancy-index store: on a collision the last writer wins;
@@ -53,14 +55,15 @@ tolerance.  The rules:
   index out of range, a FlatMap overflow (raised before the value that
   would not fit), and the program's own arithmetic faults — division
   by zero, ``log`` / ``sqrt`` of a negative, ``exp`` overflow, NaN or
-  infinity cast to an int, an int past int32 stored to an int32 array —
-  worded ``step 'name': arithmetic fault ...: <Python's exception>``.
-  Ints past int64 (Python's would grow) are outside the modelled
-  machine.
+  infinity cast to an int, an INT32 value outside int64 (an op result,
+  a ``to_int``, a fold's running value), an int past int32 stored to
+  an int32 array — worded ``step 'name': arithmetic fault ...:
+  <Python's exception>``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Optional
 
 import numpy as np
@@ -69,6 +72,8 @@ from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.patterns.collections import Array, _np_dtype
 from repro.patterns.domain import DynDim, RangeDim, StaticDim
+from repro.patterns.kernel import (WIDE, binary, cast, chain, simple_op,
+                                   to_int, truth, typed, unary)
 from repro.patterns.patterns import (FlatMap, Fold, HashReduce, Map,
                                      ScatterMap)
 from repro.patterns.program import Loop, Program, Step
@@ -108,138 +113,6 @@ class Env:
 
 
 # ---------------------------------------------------------------------------
-# Values: one array per node over a point set, of the node's dtype
-# ---------------------------------------------------------------------------
-
-#: what a node of each dtype computes in
-_WIDE = {E.FLOAT32: np.float64, E.INT32: np.int64, E.BOOL: np.bool_}
-
-
-def _typed(value: np.ndarray, dtype: str) -> np.ndarray:
-    """``value`` as a node of ``dtype`` holds it: a FLOAT32 node's are
-    float64 rounded to float32, whatever computed them."""
-    if dtype == E.FLOAT32:
-        return value.astype(np.float64, copy=False).astype(
-            np.float32).astype(np.float64)
-    return value.astype(_WIDE[dtype], copy=False)
-
-
-def _truth(value: np.ndarray) -> np.ndarray:
-    """Python truthiness per point (NaN is true)."""
-    return value if value.dtype == bool else value != 0
-
-
-# ---------------------------------------------------------------------------
-# Faults
-# ---------------------------------------------------------------------------
-
-
-def _raise_first(unit: str, mask, fn, *arrays) -> None:
-    """Raise, typed, the error the scalar operation ``fn`` raises at the
-    first point of ``mask`` where it raises one."""
-    for j in np.flatnonzero(mask):
-        try:
-            fn(*[a[j].item() for a in arrays])
-        except (ArithmeticError, ValueError) as err:
-            raise SimulationError(
-                f"{unit}: arithmetic fault in the reference executor: "
-                f"{type(err).__name__}: {err}") from None
-
-
-def _store_scalar(value, dtype=np.int32) -> None:
-    """What storing one Python scalar into a ``dtype`` buffer does."""
-    cell = np.zeros((), dtype)
-    cell[()] = value
-
-
-_I32 = np.iinfo(np.int32)
-
-
-def _cast(value, dtype, unit: str) -> np.ndarray:
-    """``value`` as a buffer of ``dtype`` stores it — a float truncates
-    into an int buffer; NaN, infinity and ints past int32 fault there."""
-    if dtype == np.bool_:
-        return _truth(value)
-    if dtype == np.float32:
-        return value.astype(np.float32)
-    whole = np.trunc(value) if value.dtype.kind == "f" else value
-    bad = ~((whole >= _I32.min) & (whole <= _I32.max))
-    if bad.any():
-        _raise_first(unit, bad, _store_scalar, value)
-    return value.astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
-# Operations (Python scalar semantics, over arrays)
-# ---------------------------------------------------------------------------
-
-_COMPARE = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
-            "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
-_ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-
-
-def _to_int(a: np.ndarray, unit: str) -> np.ndarray:
-    """``int(x)`` per point: floats truncate; NaN and infinity fault."""
-    if a.dtype.kind == "f":
-        bad = ~np.isfinite(a)
-        if bad.any():
-            _raise_first(unit, bad, int, a)
-    return a if a.dtype == np.int64 else a.astype(np.int64)
-
-
-def _binary(op: str, a: np.ndarray, b: np.ndarray, unit: str):
-    if op in _COMPARE:
-        return _COMPARE[op](a, b)
-    if op == "and":
-        return _truth(a) & _truth(b)
-    if op == "or":
-        return _truth(a) | _truth(b)
-    if op in _ARITH:
-        return _ARITH[op](a, b)
-    if op in ("min", "max"):
-        # min(a, b) keeps a unless b beats it
-        return np.where(b < a if op == "min" else b > a, b, a)
-    zero = b == 0
-    if zero.any():
-        _raise_first(unit, zero, E._BINARY_EVAL[op], a, b)
-    if op == "mod":
-        return np.remainder(a, b)
-    if a.dtype.kind == "f" or b.dtype.kind == "f":
-        return a / b
-    quotient = np.abs(a) // np.abs(b)        # ints divide truncating
-    return np.where((a < 0) == (b < 0), quotient, -quotient)
-
-
-def _unary(op: str, x: np.ndarray, unit: str):
-    if op == "not":
-        return ~_truth(x)
-    if op == "relu":
-        return np.where(x > 0, x, x.dtype.type(0))
-    if op == "neg":
-        return -x
-    if op == "abs":
-        return np.abs(x)
-    if op == "to_int":
-        return _to_int(x, unit)
-    f = x.astype(np.float64)
-    if op == "to_float":
-        return f
-    if op == "tanh":
-        return np.tanh(f)
-    if op in ("exp", "sigmoid"):
-        arg = f if op == "exp" else -f
-        near = (arg > 709.0) & (arg < np.inf)  # math.exp overflows here
-        if near.any():
-            _raise_first(unit, near, E._UNARY_EVAL[op], f)
-        e = np.exp(arg)
-        return e if op == "exp" else 1.0 / (1.0 + e)
-    bad = f <= 0 if op == "log" else f < 0
-    if bad.any():
-        _raise_first(unit, bad, E._UNARY_EVAL[op], f)
-    return np.log(f) if op == "log" else np.sqrt(f)
-
-
-# ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
 
@@ -250,12 +123,11 @@ class _Points:
     evaluated over exactly this set.  A subset (``parent``, ``sel``)
     reads what its supersets have already computed."""
 
-    __slots__ = ("env", "unit", "n", "bind", "memo", "parent", "sel")
+    __slots__ = ("env", "n", "bind", "memo", "parent", "sel")
 
-    def __init__(self, env: Env, unit: str, n: int, bind,
+    def __init__(self, env: Env, n: int, bind,
                  parent: Optional["_Points"] = None, sel=None):
         self.env = env
-        self.unit = unit
         self.n = n
         self.bind = bind
         self.memo = {}
@@ -272,7 +144,7 @@ class _Points:
             n = len(sel)
         if extra:
             bind.update(extra)
-        return _Points(self.env, self.unit, n, bind, self, sel)
+        return _Points(self.env, n, bind, self, sel)
 
     def inherited(self, node: E.Expr):
         pts, sel = self, None
@@ -307,25 +179,24 @@ def _compute(node: E.Expr, pts: _Points) -> np.ndarray:
         if value is None:
             raise SimulationError(f"unbound symbol {node!r}")
     elif isinstance(node, E.BinOp):
-        value = _binary(node.op, _eval(node.lhs, pts),
-                        _eval(node.rhs, pts), pts.unit)
+        value = binary(node.op, _eval(node.lhs, pts), _eval(node.rhs, pts))
     elif isinstance(node, E.UnOp):
-        value = _unary(node.op, _eval(node.operand, pts), pts.unit)
+        value = unary(node.op, _eval(node.operand, pts))
     elif isinstance(node, E.Select):
         value = _select(node, pts)
     else:
         raise SimulationError(f"cannot evaluate node {node!r}")
-    return _typed(value, node.dtype)
+    return typed(value, node.dtype)
 
 
 def _select(node: E.Select, pts: _Points) -> np.ndarray:
-    take = _truth(_eval(node.cond, pts))
+    take = truth(_eval(node.cond, pts))
     if take.all():
         return _eval(node.if_true, pts)
     if not take.any():
         return _eval(node.if_false, pts)
     yes, no = np.flatnonzero(take), np.flatnonzero(~take)
-    value = np.empty(pts.n, _WIDE[node.dtype])
+    value = np.empty(pts.n, WIDE[node.dtype])
     value[yes] = _eval(node.if_true, pts.subset(yes))
     value[no] = _eval(node.if_false, pts.subset(no))
     return value
@@ -333,11 +204,11 @@ def _select(node: E.Select, pts: _Points) -> np.ndarray:
 
 def _load(node: E.Load, pts: _Points) -> np.ndarray:
     buf = pts.env.buffers[node.array.name]
-    wide = _WIDE[node.dtype]
+    wide = WIDE[node.dtype]
     if not node.indices:
         return np.full(pts.n, buf[()] if buf.shape == ()
                        else buf.reshape(-1)[0], wide)
-    idxs = [_to_int(_eval(i, pts), pts.unit) for i in node.indices]
+    idxs = [to_int(_eval(i, pts)) for i in node.indices]
     if not pts.n:
         return np.empty(0, wide)
     bad = np.zeros(pts.n, bool)
@@ -365,8 +236,7 @@ def _bounds(dim, pts: _Points):
         return (np.zeros(pts.n, np.int64),
                 np.full(pts.n, pts.env.scalar(dim.dyn.length_of)))
     if isinstance(dim, RangeDim):
-        return (_to_int(_eval(dim.lo, pts), pts.unit),
-                _to_int(_eval(dim.hi, pts), pts.unit))
+        return to_int(_eval(dim.lo, pts)), to_int(_eval(dim.hi, pts))
     raise SimulationError(f"unknown dim {dim!r}")
 
 
@@ -394,7 +264,7 @@ def _in_order(dims, indices, pts: _Points):
     lo, hi = _bounds(dims[0], pts)
     for value in range(lo[0], hi[0]):
         yield from _in_order(dims[1:], indices[1:], _Points(
-            pts.env, pts.unit, 1, {**pts.bind, indices[0]: np.array([value])}))
+            pts.env, 1, {**pts.bind, indices[0]: np.array([value])}))
 
 
 # ---------------------------------------------------------------------------
@@ -402,34 +272,10 @@ def _in_order(dims, indices, pts: _Points):
 # ---------------------------------------------------------------------------
 
 
-def _simple_combine(pattern) -> bool:
-    """Is every combine exactly ``acc_a ⊕ acc_b`` for ⊕ in add/min/max?"""
-    return all(isinstance(c, E.BinOp) and c.op in ("add", "min", "max")
-               and c.lhs is a and c.rhs is b
-               for c, a, b in zip(pattern.combine, pattern.acc_a,
-                                  pattern.acc_b))
-
-
-def _reduce(op: str, seq: np.ndarray) -> np.ndarray:
-    """``acc = acc ⊕ v`` over ``seq`` = ``[init, v0, v1, ...]`` in order,
-    in one pass."""
-    if op == "add":
-        if seq.dtype.kind != "f":
-            return seq.sum(keepdims=True)
-        # accumulate is sequential, in float32
-        return np.add.accumulate(seq.astype(np.float32))[-1:].astype(
-            np.float64)
-    if seq.dtype.kind == "f" and np.isnan(seq[0]):
-        return seq[:1]
-    # min / max keep the first element no later one beats (NaNs never do)
-    best = np.nanmin(seq) if op == "min" else np.nanmax(seq)
-    return seq[np.argmax(seq == best)][None]
-
-
 def _inits(pattern, bins: int):
     """``bins`` fresh copies of each accumulator's ``init``, of the
     accumulator's dtype."""
-    return [_typed(np.full(bins, init), acc.dtype)
+    return [typed(np.full(bins, init), acc.dtype)
             for init, acc in zip(pattern.init, pattern.acc_a)]
 
 
@@ -466,8 +312,8 @@ def _fold_values(fold: Fold, outer: _Points, in_order: bool = False):
     pts = _expand(fold.dims, fold.indices, outer)
     vals = [_eval(body, pts) for body in fold.body]
     accs = _inits(fold, 1)
-    if _simple_combine(fold):
-        return [_reduce(c.op, np.concatenate([acc, v]))
+    if simple_op(fold.combine, fold.acc_a, fold.acc_b):
+        return [chain(c.op, c.dtype, np.concatenate([acc, v]))
                 for c, acc, v in zip(fold.combine, accs, vals)]
     return _combine(fold, pts, np.zeros(pts.n, np.int64), accs, vals)
 
@@ -533,7 +379,7 @@ def _store(pts: _Points, array: Array, where, value) -> None:
     """Write ``value`` at index arrays ``where`` (``()``: a 0-d cell,
     which keeps the last point's value)."""
     buf = pts.env.buffers[array.name]
-    data = _cast(value, buf.dtype, pts.unit)
+    data = cast(value, buf.dtype)
     if not where:
         if len(data):
             buf[()] = data[-1]
@@ -571,7 +417,7 @@ def _run_flat_map(step: Step, pts: _Points, count: int) -> int:
     masks, values = [], []
     total = count
     for cond, value in step.pattern.emits:
-        take = _truth(_eval(cond, pts))
+        take = truth(_eval(cond, pts))
         masks.append(take)
         total += int(take.sum())
         if total > capacity:
@@ -592,7 +438,7 @@ def _run_hash_reduce(step: Step, root: _Points, slabs) -> None:
     pattern = step.pattern
     accs = _inits(pattern, pattern.bins)
     for pts in slabs:
-        keys = _to_int(_eval(pattern.key, pts), pts.unit)
+        keys = to_int(_eval(pattern.key, pts))
         bad = (keys < 0) | (keys >= pattern.bins)
         if bad.any():
             raise SimulationError(
@@ -607,7 +453,7 @@ def _run_hash_reduce(step: Step, root: _Points, slabs) -> None:
 def _run_scatter(step: Step, pts: _Points) -> None:
     pattern, target = step.pattern, step.outputs[0]
     limit = pts.env.buffers[target.name].shape[0]
-    where = _to_int(_eval(pattern.index, pts), pts.unit)
+    where = to_int(_eval(pattern.index, pts))
     bad = (where < 0) | (where >= limit)
     if bad.any():
         raise SimulationError(
@@ -621,7 +467,7 @@ def _run(step: Step, env: Env, in_order: bool) -> None:
     (``in_order``) one point at a time in domain order, each point run to
     completion before the next starts."""
     pattern = step.pattern
-    root = _Points(env, f"step {step.name!r}", 1, {})
+    root = _Points(env, 1, {})
     if isinstance(pattern, Fold):
         for out, value in zip(step.outputs,
                               _fold_values(pattern, root, in_order)):
@@ -668,6 +514,19 @@ def _loads(pattern):
     return loads
 
 
+@contextmanager
+def _faults(unit: str):
+    """Evaluate with numpy's warnings off; a program's arithmetic fault
+    (the kernel lets Python's exception escape) is raised typed."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except (ArithmeticError, ValueError) as err:
+        raise SimulationError(
+            f"{unit}: arithmetic fault in the reference executor: "
+            f"{type(err).__name__}: {err}") from None
+
+
 def run_step(step: Step, env: Env) -> None:
     """Execute one pattern step against the environment.
 
@@ -684,7 +543,7 @@ def run_step(step: Step, env: Env) -> None:
     loads = _loads(pattern)
     written = {out.name for out in step.outputs}
     own = pattern.indices if isinstance(pattern, Map) else None
-    with np.errstate(all="ignore"):
+    with _faults(f"step {step.name!r}"):
         if not isinstance(pattern, (Fold, HashReduce)) and any(
                 n.array.name in written and n.indices != own
                 for n in loads):
@@ -695,7 +554,7 @@ def run_step(step: Step, env: Env) -> None:
                  for name in read]
         try:
             _run(step, env, in_order=False)
-        except SimulationError:
+        except (SimulationError, ArithmeticError, ValueError):
             for buf, old in saved:
                 buf[...] = old
             _run(step, env, in_order=True)
@@ -708,10 +567,9 @@ def eval_expr(node: E.Expr, env: Env, bindings):
     ``bindings`` maps :class:`Idx`/:class:`Var` nodes (by identity) to
     concrete values.  A one-point call of the whole-domain evaluator.
     """
-    with np.errstate(all="ignore"):
-        pts = _Points(env, "expression", 1,
-                      {sym: np.array([value])
-                       for sym, value in bindings.items()})
+    with _faults("expression"):
+        pts = _Points(env, 1, {sym: np.array([value])
+                               for sym, value in bindings.items()})
         return _eval(node, pts)[0].item()
 
 

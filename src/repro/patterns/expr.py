@@ -156,13 +156,13 @@ def wrap(value: ExprLike) -> Expr:
 
 
 class Const(Expr):
-    """A compile-time scalar constant."""
+    """A compile-time scalar constant (an INT32 one inside int64)."""
 
     def __init__(self, value: Number, dtype: Optional[str] = None):
-        self.value = value
         if dtype is None:
             dtype = BOOL if isinstance(value, bool) else (
                 INT32 if isinstance(value, int) else FLOAT32)
+        self.value = int_const(value) if dtype == INT32 else value
         self.dtype = dtype
 
     def __repr__(self):
@@ -373,9 +373,30 @@ def to_int(x: ExprLike) -> Expr:
 # Scalar evaluation (shared by executor and simulator datapaths)
 # ---------------------------------------------------------------------------
 
+#: the values an INT32 node may hold: a result outside them — a sum,
+#: product, quotient, negation or ``to_int`` past int64, a fold's
+#: running value — is an arithmetic fault, ``OverflowError``
+INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _int(value):
+    """``value``, unless it is an int outside ``[INT_MIN, INT_MAX]``."""
+    if type(value) is int and not INT_MIN <= value <= INT_MAX:
+        raise OverflowError(f"integer {value} outside int64")
+    return value
+
+
+def int_const(value):
+    """An INT32 constant's value: one outside int64 is a trace error."""
+    try:
+        return _int(value)
+    except OverflowError as err:
+        raise TraceError(f"INT32 constant: {err}") from None
+
+
 _UNARY_EVAL = {
-    "neg": lambda x: -x,
-    "abs": abs,
+    "neg": lambda x: _int(-x),
+    "abs": lambda x: _int(abs(x)),
     "exp": math.exp,
     "log": math.log,
     "sqrt": math.sqrt,
@@ -384,7 +405,7 @@ _UNARY_EVAL = {
     "relu": lambda x: x if x > 0 else type(x)(0),
     "not": lambda x: not x,
     "to_float": float,
-    "to_int": int,
+    "to_int": lambda x: _int(int(x)),
 }
 
 def _eval_div(a, b):
@@ -394,13 +415,13 @@ def _eval_div(a, b):
     if b == 0:
         raise ZeroDivisionError("integer division by zero in traced expression")
     quotient = abs(a) // abs(b)
-    return quotient if (a < 0) == (b < 0) else -quotient
+    return _int(quotient if (a < 0) == (b < 0) else -quotient)
 
 
 _BINARY_EVAL = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": lambda a, b: _int(a + b),
+    "sub": lambda a, b: _int(a - b),
+    "mul": lambda a, b: _int(a * b),
     "div": _eval_div,
     "mod": lambda a, b: a % b,
     "min": min,

@@ -35,10 +35,10 @@ def _as_tuple(value) -> Tuple:
 
 def _init_as(value, dtype: str):
     """An accumulator's ``init`` as its dtype holds it: an INT32 one's
-    is an int, a BOOL one's a bool (a FLOAT32 one is rounded where it is
-    read)."""
+    is an int inside int64, a BOOL one's a bool (a FLOAT32 one is
+    rounded where it is read)."""
     if dtype == E.INT32:
-        return int(value)
+        return E.int_const(int(value))
     if dtype == E.BOOL:
         return bool(value)
     return value

@@ -11,6 +11,7 @@ or a span of issues at a time (``repro.sim.leaves``).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import chain
 from typing import Dict, List, Tuple
@@ -21,8 +22,8 @@ from repro.dhdl.ir import EmitStmt, HashReduceStmt, ReduceStmt, WriteStmt
 from repro.dhdl.memory import Reg, Sram
 from repro.errors import SimulationError
 from repro.patterns import expr as E
+from repro.patterns import kernel as K
 from repro.patterns.collections import _np_dtype
-from repro.patterns.expr import _BINARY_EVAL, _UNARY_EVAL
 from repro.sim.counters import Batch
 from repro.sim.datapath import _rnd
 
@@ -32,143 +33,10 @@ from repro.sim.datapath import _rnd
 #: activation runs
 BLOCK_LANES = 8192
 
-#: what a node of each dtype holds its values in (INT32 switches to
-#: object arrays of Python ints where int64 could overflow)
-_WIDE = {E.FLOAT32: np.float64, E.INT32: np.int64, E.BOOL: np.bool_}
-_I64 = 1 << 63
-
-_COMPARE = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
-            "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
-_ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-
 
 class _Redo(Exception):
     """A vector pass met a fault: the block is evaluated again issue by
     issue, and the faulting issue lane by lane, to raise it exactly."""
-
-
-def _typed(value: np.ndarray, dtype: str) -> np.ndarray:
-    """``value`` as a node of ``dtype`` holds it (a FLOAT32 node rounds
-    whatever computed it, as :func:`_rnd` does)."""
-    if dtype == E.FLOAT32:
-        if value.dtype == object:
-            return np.array([_rnd(v) for v in value.tolist()], np.float64)
-        return value.astype(np.float64, copy=False).astype(
-            np.float32).astype(np.float64)
-    if dtype == E.INT32:
-        return value if value.dtype in (np.int64, object) \
-            else value.astype(np.int64)
-    return value if value.dtype == np.bool_ else value.astype(np.bool_)
-
-
-def _truth(value: np.ndarray) -> np.ndarray:
-    """Python truthiness per lane (NaN is true)."""
-    return value if value.dtype == np.bool_ \
-        else (value != 0).astype(np.bool_)
-
-
-def _mag(value: np.ndarray) -> int:
-    """Largest magnitude of an int array (0 if empty)."""
-    if not len(value):
-        return 0
-    if value.dtype == object:
-        return max(abs(v) for v in value.tolist())
-    return max(-int(value.min()), int(value.max()))
-
-
-def _first(bad: np.ndarray, fn, *arrays):
-    """Call the scalar operation ``fn`` at the first lane of ``bad``, so
-    it raises what the scalar semantics raise there."""
-    j = int(np.flatnonzero(bad)[0])
-    fn(*[a[j:j + 1].tolist()[0] for a in arrays])
-    raise _Redo()        # the check was stricter than the operation
-
-
-def _to_int(value: np.ndarray) -> np.ndarray:
-    """``int(v)`` per lane: floats truncate, NaN and infinity fault, an
-    int past int64 stays a Python int."""
-    if value.dtype.kind == "f":
-        bad = ~np.isfinite(value)
-        if bad.any():
-            _first(bad, int, value)
-        if len(value) and np.abs(value).max() >= _I64:
-            return np.array([int(v) for v in value.tolist()], object)
-        return value.astype(np.int64)
-    return value if value.dtype in (np.int64, object) \
-        else value.astype(np.int64)
-
-
-def _int_safe(op: str, a: np.ndarray, b: np.ndarray) -> bool:
-    """Can int64 hold ``a op b`` at every lane?"""
-    ma, mb = _mag(a), _mag(b)
-    return (ma * mb if op == "mul" else ma + mb) < _I64
-
-
-def _binary(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if op in _COMPARE:
-        return _COMPARE[op](a, b)
-    if op == "and":
-        return _truth(a) & _truth(b)
-    if op == "or":
-        return _truth(a) | _truth(b)
-    ints = a.dtype.kind != "f" and b.dtype.kind != "f"
-    if op in _ARITH:
-        if ints and object not in (a.dtype, b.dtype) \
-                and not _int_safe(op, a, b):
-            a, b = a.astype(object), b.astype(object)
-        return _ARITH[op](a, b)
-    if op in ("min", "max"):
-        # min(a, b) keeps a unless b beats it
-        return np.where(b < a if op == "min" else b > a, b, a)
-    zero = b == 0
-    if zero.any():
-        _first(zero, _BINARY_EVAL[op], a, b)
-    if op == "mod":
-        return np.remainder(a, b)
-    if not ints:
-        return np.true_divide(a, b)
-    quotient = np.abs(a) // np.abs(b)        # ints divide truncating
-    return np.where((a < 0) == (b < 0), quotient, -quotient)
-
-
-def _unary(op: str, x: np.ndarray) -> np.ndarray:
-    if op == "not":
-        return ~_truth(x)
-    if op == "relu":
-        return np.where(x > 0, x, x.dtype.type(0) if x.dtype != object
-                        else 0)
-    if op in ("neg", "abs"):
-        if x.dtype == np.int64 and _mag(x) >= _I64 - 1:
-            x = x.astype(object)
-        return -x if op == "neg" else np.abs(x)
-    if op == "to_int":
-        return _to_int(x)
-    if op == "to_float":
-        if x.dtype == object:
-            return np.array([float(v) for v in x.tolist()], np.float64)
-        return x.astype(np.float64)
-    fn = _UNARY_EVAL[op]
-    return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
-
-
-def _stored_as(value: np.ndarray, dtype, scalar) -> np.ndarray:
-    """``value`` cast into a buffer of numpy ``dtype``; a lane the
-    scalar store ``scalar`` would fault on faults."""
-    if dtype == np.bool_:
-        return _truth(value)
-    if dtype == np.float32:
-        if value.dtype == object:
-            return np.array([scalar(v) for v in value.tolist()],
-                            np.float32)
-        return value.astype(np.float64, copy=False).astype(np.float32)
-    info = np.iinfo(dtype)
-    whole = np.trunc(value) if value.dtype.kind == "f" else value
-    bad = ~((whole >= info.min) & (whole <= info.max))
-    if value.dtype == object:
-        bad = bad.astype(np.bool_)
-    if bad.any():
-        _first(bad, scalar, value)
-    return value.astype(dtype)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -207,8 +75,7 @@ def _key_codes(keys):
         empty = np.zeros(0, np.int64)
         return [], empty, empty, empty
     spans = [int(k.max()) - int(k.min()) + 1 for k in keys]
-    if any(k.dtype == object for k in keys) or \
-            np.prod(spans, dtype=object) >= _I64 // 2:
+    if math.prod(spans) >= 1 << 62:
         index: Dict[tuple, int] = {}
         codes = np.array([index.setdefault(t, len(index))
                           for t in zip(*[k.tolist() for k in keys])],
@@ -278,15 +145,6 @@ def _fold_parts(stmt):
     return (stmt.combine,), (stmt.acc_a,), (stmt.acc_b,)
 
 
-def _simple_op(combines, acc_a, acc_b) -> str:
-    """``add`` / ``min`` / ``max`` when every combine is exactly
-    ``acc_a[k] op acc_b[k]`` with that one op, else ``""``."""
-    ops = {c.op if isinstance(c, E.BinOp) and c.lhs is a and c.rhs is b
-           else "" for c, a, b in zip(combines, acc_a, acc_b)}
-    op = ops.pop() if len(ops) == 1 else ""
-    return op if op in ("add", "min", "max") else ""
-
-
 class Datapath:
     """The evaluator of one inner controller's body.
 
@@ -303,8 +161,8 @@ class Datapath:
       statement, then lane, a combine's read after its lane's value —
       so the groups are the ones an issue-by-issue run prices;
     * every node's value has its static dtype (float64 rounded to
-      float32, int64 — Python ints where int64 could overflow — or
-      bool); ``math.*`` transcendentals per element;
+      float32, int64 or bool), through the element-wise kernel
+      (``repro.patterns.kernel``) the reference executor uses;
     * reduce accumulators and hash bins combine in issue-then-lane
       order: rank by rank across keys, or key by key along a long
       chain (a sequential float32 sum, never pairwise);
@@ -333,7 +191,7 @@ class Datapath:
         self.stored = list(dict.fromkeys(
             s.mem.name for s in self.stmts
             if isinstance(getattr(s, "mem", None), Sram)))
-        self.simple = {si: _simple_op(*_fold_parts(s))
+        self.simple = {si: K.simple_op(*_fold_parts(s))
                        for si, s in enumerate(self.stmts)
                        if isinstance(s, (ReduceStmt, HashReduceStmt))}
         self.shared = _shared([r for s in self.stmts for r in s.exprs()])
@@ -389,7 +247,7 @@ class _Pass:
         for node in issues[0].outer:
             col = np.array([batch.outer[node] for batch in issues])
             if isinstance(node, E.Var) and node.dtype == E.FLOAT32:
-                col = _typed(col, E.FLOAT32)
+                col = K.typed(col, E.FLOAT32)
             self.sym[node] = col[self.issue_of]
         #: load site key -> [(block lanes, addresses, stmt, phase)]
         self.rec: Dict[tuple, list] = {}
@@ -448,16 +306,13 @@ class _Pass:
             miss = np.flatnonzero(~done) if sel is None \
                 else sel[~done[sel]]
             if len(miss):
-                value = self.compute(node, miss)
-                if value.dtype != full.dtype:
-                    full = full.astype(object)
-                full[miss] = value
+                full[miss] = self.compute(node, miss)
                 done[miss] = True
                 self.memo[node] = (full, None if done.all() else done)
         return full if sel is None else full[sel]
 
     def need_int(self, node: E.Expr, sel) -> np.ndarray:
-        return _to_int(self.need(node, sel))
+        return K.to_int(self.need(node, sel))
 
     def compute(self, node: E.Expr, sel) -> np.ndarray:
         if isinstance(node, E.Load):
@@ -465,26 +320,24 @@ class _Pass:
         if isinstance(node, E.Select):
             return self.select(node, sel)
         if isinstance(node, E.BinOp):
-            value = _binary(node.op, self.need(node.lhs, sel),
-                            self.need(node.rhs, sel))
+            value = K.binary(node.op, self.need(node.lhs, sel),
+                             self.need(node.rhs, sel))
         elif isinstance(node, E.UnOp):
-            value = _unary(node.op, self.need(node.operand, sel))
+            value = K.unary(node.op, self.need(node.operand, sel))
         else:
             raise SimulationError(f"cannot evaluate {node!r} on the datapath")
-        return _typed(value, node.dtype)
+        return K.typed(value, node.dtype)
 
     def select(self, node: E.Select, sel) -> np.ndarray:
-        take = _truth(self.need(node.cond, sel))
+        take = K.truth(self.need(node.cond, sel))
         if take.all() or not take.any():
             branch = node.if_true if take.all() else node.if_false
-            return _typed(self.need(branch, sel), node.dtype)
+            return K.typed(self.need(branch, sel), node.dtype)
         local = np.arange(self.n) if sel is None else sel
         yes, no = np.flatnonzero(take), np.flatnonzero(~take)
-        high = _typed(self.need(node.if_true, local[yes]), node.dtype)
-        low = _typed(self.need(node.if_false, local[no]), node.dtype)
-        value = np.empty(len(take), object if object in (
-            high.dtype, low.dtype) else high.dtype)
-        value[yes], value[no] = high, low
+        value = np.empty(len(take), K.WIDE[node.dtype])
+        value[yes] = K.typed(self.need(node.if_true, local[yes]), node.dtype)
+        value[no] = K.typed(self.need(node.if_false, local[no]), node.dtype)
         return value
 
     def address(self, what: str, target: Sram, idxs, sel) -> np.ndarray:
@@ -521,7 +374,7 @@ class _Pass:
         self.rec.setdefault((target.name, id(node)), []).append(
             (self.lanes(sel), flat, self.stmt, self.phase))
         buf = self.dp.mem.scratch(target).read_buffer(self.version)
-        return _typed(buf.reshape(-1)[flat], target.dtype)
+        return K.typed(buf.reshape(-1)[flat], target.dtype)
 
     # -- statements -------------------------------------------------------------------
     def step(self) -> None:
@@ -545,18 +398,18 @@ class _Pass:
                 if self.steps:
                     self.dp.mem.reg(target).write(value.tolist()[0])
                 else:
-                    _stored_as(value, dtype, dtype)
+                    K.cast(value, dtype)
                 out.append((self.lanes(sel), value))
                 return
             idxs = [self.need_int(a, sel) for a in stmt.addr]
             flat = self.address("scratchpad OOB write", target, idxs, sel)
-            cells = _stored_as(value, dtype, dtype)
+            cells = K.cast(value, dtype)
             if self.steps:
                 buf = self.dp.mem.scratch(target).buffer(self.version)
                 buf.reshape(-1)[flat] = cells
             out.append((self.lanes(sel), flat, value, cells))
         elif isinstance(stmt, EmitStmt):
-            take = _truth(self.need(stmt.cond, sel))
+            take = K.truth(self.need(stmt.cond, sel))
             local = np.arange(self.n) if sel is None else sel
             local = local[take]
             out.append((self.lanes(local), self.need(stmt.value, local)))
@@ -573,9 +426,9 @@ class _Pass:
     def _combine(self, combines, acc_a, acc_b, accs, vals, lanes):
         """One rank of a fold: ``combines`` over operands ``accs`` and
         ``vals`` at (this pass's) ``lanes``, in a fresh scope."""
-        op = _simple_op(combines, acc_a, acc_b)
+        op = K.simple_op(combines, acc_a, acc_b)
         if op:
-            return [_typed(_binary(op, a, v), c.dtype)
+            return [K.typed(K.binary(op, a, v), c.dtype)
                     for c, a, v in zip(combines, accs, vals)]
         scope = self.sub(lanes, {**dict(zip(acc_a, accs)),
                                  **dict(zip(acc_b, vals))})
@@ -593,9 +446,9 @@ class _Pass:
                 for i, a in zip(stmt.inits, stmt.acc_a)]
         start = [np.array([accs[key][2 + k] if key in accs else init[k]
                            for key in uniq]) for k in range(stmt.width)]
-        start = [_typed(s, E.FLOAT32) if a.dtype == E.FLOAT32 else s
+        start = [K.typed(s, E.FLOAT32) if a.dtype == E.FLOAT32 else s
                  for s, a in zip(start, stmt.acc_a)]
-        vals = [_typed(v, E.FLOAT32) if b.dtype == E.FLOAT32 else v
+        vals = [K.typed(v, E.FLOAT32) if b.dtype == E.FLOAT32 else v
                 for v, b in zip(values, stmt.acc_b)]
         final = self._fold(stmt, codes, order, starts, start, vals, sel)
         # the bindings of each key's last lane (the carry combine's)
@@ -626,10 +479,8 @@ class _Pass:
                 lanes = order[start_:end]
                 key = codes[lanes[0]]
                 for k, c in enumerate(stmt.combines):
-                    acc[k] = acc[k].astype(object) \
-                        if vals[k].dtype == object else acc[k]
-                    acc[k][key] = _chain(op, c.dtype, acc[k][key],
-                                         vals[k][lanes])
+                    acc[k][key] = K.chain(op, c.dtype, np.concatenate(
+                        (acc[k][key:key + 1], vals[k][lanes])))[0]
             return acc
         local = np.arange(len(codes)) if sel is None else sel
         for r in range(longest):
@@ -639,8 +490,6 @@ class _Pass:
                                 [a[keys] for a in acc],
                                 [v[at] for v in vals], local[at])
             for k, value in enumerate(new):
-                if value.dtype != acc[k].dtype:
-                    acc[k] = acc[k].astype(object)
                 acc[k][keys] = value
         return acc
 
@@ -655,32 +504,25 @@ class _Pass:
             if bins is None:
                 bins = self.bins[target.name] = scratch.buffer(
                     self.version).reshape(-1).copy()
-        bad = ((keys < 0) | (keys >= size)).astype(np.bool_)
+        bad = (keys < 0) | (keys >= size)
         if bad.any():
             key = keys[bad][:1].tolist()[0]
             raise SimulationError(
                 f"{self.dp.name}: hash key {key} outside [0, {size})")
         if stmt.acc_b.dtype == E.FLOAT32:
-            value = _typed(value, E.FLOAT32)
-        keys = keys.astype(np.int64)
+            value = K.typed(value, E.FLOAT32)
         rank = _ranks(*_groups(keys))
         local = np.arange(len(keys)) if sel is None else sel
-        results = np.empty(len(keys), _WIDE[stmt.combine.dtype])
+        results = np.empty(len(keys), K.WIDE[stmt.combine.dtype])
         cells = np.empty(len(keys), bins.dtype)
         for r in range(int(rank.max()) + 1 if len(keys) else 0):
             at = np.flatnonzero(rank == r)
             where = keys[at]
-            current = _typed(bins[where], target.dtype)
+            current = K.typed(bins[where], target.dtype)
             (new,) = self._combine((stmt.combine,), (stmt.acc_a,),
                                    (stmt.acc_b,), [current],
                                    [value[at]], local[at])
-            if self.steps:      # the scalar store, its faults exactly
-                scratch.buffer(self.version).flat[int(where[0])] = \
-                    new.tolist()[0]
-            else:
-                bins[where] = _stored_as(new, bins.dtype, bins.dtype.type)
-            if new.dtype == object:
-                results = results.astype(object)
+            bins[where] = K.cast(new, bins.dtype)
             results[at] = new
             cells[at] = bins[where]
         self.out.setdefault(self.stmt, []).append(
@@ -743,26 +585,9 @@ class BoundWindow:
                     p = _BoundPass(self, positions, version, {}, False)
                     ends.append(p.need(end, None).tolist())
                     reads += p.columns()
-        except (ArithmeticError, ValueError, SimulationError, _Redo):
+        except (ArithmeticError, ValueError, SimulationError):
             return None
         return ends[0], ends[1], reads
-
-
-def _chain(op: str, dtype: str, acc, vals: np.ndarray):
-    """``acc`` folded with ``vals`` in order by ``acc op v``."""
-    if op == "add":
-        if dtype == E.FLOAT32:
-            seq = np.concatenate(([np.float32(acc)],
-                                  vals.astype(np.float32)))
-            return float(np.cumsum(seq, dtype=np.float32)[-1])
-        return sum(vals.tolist(), int(acc))
-    seq = _typed(np.array([acc] + vals.tolist()), dtype)
-    valid = ~np.isnan(seq) if seq.dtype.kind == "f" else \
-        np.ones(len(seq), np.bool_)
-    if not valid[0]:
-        return seq[0]
-    best = seq[valid].min() if op == "min" else seq[valid].max()
-    return seq[int(np.flatnonzero(valid & (seq == best))[0])]
 
 
 def _last_writes(flats: np.ndarray) -> np.ndarray:

@@ -113,8 +113,8 @@ class ChainEnumerator:
         else:
             lo, hi = fixed or self.bounds(self.chain.counters[axis],
                                           bindings)
-        lo = self._lo[axis] = int(lo)
-        hi = self._hi[axis] = int(hi)
+        lo = self._lo[axis] = E.eval_unary("to_int", lo)
+        hi = self._hi[axis] = E.eval_unary("to_int", hi)
         return lo < hi
 
     def _windowed(self, bindings: dict) -> Sequence:

@@ -9,9 +9,10 @@ the walk keeps:
 * a node is evaluated at most once per scope; ``Select`` is lazy: the
   untaken side does no bounds check, records no access and raises
   nothing;
-* unbounded Python ints, float64 arithmetic rounded to float32 after
-  every FLOAT32-typed node, ``math.*`` transcendentals (they raise — a
-  caller re-raises a program's arithmetic faults typed,
+* Python ints inside int64 (one outside is an ``OverflowError``, the
+  rule of ``repro.patterns.expr``), float64 arithmetic rounded to
+  float32 after every FLOAT32-typed node, ``math.*`` transcendentals
+  (they raise — a caller re-raises a program's arithmetic faults typed,
   :func:`datapath_fault`);
 * one address list per ``(sram name, load site)`` in ``reads``, in
   first-evaluation order, so a leaf's counter chain prices the bound
@@ -110,7 +111,7 @@ class _Walk:
             raise SimulationError(
                 f"datapath cannot read {type(target).__name__} "
                 f"{getattr(target, 'name', '?')!r}")
-        idxs = [int(self.value(i)) for i in node.indices]
+        idxs = [E.eval_unary("to_int", self.value(i)) for i in node.indices]
         shape = target.shape
         flat = 0
         for i, dim in zip(idxs, shape):

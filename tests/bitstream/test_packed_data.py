@@ -142,6 +142,15 @@ def test_hostile_payload_is_an_ir_error(mutate):
         Bitstream.from_dict(data)
 
 
+def test_an_int_constant_past_int64_is_an_ir_error():
+    data, _spec = _artifact_dict()
+    const = next(e for e in data["program"]["exprs"]
+                 if e["k"] == "const" and e["dt"] == E.INT32)
+    const["v"] = 2 ** 79
+    with pytest.raises(IRError, match="outside int64"):
+        Bitstream.from_dict(json.loads(json.dumps(data)))
+
+
 def test_data_disagreeing_with_declared_shape_is_an_ir_error():
     data, spec = _artifact_dict()
     raw = base64.b64decode(spec["data"]["b64"])

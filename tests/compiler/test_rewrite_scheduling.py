@@ -77,6 +77,39 @@ def test_simplify_never_changes_a_dtype():
     assert simplify(x + 0) is x
 
 
+def test_a_fold_that_would_fault_is_left_to_run():
+    """``2**40 * 2**40`` is past int64: the node stays unfolded, and the
+    program it is in compiles and faults when it runs, typed alike in
+    the executor and the simulator."""
+    import numpy as np
+
+    from repro.compiler.artifact import freeze_program
+    from repro.errors import SimulationError
+    from repro.patterns import Program, run_program
+    big = E.wrap(2 ** 40) * 2 ** 40
+    assert simplify(big) is big
+    assert simplify(-E.wrap(-2 ** 63)).op == "neg"
+
+    def build():
+        prog = Program("wide")
+        a = prog.input("a", (16,), dtype=E.INT32,
+                       data=np.arange(16, dtype=np.int32))
+        out = prog.output("o", (16,), dtype=E.INT32)
+        prog.map("q", out, (16,), lambda i: a[i] + big)
+        return prog
+
+    said = "OverflowError: integer 1208925819614629174706176 outside int64$"
+    with pytest.raises(SimulationError, match="^step 'q': arithmetic "
+                       "fault in the reference executor: " + said):
+        run_program(build())
+    artifact = freeze_program(build(), "wide", "tiny")
+    for scheduler in ("event", "dense"):
+        with pytest.raises(SimulationError,
+                           match=r"arithmetic fault in lanes 0\.\.15: "
+                           + said):
+            artifact.machine(scheduler=scheduler).run()
+
+
 def test_simplify_preserves_semantics():
     from repro.patterns.executor import Env, eval_expr
     from repro.patterns.program import Program

@@ -71,6 +71,12 @@ class Env:
         return self.buffers[array.name][()].item()
 
 
+def _index(value):
+    """An address, key or bound as ``to_int`` makes it (past int64 it
+    faults)."""
+    return E.eval_unary("to_int", value)
+
+
 def eval_expr(node: E.Expr, env: Env, bindings, cache=None):
     """Evaluate one symbolic expression to a concrete scalar.
 
@@ -91,7 +97,7 @@ def eval_expr(node: E.Expr, env: Env, bindings, cache=None):
         except KeyError:
             raise SimulationError(f"unbound symbol {node!r}") from None
     elif isinstance(node, E.Load):
-        idxs = [int(eval_expr(i, env, bindings, cache))
+        idxs = [_index(eval_expr(i, env, bindings, cache))
                 for i in node.indices]
         result = env.read(node.array, idxs)
     elif isinstance(node, E.BinOp):
@@ -120,8 +126,8 @@ def _dim_range(dim, env: Env, bindings):
     if isinstance(dim, DynDim):
         return 0, env.scalar(dim.dyn.length_of)
     if isinstance(dim, RangeDim):
-        lo = int(eval_expr(dim.lo, env, bindings))
-        hi = int(eval_expr(dim.hi, env, bindings))
+        lo = _index(eval_expr(dim.lo, env, bindings))
+        hi = _index(eval_expr(dim.hi, env, bindings))
         return lo, hi
     raise SimulationError(f"unknown dim {dim!r}")
 
@@ -206,7 +212,7 @@ def run_step(step: Step, env: Env) -> None:
         touched = np.zeros(pattern.bins, dtype=bool)
         for point in iterate_domain(pattern.dims, pattern.indices, env, {}):
             cache = {}
-            key = int(eval_expr(pattern.key, env, point, cache))
+            key = _index(eval_expr(pattern.key, env, point, cache))
             if key < 0 or key >= pattern.bins:
                 raise SimulationError(
                     f"HashReduce key {key} outside [0, {pattern.bins})")
@@ -228,7 +234,7 @@ def run_step(step: Step, env: Env) -> None:
         limit = env.buffers[target.name].shape[0]
         for point in iterate_domain(pattern.dims, pattern.indices, env, {}):
             cache = {}
-            where = int(eval_expr(pattern.index, env, point, cache))
+            where = _index(eval_expr(pattern.index, env, point, cache))
             if where < 0 or where >= limit:
                 raise SimulationError(
                     f"scatter index {where} out of bounds for "

@@ -16,10 +16,23 @@ import pytest
 
 from repro.compiler.artifact import freeze_program
 from repro.errors import SimulationError
-from repro.patterns import Program, run_program, select
+from repro.patterns import Fold, Program, run_program, select
 from repro.patterns import expr as E
 
 N = 32
+
+
+def _add(x, y):
+    return x + y
+
+
+class TopFold:
+    """A row body that is a top-level int Fold over ``[0, hi(a[0]))``:
+    a data-dependent bound of a one-counter leaf, which the simulator
+    walks (a Fold nested in a Map has a window of them first)."""
+
+    def __init__(self, hi):
+        self.hi = hi
 
 
 def _program(name, dtype, value, fn, out_dtype):
@@ -27,6 +40,10 @@ def _program(name, dtype, value, fn, out_dtype):
     data = np.full(N, value, dtype=np.float32 if dtype == E.FLOAT32
                    else np.int32)
     a = prog.input("a", (N,), dtype=dtype, data=data)
+    if isinstance(fn, TopFold):
+        out = prog.output("o", (), dtype=out_dtype)
+        prog.fold("q", out, ((0, fn.hi(a[0])),), 0, lambda k: k, _add)
+        return prog
     out = prog.output("o", (N,), dtype=out_dtype)
     prog.map("q", out, (N,), lambda i: fn(a[i]))
     return prog
@@ -57,6 +74,24 @@ FAULTS = {
     "int32_overflow": (INT, 2 ** 20, lambda x: x * x, INT,
                        "OverflowError: Python integer 1099511627776 out "
                        "of bounds for int32"),
+    # an INT32 value outside int64 is a fault, wherever it arises
+    "int64_mul_overflow": (INT, 2 * 10 ** 9,
+                           lambda x: x * x * x * x * x % 7, INT,
+                           "OverflowError: integer "
+                           "8000000000000000000000000000 outside int64"),
+    "int64_fold_overflow": (INT, 2 * 10 ** 9,
+                            lambda x: Fold(N, 0, lambda k: x * x * 2, _add),
+                            INT, "OverflowError: integer "
+                            "16000000000000000000 outside int64"),
+    "to_int_past_int64": (FLOAT, 2.0, lambda x: E.to_int(x * 1e30) % 7, INT,
+                          "OverflowError: integer "
+                          "2000000030094932439753377710080 outside int64"),
+    "int64_leaf_bound_walk": (INT, 3, TopFold(lambda x: x * 2 ** 40 * 2 ** 40),
+                              INT, "OverflowError: integer "
+                              "3626777458843887524118528 outside int64"),
+    "int64_leaf_bound_window": (INT, 3, lambda x: Fold(
+        (0, x * 2 ** 40 * 2 ** 40), 0, lambda k: k, _add), INT,
+        "OverflowError: integer 3626777458843887524118528 outside int64"),
 }
 
 
@@ -67,11 +102,13 @@ def test_fault_is_typed_in_executor_and_simulator(fault):
                        match="^step 'q': arithmetic fault in the reference "
                              "executor: " + re.escape(said) + "$"):
         run_program(_program(fault, dtype, value, fn, out_dtype))
-    machine = freeze_program(_program(fault, dtype, value, fn, out_dtype),
-                             fault, "tiny").machine()
-    with pytest.raises(SimulationError,
-                       match="arithmetic fault in .*: " + re.escape(said)):
-        machine.run()
+    artifact = freeze_program(_program(fault, dtype, value, fn, out_dtype),
+                              fault, "tiny")
+    for scheduler in ("event", "dense"):
+        machine = artifact.machine(scheduler=scheduler)
+        with pytest.raises(SimulationError, match="arithmetic fault in .*: "
+                           + re.escape(said) + "$"):
+            machine.run()
 
 
 def test_a_fault_no_point_reaches_is_not_raised():

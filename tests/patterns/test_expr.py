@@ -22,6 +22,31 @@ def test_wrap_rejects_foreign_types():
         E.wrap("hello")
 
 
+def test_an_int_constant_past_int64_is_a_trace_error():
+    assert E.wrap(2 ** 63 - 1).value == 2 ** 63 - 1
+    assert E.Const(-2 ** 63, E.INT32).value == -2 ** 63
+    for value in (2 ** 63, -2 ** 63 - 1, 2 ** 79):
+        with pytest.raises(TraceError, match="outside int64"):
+            E.wrap(value)
+        with pytest.raises(TraceError, match="outside int64"):
+            E.Idx("i") + E.Const(value, E.INT32)
+
+
+def test_an_int_result_past_int64_is_an_overflow_error():
+    """One rule for every scalar op: an int result outside int64
+    faults, with one message."""
+    big = 2 ** 63 - 1
+    for op, args in (("add", (big, 1)), ("sub", (-big, 2)),
+                     ("mul", (2 ** 32, 2 ** 31)), ("div", (-big - 1, -1))):
+        with pytest.raises(OverflowError, match="^integer .* outside int64$"):
+            E.eval_binary(op, *args)
+    for op, arg in (("neg", -big - 1), ("abs", -big - 1), ("to_int", 1e19)):
+        with pytest.raises(OverflowError, match="^integer .* outside int64$"):
+            E.eval_unary(op, arg)
+    assert E.eval_binary("add", big, 0.5) == 2.0 ** 63     # floats grow
+    assert E.eval_unary("to_int", -2.0 ** 63) == -big - 1
+
+
 def test_operator_overloading_builds_binops():
     i = E.Idx("i")
     node = (i + 1) * 2 - 3

@@ -31,6 +31,12 @@ from repro.sim.leaves import InnerComputeSim
 from repro.sim.machine import Machine
 
 
+def _index(value):
+    """An address, key or bound as ``to_int`` makes it (past int64 it
+    faults)."""
+    return E.eval_unary("to_int", value)
+
+
 class LaneContext:
     """Evaluates expressions for one activation of an inner controller.
 
@@ -87,7 +93,7 @@ class LaneContext:
         if isinstance(target, Reg):
             return self.mem.reg(target).read()
         if isinstance(target, Sram):
-            idxs = [int(self.eval(i, bindings, cache))
+            idxs = [_index(self.eval(i, bindings, cache))
                     for i in node.indices]
             scratch = self.mem.scratch(target)
             buf = scratch.read_buffer(self.version)
@@ -198,7 +204,7 @@ class ReferenceInnerComputeSim(InnerComputeSim):
             if isinstance(stmt.mem, Reg):
                 self._write_reg(stmt.mem, value)
                 continue
-            idxs = [int(ctx.eval(a, lane, cache)) for a in stmt.addr]
+            idxs = [_index(ctx.eval(a, lane, cache)) for a in stmt.addr]
             flat = self._write_sram(stmt.mem, idxs, value)
             write_addrs.setdefault(stmt.mem.name, []).append(flat)
 
@@ -206,7 +212,7 @@ class ReferenceInnerComputeSim(InnerComputeSim):
         accs = self._accs[si]
         for lane, cache in zip(lanes, caches):
             values = [ctx.eval(v, lane, cache) for v in stmt.values]
-            key = tuple(int(ctx.eval(a, lane, cache)) for a in stmt.addr)
+            key = tuple(_index(ctx.eval(a, lane, cache)) for a in stmt.addr)
             prev = accs[key][1] if key in accs else list(stmt.inits)
             cbind = dict(lane)
             for k in range(stmt.width):
@@ -218,7 +224,7 @@ class ReferenceInnerComputeSim(InnerComputeSim):
 
     def _do_hash(self, stmt, lanes, ctx, caches, write_addrs):
         for lane, cache in zip(lanes, caches):
-            key = int(ctx.eval(stmt.key, lane, cache))
+            key = _index(ctx.eval(stmt.key, lane, cache))
             value = ctx.eval(stmt.value, lane, cache)
             scratch = self.mem.scratch(stmt.mem)
             buf = scratch.buffer(self._version)

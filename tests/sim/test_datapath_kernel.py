@@ -233,15 +233,19 @@ def test_float32_rounding_of_a_non_representable_init():
     assert effects == repr([("reg", "acc", rounded)])
 
 
-def test_integers_are_unbounded_and_division_truncates_toward_zero():
+def test_an_int_past_int64_faults_and_division_truncates_toward_zero():
     d, o = Sram("d", (16,), I32), Sram("o", (16,), I32)
     i = E.Idx("i")
-    big = (d[i] * (2 ** 40)) * (2 ** 40)        # far beyond int64
-    value = (big / (2 ** 79)) + (d[i] - 8) / 3 + (d[i] - 8) % 3
-    rig = both([WriteStmt(o, (i,), value)], lanes16(), [d, o],
-               data={"d": np.arange(16)}, indices=[i])
-    want = [k * 2 + int((k - 8) / 3) + (k - 8) % 3 for k in range(16)]
+    rig = both([WriteStmt(o, (i,), (d[i] - 8) / 3 + (d[i] - 8) % 3)],
+               lanes16(), [d, o], data={"d": np.arange(16)}, indices=[i])
+    want = [int((k - 8) / 3) + (k - 8) % 3 for k in range(16)]
     np.testing.assert_array_equal(rig.buf("o"), want)
+    # lane 1's product is 2**80: an INT32 value past int64 is a fault
+    big = (d[i] * (2 ** 40)) * (2 ** 40)
+    both_raise(r"leaf: arithmetic fault in lanes 0\.\.15: OverflowError: "
+               r"integer 1208925819614629174706176 outside int64$",
+               [WriteStmt(o, (i,), big / (2 ** 60))], lanes16(), [d, o],
+               data={"d": np.arange(16)}, indices=[i])
 
 
 def test_transcendentals_raise_instead_of_returning_nan():
