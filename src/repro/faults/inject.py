@@ -9,8 +9,9 @@ and the event scheduler additionally caps its fast-forward jumps at
 
 Injection semantics
 -------------------
-``unit_fail``     the leaf's ``tick`` becomes a no-op: the unit stops
-                  responding.  The machine's existing progress-key
+``unit_fail``     the leaf's ``tick`` becomes a no-op (``fail``): the
+                  unit stops responding, and a tile transfer's burst
+                  stream stops with it.  The machine's existing progress-key
                   watchdog then trips deterministically and
                   ``_raise_deadlock`` converts the trip into a typed
                   :class:`~repro.errors.FaultError`.
@@ -32,10 +33,6 @@ from repro.faults.plan import FaultEvent, FaultPlan
 
 #: sentinel "no pending event" cycle (compares greater than any cycle)
 NEVER = 1 << 62
-
-
-def _dead_tick(cycle: int) -> None:
-    """The tick of a failed unit: silence."""
 
 
 class FaultInjector:
@@ -79,7 +76,7 @@ class FaultInjector:
         if event.kind == "unit_fail":
             leaf = self._leaf_by_name.get(event.unit)
             if leaf is not None:
-                leaf.tick = _dead_tick
+                leaf.fail()
                 self.killed[event.unit] = event
                 if leaf._sched is not None:
                     # a parked unit would go on being charged its park,

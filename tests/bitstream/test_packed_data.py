@@ -151,6 +151,28 @@ def test_an_int_constant_past_int64_is_an_ir_error():
         Bitstream.from_dict(json.loads(json.dumps(data)))
 
 
+def test_a_reduce_combine_of_another_dtype_is_an_ir_error():
+    """innerproduct's float32 dot product, its combine pointed at an
+    int32 constant: what tracing rejects, decoding rejects too."""
+    data, _spec = _artifact_dict()
+    program = data["program"]
+    stmt = next(s for leaf in _leaves(program["root"])
+                for s in leaf["stmts"] if s["k"] == "reduce")
+    stmt["combines"] = [next(k for k, e in enumerate(program["exprs"])
+                             if e["k"] == "const" and e["dt"] == E.INT32)]
+    with pytest.raises(IRError, match="ReduceStmt combine returns int32 "
+                                      "for accumulator acc_a0, which is "
+                                      "float32"):
+        Bitstream.from_dict(json.loads(json.dumps(data)))
+
+
+def _leaves(ctrl):
+    if "stmts" in ctrl:
+        yield ctrl
+    for child in ctrl.get("children", ()):
+        yield from _leaves(child)
+
+
 def test_data_disagreeing_with_declared_shape_is_an_ir_error():
     data, spec = _artifact_dict()
     raw = base64.b64decode(spec["data"]["b64"])

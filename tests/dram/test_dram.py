@@ -172,8 +172,8 @@ def test_pending_counts():
 def test_deliver_pops_the_matured_prefix_in_handover_order():
     """Undelivered completions are kept ordered by completion cycle, but
     one ``deliver`` call still returns (and calls back) in the order the
-    channels handed them over — also across a fast-forward jump that
-    matures completions of several different cycles at once."""
+    channels handed them over — also when the clock has moved past
+    completions of several different cycles at once."""
     model = DramModel()
     handed = []
     for channel in model.channels:
@@ -196,29 +196,13 @@ def test_deliver_pops_the_matured_prefix_in_handover_order():
     assert len(handed) == 48 and cycles != sorted(cycles)
     assert model.next_completion() == min(cycles)
     middle = sorted(cycles)[24]
-    model.advance_to(middle)
+    model.cycle = middle
     first = model.deliver()
     assert first == [r for r in handed if r.complete_cycle <= middle]
     assert called == first
     assert model.next_completion() == min(c for c in cycles if c > middle)
-    model.advance_to(max(cycles))
+    model.cycle = max(cycles)
     assert first + model.deliver() == sorted(
         handed, key=lambda r: (r.complete_cycle > middle, handed.index(r)))
     assert model.deliver() == [] and model.next_completion() is None
     assert model.idle and model.pending == 0
-
-
-def test_advance_to_refuses_a_queued_request():
-    """Skipping cycles is exact only with every queue empty: a queued
-    request's issue cycle depends on the cycles skipped."""
-    from repro.errors import DramProtocolError
-    model = DramModel()
-    model.submit(DramRequest(byte_addr=64 * 5))
-    with pytest.raises(DramProtocolError, match="queued on ch1"):
-        model.advance_to(100)
-    assert model.cycle == 0
-    while model.channels[1].queue:
-        model.tick()
-    in_flight = model.next_completion()
-    model.advance_to(in_flight)         # in flight, not queued: fine
-    assert model.cycle == in_flight and len(model.deliver()) == 1

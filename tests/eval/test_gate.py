@@ -259,7 +259,7 @@ DOCTORED = {
     "solo": (("benchmarks", 13, "executed_cycles"),
              "solo.benchmarks[dram_rowconf].executed_cycles: 899"),
     "batch": (("follower_executed_cycles",),
-              "batch.follower_executed_cycles: 9202"),
+              "batch.follower_executed_cycles: 3584"),
     "multi": (("tenants", 1, "co_cycles"),
               "multi.tenants[tpchq6].co_cycles: 95"),
     "qos": (("weighted_hi_cycles",), "qos.weighted_hi_cycles: 171"),

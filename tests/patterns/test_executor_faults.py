@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.compiler.artifact import freeze_program
-from repro.errors import SimulationError
-from repro.patterns import Fold, Program, run_program, select
+from repro.errors import SimulationError, TraceError
+from repro.patterns import (Fold, HashReduce, Program, run_program,
+                            select)
 from repro.patterns import expr as E
 
 N = 32
@@ -109,6 +110,44 @@ def test_fault_is_typed_in_executor_and_simulator(fault):
         with pytest.raises(SimulationError, match="arithmetic fault in .*: "
                            + re.escape(said) + "$"):
             machine.run()
+
+
+#: a combine whose dtype differs from its accumulator's -> what the
+#: tracer says.  Each evaluator used to cast it its own way: the
+#: executor and the block truncated ``x + y * 0.5`` over INT32 (4.0 for
+#: ``a = 1..8``), both per-element references kept the float (5.0), and
+#: ``y * 1e30`` became -9.22e18 in the executor
+COMBINE_DTYPE = {
+    "fold_float_combine": (lambda a: Fold(4, 0, lambda k: a[k],
+                                          lambda x, y: x + y * 0.5),
+                           "Fold combine returns float32 for accumulator "
+                           "acc_a0, which is int32"),
+    "fold_float_combine_past_int64": (
+        lambda a: Fold(4, 0, lambda k: a[k], lambda x, y: x + y * 1e30),
+        "Fold combine returns float32 for accumulator acc_a0, which is "
+        "int32"),
+    "fold_second_accumulator": (
+        lambda a: Fold(4, (0, 0.0), lambda k: (a[k], E.to_float(a[k])),
+                       lambda x, y: (x[0] + y[0], E.to_int(x[1] + y[1]))),
+        "Fold combine returns int32 for accumulator acc_a1, which is "
+        "float32"),
+    "hash_reduce_int_combine": (
+        lambda a: HashReduce(4, lambda k: a[k] % 2,
+                             lambda k: E.to_float(a[k]),
+                             lambda x, y: E.to_int(x + y), bins=2),
+        "HashReduce combine returns int32 for accumulator acc_a0, which "
+        "is float32"),
+}
+
+
+@pytest.mark.parametrize("case", COMBINE_DTYPE)
+def test_a_combine_must_return_its_accumulators_dtype(case):
+    build, said = COMBINE_DTYPE[case]
+    prog = Program(case)
+    a = prog.input("a", (8,), dtype=INT,
+                   data=np.arange(1, 9, dtype=np.int32))
+    with pytest.raises(TraceError, match="^" + re.escape(said) + "$"):
+        build(a)
 
 
 def test_a_fault_no_point_reaches_is_not_raised():

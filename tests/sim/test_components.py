@@ -311,27 +311,38 @@ def test_timed_wait_rests_only_while_the_timer_is_worth_it():
 @pytest.mark.parametrize("in_flight", [False, True],
                          ids=["nothing_in_flight", "bursts_in_flight"])
 def test_wait_full_channel_queue_tile_load(in_flight):
+    """A tile load behind a full channel queue: every cycle its burst
+    stream's admit step charges one bandwidth stall and marks
+    ``DRAM_BANDWIDTH``, busy only while its own bursts are in flight.
+    The tick leaves the stream's wait, which charges nothing and waits
+    for nothing: the admit steps account every cycle themselves."""
     dhdl, array, tile, config, dram, image = _leaf_parts(queue_depth=2)
     config.ag_assign["ld"] = AgAssignment(ag_ids=(0,))
     sim = _traced(TileLoadSim(TileLoad("ld", array, tile, (0,), (1024,)),
                               config, MemoryState(dhdl.srams, dhdl.regs),
                               SimStats(), dram, image), "ag")
     sim.start({}, (0,))
+    assert dram.streams == [sim]
     cycle = 1
     if in_flight:
         # its own bursts fill the queues: productive until one is full
-        while _tick(sim, cycle)[1] is None:
+        while _tick(sim, cycle)[0] == {"ld": StallCause.BUSY}:
             cycle += 1
         assert sim._outstanding > 0
+        cycle += 1
     else:
         _fill_channel_of(dram, image.byte_addr("a", 0))
-    park = _blocked_ticks_equal_the_park(sim, [], first_cycle=cycle)
-    assert park.counters == ("dram_stall_cycles",)
-    assert park.marks == (("ld", StallCause.DRAM_BANDWIDTH),)
-    assert park.wake_dram_room
-    assert park.busy_unit == ("ld" if in_flight else None)
+    sim.stats = SimStats()
+    for at in range(cycle, cycle + 7):
+        marks, park = _tick(sim, at)
+        assert marks == {"ld": StallCause.DRAM_BANDWIDTH}
+        assert park is sim._park_stream
+    assert (park.until, park.busy_unit, park.counters, park.fifo_counters,
+            park.marks, park.wake_fifos, park.wake_dram_room) == (
+                None, None, (), (), (), (), False)
     assert sim.stats.dram_stall_cycles == 7
     assert sim.stats.busy_cycles == ({"ld": 7} if in_flight else {})
+    assert dram.streams == [sim]
 
 
 @pytest.mark.parametrize("state", ["starved", "blocked"])

@@ -18,9 +18,16 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS
+from repro.dhdl import (DhdlProgram, Gather, OuterController, Scheme,
+                        TileLoad, validate)
+from repro.dhdl.memory import BankingMode
+from repro.dram.channel import Channel
+from repro.dram.model import DramModel
 from repro.errors import FaultError, SimulationError
 from repro.faults import FaultEvent, FaultPlan
-from repro.sim import Fabric
+from repro.patterns import Array
+from repro.patterns import expr as E
+from repro.sim import AgAssignment, Fabric, FabricConfig, LeafTiming
 from repro.sim.scheduler import SCHEDULER_MODES
 from repro.tenancy import pack_apps
 from repro.trace import RingTracer
@@ -214,3 +221,77 @@ def test_fired_fault_turns_the_limit_trip_into_a_fault_error():
         results[mode] = (str(excinfo.value), fabric.cycle)
     assert results["event"] == results["dense"]
     assert results["event"][1] == 301
+
+
+def _transfer_tenant(name, region, gather):
+    """One tenant's program: a 256-address gather (after the load of its
+    addresses), or a 4 096-word tile load — 256 bursts of one stream."""
+    rng = np.random.default_rng(len(name))
+    dhdl = DhdlProgram(name)
+    if gather:
+        table = dhdl.dram(Array("tbl", (1024,), E.FLOAT32,
+                                data=np.arange(1024, dtype=np.float32)))
+        idx = dhdl.dram(Array("idx", (256,), E.INT32, data=rng.integers(
+            0, 1024, 256).astype(np.int32)))
+        idx_tile = dhdl.sram("idx_tile", (256,), E.INT32)
+        dst_tile = dhdl.sram("dst_tile", (256,), E.FLOAT32,
+                             banking=BankingMode.DUPLICATION)
+        body = OuterController("body", Scheme.SEQUENTIAL)
+        dhdl.root.add(body)
+        body.add(TileLoad("load_idx", idx, idx_tile, (0,), (256,)))
+        body.add(Gather("gather", table, idx_tile, dst_tile))
+    else:
+        src = dhdl.dram(Array("src", (4096,), E.FLOAT32, data=rng.standard_normal(
+            4096).astype(np.float32)))
+        tile = dhdl.sram("tile", (4096,), E.FLOAT32)
+        body = OuterController("body", Scheme.SEQUENTIAL)
+        dhdl.root.add(body)
+        body.add(TileLoad("load", src, tile, (0,), (4096,)))
+    validate(dhdl)
+    config = FabricConfig(region=region)
+    for leaf in dhdl.leaves():
+        config.leaf_timing[leaf.name] = LeafTiming()
+        config.ag_assign[leaf.name] = AgAssignment(ag_ids=(0,))
+    config.pcus_used = config.pmus_used = config.ags_used = 1
+    return dhdl, config
+
+
+@pytest.mark.parametrize("gather_first", [True, False],
+                         ids=["gather_below_stream", "gather_above_stream"])
+def test_cotenant_stream_and_gather_share_a_channel_in_dense_order(
+        gather_first, monkeypatch):
+    """One tenant's tile stream and another's gather submit to one
+    channel in one cycle, behind two-deep queues: the tenant admitted
+    first (the lower dense positions) goes first, under both schedulers,
+    whichever of the two it is."""
+    seen = {}
+    for mode in SCHEDULER_MODES:
+        fabric = Fabric(dram=DramModel(queue_depth=2))
+        specs = [("g", (0, 0, 8, 4), True), ("s", (8, 0, 8, 4), False)]
+        for name, region, gather in specs if gather_first else specs[::-1]:
+            fabric.add_tenant(*_transfer_tenant(name, region, gather),
+                              name=name)
+        index = {id(c): k for k, c in enumerate(fabric.dram.channels)}
+        log = []
+        submit = Channel.submit
+
+        def logged(channel, request, now):
+            log.append((request.req_id, now, index[id(channel)],
+                        request.callback.__self__.name, request.byte_addr))
+            submit(channel, request, now)
+
+        monkeypatch.setattr(Channel, "submit", logged)
+        fabric.run(scheduler=mode)
+        monkeypatch.undo()
+        assert [entry[0] for entry in log] == sorted(e[0] for e in log)
+        seen[mode] = ([entry[1:] for entry in log],
+                      [t.stats.as_dict() for t in fabric.tenants])
+    assert seen["event"] == seen["dense"]
+    units = {}
+    for cycle, channel, unit, _ in seen["event"][0]:
+        units.setdefault((cycle, channel), []).append(unit)
+    shared = [order for order in units.values()
+              if {"gather", "load"} <= set(order)]
+    assert shared
+    first = "gather" if gather_first else "load"
+    assert all(order[0] == first for order in shared)

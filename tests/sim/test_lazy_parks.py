@@ -219,20 +219,24 @@ def test_tenant_retires_while_cotenants_hold_parks(traced, monkeypatch):
 #: not move.  Lowered when compute leaves began to follow their own
 #: logs: a leaf that emits nothing parks across its block instead of
 #: ticking per issue (e.g. gemm 47 -> 33, cnn 305 -> 95); cycles did
-#: not move.
+#: not move.  Lowered again when a tile transfer became a burst stream
+#: the DRAM model pulls: the engine ticks once when it starts (and once
+#: more to complete) instead of on every issue cycle (e.g. gemm 33 ->
+#: 28, cnn 95 -> 72, bfs 1 057 -> 1 015); cycles did not move.
 REGISTRY_TINY_TICKS = {
-    "innerproduct": 31, "outerproduct": 31, "blackscholes": 32,
-    "tpchq6": 41, "gemm": 33, "gda": 65, "logreg": 197, "sgd": 207,
-    "kmeans": 333, "cnn": 95, "smdv": 62, "pagerank": 179, "bfs": 1057,
+    "innerproduct": 29, "outerproduct": 28, "blackscholes": 32,
+    "tpchq6": 37, "gemm": 28, "gda": 50, "logreg": 169, "sgd": 179,
+    "kmeans": 277, "cnn": 72, "smdv": 58, "pagerank": 177, "bfs": 1015,
 }
 
 #: the two ``multi_tenant`` benchmark mixes at ``small``: 18 624 ticks
 #: per pass (6 223 + 12 338 = 18 561 with ``_predict_park``), 13 824
-#: once compute leaves park across their blocks (was 6 282 + 12 342)
+#: once compute leaves park across their blocks (was 6 282 + 12 342),
+#: 1 410 once tile transfers are streams (was 3 732 + 10 092)
 MIX_SMALL_TICKS = [
     (("gemm", "tpchq6", "innerproduct", "outerproduct"), (1, 1, 1, 1),
-     3732),
-    (("gemm", "tpchq6", "tpchq6", "tpchq6"), (8, 1, 1, 1), 10092),
+     731),
+    (("gemm", "tpchq6", "tpchq6", "tpchq6"), (8, 1, 1, 1), 679),
 ]
 
 

@@ -16,8 +16,11 @@ import pytest
 from repro.apps import ALL_APPS, get_app
 from repro.compiler import compile_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
-                        InnerCompute, OuterController, Scheme, TileLoad,
-                        validate)
+                        Gather, InnerCompute, OuterController, Scheme,
+                        TileLoad, validate)
+from repro.dhdl.memory import BankingMode
+from repro.dram.channel import Channel
+from repro.dram.model import DramModel
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array
 from repro.patterns import expr as E
@@ -193,3 +196,86 @@ def test_max_cycles_trips_at_same_cycle_under_both_schedulers():
             machine.run(max_cycles=37)
         messages[mode] = str(err.value)
     assert messages["dense"] == messages["event"]
+
+
+def _gather_and_stream(gather_first):
+    """A gather and a tile load started by one PIPELINE controller in
+    the same cycle: the gather's misses and the load's burst stream
+    fall on shared channels behind two-deep queues, the gather at a
+    lower dense position than the load's engine (``gather_first``) or
+    at a higher one."""
+    n = 256
+    rng = np.random.default_rng(5)
+    dhdl = DhdlProgram("beside")
+    table = dhdl.dram(Array("tbl", (1024,), E.FLOAT32,
+                            data=np.arange(1024, dtype=np.float32)))
+    idx = dhdl.dram(Array("idx", (n,), E.INT32,
+                          data=rng.integers(0, 1024, n).astype(np.int32)))
+    src = dhdl.dram(Array("src", (2048,), E.FLOAT32,
+                          data=rng.standard_normal(2048).astype(np.float32)))
+    idx_tile = dhdl.sram("idx_tile", (n,), E.INT32)
+    dst_tile = dhdl.sram("dst_tile", (n,), E.FLOAT32,
+                         banking=BankingMode.DUPLICATION)
+    tile = dhdl.sram("tile", (2048,), E.FLOAT32)
+    prep = OuterController("prep", Scheme.SEQUENTIAL)
+    dhdl.root.add(prep)
+    prep.add(TileLoad("load_idx", idx, idx_tile, (0,), (n,)))
+    both = OuterController("both", Scheme.PIPELINE)
+    dhdl.root.add(both)
+    leaves = [Gather("gather", table, idx_tile, dst_tile),
+              TileLoad("load", src, tile, (0,), (2048,))]
+    for leaf in leaves if gather_first else leaves[::-1]:
+        both.add(leaf)
+    validate(dhdl)
+    config = FabricConfig()
+    for leaf in dhdl.leaves():
+        config.leaf_timing[leaf.name] = LeafTiming()
+        config.ag_assign[leaf.name] = AgAssignment(ag_ids=(0,))
+    config.pcus_used = config.pmus_used = 1
+    config.ags_used = 2
+    return dhdl, config
+
+
+def _submissions(machine, monkeypatch):
+    """Every request's ``(cycle, channel, unit, byte address)``, in the
+    order the channels took them (= ``req_id`` order: a transfer builds
+    a request just before submitting it)."""
+    log = []
+    index = {id(channel): k for k, channel in
+             enumerate(machine.dram.channels)}
+    submit = Channel.submit
+
+    def logged(channel, request, now):
+        log.append((request.req_id, now, index[id(channel)],
+                    request.callback.__self__.name, request.byte_addr))
+        submit(channel, request, now)
+
+    monkeypatch.setattr(Channel, "submit", logged)
+    return log
+
+
+@pytest.mark.parametrize("gather_first", [True, False],
+                         ids=["gather_below_stream", "gather_above_stream"])
+def test_stream_and_gather_share_a_channel_in_dense_order(gather_first,
+                                                         monkeypatch):
+    seen = {}
+    for mode in ("dense", "event"):
+        machine = Machine(*_gather_and_stream(gather_first),
+                          dram=DramModel(queue_depth=2), scheduler=mode)
+        log = _submissions(machine, monkeypatch)
+        stats = machine.run()
+        assert [entry[0] for entry in log] == sorted(e[0] for e in log)
+        seen[mode] = ([entry[1:] for entry in log],
+                      dataclasses.asdict(stats))
+        monkeypatch.undo()
+    assert seen["event"] == seen["dense"]
+    # the two submit to one channel in one cycle, in dense order
+    units = {}
+    for cycle, channel, unit, _ in seen["event"][0]:
+        units.setdefault((cycle, channel), []).append(unit)
+    shared = [order for order in units.values()
+              if {"gather", "load"} <= set(order)]
+    assert shared
+    first = "gather" if gather_first else "load"
+    assert all(order[0] == first for order in shared)
+    assert seen["event"][1]["dram_stall_cycles"] > 0

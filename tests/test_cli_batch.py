@@ -98,11 +98,11 @@ def test_bench_batch_baseline_gate_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "run_gate", gate_report)
     baseline = tmp_path / "pins.json"
     baseline.write_text(json.dumps(
-        {"batch": {"follower_executed_cycles": 9203}}))
+        {"batch": {"follower_executed_cycles": 3585}}))
     assert main(["bench", "--out", str(tmp_path),
                  "--baseline", str(baseline)]) == 1
     err = capsys.readouterr().err
-    assert "FAIL: batch.follower_executed_cycles: 9202, pinned at 9203" \
+    assert "FAIL: batch.follower_executed_cycles: 3584, pinned at 3585" \
         in err
 
 
