@@ -55,6 +55,23 @@ def unify_dtypes(a: str, b: str) -> str:
     raise TraceError(f"cannot unify dtypes {a!r} and {b!r}")
 
 
+def combine_mismatch(what: str, combines: Sequence["Expr"],
+                     accs: Sequence["Var"]) -> Optional[str]:
+    """Why ``combines`` break the combine rule, or None.
+
+    A reduction's combine must return its accumulator's dtype: an
+    evaluator stores each result back into that accumulator, and a cast
+    there would be the evaluator's choice, not the program's.  The
+    pattern layer raises the message as a :class:`TraceError`, the DHDL
+    layer as an ``IRError``.
+    """
+    for expr, acc in zip(combines, accs):
+        if expr.dtype != acc.dtype:
+            return (f"{what} combine returns {expr.dtype} for accumulator "
+                    f"{acc.name}, which is {acc.dtype}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
