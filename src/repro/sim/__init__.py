@@ -3,7 +3,7 @@
 from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
                                     MemoryPlacement)
 from repro.dhdl.analysis import assign_bases
-from repro.sim.counters import Batch, ChainEnumerator
+from repro.sim.counters import ChainEnumerator, Run
 from repro.sim.dram_image import DramImage
 from repro.sim.fabric import Fabric, Tenant
 from repro.sim.fifo import FifoSim
@@ -17,7 +17,7 @@ from repro.sim.stats import SimStats
 
 __all__ = [
     "AgAssignment", "FabricConfig", "LeafTiming", "MemoryPlacement",
-    "Batch", "ChainEnumerator",
+    "ChainEnumerator", "Run",
     "DramImage", "assign_bases",
     "Fabric", "Tenant",
     "FifoSim",

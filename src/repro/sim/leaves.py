@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
-from collections import deque
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.bitstream.config import FabricConfig
@@ -27,7 +26,7 @@ from repro.dram.request import DramRequest
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
-from repro.sim.counters import ChainEnumerator
+from repro.sim.counters import ChainEnumerator, Run
 from repro.sim.block import (BLOCK_LANES, Block, BoundWindow, Datapath,
                              Schedule, _Redo)
 from repro.sim.datapath import Evaluator, datapath_fault
@@ -202,12 +201,12 @@ class InnerComputeSim(_LeafCommon):
         self._enum: Optional[ChainEnumerator] = None
         #: the body's evaluator, built on the first activation
         self._datapath: Optional[Datapath] = None
-        #: issues pulled from the chain but not evaluated yet, each
-        #: ``(Batch, bound-read groups)``, or the fault the chain raised
-        self._queue: deque = deque()
-        #: issues left to evaluate one by one (a block's pass faulted)
+        #: a run whose block pass faulted: its last ``_single`` issues
+        #: are still to be evaluated, one by one
+        self._queue: Optional[Run] = None
         self._single = 0
-        #: bound reads of the chain since the last pulled issue
+        #: bound reads of the chain's walk since the enumerator last
+        #: took them
         self._reads: Dict[Tuple, List[int]] = {}
         #: the innermost counter's bounds a window at a time
         self._window: Optional[BoundWindow] = None
@@ -221,8 +220,9 @@ class InnerComputeSim(_LeafCommon):
         #: once, by the tick that starts it, for every tick inside it
         self._timed: Optional[Park] = None
         self._pending: Optional[int] = None
-        #: reduce accumulators: stmt index -> {key: (outer bindings,
-        #: last lane's index value, *accumulated values)}
+        #: reduce accumulators: stmt index -> {key: (last lane's values
+        #: of the dims outside the innermost, its innermost value,
+        #: *accumulated values)}
         self._accs: Dict[int, Dict[Tuple, Tuple]] = {}
         #: the banking configuration schedules are shared under
         self._banking = tuple(s.banks for s in mem.scratchpads.values())
@@ -292,8 +292,9 @@ class InnerComputeSim(_LeafCommon):
 
         self._enum = ChainEnumerator(
             self.leaf.chain, bounds, bindings,
-            window=None if self._datapath.steps else self._windows)
-        self._queue.clear()
+            window=None if self._datapath.steps else self._windows,
+            reads=self._taken_reads)
+        self._queue = None
         self._single = 0
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
                       if isinstance(s, ReduceStmt)}
@@ -397,81 +398,59 @@ class InnerComputeSim(_LeafCommon):
         self._next += 1
         return k
 
-    def _pull(self):
-        """The chain's next issue with the bound reads made before it,
-        None at its end, or the typed fault its bounds raised (deferred
-        to the issue it stops)."""
-        self._reads = {}
+    def _pull(self, lanes: int) -> Optional[Run]:
+        """The chain's next run of whole issues while fewer than
+        ``lanes`` lanes are taken (None at its end); a fault of its
+        bounds, typed, at the issue it stops."""
         try:
-            batch = self._enum.next_batch()
+            return self._enum.next_run(lanes)
         except (ArithmeticError, ValueError) as err:
-            return datapath_fault(self.name, "counter bounds", err)
-        except SimulationError as err:
-            return err
-        return None if batch is None else (batch, self._reads)
+            raise datapath_fault(self.name, "counter bounds", err) from None
+
+    def _taken_reads(self) -> Dict[Tuple, List[int]]:
+        """The walk's bound reads since the enumerator last took them."""
+        reads, self._reads = self._reads, {}
+        return reads
 
     def _windows(self, outer, values):
-        """The innermost ``(lo, hi)`` at each of ``values`` of the
-        enclosing counter, :data:`BLOCK_LANES` positions a pass; each
-        position's bound reads join the group of the issue being pulled
-        as it is taken.  Stops where a pass cannot stand in for the
-        walk (:meth:`BoundWindow.evaluate`), which goes on from there."""
+        """The innermost bounds at ``values`` of the enclosing counter,
+        :data:`BLOCK_LANES` positions a pass.  Stops where a pass cannot
+        stand in for the walk (:meth:`BoundWindow.evaluate`), which goes
+        on from there."""
         for at in range(0, len(values), BLOCK_LANES):
             got = self._window.evaluate(
                 outer, values[at:at + BLOCK_LANES], self._version)
             if got is None:
                 return
-            los, his, reads = got
-            for j, lo in enumerate(los):
-                group = self._reads
-                for key, addrs in reads:
-                    addr = addrs.get(j) if type(addrs) is dict else addrs[j]
-                    if addr is not None:
-                        group.setdefault(key, []).append(addr)
-                yield lo, his[j]
+            yield got
 
     def _next_block(self) -> Optional[Block]:
-        """Evaluate the next block: issues up to :data:`BLOCK_LANES`
-        lanes — one at a time where a pass faulted or the body reads
-        what it writes."""
+        """Evaluate the next block: a run of issues up to
+        :data:`BLOCK_LANES` lanes — one issue at a time where a pass
+        faulted or the body reads what it writes."""
         dp = self._datapath
-        single = self._single > 0 or dp.steps
-        issues, bounds, lanes = [], [], 0
-        while not issues or (not single and lanes < BLOCK_LANES):
-            item = self._queue.popleft() if self._queue else self._pull()
-            if item is None:
-                break
-            if isinstance(item, Exception):
-                if issues:
-                    self._queue.appendleft(item)
-                    break
-                raise item
-            issues.append(item[0])
-            bounds.append(item[1])
-            lanes += item[0].lanes
-        # a window's bounds are read at this tick or not at all
-        self._enum.drop_window()
-        if not issues:
-            return None
         if self._single:
+            run = self._queue.issue(self._queue.issues - self._single)
             self._single -= 1
+            if not self._single:
+                self._queue = None
+        else:
+            run = self._pull(1 if dp.steps else BLOCK_LANES)
+            if run is None:
+                return None
         try:
             try:
-                block, self._accs = dp.evaluate(issues, bounds,
-                                                self._version, self._accs)
+                block, self._accs = dp.evaluate(run, self._version,
+                                                self._accs)
             except _Redo:
-                if len(issues) > 1:
-                    self._queue.extendleft(reversed(list(zip(issues,
-                                                             bounds))))
-                    self._single = len(issues)
+                if run.issues > 1:
+                    self._queue, self._single = run, run.issues
                     return self._next_block()
                 block, self._accs = dp.evaluate(
-                    issues, bounds, self._version, self._accs, steps=True)
+                    run, self._version, self._accs, steps=True)
         except (ArithmeticError, ValueError) as err:
-            batch = issues[0]
-            raise datapath_fault(
-                self.name, f"lanes {batch.values[0]}..{batch.values[-1]}",
-                err)
+            first, last = run.head()
+            raise datapath_fault(self.name, f"lanes {first}..{last}", err)
         return block
 
     def _execute(self, k: int) -> Optional[int]:
@@ -555,7 +534,7 @@ class InnerComputeSim(_LeafCommon):
         """Apply the end-of-activation reduce results (kept, as
         ``(memory, flat address or None, value)``, in ``_finals``)."""
         version = self._version
-        index = self.leaf.chain.indices[-1]
+        *outside, index = self.leaf.chain.indices
         finals = self._finals = []
         try:
             for si, accs in self._accs.items():
@@ -568,9 +547,10 @@ class InnerComputeSim(_LeafCommon):
                                 version)[key].item()
                             for mem in stmt.mems]
                         # the combine's own loads are not priced
+                        env = {**self._enum.base, **dict(zip(outside, outer)),
+                               index: lane}
                         values = self._evaluate.combine(
-                            stmt, {**outer, index: lane}, version, current,
-                            values)
+                            stmt, env, version, current, values)
                     for mem, value in zip(stmt.mems, values):
                         if isinstance(mem, Reg):
                             self.mem.reg(mem).write(value)
@@ -943,8 +923,10 @@ class _CoalescedCommon(_TransferCommon):
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
         self.COALESCE_ENTRIES = config.coalesce_entries
-        #: (element index, what to do with it) per address to dispatch
+        #: (element index, what to do with it) per address to dispatch,
+        #: from ``_head`` on
         self._queue: List[Tuple[int, object]] = []
+        self._head = 0
         #: burst -> open coalescer entry (one request in flight each)
         self._open: Dict[int, object] = {}
         #: element count of the DRAM collection (bounds check)
@@ -956,8 +938,9 @@ class _CoalescedCommon(_TransferCommon):
             return
         issued = 0
         blocked = False
-        while self._queue and issued < self.streams:
-            elem, item = self._queue[0]
+        queue, head = self._queue, self._head
+        while head < len(queue) and issued < self.streams:
+            elem, item = queue[head]
             if elem < 0 or elem >= self._words:
                 raise SimulationError(
                     f"{self.name}: {self.KIND} index {elem} out of bounds "
@@ -980,10 +963,11 @@ class _CoalescedCommon(_TransferCommon):
                     break
                 self._miss(DramRequest(addr, self.WRITES, burst, bank, row),
                            channel, elem, item)
-            self._queue.pop(0)
+            head += 1
+            self._head = head
             issued += 1
         self._account(issued, blocked, cycle)
-        if not self._queue:
+        if head == len(queue):
             # (open coalescer entries imply requests in flight)
             self._settle(issued)
 
@@ -1019,28 +1003,37 @@ class GatherSim(_CoalescedCommon):
         else:
             # dynamic: gather exactly the addresses produced upstream
             count = scratch.watermark_for(version) or addr_buf.size
-        self._queue = [(int(addr_buf[k]), k) for k in range(count)]
+        self._queue = list(zip(map(int, addr_buf[:count]), range(count)))
+        self._head = 0
         self._open = {}
         self._words = self.leaf.dram.words()
         self.mem.scratch(self.leaf.dst_sram).buffer(version)
 
     def _hit(self, burst, elem, dst_flat) -> None:
-        self._open[burst].append((dst_flat, elem))
+        dsts, elems = self._open[burst]
+        dsts.append(dst_flat)
+        elems.append(elem)
 
     def _miss(self, request, channel, elem, dst_flat) -> None:
-        self._open[request.tag] = [(dst_flat, elem)]
+        self._open[request.tag] = ([dst_flat], [elem])
         self._issue(request, channel)
 
     def _on_burst(self, request: DramRequest) -> None:
-        pendings = self._open.pop(request.tag, [])
-        scratch = self.mem.scratch(self.leaf.dst_sram)
-        buf = scratch.buffer(self._version).reshape(-1)
-        for dst_flat, elem in pendings:
-            if dst_flat >= buf.size:
-                raise SimulationError(
-                    f"{self.name}: gather destination overflow")
-            value = self.image.read_words(self.leaf.dram.name, elem, 1)[0]
-            buf[dst_flat] = value
+        """The burst's elements land, in one fancy assignment.  Each
+        destination word is its address's queue index, so they ascend
+        and none repeats; those before the first one past the
+        destination land, then that one fails."""
+        dsts, elems = self._open.pop(request.tag, ((), ()))
+        buf = self.mem.scratch(self.leaf.dst_sram).buffer(
+            self._version).reshape(-1)
+        over = dsts and dsts[-1] >= buf.size
+        if over:
+            fit = bisect_left(dsts, buf.size)
+            dsts, elems = dsts[:fit], elems[:fit]
+        if dsts:
+            buf[dsts] = self.image.buffers[self.leaf.dram.name][elems]
+        if over:
+            raise SimulationError(f"{self.name}: gather destination overflow")
 
 
 class ScatterSim(_CoalescedCommon):
@@ -1064,7 +1057,8 @@ class ScatterSim(_CoalescedCommon):
             produced = addr_scratch.watermark_for(version)
             if produced:
                 count = min(count, produced)
-        self._queue = [(int(addr_buf[k]), val_buf[k]) for k in range(count)]
+        self._queue = list(zip(map(int, addr_buf[:count]), val_buf[:count]))
+        self._head = 0
         self._open = {}
         self._words = self.leaf.dram.words()
 

@@ -153,16 +153,16 @@ class OuterControllerSim(NodeSim):
                 return dict(self._base_bindings)
             return None
         try:
-            batch = self._enum.next_batch()
+            run = self._enum.next_run(1)
         except (ArithmeticError, ValueError) as err:
             raise datapath_fault(self.name, "counter bounds", err)
-        if batch is None:
+        if run is None:
             return None
-        if batch.lanes != 1:
+        if run.lanes != 1:
             raise SimulationError(
                 f"{self.name}: outer counter chains must iterate one "
                 f"step at a time (par=1)")
-        return batch.lane_bindings[0]
+        return run.first_lane()
 
     # -- per-cycle ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:

@@ -11,8 +11,9 @@ what it was asked to do.
 
 :func:`violations` holds one channel's log to the DDR3 rules the model
 claims (``repro.dram.timing``): tRCD, tRP and tRAS per bank, tCCD
-between a bank's column commands, one burst per data-bus slot, and
-tFAW — at most ``faw_activates`` activates in any ``t_faw`` window.
+between a bank's column commands and between any two of the rank's (a
+channel is one rank), one burst per data-bus slot, and tFAW — at most
+``faw_activates`` activates in any ``t_faw`` window.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.dram.bank import Bank
 from repro.dram.channel import Channel
 
 #: every rule :func:`violations` checks
-RULES = ("tRCD", "tRP", "tRAS", "tCCD", "bus", "tFAW")
+RULES = ("tRCD", "tRP", "tRAS", "tCCD", "tCCD_rank", "bus", "tFAW")
 
 
 class Command(NamedTuple):
@@ -119,6 +120,9 @@ def violations(commands: List[Command], timing) -> Dict[str, List]:
         last[command.bank] = (
             activated if command.activate is None else command.activate,
             command.column)
+    columns = sorted(command.column for command in commands)
+    found["tCCD_rank"] = [(a, b) for a, b in zip(columns, columns[1:])
+                          if b - a < timing.t_ccd]
     slots = sorted(command.complete for command in commands)
     found["bus"] = [(a, b) for a, b in zip(slots, slots[1:])
                     if b - a < timing.t_burst]

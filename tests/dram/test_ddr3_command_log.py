@@ -80,11 +80,15 @@ def _solo(build, mode, **kwargs):
             dataclasses.asdict(machine.stats))
 
 
+#: rules the model is known to break, each held by a strict xfail below
+KNOWN_BROKEN = ("tFAW", "tCCD_rank")
+
+
 def _legal(commands, dram_channels):
     for channel, log in zip(dram_channels, commands):
         found = violations(log, channel.timing)
         broken = {rule: found[rule][:3] for rule in RULES
-                  if rule != "tFAW" and found[rule]}
+                  if rule not in KNOWN_BROKEN and found[rule]}
         assert not broken
 
 
@@ -202,3 +206,18 @@ def test_pipelined_memcpy_holds_tfaw():
     for channel, commands in zip(machine.dram.channels,
                                  log.commands(machine.dram)):
         assert not violations(commands, channel.timing)["tFAW"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "tCCD is spaced per bank only (Bank.issue): the channel issues column "
+    "commands to different banks one cycle apart, and only the data-bus "
+    "shift in Channel.tick spaces their data.  DDR3's tCCD is per rank.  "
+    "Fixing it moves sim_cycles."))
+def test_pipelined_memcpy_holds_tccd_per_rank():
+    dhdl, config = _memcpy(Scheme.PIPELINE, 16, 512)
+    machine = Machine(dhdl, config)
+    with command_log() as log:
+        machine.run()
+    for channel, commands in zip(machine.dram.channels,
+                                 log.commands(machine.dram)):
+        assert not violations(commands, channel.timing)["tCCD_rank"]

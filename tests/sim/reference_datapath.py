@@ -25,10 +25,11 @@ from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
 from repro.dhdl.memory import Reg, Sram
 from repro.errors import SimulationError
 from repro.patterns import expr as E
-from repro.sim.counters import ChainEnumerator
 from repro.sim.datapath import datapath_fault
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.machine import Machine
+
+from tests.sim.reference_chain import ReferenceChain
 
 
 def _index(value):
@@ -126,7 +127,7 @@ class ReferenceInnerComputeSim(InnerComputeSim):
 
     def _begin_body(self, bindings, version):
         ctx = self._ctx = LaneContext(self.mem, version)
-        self._enum = ChainEnumerator(
+        self._enum = ReferenceChain(
             self.leaf.chain,
             lambda counter, bnd: (ctx.eval(counter.lo, bnd, {}),
                                   ctx.eval(counter.hi, bnd, {})),

@@ -31,6 +31,7 @@ from repro.sim.block import BLOCK_LANES
 from repro.sim.leaves import InnerComputeSim
 from repro.trace import RingTracer
 
+from tests.sim.reference_chain import ReferenceChain
 from tests.sim.reference_datapath import LoggingMachine
 from tests.sim.test_machine_handbuilt import default_config
 
@@ -170,8 +171,9 @@ def test_an_arithmetic_fault_at_a_later_issue():
 
 
 def test_a_runaway_bound_trips_at_the_stepped_issue(monkeypatch):
-    monkeypatch.setattr(counters.ChainEnumerator.__init__, "__defaults__",
-                        (None, 1000))
+    for enumerator in (counters.ChainEnumerator, ReferenceChain):
+        monkeypatch.setattr(enumerator.__init__, "__defaults__",
+                            (None, 1000))
     acc = Reg("acc", I32, init=0)
     va, vb = E.Var("acc_a0", I32), E.Var("acc_b0", I32)
     build = _counting_leaf(

@@ -7,7 +7,10 @@ Two classes of bug fixed after differential fuzzing:
   both must be rejected at chain construction;
 * ``max_total`` runaway protection: a data-dependent bound that blows up
   (e.g. an uninitialised length register read as 2**31) must trip the
-  limit *before* the over-limit batch is materialised, not after.
+  limit *before* the over-limit issue is materialised, not after.
+
+The enumerator hands out runs of whole issues (``next_run(lanes)``); a
+budget of one lane is a run of exactly one issue.
 """
 
 import numpy as np
@@ -28,6 +31,20 @@ def _const_eval(counter, bindings):
 
 def _chain(counters, names):
     return CounterChain(counters, [E.Idx(n) for n in names])
+
+
+def _issue(enum):
+    """The next issue alone — ``(bindings of the dims outside the
+    innermost, values)`` — or None at the chain's end."""
+    run = enum.next_run(1)
+    if run is None:
+        return None
+    assert run.issues == 1
+    values = list(range(int(run.start[0]),
+                        int(run.start[0]) + int(run.count[0]) * run.step,
+                        run.step))
+    assert run.lanes == len(values)
+    return dict(zip(run.names, run.outer[0].tolist())), values
 
 
 def _forced_step(step):
@@ -63,21 +80,33 @@ def test_enumerator_strided_iteration_still_works():
     enum = ChainEnumerator(chain, _const_eval)
     seen = []
     while True:
-        batch = enum.next_batch()
-        if batch is None:
+        issue = _issue(enum)
+        if issue is None:
             break
-        seen.extend(lane[chain.indices[0]] for lane in batch.lane_bindings)
+        seen.extend(issue[1])
     assert seen == [0, 3, 6, 9]
+    # one run of the whole chain holds the same values
+    run = ChainEnumerator(chain, _const_eval).next_run(100)
+    assert run.columns()[2].tolist() == [0, 3, 6, 9]
 
 
 def test_max_total_trips_before_building_over_limit_batch():
     chain = _chain([Counter(0, 100, par=16)], ["i"])
     enum = ChainEnumerator(chain, _const_eval, max_total=20)
-    first = enum.next_batch()
+    first = enum.next_run(1)
     assert first.lanes == 16
     with pytest.raises(SimulationError, match="max_total"):
-        enum.next_batch()
-    # the failed call must not have committed the over-limit batch
+        enum.next_run(1)
+    # the failed call must not have committed the over-limit issue
+    assert enum._emitted == 16
+    # a run that meets the limit ends before the issue that trips it,
+    # and the next call raises
+    enum = ChainEnumerator(chain, _const_eval, max_total=20)
+    run = enum.next_run(100)
+    assert (run.issues, run.lanes) == (1, 16)
+    assert enum._emitted == 16
+    with pytest.raises(SimulationError, match="max_total"):
+        enum.next_run(100)
     assert enum._emitted == 16
 
 
@@ -86,11 +115,13 @@ def test_max_total_exact_fit_is_legal():
     enum = ChainEnumerator(chain, _const_eval, max_total=32)
     total = 0
     while True:
-        batch = enum.next_batch()
-        if batch is None:
+        issue = _issue(enum)
+        if issue is None:
             break
-        total += batch.lanes
+        total += len(issue[1])
     assert total == 32
+    run = ChainEnumerator(chain, _const_eval, max_total=32).next_run(100)
+    assert run.lanes == 32
 
 
 def test_max_total_catches_data_dependent_runaway():
@@ -108,10 +139,10 @@ def test_max_total_catches_data_dependent_runaway():
     emitted = 0
     with pytest.raises(SimulationError, match="runaway"):
         while True:
-            batch = enum.next_batch()
-            if batch is None:
+            run = enum.next_run(64)
+            if run is None:
                 break
-            emitted += batch.lanes
+            emitted += run.lanes
     assert emitted <= 1_000
 
 
@@ -158,8 +189,8 @@ def _walk(cls, sizes, depth):
 
     enum = cls(CounterChain(counters, idx), bounds)
     batches = []
-    while (batch := enum.next_batch()) is not None:
-        batches.append((sorted(batch.outer.values()), batch.values))
+    while (issue := _issue(enum)) is not None:
+        batches.append((sorted(issue[0].values()), issue[1]))
     return batches, asked
 
 
@@ -185,10 +216,9 @@ def test_a_long_run_of_empty_ranges_needs_no_recursion():
                          [i, j])
     enum = ChainEnumerator(
         chain, lambda counter, b: (0, ends[b[i] + 1] - ends[b[i]]))
-    batch = enum.next_batch()
-    assert batch.outer == {i: rows - 1} and batch.values == [0, 1, 2, 3]
-    assert enum.next_batch().values == [4]
-    assert enum.next_batch() is None
+    assert _issue(enum) == ({i: rows - 1}, [0, 1, 2, 3])
+    assert _issue(enum) == ({i: rows - 1}, [4])
+    assert _issue(enum) is None
 
 
 def test_ten_thousand_empty_csr_rows_read_each_ptr_once_through_a_leaf():

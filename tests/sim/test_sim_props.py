@@ -99,13 +99,17 @@ def test_chain_enumerator_covers_rectangle(rows, cols, par):
     enum = ChainEnumerator(chain, ev)
     seen = []
     while True:
-        batch = enum.next_batch()
-        if batch is None:
+        run = enum.next_run(1)
+        if run is None:
             break
-        assert 1 <= batch.lanes <= par
-        # one batch never crosses an outer-dim boundary
-        assert len({lane[i] for lane in batch.lane_bindings}) == 1
-        seen.extend((lane[i], lane[j]) for lane in batch.lane_bindings)
+        assert run.issues == 1
+        assert 1 <= run.lanes <= par
+        # one issue never crosses an outer-dim boundary
+        assert len(run.start) == 1
+        _lanes, _issue_of, values, (column,) = run.columns()
+        at = column.tolist()
+        assert len(set(at)) == 1
+        seen.extend(zip(at, values.tolist()))
     assert sorted(seen) == [(r, c) for r in range(rows)
                             for c in range(cols)]
     assert len(set(seen)) == len(seen)
