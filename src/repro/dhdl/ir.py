@@ -366,6 +366,15 @@ class TransferBase(ControllerBase):
         self.dram = dram
 
 
+def _addresses(name: str, addr_sram: Sram) -> Sram:
+    """A gather's or scatter's addresses are element indices: an
+    ``INT32`` scratchpad, or an :class:`IRError`."""
+    if addr_sram.dtype != E.INT32:
+        raise IRError(f"{name}: address scratchpad {addr_sram.name!r} is "
+                      f"{addr_sram.dtype}, not {E.INT32}")
+    return addr_sram
+
+
 class TileLoad(TransferBase):
     """Dense burst load: DRAM[offset : offset+tile_shape] -> SRAM tile.
 
@@ -423,7 +432,8 @@ class Gather(TransferBase):
     into ``dst_sram`` (coalescing unit merges same-burst addresses).
 
     ``base`` is a static word offset of the DRAM array; addresses are
-    element indices into the flattened DRAM collection.  ``count`` is an
+    element indices into the flattened DRAM collection (``addr_sram`` is
+    ``INT32``).  ``count`` is an
     expression for the number of addresses (or None = full tile).
     """
 
@@ -431,7 +441,7 @@ class Gather(TransferBase):
                  dst_sram: Sram, count: Optional[E.Expr] = None,
                  par: int = 1):
         super().__init__(name, dram)
-        self.addr_sram = addr_sram
+        self.addr_sram = _addresses(name, addr_sram)
         self.dst_sram = dst_sram
         self.count = count
         self.par = par
@@ -459,13 +469,14 @@ class StreamStore(TransferBase):
 
 
 class Scatter(TransferBase):
-    """Sparse store: write ``val_sram[i]`` to DRAM at ``addr_sram[i]``."""
+    """Sparse store: write ``val_sram[i]`` to DRAM at ``addr_sram[i]``
+    (an ``INT32`` element index)."""
 
     def __init__(self, name: str, dram: DramRef, addr_sram: Sram,
                  val_sram: Sram, count: Optional[E.Expr] = None,
                  par: int = 1):
         super().__init__(name, dram)
-        self.addr_sram = addr_sram
+        self.addr_sram = _addresses(name, addr_sram)
         self.val_sram = val_sram
         self.count = count
         self.par = par

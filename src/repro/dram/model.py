@@ -30,10 +30,11 @@ class DramModel:
     via the optional per-request callback or the list ``deliver``
     returns.
 
-    A tile transfer is a *stream* the model pulls (``add_stream``): an
-    issuer with a dense position ``_pos``, the ``tenant`` its bursts
-    are stamped with, and an ``admit(now)`` step that submits its next
-    bursts and returns True when it submitted any.  The stepping core
+    A tile, gather or scatter engine is a *stream* the model pulls
+    (``add_stream``): an issuer with a dense position ``_pos``, the
+    ``tenant`` its bursts are stamped with, and an ``admit(now)`` step
+    that dispatches its next bursts or addresses and returns True when
+    it submitted a burst.  The stepping core
     (``repro.sim.scheduler``) runs each stream's step once per cycle at
     its position, also across the cycles in which the memory system
     runs alone.

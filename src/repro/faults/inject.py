@@ -10,9 +10,10 @@ and the event scheduler additionally caps its fast-forward jumps at
 Injection semantics
 -------------------
 ``unit_fail``     the leaf's ``tick`` becomes a no-op (``fail``): the
-                  unit stops responding, and a tile transfer's burst
-                  stream stops with it.  The machine's existing progress-key
-                  watchdog then trips deterministically and
+                  unit stops responding, and a transfer's stream (tile,
+                  gather or scatter) stops with it.  The machine's
+                  existing progress-key watchdog then trips
+                  deterministically and
                   ``_raise_deadlock`` converts the trip into a typed
                   :class:`~repro.errors.FaultError`.
 ``link_degrade``  the compute leaf's timing gains ``extra`` cycles of

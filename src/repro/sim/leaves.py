@@ -17,6 +17,8 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.bitstream.config import FabricConfig
 from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
                            ReduceStmt, StreamStore)
@@ -580,16 +582,15 @@ class _TransferCommon(_LeafCommon):
         self.streams = config.ags_for(name).streams
         self._outstanding = 0
         #: the pure-latency park: nothing left to issue, bursts still in
-        #: flight.  One object per engine, so a completion callback can
-        #: recognise it by identity (see ``_issue``)
+        #: flight
         self._park_latency = Park(
             busy_unit=name, marks=((name, StallCause.DRAM_LATENCY),))
-        #: the bandwidth parks — a full DRAM channel queue (or a full
-        #: coalescer) stops the issue — with nothing in flight, and with
-        #: bursts in flight (the engine then counts as busy)
+        #: the bandwidth stall a blocked admit step charges — a full DRAM
+        #: channel queue (or a full coalescer) stops the issue — with
+        #: nothing in flight, and with bursts in flight (the engine then
+        #: counts as busy)
         bandwidth = dict(counters=("dram_stall_cycles",),
-                         marks=((name, StallCause.DRAM_BANDWIDTH),),
-                         wake_dram_room=True)
+                         marks=((name, StallCause.DRAM_BANDWIDTH),))
         self._park_bw_idle = Park(**bandwidth)
         self._park_bw_busy = Park(busy_unit=name, **bandwidth)
         #: the one callback every request of this engine carries
@@ -620,28 +621,17 @@ class _TransferCommon(_LeafCommon):
     def _quiet(self, count: int) -> bool:
         """The wake filter: True when ``count`` more completions of this
         engine's bursts would leave its next tick what its park
-        replays, so they need not wake it.  That holds on the latency
-        park with bursts still outstanding after them: the park is
-        reached only with nothing left to issue, so the tick would
-        charge the same busy cycle, mark the same DRAM_LATENCY and
-        re-park on the same object, traced or not.  (A unit that is not
-        parked ignores the wake either way.)"""
-        return self._outstanding > count and self._park is self._park_latency
+        replays, so they need not wake it.  Never, here: a stream
+        store's waits depend on whether bursts are in flight."""
+        return False
 
     def _on_burst(self, request: DramRequest) -> None:
         """What a completed burst does besides ending (nothing: the
         stores move their data at issue)."""
 
-    def _account(self, issued: int, blocked: bool, cycle: int) -> None:
-        """One engine cycle, charged by :meth:`_charge_cycle`; the
-        engine then rests on the wait it amounts to, if any."""
-        park = self._charge_cycle(issued, blocked)
-        if park is not None:
-            self._rest(park, cycle)
-
-    def _charge_cycle(self, issued: int, blocked: bool) -> Optional[Park]:
+    def _charge_cycle(self, issued: int, blocked: bool) -> None:
         """Charge one engine cycle: productive, or the wait it amounts
-        to, which is returned (None for a cycle that is no wait).
+        to.
 
         ``issued`` — address-stream slots that made progress this cycle;
         ``blocked`` — True when progress was stopped by a full DRAM
@@ -651,7 +641,7 @@ class _TransferCommon(_LeafCommon):
             self.stats.busy(self.name)
             if self.trace is not None:
                 self.trace.mark(self.name, StallCause.BUSY)
-            return None
+            return
         if blocked:
             # repeats verbatim until DRAM queue room frees or a burst
             # completes
@@ -660,24 +650,13 @@ class _TransferCommon(_LeafCommon):
         elif self._outstanding:
             park = self._park_latency
         else:
-            # nothing to issue (or, a tile stream, no AG stream to issue
-            # on) and nothing in flight: the engine completes in this
-            # same tick, so this is no wait
+            # nothing to issue (or, a stream, no AG stream to issue on)
+            # and nothing in flight: the engine completes in this same
+            # tick, so this is no wait
             if self.trace is not None:
                 self.trace.mark(self.name, StallCause.DRAIN)
-            return None
+            return
         self._charge(park)
-        return park
-
-    def _settle(self, issued: int) -> None:
-        """Nothing is left to issue: complete once nothing is in flight.
-        If the last issue went out this very cycle, every later tick is
-        provably a pure DRAM-latency wait until a completion callback
-        wakes the engine."""
-        if self._outstanding == 0:
-            self._active = False
-        elif issued:
-            self._park = self._park_latency
 
 
 def tile_bursts(leaf, offsets, base: int, geometry,
@@ -742,27 +721,28 @@ def tile_bursts(leaf, offsets, base: int, geometry,
     return bursts
 
 
-class _TileCommon(_TransferCommon):
-    """Dense burst transfer: a burst *stream* the DRAM model pulls.
+class _StreamCommon(_TransferCommon):
+    """A transfer the DRAM model pulls as a *stream*.
 
-    At ``start`` the activation's burst table (:func:`tile_bursts`) is
-    handed to the DRAM model as a stream (``DramModel.add_stream``).
-    Until it drains, its :meth:`admit` step runs once per cycle at the
-    engine's dense position — called by the engine's own tick under the
-    dense loop, by the event core's unit phase, or by the event core's
-    ``_run_alone`` when nothing else acts — and submits up to one burst
-    per AG stream, stopping at the first full channel queue.
-    The admit step accounts its cycle itself, so meanwhile the engine
-    parks on a wait that charges nothing (``_park_stream``); once the
-    table has drained it waits on its latency park until its last
-    burst completes.  A subclass supplies what one burst does.
+    At ``start`` a subclass lays the activation out as ``_end``
+    positions — a tile's burst table, a gather's or scatter's decoded
+    addresses — and, if there are any, the engine joins the DRAM model
+    (``DramModel.add_stream``).  Until every position is dispatched, its
+    :meth:`admit` step runs once per cycle at the engine's dense
+    position — called by the engine's own tick under the dense loop, by
+    the event core's unit phase, or by the event core's ``_run_alone``
+    when nothing else acts — and dispatches up to one position per AG
+    stream through the subclass's :meth:`_pump`.  The admit step
+    accounts its cycle itself, so meanwhile the engine parks on a wait
+    that charges nothing (``_park_stream``); once drained it waits on
+    its latency park until its last burst completes.
     """
 
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
-        self._bursts: List[tuple] = []
-        #: index of the next burst to issue
+        #: next position to dispatch, and the activation's count
         self._at = 0
+        self._end = 0
         #: the cycle of the last admit step (a tick admits only if the
         #: core has not already, earlier in the cycle)
         self._admitted = -1
@@ -771,29 +751,21 @@ class _TileCommon(_TransferCommon):
         #: streaming: every cycle is accounted by its admit step
         self._park_stream = Park()
 
-    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
-        self._active = True
-        self._version = version
+    def _stream(self, end: int) -> None:
+        """The activation dispatches ``end`` positions from this cycle
+        on."""
         self._at = 0
-        self._bursts = tile_bursts(
-            self.leaf, [int(self._evaluate(o, bindings, version))
-                        for o in self.leaf.offsets],
-            self.image.base[self.leaf.dram.name], self.dram.geometry,
-            self._limit(bindings, version))
-        if self._bursts:
+        self._end = end
+        if end:
             self.tenant = self.dram.tenant
             self.dram.add_stream(self)
-
-    def _limit(self, bindings: dict, version) -> Optional[int]:
-        """The activation's dynamic word count (None: the whole tile)."""
-        return None
 
     def tick(self, cycle: int) -> None:
         if not self._active:
             return
-        if self._bursts and self._admitted != cycle:
+        if self._at < self._end and self._admitted != cycle:
             self.admit(cycle)
-        if self._bursts:
+        if self._at < self._end:
             self._park = self._park_stream
         elif self._outstanding:
             if self._admitted == cycle:
@@ -809,54 +781,92 @@ class _TileCommon(_TransferCommon):
             self._active = False
 
     def admit(self, cycle: int) -> bool:
-        """The stream's step in ``cycle``: submit the next bursts, one
-        per AG stream, until a channel queue is full, and account the
-        cycle — productive, or a bandwidth stall (busy while bursts are
-        in flight).  A drained stream leaves the model; a parked engine
+        """The stream's step in ``cycle``: dispatch the next positions,
+        one per AG stream, until one is blocked, and account the cycle
+        — productive, or a bandwidth stall (busy while bursts are in
+        flight).  A drained stream leaves the model; a parked engine
         then waits on its latency park.  True when a burst was
         submitted."""
         self._admitted = cycle
+        first = self._at
+        end = first + self.streams
+        if end > self._end:
+            end = self._end
+        outstanding = self._outstanding
+        self._at = at = self._pump(first, end)
+        # charged as any transfer cycle is, but the engine stays on its
+        # stream park: the next admit step accounts the next cycle
+        self._charge_cycle(at - first, at < end)
+        submitted = self._outstanding > outstanding
+        if at == self._end:
+            self._at = self._end = 0
+            self.dram.drop_stream(self)
+            if self._sched is not None and self._park is self._park_stream:
+                self._sched.repark(self, self._park_latency, cycle)
+        return submitted
+
+    def _quiet(self, count: int) -> bool:
+        """While the engine streams, a completion changes nothing its
+        admit steps do not read when they run (``_outstanding``, the
+        coalescer).  Once it has drained it waits on its latency park,
+        and completions that leave bursts outstanding would leave the
+        tick what the park replays: the same busy cycle, the same
+        DRAM_LATENCY mark, the same park, traced or not.  (A unit that
+        is not parked ignores the wake either way.)"""
+        return self._at < self._end or self._outstanding > count
+
+    def fail(self) -> None:
+        super().fail()
+        if self._at < self._end:
+            # its stream stops with it
+            self._at = self._end = 0
+            self.dram.drop_stream(self)
+
+    def _pump(self, at: int, end: int) -> int:
+        """Dispatch positions ``at`` up to ``end`` until one is blocked
+        by a full channel queue (or a full coalescer); returns the
+        position reached (short of ``end``: blocked)."""
+        raise NotImplementedError
+
+
+class _TileCommon(_StreamCommon):
+    """Dense burst transfer: the stream's positions are the
+    activation's burst table (:func:`tile_bursts`), built at ``start``.
+    A subclass supplies what one burst does."""
+
+    def __init__(self, leaf, config, mem, stats, dram, image):
+        super().__init__(leaf, config, mem, stats, dram, image)
+        self._bursts: List[tuple] = []
+
+    def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
+        self._active = True
+        self._version = version
+        self._bursts = tile_bursts(
+            self.leaf, [int(self._evaluate(o, bindings, version))
+                        for o in self.leaf.offsets],
+            self.image.base[self.leaf.dram.name], self.dram.geometry,
+            self._limit(bindings, version))
+        self._stream(len(self._bursts))
+
+    def _limit(self, bindings: dict, version) -> Optional[int]:
+        """The activation's dynamic word count (None: the whole tile)."""
+        return None
+
+    def _pump(self, at: int, end: int) -> int:
         bursts = self._bursts
-        at = first = self._at
-        end = at + self.streams
-        if end > len(bursts):
-            end = len(bursts)
         channels = self.dram.channels
-        blocked = False
         while at < end:
             entry = bursts[at]
             channel = channels[entry[1]]
             if len(channel.queue) >= channel.queue_depth:
-                blocked = True
-                break
+                return at
             self._burst(entry, channel)
             at += 1
-        # charged as a gather's cycle is, but the engine stays on its
-        # stream park: the next admit step accounts the next cycle
-        self._charge_cycle(at - first, blocked)
-        if at < len(bursts):
-            self._at = at
-            return at > first
-        # all issued: the in-flight requests carry what they need, and
-        # a batch keeps many engines alive
-        self._bursts, self._at = [], 0
-        self.dram.drop_stream(self)
-        if self._sched is not None and self._park is self._park_stream:
-            self._sched.repark(self, self._park_latency, cycle)
-        return True
-
-    def _quiet(self, count: int) -> bool:
-        # while the table streams, a completion changes nothing the
-        # admit steps do not read when they run (``_outstanding``); once
-        # it has drained, the latency park's filter holds
-        return bool(self._bursts) or self._outstanding > count
-
-    def fail(self) -> None:
-        super().fail()
-        if self._bursts:
-            # its stream stops with it
+        if at == len(bursts):
+            # all issued: the in-flight requests carry what they need,
+            # and a batch keeps many engines alive
             self._bursts = []
-            self.dram.drop_stream(self)
+        return at
 
     def _burst(self, entry: tuple, channel) -> None:
         """Issue the burst ``entry`` of the table to ``channel`` (which
@@ -908,12 +918,17 @@ class TileStoreSim(_TileCommon):
         self._issue(DramRequest(byte_addr, True, None, bank, row), channel)
 
 
-class _CoalescedCommon(_TransferCommon):
-    """Sparse transfer through the coalescing unit: each AG stream
-    feeds one element address per cycle into it, and addresses falling
-    in a 64-byte burst that is already in flight coalesce into that
-    request (the paper's coalescing cache).  A subclass supplies what a
-    hit and a miss do."""
+class _CoalescedCommon(_StreamCommon):
+    """Sparse transfer through the coalescing unit: the stream's
+    positions are the activation's addresses, each AG stream feeds one
+    per cycle into the unit, and an address falling in a 64-byte burst
+    already in flight coalesces into that request (the paper's
+    coalescing cache).  An open entry holds the positions it serves.
+
+    At ``start`` the addresses are decoded once, as columns
+    (:meth:`_lay_out`); an out-of-bounds one fails when the stream
+    reaches it.  A subclass supplies what a dispatched run of positions
+    does besides its bursts (:meth:`_dispatched`)."""
 
     #: "gather" / "scatter" (error texts)
     KIND = "?"
@@ -923,63 +938,69 @@ class _CoalescedCommon(_TransferCommon):
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
         self.COALESCE_ENTRIES = config.coalesce_entries
-        #: (element index, what to do with it) per address to dispatch,
-        #: from ``_head`` on
-        self._queue: List[Tuple[int, object]] = []
-        self._head = 0
+        #: element index per position (an int64 column)
+        self._elems = np.zeros(0, np.int64)
+        #: per position: byte address, coalescer burst, channel, bank, row
+        self._table: Tuple[List[int], ...] = ([],) * 5
+        #: the first out-of-bounds position (``_end`` if none)
+        self._bad = 0
         #: burst -> open coalescer entry (one request in flight each)
-        self._open: Dict[int, object] = {}
-        #: element count of the DRAM collection (bounds check)
-        self._words = 0
+        self._open: Dict[int, List[int]] = {}
         self.coalesced_hits = 0
 
-    def tick(self, cycle: int) -> None:
-        if not self._active:
-            return
-        issued = 0
-        blocked = False
-        queue, head = self._queue, self._head
-        while head < len(queue) and issued < self.streams:
-            elem, item = queue[head]
-            if elem < 0 or elem >= self._words:
+    def _lay_out(self, elems: np.ndarray) -> None:
+        """Decode the activation's element indices ``elems`` at once —
+        byte address, 64-byte coalescer burst, and the channel, bank and
+        row ``geometry.map_address`` gives — and start streaming them."""
+        self._elems = elems = elems.astype(np.int64)
+        out = np.flatnonzero((elems < 0) | (elems >= self.leaf.dram.words()))
+        self._bad = int(out[0]) if out.size else elems.size
+        geometry = self.dram.geometry
+        channels, banks = geometry.channels, geometry.banks_per_channel
+        addrs = self.image.base[self.leaf.dram.name] + 4 * elems
+        burst = addrs // geometry.burst_bytes
+        per_row = channels * banks * (geometry.row_bytes
+                                      // geometry.burst_bytes)
+        self._table = tuple(column.tolist() for column in (
+            addrs, addrs // 64, burst % channels, burst // channels % banks,
+            burst // per_row))
+        self._open = {}
+        self._stream(elems.size)
+
+    def _pump(self, at: int, end: int) -> int:
+        addrs, bursts, chans, banks, rows = self._table
+        opened = self._open
+        channels = self.dram.channels
+        first = at
+        while at < end:
+            if at == self._bad:
+                self._dispatched(first, at)
                 raise SimulationError(
-                    f"{self.name}: {self.KIND} index {elem} out of bounds "
-                    f"for {self.leaf.dram.name!r}")
-            addr = self.image.byte_addr(self.leaf.dram.name, elem)
-            burst = addr // 64
-            if burst in self._open:
-                self._hit(burst, elem, item)
+                    f"{self.name}: {self.KIND} index {self._elems[at]} out "
+                    f"of bounds for {self.leaf.dram.name!r}")
+            burst = bursts[at]
+            entry = opened.get(burst)
+            if entry is not None:
+                entry.append(at)
                 self.coalesced_hits += 1
                 if self.trace is not None:
                     self.trace.emit(EventKind.COALESCE_HIT, self.name,
                                     (burst,))
-            elif len(self._open) >= self.COALESCE_ENTRIES:
-                blocked = True
+            elif len(opened) >= self.COALESCE_ENTRIES:
                 break
             else:
-                channel, bank, row = self._decode(addr)
+                channel = channels[chans[at]]
                 if len(channel.queue) >= channel.queue_depth:
-                    blocked = True
                     break
-                self._miss(DramRequest(addr, self.WRITES, burst, bank, row),
-                           channel, elem, item)
-            head += 1
-            self._head = head
-            issued += 1
-        self._account(issued, blocked, cycle)
-        if head == len(queue):
-            # (open coalescer entries imply requests in flight)
-            self._settle(issued)
+                opened[burst] = [at]
+                self._issue(DramRequest(addrs[at], self.WRITES, burst,
+                                        banks[at], rows[at]), channel)
+            at += 1
+        self._dispatched(first, at)
+        return at
 
-    def _hit(self, burst: int, elem: int, item) -> None:
-        """``elem`` joins the open entry of ``burst``."""
-        raise NotImplementedError
-
-    def _miss(self, request: DramRequest, channel, elem: int,
-              item) -> None:
-        """``elem`` opens an entry for the burst ``request.tag`` and
-        issues ``request`` to ``channel`` (which has room)."""
-        raise NotImplementedError
+    def _dispatched(self, first: int, at: int) -> None:
+        """Positions ``first`` up to ``at`` were dispatched this cycle."""
 
 
 class GatherSim(_CoalescedCommon):
@@ -987,7 +1008,7 @@ class GatherSim(_CoalescedCommon):
 
     Addresses (element indices into the flattened DRAM collection) come
     from a scratchpad; one word lands in the destination scratchpad per
-    address (the queue item is its flat destination word).
+    address, at its position.
     """
 
     KIND = "gather"
@@ -1003,45 +1024,35 @@ class GatherSim(_CoalescedCommon):
         else:
             # dynamic: gather exactly the addresses produced upstream
             count = scratch.watermark_for(version) or addr_buf.size
-        self._queue = list(zip(map(int, addr_buf[:count]), range(count)))
-        self._head = 0
-        self._open = {}
-        self._words = self.leaf.dram.words()
         self.mem.scratch(self.leaf.dst_sram).buffer(version)
-
-    def _hit(self, burst, elem, dst_flat) -> None:
-        dsts, elems = self._open[burst]
-        dsts.append(dst_flat)
-        elems.append(elem)
-
-    def _miss(self, request, channel, elem, dst_flat) -> None:
-        self._open[request.tag] = ([dst_flat], [elem])
-        self._issue(request, channel)
+        self._lay_out(addr_buf[:max(count, 0)])
 
     def _on_burst(self, request: DramRequest) -> None:
-        """The burst's elements land, in one fancy assignment.  Each
-        destination word is its address's queue index, so they ascend
-        and none repeats; those before the first one past the
-        destination land, then that one fails."""
-        dsts, elems = self._open.pop(request.tag, ((), ()))
+        """The burst's elements land, in one fancy assignment.  Their
+        positions ascend and none repeats; those before the first one
+        past the destination land, then that one fails."""
+        at = self._open.pop(request.tag, ())
         buf = self.mem.scratch(self.leaf.dst_sram).buffer(
             self._version).reshape(-1)
-        over = dsts and dsts[-1] >= buf.size
+        over = at and at[-1] >= buf.size
         if over:
-            fit = bisect_left(dsts, buf.size)
-            dsts, elems = dsts[:fit], elems[:fit]
-        if dsts:
-            buf[dsts] = self.image.buffers[self.leaf.dram.name][elems]
+            at = at[:bisect_left(at, buf.size)]
+        if at:
+            at = np.array(at)
+            buf[at] = self.image.buffers[self.leaf.dram.name][
+                self._elems[at]]
         if over:
             raise SimulationError(f"{self.name}: gather destination overflow")
 
 
 class ScatterSim(_CoalescedCommon):
-    """Sparse store (the queue item is the value to write).  Data is
-    applied immediately; the requests model timing."""
+    """Sparse store: the value at each position is written as its
+    address is dispatched; the requests model timing."""
 
     KIND = "scatter"
     WRITES = True
+    #: the value per position
+    _values = np.zeros(0)
 
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
@@ -1057,19 +1068,14 @@ class ScatterSim(_CoalescedCommon):
             produced = addr_scratch.watermark_for(version)
             if produced:
                 count = min(count, produced)
-        self._queue = list(zip(map(int, addr_buf[:count]), val_buf[:count]))
-        self._head = 0
-        self._open = {}
-        self._words = self.leaf.dram.words()
+        addrs, values = addr_buf[:count], val_buf[:count]
+        self._values = values[:addrs.size].copy()
+        self._lay_out(addrs[:values.size])
 
-    def _hit(self, burst, elem, value) -> None:
-        self.image.write_words(self.leaf.dram.name, elem, [value])
-        self._open[burst] += 1
-
-    def _miss(self, request, channel, elem, value) -> None:
-        self.image.write_words(self.leaf.dram.name, elem, [value])
-        self._open[request.tag] = 1
-        self._issue(request, channel)
+    def _dispatched(self, first: int, at: int) -> None:
+        if at > first:
+            self.image.buffers[self.leaf.dram.name][
+                self._elems[first:at]] = self._values[first:at]
 
     def _on_burst(self, request: DramRequest) -> None:
         self._open.pop(request.tag, None)
@@ -1122,7 +1128,7 @@ class StreamStoreSim(_TransferCommon):
             else:
                 blocked = True
         if got or flushed:
-            self._account(len(got) + flushed, blocked, cycle)
+            self._charge_cycle(len(got) + flushed, blocked)
         else:
             # upstream has not produced yet: a FIFO-empty stall
             starved = not self.fifo.drained and not self.fifo.items
@@ -1145,8 +1151,8 @@ class StreamStoreSim(_TransferCommon):
         """The unproductive cycle in which the FIFO is (not) ``starved``,
         the flush is (not) ``blocked`` by a full channel queue and bursts
         are (not) ``in_flight``.  Such a wait depends on the FIFO as
-        well as on DRAM, so — unlike the ``_account`` parks — every one
-        of them re-arms on FIFO activity too."""
+        well as on DRAM, so every one of them re-arms on FIFO activity
+        too."""
         counters = []
         fifo_counters = []
         busy_unit = None

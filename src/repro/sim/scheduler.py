@@ -17,8 +17,9 @@ Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
   run queue and are re-armed only by the event that can unblock them
   (FIFO push/pop/close, DRAM queue room, a DRAM completion that changes
   what the unit would do, a timer, or a child activation/completion).
-  A tile transfer is a burst stream the DRAM model pulls: its admit
-  step runs at the engine's dense position while the engine waits.
+  A tile, gather or scatter engine is a stream the DRAM model pulls:
+  its admit step runs at the engine's dense position while the engine
+  waits.
   When *nothing* is runnable on any machine, the memory system runs
   alone up to the next event a unit observes
   (``EventScheduler._run_alone``): it steps the cycles in which streams
@@ -38,7 +39,7 @@ touched (a unit of it ticked, or a burst of it was delivered).
 Per-cycle order (both modes): machines in admission order; per machine
 due faults and tracer open; park timers; ``dram.tick()``;
 ``dram.deliver()``; each machine's units (outers in postorder, then
-leaves; a tile stream admits at its engine's place) with
+leaves; a transfer's stream admits at its engine's place) with
 ``dram.tenant`` focused on that machine so its bursts are stamped; then
 per machine the retirement sweep, the progress/watchdog check and — at
 the end of the cycle its root goes idle — retirement.
@@ -130,7 +131,7 @@ class Park:
     Parks never subscribe to DRAM completions: the issuing unit's
     completion callback notifies the scheduler itself — unless its wake
     filter says the re-tick would only repeat what the park charges
-    (``_TransferCommon._quiet``; such a completion may be delivered
+    (``_StreamCommon._quiet``; such a completion may be delivered
     while the memory system runs alone,
     :meth:`EventScheduler._fast_forward`).
 
@@ -523,7 +524,7 @@ class EventScheduler:
         """True when delivering ``requests`` — every completion due in
         one cycle — wakes no unit: each carries no callback or reaches
         a transfer engine whose wake filter passes on all of the
-        group's completions of it (``_TransferCommon._quiet``, rule 1
+        group's completions of it (``_StreamCommon._quiet``, rule 1
         of ARCHITECTURE §5)."""
         if len(requests) == 1:
             callback = requests[0].callback

@@ -166,6 +166,29 @@ def test_a_reduce_combine_of_another_dtype_is_an_ir_error():
         Bitstream.from_dict(json.loads(json.dumps(data)))
 
 
+@pytest.mark.parametrize("kind", ["gather", "scatter"])
+def test_a_sparse_address_scratchpad_of_floats_is_an_ir_error(kind):
+    """bfs with its gather's or scatter's address scratchpad declared
+    FLOAT32: a decoded artifact is rejected as a built program is,
+    before anything runs."""
+    data = compile_to_bitstream("bfs", "tiny").to_dict()
+    program = data["program"]
+    leaf = next(c for c in _controllers(program["root"])
+                if c["k"] == kind)
+    sram = next(s for s in program["srams"]
+                if s["name"] == leaf["addr_sram"])
+    sram["dtype"] = E.FLOAT32
+    with pytest.raises(IRError, match=f"address scratchpad "
+                                      f"'{sram['name']}' is float32"):
+        Bitstream.from_dict(json.loads(json.dumps(data)))
+
+
+def _controllers(ctrl):
+    yield ctrl
+    for child in ctrl.get("children", ()):
+        yield from _controllers(child)
+
+
 def _leaves(ctrl):
     if "stmts" in ctrl:
         yield ctrl

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.dhdl import (BankingMode, Counter, CounterChain, DhdlProgram,
-                        FifoDecl, InnerCompute, OuterController, Reg,
-                        Scheme, Sram, WriteStmt, format_expr,
+                        FifoDecl, Gather, InnerCompute, OuterController,
+                        Reg, Scatter, Scheme, Sram, WriteStmt, format_expr,
                         format_program, is_onchip)
 from repro.errors import IRError
 from repro.patterns import Array
@@ -139,3 +139,18 @@ def test_format_program_smoke():
     assert "sram tile" in text
     assert "inner k" in text
     assert "par 4" in text
+
+
+@pytest.mark.parametrize("dtype", [E.FLOAT32, E.BOOL])
+@pytest.mark.parametrize("kind", [Gather, Scatter], ids=["gather", "scatter"])
+def test_sparse_addresses_must_be_int32(kind, dtype):
+    """An address is an element index: a FLOAT32 address scratchpad
+    would truncate 2.5 to 2 and die on NaN, so it is rejected here."""
+    prog = DhdlProgram("sparse")
+    table = prog.dram(Array("tbl", (64,), E.FLOAT32))
+    data = prog.sram("data", (8,), E.FLOAT32)
+    with pytest.raises(IRError, match=f"{kind.__name__.lower()}: address "
+                       f"scratchpad 'addr' is {dtype}, not int32"):
+        kind(kind.__name__.lower(), table,
+             prog.sram("addr", (8,), dtype), data)
+    assert kind("ok", table, prog.sram("idx", (8,), E.INT32), data)

@@ -119,6 +119,27 @@ def test_bench_row_log_dense_equals_event(name):
     assert error is None
 
 
+def _sparse(name, **config):
+    """A sparse registry app at ``tiny`` (``config``: fabric settings)."""
+    dhdl, fabric = _bench_row(name)
+    return dhdl, dataclasses.replace(fabric, **config)
+
+
+@pytest.mark.parametrize("entries", [48, 1], ids=["coalescer_48",
+                                                  "coalescer_1"])
+@pytest.mark.parametrize("name", ["bfs", "pagerank", "smdv"])
+def test_sparse_app_log_dense_equals_event(name, entries):
+    """Gathers and scatters are address streams: whether a unit's tick,
+    the unit phase or the run-alone loop admits their addresses, the
+    channels issue the same commands — also when each miss waits for a
+    one-entry coalescer."""
+    commands, error, stats = _both(
+        lambda: _sparse(name, coalesce_entries=entries))
+    assert error is None
+    reads = sum(not command.write for log in commands for command in log)
+    assert reads == stats["dram"]["reads"]
+
+
 def test_fault_plan_log_dense_equals_event():
     """Channel 1 slows by 30 cycles at cycle 20; the load dies at cycle
     120, streaming its second tile (13 of its 32 bursts admitted), while
@@ -152,6 +173,17 @@ def test_weighted_two_tenant_log_dense_equals_event():
     dense, _, _ = _fabric_logs(("gemm", "tpchq6"), (8, 1), "dense")
     event, channels, fabric = _fabric_logs(("gemm", "tpchq6"), (8, 1),
                                            "event")
+    assert event == dense
+    assert fabric.qos_summary()["weighted"]
+    _legal(event, channels)
+
+
+def test_weighted_sparse_tenant_log_dense_equals_event():
+    """A 2-tenant 8:1 fabric whose low-priority tenant gathers and
+    scatters (bfs) beside gemm's tile streams."""
+    apps = ("gemm", "bfs")
+    dense, _, _ = _fabric_logs(apps, (8, 1), "dense")
+    event, channels, fabric = _fabric_logs(apps, (8, 1), "event")
     assert event == dense
     assert fabric.qos_summary()["weighted"]
     _legal(event, channels)
