@@ -56,7 +56,6 @@ class Channel:
         self.banks = [Bank(timing) for _ in range(geometry.banks_per_channel)]
         self.queue: List[DramRequest] = []
         self.bus_free_at = 0
-        self.completed: List[DramRequest] = []
         self.bytes_moved = 0
         #: bursts issued (== bytes_moved / burst_bytes; the per-channel
         #: utilization counters divide this by elapsed cycles)
@@ -85,8 +84,8 @@ class Channel:
         #: attached by the DramModel when tracing is enabled
         self.trace = None
         self.trace_name = "?"
-        #: attached by the event scheduler: called whenever a request
-        #: leaves the queue (queue room may have freed)
+        #: attached by the event scheduler while a unit waits on queue
+        #: room: called whenever a request leaves the queue
         self.on_dequeue = None
         #: injected-fault latency added to every burst (0 = healthy;
         #: adding 0 keeps the no-fault path bit-identical)
@@ -121,18 +120,19 @@ class Channel:
             queue.append(request)
         self.scan_at = 0
 
-    def tick(self, now: int) -> None:
-        """Advance one cycle: maybe issue one request to a bank.
+    def tick(self, now: int) -> Optional[DramRequest]:
+        """Advance one cycle: maybe issue one request to a bank; returns
+        it (its ``complete_cycle`` set), or None.
 
         Costs a queue scan only when one could find something: not on
         an empty queue, and not before the cycle the last fruitless
         scan proved to be the earliest any queued request can issue.
         """
         if not self.queue or now < self.scan_at:
-            return
+            return None
         choice = self._schedule(now)
         if choice is None:
-            return
+            return None
         self.queue.remove(choice)
         if self.on_dequeue is not None:
             self.on_dequeue()
@@ -179,7 +179,7 @@ class Channel:
                 tally["row_misses"] += 1
             tally["bytes"] += self.geometry.burst_bytes
             tally["bursts"] += 1
-        self.completed.append(choice)
+        return choice
 
     def set_tenant_weight(self, tenant: int, weight: int) -> None:
         """Register one tenant's QoS arbitration weight (>= 1).
@@ -220,10 +220,12 @@ class Channel:
         busy_skip_cycles``, and a non-hit additionally needs fewer than
         ``faw_activates`` activates newer than ``now - t_faw``, i.e.
         ``now >= _activates[-faw_activates] + t_faw``.  The memo is the
-        minimum over the queue of the later of the two.  Banks and
-        ``_activates`` change only at an issue — which needs a scan at
-        or after the memo, leaving it stale-low, so the next tick scans
-        — and the queue otherwise only in ``submit``, which clears it.
+        minimum over the queue of the later of the two, taken in the
+        same pass as the pick: a scan that returns None has passed over
+        every queued request.  Banks and ``_activates`` change only at
+        an issue — which needs a scan at or after the memo, leaving it
+        stale-low, so the next tick scans — and the queue otherwise
+        only in ``submit``, which clears it.
         An empty scan has no other effect (the ``_activates`` prune is
         idempotent and the weighted arbiter is only entered with a
         non-empty set), so the scans the memo skips are unobservable.
@@ -235,19 +237,37 @@ class Channel:
             activates = self._activates = [t for t in activates
                                            if t > expired]
         faw_full = len(activates) >= timing.faw_activates
+        # every non-hit waits for the tFAW window to reopen
+        faw_open = (activates[-timing.faw_activates] + timing.t_faw
+                    if faw_full else 0)
         skip = timing.busy_skip_cycles
         skip_horizon = now + skip
         banks = self.banks
+        # the memo, in the same pass: the earliest cycle at which each
+        # request passed over could issue (the queue is not empty)
+        soonest = None
         if not self._weighted:
             first_ready = None
             for request in self.queue:
                 bank = banks[request.bank]
-                if bank.ready_at > skip_horizon:
-                    continue  # bank deeply busy; skip this cycle
+                ready = bank.ready_at
                 if bank.open_row == request.row:
-                    return request
-                if first_ready is None and not faw_full:
-                    first_ready = request
+                    if ready <= skip_horizon:
+                        return request
+                    at = ready - skip
+                elif ready > skip_horizon:
+                    # bank deeply busy; skip this cycle
+                    at = ready - skip
+                    if at < faw_open:
+                        at = faw_open
+                elif faw_full:
+                    at = faw_open
+                else:
+                    if first_ready is None:
+                        first_ready = request
+                    continue
+                if soonest is None or at < soonest:
+                    soonest = at
             if first_ready is not None:
                 return first_ready
         else:
@@ -257,25 +277,26 @@ class Channel:
             first = {}
             for request in self.queue:
                 bank = banks[request.bank]
-                if bank.ready_at > skip_horizon:
-                    continue
+                ready = bank.ready_at
                 hit = bank.open_row == request.row
-                if not hit and faw_full:
-                    continue  # would need an activate; tFAW exhausted
-                pick = first.get(request.tenant)
-                if pick is None:
-                    first[request.tenant] = [request, hit]
-                elif hit and not pick[1]:
-                    pick[0], pick[1] = request, True
+                if ready > skip_horizon:
+                    at = ready - skip
+                    if not hit and at < faw_open:
+                        at = faw_open
+                elif not hit and faw_full:
+                    at = faw_open   # would need an activate
+                else:
+                    pick = first.get(request.tenant)
+                    if pick is None:
+                        first[request.tenant] = [request, hit]
+                    elif hit and not pick[1]:
+                        pick[0], pick[1] = request, True
+                    continue
+                if soonest is None or at < soonest:
+                    soonest = at
             if first:
                 return self._schedule_weighted(first)
-        # every non-hit waits for the tFAW window to reopen
-        faw_open = (activates[-timing.faw_activates] + timing.t_faw
-                    if faw_full else 0)
-        self.scan_at = min(
-            max(banks[r.bank].ready_at - skip,
-                0 if banks[r.bank].open_row == r.row else faw_open)
-            for r in self.queue)
+        self.scan_at = soonest
         return None
 
     def _schedule_weighted(self, first) -> DramRequest:
@@ -320,11 +341,6 @@ class Channel:
             tally = self.arb_stats[tenant] = {"arb_won": 0,
                                               "arb_deferred": 0}
         return tally
-
-    def drain_completed(self) -> List[DramRequest]:
-        """Return and clear the completed-request list."""
-        done, self.completed = self.completed, []
-        return done
 
     @property
     def pending(self) -> int:

@@ -17,6 +17,7 @@ from repro.dram.channel import Channel
 from repro.dram.request import DramRequest
 from repro.dram.timing import (DDR3_1600, DEFAULT_GEOMETRY, DdrTiming,
                                DramGeometry)
+from repro.errors import DramProtocolError
 
 #: a stream's dense position (the order streams admit in)
 _position = attrgetter("_pos")
@@ -107,17 +108,26 @@ class DramModel:
         """Enqueue one burst request (stamped with the current tenant);
         ``deliver`` calls ``callback`` with it once, when it completes.
 
-        Without ``channel`` the address is decoded here; an issuer that
-        has decoded it already passes the owning ``channel`` and sets
-        the request's ``bank``/``row``.  Either way the channel
-        scheduler reads those from then on.
+        Without ``channel`` the address is decoded here and the owning
+        channel queues the request in age order (``Channel.submit``).
+        An issuer that has just built the request and decoded it — set
+        its ``bank``/``row`` — passes the owning ``channel``: the
+        request is then the youngest there is and joins the end of the
+        queue here.  Either way the channel scheduler reads the bank
+        and row from then on.
         """
         if channel is None:
             channel_id, request.bank, request.row, _ = \
                 self.geometry.map_address(request.byte_addr)
-            channel = self.channels[channel_id]
+            self.channels[channel_id].submit(request, self.cycle)
+        else:
+            queue = channel.queue
+            if len(queue) >= channel.queue_depth:
+                raise DramProtocolError("channel queue overflow")
+            request.arrival_cycle = self.cycle
+            queue.append(request)
+            channel.scan_at = 0
         request.callback = callback
-        channel.submit(request, self.cycle)
         if request.is_write:
             self.writes += 1
         else:
@@ -146,19 +156,16 @@ class DramModel:
         """Advance the memory system one core cycle.
 
         Only a channel that might issue is visited — one with a queue,
-        at or past its scan memo (``Channel.scan_at``) — and its
-        ``completed`` list is drained only when it did issue.
+        at or past its scan memo (``Channel.scan_at``) — and what it
+        issues goes straight onto the heap of undelivered completions.
         """
         self.cycle = now = self.cycle + 1
         for channel in self.channels:
-            if not channel.queue or now < channel.scan_at:
-                continue
-            channel.tick(now)
-            if channel.completed:
-                for request in channel.drain_completed():
-                    heapq.heappush(self._completed,
-                                   (request.complete_cycle,
-                                    self._arrivals, request))
+            if channel.queue and now >= channel.scan_at:
+                request = channel.tick(now)
+                if request is not None:
+                    heapq.heappush(self._completed, (
+                        request.complete_cycle, self._arrivals, request))
                     self._arrivals += 1
 
     def next_completion(self) -> Optional[int]:
@@ -209,12 +216,15 @@ class DramModel:
         now = self.cycle
         if not completed or completed[0][0] > now:
             return []           # nothing matures on most cycles
-        matured = [heapq.heappop(completed)]
-        while completed and completed[0][0] <= now:
-            matured.append(heapq.heappop(completed))
-        if len(matured) > 1:
+        entry = heapq.heappop(completed)
+        if not completed or completed[0][0] > now:
+            ready = [entry[2]]  # the usual case: one is due
+        else:
+            matured = [entry]
+            while completed and completed[0][0] <= now:
+                matured.append(heapq.heappop(completed))
             matured.sort(key=itemgetter(1))   # back to arrival order
-        ready = [entry[2] for entry in matured]
+            ready = [entry[2] for entry in matured]
         self._delivered += len(ready)
         for request in ready:
             if request.tenant is not None:

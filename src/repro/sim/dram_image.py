@@ -17,6 +17,13 @@ from repro.errors import SimulationError
 from repro.patterns.collections import _np_dtype
 
 
+def out_of_bounds(kind: str, name: str, lo: int, hi: int,
+                  size: int) -> SimulationError:
+    """The error of a ``kind`` ("read"/"write") of words ``lo:hi`` of an
+    array of ``size`` words that reaches outside it."""
+    return SimulationError(f"DRAM OOB {kind} {name}[{lo}:{hi}] (size {size})")
+
+
 class DramImage:
     """Word-granularity backing store for all DRAM collections."""
 
@@ -47,9 +54,8 @@ class DramImage:
         """Read a contiguous span of words from one array."""
         buf = self.buffers[name]
         if word_off < 0 or word_off + count > buf.size:
-            raise SimulationError(
-                f"DRAM OOB read {name}[{word_off}:{word_off + count}] "
-                f"(size {buf.size})")
+            raise out_of_bounds("read", name, word_off, word_off + count,
+                                buf.size)
         return buf[word_off:word_off + count]
 
     def write_words(self, name: str, word_off: int, values) -> None:
@@ -57,9 +63,8 @@ class DramImage:
         buf = self.buffers[name]
         values = np.asarray(values, dtype=buf.dtype)
         if word_off < 0 or word_off + values.size > buf.size:
-            raise SimulationError(
-                f"DRAM OOB write {name}[{word_off}:"
-                f"{word_off + values.size}] (size {buf.size})")
+            raise out_of_bounds("write", name, word_off,
+                                word_off + values.size, buf.size)
         buf[word_off:word_off + values.size] = values
 
     def byte_addr(self, name: str, word_off: int) -> int:

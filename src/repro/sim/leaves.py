@@ -32,7 +32,7 @@ from repro.sim.counters import ChainEnumerator, Run
 from repro.sim.block import (BLOCK_LANES, Block, BoundWindow, Datapath,
                              Schedule, _Redo)
 from repro.sim.datapath import Evaluator, datapath_fault
-from repro.sim.dram_image import DramImage
+from repro.sim.dram_image import DramImage, out_of_bounds
 from repro.sim.fifo import FifoSim
 from repro.sim.scheduler import Park
 from repro.sim.scratchpad import MemoryState
@@ -750,6 +750,14 @@ class _StreamCommon(_TransferCommon):
         self.tenant = None
         #: streaming: every cycle is accounted by its admit step
         self._park_stream = Park()
+        #: the activation's DRAM array; its scratchpad, that
+        #: scratchpad's flat buffer, and the scratchpad's ``epoch`` when
+        #: the buffer was looked up: the same lookup gives the same
+        #: buffer until the version set changes
+        self._array = None
+        self._scratch = None
+        self._view = None
+        self._epoch = -1
 
     def _stream(self, end: int) -> None:
         """The activation dispatches ``end`` positions from this cycle
@@ -779,6 +787,8 @@ class _StreamCommon(_TransferCommon):
             if self.trace is not None:
                 self.trace.mark(self.name, StallCause.DRAIN)
             self._active = False
+            # a batch keeps its engines: let the buffers go
+            self._view = self._array = None
 
     def admit(self, cycle: int) -> bool:
         """The stream's step in ``cycle``: dispatch the next positions,
@@ -796,7 +806,13 @@ class _StreamCommon(_TransferCommon):
         self._at = at = self._pump(first, end)
         # charged as any transfer cycle is, but the engine stays on its
         # stream park: the next admit step accounts the next cycle
-        self._charge_cycle(at - first, at < end)
+        if at > first:
+            busy = self.stats.busy_cycles
+            busy[self.name] = busy.get(self.name, 0) + 1
+            if self.trace is not None:
+                self.trace.mark(self.name, StallCause.BUSY)
+        else:
+            self._charge_cycle(0, at < end)
         submitted = self._outstanding > outstanding
         if at == self._end:
             self._at = self._end = 0
@@ -804,6 +820,13 @@ class _StreamCommon(_TransferCommon):
             if self._sched is not None and self._park is self._park_stream:
                 self._sched.repark(self, self._park_latency, cycle)
         return submitted
+
+    def _bind(self, scratch, version) -> None:
+        """Bind ``scratch``'s buffer of ``version`` — a destination's,
+        made if missing — as of its version set now."""
+        self._scratch = scratch
+        self._view = scratch.buffer(version).reshape(-1)
+        self._epoch = scratch.epoch
 
     def _quiet(self, count: int) -> bool:
         """While the engine streams, a completion changes nothing its
@@ -841,11 +864,13 @@ class _TileCommon(_StreamCommon):
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._version = version
+        self._scratch = None
         self._bursts = tile_bursts(
             self.leaf, [int(self._evaluate(o, bindings, version))
                         for o in self.leaf.offsets],
             self.image.base[self.leaf.dram.name], self.dram.geometry,
             self._limit(bindings, version))
+        self._array = self.image.buffers[self.leaf.dram.name]
         self._stream(len(self._bursts))
 
     def _limit(self, bindings: dict, version) -> Optional[int]:
@@ -880,7 +905,7 @@ class TileLoadSim(_TileCommon):
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         super().start(bindings, version)
         # ensure destination buffer exists even for fully-clipped tiles
-        self.mem.scratch(self.leaf.sram).buffer(version)
+        self._bind(self.mem.scratch(self.leaf.sram), version)
 
     def _burst(self, entry, channel) -> None:
         self._issue(DramRequest(entry[0], False, entry, entry[2], entry[3]),
@@ -888,15 +913,18 @@ class TileLoadSim(_TileCommon):
 
     def _on_burst(self, request: DramRequest) -> None:
         _, _, _, _, word_off, count, sram_flat = request.tag
-        words = self.image.read_words(self.leaf.dram.name, word_off, count)
-        scratch = self.mem.scratch(self.leaf.sram)
-        buf = scratch.buffer(self._version)
-        flat_view = buf.reshape(-1)
-        if sram_flat + count > flat_view.size:
+        array = self._array
+        if word_off < 0 or word_off + count > array.size:
+            raise out_of_bounds("read", self.leaf.dram.name, word_off,
+                                word_off + count, array.size)
+        if self._scratch.epoch != self._epoch:
+            self._bind(self._scratch, self._version)
+        view = self._view
+        if sram_flat + count > view.size:
             raise SimulationError(
                 f"{self.name}: tile overruns scratchpad "
                 f"{self.leaf.sram.name!r}")
-        flat_view[sram_flat:sram_flat + count] = words.astype(buf.dtype)
+        view[sram_flat:sram_flat + count] = array[word_off:word_off + count]
 
 
 class TileStoreSim(_TileCommon):
@@ -910,11 +938,20 @@ class TileStoreSim(_TileCommon):
     def _burst(self, entry, channel) -> None:
         # move the data now; the request models timing
         byte_addr, _, bank, row, word_off, words, sram_flat = entry
-        scratch = self.mem.scratch(self.leaf.sram)
-        buf = scratch.read_buffer(self._version).reshape(-1)
+        scratch = self._scratch
+        if scratch is None or scratch.epoch != self._epoch:
+            # the activation's first burst, or the version set changed:
+            # look the reader's buffer up (which may create it) again
+            scratch = self._scratch = self.mem.scratch(self.leaf.sram)
+            self._view = scratch.read_buffer(self._version).reshape(-1)
+            self._epoch = scratch.epoch
         scratch.reads += words
-        self.image.write_words(self.leaf.dram.name, word_off,
-                               buf[sram_flat:sram_flat + words])
+        values = self._view[sram_flat:sram_flat + words]
+        array = self._array
+        if word_off < 0 or word_off + values.size > array.size:
+            raise out_of_bounds("write", self.leaf.dram.name, word_off,
+                                word_off + values.size, array.size)
+        array[word_off:word_off + values.size] = values
         self._issue(DramRequest(byte_addr, True, None, bank, row), channel)
 
 
@@ -953,6 +990,7 @@ class _CoalescedCommon(_StreamCommon):
         byte address, 64-byte coalescer burst, and the channel, bank and
         row ``geometry.map_address`` gives — and start streaming them."""
         self._elems = elems = elems.astype(np.int64)
+        self._array = self.image.buffers[self.leaf.dram.name]
         out = np.flatnonzero((elems < 0) | (elems >= self.leaf.dram.words()))
         self._bad = int(out[0]) if out.size else elems.size
         geometry = self.dram.geometry
@@ -966,6 +1004,18 @@ class _CoalescedCommon(_StreamCommon):
             burst // per_row))
         self._open = {}
         self._stream(elems.size)
+
+    def _count(self, addr_scratch, size: int, bindings: dict,
+               version) -> int:
+        """How many addresses the activation dispatches: the leaf's
+        count, or without one as many as were written to the address
+        scratchpad (all ``size`` if none were), clamped to ``[0,
+        size]``."""
+        if self.leaf.count is not None:
+            count = int(self._evaluate(self.leaf.count, bindings, version))
+        else:
+            count = addr_scratch.watermark_for(version) or size
+        return min(max(count, 0), size)
 
     def _pump(self, at: int, end: int) -> int:
         addrs, bursts, chans, banks, rows = self._table
@@ -1018,29 +1068,24 @@ class GatherSim(_CoalescedCommon):
         self._version = version
         scratch = self.mem.scratch(self.leaf.addr_sram)
         addr_buf = scratch.read_buffer(version).reshape(-1)
-        if self.leaf.count is not None:
-            count = int(self._evaluate(self.leaf.count, bindings, version))
-            count = min(count, addr_buf.size)
-        else:
-            # dynamic: gather exactly the addresses produced upstream
-            count = scratch.watermark_for(version) or addr_buf.size
-        self.mem.scratch(self.leaf.dst_sram).buffer(version)
-        self._lay_out(addr_buf[:max(count, 0)])
+        count = self._count(scratch, addr_buf.size, bindings, version)
+        self._bind(self.mem.scratch(self.leaf.dst_sram), version)
+        self._lay_out(addr_buf[:count])
 
     def _on_burst(self, request: DramRequest) -> None:
         """The burst's elements land, in one fancy assignment.  Their
         positions ascend and none repeats; those before the first one
         past the destination land, then that one fails."""
         at = self._open.pop(request.tag, ())
-        buf = self.mem.scratch(self.leaf.dst_sram).buffer(
-            self._version).reshape(-1)
+        if self._scratch.epoch != self._epoch:
+            self._bind(self._scratch, self._version)
+        buf = self._view
         over = at and at[-1] >= buf.size
         if over:
             at = at[:bisect_left(at, buf.size)]
         if at:
             at = np.array(at)
-            buf[at] = self.image.buffers[self.leaf.dram.name][
-                self._elems[at]]
+            buf[at] = self._array[self._elems[at]]
         if over:
             raise SimulationError(f"{self.name}: gather destination overflow")
 
@@ -1060,22 +1105,14 @@ class ScatterSim(_CoalescedCommon):
         addr_buf = addr_scratch.read_buffer(version).reshape(-1)
         val_buf = self.mem.scratch(
             self.leaf.val_sram).read_buffer(version).reshape(-1)
-        count = min(addr_buf.size, val_buf.size)
-        if self.leaf.count is not None:
-            count = min(int(self._evaluate(self.leaf.count, bindings,
-                                           version)), count)
-        else:
-            produced = addr_scratch.watermark_for(version)
-            if produced:
-                count = min(count, produced)
-        addrs, values = addr_buf[:count], val_buf[:count]
-        self._values = values[:addrs.size].copy()
-        self._lay_out(addrs[:values.size])
+        count = self._count(addr_scratch, min(addr_buf.size, val_buf.size),
+                            bindings, version)
+        self._values = val_buf[:count].copy()
+        self._lay_out(addr_buf[:count])
 
     def _dispatched(self, first: int, at: int) -> None:
         if at > first:
-            self.image.buffers[self.leaf.dram.name][
-                self._elems[first:at]] = self._values[first:at]
+            self._array[self._elems[first:at]] = self._values[first:at]
 
     def _on_burst(self, request: DramRequest) -> None:
         self._open.pop(request.tag, None)

@@ -331,8 +331,8 @@ class EventScheduler:
                 self._nodes.append(node)
             for fifo in machine.fifos.values():
                 fifo.sched = self
-        for channel in self.dram.channels:
-            channel.on_dequeue = self._dram_room_event
+        # the dequeue hook is armed while a unit waits on queue room
+        self._arm_room(None)
         #: machines whose parked units still owe a mark per cycle
         self._traced = [m for m in self.machines if m.tracer is not None]
         #: a delivered burst's machine, by the tenant stamped on it
@@ -384,9 +384,13 @@ class EventScheduler:
     def _dram_room_event(self) -> None:
         """A channel dequeued a request: queue room may have freed
         (for any machine — the channels are shared)."""
-        if self._room_waiters:
-            for node in list(self._room_waiters):
-                self._wake(node)
+        for node in list(self._room_waiters):
+            self._wake(node)
+
+    def _arm_room(self, hook) -> None:
+        """Every channel calls ``hook`` (None: nothing) on a dequeue."""
+        for channel in self.dram.channels:
+            channel.on_dequeue = hook
 
     def _wake(self, node) -> None:
         if node._sched_state != _PARKED:
@@ -414,6 +418,8 @@ class EventScheduler:
         for fifo in park.wake_fifos:
             self._fifo_waiters.setdefault(fifo, set()).add(node)
         if park.wake_dram_room:
+            if not self._room_waiters:
+                self._arm_room(self._dram_room_event)
             self._room_waiters.add(node)
         if park.until is not None:
             heapq.heappush(self._timers,
@@ -439,6 +445,8 @@ class EventScheduler:
                 waiters.discard(node)
         if park.wake_dram_room:
             self._room_waiters.discard(node)
+            if not self._room_waiters:
+                self._arm_room(None)
         # timers are invalidated lazily (checked when popped)
         self._charge(node)
         if node._pos <= self._pos and node._parked_at < self._cycle:

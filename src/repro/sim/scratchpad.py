@@ -42,6 +42,10 @@ class ScratchpadSim:
         #: version -> the older buffer a reader of it falls back to;
         #: valid until ``versions`` gains or loses an entry
         self._fallback: Dict[int, np.ndarray] = {}
+        #: bumped whenever ``versions`` gains or loses an entry: until
+        #: it moves, ``buffer`` and ``read_buffer`` of a version give
+        #: the buffer they gave before (transfers bind it once)
+        self.epoch = 0
         #: highest flat address written + 1, per version (how much of the
         #: buffer holds live data; drives dynamic gather/scatter counts)
         self.watermark: Dict[int, int] = {}
@@ -71,6 +75,7 @@ class ScratchpadSim:
                 else self.versions[older].copy()
             self.versions[version] = buf
             self._fallback.clear()
+            self.epoch += 1
         return buf
 
     def store(self, version: int, idxs: Sequence[int], value) -> int:
@@ -122,9 +127,10 @@ class ScratchpadSim:
         """Bound live buffers to the N-buffer depth (plus one carried
         version for loop-carried reads)."""
         keep = max(self.sram.nbuf, 1) + 1
-        live = sorted(self.versions)
-        for version in live[:-keep]:
-            del self.versions[version]
+        if len(self.versions) > keep:
+            for version in sorted(self.versions)[:-keep]:
+                del self.versions[version]
+            self.epoch += 1
         self._fallback.clear()
 
     # -- timing ------------------------------------------------------------------

@@ -81,15 +81,14 @@ def command_log():
         return issue(bank, row, now, is_write)
 
     def logged_tick(channel, now):
-        before = len(channel.completed)
-        tick(channel, now)
-        if len(channel.completed) > before:
-            request = channel.completed[-1]
+        request = tick(channel, now)
+        if request is not None:
             precharge, activate, column = log._pending
             log._by_channel.setdefault(channel, []).append(Command(
                 now, request.bank, request.row, precharge, activate,
                 column, request.complete_cycle, request.is_write,
                 request.byte_addr))
+        return request
 
     Bank.issue, Channel.tick = logged_issue, logged_tick
     try:

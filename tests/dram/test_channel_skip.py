@@ -213,6 +213,5 @@ def test_channel_decodes_a_request_submitted_directly():
     channel = model.channels[channel_id]
     channel.submit(request, now=0)
     assert (request.bank, request.row) == (bank, row) == (5, 3)
-    channel.tick(1)
-    assert channel.drain_completed() == [request]
+    assert channel.tick(1) is request
     assert channel.banks[bank].open_row == row

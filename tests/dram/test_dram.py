@@ -177,11 +177,13 @@ def test_deliver_pops_the_matured_prefix_in_handover_order():
     model = DramModel()
     handed = []
     for channel in model.channels:
-        def spy(drain=channel.drain_completed):
-            done = drain()
-            handed.extend(done)
-            return done
-        channel.drain_completed = spy
+        def spy(now, tick=channel.tick):
+            # a channel hands over the request it issues as it issues it
+            issued = tick(now)
+            if issued is not None:
+                handed.append(issued)
+            return issued
+        channel.tick = spy
     called = []
     # random bursts over a few rows: hits and conflicts interleave, so
     # hand-over order is not completion order

@@ -12,7 +12,8 @@ same cycle, the same statistics, scratchpads and DRAM, and, traced, the
 same ``COALESCE_HIT`` and ``AG_BURST`` events in the same order — on the
 sparse registry apps, behind a full coalescer or a one-deep channel
 queue, with a gather, a scatter and a tile stream sharing one channel,
-under fault plans and when the watchdog trips.
+under fault plans, when the watchdog trips and with a count past either
+end of the addresses.
 """
 
 import dataclasses
@@ -189,10 +190,10 @@ def test_a_one_deep_channel_queue_waits_as_the_walk_does():
     assert error is None and stats["dram_stall_cycles"] > 0
 
 
-def _gather(n, idx, dst_words, **config):
+def _gather(n, idx, dst_words, count=None, **config):
     """Gather ``n`` addresses ``idx`` of a 64-word table into a
-    ``dst_words``-word scratchpad, then store it (``config``: fabric
-    settings)."""
+    ``dst_words``-word scratchpad (``count``: the leaf's address count),
+    then store it (``config``: fabric settings)."""
     table = np.arange(100, 164, dtype=np.float32)
     dhdl = DhdlProgram("gather")
     dram_table = dhdl.dram(Array("tbl", (64,), E.FLOAT32, data=table))
@@ -205,7 +206,8 @@ def _gather(n, idx, dst_words, **config):
     body = OuterController("pipe", Scheme.SEQUENTIAL)
     dhdl.root.add(body)
     body.add(TileLoad("load_idx", dram_idx, idx_tile, (0,), (n,)))
-    body.add(Gather("gather", dram_table, idx_tile, dst_tile))
+    body.add(Gather("gather", dram_table, idx_tile, dst_tile,
+                    count=None if count is None else E.wrap(count)))
     body.add(TileStore("store", dram_out, dst_tile, (0,), (dst_words,)))
     validate(dhdl)
     config = dataclasses.replace(default_config(dhdl), **config)
@@ -222,15 +224,12 @@ def test_an_out_of_bounds_index_fails_at_its_element():
     assert stats["busy_cycles"]["gather"] > 0
 
 
-def test_an_out_of_bounds_scatter_writes_what_came_before_it():
-    """Four AG streams: the two addresses dispatched beside the
-    out-of-bounds one, in its cycle, are written before it fails."""
-    n = 48
-    rng = np.random.default_rng(9)
-    idx = rng.permutation(64)[:n].astype(np.int32)
-    idx[30] = 64
+def _scatter(n, idx, count=None, ags=(0,)):
+    """Scatter ``n`` values 1, 2, ... to addresses ``idx`` of a 64-word
+    array (``count``: the leaf's address count) on AG streams ``ags``."""
     dhdl = DhdlProgram("scatter")
-    dram_idx = dhdl.dram(Array("idx", (n,), E.INT32, data=idx))
+    dram_idx = dhdl.dram(Array("idx", (n,), E.INT32,
+                               data=np.asarray(idx, np.int32)))
     dram_vals = dhdl.dram(Array("vals", (n,), E.FLOAT32,
                                 data=np.arange(1, n + 1, dtype=np.float32)))
     dram_out = dhdl.dram(Array("out", (64,), E.FLOAT32))
@@ -240,16 +239,47 @@ def test_an_out_of_bounds_scatter_writes_what_came_before_it():
     dhdl.root.add(body)
     body.add(TileLoad("load_idx", dram_idx, idx_tile, (0,), (n,)))
     body.add(TileLoad("load_vals", dram_vals, val_tile, (0,), (n,)))
-    body.add(Scatter("scatter", dram_out, idx_tile, val_tile))
+    body.add(Scatter("scatter", dram_out, idx_tile, val_tile,
+                     count=None if count is None else E.wrap(count)))
     validate(dhdl)
     config = default_config(dhdl)
-    config.ag_assign["scatter"] = AgAssignment(ag_ids=(0, 1, 2, 3))
-    (error, *_, dram), _ = _alike(lambda cls, kw: cls(dhdl, config, **kw))
+    config.ag_assign["scatter"] = AgAssignment(ag_ids=ags)
+    return lambda cls, kw: cls(dhdl, config, **kw)
+
+
+def test_an_out_of_bounds_scatter_writes_what_came_before_it():
+    """Four AG streams: the two addresses dispatched beside the
+    out-of-bounds one, in its cycle, are written before it fails."""
+    idx = np.random.default_rng(9).permutation(64)[:48]
+    idx[30] = 64
+    (error, *_, dram), _ = _alike(_scatter(48, idx, ags=(0, 1, 2, 3)))
     assert error == ("SimulationError: scatter: scatter index 64 out of "
                      "bounds for 'out'")
     out = np.frombuffer(dram["out"], np.float32)
     assert np.count_nonzero(out) == 30
     assert out[idx[28]] == 29 and out[idx[29]] == 30
+
+
+@pytest.mark.parametrize("count", [-2, 0, 5, 48, 60])
+@pytest.mark.parametrize("kind", ["gather", "scatter"])
+def test_a_count_is_clamped_to_the_addresses(kind, count):
+    """Both engines dispatch their count clamped to ``[0, addresses]``:
+    a negative count moves nothing (it once sliced a scatter's
+    addresses from the end), one past them moves them all."""
+    idx = np.random.default_rng(11).permutation(64)[:48]
+    moved = min(max(count, 0), 48)
+    if kind == "gather":
+        (error, *_, dram), _ = _alike(_gather(48, idx, 48, count=count))
+        out = np.frombuffer(dram["o"], np.float32)
+        want = np.zeros(48, np.float32)
+        want[:moved] = 100 + idx[:moved]
+    else:
+        (error, *_, dram), _ = _alike(_scatter(48, idx, count))
+        out = np.frombuffer(dram["out"], np.float32)
+        want = np.zeros(64, np.float32)
+        want[idx[:moved]] = np.arange(1, moved + 1)
+    assert error is None
+    assert (out == want).all()
 
 
 @pytest.mark.parametrize("order", ["ascending", "random"])

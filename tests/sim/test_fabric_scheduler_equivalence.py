@@ -21,7 +21,6 @@ from repro.apps import ALL_APPS
 from repro.dhdl import (DhdlProgram, Gather, OuterController, Scheme,
                         TileLoad, validate)
 from repro.dhdl.memory import BankingMode
-from repro.dram.channel import Channel
 from repro.dram.model import DramModel
 from repro.errors import FaultError, SimulationError
 from repro.faults import FaultEvent, FaultPlan
@@ -273,14 +272,15 @@ def test_cotenant_stream_and_gather_share_a_channel_in_dense_order(
                               name=name)
         index = {id(c): k for k, c in enumerate(fabric.dram.channels)}
         log = []
-        submit = Channel.submit
+        submit = DramModel.submit
 
-        def logged(channel, request, now):
-            log.append((request.req_id, now, index[id(channel)],
-                        request.callback.__self__.name, request.byte_addr))
-            submit(channel, request, now)
+        def logged(model, request, callback=None, channel=None):
+            # an engine hands over its request decoded, with the channel
+            log.append((request.req_id, model.cycle, index[id(channel)],
+                        callback.__self__.name, request.byte_addr))
+            submit(model, request, callback, channel)
 
-        monkeypatch.setattr(Channel, "submit", logged)
+        monkeypatch.setattr(DramModel, "submit", logged)
         fabric.run(scheduler=mode)
         monkeypatch.undo()
         assert [entry[0] for entry in log] == sorted(e[0] for e in log)

@@ -19,7 +19,6 @@ from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         Gather, InnerCompute, OuterController, Scheme,
                         TileLoad, validate)
 from repro.dhdl.memory import BankingMode
-from repro.dram.channel import Channel
 from repro.dram.model import DramModel
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array
@@ -243,14 +242,15 @@ def _submissions(machine, monkeypatch):
     log = []
     index = {id(channel): k for k, channel in
              enumerate(machine.dram.channels)}
-    submit = Channel.submit
+    submit = DramModel.submit
 
-    def logged(channel, request, now):
-        log.append((request.req_id, now, index[id(channel)],
-                    request.callback.__self__.name, request.byte_addr))
-        submit(channel, request, now)
+    def logged(model, request, callback=None, channel=None):
+        # an engine hands over its request decoded, with the channel
+        log.append((request.req_id, model.cycle, index[id(channel)],
+                    callback.__self__.name, request.byte_addr))
+        submit(model, request, callback, channel)
 
-    monkeypatch.setattr(Channel, "submit", logged)
+    monkeypatch.setattr(DramModel, "submit", logged)
     return log
 
 

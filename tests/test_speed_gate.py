@@ -30,45 +30,68 @@ def test_bound_comes_from_the_benchmark_contract():
         m["bound"] for m in contract["end_to_end"] if m["name"] == "wall_s")
 
 
+def _only(path=PR33):
+    """The references of one committed file."""
+    return {name: (speed_gate._wall(w), path.name)
+            for name, w in _workloads(path).items()}
+
+
 def test_committed_file_passes_against_itself(capsys):
     committed = json.loads(PR33.read_text())
-    assert speed_gate.check(committed["workloads"], committed, 0.25) == []
+    assert speed_gate.check(committed["workloads"], _only(), 0.25) == []
     out = capsys.readouterr().out
-    assert "dram_stream: wall_s 0.745 s against 0.745 s x 1.25" in out
+    assert ("dram_stream: wall_s 0.745 s against 0.745 s "
+            "(BENCH_bfa463c_pr33.json) x 1.25") in out
 
 
 def test_one_wall_s_at_1_26x_fails(capsys):
-    committed = json.loads(PR33.read_text())
     slow = _workloads()
     slow["dse_sweep"]["metrics"]["wall_s"]["value"] *= 1.26
-    failures = speed_gate.check(list(slow.values()), committed, 0.25)
+    failures = speed_gate.check(list(slow.values()), _only(), 0.25)
     assert len(failures) == 1
     assert failures[0].startswith("dse_sweep.wall_s: ")
     assert "above the committed ceiling" in failures[0]
     inside = _workloads()
     inside["dse_sweep"]["metrics"]["wall_s"]["value"] *= 1.24
-    assert speed_gate.check([inside["dse_sweep"]], committed, 0.25) == []
+    assert speed_gate.check([inside["dse_sweep"]], _only(), 0.25) == []
 
 
-def test_newest_sorts_pr_numbers_as_numbers(tmp_path):
-    for name in ("BENCH_aaa_pr4.json", "BENCH_bbb_pr33.json",
-                 "BENCH_ccc_pr5.json", "BENCH_ddd.json"):
-        (tmp_path / name).write_text("{}")
-    assert Path(speed_gate.newest(str(tmp_path))).name == \
-        "BENCH_bbb_pr33.json"
-    assert speed_gate.newest(str(tmp_path / "empty")) is None
+def _bench(directory, name, walls):
+    (directory / name).write_text(json.dumps({"workloads": [
+        {"workload": load, "metrics": {"wall_s": {"value": wall}}}
+        for load, wall in walls.items()]}))
 
 
-def test_main_compares_with_the_newest_committed_file(tmp_path, capsys):
+def test_references_take_each_workloads_lowest_wall_s(tmp_path):
+    """A newer file that reads a workload slower does not raise its
+    ceiling; one that reads it faster lowers it.  A file without a PR
+    number is not a reference."""
+    _bench(tmp_path, "BENCH_aaa_pr4.json", {"a": 1.0, "b": 2.0})
+    _bench(tmp_path, "BENCH_bbb_pr33.json", {"a": 1.5, "b": 1.0})
+    _bench(tmp_path, "BENCH_ccc_pr5.json", {"a": 1.0, "c": 3.0})
+    _bench(tmp_path, "BENCH_ddd.json", {"a": 0.1})
+    assert speed_gate.references(str(tmp_path)) == {
+        "a": (1.0, "BENCH_ccc_pr5.json"),      # tied: the higher number
+        "b": (1.0, "BENCH_bbb_pr33.json"),
+        "c": (3.0, "BENCH_ccc_pr5.json")}
+    assert speed_gate.references(str(tmp_path / "empty")) == {}
+
+
+def test_main_compares_with_the_lowest_committed_wall_s(tmp_path, capsys):
     report = _write(tmp_path, _workloads()["dram_stream"])
     assert speed_gate.main([report]) == 0
-    newest = Path(speed_gate.newest(speed_gate.BENCHMARKS)).name
-    assert f"against benchmarks/{newest}" in capsys.readouterr().out
+    floor, name = speed_gate.references(speed_gate.BENCHMARKS)[
+        "dram_stream"]
+    assert floor <= speed_gate._wall(_workloads()["dram_stream"])
+    out = capsys.readouterr().out
+    assert "against the lowest committed wall_s in benchmarks" in out
+    assert f"against {floor:.3f} s ({name})" in out
 
 
 def test_main_fails_a_report_over_the_ceiling(tmp_path, monkeypatch,
                                               capsys):
-    monkeypatch.setattr(speed_gate, "newest", lambda directory: str(PR33))
+    monkeypatch.setattr(speed_gate, "references",
+                        lambda directory: _only())
     slow = _workloads()["dram_stream"]
     slow["metrics"]["wall_s"]["value"] *= 1.26
     assert speed_gate.main([_write(tmp_path, slow)]) == 1

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Host-speed gate for CI: fresh ``bench/run.py`` reports against the
-newest committed one.
+best committed ones.
 
 Usage::
 
@@ -9,13 +9,13 @@ Usage::
     python tools/speed_gate.py speed/dram_stream.json [...]
 
 Each report's ``wall_s`` (the median untraced pass, at reference machine
-speed) may be at most the same workload's ``wall_s`` in the newest
-committed ``benchmarks/BENCH_<rev>_pr<N>.json`` (highest N, compared as
-a number) times 1 + the ``wall_s`` bound of ``BENCHMARK.json``.  The
-ceiling is held through :func:`repro.eval.gate.check`.  Prints the file
-it compared against and both numbers per workload.  Exits 1 when a
-report is over its ceiling, and 2 when there is nothing to compare
-with: no committed file, or a workload the committed file lacks.
+speed) may be at most the lowest ``wall_s`` the same workload has in any
+committed ``benchmarks/BENCH_<rev>_pr<N>.json`` times 1 + the ``wall_s``
+bound of ``BENCHMARK.json``: a new reference can only tighten a ceiling.
+The ceiling is held through :func:`repro.eval.gate.check`.  Prints, per
+workload, both numbers and the file the ceiling comes from.  Exits 1
+when a report is over its ceiling, and 2 when there is nothing to
+compare with: no committed file, or a workload no committed file has.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -35,15 +35,24 @@ from repro.eval import gate  # noqa: E402
 BENCHMARKS = os.path.join(REPO, "benchmarks")
 
 
-def newest(directory: str) -> Optional[str]:
-    """The ``BENCH_<rev>_pr<N>.json`` in ``directory`` with the highest
-    N, or None."""
-    numbered = []
+def references(directory: str) -> Dict[str, Tuple[float, str]]:
+    """Per workload, the lowest ``wall_s`` among the
+    ``BENCH_<rev>_pr<N>.json`` files in ``directory`` and the name of
+    the file holding it (on a tie, the one with the higher N)."""
+    best: Dict[str, Tuple[float, int, str]] = {}
     for path in glob.glob(os.path.join(directory, "BENCH_*_pr*.json")):
         match = re.search(r"_pr(\d+)\.json$", path)
-        if match:
-            numbered.append((int(match.group(1)), path))
-    return max(numbered)[1] if numbered else None
+        if not match:
+            continue
+        number = int(match.group(1))
+        with open(path) as fh:
+            committed = json.load(fh)
+        for workload in committed["workloads"]:
+            key = (_wall(workload), -number, os.path.basename(path))
+            name = workload["workload"]
+            if name not in best or key < best[name]:
+                best[name] = key
+    return {name: (wall, path) for name, (wall, _, path) in best.items()}
 
 
 def wall_bound() -> float:
@@ -58,21 +67,22 @@ def _wall(report: dict) -> float:
     return report["metrics"]["wall_s"]["value"]
 
 
-def check(reports: List[dict], committed: dict, bound: float) -> List[str]:
-    """Failures of ``reports`` against ``committed``; raises KeyError
-    naming a workload ``committed`` does not have."""
-    by_name = {w["workload"]: w for w in committed["workloads"]}
+def check(reports: List[dict], best: Dict[str, Tuple[float, str]],
+          bound: float) -> List[str]:
+    """Failures of ``reports`` against the ``best`` committed
+    ``wall_s`` per workload (:func:`references`); raises KeyError
+    naming a workload ``best`` does not have."""
     have, ceilings = {}, {}
     for report in reports:
         name = report["workload"]
-        if name not in by_name:
+        if name not in best:
             raise KeyError(name)
-        median = _wall(by_name[name])
+        floor, path = best[name]
         have[name] = {"wall_s": _wall(report)}
-        ceilings[name] = {"max_wall_s": median * (1 + bound)}
+        ceilings[name] = {"max_wall_s": floor * (1 + bound)}
         print(f"{name}: wall_s {_wall(report):.3f} s against "
-              f"{median:.3f} s x {1 + bound:g} = "
-              f"{median * (1 + bound):.3f} s")
+              f"{floor:.3f} s ({path}) x {1 + bound:g} = "
+              f"{floor * (1 + bound):.3f} s")
     return gate.check(have, ceilings)
 
 
@@ -80,23 +90,22 @@ def main(argv: List[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    path = newest(BENCHMARKS)
-    if path is None:
+    best = references(BENCHMARKS)
+    if not best:
         print(f"speed gate: no BENCH_<rev>_pr<N>.json in {BENCHMARKS}",
               file=sys.stderr)
         return 2
-    with open(path) as fh:
-        committed = json.load(fh)
-    print(f"speed gate: against {os.path.relpath(path, REPO)}")
+    print(f"speed gate: against the lowest committed wall_s in "
+          f"{os.path.relpath(BENCHMARKS, REPO)}")
     reports = []
     for name in argv:
         with open(name) as fh:
             reports.append(json.load(fh))
     try:
-        failures = check(reports, committed, wall_bound())
+        failures = check(reports, best, wall_bound())
     except KeyError as err:
-        print(f"speed gate: {os.path.basename(path)} has no workload "
-              f"{err}", file=sys.stderr)
+        print(f"speed gate: the committed BENCH_<rev>_pr<N>.json files "
+              f"have no workload {err}", file=sys.stderr)
         return 2
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
