@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -82,9 +82,18 @@ class CompileOptions:
 # ---------------------------------------------------------------------------
 
 
+def _fields(obj) -> dict:
+    """A flat dataclass as a dict of its fields (``asdict`` without the
+    deep copy)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def params_to_dict(params: PlasticineParams) -> dict:
     """Architecture parameters as a plain nested dict."""
-    return asdict(params)
+    data = _fields(params)
+    for unit in ("pcu", "pmu", "dram"):
+        data[unit] = _fields(data[unit])
+    return data
 
 
 def params_from_dict(data: dict) -> PlasticineParams:
@@ -125,7 +134,7 @@ def config_to_dict(config: FabricConfig) -> dict:
     """
     data = {
         "params": params_to_dict(config.params),
-        "leaf_timing": {name: asdict(t)
+        "leaf_timing": {name: _fields(t)
                         for name, t in config.leaf_timing.items()},
         "ag_assign": {name: list(a.ag_ids)
                       for name, a in config.ag_assign.items()},
@@ -148,12 +157,19 @@ def config_to_dict(config: FabricConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> FabricConfig:
-    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict`."""
+    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict`,
+    checking every leaf's timing against the architecture
+    (:meth:`LeafTiming.validate`) and the coalescing cache's size; a
+    configuration no Plasticine could hold is a :class:`ConfigError`."""
     region = data.get("region")
+    params = params_from_dict(data["params"])
+    if data["coalesce_entries"] < 1:
+        raise ConfigError(f"coalesce_entries={data['coalesce_entries']} "
+                          f"must be >= 1")
     return FabricConfig(
         region=tuple(region) if region is not None else None,
-        params=params_from_dict(data["params"]),
-        leaf_timing={name: LeafTiming(**t)
+        params=params,
+        leaf_timing={name: LeafTiming(**t).validate(params)
                      for name, t in data["leaf_timing"].items()},
         ag_assign={name: AgAssignment(tuple(ids))
                    for name, ids in data["ag_assign"].items()},

@@ -48,6 +48,9 @@ class LeafTiming:
                               f"{params.pcu.lanes}")
         if self.pipeline_depth < 1:
             raise ConfigError("pipeline depth must be >= 1")
+        if self.input_hops < 0 or self.output_hops < 0:
+            raise ConfigError(f"hops ({self.input_hops} in, "
+                              f"{self.output_hops} out) must be >= 0")
         if self.num_pcus < 0:
             raise ConfigError("num_pcus must be >= 0")
         return self

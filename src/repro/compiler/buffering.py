@@ -16,19 +16,17 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.dhdl.analysis import mem_reads as _mem_reads
-from repro.dhdl.analysis import mem_writes as _mem_writes
+from repro.dhdl.analysis import accesses
 from repro.dhdl.control import Scheme
 from repro.dhdl.ir import DhdlProgram, OuterController
 from repro.dhdl.memory import Sram
 
 
-def _stage_positions(ctrl: OuterController) -> List[int]:
-    """Pipeline stage index of each child: longest dependency path from
-    any source (children with no in-scope producers are stage 0)."""
-    n = len(ctrl.children)
-    reads = [_mem_reads(c) for c in ctrl.children]
-    writes = [_mem_writes(c) for c in ctrl.children]
+def _stage_positions(reads, writes) -> List[int]:
+    """Pipeline stage index of each child of a scope, from the children's
+    read and write sets: longest dependency path from any source
+    (children with no in-scope producers are stage 0)."""
+    n = len(reads)
     stage = [0] * n
     for j in range(n):
         for i in range(j):
@@ -47,14 +45,15 @@ def infer_buffer_depths(program: DhdlProgram,
     """
     chosen: Dict[str, int] = {s.name: 1 for s in program.srams}
     by_name: Dict[str, Sram] = {s.name: s for s in program.srams}
+    access = accesses(program)
     for ctrl in program.controllers():
         if not isinstance(ctrl, OuterController):
             continue
         if ctrl.scheme is not Scheme.PIPELINE:
             continue
-        stage = _stage_positions(ctrl)
-        reads = [_mem_reads(c) for c in ctrl.children]
-        writes = [_mem_writes(c) for c in ctrl.children]
+        reads = [access[c][0] for c in ctrl.children]
+        writes = [access[c][1] for c in ctrl.children]
+        stage = _stage_positions(reads, writes)
         for j in range(len(ctrl.children)):
             for i in range(j):
                 shared = writes[i] & reads[j]

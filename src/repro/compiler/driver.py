@@ -26,7 +26,7 @@ from repro.compiler.partition import (chip_fits, feasible, partition_pcu,
                                       pmu_requirement, region_fits)
 from repro.compiler.place_route import Fabric, Region, region_capacity
 from repro.compiler.scheduling import schedule
-from repro.dhdl.analysis import mem_writes
+from repro.dhdl.analysis import leaf_writes
 from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
                            TileStore)
@@ -213,7 +213,7 @@ def _route_dataflow(dhdl: DhdlProgram, fabric: Fabric,
     for leaf in dhdl.leaves():
         if isinstance(leaf, InnerCompute) and leaf.address_class:
             continue
-        for name in sorted(mem_writes(leaf)):
+        for name in sorted(leaf_writes(leaf)):
             if name in reg_names and leaf.name in fabric.placed:
                 reg_producer.setdefault(name, leaf.name)
 
@@ -232,7 +232,7 @@ def _route_dataflow(dhdl: DhdlProgram, fabric: Fabric,
                 fabric.route(reg_producer[mem_name], leaf.name,
                              "scalar")
         hops_out = []
-        for name in sorted(mem_writes(leaf)):
+        for name in sorted(leaf_writes(leaf)):
             if name in fabric.placed:
                 net = fabric.route(leaf.name, name, "vector")
                 hops_out.append(net.hops)

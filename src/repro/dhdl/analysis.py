@@ -16,87 +16,91 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.dhdl.ir import (Gather, InnerCompute, OuterController, Scatter,
                            StreamStore, TileLoad, TileStore)
-from repro.dhdl.memory import DramRef
+from repro.dhdl.memory import DramRef, is_onchip
 from repro.errors import SimulationError
 from repro.patterns import expr as E
 
 
-def loads_of(exprs) -> Set[str]:
-    """Names of every collection read by ``Load`` nodes under ``exprs``."""
+def loads_of(exprs, keep=None) -> Set[str]:
+    """Names of every collection read by ``Load`` nodes under ``exprs``
+    (those ``keep`` accepts), in one walk of the DAG."""
     names: Set[str] = set()
-    for root in exprs:
-        for load in E.collect_loads(root):
-            names.add(load.array.name)
+    stack, seen = list(exprs), set()
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node, E.Load) and (keep is None
+                                             or keep(node.array)):
+                names.add(node.array.name)
+            stack.extend(node.children())
     return names
 
 
-def mem_reads(ctrl) -> Set[str]:
-    """Names of memories (on-chip and ``dram:``-prefixed) a controller
-    reads."""
+def _leaf_reads(ctrl) -> Set[str]:
+    """Names of the memories one leaf controller reads."""
     if isinstance(ctrl, InnerCompute):
-        names = {m.name for m in ctrl.memories_read()}
-        for counter in ctrl.chain.counters:
-            names |= loads_of((counter.lo, counter.hi))
-        return names
+        return loads_of([r for s in ctrl.stmts for r in s.exprs()],
+                        is_onchip) | loads_of(
+            [end for c in ctrl.chain.counters for end in (c.lo, c.hi)])
+    count = () if getattr(ctrl, "count", None) is None else (ctrl.count,)
     if isinstance(ctrl, TileLoad):
         return loads_of(ctrl.offsets) | {f"dram:{ctrl.dram.name}"}
     if isinstance(ctrl, TileStore):
-        names = {ctrl.sram.name} | loads_of(ctrl.offsets)
-        if ctrl.count is not None:
-            names |= loads_of((ctrl.count,))
-        return names
+        return {ctrl.sram.name} | loads_of(ctrl.offsets) | loads_of(count)
     if isinstance(ctrl, Gather):
-        names = {ctrl.addr_sram.name, f"dram:{ctrl.dram.name}"}
-        if ctrl.count is not None:
-            names |= loads_of((ctrl.count,))
-        return names
+        return {ctrl.addr_sram.name, f"dram:{ctrl.dram.name}"} \
+            | loads_of(count)
     if isinstance(ctrl, Scatter):
-        names = {ctrl.addr_sram.name, ctrl.val_sram.name}
-        if ctrl.count is not None:
-            names |= loads_of((ctrl.count,))
-        return names
+        return {ctrl.addr_sram.name, ctrl.val_sram.name} | loads_of(count)
     if isinstance(ctrl, StreamStore):
         return loads_of((ctrl.base_offset,)) | {ctrl.fifo.name}
-    if isinstance(ctrl, OuterController):
-        names = set()
-        if ctrl.chain is not None:
-            for counter in ctrl.chain.counters:
-                names |= loads_of((counter.lo, counter.hi))
-        for child in ctrl.children:
-            names |= mem_reads(child)
-        # memories produced inside the scope are not external reads
-        names -= mem_writes(ctrl)
-        return names
     raise SimulationError(f"unknown controller {ctrl!r}")
 
 
-def mem_writes(ctrl) -> Set[str]:
-    """Names of memories a controller writes."""
+def leaf_writes(ctrl) -> Set[str]:
+    """Names of the memories one leaf controller writes."""
     if isinstance(ctrl, InnerCompute):
-        names = set()
-        for stmt in ctrl.stmts:
-            targets = getattr(stmt, "targets", None)
-            if targets is not None:
-                names.update(t.name for t in targets)
-            else:
-                names.add(stmt.target.name)
-        return names
+        return {t.name for s in ctrl.stmts
+                for t in getattr(s, "targets", None) or (s.target,)}
     if isinstance(ctrl, TileLoad):
         return {ctrl.sram.name}
-    if isinstance(ctrl, TileStore):
-        return {f"dram:{ctrl.dram.name}"}
     if isinstance(ctrl, Gather):
         return {ctrl.dst_sram.name}
-    if isinstance(ctrl, Scatter):
-        return {f"dram:{ctrl.dram.name}"}
     if isinstance(ctrl, StreamStore):
         return {ctrl.count_reg.name, f"dram:{ctrl.dram.name}"}
-    if isinstance(ctrl, OuterController):
-        names: Set[str] = set()
-        for child in ctrl.children:
-            names |= mem_writes(child)
-        return names
+    if isinstance(ctrl, (TileStore, Scatter)):
+        return {f"dram:{ctrl.dram.name}"}
     raise SimulationError(f"unknown controller {ctrl!r}")
+
+
+def accesses(program) -> Dict[object, Tuple[Set[str], Set[str]]]:
+    """Every controller's ``(reads, writes)``: the names of the memories
+    (on-chip and ``dram:``-prefixed) it reads and writes, computed
+    bottom-up in one pass over the controller tree.  An outer
+    controller writes what its children write and reads what its
+    chain's bounds and its children read, less what it writes
+    (memories produced inside the scope are not external reads)."""
+    out: Dict[object, Tuple[Set[str], Set[str]]] = {}
+
+    def visit(ctrl) -> Tuple[Set[str], Set[str]]:
+        if not isinstance(ctrl, OuterController):
+            out[ctrl] = (_leaf_reads(ctrl), leaf_writes(ctrl))
+            return out[ctrl]
+        reads: Set[str] = set()
+        writes: Set[str] = set()
+        if ctrl.chain is not None:
+            for counter in ctrl.chain.counters:
+                reads |= loads_of((counter.lo, counter.hi))
+        for child in ctrl.children:
+            child_reads, child_writes = visit(child)
+            reads |= child_reads
+            writes |= child_writes
+        out[ctrl] = (reads - writes, writes)
+        return out[ctrl]
+
+    visit(program.root)
+    return out
 
 
 def scope_edges(program) -> Dict[OuterController,
@@ -117,11 +121,12 @@ def scope_edges(program) -> Dict[OuterController,
         credits = {reg.name: reg.nbuf for reg in program.regs}
         credits.update((sram.name, sram.nbuf) for sram in program.srams)
         edges = program._scope_edges = {}
+        access = accesses(program)
         for ctrl in program.controllers():
             if not isinstance(ctrl, OuterController):
                 continue
-            reads = [mem_reads(c) for c in ctrl.children]
-            writes = [mem_writes(c) for c in ctrl.children]
+            reads = [access[c][0] for c in ctrl.children]
+            writes = [access[c][1] for c in ctrl.children]
             edges[ctrl] = [
                 (i, j, name, credits.get(name, 1))
                 for j in range(len(ctrl.children)) for i in range(j)

@@ -41,6 +41,9 @@ class Counter:
     and register reads (data-dependent ranges, dynamic lengths).
     """
 
+    #: memo of the simulator's row table of its bounds
+    _table = None
+
     def __init__(self, lo, hi, step: int = 1, par: int = 1):
         self.lo = lo if isinstance(lo, E.Expr) else E.wrap(int(lo))
         self.hi = hi if isinstance(hi, E.Expr) else E.wrap(int(hi))
@@ -100,6 +103,9 @@ class CounterChain:
 
 class Stmt:
     """Base class of inner-controller dataflow statements."""
+
+    #: memo of the simulator's row table of its combines
+    _table = None
 
     def memories_read(self):
         """On-chip memories read by this statement's expressions."""
@@ -270,6 +276,9 @@ class HashReduceStmt(Stmt):
 class ControllerBase:
     """Common controller state: name, scheme, parent link."""
 
+    #: memo of :func:`repro.sim.datapath.index_ranges`
+    _ranges = None
+
     def __init__(self, name: str, scheme: Scheme):
         self.name = name
         self.scheme = scheme
@@ -338,6 +347,9 @@ class InnerCompute(ControllerBase):
     generation, accumulator/bin initialisation, loop-index mirroring —
     that the paper executes on PMU address datapaths and control logic
     rather than PCU SIMD pipelines; the mapper gives them no PCU."""
+
+    #: memo of :meth:`repro.sim.block.Datapath.of`
+    _datapath = None
 
     def __init__(self, name: str, chain: CounterChain,
                  stmts: Sequence[Stmt], address_class: bool = False):

@@ -85,6 +85,8 @@ class Expr:
     """
 
     dtype: str = FLOAT32
+    #: memo of the simulator's scalar row table (``repro.sim.datapath``)
+    _table = None
 
     # -- operator overloading ------------------------------------------------
     def __add__(self, other):
@@ -495,9 +497,3 @@ def collect_loads(root: Expr) -> Tuple[Load, ...]:
 def collect_indices(root: Expr) -> Tuple[Idx, ...]:
     """All distinct :class:`Idx` nodes in an expression DAG."""
     return tuple(n for n in postorder(root) if isinstance(n, Idx))
-
-
-def count_ops(root: Expr) -> int:
-    """Number of compute operations (BinOp/UnOp/Select) in the DAG."""
-    return sum(1 for n in postorder(root)
-               if isinstance(n, (BinOp, UnOp, Select)))

@@ -42,6 +42,7 @@ every in-flight job, then tears down the pool.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import os
 import random
 import signal
@@ -61,6 +62,11 @@ from repro.serve.workers import execute_job
 def default_data_dir() -> Path:
     """Artifact/trace store: ``<cache root>/serve`` by default."""
     return default_cache_root() / "serve"
+
+
+#: what a job runs: imported before the pool forks
+_JOB_MODULES = ("repro.compiler.artifact", "repro.fuzz.generator",
+                "repro.sim.machine")
 
 
 def _worker_init() -> None:
@@ -150,8 +156,14 @@ class ReproService:
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
-        """Spin up the worker pool (no-op with an injected runner)."""
+        """Spin up the worker pool (no-op with an injected runner).
+
+        The job modules are imported first, so the workers fork with
+        them loaded: no first job pays for the imports, nor the first
+        job of a worker respawned after a crash."""
         if self._runner is None and self._executor is None:
+            for module in _JOB_MODULES:
+                importlib.import_module(module)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.config.jobs,
                 initializer=_worker_init)

@@ -12,7 +12,6 @@ or a span of issues at a time (``repro.sim.leaves``).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -24,7 +23,9 @@ from repro.patterns import expr as E
 from repro.patterns import kernel as K
 from repro.patterns.collections import _np_dtype
 from repro.sim.counters import Run
-from repro.sim.datapath import _rnd
+from repro.sim.datapath import (_U, BIN, CONST, FNS, LOAD, NEED, REG,
+                                 SELECT, SYM, UN, Table, _ints, _rnd,
+                                 index_ranges, table_of)
 
 #: lanes one block evaluation covers at most (whole issues): enough to
 #: pay numpy's per-call cost back many times over, small enough that a
@@ -97,44 +98,16 @@ def _key_codes(keys):
     return uniq, codes, order, starts
 
 
-def _emission_roots(stmt) -> Tuple[E.Expr, ...]:
-    """A statement's expressions in the order its lanes evaluate them."""
+def _body_roots(stmt) -> Tuple[E.Expr, ...]:
+    """A statement's expressions in the order its lanes evaluate them,
+    but for its combines (a scope of their own)."""
     if isinstance(stmt, WriteStmt):
         return (stmt.value,) + tuple(stmt.addr)
     if isinstance(stmt, EmitStmt):
         return (stmt.cond, stmt.value)
     if isinstance(stmt, ReduceStmt):
-        return stmt.values + stmt.addr + stmt.combines
-    return (stmt.key, stmt.value, stmt.combine)
-
-
-def _site_order(stmts) -> List[E.Load]:
-    """Every scratchpad load site of a body in first-evaluation order:
-    the order its groups are priced in."""
-    seen, sites = set(), []
-    for stmt in stmts:
-        stack = [(root, False) for root in reversed(_emission_roots(stmt))]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                if isinstance(node, E.Load) and isinstance(node.array, Sram):
-                    sites.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            stack += [(c, False) for c in reversed(node.children())]
-    return sites
-
-
-def _shared(roots) -> set:
-    """The nodes under ``roots`` with several users: the only ones a pass
-    memoises (a node with one user is needed once per lane anyway)."""
-    uses = Counter(roots)
-    for node in {n: None for r in roots for n in E.postorder(r)}:
-        uses.update(node.children())
-    return {n for n, count in uses.items() if count > 1}
+        return stmt.values + stmt.addr
+    return (stmt.key, stmt.value)
 
 
 def _fold_parts(stmt):
@@ -145,12 +118,15 @@ def _fold_parts(stmt):
 
 
 class Datapath:
-    """The evaluator of one inner controller's body.
-
-    :meth:`evaluate` runs every statement over a block of vector issues
-    at once — statement-major, each node one numpy operation over the
-    lanes that reach it — and returns the block's :class:`Block` log.
-    What it keeps of the per-issue semantics:
+    """The evaluator of one inner controller's body, built once per leaf
+    (:meth:`of`): a row table (``repro.sim.datapath.Table``) of every
+    statement's expressions, one per reduce or hash statement of its
+    combines, and the columns the leaf needs — load sites in pricing
+    order, stored scratchpads, the op count per lane, each store's
+    bounds tests.  :meth:`evaluate` runs every statement over a block
+    of vector issues at once — statement-major, each row one numpy
+    operation over the lanes that reach it — and returns the block's
+    :class:`Block` log.  What it keeps of the per-issue semantics:
 
     * a node is evaluated at most once per lane per issue, across
       statements, and only on the lanes that reach it (``Select`` and
@@ -171,37 +147,78 @@ class Datapath:
       always steps that way, its stores landing as it goes.
     """
 
-    def __init__(self, sim):
-        leaf = sim.leaf
-        self.name = sim.name
-        self.mem = sim.mem
-        self.stmts = leaf.stmts
-        self.sites = _site_order(self.stmts)
-        stored = {s.mem.name for s in self.stmts
+    @classmethod
+    def of(cls, leaf) -> "Datapath":
+        """``leaf``'s datapath, built once and kept on the leaf: a pure
+        function of the program, shared by every simulator built from
+        it."""
+        if leaf._datapath is None:
+            leaf._datapath = cls(leaf)
+        return leaf._datapath
+
+    def __init__(self, leaf):
+        self.name = leaf.name
+        self.stmts = stmts = leaf.stmts
+        #: index -> value range, over every chain binding one
+        self.ranges = index_ranges(leaf)
+        roots: List[E.Expr] = []
+        #: per statement, its roots' positions in ``body.roots``
+        self.roots = []
+        for stmt in stmts:
+            mine = _body_roots(stmt)
+            self.roots.append(range(len(roots), len(roots) + len(mine)))
+            roots += mine
+        self.body = body = Table(roots, self.ranges)
+        self.simple = {si: K.simple_op(*_fold_parts(s))
+                       for si, s in enumerate(stmts)
+                       if isinstance(s, (ReduceStmt, HashReduceStmt))}
+        #: per reduce or hash statement whose combines are not one bare
+        #: op (``simple``), the table of its combines
+        self.combines = {si: Table(_fold_parts(stmts[si])[0], self.ranges)
+                         for si, op in self.simple.items() if not op}
+        #: scratchpad load sites in first-evaluation order: the order
+        #: their groups are priced in
+        sites = []
+        for si, mine in enumerate(self.roots):
+            lo, hi = body.roots[mine[0]][0], body.roots[mine[-1]][1]
+            sites += [row[4] for row in body.rows[lo:hi] if row[0] == LOAD]
+            if si in self.combines:
+                sites += self.combines[si].sites()
+        self.sites = list(dict.fromkeys(sites))
+        stored = {s.mem.name for s in stmts
                   if isinstance(s, (WriteStmt, HashReduceStmt))}
-        roots = [r for s in self.stmts for r in s.exprs()] + [
-            end for c in leaf.chain.counters for end in (c.lo, c.hi)]
-        loaded = {n.array.name for r in roots for n in E.postorder(r)
-                  if isinstance(n, E.Load)}
+        loaded = body.loaded().union(
+            *(t.loaded() for t in self.combines.values()),
+            *(table_of(c, (c.lo, c.hi)).loaded()
+              for c in leaf.chain.counters if not _ints(c.lo, c.hi)))
         #: the body reads what it writes: every issue steps lane by lane
         self.steps = bool(stored & loaded)
         #: scratchpads the body stores to, in pricing order
         self.stored = list(dict.fromkeys(
-            s.mem.name for s in self.stmts
+            s.mem.name for s in stmts
             if isinstance(getattr(s, "mem", None), Sram)))
-        self.simple = {si: K.simple_op(*_fold_parts(s))
-                       for si, s in enumerate(self.stmts)
-                       if isinstance(s, (ReduceStmt, HashReduceStmt))}
-        self.shared = _shared([r for s in self.stmts for r in s.exprs()])
+        #: compute nodes a lane evaluates (``ops_executed`` per lane): a
+        #: bare combine is one op per accumulator
+        self.ops = body.ops() + sum(t.ops() for t in self.combines.values()) \
+            + sum(len(_fold_parts(stmts[si])[0])
+                  for si, op in self.simple.items() if op)
+        #: per scratchpad store, its address's bounds tests
+        self.tests = {
+            si: body.tests([body.roots[r][2] for r in mine[1:]],
+                           s.mem.shape)
+            for si, (s, mine) in enumerate(zip(stmts, self.roots))
+            if isinstance(s, WriteStmt) and isinstance(s.mem, Sram)}
 
-    def evaluate(self, run: Run, version, accs, steps=False):
+    def evaluate(self, mem, run: Run, version, accs, steps=False):
         """The :class:`Block` of the issues of ``run`` (with the bound
         reads the counter chain handed each) and the reduce accumulators
         after them (``accs`` is not changed).  ``steps``: lane by lane,
         raising the first fault; otherwise a fault raises
         :class:`_Redo`."""
         steps = steps or self.steps
-        p = _Pass(self, run, version, accs, steps)
+        p = _Pass(self.body, mem, version, steps, run)
+        p.dp = self
+        p.accs = {si: dict(a) for si, a in accs.items()}
         with np.errstate(all="ignore"):
             if steps:
                 p.step()
@@ -217,51 +234,54 @@ class Datapath:
 
 
 class _Pass:
-    """One evaluation of a body over a block of lanes (or, for a
+    """One scope of a row table over a block of lanes (or, for a
     combine, over some of them: ``base`` maps them to the block's)."""
 
-    def __init__(self, dp: Datapath, run: Run, version, accs, steps,
-                 parent: "_Pass" = None, base=None, sym=None):
-        self.dp = dp
-        self.version = version
-        self.steps = steps
-        self.memo: Dict[E.Expr, tuple] = {}
-        self.stmt = 0
-        self.phase = 0
+    def __init__(self, table: Table, mem, version, steps, run: Run = None,
+                 parent: "_Pass" = None, lanes=None, extra=None):
+        self.rows, self.roots, self.objs = table.rows, table.roots, table.objs
+        self.v = [None] * len(self.rows)
+        self.memo = [None] * table.memos
+        self.mem, self.version, self.steps = mem, version, steps
+        self.parent, self.local = parent, lanes
         if parent is not None:
-            self.run, self.issue_of = parent.run, parent.issue_of
-            self.per_issue = parent.per_issue
+            self.dp, self.run = parent.dp, parent.run
+            self.issue_of, self.per_issue = parent.issue_of, parent.per_issue
             self.rec, self.out = parent.rec, parent.out
-            self.n, self.base, self.sym = len(base), base, sym
+            self.n, self.sym = len(lanes), extra
+            self.base = lanes if parent.base is None else parent.base[lanes]
+            self.stmt, self.phase = parent.stmt, 1
             return
+        self.stmt = self.phase = 0
         self.run = run
         self.n = run.lanes
         self.per_issue, self.issue_of, values, outer = run.columns()
         self.base = None
-        self.sym = {}
-        for node, value in run.base.items():
-            col = np.array([value])
-            if isinstance(node, E.Var) and node.dtype == E.FLOAT32:
-                col = K.typed(col, E.FLOAT32)
-            self.sym[node] = col.repeat(self.n)
-        self.sym.update(zip(run.names, outer))
+        self.sym = dict(zip(run.names, outer))
         self.sym[run.index] = values
         #: load site key -> [(block lanes, addresses, stmt, phase)]
         self.rec: Dict[tuple, list] = {}
         #: stmt index -> [(block lanes, *columns)]
         self.out: Dict[int, list] = {}
-        self.accs = {si: dict(a) for si, a in accs.items()}
         self.bins: Dict[str, np.ndarray] = {}
 
-    def sub(self, lanes: np.ndarray, extra: dict) -> "_Pass":
-        """A fresh scope over ``lanes`` of this pass, ``extra`` bound."""
-        sym = {k: v[lanes] for k, v in self.sym.items()}
-        sym.update(extra)
-        base = lanes if self.base is None else self.base[lanes]
-        sub = _Pass(self.dp, None, self.version, None, self.steps, self,
-                    base, sym)
-        sub.stmt, sub.phase = self.stmt, 1
-        return sub
+    def column(self, node: E.Expr) -> np.ndarray:
+        """A symbol's value on every lane of this pass."""
+        col = self.sym.get(node)
+        if col is None:
+            if self.parent is not None:
+                col = self.parent.column(node)[self.local]
+            else:
+                value = self.run.base.get(node, _U)
+                if value is _U:
+                    raise SimulationError(
+                        f"unbound symbol {node!r} in datapath")
+                col = np.array([value])
+                if isinstance(node, E.Var) and node.dtype == E.FLOAT32:
+                    col = K.typed(col, E.FLOAT32)
+                col = col.repeat(self.n)
+            self.sym[node] = col
+        return col
 
     def lanes(self, sel):
         """Block lanes of ``sel`` (None: all of this pass's; a pass over
@@ -270,166 +290,190 @@ class _Pass:
             return sel
         return self.base if sel is None else self.base[sel]
 
-    # -- expressions ------------------------------------------------------------------
-    def need(self, node: E.Expr, sel) -> np.ndarray:
-        """``node``'s value on lanes ``sel`` (None: all), computing it
-        on those that have not yet."""
-        kind = type(node)
-        if kind is E.Const:
-            value = _rnd(node.value) if node.dtype == E.FLOAT32 \
-                else node.value
-            return np.full(self.n if sel is None else len(sel), value)
-        if kind is E.Idx or kind is E.Var:
-            value = self.sym.get(node)
-            if value is None:
-                raise SimulationError(f"unbound symbol {node!r} in datapath")
-            return value if sel is None else value[sel]
-        if node not in self.dp.shared:
-            return self.compute(node, sel)
-        entry = self.memo.get(node)
+    # -- rows ---------------------------------------------------------------------------
+    def value(self, r: int, sel) -> np.ndarray:
+        """Root ``r``'s value on lanes ``sel`` (None: all)."""
+        lo, hi, at = self.roots[r]
+        self.compute(lo, hi, sel)
+        return self.v[at]
+
+    def int_value(self, r: int, sel) -> np.ndarray:
+        return K.to_int(self.value(r, sel))
+
+    def compute(self, i: int, end: int, sel) -> None:
+        """Run rows ``[i, end)`` on lanes ``sel``."""
+        rows, v = self.rows, self.v
+        while i < end:
+            row = rows[i]
+            kind = row[0]
+            if kind == BIN:
+                v[i] = FNS[row[1]](v[row[3]], v[row[4]])
+            elif kind == UN:
+                v[i] = FNS[row[1]](v[row[3]])
+            elif kind == CONST:
+                v[i] = np.full(self.n if sel is None else len(sel), row[1])
+            elif kind == SYM:
+                col = self.column(self.objs[row[1]])
+                v[i] = col if sel is None else col[sel]
+            elif kind == LOAD:
+                v[i] = self.load(row, sel)
+            elif kind == NEED:
+                v[i] = self.need(row, sel)
+                i = row[5]
+                continue
+            elif kind == SELECT:
+                v[i] = self.select(i, row, sel)
+                i = row[3]
+                continue
+            elif kind == REG:
+                v[i] = np.full(self.n if sel is None else len(sel),
+                               self.mem.reg(self.objs[row[1]]).read())
+            else:
+                raise SimulationError(row[1])
+            i += 1
+
+    def need(self, row, sel) -> np.ndarray:
+        """A node with several users, computed on the lanes of ``sel``
+        that have not computed it yet."""
+        _kind, m, lo, hi, at, _next = row
+        entry = self.memo[m]
         if entry is None:
-            value = self.compute(node, sel)
+            self.compute(lo, hi, sel)
+            value = self.v[at]
             if sel is None:
-                self.memo[node] = (value, None)
+                self.memo[m] = (value, None)
             else:
                 full = np.empty(self.n, value.dtype)
                 full[sel] = value
                 done = np.zeros(self.n, np.bool_)
                 done[sel] = True
-                self.memo[node] = (full, done)
+                self.memo[m] = (full, done)
             return value
         full, done = entry
         if done is not None:
             miss = np.flatnonzero(~done) if sel is None \
                 else sel[~done[sel]]
             if len(miss):
-                full[miss] = self.compute(node, miss)
+                self.compute(lo, hi, miss)
+                full[miss] = self.v[at]
                 done[miss] = True
-                self.memo[node] = (full, None if done.all() else done)
+                self.memo[m] = (full, None if done.all() else done)
         return full if sel is None else full[sel]
 
-    def need_int(self, node: E.Expr, sel) -> np.ndarray:
-        return K.to_int(self.need(node, sel))
-
-    def compute(self, node: E.Expr, sel) -> np.ndarray:
-        if isinstance(node, E.Load):
-            return self.load(node, sel)
-        if isinstance(node, E.Select):
-            return self.select(node, sel)
-        if isinstance(node, E.BinOp):
-            value = K.binary(node.op, self.need(node.lhs, sel),
-                             self.need(node.rhs, sel))
-        elif isinstance(node, E.UnOp):
-            value = K.unary(node.op, self.need(node.operand, sel))
-        else:
-            raise SimulationError(f"cannot evaluate {node!r} on the datapath")
-        return K.typed(value, node.dtype)
-
-    def select(self, node: E.Select, sel) -> np.ndarray:
-        take = K.truth(self.need(node.cond, sel))
+    def select(self, i: int, row, sel) -> np.ndarray:
+        _kind, cond, split, end, yes, no, cast_yes, cast_no, dtype = row
+        take = K.truth(self.v[cond])
+        sides = ((i + 1, split, yes, cast_yes, take),
+                 (split, end, no, cast_no, ~take))
         if take.all() or not take.any():
-            branch = node.if_true if take.all() else node.if_false
-            return K.typed(self.need(branch, sel), node.dtype)
+            lo, hi, at, cast, _mask = sides[0 if take.all() else 1]
+            self.compute(lo, hi, sel)
+            return K.typed(self.v[at], dtype) if cast else self.v[at]
         local = np.arange(self.n) if sel is None else sel
-        yes, no = np.flatnonzero(take), np.flatnonzero(~take)
-        value = np.empty(len(take), K.WIDE[node.dtype])
-        value[yes] = K.typed(self.need(node.if_true, local[yes]), node.dtype)
-        value[no] = K.typed(self.need(node.if_false, local[no]), node.dtype)
+        value = np.empty(len(take), K.WIDE[dtype])
+        for lo, hi, at, cast, mask in sides:
+            where = np.flatnonzero(mask)
+            self.compute(lo, hi, local[where])
+            value[where] = K.typed(self.v[at], dtype) if cast else self.v[at]
         return value
 
-    def address(self, what: str, target: Sram, idxs, sel) -> np.ndarray:
-        """Bounds-test index arrays into ``target`` (failing with
-        ``what: name[idxs] shape (…)`` at the first bad lane); returns
-        the flat word addresses."""
+    def address(self, what: str, target: Sram, idxs, tests,
+                sel) -> np.ndarray:
+        """Bounds-test index arrays into ``target`` where ``tests`` say
+        (failing with ``what: name[idxs] shape (…)`` at the first bad
+        lane); returns the flat word addresses."""
         shape = target.shape
         bad = None
-        for i, dim in zip(idxs, shape):
-            out = (i < 0) | (i >= dim)
-            bad = out if bad is None else bad | out
+        for i, dim, test in zip(idxs, shape, tests):
+            if test:
+                out = (i < 0) | (i >= dim)
+                bad = out if bad is None else bad | out
         if bad is not None and bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise SimulationError(
                 f"{what}: {target.name}[{[i[j:j + 1].tolist()[0] for i in idxs]}]"
                 f" shape {shape}")
-        flat = idxs[0].astype(np.int64) if idxs else \
-            np.zeros(self.n if sel is None else len(sel), np.int64)
+        if not idxs:
+            return np.zeros(self.n if sel is None else len(sel), np.int64)
+        flat = idxs[0]
         for i, dim in zip(idxs[1:], shape[1:]):
-            flat = flat * dim + i.astype(np.int64)
+            flat = flat * dim + i
         return flat
 
-    def load(self, node: E.Load, sel) -> np.ndarray:
-        target = node.array
-        if isinstance(target, Reg):
-            value = self.dp.mem.reg(target).read()
-            return np.full(self.n if sel is None else len(sel), value)
-        if not isinstance(target, Sram):
-            raise SimulationError(
-                f"datapath cannot read {type(target).__name__} "
-                f"{getattr(target, 'name', '?')!r}")
-        idxs = [self.need_int(i, sel) for i in node.indices]
-        flat = self.address("scratchpad OOB", target, idxs, sel)
-        self.rec.setdefault((target.name, id(node)), []).append(
+    def load(self, row, sel) -> np.ndarray:
+        _kind, obj, idx, tests, key = row
+        target = self.objs[obj]
+        flat = self.address("scratchpad OOB", target,
+                            [self.v[j] for j in idx], tests, sel)
+        self.rec.setdefault(key, []).append(
             (self.lanes(sel), flat, self.stmt, self.phase))
-        buf = self.dp.mem.scratch(target).read_buffer(self.version)
-        return K.typed(buf.reshape(-1)[flat], target.dtype)
+        buf = self.mem.scratch(target).read_buffer(self.version)
+        return buf.reshape(-1)[flat].astype(K.WIDE[target.dtype],
+                                            copy=False)
 
     # -- statements -------------------------------------------------------------------
     def step(self) -> None:
         """Statement-major, lane-minor, one lane at a time: stores,
         register writes and bins land as they happen."""
-        mem = self.dp.mem
         for si, stmt in enumerate(self.dp.stmts):
             self.stmt = si
             if isinstance(stmt, WriteStmt) and isinstance(stmt.mem, Sram):
-                mem.scratch(stmt.mem).buffer(self.version)
+                self.mem.scratch(stmt.mem).buffer(self.version)
             for lane in range(self.n):
                 self.statement(stmt, np.array([lane]))
 
     def statement(self, stmt, sel) -> None:
         out = self.out.setdefault(self.stmt, [])
+        roots = self.dp.roots[self.stmt]
         if isinstance(stmt, WriteStmt):
-            value = self.need(stmt.value, sel)
+            value = self.value(roots[0], sel)
             target = stmt.mem
             dtype = _np_dtype(target.dtype)
             if isinstance(target, Reg):
                 if self.steps:
-                    self.dp.mem.reg(target).write(value.tolist()[0])
+                    self.mem.reg(target).write(value.tolist()[0])
                 else:
                     K.cast(value, dtype)
                 out.append((self.lanes(sel), value))
                 return
-            idxs = [self.need_int(a, sel) for a in stmt.addr]
-            flat = self.address("scratchpad OOB write", target, idxs, sel)
+            idxs = [self.int_value(r, sel) for r in roots[1:]]
+            flat = self.address("scratchpad OOB write", target, idxs,
+                                self.dp.tests[self.stmt], sel)
             cells = K.cast(value, dtype)
             if self.steps:
-                buf = self.dp.mem.scratch(target).buffer(self.version)
+                buf = self.mem.scratch(target).buffer(self.version)
                 buf.reshape(-1)[flat] = cells
             out.append((self.lanes(sel), flat, value, cells))
         elif isinstance(stmt, EmitStmt):
-            take = K.truth(self.need(stmt.cond, sel))
+            take = K.truth(self.value(roots[0], sel))
             local = np.arange(self.n) if sel is None else sel
             local = local[take]
-            out.append((self.lanes(local), self.need(stmt.value, local)))
+            out.append((self.lanes(local), self.value(roots[1], local)))
         elif isinstance(stmt, ReduceStmt):
-            values = [self.need(v, sel) for v in stmt.values]
-            keys = [self.need_int(a, sel) for a in stmt.addr]
+            width = stmt.width
+            values = [self.value(r, sel) for r in roots[:width]]
+            keys = [self.int_value(r, sel) for r in roots[width:]]
             self.reduce(stmt, sel, values, keys)
         elif isinstance(stmt, HashReduceStmt):
-            self.hash(stmt, sel, self.need_int(stmt.key, sel),
-                      self.need(stmt.value, sel))
+            self.hash(stmt, sel, self.int_value(roots[0], sel),
+                      self.value(roots[1], sel))
         else:
             raise SimulationError(f"unknown stmt {stmt!r}")
 
-    def _combine(self, combines, acc_a, acc_b, accs, vals, lanes):
-        """One rank of a fold: ``combines`` over operands ``accs`` and
-        ``vals`` at (this pass's) ``lanes``, in a fresh scope."""
-        op = K.simple_op(combines, acc_a, acc_b)
+    def _combine(self, combines, accs, vals, lanes):
+        """One rank of a fold: the statement's ``combines`` over
+        operands ``accs`` and ``vals`` at (this pass's) ``lanes``, in a
+        fresh scope."""
+        op = self.dp.simple[self.stmt]
         if op:
             return [K.typed(K.binary(op, a, v), c.dtype)
                     for c, a, v in zip(combines, accs, vals)]
-        scope = self.sub(lanes, {**dict(zip(acc_a, accs)),
-                                 **dict(zip(acc_b, vals))})
-        return [scope.need(c, None) for c in combines]
+        _combines, acc_a, acc_b = _fold_parts(self.dp.stmts[self.stmt])
+        scope = _Pass(self.dp.combines[self.stmt], self.mem, self.version,
+                      self.steps, parent=self, lanes=lanes,
+                      extra={**dict(zip(acc_a, accs)),
+                             **dict(zip(acc_b, vals))})
+        return [scope.value(k, None) for k in range(len(combines))]
 
     def reduce(self, stmt: ReduceStmt, sel, values, keys) -> None:
         n = len(values[0])
@@ -486,7 +530,7 @@ class _Pass:
         for r in range(longest):
             at = np.flatnonzero(rank == r)
             keys = codes[at]
-            new = self._combine(stmt.combines, stmt.acc_a, stmt.acc_b,
+            new = self._combine(stmt.combines,
                                 [a[keys] for a in acc],
                                 [v[at] for v in vals], local[at])
             for k, value in enumerate(new):
@@ -496,7 +540,7 @@ class _Pass:
     def hash(self, stmt: HashReduceStmt, sel, keys, value) -> None:
         target = stmt.mem
         size = int(np.prod(target.shape))
-        scratch = self.dp.mem.scratch(target)
+        scratch = self.mem.scratch(target)
         if self.steps:
             bins = scratch.buffer(self.version).reshape(-1)
         else:
@@ -519,8 +563,7 @@ class _Pass:
             at = np.flatnonzero(rank == r)
             where = keys[at]
             current = K.typed(bins[where], target.dtype)
-            (new,) = self._combine((stmt.combine,), (stmt.acc_a,),
-                                   (stmt.acc_b,), [current],
+            (new,) = self._combine((stmt.combine,), [current],
                                    [value[at]], local[at])
             bins[where] = K.cast(new, bins.dtype)
             results[at] = new
@@ -538,9 +581,9 @@ class _BoundPass(_Pass):
     per position.  Its ``stmt`` counts the loads made, so every piece of
     ``rec`` carries its place in the order they were made in."""
 
-    def load(self, node: E.Load, sel) -> np.ndarray:
+    def load(self, row, sel) -> np.ndarray:
         self.stmt += 1
-        return super().load(node, sel)
+        return super().load(row, sel)
 
     def columns(self) -> List[tuple]:
         """Every load piece in the order it was made, ``(site key, lanes,
@@ -560,12 +603,12 @@ class BoundWindow:
     ``hi`` each one pass in a scope of its own — what the scalar walk
     computes and reads at each position, in one numpy pass per end."""
 
-    def __init__(self, mem, chain):
+    def __init__(self, mem, chain, ranges=None):
         self.mem = mem
         self.index = chain.indices[-2]
-        self.ends = (chain.counters[-1].lo, chain.counters[-1].hi)
-        self.shared = _shared(self.ends)
-        self.srams = {n.array for r in self.ends for n in E.postorder(r)
+        counter = chain.counters[-1]
+        self.table = Table((counter.lo, counter.hi), ranges)
+        self.srams = {n.array for n in self.table.nodes
                       if isinstance(n, E.Load) and isinstance(n.array, Sram)}
 
     def evaluate(self, outer: dict, values: range, version):
@@ -584,9 +627,10 @@ class BoundWindow:
                 return None
             ends, reads = [], []
             with np.errstate(all="ignore"):
-                for end in self.ends:
-                    p = _BoundPass(self, positions, version, {}, False)
-                    ends.append(K.to_int(p.need(end, None)))
+                for end in range(2):
+                    p = _BoundPass(self.table, self.mem, version, False,
+                                   positions)
+                    ends.append(p.int_value(end, None))
                     reads += p.columns()
         except (ArithmeticError, ValueError, SimulationError):
             return None
@@ -677,8 +721,7 @@ class Block:
         # read streams: bound reads, then each site's lanes in issue,
         # statement, lane, phase order
         body = {}
-        for node in dp.sites:
-            key = (node.array.name, id(node))
+        for key in dp.sites:
             pieces = p.rec.get(key)
             if not pieces:
                 continue
@@ -727,9 +770,7 @@ class Block:
         self.streams = [(key[0], False, key, addrs, off)
                         for key, (addrs, off) in streams.items()]
         index = {key: j for j, key in enumerate(streams)}
-        self.order = ([index[(node.array.name, id(node))]
-                       for node in dp.sites
-                       if (node.array.name, id(node)) in index], [])
+        self.order = ([index[key] for key in dp.sites if key in index], [])
         # stores: a write stream per stored scratchpad
         self.stores = []
         for name in dp.stored:

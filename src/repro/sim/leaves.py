@@ -26,7 +26,6 @@ from repro.dhdl.memory import Reg
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
 from repro.errors import SimulationError
-from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.sim.counters import ChainEnumerator, Run
 from repro.sim.block import (BLOCK_LANES, Block, BoundWindow, Datapath,
@@ -201,8 +200,8 @@ class InnerComputeSim(_LeafCommon):
         self.timing = config.timing_for(leaf.name)
         self.fifos = fifos
         self._enum: Optional[ChainEnumerator] = None
-        #: the body's evaluator, built on the first activation
-        self._datapath: Optional[Datapath] = None
+        #: the body's evaluator (its row tables, built once per leaf)
+        self._datapath = Datapath.of(leaf)
         #: a run whose block pass faulted: its last ``_single`` issues
         #: are still to be evaluated, one by one
         self._queue: Optional[Run] = None
@@ -237,9 +236,7 @@ class InnerComputeSim(_LeafCommon):
         self._act: Optional[Activation] = None
         # the statement list is frozen at construction, so the op count
         # per lane and the per-lane FIFO word demand are constants
-        self._ops_per_lane = sum(E.count_ops(root)
-                                 for stmt in leaf.stmts
-                                 for root in stmt.exprs())
+        self._ops_per_lane = self._datapath.ops
         demand: Dict[str, int] = {}
         for stmt in leaf.stmts:
             if isinstance(stmt, EmitStmt):
@@ -283,10 +280,9 @@ class InnerComputeSim(_LeafCommon):
     def _begin_body(self, bindings: dict, version) -> None:
         """Set up evaluation state for one activation (a batch follower
         replays instead)."""
-        if self._datapath is None:
-            self._datapath = Datapath(self)
-            if self.leaf.chain.depth > 1:
-                self._window = BoundWindow(self.mem, self.leaf.chain)
+        if self._window is None and self.leaf.chain.depth > 1:
+            self._window = BoundWindow(self.mem, self.leaf.chain,
+                                       self._datapath.ranges)
         scalar = self._evaluate.bounds
 
         def bounds(counter, bnd):
@@ -442,14 +438,14 @@ class InnerComputeSim(_LeafCommon):
                 return None
         try:
             try:
-                block, self._accs = dp.evaluate(run, self._version,
+                block, self._accs = dp.evaluate(self.mem, run, self._version,
                                                 self._accs)
             except _Redo:
                 if run.issues > 1:
                     self._queue, self._single = run, run.issues
                     return self._next_block()
                 block, self._accs = dp.evaluate(
-                    run, self._version, self._accs, steps=True)
+                    self.mem, run, self._version, self._accs, steps=True)
         except (ArithmeticError, ValueError) as err:
             first, last = run.head()
             raise datapath_fault(self.name, f"lanes {first}..{last}", err)

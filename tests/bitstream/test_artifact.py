@@ -190,6 +190,43 @@ def test_schema_mismatch_rejected():
         Bitstream.from_dict(stale)
 
 
+def _mutate_first_leaf(field, value):
+    def mutate(config):
+        timing = next(iter(config["leaf_timing"].values()))
+        timing[field] = value
+    return mutate
+
+
+def _set(field, value):
+    def mutate(config):
+        config[field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, said", [
+    (_mutate_first_leaf("lanes", 64), r"lanes=64 outside 1\.\.16"),
+    (_mutate_first_leaf("pipeline_depth", 0), "pipeline depth must be >= 1"),
+    (_mutate_first_leaf("output_hops", -5), r"hops \(\d+ in, -5 out\)"),
+    (_set("coalesce_entries", 0), "coalesce_entries=0 must be >= 1"),
+], ids=["lanes", "pipeline_depth", "output_hops", "coalesce_entries"])
+def test_config_no_plasticine_could_hold_is_rejected(mutate, said):
+    """Decoding checks every leaf's timing against the architecture and
+    the coalescing cache's size."""
+    data = compile_to_bitstream("gemm", "tiny").to_dict()
+    mutate(data["config"])
+    with pytest.raises(ConfigError, match=said):
+        Bitstream.from_dict(data)
+
+
+def test_zero_hops_stay_legal():
+    """Figure 7 sweeps the hop latencies down to 0."""
+    art = compile_to_bitstream("gemm", "tiny")
+    data = art.to_dict()
+    for timing in data["config"]["leaf_timing"].values():
+        timing["input_hops"] = timing["output_hops"] = 0
+    assert Bitstream.from_dict(data).machine().run().cycles > 0
+
+
 def test_compile_key_covers_every_input():
     base = compile_key("gemm", "tiny")
     assert base == compile_key("gemm", "tiny")  # deterministic

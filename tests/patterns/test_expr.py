@@ -162,10 +162,12 @@ def test_postorder_visits_each_node_once():
 
 
 def test_count_ops_shares_subtrees():
+    """A lane's op count is the row table's: each compute node once."""
+    from repro.sim.datapath import Table
     i = E.Idx("i")
     shared = i * 2
     root = shared + shared
-    assert E.count_ops(root) == 2  # mul and add, mul counted once
+    assert Table((root,)).ops() == 2  # mul and add, mul counted once
 
 
 def test_collect_indices_and_loads():

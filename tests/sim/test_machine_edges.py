@@ -10,11 +10,13 @@ from repro.compiler.artifact import compile_to_bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme,
                         StreamStore, TileLoad, WriteStmt)
-from repro.dhdl.analysis import mem_reads, mem_writes, scope_edges
+from repro.dhdl.analysis import scope_edges
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array, Fold, Program
 from repro.patterns import expr as E
 from repro.sim import AgAssignment, FabricConfig, LeafTiming, Machine
+
+from tests.dhdl.reference_access import mem_reads, mem_writes
 
 
 def test_watchdog_detects_streaming_deadlock():
