@@ -189,6 +189,35 @@ def config_from_dict(data: dict) -> FabricConfig:
     )
 
 
+def _check_dram_base(dhdl: DhdlProgram, config: FabricConfig) -> None:
+    """Hold the frozen DRAM layout to the program: one base per DRAM
+    array, each a non-negative multiple of the DRAM burst, and no two
+    arrays' ``[base, base + 4·words)`` byte ranges overlapping; else a
+    :class:`ConfigError`."""
+    base = config.dram_base
+    names = {ref.name for ref in dhdl.drams}
+    missing, unknown = sorted(names - set(base)), sorted(set(base) - names)
+    if missing or unknown:
+        raise ConfigError(f"dram_base must name exactly the program's "
+                          f"DRAM arrays: missing {missing}, unknown "
+                          f"{unknown}")
+    burst = config.params.dram.burst_bytes
+    spans = []
+    for ref in dhdl.drams:
+        start = base[ref.name]
+        if start < 0 or start % burst:
+            raise ConfigError(
+                f"dram_base[{ref.name!r}]={start} is not a non-negative "
+                f"multiple of the {burst}-byte burst")
+        spans.append((start, start + 4 * ref.words(), ref.name))
+    spans.sort()
+    # sorted by base, any overlap shows between neighbours
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise ConfigError(f"DRAM arrays {name!r} and {other!r} "
+                              f"overlap at byte {start}")
+
+
 # ---------------------------------------------------------------------------
 # Cache key
 # ---------------------------------------------------------------------------
@@ -261,10 +290,12 @@ class Bitstream:
             raise ConfigError(
                 f"artifact schema {schema!r} != supported "
                 f"{SCHEMA_VERSION} (recompile the app)")
+        dhdl = program_from_dict(data["program"])
+        config = config_from_dict(data["config"])
+        _check_dram_base(dhdl, config)
         return Bitstream(
-            app=data["app"], scale=data["scale"],
-            dhdl=program_from_dict(data["program"]),
-            config=config_from_dict(data["config"]),
+            app=data["app"], scale=data["scale"], dhdl=dhdl,
+            config=config,
             options=CompileOptions.from_dict(data["options"]),
             schema=schema)
 

@@ -43,11 +43,6 @@ Commands
     Run the async compile-and-simulate HTTP service (``repro.serve``):
     clients POST program specs, registry apps, or precompiled artifact
     hashes and get back SimStats, stall attribution, and trace URLs.
-``loadtest [--requests N] [--concurrency N] [--spawn]``
-    Replay a deterministic mix of concurrent requests against a server
-    (or a self-spawned one with ``--spawn``) and report p50/p99
-    latency, throughput, and coalesce/cache-hit rates; ``--baseline``
-    gates the report like ``bench``.
 ``chaos [--seed N] [--scenarios M]``
     Run registry apps under seeded random fault plans
     (``repro.faults``): every scenario must end bit-correct (clean,
@@ -489,7 +484,7 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs, queue_depth=args.queue_depth,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         data_dir=args.data_dir, timeout_s=args.timeout,
-        result_cache=args.result_cache, chaos=args.chaos)
+        result_cache=args.result_cache)
     return run_server(ReproService(config), host=args.host,
                       port=args.port)
 
@@ -647,65 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="completed {job, params} results to keep "
                             "for exact replay (0 disables; default "
                             "256)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="enable POST /chaos/kill (SIGKILL one "
-                            "pool worker; fault-injection testing)")
-    load = sub.add_parser(
-        "loadtest", help="replay concurrent requests against a server")
-    load.add_argument("--host", default="127.0.0.1")
-    load.add_argument("--port", type=int, default=8642)
-    load.add_argument("--spawn", action="store_true",
-                      help="fork a `repro serve` subprocess on a free "
-                           "port for the duration of the run")
-    load.add_argument("--requests", type=_positive_int, default=200,
-                      metavar="N",
-                      help="total requests to replay (default 200)")
-    load.add_argument("--concurrency", type=_positive_int, default=16,
-                      metavar="N",
-                      help="concurrent client connections (default 16)")
-    load.add_argument("--unique", type=_positive_int, default=None,
-                      metavar="N",
-                      help="distinct specs in the mix (default: "
-                           "requests/5; the rest are duplicates that "
-                           "exercise coalescing and caches)")
-    load.add_argument("--seed", type=int, default=0, metavar="N",
-                      help="request-mix seed (default 0)")
-    load.add_argument("--trace-every", type=int, default=0,
-                      metavar="N",
-                      help="request a stall-attribution trace on every "
-                           "N-th request (0 disables)")
-    load.add_argument("--multi-every", type=int, default=0,
-                      metavar="N",
-                      help="mix in multi-tenant work: every N-th "
-                           "request is a POST /multi pair (0 disables)")
-    load.add_argument("--priority-every", type=int, default=0,
-                      metavar="N",
-                      help="with --multi-every: every N-th /multi "
-                           "pair claims an elevated QoS priority for "
-                           "its first tenant, exercising weighted DRAM "
-                           "arbitration under load (0 disables)")
-    load.add_argument("--kill-every", type=int, default=0,
-                      metavar="N",
-                      help="chaos: SIGKILL a server pool worker after "
-                           "every N-th request (needs a --chaos "
-                           "server, or --spawn which then enables "
-                           "it; 0 disables)")
-    load.add_argument("--jobs", type=_positive_int, default=2,
-                      metavar="N", help="--spawn: server worker count")
-    load.add_argument("--queue-depth", type=_positive_int, default=64,
-                      metavar="N", help="--spawn: server queue depth")
-    load.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="--spawn: server compile cache (default: a "
-                           "throwaway temp dir)")
-    load.add_argument("--data-dir", default=None, metavar="DIR",
-                      help="--spawn: server artifact store (default: a "
-                           "throwaway temp dir)")
-    load.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the JSON report here")
-    load.add_argument("--baseline", default=None, metavar="PATH",
-                      help="gate the report against a committed "
-                           "baseline (e.g. benchmarks/"
-                           "serve_baseline.json)")
     chaos = sub.add_parser(
         "chaos", help="run seeded random fault-injection scenarios")
     chaos.add_argument("--seed", type=int, default=0, metavar="N",
@@ -750,9 +686,6 @@ def _dispatch(args) -> int:
         return _cmd_fuzz(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "loadtest":
-        from repro.eval.loadtest import cmd_loadtest
-        return cmd_loadtest(args)
     if args.command == "chaos":
         from repro.faults.chaos import cmd_chaos
         return cmd_chaos(args)

@@ -22,12 +22,13 @@ those guarantees:
   histogram behind ``/statsz``;
 * :mod:`~repro.serve.http` — the stdlib HTTP/1.1 front end and the
   transport-free router (unit tests dispatch in-process);
-* :mod:`~repro.serve.client` — async + blocking clients (the load-test
-  harness in :mod:`repro.eval.loadtest` fans out the async one).
+* :mod:`~repro.serve.client` — async + blocking clients (the repo
+  benchmark's ``serve_mix`` workload replays its requests through
+  them).
 
-``repro serve`` runs the server; ``repro loadtest`` replays thousands
-of concurrent requests against it and reports p50/p99 latency,
-throughput, and coalesce/cache-hit rates.
+``repro serve`` runs the server; ``python3 bench/run.py --workload
+serve_mix`` times a seeded replay against a fresh one and checks every
+answer.
 """
 
 from repro.serve.client import ServeClient, sync_request, wait_healthy

@@ -1,8 +1,9 @@
 """Clients for the serving tier.
 
-:class:`ServeClient` is the asyncio client the load-test harness fans
-out: one persistent HTTP/1.1 connection per instance, reconnecting
-transparently when the server (or an idle timeout) closed it.
+:class:`ServeClient` is the asyncio client the repo benchmark's
+``serve_mix`` workload fans out: one persistent HTTP/1.1 connection
+per instance, reconnecting transparently when the server (or an idle
+timeout) closed it.
 :func:`sync_request` is a one-shot blocking convenience on
 ``http.client`` for CLI probes and scripts; :func:`wait_healthy` polls
 ``/healthz`` until a freshly spawned server answers.

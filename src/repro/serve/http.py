@@ -25,9 +25,6 @@ Endpoints
                              SimStats plus shared-channel utilization
 ``GET  /artifacts/<hash>``   download a stored bitstream artifact
 ``GET  /traces/<name>``      download a recorded Chrome trace
-``POST /chaos/kill``         SIGKILL one pool worker (fault-injection
-                             for loadtests; 404 unless the server was
-                             started with ``--chaos``)
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ MAX_HEADER_BYTES = 64 * 1024
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 408: "Request Timeout",
-                409: "Conflict", 413: "Payload Too Large",
-                422: "Unprocessable Entity", 429: "Too Many Requests",
+                413: "Payload Too Large", 422: "Unprocessable Entity",
+                429: "Too Many Requests",
                 500: "Internal Server Error",
                 503: "Service Unavailable", 504: "Gateway Timeout"}
 
@@ -108,11 +105,6 @@ async def dispatch(service: ReproService, method: str, path: str,
                 and "retry_after_s" in payload:
             headers["Retry-After"] = str(payload["retry_after_s"])
         return json_response(status, payload, headers)
-    if path == "/chaos/kill":
-        if method != "POST":
-            return json_response(405, {"error": "POST only"})
-        status, payload = service.chaos_kill_worker()
-        return json_response(status, payload)
     if path.startswith("/artifacts/"):
         if method != "GET":
             return json_response(405, {"error": "GET only"})

@@ -5,8 +5,8 @@ microseconds; a cold compile+simulate of a four-step spec is hundreds
 of milliseconds; a traced registry app can take seconds), so the
 histogram uses geometric buckets.  Percentiles are interpolated inside
 the containing bucket — good to a few percent, which is plenty for a
-p50/p99 dashboard — and the loadtest harness computes *exact*
-percentiles client-side from raw samples for the committed baseline.
+p50/p99 dashboard; the repo benchmark's ``serve_mix`` workload
+computes exact percentiles client-side from raw samples.
 """
 
 from __future__ import annotations

@@ -27,13 +27,13 @@
    worker slot always comes back.
 
 The tier is crash-tolerant: a worker process that dies mid-job (OOM
-kill, segfault, chaos injection) surfaces as ``BrokenExecutor`` on the
-pending future *immediately* — never by waiting out the wall timeout.
-The service respawns the pool and retries the job up to ``max_retries``
-times with exponential backoff + jitter; a job that keeps killing
-workers comes back as a typed 503.  Each endpoint sits behind a
-:class:`~repro.serve.metrics.CircuitBreaker` that sheds load with 503 +
-``Retry-After`` after a run of infrastructure failures.
+kill, segfault, a SIGKILL from outside) surfaces as ``BrokenExecutor``
+on the pending future *immediately* — never by waiting out the wall
+timeout.  The service respawns the pool and retries the job up to
+``max_retries`` times with exponential backoff + jitter; a job that
+keeps killing workers comes back as a typed 503.  Each endpoint sits
+behind a :class:`~repro.serve.metrics.CircuitBreaker` that sheds load
+with 503 + ``Retry-After`` after a run of infrastructure failures.
 
 Shutdown is graceful: :meth:`drain` stops admissions (503), waits for
 every in-flight job, then tears down the pool.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import importlib
-import os
 import random
 import signal
 import time
@@ -103,8 +102,6 @@ class ServeConfig:
     #: before it opens, and how long it sheds before a half-open probe
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 2.0
-    #: enable the POST /chaos/kill fault-injection endpoint
-    chaos: bool = False
 
     def resolved_cache_dir(self) -> Optional[str]:
         if self.no_cache:
@@ -363,32 +360,6 @@ class ReproService:
         if result.get("mode") == "multi":
             self.stats.multis += 1
 
-    # -- chaos injection ---------------------------------------------------------
-    def chaos_kill_worker(self) -> JobOutcome:
-        """SIGKILL one pool worker (``POST /chaos/kill``, gated).
-
-        Only available when the service was started with
-        ``ServeConfig.chaos`` — loadtests use it to exercise the
-        crash-recovery path against a live server.
-        """
-        if not self.config.chaos:
-            return 404, {"error": "chaos endpoints are disabled "
-                                  "(start the server with --chaos)"}
-        if self._runner is not None:
-            return 409, {"error": "service runs an injected runner, "
-                                  "not a process pool"}
-        self.start()
-        procs = list(getattr(self._executor, "_processes",
-                             {}).values())
-        live = [p for p in procs if p.is_alive()]
-        if not live:
-            return 200, {"killed": None,
-                         "note": "no live worker to kill (workers "
-                                 "spawn on first dispatch)"}
-        victim = live[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        return 200, {"killed": victim.pid}
-
     # -- observability -----------------------------------------------------------
     def healthz(self) -> JobOutcome:
         if self._draining:
@@ -418,7 +389,6 @@ class ReproService:
             "max_retries": self.config.max_retries,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_cooldown_s": self.config.breaker_cooldown_s,
-            "chaos": self.config.chaos,
             "cache_dir": self.cache_dir,
             "data_dir": self.data_dir,
         }

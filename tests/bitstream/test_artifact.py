@@ -203,15 +203,33 @@ def _set(field, value):
     return mutate
 
 
+def _dram_base(edit):
+    def mutate(config):
+        edit(config["dram_base"])   # gemm: b, a, c at 4096, 8192, 12288
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, said", [
     (_mutate_first_leaf("lanes", 64), r"lanes=64 outside 1\.\.16"),
     (_mutate_first_leaf("pipeline_depth", 0), "pipeline depth must be >= 1"),
     (_mutate_first_leaf("output_hops", -5), r"hops \(\d+ in, -5 out\)"),
     (_set("coalesce_entries", 0), "coalesce_entries=0 must be >= 1"),
-], ids=["lanes", "pipeline_depth", "output_hops", "coalesce_entries"])
+    (_dram_base(lambda base: base.pop("a")), r"missing \['a'\], unknown \[\]"),
+    (_dram_base(lambda base: base.update(d=0)), r"missing \[\], unknown \['d'\]"),
+    (_dram_base(lambda base: base.update(a=-64)),
+     r"dram_base\['a'\]=-64 is not a non-negative multiple of the 64-byte"),
+    (_dram_base(lambda base: base.update(a=8192 + 4)),
+     r"dram_base\['a'\]=8196 is not"),
+    (_dram_base(lambda base: base.update(a=4096)),
+     "DRAM arrays 'a' and 'b' overlap at byte 4096"),
+    (_dram_base(lambda base: base.update(a=4096 + 64)),
+     "DRAM arrays 'b' and 'a' overlap at byte 4160"),
+], ids=["lanes", "pipeline_depth", "output_hops", "coalesce_entries",
+        "dram_base_missing", "dram_base_unknown", "dram_base_negative",
+        "dram_base_unaligned", "dram_base_shared", "dram_base_overlap"])
 def test_config_no_plasticine_could_hold_is_rejected(mutate, said):
-    """Decoding checks every leaf's timing against the architecture and
-    the coalescing cache's size."""
+    """Decoding checks every leaf's timing against the architecture, the
+    coalescing cache's size and the DRAM layout against the program."""
     data = compile_to_bitstream("gemm", "tiny").to_dict()
     mutate(data["config"])
     with pytest.raises(ConfigError, match=said):

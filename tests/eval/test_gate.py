@@ -171,14 +171,13 @@ def test_load_accepts_int_and_float_bounds(tmp_path):
      "multi.min_aggregate_speedup = None"),
     (["bench"], {"qos": {"min_hi_speedup": True}},
      "qos.min_hi_speedup = True"),
-    (["loadtest", "--spawn"], {}, "pins nothing"),
-], ids=["bench", "batch", "multi", "qos", "loadtest"])
+], ids=["bench", "batch", "multi", "qos"])
 def test_cli_rejects_empty_baseline_before_any_simulation(
         argv, baseline, why, tmp_path, capsys, monkeypatch):
     """``{}`` used to print ``multi gate passed (floor 0.000x)``; a
     bound that is not a number, in any section, is just as unusable."""
     from repro.cli import main
-    from repro.eval import bench, loadtest, multi
+    from repro.eval import bench, multi
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("benchmark ran before the baseline check")
@@ -187,7 +186,6 @@ def test_cli_rejects_empty_baseline_before_any_simulation(
     monkeypatch.setattr(bench, "run_batch_benchmark", must_not_run)
     monkeypatch.setattr(multi, "run_multi_benchmark", must_not_run)
     monkeypatch.setattr(multi, "run_qos_benchmark", must_not_run)
-    monkeypatch.setattr(loadtest, "spawned_server", must_not_run)
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps(baseline))
     with pytest.raises(SystemExit) as exit_info:
@@ -288,10 +286,8 @@ def test_committed_baselines_hold():
 def unresolved(report, baseline_name):
     """Failures that mean a committed baseline names a key (or row)
     its report does not have — a typo, or a renamed report field.
-    ``baseline.json`` is held whole above; the serve baselines need runs
-    too big for tier-1, so ``tests/serve/test_loadtest.py`` holds their
-    *keys* to a small report with this (and ``test_bench_batch.py`` the
-    batch section's keys to a small grid)."""
+    ``baseline.json`` is held whole above; ``test_bench_batch.py``
+    holds the batch section's keys to a small grid with this."""
     return [failure
             for failure in gate.check(report, _committed(baseline_name))
             if "the report has no" in failure]

@@ -110,7 +110,7 @@ def test_statsz_qos_section_shape(tmp_path):
         assert set(stats["config"]) == {
             "jobs", "queue_depth", "timeout_s", "result_cache",
             "max_retries", "breaker_threshold", "breaker_cooldown_s",
-            "chaos", "cache_dir", "data_dir"}
+            "cache_dir", "data_dir"}
         await service.drain()
 
     asyncio.run(scenario())

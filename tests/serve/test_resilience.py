@@ -2,11 +2,13 @@
 
 The injected-runner tests pin the control flow (fail fast on a dead
 worker, bounded retries, breaker state machine) without real process
-pools; the final test kills a real pool worker with SIGKILL and
-demands the job still completes — the end-to-end satellite.
+pools; the last two SIGKILL a real pool worker from the test and
+demand that every job still completes.
 """
 
 import asyncio
+import os
+import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -15,6 +17,7 @@ import pytest
 from repro.serve.http import dispatch
 from repro.serve.metrics import CircuitBreaker
 from repro.serve.service import ReproService, ServeConfig
+from tests.serve.test_service import _until
 
 APP_BODY = {"app": "innerproduct", "scale": "tiny"}
 
@@ -179,55 +182,80 @@ def test_client_errors_do_not_trip_the_breaker():
 
 
 def test_statsz_reports_fault_counters_and_breakers():
-    service = ReproService(ServeConfig(chaos=True))
+    service = ReproService(ServeConfig())
     snapshot = service.statsz()
     assert snapshot["faults"] == {"worker_crashes": 0, "retries": 0,
                                   "respawns": 0, "breaker_shed": 0}
     assert set(snapshot["breakers"]) == {"compile", "simulate",
                                          "multi"}
     assert snapshot["breakers"]["compile"]["state"] == "closed"
-    assert snapshot["config"]["chaos"] is True
     assert snapshot["config"]["max_retries"] == 2
 
 
-# -- chaos endpoint -----------------------------------------------------------
+# -- real worker kills --------------------------------------------------------
 
 
-def test_chaos_kill_is_gated():
-    service = ReproService(ServeConfig())       # chaos off
-    response = asyncio.run(dispatch(service, "POST", "/chaos/kill",
-                                    b""))
-    assert response.status == 404
-    with_runner = ReproService(ServeConfig(chaos=True),
-                               runner=lambda p: {"ok": True})
-    response = asyncio.run(dispatch(with_runner, "POST", "/chaos/kill",
-                                    b""))
-    assert response.status == 409               # no real pool to kill
-    response = asyncio.run(dispatch(with_runner, "GET", "/chaos/kill",
-                                    b""))
-    assert response.status == 405
+def _live_workers(service):
+    executor = service._executor
+    processes = getattr(executor, "_processes", None) or {}
+    return [proc for proc in processes.values() if proc.is_alive()]
+
+
+async def _kill_live_worker(service) -> None:
+    """SIGKILL a live pool worker of a real service, found through its
+    executor's process table."""
+    await _until(lambda: _live_workers(service), 60.0, "a live pool worker")
+    os.kill(_live_workers(service)[0].pid, signal.SIGKILL)
+
+
+def _real_service(tmp_path) -> ReproService:
+    return ReproService(ServeConfig(
+        jobs=1, max_retries=2, retry_base_s=0.01,
+        cache_dir=str(tmp_path / "cache"),
+        data_dir=str(tmp_path / "data")))
 
 
 def test_real_worker_sigkill_is_survived(tmp_path):
     """End to end: SIGKILL a real pool worker, the job still lands."""
 
     async def scenario():
-        service = ReproService(ServeConfig(
-            jobs=1, chaos=True, max_retries=2, retry_base_s=0.01,
-            cache_dir=str(tmp_path / "cache"),
-            data_dir=str(tmp_path / "data")))
+        service = _real_service(tmp_path)
         try:
             # warm the pool so there is a live worker to murder
             status, _ = await service.submit("compile",
                                              dict(APP_BODY))
             assert status == 200
-            status, payload = service.chaos_kill_worker()
-            assert status == 200
-            assert payload["killed"] is not None
+            await _kill_live_worker(service)
             # next job hits the broken pool, respawns, and completes
             status, result = await service.submit(
                 "compile", {"app": "gemm", "scale": "tiny"})
             assert status == 200, result
+            assert service.stats.respawns >= 1
+        finally:
+            await service.drain()
+
+    asyncio.run(scenario())
+
+
+def test_worker_sigkill_under_load_loses_no_job(tmp_path):
+    """Kill the only worker while three distinct jobs are in flight:
+    every one of them still answers 200."""
+
+    async def scenario():
+        service = _real_service(tmp_path)
+        try:
+            bodies = [{"app": app, "scale": "tiny"}
+                      for app in ("innerproduct", "gemm", "tpchq6")]
+            jobs = [asyncio.ensure_future(service.submit("simulate", body))
+                    for body in bodies]
+            await _until(lambda: len(service.table) == len(bodies)
+                         and service._running == 1, 60.0,
+                         "three jobs in flight, one running")
+            await _kill_live_worker(service)
+            outcomes = await asyncio.gather(*jobs)
+            assert [status for status, _ in outcomes] == [200] * 3, \
+                outcomes
+            assert service.stats.worker_crashes >= 1
             assert service.stats.respawns >= 1
         finally:
             await service.drain()
