@@ -342,11 +342,6 @@ class Channel:
                                               "arb_deferred": 0}
         return tally
 
-    @property
-    def pending(self) -> int:
-        """Requests still queued."""
-        return len(self.queue)
-
     def stats(self) -> dict:
         """Aggregate bank statistics."""
         return {

@@ -39,6 +39,11 @@ class DramModel:
     (``repro.sim.scheduler``) runs each stream's step once per cycle at
     its position, also across the cycles in which the memory system
     runs alone.
+
+    An issuer listed in ``wakers`` keeps the cycle its completions next
+    wake a unit (``wakes_at()``), told as its requests issue
+    (``note_issue``): :meth:`first_wake` is the earliest, and
+    :meth:`drain` lands everything before it in one pass.
     """
 
     def __init__(self, timing: DdrTiming = DDR3_1600,
@@ -65,6 +70,8 @@ class DramModel:
         self._delivered = 0
         #: streams still admitting bursts, in dense-position order
         self.streams: List = []
+        #: issuers whose next completions may wake a unit
+        self.wakers: List = []
 
     def attach_trace(self, tracer, tenant: Optional[int] = None) -> None:
         """Register every channel as an event track on ``tracer``.
@@ -164,46 +171,53 @@ class DramModel:
             if channel.queue and now >= channel.scan_at:
                 request = channel.tick(now)
                 if request is not None:
-                    heapq.heappush(self._completed, (
-                        request.complete_cycle, self._arrivals, request))
+                    done = request.complete_cycle
+                    heapq.heappush(self._completed,
+                                   (done, self._arrivals, request))
                     self._arrivals += 1
+                    issuer = request.issuer
+                    if issuer is not None:
+                        issuer.note_issue(done)
 
     def next_completion(self) -> Optional[int]:
         """Cycle of the earliest undelivered completion (None if none).
-
-        Only meaningful while every channel queue is empty: queued
-        requests have no completion cycle until the FR-FCFS scheduler
-        issues them.
-        """
+        A queued request has no completion cycle until its channel
+        issues it, and may then complete before this one."""
         return self._completed[0][0] if self._completed else None
 
-    def maturing(self) -> List[DramRequest]:
-        """The undelivered requests due at ``next_completion()`` — all
-        of them, in no particular order — without taking them off the
-        heap.  Every heap entry of that cycle hangs from the root
-        through entries of that cycle (a parent's key is no larger than
-        its child's), so only those and their children are visited."""
-        heap = self._completed
-        if not heap:
-            return []
-        due = heap[0][0]
-        size = len(heap)
-        if (size < 2 or heap[1][0] != due) and (size < 3
-                                                 or heap[2][0] != due):
-            return [heap[0][2]]     # the usual case: one is due
-        found = []
-        stack = [0]
-        while stack:
-            at = stack.pop()
-            entry = heap[at]
-            if entry[0] == due:
-                found.append(entry[2])
-                child = 2 * at + 1
-                if child < size:
-                    stack.append(child)
-                    if child + 1 < size:
-                        stack.append(child + 1)
-        return found
+    def first_wake(self) -> Optional[int]:
+        """The first cycle whose completions wake a unit (None: none in
+        flight does).  Exact while nothing is queued, and for the next
+        cycle always (a request issued now completes later)."""
+        first = None
+        for issuer in self.wakers:
+            at = issuer.wakes_at()
+            if at is not None and (first is None or at < first):
+                first = at
+        return first
+
+    def drain(self, stop: int, last: Dict) -> None:
+        """With nothing queued, deliver every completion due before cycle
+        ``stop`` as ``tick`` and ``deliver`` would cycle by cycle: in
+        (cycle, arrival) order, the clock at each one's cycle when its
+        callback runs (an error leaves it there).  ``last`` maps each
+        tenant to its last delivery's cycle."""
+        completed = self._completed
+        counts = self._tenant_counts
+        heappop = heapq.heappop
+        while completed and completed[0][0] < stop:
+            done, _, request = heappop(completed)
+            self.cycle = done
+            self._delivered += 1
+            tenant = request.tenant
+            last[tenant] = done
+            if tenant is not None:
+                tally = counts.get(tenant)
+                if tally is not None:
+                    tally["delivered"] += 1
+            callback = request.callback
+            if callback is not None:
+                callback(request)
 
     def deliver(self) -> List[DramRequest]:
         """Requests whose data transfer has finished by the current cycle.
@@ -237,10 +251,14 @@ class DramModel:
         return ready
 
     @property
+    def queued(self) -> int:
+        """Requests waiting in channel queues: submitted, not issued."""
+        return self.reads + self.writes - self._arrivals
+
+    @property
     def idle(self) -> bool:
         """True when no work is queued or in flight."""
-        return (not self._completed
-                and all(not c.queue for c in self.channels))
+        return not self._completed and not self.queued
 
     @property
     def pending(self) -> int:

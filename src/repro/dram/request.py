@@ -13,7 +13,8 @@ class DramRequest:
     ``tag`` is an opaque handle the issuer uses to match completions
     (e.g. which gather element this burst serves); ``callback``, set by
     ``DramModel.submit``, is called with the request once its data has
-    transferred.
+    transferred.  ``issuer``, when set, hears the cycle the request will
+    complete at as its channel issues it (``issuer.note_issue``).
 
     Requests compare by identity: ``req_id`` is unique, so field
     equality could say nothing else, and the channel queue's
@@ -21,7 +22,8 @@ class DramRequest:
     """
 
     __slots__ = ("byte_addr", "is_write", "tag", "req_id", "arrival_cycle",
-                 "complete_cycle", "tenant", "bank", "row", "callback")
+                 "complete_cycle", "tenant", "bank", "row", "callback",
+                 "issuer")
 
     def __init__(self, byte_addr: int, is_write: bool = False,
                  tag: object = None, bank: int = -1, row: int = -1):
@@ -42,6 +44,7 @@ class DramRequest:
         self.bank = bank
         self.row = row
         self.callback = None
+        self.issuer = None
 
     @property
     def done(self) -> bool:

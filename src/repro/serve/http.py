@@ -215,8 +215,15 @@ class ReproServer:
                 if request is None:
                     break
                 method, target, headers, body = request
-                response = await dispatch(self.service, method, target,
-                                          body)
+                try:
+                    response = await dispatch(self.service, method, target,
+                                              body)
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
+                except Exception as err:    # answered, then closed
+                    response = json_response(500, {
+                        "error": f"{type(err).__name__}: {err}"})
+                    headers = {"connection": "close"}
                 keep = headers.get("connection", "").lower() != "close"
                 writer.write(_encode(response, keep_alive=keep))
                 await writer.drain()

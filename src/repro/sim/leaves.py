@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -577,6 +578,9 @@ class _TransferCommon(_LeafCommon):
         self.image = image
         self.streams = config.ags_for(name).streams
         self._outstanding = 0
+        #: bursts not yet issued by their channel; the latest
+        #: completion cycle of any burst issued so far
+        self._queued = self._due = 0
         #: the pure-latency park: nothing left to issue, bursts still in
         #: flight
         self._park_latency = Park(
@@ -597,10 +601,23 @@ class _TransferCommon(_LeafCommon):
         address and its ``bank``/``row`` are set — with this engine's
         completion handler."""
         self._outstanding += 1
+        self._queued += 1
+        request.issuer = self
         if self.trace is not None:
             self.trace.emit(EventKind.AG_BURST, self.name,
                             (request.byte_addr, int(request.is_write)))
         self.dram.submit(request, self._completion, channel)
+
+    def note_issue(self, done: int) -> None:
+        """A burst of this engine issued; it completes at cycle ``done``."""
+        self._queued -= 1
+        if done > self._due:
+            self._due = done
+
+    def wakes_at(self) -> Optional[int]:
+        """Drained with bursts in flight: the cycle its last completes,
+        once all have issued (earlier activations' completed before)."""
+        return None if self._queued else self._due
 
     def _decode(self, addr: int):
         """``(channel, bank, row)`` of a byte address."""
@@ -611,8 +628,11 @@ class _TransferCommon(_LeafCommon):
         """A burst's data has transferred (every request's callback)."""
         self._outstanding -= 1
         self._on_burst(request)
-        if self._sched is not None and not self._quiet(0):
-            self._sched.node_event(self)
+        if not self._quiet(0):
+            if not self._outstanding:
+                self.dram.wakers.remove(self)
+            if self._sched is not None:
+                self._sched.node_event(self)
 
     def _quiet(self, count: int) -> bool:
         """The wake filter: True when ``count`` more completions of this
@@ -811,8 +831,7 @@ class _StreamCommon(_TransferCommon):
             self._charge_cycle(0, at < end)
         submitted = self._outstanding > outstanding
         if at == self._end:
-            self._at = self._end = 0
-            self.dram.drop_stream(self)
+            self._drained()
             if self._sched is not None and self._park is self._park_stream:
                 self._sched.repark(self, self._park_latency, cycle)
         return submitted
@@ -834,12 +853,18 @@ class _StreamCommon(_TransferCommon):
         is not parked ignores the wake either way.)"""
         return self._at < self._end or self._outstanding > count
 
+    def _drained(self) -> None:
+        """The stream stops admitting: its last completion wakes it."""
+        self._at = self._end = 0
+        self.dram.drop_stream(self)
+        if self._outstanding:
+            self.dram.wakers.append(self)
+
     def fail(self) -> None:
         super().fail()
         if self._at < self._end:
             # its stream stops with it
-            self._at = self._end = 0
-            self.dram.drop_stream(self)
+            self._drained()
 
     def _pump(self, at: int, end: int) -> int:
         """Dispatch positions ``at`` up to ``end`` until one is blocked
@@ -1124,6 +1149,8 @@ class StreamStoreSim(_TransferCommon):
         self._written = 0
         self._staging: List = []
         self._base_word = 0
+        #: completion cycles of the bursts in flight (a heap)
+        self._flight: List[int] = []
         #: every wait this engine can be in, prebuilt
         self._parks = {
             key: self._make_park(*key)
@@ -1178,6 +1205,22 @@ class StreamStoreSim(_TransferCommon):
             else:
                 reg.write(self._written)
             self._active = False
+
+    def _issue(self, request: DramRequest, channel) -> None:
+        if not self._outstanding:
+            self.dram.wakers.append(self)
+        super()._issue(request, channel)
+
+    def note_issue(self, done: int) -> None:
+        super().note_issue(done)
+        heappush(self._flight, done)
+
+    def wakes_at(self) -> Optional[int]:
+        """Each completion wakes a stream store: the first in flight."""
+        return self._flight[0] if self._flight else None
+
+    def _on_burst(self, request: DramRequest) -> None:
+        heappop(self._flight)       # completions land in cycle order
 
     def _make_park(self, starved: bool, blocked: bool,
                    in_flight: bool) -> Park:

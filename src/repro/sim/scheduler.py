@@ -23,8 +23,9 @@ Two interchangeable, cycle-exact modes (:data:`SCHEDULER_MODES`):
   When *nothing* is runnable on any machine, the memory system runs
   alone up to the next event a unit observes
   (``EventScheduler._run_alone``): it steps the cycles in which streams
-  admit, channels issue or completions that wake nobody are delivered,
-  and skips the rest.
+  admit or channels hold queued requests, and once only completions
+  are left it delivers every one that wakes nobody in one pass, up to
+  the first that wakes a unit.
 
 An executed cycle costs what happens in it, not what the machines hold:
 the unit phase pops running nodes from a heap of dense positions and
@@ -49,42 +50,25 @@ one machine's deadlock raises for the whole set.
 Cycle-exactness contract
 ------------------------
 Both modes must produce identical :class:`~repro.sim.stats.SimStats`
-and identical stall-attribution counters/timelines for any program and
-any mix of co-resident programs.  The event scheduler guarantees this
-by construction:
+and stall-attribution counters/timelines for any program and any mix of
+co-resident programs (docs/ARCHITECTURE.md §5 gives the rules in full):
 
-* a waiting cycle is written down once, as a :class:`Park`: a blocked
-  leaf tick does no accounting of its own — ``_LeafCommon._wait``
-  charges the park that describes the cycle through :meth:`Park.charge`,
-  in both modes — and this core charges the rest of the span through
-  the same routine (when the park ends, or when an error exit flushes
-  it).  The modes agree iff the tick would have named the same park on
-  every cycle of the span, the one property a park must have
-  (docs/ARCHITECTURE.md §5 lists the ticks that may leave one);
-* wakeups are liberal — a spurious wake just re-runs a tick the dense
-  loop would have run anyway — while every event that could change a
-  parked unit's behaviour is guaranteed to wake it (FIFO waiters are
-  keyed by the ``FifoSim`` object: co-tenants of one app share every
-  FIFO *name*).  The one filtered wake — a burst completion reaching a
-  transfer on its latency park with bursts still outstanding — is
-  skipped only because that tick provably equals what the park
-  charges;
-* running units tick in the dense loop's order — every node has its
-  dense position, and one that wakes or starts mid-cycle joins this
-  cycle's queue if the unit phase has not reached its position yet and
-  the next cycle's otherwise — so intra-cycle interactions (who grabs
-  the last DRAM queue slot, when a parent observes a child's
-  completion) resolve identically;
-* the memory system only runs alone when no unit of any live machine
-  is runnable (and, while anything is queued or streaming, none waits
-  on queue room), so what happens until the next park timer,
-  scheduled fault, watchdog trip or waking completion is the DRAM
-  model's own doing: channel issues, stream admits, and completions
-  the wake filter would not pass on, each at its own cycle.  The run
-  stops at the first completion that wakes a unit, runs the
-  every-256-cycle scratchpad retirement sweeps where the dense loop
-  runs them, and stops short of the deadlock watchdog, which trips at
-  the same cycle it would under the dense loop.
+* a waiting cycle is written down once, as a :class:`Park`, charged
+  through :meth:`Park.charge` by the blocked tick that names it (both
+  modes) and, for the rest of its span, by this core;
+* wakeups are liberal, and every event that could change a parked
+  unit's behaviour wakes it — but for one filter: a burst completion
+  reaching a transfer on its latency park with bursts still
+  outstanding, whose tick provably equals what the park charges;
+* running units tick in the dense loop's order (every node has its
+  dense position), so intra-cycle interactions resolve identically;
+* the memory system runs alone only when no unit is runnable (and,
+  while anything is queued or streaming, none waits on queue room): up
+  to the next timer, fault, watchdog trip or waking completion —
+  known from what each transfer engine keeps
+  (``DramModel.first_wake``) — only channel issues, stream admits and
+  completions nobody observes happen, and the retirement sweep runs
+  where the dense loop runs it.
 
 Tracing is the one per-unit cost kept: a parked unit's attribution
 marks are emitted once per executed or stepped cycle and handed to
@@ -356,9 +340,12 @@ class EventScheduler:
         self._room_waiters: Set = set()
         self._timers: List[Tuple[int, int, object]] = []
         self._timer_seq = 0
-        #: diagnostics: executed cycles vs fast-forwarded cycles
+        #: diagnostics: executed cycles vs fast-forwarded cycles, and
+        #: the fast-forwarded cycles the memory system stepped
+        #: (``tick``, ``deliver``, admit steps) while it ran alone
         self.executed_cycles = 0
         self.fast_forwarded_cycles = 0
+        self.memory_steps = 0
 
     # -- wakeup plumbing (called from units, FIFOs, and DRAM) ------------------
     def node_started(self, node) -> None:
@@ -527,72 +514,32 @@ class EventScheduler:
             target = timer
         return target
 
-    @staticmethod
-    def _silent(requests) -> bool:
-        """True when delivering ``requests`` — every completion due in
-        one cycle — wakes no unit: each carries no callback or reaches
-        a transfer engine whose wake filter passes on all of the
-        group's completions of it (``_StreamCommon._quiet``, rule 1
-        of ARCHITECTURE §5)."""
-        if len(requests) == 1:
-            callback = requests[0].callback
-            if callback is None:
-                return True
-            try:
-                quiet = callback.__self__._quiet
-            except AttributeError:
-                return False
-            return quiet(1)
-        counts = {}
-        for request in requests:
-            callback = request.callback
-            if callback is not None:
-                engine = getattr(callback, "__self__", None)
-                counts[engine] = counts.get(engine, 0) + 1
-        for engine, count in counts.items():
-            quiet = getattr(engine, "_quiet", None)
-            if quiet is None or not quiet(count):
-                return False
-        return True
-
     def _fast_forward(self, cycle: int, live, max_cycles: int) -> int:
         """No unit of any live machine is runnable: let the memory
-        system run the cycles no unit observes (:meth:`_run_alone`)
-        — stepping those in which a stream admits, a channel issues or
-        a completion that wakes nobody (:meth:`_silent`) is delivered,
-        skipping the rest — with no unit phase and no ``_close_cycle``.
-        Returns the last cycle run; the main loop resumes at the one
-        after it.
+        system run the cycles no unit observes (:meth:`_run_alone`),
+        with no unit phase and no ``_close_cycle``.  Returns the last
+        cycle run; the main loop resumes at the one after it.
 
-        The run stops short of every event a unit observes: a park
-        timer, a fault event, a watchdog trip or the cycle limit
-        (:meth:`_horizon`, re-read when reached: progress inside the
-        run moves a watchdog trip on), and a completion that wakes a
-        unit.  A dequeue would wake a unit waiting on queue room, so
-        while one waits and anything is queued or streaming the main
-        loop steps instead.  Silence is tested before anything else, so
-        a run that cannot start costs one look at the heap.
+        The run stops short of a park timer, a fault event, a watchdog
+        trip or the cycle limit (:meth:`_horizon`, re-read when reached:
+        progress moves a trip on) and of a completion that wakes a unit.
+        While a unit waits on queue room and anything is queued or
+        streaming, a dequeue would wake it, so the main loop steps
+        instead.  A run that cannot start costs one look at the heap.
 
-        What ``_close_cycle`` does is charged per span where that
-        changes nothing.  A machine's watchdog progress is the last
-        cycle a burst of it was submitted or delivered in — nothing
-        else moves its key here, and a submit or a delivery always
-        does — and its key is read once, at the end.  The run stops at
-        every 256-cycle boundary for the retirement sweep, which must
-        fall between that cycle's admits and the next cycle's
-        deliveries (once per boundary: nothing writes a scratchpad in a
-        skipped cycle).  A traced machine is owed its marks every cycle
-        (:meth:`_trace_close`, :meth:`_trace_skip`).  Nothing numeric
+        What ``_close_cycle`` does is charged per span: a machine's
+        watchdog progress is the last cycle a burst of it was submitted
+        or delivered in, and its key is read once, at the end; the run
+        stops at every 256-cycle boundary for the retirement sweep; a
+        traced machine is owed its marks every cycle.  Nothing numeric
         is charged: every cycle run lies inside the span of each park
         open across it (``_charge``).
         """
         dram = self.dram
-        due = dram.next_completion()
-        if (due is not None and due <= cycle + 1
-                and not self._silent(dram.maturing())):
-            return cycle        # due next cycle: nothing to run over
-        if self._room_waiters and (dram.streams or any(
-                c.queue for c in dram.channels)):
+        step = cycle + 1
+        if dram.next_completion() == step and dram.first_wake() == step:
+            return cycle        # a unit wakes next cycle
+        if self._room_waiters and (dram.streams or dram.queued):
             return cycle
         by_tenant = self._by_tenant
         acted: Dict = {}
@@ -639,63 +586,85 @@ class EventScheduler:
 
     def _run_alone(self, horizon: int, live, acted: Dict) -> int:
         """Run the memory system on its own from the cycle after
-        ``dram.cycle`` while no unit needs to act; returns the last
-        cycle run.
+        ``dram.cycle`` up to ``horizon``, before which the caller
+        guarantees nothing else acts; returns the last cycle run.
 
-        A cycle in which a stream admits, a channel holds a queued
-        request or a completion is due is stepped as an executed cycle
-        steps the model: ``tick``, ``deliver``, then every stream's
-        admit step in position order.  Any other cycle changes nothing
-        and is skipped.  The run stops before ``horizon`` and before a
-        cycle whose due completions wake a unit (:meth:`_silent`; the
-        main loop's next cycle delivers them).  The caller guarantees
-        that nothing else acts before ``horizon``: no unit is runnable,
-        none waits on queue room while anything is queued or streaming,
-        and no timer or fault falls in between.
-
-        ``acted`` maps each tenant to the last cycle run in which a
-        burst of it was submitted or delivered — what moves its
-        machine's watchdog progress.  A traced run opens and closes
-        every stepped cycle as an executed one is
-        (:meth:`_trace_close`) and accounts each skipped span
+        While a stream admits or a channel holds a queued request, each
+        cycle is stepped as an executed cycle steps the model:
+        ``tick``, ``deliver``, then every stream's admit step in
+        position order.  Once neither holds, only completions are left:
+        every one before the first that wakes a unit
+        (``DramModel.first_wake``) or ``horizon`` lands in one pass
+        (``DramModel.drain``).  The run stops before a cycle whose
+        completions wake a unit; the main loop's next cycle delivers
+        them.  ``acted`` maps each tenant to the last cycle run in which
+        a burst of it was submitted or delivered.  A traced run opens
+        and closes each cycle in which something happens
+        (:meth:`_trace_close`) and accounts the spans between
         (:meth:`_trace_skip`).
         """
         dram = self.dram
         streams = dram.streams
-        channels = dram.channels
+        tick = dram.tick
+        deliver = dram.deliver
+        next_completion = dram.next_completion
+        wakers = dram.wakers
         traced = self._traced
         now = dram.cycle
+        steps = 0
         while now + 1 < horizon:
             step = now + 1
-            due = dram.next_completion()
-            if due is None:
-                due = horizon
-            if due > step and not streams and not any(
-                    c.queue for c in channels):
-                # nothing acts before the next completion
-                last = min(due, horizon) - 1
+            if not streams and not dram.queued:
+                # only completions land from here on
+                wake = dram.first_wake()
+                stop = horizon if wake is None or wake > horizon else wake
                 if traced:
-                    self._trace_skip(live, now, last)
-                dram.cycle = now = last
-                continue
-            if due == step and not self._silent(dram.maturing()):
+                    self._trace_drain(live, acted, now, stop)
+                else:
+                    dram.drain(stop, acted)
+                dram.cycle = now = stop - 1
+                break
+            due = next_completion()
+            if due == step and wakers and dram.first_wake() == step:
                 break
             if traced:
                 for machine in live:
                     _open_cycle(machine, step)
-            dram.tick()
+            tick()
             now = step
+            steps += 1
             if due == now:
-                for request in dram.deliver():
+                for request in deliver():
                     acted[request.tenant] = now
-            for stream in tuple(streams):
+            # an admit that drains its stream drops it from the list,
+            # which ends a walk over a lone stream in place
+            for stream in streams if len(streams) == 1 else tuple(streams):
                 dram.tenant = tenant = stream.tenant
                 if stream.admit(now):
                     acted[tenant] = now
             if traced:
                 self._trace_close(live, acted, now)
         dram.tenant = None
+        self.memory_steps += steps
         return now
+
+    def _trace_drain(self, live, acted: Dict, now: int, stop: int) -> None:
+        """``DramModel.drain`` up to ``stop`` for traced machines: each
+        cycle a completion lands in is opened and closed as a stepped
+        one, and the spans between are skipped."""
+        dram = self.dram
+        due = dram.next_completion()
+        while due is not None and due < stop:
+            if due > now + 1:
+                self._trace_skip(live, now, due - 1)
+            for machine in live:
+                _open_cycle(machine, due)
+            dram.drain(due + 1, acted)
+            self._trace_close(live, acted, due)
+            now = due
+            due = dram.next_completion()
+        if stop - 1 > now:
+            self._trace_skip(live, now, stop - 1)
 
     def _trace_close(self, live, acted: Dict, cycle: int) -> None:
         """Close a cycle the memory system ran alone as an executed

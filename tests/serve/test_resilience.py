@@ -7,6 +7,7 @@ demand that every job still completes.
 """
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -14,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.serve.http import dispatch
+from repro.serve.http import ReproServer, dispatch
 from repro.serve.metrics import CircuitBreaker
 from repro.serve.service import ReproService, ServeConfig
 from tests.serve.test_service import _until
@@ -190,6 +191,59 @@ def test_statsz_reports_fault_counters_and_breakers():
                                          "multi"}
     assert snapshot["breakers"]["compile"]["state"] == "closed"
     assert snapshot["config"]["max_retries"] == 2
+
+
+async def _exchange(port: int, request: bytes):
+    """Send one raw request on a fresh connection; (status line,
+    headers, body) of the reply, read to the end of the stream."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), 30.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value.strip() for name, _, value in
+               (line.partition(":") for line in lines)}
+    return status, headers, body
+
+
+def test_service_fault_is_a_500_and_the_server_lives_on(monkeypatch):
+    """A ``submit`` that raises (here ``KeyError``) is answered with a
+    JSON 500 that closes its connection; the next connection is served
+    as usual."""
+
+    async def broken(mode, body):
+        raise KeyError("lost job")
+
+    service = ReproService(ServeConfig(), runner=lambda payload: {})
+    monkeypatch.setattr(service, "submit", broken)
+
+    async def scenario():
+        server = ReproServer(service, port=0)
+        await server.start()
+        try:
+            body = b'{"app": "innerproduct", "scale": "tiny"}'
+            status, headers, reply = await _exchange(
+                server.bound_port,
+                b"POST /simulate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            assert status == "HTTP/1.1 500 Internal Server Error"
+            assert headers["connection"] == "close"
+            assert headers["content-type"].startswith("application/json")
+            assert "KeyError" in json.loads(reply)["error"]
+            status, _, reply = await _exchange(
+                server.bound_port,
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            assert status == "HTTP/1.1 200 OK"
+            assert json.loads(reply)["ok"] is True
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
 
 
 # -- real worker kills --------------------------------------------------------

@@ -62,30 +62,52 @@ def _bench(directory, name, walls):
         for load, wall in walls.items()]}))
 
 
-def test_references_take_each_workloads_lowest_wall_s(tmp_path):
-    """A newer file that reads a workload slower does not raise its
-    ceiling; one that reads it faster lowers it.  A file without a PR
-    number is not a reference."""
-    _bench(tmp_path, "BENCH_aaa_pr4.json", {"a": 1.0, "b": 2.0})
+def test_references_take_the_median_of_the_three_newest(tmp_path):
+    """Per workload, the three files with the highest PR numbers that
+    have it (numerically: 33 is newer than 5); fewer when fewer have
+    it.  A file without a PR number is not a reference."""
+    _bench(tmp_path, "BENCH_aaa_pr4.json", {"a": 0.1, "b": 2.0})
     _bench(tmp_path, "BENCH_bbb_pr33.json", {"a": 1.5, "b": 1.0})
     _bench(tmp_path, "BENCH_ccc_pr5.json", {"a": 1.0, "c": 3.0})
+    _bench(tmp_path, "BENCH_eee_pr6.json", {"a": 2.0})
     _bench(tmp_path, "BENCH_ddd.json", {"a": 0.1})
     assert speed_gate.references(str(tmp_path)) == {
-        "a": (1.0, "BENCH_ccc_pr5.json"),      # tied: the higher number
-        "b": (1.0, "BENCH_bbb_pr33.json"),
+        "a": (1.5, "BENCH_bbb_pr33.json, BENCH_eee_pr6.json, "
+                   "BENCH_ccc_pr5.json"),
+        "b": (1.5, "BENCH_bbb_pr33.json, BENCH_aaa_pr4.json"),
         "c": (3.0, "BENCH_ccc_pr5.json")}
     assert speed_gate.references(str(tmp_path / "empty")) == {}
 
 
-def test_main_compares_with_the_lowest_committed_wall_s(tmp_path, capsys):
+def test_one_low_reading_does_not_set_the_ceiling(tmp_path, monkeypatch):
+    """The newest of three files reads ``multi_tenant`` at 0.1357 s
+    against 0.167 and 0.157 s in the other two: the ceiling is the
+    median's, 0.157 s x 1.25 = 0.196 s, so a 0.178 s reading passes,
+    which the lowest reading's ceiling (0.170 s) would have failed."""
+    _bench(tmp_path, "BENCH_aaa_pr39.json", {"multi_tenant": 0.167})
+    _bench(tmp_path, "BENCH_bbb_pr40.json", {"multi_tenant": 0.157})
+    _bench(tmp_path, "BENCH_ccc_pr41.json", {"multi_tenant": 0.1357})
+    best = speed_gate.references(str(tmp_path))
+    assert best["multi_tenant"][0] == 0.157
+    report = {"workload": "multi_tenant",
+              "metrics": {"wall_s": {"value": 0.178}}}
+    assert speed_gate.check([report], best, 0.25) == []
+    assert 0.178 > 0.1357 * 1.25
+    report["metrics"]["wall_s"]["value"] = 0.197
+    assert len(speed_gate.check([report], best, 0.25)) == 1
+
+
+def test_main_compares_with_the_newest_committed_wall_s(tmp_path, capsys):
     report = _write(tmp_path, _workloads()["dram_stream"])
     assert speed_gate.main([report]) == 0
-    floor, name = speed_gate.references(speed_gate.BENCHMARKS)[
+    floor, names = speed_gate.references(speed_gate.BENCHMARKS)[
         "dram_stream"]
     assert floor <= speed_gate._wall(_workloads()["dram_stream"])
+    assert len(names.split(", ")) == speed_gate.NEWEST
     out = capsys.readouterr().out
-    assert "against the lowest committed wall_s in benchmarks" in out
-    assert f"against {floor:.3f} s ({name})" in out
+    assert ("against the median wall_s of the 3 newest committed files "
+            "in benchmarks") in out
+    assert f"against {floor:.3f} s ({names})" in out
 
 
 def test_main_fails_a_report_over_the_ceiling(tmp_path, monkeypatch,

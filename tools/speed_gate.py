@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Host-speed gate for CI: fresh ``bench/run.py`` reports against the
-best committed ones.
+newest committed ones.
 
 Usage::
 
@@ -9,11 +9,13 @@ Usage::
     python tools/speed_gate.py speed/dram_stream.json [...]
 
 Each report's ``wall_s`` (the median untraced pass, at reference machine
-speed) may be at most the lowest ``wall_s`` the same workload has in any
-committed ``benchmarks/BENCH_<rev>_pr<N>.json`` times 1 + the ``wall_s``
-bound of ``BENCHMARK.json``: a new reference can only tighten a ceiling.
+speed) may be at most the median ``wall_s`` of the same workload in the
+three newest committed ``benchmarks/BENCH_<rev>_pr<N>.json`` files that
+have it (highest N first) times 1 + the ``wall_s`` bound of
+``BENCHMARK.json``: one low reading does not set a ceiling, and a
+committed speed-up lowers the ceilings once it is the middle reading.
 The ceiling is held through :func:`repro.eval.gate.check`.  Prints, per
-workload, both numbers and the file the ceiling comes from.  Exits 1
+workload, both numbers and the files the ceiling comes from.  Exits 1
 when a report is over its ceiling, and 2 when there is nothing to
 compare with: no committed file, or a workload no committed file has.
 """
@@ -24,6 +26,7 @@ import glob
 import json
 import os
 import re
+import statistics
 import sys
 from typing import Dict, List, Tuple
 
@@ -35,24 +38,30 @@ from repro.eval import gate  # noqa: E402
 BENCHMARKS = os.path.join(REPO, "benchmarks")
 
 
+#: how many of the newest committed readings a ceiling is the median of
+NEWEST = 3
+
+
 def references(directory: str) -> Dict[str, Tuple[float, str]]:
-    """Per workload, the lowest ``wall_s`` among the
-    ``BENCH_<rev>_pr<N>.json`` files in ``directory`` and the name of
-    the file holding it (on a tie, the one with the higher N)."""
-    best: Dict[str, Tuple[float, int, str]] = {}
+    """Per workload, the median ``wall_s`` of the :data:`NEWEST`
+    ``BENCH_<rev>_pr<N>.json`` files in ``directory`` with the highest
+    N that have it, and the names of those files."""
+    files = []
     for path in glob.glob(os.path.join(directory, "BENCH_*_pr*.json")):
         match = re.search(r"_pr(\d+)\.json$", path)
-        if not match:
-            continue
-        number = int(match.group(1))
+        if match:
+            files.append((int(match.group(1)), path))
+    readings: Dict[str, List[Tuple[float, str]]] = {}
+    for _, path in sorted(files, reverse=True):
         with open(path) as fh:
             committed = json.load(fh)
         for workload in committed["workloads"]:
-            key = (_wall(workload), -number, os.path.basename(path))
-            name = workload["workload"]
-            if name not in best or key < best[name]:
-                best[name] = key
-    return {name: (wall, path) for name, (wall, _, path) in best.items()}
+            kept = readings.setdefault(workload["workload"], [])
+            if len(kept) < NEWEST:
+                kept.append((_wall(workload), os.path.basename(path)))
+    return {name: (statistics.median(wall for wall, _ in kept),
+                   ", ".join(path for _, path in kept))
+            for name, kept in readings.items()}
 
 
 def wall_bound() -> float:
@@ -95,8 +104,8 @@ def main(argv: List[str]) -> int:
         print(f"speed gate: no BENCH_<rev>_pr<N>.json in {BENCHMARKS}",
               file=sys.stderr)
         return 2
-    print(f"speed gate: against the lowest committed wall_s in "
-          f"{os.path.relpath(BENCHMARKS, REPO)}")
+    print(f"speed gate: against the median wall_s of the {NEWEST} newest "
+          f"committed files in {os.path.relpath(BENCHMARKS, REPO)}")
     reports = []
     for name in argv:
         with open(name) as fh:
