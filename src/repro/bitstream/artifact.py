@@ -290,6 +290,11 @@ class Bitstream:
             raise ConfigError(
                 f"artifact schema {schema!r} != supported "
                 f"{SCHEMA_VERSION} (recompile the app)")
+        for key, kind in (("app", str), ("scale", str), ("options", dict),
+                          ("program", dict), ("config", dict)):
+            if not isinstance(data.get(key), kind):
+                raise ConfigError(f"artifact key {key!r} must be a "
+                                  f"{kind.__name__}")
         dhdl = program_from_dict(data["program"])
         config = config_from_dict(data["config"])
         _check_dram_base(dhdl, config)
@@ -346,10 +351,21 @@ class Bitstream:
         return path
 
     @staticmethod
+    def from_bytes(raw: bytes) -> "Bitstream":
+        """Decode an artifact's bytes (:meth:`to_bytes`); bytes that are
+        not UTF-8 JSON, or nest past the recursion limit, are a
+        :class:`ConfigError`, like a malformed artifact dict."""
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"artifact does not decode as UTF-8 JSON "
+                              f"({type(err).__name__})") from None
+        return Bitstream.from_dict(data)
+
+    @staticmethod
     def load(path: Union[str, Path]) -> "Bitstream":
         """Read an artifact previously written by :meth:`save`."""
-        return Bitstream.from_dict(
-            json.loads(Path(path).read_bytes().decode("utf-8")))
+        return Bitstream.from_bytes(Path(path).read_bytes())
 
     # -- execution ----------------------------------------------------------------
     def machine(self, **kwargs) -> Any:

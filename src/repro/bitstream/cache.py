@@ -17,7 +17,6 @@ the same app race benignly: last writer wins with identical bytes.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,14 +103,12 @@ class CompileCache:
             self.stats.misses += 1
             return None
         try:
-            artifact = Bitstream.from_dict(
-                json.loads(raw.decode("utf-8")))
+            artifact = Bitstream.from_bytes(raw)
         except (ValueError, KeyError, TypeError, ConfigError, IRError):
-            # undecodable entry (JSONDecodeError/UnicodeDecodeError are
-            # ValueErrors; missing or mistyped fields raise
-            # KeyError/TypeError; ConfigError covers schema mismatch,
-            # IRError a malformed program): drop it so the next put can
-            # rewrite it
+            # undecodable entry (ConfigError covers bytes that are not
+            # JSON, schema mismatch and missing or mistyped top-level
+            # keys, IRError a malformed program, KeyError/TypeError its
+            # fields): drop it so the next put can rewrite it
             try:
                 path.unlink()
             except OSError:

@@ -28,7 +28,6 @@ into the equivalence class the shrinker preserves.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -114,8 +113,8 @@ def run_oracle(spec: dict, trip_error: bool = False) -> OracleResult:
                                   options=FUZZ_OPTIONS)
         stage = "roundtrip"
         blob = artifact.to_bytes()
-        clone_a = Bitstream.from_dict(json.loads(blob.decode("utf-8")))
-        clone_b = Bitstream.from_dict(json.loads(blob.decode("utf-8")))
+        clone_a = Bitstream.from_bytes(blob)
+        clone_b = Bitstream.from_bytes(blob)
         result = OracleResult(spec, ok=True)
         if clone_a.content_hash != artifact.content_hash:
             result.ok = False

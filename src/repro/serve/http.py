@@ -95,7 +95,9 @@ async def dispatch(service: ReproService, method: str, path: str,
             return json_response(405, {"error": "POST only"})
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
-        except (ValueError, UnicodeDecodeError) as err:
+        except (ValueError, RecursionError) as err:
+            # UnicodeDecodeError is a ValueError; nesting past the
+            # recursion limit is as malformed as a syntax error
             return json_response(
                 400, {"error": f"request body is not valid JSON: "
                                f"{err}"})

@@ -5,14 +5,17 @@ graph … to virtual stages" (§3.6); :class:`Table` does the same, once
 per expression set.  Every node is a row ``(kind, ..., operand rows)``
 in first-evaluation order, carrying its dtype and, for an int, a value
 range proved from INT32 scratchpad dtypes, constants and counter
-extents (:func:`index_ranges`).  A ``Select``'s branches are row ranges
-run only on their own lanes (the untaken side checks, records and
-raises nothing); a node with several users is defined once, in a range
-of its own, and each use is a ``NEED`` row that runs it on the lanes
-that lack it.  Every row's value has its node's dtype (float64 rounded
-to float32, int64 or bool), and where the facts prove a runtime test
-cannot fire — rounding a rounded value, an int64 wrap, an address out
-of bounds — the row makes none.
+extents (:func:`index_ranges`) and, where it is affine in the indices,
+its coefficient of the innermost one (which bounds how far apart one
+issue's addresses lie: ``repro.sim.block.Datapath.widths``).  A
+``Select``'s branches are row ranges run only on their own lanes (the
+untaken side checks, records and raises nothing); a node with several
+users is defined once, in a range of its own, and each use is a
+``NEED`` row that runs it on the lanes that lack it.  Every row's
+value has its node's dtype (float64 rounded to float32, int64 or bool),
+and where the facts prove a runtime test cannot fire — rounding a
+rounded value, an int64 wrap, an address out of bounds — the row makes
+none.
 
 The block evaluator (``repro.sim.block``) runs the rows over numpy
 lanes; the once-per-activation scalars (counter bounds, transfer
@@ -126,7 +129,10 @@ def _fns(op: str, dtype: str, exact: bool, proved: bool):
 
 class Table:
     """The rows of ``roots``, each root a range ``(lo, hi, value row)``;
-    ``ranges`` binds index nodes to value ranges (:func:`index_ranges`).
+    ``ranges`` binds index nodes to value ranges (:func:`index_ranges`);
+    ``coefs`` holds, per int row affine in the indices, the coefficient
+    of index ``inner`` (0 for a row that does not use it; None where not
+    affine), and ``slopes`` the same of each load site's flat address.
 
     Rows: ``(CONST, value)``, ``(SYM, node, float32 var)``, ``(LOAD,
     sram, index rows, bounds tests, site key)``, ``(REG, reg)``, ``(BIN,
@@ -138,10 +144,12 @@ class Table:
     ``(NEED, memo, lo, hi, value, next row)`` and ``(FAIL, message)``."""
 
     __slots__ = ("rows", "roots", "objs", "nodes", "dtypes", "spans",
-                 "memos", "_ranges", "_shared", "_defs")
+                 "coefs", "slopes", "memos", "_ranges", "_shared", "_defs",
+                 "_inner")
 
-    def __init__(self, roots: Sequence[E.Expr], ranges=None):
+    def __init__(self, roots: Sequence[E.Expr], ranges=None, inner=None):
         self.rows, self.nodes, self.dtypes, self.spans = [], [], [], []
+        self.coefs, self.slopes, self._inner = [], {}, inner
         self._ranges, self._defs, self.objs = ranges or {}, {}, {}
         uses: Dict[E.Expr, int] = dict.fromkeys(roots, 0)
         for root in roots:
@@ -163,19 +171,48 @@ class Table:
         # what runs, and facts no GC pass need look into again
         self.rows, self.memos = tuple(self.rows), len(self._defs)
         self.roots, self.spans = tuple(self.roots), tuple(self.spans)
-        self.objs = tuple(self.objs)
-        del self._ranges, self._shared, self._defs, self.dtypes
+        self.objs, self.coefs = tuple(self.objs), tuple(self.coefs)
+        del self._ranges, self._shared, self._defs, self.dtypes, self._inner
 
     def _obj(self, obj) -> int:
         """``obj``'s number in ``objs``."""
         return self.objs.setdefault(obj, len(self.objs))
 
-    def _row(self, row, node, dtype, span=None) -> int:
+    def _row(self, row, node, dtype, span=None, coef=None) -> int:
         self.rows.append(row)
         self.nodes.append(node)
         self.dtypes.append(dtype)
         self.spans.append(span if dtype == E.INT32 else None)
+        self.coefs.append(coef if dtype == E.INT32 else None)
         return len(self.rows) - 1
+
+    def _coef(self, op: str, a: int, b: int = None):
+        """``inner``'s coefficient in int ``op`` over rows ``a`` (and
+        ``b``): known through ``add``, ``sub``, ``neg`` and ``mul`` by
+        an int constant (None: not affine)."""
+        x = self.coefs[a]
+        y = None if b is None else self.coefs[b]
+        if op == "neg":
+            return None if x is None else -x
+        if x is None or y is None:
+            return None
+        if op in ("add", "sub"):
+            return x + y if op == "add" else x - y
+        if op == "mul" and self.rows[a][0] == CONST:
+            return self.rows[a][1] * y
+        if op == "mul" and self.rows[b][0] == CONST:
+            return x * self.rows[b][1]
+        return None
+
+    def slope(self, rows, shape):
+        """``inner``'s coefficient in the flat row-major address that
+        index rows ``rows`` make into ``shape`` (None: not affine)."""
+        total = 0
+        for j, dim in zip(rows, shape):
+            if self.coefs[j] is None:
+                return None
+            total = total * dim + self.coefs[j]
+        return total
 
     def _emit(self, node: E.Expr, local: dict) -> int:
         """The row holding ``node``'s value in the range ``local`` maps."""
@@ -186,11 +223,13 @@ class Table:
         if kind is E.Const:
             at = self._row((CONST, _rnd(node.value) if dtype == E.FLOAT32
                             else node.value), node, dtype,
-                           (node.value, node.value))
+                           (node.value, node.value), 0)
         elif kind is E.Idx or kind is E.Var:
             at = self._row((SYM, self._obj(node), kind is E.Var
                             and dtype == E.FLOAT32), node, dtype,
-                           self._ranges.get(node))
+                           self._ranges.get(node),
+                           int(node is self._inner) if kind is E.Idx
+                           else None)
         elif node in self._shared:
             at = self._row(None, node, dtype)
             define = self._defs.get(node)
@@ -200,6 +239,7 @@ class Table:
                                              len(self.rows), value)
             self.rows[at] = (NEED, *define, max(at + 1, define[2]))
             self.spans[at] = self.spans[define[3]]
+            self.coefs[at] = self.coefs[define[3]]
         else:
             at = self._define(node, local)
         local[node] = at
@@ -225,9 +265,11 @@ class Table:
                     j = self._row((UN, *_fns("to_int", E.INT32, True, False),
                                    j), None, E.INT32)
                 rows.append(j)
+            key = (target.name, id(node))
+            self.slopes[key] = self.slope(rows, target.shape)
             return self._row((LOAD, self._obj(target), tuple(rows),
-                              self.tests(rows, target.shape),
-                              (target.name, id(node))), node, dtype, _INT32)
+                              self.tests(rows, target.shape), key),
+                             node, dtype, _INT32)
         if isinstance(node, E.Select):
             cond = self._emit(node.cond, local)
             at = self._row(None, node, dtype)
@@ -248,7 +290,7 @@ class Table:
                 and dtypes[a] == dtypes[b] == E.FLOAT32
             return self._row((BIN, *_fns(op, dtype, exact, op in K.ARITH
                                          and span is not None), a, b),
-                             node, dtype, span)
+                             node, dtype, span, self._coef(op, a, b))
         if isinstance(node, E.UnOp):
             op = node.op
             x = self._emit(node.operand, local)
@@ -256,7 +298,8 @@ class Table:
             exact = dtype != E.FLOAT32 or dtypes[x] == E.FLOAT32 \
                 and op in ("neg", "abs", "relu", "to_float")
             return self._row((UN, *_fns(op, dtype, exact, op in (
-                "neg", "abs") and span is not None), x), node, dtype, span)
+                "neg", "abs") and span is not None), x), node, dtype, span,
+                self._coef(op, x))
         return self._row((FAIL, f"cannot evaluate {node!r} on the datapath"),
                          node, dtype)
 

@@ -18,7 +18,10 @@ prices a block of equal-length groups row by row.  On the hot path
 nobody calls :meth:`ScratchpadSim.store` or the rule per lane or per
 group: an inner compute lands a block's stores as columns and prices
 its groups once per block (``repro.sim.block``); ``store`` serves
-the end-of-activation reduce results.
+the end-of-activation reduce results.  :meth:`ScratchpadSim.conflict_free`
+is the rule's proven zero: a stream whose every group is known to lie
+within a static width (``repro.sim.block.Datapath.widths``) is not
+priced where it says so.
 """
 
 from __future__ import annotations
@@ -172,6 +175,17 @@ class ScratchpadSim:
         per_bank = np.bincount(cell, minlength=len(rows) * banks)
         extra = per_bank.reshape(len(rows), banks).max(axis=1) - 1
         return int(extra[0]) if one else extra
+
+    def conflict_free(self, width, write: bool = False) -> bool:
+        """Whether :meth:`conflict_extra` is 0 on every group whose
+        addresses lie within ``width`` words of each other (None: any
+        width): a mode that cannot conflict, or ``STRIDED`` with
+        ``bank_stride == 1`` and ``width < banks``."""
+        mode = self.sram.banking
+        if mode is not BankingMode.STRIDED:
+            return not write or mode is not BankingMode.DUPLICATION
+        return width is not None and width < self.banks \
+            and self.sram.bank_stride == 1
 
     def read_cost(self, flat_addrs: Sequence[int]) -> int:
         """Count and charge one vector of lane reads; returns its extra

@@ -246,6 +246,35 @@ def test_service_fault_is_a_500_and_the_server_lives_on(monkeypatch):
     asyncio.run(scenario())
 
 
+def test_a_deeply_nested_body_is_a_400():
+    """A body nested past the recursion limit is malformed JSON like any
+    other (a 400), not a 500; the server answers the next request."""
+    service = ReproService(ServeConfig(), runner=lambda payload: {})
+
+    async def scenario():
+        direct = await dispatch(service, "POST", "/simulate", b"[" * 100_000)
+        assert direct.status == 400
+        assert "not valid JSON" in direct.json["error"]
+        server = ReproServer(service, port=0)
+        await server.start()
+        try:
+            body = b"[" * 100_000
+            status, _, reply = await _exchange(
+                server.bound_port,
+                b"POST /simulate HTTP/1.1\r\nHost: x\r\nConnection: close"
+                b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+            assert status == "HTTP/1.1 400 Bad Request"
+            assert "RecursionError" not in json.loads(reply)["error"]
+            status, _, _ = await _exchange(
+                server.bound_port,
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            assert status == "HTTP/1.1 200 OK"
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
 # -- real worker kills --------------------------------------------------------
 
 

@@ -53,15 +53,31 @@ BAD_INPUT = {
     "run-batch-params-not-dicts":
         ["run", "gemm", "--batch", "--batch-params", "[1]"],
     "run-missing-artifact": ["run", "--artifact", "/nonexistent.json"],
+    "run-artifact-not-json": ["run", "--artifact", "@not-json"],
+    "run-artifact-missing-key": ["run", "--artifact", "@missing-key"],
+    "run-artifact-nested": ["run", "--artifact", "@nested"],
     "chaos-unknown-scale":
         ["chaos", "--scale", "huge", "--scenarios", "1"],
 }
 
 
+#: the malformed artifact files ``@name`` stands for in ``BAD_INPUT``
+BAD_ARTIFACTS = {
+    "not-json": b"{this is not json",
+    "missing-key": b'{"schema": 2}',
+    "nested": b"[" * 100_000,
+}
+
+
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
-def test_bad_input_is_one_line_on_stderr(argv, tmp_path, monkeypatch,
-                                         capsys):
+def test_bad_input_is_one_line_on_stderr(argv, tmp_path, tmp_path_factory,
+                                         monkeypatch, capsys):
     """Each of these used to end in a Python traceback and status 1."""
+    files = tmp_path_factory.mktemp("artifacts")
+    for name, raw in BAD_ARTIFACTS.items():
+        (files / f"{name}.json").write_bytes(raw)
+    argv = [str(files / f"{a[1:]}.json") if a.startswith("@") else a
+            for a in argv]
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     try:
