@@ -12,11 +12,10 @@ and are stored in a content-addressed on-disk cache keyed by
 from repro.bitstream.artifact import (SCHEMA_VERSION, Bitstream,
                                       CompileOptions, compile_key)
 from repro.bitstream.cache import CacheStats, CompileCache
-from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
-                                    MemoryPlacement)
+from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
 
 __all__ = [
     "SCHEMA_VERSION", "Bitstream", "CompileOptions", "compile_key",
     "CacheStats", "CompileCache",
-    "AgAssignment", "FabricConfig", "LeafTiming", "MemoryPlacement",
+    "AgAssignment", "FabricConfig", "LeafTiming",
 ]

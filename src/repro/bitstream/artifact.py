@@ -32,15 +32,14 @@ from repro.arch.params import (DEFAULT, DramParams, PcuParams,
                                PlasticineParams, PmuParams)
 from repro.arch.requirements import (DesignRequirements, VirtualPcuReq,
                                      VirtualPmuReq)
-from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
-                                    MemoryPlacement)
-from repro.dhdl.ir import DhdlProgram
+from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
+from repro.dhdl.ir import DhdlProgram, InnerCompute
 from repro.dhdl.serialize import program_from_dict, program_to_dict
 from repro.errors import ConfigError
 
 #: Bump whenever the serialized layout changes; the cache segregates
 #: artifacts by schema so stale entries are never misread.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def canonical_json(data: dict) -> bytes:
@@ -138,8 +137,8 @@ def config_to_dict(config: FabricConfig) -> dict:
                         for name, t in config.leaf_timing.items()},
         "ag_assign": {name: list(a.ag_ids)
                       for name, a in config.ag_assign.items()},
-        "sram_place": {name: [list(site) for site in p.pmu_sites]
-                       for name, p in config.sram_place.items()},
+        "sites": {name: [list(site) for site in sites]
+                  for name, sites in config.sites.items()},
         "dram_base": dict(config.dram_base),
         "requirements": _requirements_to_dict(config.requirements),
         "pcus_used": config.pcus_used,
@@ -173,9 +172,8 @@ def config_from_dict(data: dict) -> FabricConfig:
                      for name, t in data["leaf_timing"].items()},
         ag_assign={name: AgAssignment(tuple(ids))
                    for name, ids in data["ag_assign"].items()},
-        sram_place={name: MemoryPlacement(
-                        tuple(tuple(site) for site in sites))
-                    for name, sites in data["sram_place"].items()},
+        sites={name: tuple(tuple(site) for site in sites)
+               for name, sites in data["sites"].items()},
         dram_base=dict(data["dram_base"]),
         requirements=_requirements_from_dict(data["requirements"]),
         pcus_used=data["pcus_used"],
@@ -216,6 +214,55 @@ def _check_dram_base(dhdl: DhdlProgram, config: FabricConfig) -> None:
         if start < end:
             raise ConfigError(f"DRAM arrays {name!r} and {other!r} "
                               f"overlap at byte {start}")
+
+
+def _check_sites(dhdl: DhdlProgram, config: FabricConfig,
+                 pmu_fraction: float) -> None:
+    """Hold the recorded placement to the program and the grid: each
+    unit a compute leaf (on PCU sites, as many as its ``num_pcus``) or a
+    scratchpad (on PMU sites), every site of its unit's kind under the
+    compiler's checkerboard for ``pmu_fraction`` and inside ``region``
+    when one is set, no site shared, and ``pcus_used``/``pmus_used``
+    the sites' counts; else a :class:`ConfigError`."""
+    # lazy: the compiler sits above this module
+    from repro.compiler.place_route import Region, site_kinds
+    params = config.params
+    kinds = site_kinds(params, pmu_fraction)
+    region = Region(*config.region) if config.region is not None else None
+    computes = {leaf.name for leaf in dhdl.leaves()
+                if isinstance(leaf, InnerCompute)}
+    srams = {sram.name for sram in dhdl.srams}
+    owner: Dict[tuple, str] = {}
+    used = {"pcu": 0, "pmu": 0}
+    for name, sites in config.sites.items():
+        kind = ("pcu" if name in computes
+                else "pmu" if name in srams else None)
+        if kind is None:
+            raise ConfigError(f"sites[{name!r}]: the program has no "
+                              f"compute leaf or scratchpad of that name")
+        for site in sites:
+            if kinds.get(site) != kind:
+                raise ConfigError(
+                    f"sites[{name!r}]: {site} is not a {kind.upper()} "
+                    f"site of the {params.grid_cols}x{params.grid_rows} "
+                    f"grid")
+            if region is not None and not region.contains(site):
+                raise ConfigError(f"sites[{name!r}]: {site} lies outside "
+                                  f"region {region}")
+            if site in owner:
+                raise ConfigError(f"{owner[site]!r} and {name!r} share "
+                                  f"site {site}")
+            owner[site] = name
+        used[kind] += len(sites)
+    for name, timing in config.leaf_timing.items():
+        placed = len(config.sites.get(name, ()))
+        if name in computes and placed != timing.num_pcus:
+            raise ConfigError(f"leaf {name!r} has {placed} PCU sites for "
+                              f"num_pcus={timing.num_pcus}")
+    if (config.pcus_used, config.pmus_used) != (used["pcu"], used["pmu"]):
+        raise ConfigError(
+            f"pcus_used={config.pcus_used}, pmus_used={config.pmus_used} "
+            f"but the sites hold {used['pcu']} PCUs, {used['pmu']} PMUs")
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +342,18 @@ class Bitstream:
             if not isinstance(data.get(key), kind):
                 raise ConfigError(f"artifact key {key!r} must be a "
                                   f"{kind.__name__}")
-        dhdl = program_from_dict(data["program"])
-        config = config_from_dict(data["config"])
-        _check_dram_base(dhdl, config)
-        return Bitstream(
-            app=data["app"], scale=data["scale"], dhdl=dhdl,
-            config=config,
-            options=CompileOptions.from_dict(data["options"]),
-            schema=schema)
+        try:
+            options = CompileOptions.from_dict(data["options"])
+            dhdl = program_from_dict(data["program"])
+            config = config_from_dict(data["config"])
+            _check_dram_base(dhdl, config)
+            _check_sites(dhdl, config, options.pmu_fraction)
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            # a field missing, of the wrong shape or out of range
+            raise ConfigError(f"malformed artifact field: "
+                              f"{type(err).__name__} {err}") from None
+        return Bitstream(app=data["app"], scale=data["scale"], dhdl=dhdl,
+                         config=config, options=options, schema=schema)
 
     def to_bytes(self) -> bytes:
         """Canonical serialized form (deterministic across processes)."""

@@ -104,11 +104,11 @@ class CompileCache:
             return None
         try:
             artifact = Bitstream.from_bytes(raw)
-        except (ValueError, KeyError, TypeError, ConfigError, IRError):
+        except (ConfigError, IRError):
             # undecodable entry (ConfigError covers bytes that are not
-            # JSON, schema mismatch and missing or mistyped top-level
-            # keys, IRError a malformed program, KeyError/TypeError its
-            # fields): drop it so the next put can rewrite it
+            # JSON, a schema mismatch and any malformed field, IRError
+            # a malformed program): drop it so the next put can
+            # rewrite it
             try:
                 path.unlink()
             except OSError:

@@ -4,8 +4,9 @@ A :class:`FabricConfig` is the per-unit half of this reproduction's
 "bitstream": for each DHDL leaf controller it records the physical
 resources backing it (how many PCUs the partitioner chained together,
 the pipeline depth, SIMD lanes, interconnect hop latencies) and for each
-transfer the address generator serving it.  The cycle-level simulator
-consumes exactly this — it never re-runs placement decisions.
+transfer the address generator serving it, and the grid sites every
+placed unit occupies.  The cycle-level simulator consumes exactly this —
+it never re-runs placement decisions.
 
 The module lives in :mod:`repro.bitstream` (not :mod:`repro.sim`) so
 that the compiler can emit configurations without importing the
@@ -15,7 +16,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.requirements import DesignRequirements
@@ -74,18 +75,6 @@ class AgAssignment:
 
 
 @dataclass
-class MemoryPlacement:
-    """Physical backing of one logical SRAM: which PMUs hold it."""
-
-    pmu_sites: Tuple[Tuple[int, int], ...] = ((0, 0),)
-
-    @property
-    def num_pmus(self) -> int:
-        """PMUs this logical scratchpad occupies."""
-        return len(self.pmu_sites)
-
-
-@dataclass
 class FabricConfig:
     """Everything the simulator needs about one compiled application."""
 
@@ -94,8 +83,11 @@ class FabricConfig:
     leaf_timing: Dict[str, LeafTiming] = field(default_factory=dict)
     #: transfer leaf name -> AG assignment
     ag_assign: Dict[str, AgAssignment] = field(default_factory=dict)
-    #: logical SRAM name -> PMU placement
-    sram_place: Dict[str, MemoryPlacement] = field(default_factory=dict)
+    #: placed unit name -> its grid sites ``(col, row)``: every compute
+    #: leaf's PCUs and every scratchpad's PMUs (the compiler's
+    #: ``Fabric.placed``)
+    sites: Dict[str, Tuple[Tuple[int, int], ...]] = field(
+        default_factory=dict)
     #: DRAM array name -> base byte address
     dram_base: Dict[str, int] = field(default_factory=dict)
     #: virtual-unit requirements (drives Table 6 / Figure 7 and power)

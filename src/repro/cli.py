@@ -13,7 +13,10 @@ Commands
 ``run [APP] [--artifact PATH] [--scale SCALE] [--floorplan] [--ir]``
     Compile, cycle-simulate and validate one benchmark — or, with
     ``--artifact``, skip the compiler entirely and simulate a
-    previously saved bitstream.  With ``--trace`` the simulator records
+    previously saved bitstream.  ``--floorplan`` prints which unit each
+    grid site hosts, read from the sites the artifact records, so a
+    saved artifact and a fresh compile print the same floorplan.  With
+    ``--trace`` the simulator records
     per-cycle stall attribution and prints the breakdown plus a
     utilization waterfall; give a PATH to also write a Chrome/Perfetto
     trace JSON.  ``--scheduler`` selects the cycle loop (event-driven
@@ -310,18 +313,13 @@ def _cmd_run(args) -> int:
                   "PATH", file=sys.stderr)
             return 2
         return _cmd_run_batch(args)
-    # a saved artifact and a fresh compile are two sources of (dhdl,
-    # config, app-or-None and its program); everything after is one path
-    compiled = None
+    # a saved artifact and a fresh compile are two sources of one
+    # artifact (and app-or-None and its program); everything after is
+    # one path
     if args.artifact:
         from repro.bitstream import Bitstream
-        if args.floorplan:
-            print("--floorplan needs compiler internals; it is "
-                  "unavailable when running a saved artifact",
-                  file=sys.stderr)
-            return 2
         artifact = Bitstream.load(args.artifact)
-        dhdl, config, scale = artifact.dhdl, artifact.config, artifact.scale
+        scale = artifact.scale
         try:
             app = get_app(artifact.app)
         except KeyError:
@@ -330,19 +328,19 @@ def _cmd_run(args) -> int:
         label = f"{artifact.app} ({scale}) from {args.artifact}"
         origin = f"hash {artifact.content_hash[:12]}"
     elif args.app:
-        from repro.compiler import compile_program
+        from repro.compiler.artifact import freeze_program
         app = get_app(args.app)
         scale = args.scale
         program = app.build(scale)
         started = time.time()
-        compiled = compile_program(program)
+        artifact = freeze_program(program, app.name, scale)
         origin = f"compile {(time.time() - started) * 1e3:.0f} ms"
-        dhdl, config = compiled.dhdl, compiled.config
         label = f"{app.display} ({scale})"
     else:
         print("repro run: give an APP name or --artifact PATH",
               file=sys.stderr)
         return 2
+    dhdl, config = artifact.dhdl, artifact.config
     if args.ir:
         print(format_program(dhdl))
         print()
@@ -381,38 +379,34 @@ def _cmd_run(args) -> int:
           f"{stats.fifo_stall_cycles} FIFO stalls")
     if args.floorplan:
         print()
-        print(render_floorplan(compiled))
+        print(render_floorplan(artifact))
     return _print_trace(machine, tracer, args.trace)
 
 
-def render_floorplan(compiled) -> str:
-    """ASCII floorplan: which unit each grid site hosts."""
-    from repro.compiler.place_route import Fabric
-    fabric: Fabric = compiled.fabric
-    params = fabric.params
-    owner = {}
-    for name, sites in fabric.placed.items():
-        for site in sites:
-            owner[site] = name
+def render_floorplan(artifact) -> str:
+    """ASCII floorplan of an artifact: which unit each grid site hosts."""
+    from repro.compiler.place_route import site_kinds
+    config = artifact.config
+    params = config.params
+    kinds = site_kinds(params, artifact.options.pmu_fraction)
+    owner = {site: name for name, sites in config.sites.items()
+             for site in sites}
     labels = {}
     legend = []
-    for k, name in enumerate(sorted({n for n in fabric.placed})):
+    for k, name in enumerate(sorted(config.sites)):
         tag = chr(ord("A") + k % 26)
         labels[name] = tag
         legend.append(f"  {tag} = {name}")
     lines = ["floorplan (PCU sites '.', PMU sites ',', placed units "
              "lettered):"]
-    pcu_sites = set(fabric.free_pcus)
     for row in range(params.grid_rows):
         cells = []
         for col in range(params.grid_cols):
             site = (col, row)
             if site in owner:
                 cells.append(labels[owner[site]])
-            elif site in pcu_sites:
-                cells.append(".")
             else:
-                cells.append(",")
+                cells.append("." if kinds[site] == "pcu" else ",")
         lines.append(" ".join(cells))
     return "\n".join(lines + legend)
 
@@ -534,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "of compiling")
     run.add_argument("--scale", default="small",
                      choices=("tiny", "small"))
-    run.add_argument("--floorplan", action="store_true")
+    run.add_argument("--floorplan", action="store_true",
+                     help="print which unit each grid site hosts")
     run.add_argument("--ir", action="store_true")
     run.add_argument("--trace", nargs="?", const="", default=None,
                      metavar="PATH",

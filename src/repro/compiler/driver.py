@@ -7,19 +7,19 @@
 3. partition virtual units into physical PCU chains (cost metric);
 4. place units on the checkerboard and route producer->consumer nets;
 5. allocate address generators to transfers;
-6. emit the :class:`~repro.bitstream.config.FabricConfig` ("bitstream") plus
-   the design's virtual requirements (for Table 6 / Figure 7).
+6. emit the :class:`~repro.bitstream.config.FabricConfig` ("bitstream"):
+   every unit's timing and grid sites, plus the design's virtual
+   requirements (for Table 6 / Figure 7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.requirements import DesignRequirements
-from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
-                                    MemoryPlacement)
+from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
 from repro.compiler.lowering import Lowerer
 from repro.compiler.partition import (chip_fits, feasible, partition_pcu,
                                       partition_pmu, pcu_requirement,
@@ -41,8 +41,6 @@ class CompiledApp:
     program: Program
     dhdl: DhdlProgram
     config: FabricConfig
-    requirements: DesignRequirements
-    fabric: Fabric
 
     @property
     def name(self) -> str:
@@ -103,7 +101,7 @@ def compile_program(program: Program,
                 f"PCU shape {params.pcu}")
         part = partition_pcu(sched, params.pcu)
         lanes = min(leaf.chain.inner_par, params.pcu.lanes)
-        sites = fabric.place_pcus(leaf.name, part.num_pcus)
+        fabric.place_pcus(leaf.name, part.num_pcus)
         config.leaf_timing[leaf.name] = LeafTiming(
             pipeline_depth=part.pipeline_depth,
             lanes=lanes,
@@ -131,8 +129,7 @@ def compile_program(program: Program,
             if sram.name in reads_of[leaf.name]:
                 near = fabric.centroid(leaf.name)
                 break
-        sites = fabric.place_pmus(sram.name, part.num_pmus, near=near)
-        config.sram_place[sram.name] = MemoryPlacement(tuple(sites))
+        fabric.place_pmus(sram.name, part.num_pmus, near=near)
         requirements.pmus.append(pmu_requirement(
             sram.words(), sram.nbuf, params.pmu.banks))
 
@@ -173,6 +170,8 @@ def compile_program(program: Program,
             next_ag += 1
         config.ag_assign[leaf.name] = AgAssignment(tuple(ids))
 
+    config.sites = {name: tuple(sites)
+                    for name, sites in fabric.placed.items()}
     config.pcus_used = fabric.pcus_used()
     config.pmus_used = fabric.pmus_used()
     config.ags_used = min(params.num_ags,
@@ -184,8 +183,7 @@ def compile_program(program: Program,
     config.registers_used = regs_used
     config.requirements = requirements
 
-    return CompiledApp(program=program, dhdl=dhdl, config=config,
-                       requirements=requirements, fabric=fabric)
+    return CompiledApp(program=program, dhdl=dhdl, config=config)
 
 
 def _streams_for(leaf, default: int) -> int:

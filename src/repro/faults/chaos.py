@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.compiler.artifact import compile_to_bitstream
 from repro.errors import FaultError, MappingError, ReproError
 from repro.faults.plan import (TRANSIENT_KINDS, FaultEvent, FaultPlan,
                                random_plan)
@@ -61,8 +62,6 @@ class _Golden:
     """Memoized no-fault reference for one (app, scale)."""
 
     artifact: object
-    #: unit name -> placed sites (compute leaves and scratchpads)
-    placed: Dict[str, List[Tuple[int, int]]]
     cycles: int
     checksums: Dict[str, int]
 
@@ -70,45 +69,15 @@ class _Golden:
 _GOLDEN: Dict[Tuple[str, str], _Golden] = {}
 
 
-def _compile_with_sites(app: str, scale: str,
-                        excluded_sites=None):
-    """Compile ``app`` keeping the unit->site map the compiler knows.
-
-    :func:`~repro.compiler.artifact.freeze_program` deliberately drops
-    the compiler's ``Fabric``; chaos needs ``fabric.placed`` to turn a
-    blamed unit into the sites to exclude on recompile, so this mirrors
-    the freeze while keeping the map.
-    """
-    from repro.apps.registry import get_app
-    from repro.bitstream.artifact import Bitstream, CompileOptions
-    from repro.compiler.driver import compile_program
-    from repro.dhdl.analysis import assign_bases
-    options = CompileOptions()
-    program = get_app(app).build(scale)
-    compiled = compile_program(
-        program, tile_words=options.tile_words,
-        whole_budget=options.whole_budget,
-        ags_per_transfer=options.ags_per_transfer,
-        pmu_fraction=options.pmu_fraction,
-        excluded_sites=excluded_sites)
-    if not compiled.config.dram_base:
-        compiled.config.dram_base = assign_bases(compiled.dhdl.drams)
-    artifact = Bitstream(app, scale, compiled.dhdl, compiled.config,
-                         options)
-    placed = {name: [tuple(s) for s in sites]
-              for name, sites in compiled.fabric.placed.items()}
-    return artifact, placed
-
-
 def _golden(app: str, scale: str) -> _Golden:
     """The memoized clean run: cycle count + DRAM-image checksums."""
     key = (app, scale)
     if key not in _GOLDEN:
-        artifact, placed = _compile_with_sites(app, scale)
+        artifact = compile_to_bitstream(app, scale)
         machine = artifact.machine(watchdog=WATCHDOG,
                                    max_cycles=MAX_CYCLES)
         stats = machine.run()
-        _GOLDEN[key] = _Golden(artifact, placed, stats.cycles,
+        _GOLDEN[key] = _Golden(artifact, stats.cycles,
                                machine.image.checksums())
     return _GOLDEN[key]
 
@@ -117,7 +86,7 @@ def _plan_for(golden: _Golden, seed: int) -> FaultPlan:
     """A seeded plan whose events can actually land mid-run."""
     artifact = golden.artifact
     units = tuple(sorted(
-        name for name in golden.placed
+        name for name in artifact.config.sites
         if name in artifact.config.leaf_timing))
     arrays = tuple(sorted(
         (ref.name, ref.words()) for ref in artifact.dhdl.drams))
@@ -136,12 +105,11 @@ def run_scenario(index: int, seed: int, scale: str = "tiny") -> dict:
               "plan": plan.describe(), "events": len(plan),
               "outcome": None, "recoveries": [],
               "attribution": None, "cycles": None}
-    artifact, placed = golden.artifact, golden.placed
+    artifact = golden.artifact
     excluded: List[Tuple[int, int]] = []
     current_plan = plan
     for attempt in range(1 + MAX_RECOVERIES):
         machine = artifact.machine(fault_plan=current_plan,
-                                   fault_sites=placed,
                                    watchdog=WATCHDOG,
                                    max_cycles=MAX_CYCLES)
         try:
@@ -154,7 +122,7 @@ def run_scenario(index: int, seed: int, scale: str = "tiny") -> dict:
                 # them, and drop that unit's kill from the replay
                 excluded.extend(err.sites)
                 try:
-                    artifact, placed = _compile_with_sites(
+                    artifact = compile_to_bitstream(
                         app, scale, excluded_sites=excluded)
                 except MappingError as remap:
                     record["outcome"] = "fault"

@@ -27,7 +27,7 @@ Injection semantics
 from __future__ import annotations
 
 from dataclasses import replace as _dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import FaultError
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -39,18 +39,9 @@ NEVER = 1 << 62
 class FaultInjector:
     """Applies one plan's events to one machine at their exact cycles."""
 
-    def __init__(self, plan: FaultPlan, machine,
-                 sites: Optional[Dict[str, Sequence[Tuple[int, int]]]]
-                 = None):
+    def __init__(self, plan: FaultPlan, machine):
         self.plan = plan
         self.machine = machine
-        #: unit name -> placed grid sites (compiler ``fabric.placed``);
-        #: PMU placements from the artifact fill in what's missing
-        self.sites: Dict[str, tuple] = {
-            name: tuple(p.pmu_sites)
-            for name, p in machine.config.sram_place.items()}
-        if sites:
-            self.sites.update({k: tuple(v) for k, v in sites.items()})
         self._pending: List[FaultEvent] = list(plan.events)
         self._leaf_by_name = {leaf.name: leaf
                               for leaf in machine._leaves}
@@ -101,9 +92,6 @@ class FaultInjector:
                                            event.xor_mask)
 
     # -- attribution ------------------------------------------------------------
-    def sites_of(self, unit: str) -> tuple:
-        return tuple(self.sites.get(unit, ()))
-
     def blamed_event(self) -> Optional[FaultEvent]:
         """The fired event a hang should be attributed to.
 
@@ -129,7 +117,7 @@ class FaultInjector:
                     (f"ch{event.channel}" if event.kind == "dram_slow"
                      else event.array or None))
             if event.unit:
-                sites = self.sites_of(event.unit)
+                sites = machine.config.sites.get(event.unit, ())
             message = (f"{message}; injected fault: "
                        f"{event.describe()}"
                        + (f" at sites {list(sites)}" if sites else "")

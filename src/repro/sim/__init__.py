@@ -1,7 +1,6 @@
 """Cycle-level simulator of the Plasticine fabric."""
 
-from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
-                                    MemoryPlacement)
+from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
 from repro.dhdl.analysis import assign_bases
 from repro.sim.counters import ChainEnumerator, Run
 from repro.sim.dram_image import DramImage
@@ -16,7 +15,7 @@ from repro.sim.scratchpad import MemoryState, RegSim, ScratchpadSim
 from repro.sim.stats import SimStats
 
 __all__ = [
-    "AgAssignment", "FabricConfig", "LeafTiming", "MemoryPlacement",
+    "AgAssignment", "FabricConfig", "LeafTiming",
     "ChainEnumerator", "Run",
     "DramImage", "assign_bases",
     "Fabric", "Tenant",

@@ -110,7 +110,6 @@ class Fabric:
                    name: Optional[str] = None,
                    tracer: Optional[Tracer] = None,
                    fault_plan=None,
-                   fault_sites: Optional[Dict[str, list]] = None,
                    priority: int = 1) -> Tenant:
         """Admit one compiled artifact as the next tenant.
 
@@ -165,7 +164,6 @@ class Fabric:
                           max_cycles=self.max_cycles,
                           tenant=tid, dram_base=base,
                           fault_plan=fault_plan,
-                          fault_sites=fault_sites,
                           tenant_name=name)
         tenant = Tenant(tid, name, machine, priority=priority)
         self.dram.set_tenant_weight(tid, priority)

@@ -44,7 +44,6 @@ class Machine:
                  tenant: Optional[int] = None,
                  dram_base: Optional[Dict[str, int]] = None,
                  fault_plan=None,
-                 fault_sites: Optional[Dict[str, list]] = None,
                  tenant_name: Optional[str] = None):
         self.dhdl = dhdl
         self.config = config
@@ -107,8 +106,7 @@ class Machine:
         self.faults = None
         if fault_plan is not None:
             from repro.faults.inject import FaultInjector
-            self.faults = FaultInjector(fault_plan, self,
-                                        sites=fault_sites)
+            self.faults = FaultInjector(fault_plan, self)
         for leaf in self._leaves:
             if isinstance(leaf, InnerComputeSim):
                 # a traced or fault-planned compute leaf steps per issue

@@ -95,7 +95,8 @@ def test_corrupt_entry_is_dropped_and_recompiled(tmp_path):
     b"\xff\xfe garbage",               # not UTF-8
     b"[1, 2, 3]",                      # JSON, wrong shape
     b'{"schema": 1}',                  # missing fields
-    b'{"schema": %d}' % SCHEMA_VERSION,  # missing top-level keys
+    pytest.param(b'{"schema": %d}' % SCHEMA_VERSION,
+                 id="current-schema-no-other-keys"),
     pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
 ])
 def test_undecodable_payloads_count_as_corrupt(tmp_path, payload):
@@ -233,6 +234,34 @@ def _dram_base(edit):
     return mutate
 
 
+def _srams(config):
+    """The placed scratchpads: every placed unit that is not a leaf."""
+    return [name for name in config["sites"]
+            if name not in config["leaf_timing"]]
+
+
+def _first_sram_at(site):
+    def mutate(config):
+        config["sites"][_srams(config)[0]][0] = list(site)
+    return mutate
+
+
+def _every_sram_on(site=None):
+    """Every scratchpad on ``site`` (default: the first one's site)."""
+    def mutate(config):
+        sites = config["sites"]
+        shared = list(site) if site else sites[_srams(config)[0]][0]
+        for name in _srams(config):
+            sites[name] = [shared]
+    return mutate
+
+
+def _sites(edit):
+    def mutate(config):
+        edit(config["sites"])
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, said", [
     (_mutate_first_leaf("lanes", 64), r"lanes=64 outside 1\.\.16"),
     (_mutate_first_leaf("pipeline_depth", 0), "pipeline depth must be >= 1"),
@@ -248,12 +277,27 @@ def _dram_base(edit):
      "DRAM arrays 'a' and 'b' overlap at byte 4096"),
     (_dram_base(lambda base: base.update(a=4096 + 64)),
      "DRAM arrays 'b' and 'a' overlap at byte 4160"),
+    (_first_sram_at((999, 999)),
+     r"\(999, 999\) is not a PMU site of the 16x8 grid"),
+    (_every_sram_on((0, 0)), r"\(0, 0\) is not a PMU site"),
+    (_every_sram_on(), "share site"),
+    (_sites(lambda sites: sites.update(ghost=[[1, 0]])),
+     r"sites\['ghost'\]: the program has no compute leaf or scratchpad"),
+    (_sites(lambda sites: sites["matmul_body"].pop()),
+     r"leaf 'matmul_body' has \d+ PCU sites for num_pcus=\d+"),
+    (_set("region", [8, 4, 8, 4]), r"lies outside region 8x4@\(8,4\)"),
+    (_set("pcus_used", 10 ** 6), r"pcus_used=1000000, pmus_used=\d+ but"),
+    (_set("pmus_used", 0), r"pmus_used=0 but the sites hold \d+ PCUs"),
 ], ids=["lanes", "pipeline_depth", "output_hops", "coalesce_entries",
         "dram_base_missing", "dram_base_unknown", "dram_base_negative",
-        "dram_base_unaligned", "dram_base_shared", "dram_base_overlap"])
+        "dram_base_unaligned", "dram_base_shared", "dram_base_overlap",
+        "pmu_site_off_grid", "every_sram_on_0_0", "pmu_site_shared",
+        "sites_unknown_unit", "leaf_sites_not_num_pcus",
+        "site_outside_region", "pcus_used", "pmus_used"])
 def test_config_no_plasticine_could_hold_is_rejected(mutate, said):
     """Decoding checks every leaf's timing against the architecture, the
-    coalescing cache's size and the DRAM layout against the program."""
+    coalescing cache's size, the DRAM layout against the program and the
+    recorded sites against the program and the grid."""
     data = compile_to_bitstream("gemm", "tiny").to_dict()
     mutate(data["config"])
     with pytest.raises(ConfigError, match=said):
@@ -322,13 +366,21 @@ def test_cli_compile_then_run_artifact(tmp_path, capsys):
     assert "cycles" in text
 
 
-def test_cli_run_artifact_rejects_floorplan(tmp_path, capsys):
+def test_cli_run_artifact_floorplan_matches_direct_run(tmp_path, capsys):
+    """The floorplan comes from the artifact's recorded sites, so a
+    saved artifact prints the one a fresh compile prints."""
     from repro.cli import main
     out = tmp_path / "gemm.bitstream.json"
     assert main(["compile", "gemm", "--scale", "tiny", "--no-cache",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["run", "--artifact", str(out), "--floorplan"]) == 2
+    floorplans = []
+    for target in (["gemm", "--scale", "tiny"], ["--artifact", str(out)]):
+        assert main(["run", *target, "--floorplan"]) == 0
+        text = capsys.readouterr().out
+        floorplans.append(text[text.index("floorplan ("):])
+    assert "matmul_body" in floorplans[0]
+    assert floorplans[0] == floorplans[1]
 
 
 def test_cli_run_needs_app_or_artifact(capsys):

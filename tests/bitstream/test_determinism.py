@@ -29,33 +29,35 @@ import pytest
 from repro.apps import ALL_APPS
 from repro.compiler.artifact import compile_to_bitstream
 
+#: pinned at schema 3, which records every unit's grid sites (the
+#: compute leaves' PCU sites as well as the scratchpads' PMU sites)
 GOLDEN_TINY = {
-    "innerproduct": "4667609ecde274127c99d63fe1fc54fb"
-                    "f418dcdfcab2ef3c43939841919b02ea",
-    "outerproduct": "87ebd1774d42292a0df64843129a40c9"
-                    "3681c5a298315059b3e7b465f5b9cae7",
-    "blackscholes": "6e83f8ba8049b88a8b60af6381949d18"
-                    "54b4ce65f42f9126a3141d69ccde0c94",
-    "tpchq6": "bd972434d4a10f55313c76259b4d12bf"
-              "9915f88dfe0dd20d468645815dfa0eb7",
-    "gemm": "2c01a8a707294c92d0e7856482ea35cf"
-            "d26cd1b9fcd2f596cb53a7514230ece6",
-    "gda": "43d69c15313e66e3238eb5af36226d50"
-           "13413a9a08c671ce2bc796425a9c475c",
-    "logreg": "bbf24a463e770d1643deb2bf4d2dc13a"
-              "67f77715c08f398f446fa1884a87b1c6",
-    "sgd": "985f51b325fb255844edcce530f1c012"
-           "3dbf531d30b2cc24c9799de2a5320a33",
-    "kmeans": "48c653c46a65f1dbdcd5551169e78d2a"
-              "ee340b6b61fe436e83400738c549a600",
-    "cnn": "cc119cff63d602d00ab45e969dd8b4b6"
-           "4dda026a69bdc3a64899089574785835",
-    "smdv": "b8f5a3e4f9887aef4f3e3a5f79305477"
-            "96ee434d378deb12c44ae01fa281405b",
-    "pagerank": "fc4154783b90d8c666b433a9acb4fbd0"
-                "6abdffd2ad7d29bc414180eab54a2cfe",
-    "bfs": "8e9855f28e72d663eadbfa1213825333"
-           "77aef199752f0f9dcb4bb60999e08225",
+    "innerproduct": "41942fcb4717beafa8abfae2481cc586"
+                    "15a1a1525b0fc243b66162b67f023791",
+    "outerproduct": "d383658311605b2c40e3bba874903b02"
+                    "5ef2553855b0a9d54d67c72c0fa985a5",
+    "blackscholes": "ec21dd940fb07233267754d5995ac367"
+                    "01ed7d4c01c7d3bd6b3e97600eada873",
+    "tpchq6": "617dc7da008ca6060b62a1c7ee4a8f18"
+              "bb00ce1fe316420fd1374bae2a220e18",
+    "gemm": "4e4e1a3626377c72535d5c2ae5b71920"
+            "10bae0a28ac0bff39a553a487e8cb66e",
+    "gda": "ec4056d3fa887b8c80021542a1b82532"
+           "19e59610de738196b5226db81d6a64fa",
+    "logreg": "1343c12327c66b27a5817611986a7939"
+              "f99b113f808e01e1de740a169ef8bff0",
+    "sgd": "3999afc8137f1a4eeb5499d3f5ecafcc"
+           "6c182290b44b601122c7c9e7139dd8c4",
+    "kmeans": "d8853a94ee2340ac2e2e54ff2e9b32e7"
+              "5ed216f05c9506bdc9839354021e442a",
+    "cnn": "5f3dcf54bb8c7761a0b508562398953a"
+           "4cfa2a5727362e34d85efc4e6140b27b",
+    "smdv": "6b1df097efb6f1c76b514606caab253d"
+            "e697a2ef185039b5d32ba890b5890f03",
+    "pagerank": "3a386c527414d01931cffd74496d6ade"
+                "be44b5e29c2ec45126c0b54e2ec932a2",
+    "bfs": "0d259303cee9ecd9241bb649bb189b94"
+           "f6b3084ad3cfe57873ae26e3024e78ad",
 }
 
 

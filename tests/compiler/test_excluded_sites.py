@@ -18,10 +18,10 @@ def test_excluded_sites_are_never_used(program):
     baseline = compile_program(program)
     # fail every site the baseline used: the recompile must find a
     # completely disjoint placement
-    used = sorted({site for sites in baseline.fabric.placed.values()
+    used = sorted({site for sites in baseline.config.sites.values()
                    for site in sites})
     rerouted = compile_program(program, excluded_sites=used)
-    reused = {site for sites in rerouted.fabric.placed.values()
+    reused = {site for sites in rerouted.config.sites.values()
               for site in sites}
     assert not reused & set(used)
     assert rerouted.config.pcus_used == baseline.config.pcus_used
@@ -32,7 +32,6 @@ def test_excluding_nothing_changes_nothing(program):
     from repro.bitstream.artifact import config_to_dict
     baseline = compile_program(program)
     same = compile_program(program, excluded_sites=[])
-    assert same.fabric.placed == baseline.fabric.placed
     assert config_to_dict(same.config) == \
         config_to_dict(baseline.config)
 
@@ -51,7 +50,7 @@ def test_region_capacity_discounts_failed_sites(program):
     needed site inside it is declared failed."""
     region = Region(0, 0, 4, 4)
     compiled = compile_program(program, region=region)
-    used = sorted({site for sites in compiled.fabric.placed.values()
+    used = sorted({site for sites in compiled.config.sites.values()
                    for site in sites})
     # fail every site of one kind the design needs inside the region:
     # with a 4x4 region there may still be spares, so fail ALL the

@@ -98,10 +98,10 @@ def test_region_compile_stays_inside_and_records_region():
     program = get_app("gemm").build("tiny")
     compiled = compile_program(program, region=region)
     assert compiled.config.region == region.as_tuple()
-    for placement in compiled.config.sram_place.values():
-        for site in placement.pmu_sites:
+    for name, sites in compiled.config.sites.items():
+        for site in sites:
             assert region.contains(site), \
-                f"scratchpad at {site} escapes {region}"
+                f"{name} at {site} escapes {region}"
 
 
 def test_region_compile_too_small_fails_not_spills():
@@ -116,6 +116,6 @@ def test_same_region_shape_placement_translates():
         artifact = compile_to_bitstream(
             "gemm", "tiny", region=Region(anchor[0], anchor[1], 5, 2))
         region = Region(*artifact.config.region)
-        for placement in artifact.config.sram_place.values():
-            for site in placement.pmu_sites:
+        for sites in artifact.config.sites.values():
+            for site in sites:
                 assert region.contains(site)

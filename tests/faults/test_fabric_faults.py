@@ -29,8 +29,9 @@ def _victim_leaf(tenant) -> str:
     return placed[0]
 
 
-@pytest.mark.parametrize("victim_index", [0, 1])
-def test_tenant_fault_names_tenant_and_region(packing, victim_index):
+def _fail(packing, victim_index) -> FaultError:
+    """Co-run the packed tenants with one compute leaf of tenant
+    ``victim_index`` killed at cycle 5; the error the fabric raises."""
     fabric = Fabric(watchdog=2_500, max_cycles=200_000)
     plan = FaultPlan([FaultEvent(
         cycle=5, kind="unit_fail",
@@ -42,7 +43,12 @@ def test_tenant_fault_names_tenant_and_region(packing, victim_index):
                           else None)
     with pytest.raises(FaultError) as excinfo:
         fabric.run()
-    err = excinfo.value
+    return excinfo.value
+
+
+@pytest.mark.parametrize("victim_index", [0, 1])
+def test_tenant_fault_names_tenant_and_region(packing, victim_index):
+    err = _fail(packing, victim_index)
     victim = packing.tenants[victim_index]
     assert err.tenant == APPS[victim_index]
     assert tuple(err.region) == victim.region.as_tuple()
@@ -54,16 +60,20 @@ def test_tenant_fault_names_tenant_and_region(packing, victim_index):
     assert f"{cols}x{rows}@" in message
 
 
+@pytest.mark.parametrize("victim_index", [0, 1])
+def test_tenant_fault_names_its_sites(packing, victim_index):
+    """The killed unit's sites come from its tenant's artifact, as a
+    solo machine's do, and lie inside the tenant's region."""
+    err = _fail(packing, victim_index)
+    victim = packing.tenants[victim_index]
+    sites = victim.artifact.config.sites[_victim_leaf(victim)]
+    assert sites
+    assert err.sites == sites
+    assert all(victim.region.contains(site) for site in sites)
+    assert f"at sites {list(sites)}" in str(err)
+
+
 def test_healthy_cotenant_is_not_blamed(packing):
-    fabric = Fabric(watchdog=2_500, max_cycles=200_000)
-    plan = FaultPlan([FaultEvent(
-        cycle=5, kind="unit_fail",
-        unit=_victim_leaf(packing.tenants[0]))])
-    for i, (tenant, app) in enumerate(zip(packing.tenants, APPS)):
-        fabric.add_tenant(tenant.artifact.dhdl, tenant.artifact.config,
-                          name=app,
-                          fault_plan=plan if i == 0 else None)
-    with pytest.raises(FaultError) as excinfo:
-        fabric.run()
-    assert excinfo.value.tenant == APPS[0]
-    assert excinfo.value.tenant != APPS[1]
+    err = _fail(packing, 0)
+    assert err.tenant == APPS[0]
+    assert err.tenant != APPS[1]

@@ -81,15 +81,16 @@ def test_detection_is_scheduler_identical(artifact):
 
 
 def test_fault_sites_flow_into_attribution(artifact):
+    """A killed unit is attributed with the sites its artifact records."""
     leaf = _compute_leaf(artifact)
+    sites = artifact.config.sites[leaf]
+    assert sites
     plan = FaultPlan([FaultEvent(cycle=5, kind="unit_fail",
                                  unit=leaf)])
-    machine = _machine(artifact, plan,
-                       fault_sites={leaf: [(3, 1)]})
     with pytest.raises(FaultError) as excinfo:
-        machine.run()
-    assert excinfo.value.sites == ((3, 1),)
-    assert "(3, 1)" in str(excinfo.value)
+        _machine(artifact, plan).run()
+    assert excinfo.value.sites == sites
+    assert f"at sites {list(sites)}" in str(excinfo.value)
 
 
 def test_max_cycles_trip_is_typed_when_faults_fired(artifact):

@@ -46,7 +46,7 @@ def test_small_scale_matches_reference(name):
 def test_requirements_extracted(app):
     program = app.build("tiny")
     compiled = compile_program(program)
-    reqs = compiled.requirements
+    reqs = compiled.config.requirements
     assert reqs.pcus, f"{app.name}: no virtual PCU requirements"
     assert reqs.pmus, f"{app.name}: no virtual PMU requirements"
     util = compiled.config.utilization()

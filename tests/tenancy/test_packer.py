@@ -24,11 +24,10 @@ from tests.compiler.test_region_capacity import brute_force_capacity
 APP_NAMES = [a.name for a in ALL_APPS]
 
 
-def _pmu_sites(artifact):
-    sites = set()
-    for placement in artifact.config.sram_place.values():
-        sites.update(placement.pmu_sites)
-    return sites
+def _unit_sites(artifact):
+    """Every site the artifact's compute leaves and scratchpads hold."""
+    return {site for sites in artifact.config.sites.values()
+            for site in sites}
 
 
 # ---------------------------------------------------------------------------
@@ -49,22 +48,21 @@ def test_random_packings_are_pairwise_disjoint(seed):
         for b in regions[i + 1:]:
             assert not a.overlaps(b), f"{a} overlaps {b}"
 
-    # every committed artifact stays inside its region, so unit sites
-    # and scratchpad bank assignments are disjoint across tenants
-    all_pmu_sites = []
+    # every committed artifact stays inside its region, so the PCU and
+    # PMU sites of different tenants are disjoint
+    all_sites = []
     for tenant in packing.tenants:
         assert tenant.artifact is not None
         assert tenant.artifact.config.region \
             == tenant.region.as_tuple()
-        sites = _pmu_sites(tenant.artifact)
+        sites = _unit_sites(tenant.artifact)
         for site in sites:
             assert tenant.region.contains(site), \
-                f"{tenant.app} scratchpad at {site} escapes " \
-                f"{tenant.region}"
-        all_pmu_sites.append(sites)
-    for i, a in enumerate(all_pmu_sites):
-        for b in all_pmu_sites[i + 1:]:
-            assert not (a & b), f"shared scratchpad sites {a & b}"
+                f"{tenant.app} unit at {site} escapes {tenant.region}"
+        all_sites.append(sites)
+    for i, a in enumerate(all_sites):
+        for b in all_sites[i + 1:]:
+            assert not (a & b), f"shared unit sites {a & b}"
 
 
 def test_duplicate_apps_get_distinct_tenants():

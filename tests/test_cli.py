@@ -1,7 +1,10 @@
 """CLI tests (python -m repro)."""
 
+import json
+
 import pytest
 
+from repro.bitstream import SCHEMA_VERSION
 from repro.cli import build_parser, main, render_floorplan
 
 
@@ -56,16 +59,39 @@ BAD_INPUT = {
     "run-artifact-not-json": ["run", "--artifact", "@not-json"],
     "run-artifact-missing-key": ["run", "--artifact", "@missing-key"],
     "run-artifact-nested": ["run", "--artifact", "@nested"],
+    "run-artifact-empty-program": ["run", "--artifact", "@empty-program"],
+    "run-artifact-empty-config": ["run", "--artifact", "@empty-config"],
+    "run-artifact-unknown-timing-key":
+        ["run", "--artifact", "@unknown-timing-key"],
     "chaos-unknown-scale":
         ["chaos", "--scale", "huge", "--scenarios", "1"],
 }
 
 
-#: the malformed artifact files ``@name`` stands for in ``BAD_INPUT``
+def _gemm_artifact(edit) -> bytes:
+    """gemm's artifact at ``tiny``, its dict changed by ``edit``."""
+    from repro.compiler.artifact import compile_to_bitstream
+    data = compile_to_bitstream("gemm", "tiny").to_dict()
+    edit(data)
+    return json.dumps(data).encode("utf-8")
+
+
+def _unknown_timing_key(data):
+    next(iter(data["config"]["leaf_timing"].values()))["bogus"] = 1
+
+
+#: the malformed artifact files ``@name`` stands for in ``BAD_INPUT``,
+#: each the bytes or a function making them
 BAD_ARTIFACTS = {
     "not-json": b"{this is not json",
-    "missing-key": b'{"schema": 2}',
+    "missing-key": b'{"schema": %d}' % SCHEMA_VERSION,
     "nested": b"[" * 100_000,
+    "empty-program": json.dumps({
+        "schema": SCHEMA_VERSION, "app": "x", "scale": "tiny",
+        "options": {}, "program": {}, "config": {}}).encode("utf-8"),
+    "empty-config": lambda: _gemm_artifact(
+        lambda data: data.update(config={})),
+    "unknown-timing-key": lambda: _gemm_artifact(_unknown_timing_key),
 }
 
 
@@ -74,8 +100,10 @@ def test_bad_input_is_one_line_on_stderr(argv, tmp_path, tmp_path_factory,
                                          monkeypatch, capsys):
     """Each of these used to end in a Python traceback and status 1."""
     files = tmp_path_factory.mktemp("artifacts")
-    for name, raw in BAD_ARTIFACTS.items():
-        (files / f"{name}.json").write_bytes(raw)
+    for name in (a[1:] for a in argv if a.startswith("@")):
+        raw = BAD_ARTIFACTS[name]
+        (files / f"{name}.json").write_bytes(raw() if callable(raw)
+                                             else raw)
     argv = [str(files / f"{a[1:]}.json") if a.startswith("@") else a
             for a in argv]
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -111,12 +139,15 @@ def test_parser_requires_command():
 
 
 def test_floorplan_marks_units():
-    from repro.apps import get_app
-    from repro.compiler import compile_program
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    text = render_floorplan(compiled)
+    from repro.compiler.artifact import compile_to_bitstream
+    artifact = compile_to_bitstream("gemm", "tiny")
+    text = render_floorplan(artifact)
     assert "floorplan" in text
     assert "matmul_body" in text
+    # every recorded site carries its unit's letter
+    assert sum(row.count(tag) for row in text.splitlines()[1:9]
+               for tag in "ABCDEFGHIJKLMNOPQRSTUVWXYZ") == \
+        sum(len(sites) for sites in artifact.config.sites.values())
     # grid is 8 rows of 16 sites
     grid_lines = [l for l in text.splitlines()
                   if l and l[0] in ".,ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
