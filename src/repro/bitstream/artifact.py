@@ -35,7 +35,7 @@ from repro.arch.requirements import (DesignRequirements, VirtualPcuReq,
 from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
 from repro.dhdl.ir import DhdlProgram, InnerCompute
 from repro.dhdl.serialize import program_from_dict, program_to_dict
-from repro.errors import ConfigError
+from repro.errors import ArchError, ConfigError
 
 #: Bump whenever the serialized layout changes; the cache segregates
 #: artifacts by schema so stale entries are never misread.
@@ -157,11 +157,17 @@ def config_to_dict(config: FabricConfig) -> dict:
 
 def config_from_dict(data: dict) -> FabricConfig:
     """Rebuild a :class:`FabricConfig` from :func:`config_to_dict`,
-    checking every leaf's timing against the architecture
-    (:meth:`LeafTiming.validate`) and the coalescing cache's size; a
-    configuration no Plasticine could hold is a :class:`ConfigError`."""
+    checking the architecture against Table 3
+    (:meth:`PlasticineParams.validate`), every leaf's timing against the
+    architecture (:meth:`LeafTiming.validate`) and the coalescing
+    cache's size; a configuration no Plasticine could hold is a
+    :class:`ConfigError`."""
     region = data.get("region")
     params = params_from_dict(data["params"])
+    try:
+        params.validate()
+    except ArchError as err:
+        raise ConfigError(f"params: {err}") from None
     if data["coalesce_entries"] < 1:
         raise ConfigError(f"coalesce_entries={data['coalesce_entries']} "
                           f"must be >= 1")
@@ -265,6 +271,28 @@ def _check_sites(dhdl: DhdlProgram, config: FabricConfig,
             f"but the sites hold {used['pcu']} PCUs, {used['pmu']} PMUs")
 
 
+def _check_units(dhdl: DhdlProgram, config: FabricConfig) -> None:
+    """Hold the memories and transfers to what the fabric can run:
+    every scratchpad at least single-buffered with a positive bank
+    stride, and every transfer issued by at least one of the chip's
+    ``num_ags`` address generators; else a :class:`ConfigError`."""
+    params = config.params
+    for sram in dhdl.srams:
+        if sram.nbuf < 1 or sram.bank_stride < 1:
+            raise ConfigError(
+                f"scratchpad {sram.name!r}: nbuf={sram.nbuf} and "
+                f"bank_stride={sram.bank_stride} must both be >= 1")
+    for leaf in dhdl.leaves():
+        if isinstance(leaf, InnerCompute):
+            continue
+        assign = config.ag_assign.get(leaf.name)
+        ids = assign.ag_ids if assign is not None else ()
+        if not ids or not all(0 <= i < params.num_ags for i in ids):
+            raise ConfigError(
+                f"transfer {leaf.name!r}: AG ids {list(ids)} must be "
+                f"one or more ids in [0, num_ags={params.num_ags})")
+
+
 # ---------------------------------------------------------------------------
 # Cache key
 # ---------------------------------------------------------------------------
@@ -348,6 +376,7 @@ class Bitstream:
             config = config_from_dict(data["config"])
             _check_dram_base(dhdl, config)
             _check_sites(dhdl, config, options.pmu_fraction)
+            _check_units(dhdl, config)
         except (KeyError, IndexError, TypeError, ValueError) as err:
             # a field missing, of the wrong shape or out of range
             raise ConfigError(f"malformed artifact field: "

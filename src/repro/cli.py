@@ -170,7 +170,7 @@ def _cmd_run_batch(args) -> int:
     """``repro run --batch``: one compile, N simulated instances."""
     from repro.apps import get_app
     from repro.bitstream import Bitstream
-    from repro.compiler import compile_program
+    from repro.compiler.artifact import freeze_program
     from repro.sim import Machine
 
     try:
@@ -186,7 +186,7 @@ def _cmd_run_batch(args) -> int:
     else:
         app = get_app(args.app)
         program = app.build(args.scale)
-        source = compile_program(program)
+        source = freeze_program(program, app.name, args.scale)
         label = f"{app.display} ({args.scale})"
     compile_s = time.time() - started
     started = time.time()

@@ -1,10 +1,15 @@
 """Compile an application straight to a frozen :class:`Bitstream`.
 
-This is the module that ties the compiler to the artifact layer: it runs
-:func:`~repro.compiler.driver.compile_program`, freezes the DRAM layout
-into the configuration, and discards every compiler-internal object
-(``Fabric``, the pattern ``Program``) so what remains is exactly the
-serializable compiler->simulator contract.  The cached variant consults
+This is the module that ties the compiler to the artifact layer.  A
+compile is two halves: :func:`lower_program` lowers the pattern program
+under the options' tiling budgets, and :func:`freeze_lowered` maps that
+lowered program (:func:`~repro.compiler.driver.map_program`), freezes
+the DRAM layout into the configuration, and discards every
+compiler-internal object (``Fabric``, the pattern ``Program``) so what
+remains is exactly the serializable compiler->simulator contract.
+:func:`freeze_program` is the two in a row; a caller mapping one program
+several times (tenancy packing, fault recovery) lowers it once and
+calls :func:`freeze_lowered` per mapping.  The cached variant consults
 a :class:`~repro.bitstream.cache.CompileCache` first and reports whether
 the result was a hit, a miss, or uncached.
 """
@@ -16,16 +21,33 @@ from typing import Optional, Tuple
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.bitstream.artifact import Bitstream, CompileOptions, compile_key
 from repro.bitstream.cache import CompileCache
-from repro.compiler.driver import compile_program
+from repro.compiler.driver import map_program
+from repro.compiler.lowering import lower
 from repro.dhdl.analysis import assign_bases
+from repro.dhdl.ir import DhdlProgram
 from repro.patterns.program import Program
 
 
-def freeze_program(program: Program, app: str, scale: str,
+def lower_program(program: Program,
+                  options: Optional[CompileOptions] = None
+                  ) -> DhdlProgram:
+    """The grid-independent half of a compile: ``program`` lowered to
+    DHDL under ``options``' tiling budgets."""
+    options = options or CompileOptions()
+    return lower(program, tile_words=options.tile_words,
+                 whole_budget=options.whole_budget)
+
+
+def freeze_lowered(dhdl: DhdlProgram, app: str, scale: str,
                    params: PlasticineParams = DEFAULT,
                    options: Optional[CompileOptions] = None,
                    region=None, excluded_sites=None) -> Bitstream:
-    """Compile an already-built pattern program into an artifact.
+    """Map a lowered program (:func:`lower_program` under the same
+    ``options``) and freeze it into an artifact.
+
+    The mapping leaves ``dhdl`` as it was, so artifacts frozen from one
+    lowered program share it; each is byte-identical to the
+    :func:`freeze_program` of the program it was lowered from.
 
     ``region`` (a :class:`~repro.compiler.place_route.Region`) produces
     a region-constrained artifact for multi-tenant packing.  Region is
@@ -38,16 +60,23 @@ def freeze_program(program: Program, app: str, scale: str,
     specific to the failure, not reusable.
     """
     options = options or CompileOptions()
-    compiled = compile_program(
-        program, params=params,
-        tile_words=options.tile_words,
-        whole_budget=options.whole_budget,
-        ags_per_transfer=options.ags_per_transfer,
-        pmu_fraction=options.pmu_fraction,
-        region=region, excluded_sites=excluded_sites)
-    if not compiled.config.dram_base:
-        compiled.config.dram_base = assign_bases(compiled.dhdl.drams)
-    return Bitstream(app, scale, compiled.dhdl, compiled.config, options)
+    config = map_program(dhdl, params,
+                         ags_per_transfer=options.ags_per_transfer,
+                         pmu_fraction=options.pmu_fraction,
+                         region=region, excluded_sites=excluded_sites)
+    config.dram_base = assign_bases(dhdl.drams)
+    return Bitstream(app, scale, dhdl, config, options)
+
+
+def freeze_program(program: Program, app: str, scale: str,
+                   params: PlasticineParams = DEFAULT,
+                   options: Optional[CompileOptions] = None,
+                   region=None, excluded_sites=None) -> Bitstream:
+    """Compile an already-built pattern program into an artifact:
+    :func:`lower_program`, then :func:`freeze_lowered`."""
+    return freeze_lowered(lower_program(program, options), app, scale,
+                          params=params, options=options, region=region,
+                          excluded_sites=excluded_sites)
 
 
 def compile_to_bitstream(app: str, scale: str = "small",

@@ -1,8 +1,14 @@
 """The compilation driver: pattern program -> placed configuration.
 
-``compile_program`` runs the whole Section 3.6 pipeline:
+``compile_program`` runs the whole Section 3.6 pipeline in two halves.
+The first, :func:`~repro.compiler.lowering.lower`, reads only the
+tiling budgets and never the grid:
 
-1. lower patterns to DHDL (tiling, memory planning, control hierarchy);
+1. lower patterns to DHDL (tiling, memory planning, control hierarchy).
+
+The second, :func:`map_program`, maps that lowered program wherever it
+is asked to (the whole grid, a tenant's region, around failed sites):
+
 2. schedule each inner controller into virtual stages;
 3. partition virtual units into physical PCU chains (cost metric);
 4. place units on the checkerboard and route producer->consumer nets;
@@ -15,17 +21,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.requirements import DesignRequirements
 from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
-from repro.compiler.lowering import Lowerer
-from repro.compiler.partition import (chip_fits, feasible, partition_pcu,
-                                      partition_pmu, pcu_requirement,
-                                      pmu_requirement, region_fits)
-from repro.compiler.place_route import Fabric, Region, region_capacity
-from repro.compiler.scheduling import schedule
+from repro.compiler.lowering import lower
+from repro.compiler.partition import (PcuPartition, chip_fits, feasible,
+                                      partition_pcu, partition_pmu,
+                                      pcu_requirement, pmu_requirement,
+                                      region_fits)
+from repro.compiler.place_route import (Fabric, Region, region_capacity,
+                                        site_kinds)
+from repro.compiler.scheduling import StageSchedule, schedule
 from repro.dhdl.analysis import leaf_writes
 from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
@@ -56,7 +64,67 @@ def compile_program(program: Program,
                     pmu_fraction: float = 0.5,
                     region: Optional[Region] = None,
                     excluded_sites=None) -> CompiledApp:
-    """Compile a pattern program onto the given architecture.
+    """Compile a pattern program onto the given architecture: the
+    program lowered (:func:`~repro.compiler.lowering.lower`, which reads
+    only the tiling budgets), then mapped (:func:`map_program`, which
+    reads everything else)."""
+    dhdl = lower(program, tile_words=tile_words, whole_budget=whole_budget)
+    config = map_program(dhdl, params, ags_per_transfer=ags_per_transfer,
+                         pmu_fraction=pmu_fraction, region=region,
+                         excluded_sites=excluded_sites)
+    return CompiledApp(program=program, dhdl=dhdl, config=config)
+
+
+def _pcu_partitions(dhdl: DhdlProgram, params: PlasticineParams
+                    ) -> Dict[str, Tuple[StageSchedule, PcuPartition]]:
+    """Each PCU-mapped compute leaf's (every one not of the address
+    class) stage schedule and PCU partition, by leaf name; a
+    :class:`~repro.errors.MappingError` for a leaf no chain of
+    ``params.pcu`` PCUs can hold."""
+    parts = {}
+    for leaf in dhdl.leaves():
+        if not isinstance(leaf, InnerCompute) or leaf.address_class:
+            continue
+        sched = schedule(leaf)
+        if not feasible(sched, params.pcu):
+            raise MappingError(
+                f"inner controller {leaf.name!r} cannot be mapped with "
+                f"PCU shape {params.pcu}")
+        parts[leaf.name] = sched, partition_pcu(sched, params.pcu)
+    return parts
+
+
+def _chip_fits(pcus: int, pmus: int, params: PlasticineParams,
+               pmu_fraction: float) -> None:
+    pcu_budget = params.num_units - int(params.num_units * pmu_fraction)
+    chip_fits(pcus, pmus, pcu_budget, params.num_units - pcu_budget)
+
+
+def unit_demand(dhdl: DhdlProgram, params: PlasticineParams = DEFAULT,
+                pmu_fraction: float = 0.5) -> Tuple[int, int]:
+    """The ``(pcus, pmus)`` :func:`map_program` places for ``dhdl``,
+    whatever the grid region: the partition counts, read without
+    placing anything.  A design that cannot be mapped or exceeds the
+    whole fabric is a :class:`~repro.errors.MappingError`, as its
+    full-grid mapping would be."""
+    pcus = sum(part.num_pcus
+               for _, part in _pcu_partitions(dhdl, params).values())
+    pmus = sum(partition_pmu(sram.words(), sram.nbuf, params.pmu.banks,
+                             params.pmu).num_pmus for sram in dhdl.srams)
+    _chip_fits(pcus, pmus, params, pmu_fraction)
+    return pcus, pmus
+
+
+def map_program(dhdl: DhdlProgram, params: PlasticineParams = DEFAULT,
+                ags_per_transfer: int = 2,
+                pmu_fraction: float = 0.5,
+                region: Optional[Region] = None,
+                excluded_sites=None) -> FabricConfig:
+    """Map a lowered program onto the fabric: schedule, partition,
+    place and route it and assign its address generators.
+
+    Nothing here changes ``dhdl``, so one lowered program maps into any
+    number of regions, each mapping byte-identical to a full compile.
 
     ``pmu_fraction`` changes the fabric's PMU:PCU mix (Section 3.7's
     ratio study); 0.5 is the paper's 1:1 checkerboard.
@@ -70,10 +138,8 @@ def compile_program(program: Program,
     the design *around* broken hardware (graceful degradation after a
     detected unit fault) instead of reusing it.
     """
-    dhdl = Lowerer(program, tile_words=tile_words,
-                   whole_budget=whole_budget).lower()
     config = FabricConfig(params=params)
-    requirements = DesignRequirements(program.name)
+    requirements = DesignRequirements(dhdl.name)
     fabric = Fabric(params, pmu_fraction=pmu_fraction, region=region,
                     excluded_sites=excluded_sites)
 
@@ -83,6 +149,7 @@ def compile_program(program: Program,
                        if not isinstance(l, InnerCompute)]
 
     # 1. schedule + partition + place every inner controller
+    partitions = _pcu_partitions(dhdl, params)
     fus_used = 0
     regs_used = 0
     for leaf in inner_leaves:
@@ -94,12 +161,7 @@ def compile_program(program: Program,
                                             params.pcu.lanes),
                 num_pcus=0)
             continue
-        sched = schedule(leaf)
-        if not feasible(sched, params.pcu):
-            raise MappingError(
-                f"inner controller {leaf.name!r} cannot be mapped with "
-                f"PCU shape {params.pcu}")
-        part = partition_pcu(sched, params.pcu)
+        sched, part = partitions[leaf.name]
         lanes = min(leaf.chain.inner_par, params.pcu.lanes)
         fabric.place_pcus(leaf.name, part.num_pcus)
         config.leaf_timing[leaf.name] = LeafTiming(
@@ -137,7 +199,6 @@ def compile_program(program: Program,
         capacity = region_capacity(params, region, pmu_fraction)
         if fabric.excluded:
             # failed sites inside the region contribute no capacity
-            from repro.compiler.place_route import site_kinds
             kinds = site_kinds(params, pmu_fraction)
             gone = [s for s in fabric.excluded if region.contains(s)]
             capacity = (
@@ -149,10 +210,8 @@ def compile_program(program: Program,
                     capacity)
         config.region = region.as_tuple()
     else:
-        pcu_budget = (params.num_units - int(params.num_units
-                                             * pmu_fraction))
-        chip_fits(fabric.pcus_used(), fabric.pmus_used(),
-                  pcu_budget, params.num_units - pcu_budget)
+        _chip_fits(fabric.pcus_used(), fabric.pmus_used(), params,
+                   pmu_fraction)
 
     # 3. route producer->consumer nets (vector network) and refine the
     # leaf timings with real hop distances
@@ -183,7 +242,7 @@ def compile_program(program: Program,
     config.registers_used = regs_used
     config.requirements = requirements
 
-    return CompiledApp(program=program, dhdl=dhdl, config=config)
+    return config
 
 
 def _streams_for(leaf, default: int) -> int:

@@ -82,7 +82,7 @@ class Sram:
         #: address-decoder stride: the compiler configures it so that
         #: the vectorised access dimension interleaves across banks
         #: (word ``a`` lives in bank ``(a // bank_stride) % banks``)
-        self.bank_stride = max(1, bank_stride)
+        self.bank_stride = bank_stride
 
     def words(self) -> int:
         """Words per buffer instance."""

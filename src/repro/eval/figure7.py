@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.apps import ALL_APPS, App
 from repro.arch.area import pcu_area
 from repro.arch.params import DEFAULT, PcuParams
-from repro.compiler.artifact import compile_to_bitstream
+from repro.compiler.artifact import compile_to_bitstream, lower_program
 from repro.compiler.partition import feasible, partition_pcu
 from repro.compiler.scheduling import schedule
 from repro.dhdl.ir import InnerCompute
@@ -55,7 +55,7 @@ def sweep(param: str, values: Sequence[int],
     apps = apps or [a for a in ALL_APPS if a.name != "cnn"]
     curves: Dict[str, Dict[int, Optional[float]]] = {}
     for app in apps:
-        dhdl = compile_to_bitstream(app.name, scale).dhdl
+        dhdl = lower_program(app.build(scale))
         schedules = [schedule(leaf) for leaf in dhdl.leaves()
                      if isinstance(leaf, InnerCompute)
                      and not leaf.address_class]

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.compiler.artifact import compile_to_bitstream
+from repro.compiler.artifact import compile_to_bitstream, freeze_lowered
 from repro.errors import FaultError, MappingError, ReproError
 from repro.faults.plan import (TRANSIENT_KINDS, FaultEvent, FaultPlan,
                                random_plan)
@@ -118,12 +118,14 @@ def run_scenario(index: int, seed: int, scale: str = "tiny") -> dict:
             record["attribution"] = err.attribution()
             if (err.kind == "unit_fail" and err.sites
                     and attempt < MAX_RECOVERIES):
-                # declare the blamed sites dead, recompile around
-                # them, and drop that unit's kill from the replay
+                # declare the blamed sites dead, map the lowered
+                # program around them, and drop that unit's kill from
+                # the replay
                 excluded.extend(err.sites)
                 try:
-                    artifact = compile_to_bitstream(
-                        app, scale, excluded_sites=excluded)
+                    artifact = freeze_lowered(
+                        golden.artifact.dhdl, app, scale,
+                        excluded_sites=excluded)
                 except MappingError as remap:
                     record["outcome"] = "fault"
                     record["recoveries"].append(

@@ -1,23 +1,29 @@
 """The tenancy packer: disjoint-region placement of several artifacts.
 
-Packing is two-phase:
+Each distinct app is lowered once per call
+(:func:`~repro.compiler.artifact.lower_program`) and mapped per region
+(:func:`~repro.compiler.artifact.freeze_lowered`): lowering never reads
+the grid, so every co-resident copy and every retry maps the one
+lowered program, and each artifact is byte-identical to a full compile
+into the same region.  Packing is two-phase:
 
-1. *Plan* — each distinct app is compiled solo (full grid), once per
-   call, to learn its exact unit footprint, then regions are chosen by
-   first-fit-decreasing over footprint area: apps are considered
-   largest first, and each takes the first (smallest-area shape,
-   row-major anchor) rectangle whose PCU/PMU site capacity covers its
-   footprint and which does not overlap any region already claimed.
-   Pricing a candidate is O(1) (``region_capacity`` reads a summed-area
-   table), so a plan costs its overlap tests, not the grid.  Area is
-   the only ordering key: every tenant's DRAM slice stripes over all
-   channels wherever its region sits, so placement cannot change DRAM
-   contention.
-2. *Commit* — each app is recompiled constrained to its planned region.
-   Placement can still fail inside a capacity-feasible region (routing
-   detours consume no sites but fragmentation can defeat the nearest-
-   site heuristic), so a failed commit retries the plan with that
-   app's capacity requirement inflated, growing its region.
+1. *Plan* — each app's exact unit footprint is its partition counts
+   (:func:`~repro.compiler.driver.unit_demand`: the PCUs and PMUs any
+   mapping of it places, read without placing).  Regions are then
+   chosen by first-fit-decreasing over footprint area: apps are
+   considered largest first, and each takes the first (smallest-area
+   shape, row-major anchor) rectangle whose PCU/PMU site capacity
+   covers its footprint and which does not overlap any region already
+   claimed.  Pricing a candidate is O(1) (``region_capacity`` reads a
+   summed-area table), so a plan costs its overlap tests, not the grid.
+   Area is the only ordering key: every tenant's DRAM slice stripes
+   over all channels wherever its region sits, so placement cannot
+   change DRAM contention.
+2. *Commit* — each app's lowered program is mapped into its planned
+   region.  Placement can still fail inside a capacity-feasible region
+   (routing detours consume no sites but fragmentation can defeat the
+   nearest-site heuristic), so a failed commit retries the plan with
+   that app's capacity requirement inflated, growing its region.
 
 The result carries a :class:`PackReport` feasibility report: per-tenant
 regions, footprints and capacities plus fabric-level occupancy — or,
@@ -32,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.bitstream.artifact import Bitstream, CompileOptions
+from repro.compiler.driver import unit_demand
 from repro.compiler.place_route import Region, region_capacity
 from repro.errors import MappingError
 
@@ -44,7 +51,7 @@ _FAILED_KIND = re.compile(r"no free (PCU|PMU) site")
 
 @dataclass
 class Footprint:
-    """Exact unit demand of one app, measured by a solo compile."""
+    """Exact unit demand of one app: its partition counts."""
 
     app: str
     pcus: int
@@ -92,18 +99,6 @@ class PackReport:
             "failed_app": self.failed_app,
             "reason": self.reason,
         }
-
-
-def measure_footprint(app: str, scale: str,
-                      params: PlasticineParams = DEFAULT,
-                      options: Optional[CompileOptions] = None
-                      ) -> Footprint:
-    """Solo-compile one app and read off its placed unit counts."""
-    from repro.compiler.artifact import compile_to_bitstream
-    artifact = compile_to_bitstream(app, scale, params=params,
-                                    options=options)
-    return Footprint(app, artifact.config.pcus_used,
-                     artifact.config.pmus_used)
 
 
 #: (grid_cols, grid_rows) -> sorted shape list; shapes depend only on
@@ -217,13 +212,19 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
 
     Duplicate app names are allowed (the same workload co-resident with
     itself); each occurrence gets its own tenant and region, and all
-    of them share one footprint measurement.
+    of them share one lowered program and its footprint.  An app that
+    cannot be mapped, or overflows the whole fabric, is a
+    :class:`~repro.errors.MappingError`.
     """
-    from repro.compiler.artifact import compile_to_bitstream
+    from repro.apps.registry import get_app
+    from repro.compiler.artifact import freeze_lowered, lower_program
     names = _unique_names(apps)
-    measured = {app: measure_footprint(app, scale, params, options)
-                for app in dict.fromkeys(apps)}
-    footprints = [Footprint(name, measured[app].pcus, measured[app].pmus)
+    options = options or CompileOptions()
+    lowered = {app: lower_program(get_app(app).build(scale), options)
+               for app in dict.fromkeys(apps)}
+    measured = {app: unit_demand(dhdl, params, options.pmu_fraction)
+                for app, dhdl in lowered.items()}
+    footprints = [Footprint(name, *measured[app])
                   for name, app in zip(names, apps)]
     slack: Dict[str, Tuple[int, int]] = {}
     report = None
@@ -234,9 +235,9 @@ def pack_apps(apps: Sequence[str], scale: str = "tiny",
         failed = None
         for tenant, app in zip(report.tenants, apps):
             try:
-                tenant.artifact = compile_to_bitstream(
-                    app, scale, params=params, options=options,
-                    region=tenant.region)
+                tenant.artifact = freeze_lowered(
+                    lowered[app], app, scale, params=params,
+                    options=options, region=tenant.region)
             except MappingError as err:
                 failed = (tenant.app, str(err))
                 break
@@ -260,13 +261,14 @@ def repack(report: PackReport, failed_region: Region,
     :class:`~repro.errors.FaultError`'s unit sites).  Tenants whose
     regions do not touch it keep their committed artifacts untouched;
     each overlapping tenant is re-placed into a fresh rectangle that
-    avoids both the failed region and every healthy tenant, and
-    recompiled there (measure-then-commit, same grow-and-retry loop as
-    :func:`pack_apps`).  The result is a fresh :class:`PackReport` in
-    the original tenant order, ready to replay through
+    avoids both the failed region and every healthy tenant, and its
+    committed artifact's lowered program is mapped there (same
+    grow-and-retry loop as :func:`pack_apps`; nothing is traced or
+    lowered).  The result is a fresh :class:`PackReport` in the original
+    tenant order, ready to replay through
     :func:`repro.tenancy.run.co_run`.
     """
-    from repro.compiler.artifact import compile_to_bitstream
+    from repro.compiler.artifact import freeze_lowered
     failed_region = failed_region.validate(params)
     if not report.feasible:
         raise MappingError(
@@ -333,9 +335,9 @@ def repack(report: PackReport, failed_region: Region,
                     f"({fp.pcus} PCUs + {fp.pmus} PMUs) after "
                     f"excluding failed region {failed_region}")
             try:
-                artifact = compile_to_bitstream(
-                    app, scale, params=params, options=options,
-                    region=fit.region)
+                artifact = freeze_lowered(
+                    tenant.artifact.dhdl, app, scale, params=params,
+                    options=options, region=fit.region)
             except MappingError as err:
                 grown = {fp.app: slack}
                 _grow_slack(grown, fp.app, str(err))

@@ -313,6 +313,48 @@ def test_zero_hops_stay_legal():
     assert Bitstream.from_dict(data).machine().run().cycles > 0
 
 
+def _first_sram(field, value):
+    def mutate(data):
+        data["program"]["srams"][0][field] = value
+    return mutate
+
+
+def _every_transfer_on(ids):
+    def mutate(data):
+        assign = data["config"]["ag_assign"]
+        for name in assign:
+            assign[name] = list(ids)
+    return mutate
+
+
+def _pcu_lanes(lanes):
+    def mutate(data):
+        data["config"]["params"]["pcu"]["lanes"] = lanes
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, said", [
+    (_pcu_lanes(1000), "params: PCU lanes=1000 outside design space"),
+    (_first_sram("nbuf", 0), r"nbuf=0 and bank_stride=\d+ must both be"),
+    (_first_sram("bank_stride", 0), r"nbuf=\d+ and bank_stride=0 must"),
+    (_every_transfer_on(range(100, 108)),
+     r"AG ids \[100, 101, 102, 103, 104, 105, 106, 107\] must be one or "
+     r"more ids in \[0, num_ags=34\)"),
+    (_every_transfer_on(()), r"AG ids \[\] must be one or more"),
+], ids=["pcu_lanes", "nbuf", "bank_stride", "ag_ids_past_num_ags",
+        "no_ag"])
+def test_units_no_plasticine_could_hold_are_rejected(mutate, said):
+    """Decoding holds the artifact's own params to Table 3, every
+    scratchpad to a buffer depth and bank stride of at least 1, and
+    every transfer to at least one of the chip's AGs.  Each of these
+    gemm mutations used to run (the empty AG list to a
+    ``DeadlockError`` 50 000 cycles in)."""
+    data = compile_to_bitstream("gemm", "tiny").to_dict()
+    mutate(data)
+    with pytest.raises(ConfigError, match=said):
+        Bitstream.from_dict(data)
+
+
 def test_compile_key_covers_every_input():
     base = compile_key("gemm", "tiny")
     assert base == compile_key("gemm", "tiny")  # deterministic

@@ -136,6 +136,20 @@ def test_figure7_sweep_structure():
     assert min(feasible) == 0.0  # normalized to the per-app minimum
 
 
+def test_figure7_sweep_only_lowers(monkeypatch):
+    """The area sweeps re-partition the lowered leaves; nothing is
+    placed, routed or frozen."""
+    from repro.compiler import artifact
+
+    def mapped(*args, **kwargs):
+        raise AssertionError("figure7.sweep mapped a program")
+
+    monkeypatch.setattr(artifact, "map_program", mapped)
+    curves = figure7.sweep("vector_in", (2, 3), apps=[get_app("gemm")],
+                           scale="tiny")
+    assert set(curves["gemm"]) == {2, 3}
+
+
 def test_figure7_infeasible_marked_none():
     from repro.eval.figure7 import area_for
     from repro.compiler.scheduling import StageSchedule

@@ -15,9 +15,13 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.arch.params import DEFAULT
+from repro.compiler import artifact as compiler_artifact
+from repro.compiler.artifact import compile_to_bitstream
+from repro.compiler.lowering import Lowerer
 from repro.compiler.place_route import Region, region_capacity
+from repro.errors import MappingError
+from repro.patterns.program import Program
 from repro.tenancy import PackReport, pack_apps, plan_regions
-from repro.tenancy import packer
 from repro.tenancy.packer import Footprint, _first_fit, _shapes
 from tests.compiler.test_region_capacity import brute_force_capacity
 
@@ -186,29 +190,66 @@ def test_first_fit_equals_brute_force_reference(seed):
         assert (fit.region, fit.capacity) == expected
 
 
-def test_each_distinct_app_is_measured_once(monkeypatch):
-    measured = []
-    measure = packer.measure_footprint
+def test_each_distinct_app_is_lowered_once(monkeypatch):
+    """One trace and one lowering per distinct app per call, however
+    many copies are packed and however often a commit is retried: every
+    copy and every retry maps the one lowered program."""
+    traced, lowered, mapped = [], [], []
+    trace, lower, freeze = (Program.__init__, Lowerer.lower,
+                            compiler_artifact.freeze_lowered)
 
-    def counting(app, *args, **kwargs):
-        measured.append(app)
-        return measure(app, *args, **kwargs)
+    def tracing(self, name):
+        traced.append(name)
+        trace(self, name)
 
-    monkeypatch.setattr(packer, "measure_footprint", counting)
+    def lowering(self):
+        lowered.append(self.program.name)
+        return lower(self)
+
+    def mapping(dhdl, app, *args, **kwargs):
+        mapped.append((app, dhdl))
+        if len(mapped) == 1:
+            # the first commit fails, so the plan grows gemm's region
+            # and maps every tenant again
+            raise MappingError("no free PCU site left in the region")
+        return freeze(dhdl, app, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "__init__", tracing)
+    monkeypatch.setattr(Lowerer, "lower", lowering)
+    monkeypatch.setattr(compiler_artifact, "freeze_lowered", mapping)
     packing = pack_apps(["gemm", "tpchq6", "tpchq6", "tpchq6"], "tiny")
     assert packing.feasible, packing.reason
-    assert measured == ["gemm", "tpchq6"]
+    assert traced == lowered == ["gemm", "tpchq6"]
+    assert [app for app, _ in mapped] \
+        == ["gemm", "gemm", "tpchq6", "tpchq6", "tpchq6"]
+    assert len({id(dhdl) for app, dhdl in mapped if app == "gemm"}) == 1
     assert [t.app for t in packing.tenants] \
         == ["gemm", "tpchq6", "tpchq6#1", "tpchq6#2"]
+    # co-resident copies share one lowered program
+    assert len({id(t.artifact.dhdl) for t in packing.tenants[1:]}) == 1
     assert len({(t.footprint.pcus, t.footprint.pmus)
                 for t in packing.tenants[1:]}) == 1
 
 
+MIXES = [("gemm", "tpchq6", "innerproduct", "outerproduct"),
+         ("gemm", "tpchq6", "tpchq6", "tpchq6")]
+
+
+@pytest.mark.parametrize("apps", MIXES, ids=["uniform", "weighted"])
+def test_packed_artifacts_equal_region_compiles(apps):
+    """Mapping one lowered program per region gives each tenant the
+    bytes a full compile into that region gives (the two
+    ``multi_tenant`` benchmark mixes at ``small``)."""
+    packing = pack_apps(apps, "small")
+    assert packing.feasible, packing.reason
+    for tenant, app in zip(packing.tenants, apps):
+        assert tenant.artifact.to_bytes() == compile_to_bitstream(
+            app, "small", region=tenant.region).to_bytes(), tenant.app
+
+
 @pytest.mark.parametrize("apps,regions", [
-    (("gemm", "tpchq6", "innerproduct", "outerproduct"),
-     [(1, 4, 9, 1), (1, 0, 15, 2), (1, 2, 7, 2), (11, 2, 3, 3)]),
-    (("gemm", "tpchq6", "tpchq6", "tpchq6"),
-     [(1, 6, 9, 1), (1, 0, 15, 2), (1, 2, 15, 2), (1, 4, 15, 2)]),
+    (MIXES[0], [(1, 4, 9, 1), (1, 0, 15, 2), (1, 2, 7, 2), (11, 2, 3, 3)]),
+    (MIXES[1], [(1, 6, 9, 1), (1, 0, 15, 2), (1, 2, 15, 2), (1, 4, 15, 2)]),
 ], ids=["uniform", "weighted"])
 def test_benchmark_mixes_keep_their_regions(apps, regions):
     """The two ``multi_tenant`` mixes at ``small``, as packed at

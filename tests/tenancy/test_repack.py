@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.compiler.artifact import compile_to_bitstream
+from repro.compiler.lowering import Lowerer
 from repro.compiler.place_route import Region
 from repro.errors import MappingError
+from repro.patterns.program import Program
 from repro.tenancy.packer import PackReport, pack_apps, repack
 from repro.tenancy.run import co_run
 
@@ -31,6 +34,26 @@ def test_repack_migrates_only_overlapping_tenants(packing):
     # and the new regions are still pairwise disjoint
     a, b = (t.region for t in migrated.tenants)
     assert not a.overlaps(b)
+
+
+def test_repack_maps_the_committed_lowered_program(packing, monkeypatch):
+    """A migrated tenant maps its committed artifact's lowered program
+    into the fresh rectangle, tracing and lowering nothing, and gets the
+    bytes a full compile into that rectangle gives."""
+    def untouched(*args, **kwargs):
+        raise AssertionError("repack traced or lowered a program")
+
+    monkeypatch.setattr(Program, "__init__", untouched)
+    monkeypatch.setattr(Lowerer, "lower", untouched)
+    victim = packing.tenants[0]
+    migrated = repack(packing, victim.region, APPS, "tiny")
+    monkeypatch.undo()
+    assert migrated.feasible, migrated.reason
+    moved = migrated.tenants[0]
+    assert moved.region != victim.region
+    assert moved.artifact.dhdl is victim.artifact.dhdl
+    assert moved.artifact.to_bytes() == compile_to_bitstream(
+        APPS[0], "tiny", region=moved.region).to_bytes()
 
 
 def test_repack_without_overlap_is_identity(packing):

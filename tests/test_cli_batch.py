@@ -41,6 +41,22 @@ def test_run_batch_params_file(tmp_path, capsys):
     assert "2 instances" in capsys.readouterr().out
 
 
+def test_run_batch_app_equals_its_artifact(tmp_path, capsys):
+    """``run APP --batch`` batch-runs the artifact ``repro compile``
+    would write: the instance table is the same from either."""
+    from repro.compiler.artifact import compile_to_bitstream
+    path = compile_to_bitstream("innerproduct", "tiny").save(
+        tmp_path / "innerproduct.json")
+    sweep = ["--batch", "--sweep", "stages=4,8"]
+    tables = []
+    for source in (["innerproduct", "--scale", "tiny"],
+                   ["--artifact", str(path)]):
+        assert main(["run", *source, *sweep]) == 0
+        out = capsys.readouterr().out
+        tables.append(out[out.index("  #"):])
+    assert tables[0] == tables[1]
+
+
 def test_run_batch_failing_instance_sets_status(capsys):
     params = json.dumps([{}, {"max_cycles": 20}])
     assert main(["run", "gemm", "--scale", "tiny", "--batch",
