@@ -274,14 +274,21 @@ def _check_sites(dhdl: DhdlProgram, config: FabricConfig,
 def _check_units(dhdl: DhdlProgram, config: FabricConfig) -> None:
     """Hold the memories and transfers to what the fabric can run:
     every scratchpad at least single-buffered with a positive bank
-    stride, and every transfer issued by at least one of the chip's
-    ``num_ags`` address generators; else a :class:`ConfigError`."""
+    stride, its words at its N-buffering within its PMU sites' capacity,
+    and every transfer issued by at least one of the chip's ``num_ags``
+    address generators; else a :class:`ConfigError`."""
     params = config.params
     for sram in dhdl.srams:
         if sram.nbuf < 1 or sram.bank_stride < 1:
             raise ConfigError(
                 f"scratchpad {sram.name!r}: nbuf={sram.nbuf} and "
                 f"bank_stride={sram.bank_stride} must both be >= 1")
+        pmus = len(config.sites.get(sram.name, ()))
+        room = pmus * params.pmu.scratch_words
+        if sram.total_words() > room:
+            raise ConfigError(f"scratchpad {sram.name!r}: {sram.words()} "
+                              f"words x nbuf={sram.nbuf} exceed its {pmus} "
+                              f"PMU sites' {room} words")
     for leaf in dhdl.leaves():
         if isinstance(leaf, InnerCompute):
             continue

@@ -62,7 +62,7 @@ def _ranks(order, starts) -> np.ndarray:
     """Each lane's position among its key's lanes."""
     rank = np.empty(len(order), np.int64)
     rank[order] = np.arange(len(order)) - np.repeat(
-        starts, np.diff(starts, append=len(order)))
+        starts, np.append(starts[1:], len(order)) - starts)
     return rank
 
 
@@ -90,7 +90,7 @@ def _key_codes(keys):
     code_of = np.empty(len(starts), np.int64)
     code_of[np.argsort(first, kind="stable")] = np.arange(len(starts))
     codes = np.empty(n, np.int64)
-    codes[order] = np.repeat(code_of, np.diff(starts, append=n))
+    codes[order] = np.repeat(code_of, np.append(starts[1:], n) - starts)
     uniq = [None] * len(starts)
     rows = zip(*[k[first].tolist() for k in keys])
     for code, row in zip(code_of.tolist(), rows):
@@ -187,20 +187,36 @@ class Datapath:
             if si in self.combines:
                 sites += self.combines[si].sites()
         self.sites = list(dict.fromkeys(sites))
-        stored = {s.mem.name for s in stmts
-                  if isinstance(s, (WriteStmt, HashReduceStmt))}
+        bounds = [table_of(c, (c.lo, c.hi)) for c in leaf.chain.counters
+                  if not _ints(c.lo, c.hi)]
+        #: ``(statement, name)`` of each register write and FIFO emit
+        self.regs, self.emits = [], []
+        stored: Dict[str, List[int]] = {}
+        for si, s in enumerate(stmts):
+            if isinstance(s, EmitStmt):
+                self.emits.append((si, s.fifo.name))
+            elif isinstance(getattr(s, "mem", None), Sram):
+                stored.setdefault(s.mem.name, []).append(si)
+            elif isinstance(s, WriteStmt) and isinstance(s.mem, Reg):
+                self.regs.append((si, s.mem.name))
         loaded = body.loaded().union(
             *(t.loaded() for t in self.combines.values()),
-            *(table_of(c, (c.lo, c.hi)).loaded()
-              for c in leaf.chain.counters if not _ints(c.lo, c.hi)))
-        #: the body reads what it writes: every issue steps lane by lane
-        self.steps = bool(stored & loaded)
-        #: scratchpads the body stores to, in pricing order, each with
-        #: the statements storing to it
-        self.stored: Dict[str, List[int]] = {}
-        for si, s in enumerate(stmts):
-            if isinstance(getattr(s, "mem", None), Sram):
-                self.stored.setdefault(s.mem.name, []).append(si)
+            *(t.loaded() for t in bounds))
+        #: per scratchpad the body stores to, in pricing order: ``(name,
+        #: storing statements, whether each is a write — not a hash)``
+        self.stores = [(name, writers, [isinstance(stmts[si], WriteStmt)
+                                        for si in writers])
+                       for name, writers in stored.items()]
+        #: the body reads what it writes (a load of a memory it stores,
+        #: a hash into bins a write stores): every issue steps lane by lane
+        self.steps = not loaded.isdisjoint(
+            [*stored, *(name for _si, name in self.regs)]) \
+            or any(len(set(marked)) > 1 for _n, _w, marked in self.stores)
+        #: every scratchpad a stream can name (bound reads, load sites,
+        #: stores) -> its first column in a :class:`Schedule`'s rows
+        names = dict.fromkeys([key[0] for t in bounds for key in t.sites()]
+                              + [key[0] for key in self.sites] + [*stored])
+        self.pads = {name: 2 + 3 * j for j, name in enumerate(names)}
         #: compute nodes a lane evaluates (``ops_executed`` per lane): a
         #: bare combine is one op per accumulator
         self.ops = body.ops() + sum(t.ops() for t in self.combines.values()) \
@@ -219,7 +235,7 @@ class Datapath:
         slopes: Dict = {}
         for table in (body, *self.combines.values()):
             slopes.update(table.slopes)
-        for name, writers in self.stored.items():
+        for name, writers in stored.items():
             if len(writers) == 1 and writers[0] in addr:
                 slopes[name] = body.slope(addr[writers[0]],
                                           stmts[writers[0]].mem.shape)
@@ -241,18 +257,16 @@ class Datapath:
         p = _Pass(self.body, mem, version, steps, run)
         p.dp = self
         p.accs = {si: dict(a) for si, a in accs.items()}
-        with np.errstate(all="ignore"):
-            if steps:
-                p.step()
-            else:
-                try:
-                    for si, stmt in enumerate(self.stmts):
-                        p.stmt = si
-                        p.statement(stmt, None)
-                except (ArithmeticError, ValueError, SimulationError):
-                    raise _Redo() from None
-            block = p.block()
-        return block, p.accs
+        if steps:
+            p.step()
+        else:
+            try:
+                for si, stmt in enumerate(self.stmts):
+                    p.stmt = si
+                    p.statement(stmt, None)
+            except (ArithmeticError, ValueError, SimulationError):
+                raise _Redo() from None
+        return Block(p), p.accs
 
 
 class _Pass:
@@ -268,7 +282,7 @@ class _Pass:
         self.parent, self.local = parent, lanes
         if parent is not None:
             self.dp, self.run = parent.dp, parent.run
-            self.issue_of, self.per_issue = parent.issue_of, parent.per_issue
+            self.starts, self.per_issue = parent.starts, parent.per_issue
             self.rec, self.out = parent.rec, parent.out
             self.n, self.sym = len(lanes), extra
             self.base = lanes if parent.base is None else parent.base[lanes]
@@ -277,7 +291,7 @@ class _Pass:
         self.stmt = self.phase = 0
         self.run = run
         self.n = run.lanes
-        self.per_issue, self.issue_of, values, outer = run.columns()
+        self.per_issue, self.starts, values, outer = run.columns()
         self.base = None
         self.sym = dict(zip(run.names, outer))
         self.sym[run.index] = values
@@ -593,10 +607,6 @@ class _Pass:
         self.out.setdefault(self.stmt, []).append(
             (self.lanes(sel), keys, results, cells))
 
-    # -- the log ------------------------------------------------------------------------
-    def block(self) -> "Block":
-        return Block(self)
-
 
 class _BoundPass(_Pass):
     """One scope of a counter bound over a window of positions, one lane
@@ -632,6 +642,11 @@ class BoundWindow:
         self.table = Table((counter.lo, counter.hi), ranges)
         self.srams = {n.array for n in self.table.nodes
                       if isinstance(n, E.Load) and isinstance(n.array, Sram)}
+        #: the bounds whose proved range (if any) reaches past the
+        #: enumerator's int64 sums: their values are tested
+        spans = [self.table.spans[at] for _lo, _hi, at in self.table.roots]
+        self.wide = [end for end, span in enumerate(spans) if span is None
+                     or not -(1 << 62) < span[0] <= span[1] < 1 << 62]
 
     def evaluate(self, outer: dict, values: range, version):
         """``(lo, hi, reads)`` at each of ``values`` of ``index`` (the
@@ -648,16 +663,15 @@ class BoundWindow:
                    for s in self.srams):
                 return None
             ends, reads = [], []
-            with np.errstate(all="ignore"):
-                for end in range(2):
-                    p = _BoundPass(self.table, self.mem, version, False,
-                                   positions)
-                    ends.append(p.int_value(end, None))
-                    reads += p.columns()
+            for end in range(2):
+                p = _BoundPass(self.table, self.mem, version, False,
+                               positions)
+                ends.append(p.int_value(end, None))
+                reads += p.columns()
         except (ArithmeticError, ValueError, SimulationError):
             return None
-        if any(((end <= -(1 << 62)) | (end >= 1 << 62)).any()
-               for end in ends):
+        if any(((ends[end] <= -(1 << 62)) | (ends[end] >= 1 << 62)).any()
+               for end in self.wide):
             return None
         return ends[0], ends[1], reads
 
@@ -681,10 +695,12 @@ def _bound_columns(pieces):
     return addrs, owner, when
 
 
-def _last_writes(flats: np.ndarray) -> np.ndarray:
+def _last_writes(flats: np.ndarray):
     """Per entry, the position of the next entry with the same address
     (``len(flats)`` for the last): entry ``j`` of a range ``[a, b)`` is
-    the write that range leaves iff ``nxt[j] >= b``."""
+    the write that range leaves iff ``nxt[j] >= b``; None: they ascend."""
+    if not np.count_nonzero(flats[1:] <= flats[:-1]):
+        return None
     nxt = np.full(len(flats), len(flats), np.int64)
     order = np.argsort(flats, kind="stable")
     ordered = flats[order]
@@ -697,35 +713,33 @@ class Block:
     """The log of one block of vector issues, in columns: everything
     that makes issues ``[lo, hi)`` happen.
 
+    ``lanes`` and ``starts`` — each issue's lane count and first lane;
     ``streams`` — the priced address groups, ``(scratchpad, write, key,
     addresses, off)``: issue ``k``'s group is ``addresses[off[k]:
     off[k+1]]`` (a read stream per load site — bound reads first — and
     a write stream per stored scratchpad); ``stores`` — per stored
-    scratchpad ``(name, flats, cells, nxt, off, wm)``, its writes in
+    scratchpad ``(name, flats, cells, nxt, off, top)``, its writes in
     issue-statement-lane order with ``nxt`` from :func:`_last_writes`
-    and ``wm[k]`` issue ``k``'s highest non-hash address (-1: none);
-    ``regs`` — ``(name, values, off)`` per written register; ``emits``
-    — ``(fifo, words, off)`` per ``EmitStmt``; ``stmts`` — per statement
-    its issue offsets and columns (what an issue did, statement by
-    statement); ``widths`` — per stream, the widest address span one
-    issue's group can cover (:attr:`Datapath.widths`; None: unknown, or
-    the stream carries bound reads).  A block is priced once per banking
-    configuration (:meth:`schedule`) and shared by every batch
+    and ``top[j]`` the highest non-hash address of writes ``0..j`` (-1:
+    none; None: only hashed into); ``regs`` — ``(name, values, off)``
+    per written register; ``emits`` — ``(fifo, words, off)`` per
+    ``EmitStmt``; ``stmts`` — per statement its issue offsets and
+    columns.  Which of these a leaf has, in what order, is its
+    :class:`Datapath`'s (``dp``) layout.  A block is priced once per
+    banking configuration (:meth:`schedule`) and shared by every batch
     follower."""
 
-    __slots__ = ("n", "lanes", "streams", "widths", "bound", "order",
-                 "stores", "regs", "emits", "stmts", "_schedules")
+    __slots__ = ("dp", "n", "lanes", "starts", "streams", "bound", "stores",
+                 "regs", "emits", "stmts", "_schedules")
 
     def __init__(self, p: _Pass):
-        dp = p.dp
+        dp = self.dp = p.dp
         n = self.n = p.run.issues
-        issue_of = p.issue_of
+        every = self.starts = p.starts
         self.lanes = p.per_issue
-        cuts = np.arange(n + 1)
-        every = np.concatenate(([0], np.cumsum(self.lanes)))
 
-        def offsets(issues):
-            return np.searchsorted(issues, cuts)
+        def offsets(lanes):     # a piece's lanes ascend
+            return every if lanes is None else np.searchsorted(lanes, every)
 
         def spread(lanes):
             return np.arange(p.n) if lanes is None else lanes
@@ -735,14 +749,13 @@ class Block:
             if not pieces:
                 continue
             if len(pieces) == 1:
-                cols = list(pieces[0])
+                lanes, *cols = pieces[0]
             else:
                 cols = [np.concatenate(c) for c in zip(*(
                     (spread(piece[0]),) + piece[1:] for piece in pieces))]
                 order = np.argsort(cols[0], kind="stable")
-                cols = [c[order] for c in cols]
-            self.stmts[si] = (every if cols[0] is None
-                              else offsets(issue_of[cols[0]]), cols[1:])
+                lanes, *cols = [c[order] for c in cols]
+            self.stmts[si] = (offsets(lanes), cols)
         # read streams: bound reads, then each site's lanes in issue,
         # statement, lane, phase order
         body = {}
@@ -750,20 +763,19 @@ class Block:
             pieces = p.rec.get(key)
             if not pieces:
                 continue
-            lanes, addrs, stmt, phase = zip(*pieces)
             if len(pieces) == 1:
-                lanes, addrs = lanes[0], addrs[0]
-            else:
-                lanes = [spread(x) for x in lanes]
-                sizes = [len(x) for x in lanes]
-                lanes = np.concatenate(lanes)
-                addrs = np.concatenate(addrs)
-                order = np.lexsort((np.repeat(phase, sizes), lanes,
-                                    np.repeat(stmt, sizes),
-                                    issue_of[lanes]))
-                lanes, addrs = lanes[order], addrs[order]
-            body[key] = (addrs, every if lanes is None
-                         else offsets(issue_of[lanes]))
+                lanes, addrs, _stmt, _phase = pieces[0]
+                body[key] = (addrs, offsets(lanes))
+                continue
+            lanes, addrs, stmt, phase = zip(*pieces)
+            lanes = [spread(x) for x in lanes]
+            sizes = [len(x) for x in lanes]
+            lanes = np.concatenate(lanes)
+            issue = np.searchsorted(every, lanes, "right") - 1
+            order = np.lexsort((np.repeat(phase, sizes), lanes,
+                                np.repeat(stmt, sizes), issue))
+            body[key] = (np.concatenate(addrs)[order],
+                         np.searchsorted(issue[order], np.arange(n + 1)))
         # bound reads: per site, each issue's ahead of its body reads
         reads: Dict[tuple, list] = {}
         for piece in p.run.reads:
@@ -786,7 +798,7 @@ class Block:
                 merged = np.empty(off[-1], np.int64)
                 merged[off[owner] + np.arange(len(owner))
                        - starts[owner]] = addrs
-                of = np.repeat(cuts[:-1], extra)
+                of = np.repeat(np.arange(n), extra)
                 merged[off[of] + lens[of] + np.arange(len(more))
                        - more_off[of]] = more
                 addrs, starts = merged, off
@@ -794,20 +806,16 @@ class Block:
         streams.update(body)
         self.streams = [(key[0], False, key, addrs, off)
                         for key, (addrs, off) in streams.items()]
-        index = {key: j for j, key in enumerate(streams)}
-        self.order = ([index[key] for key in dp.sites if key in index], [])
         # stores: a write stream per stored scratchpad
         self.stores = []
-        for name, writers in dp.stored.items():
-            writers = [si for si in writers if si in self.stmts]
+        for name, writers, marked in dp.stores:
             if len(writers) == 1:
                 off, cols = self.stmts[writers[0]]
                 flats, cells = cols[0], cols[-1]
-                marks = flats if isinstance(dp.stmts[writers[0]],
-                                            WriteStmt) else None
+                marks = flats if marked[0] else None
             else:
                 iss = np.concatenate([
-                    np.repeat(cuts[:-1], np.diff(self.stmts[si][0]))
+                    np.repeat(np.arange(n), np.diff(self.stmts[si][0]))
                     for si in writers])
                 order = np.argsort(iss, kind="stable")
                 flats = np.concatenate([self.stmts[si][1][0]
@@ -815,29 +823,19 @@ class Block:
                 cells = np.concatenate([self.stmts[si][1][-1]
                                         for si in writers])[order]
                 marks = np.concatenate([
-                    self.stmts[si][1][0]
-                    if isinstance(dp.stmts[si], WriteStmt)
+                    self.stmts[si][1][0] if write
                     else np.full(len(self.stmts[si][1][0]), -1)
-                    for si in writers])[order]
-                off = offsets(iss[order])
-            # every issue stores at least once per storing statement
-            wm = np.full(n, -1, np.int64) if marks is None else \
-                np.maximum.reduceat(marks, off[:-1])
-            self.order[1].append(len(self.streams))
+                    for si, write in zip(writers, marked)])[order]
+                off = np.searchsorted(iss[order], np.arange(n + 1))
+            nxt = _last_writes(flats)
+            top = marks if marks is None or marks is flats and nxt is None \
+                else np.maximum.accumulate(marks)
             self.streams.append((name, True, name, flats, off))
-            self.stores.append((name, flats, cells, _last_writes(flats),
-                                off, wm))
-        self.widths = [None if key in self.bound else dp.widths.get(key)
-                       for _name, _w, key, _a, _o in self.streams]
-        self.regs, self.emits = [], []
-        for si, stmt in enumerate(dp.stmts):
-            if si not in self.stmts:
-                continue
-            off, cols = self.stmts[si]
-            if isinstance(stmt, EmitStmt):
-                self.emits.append((stmt.fifo.name, cols[0].tolist(), off))
-            elif isinstance(stmt, WriteStmt) and isinstance(stmt.mem, Reg):
-                self.regs.append((stmt.mem.name, cols[0].tolist(), off))
+            self.stores.append((name, flats, cells, nxt, off, top))
+        self.regs = [(name, self.stmts[si][1][0].tolist(), self.stmts[si][0])
+                     for si, name in dp.regs]
+        self.emits = [(name, self.stmts[si][1][0].tolist(), self.stmts[si][0])
+                      for si, name in dp.emits]
         self._schedules: Dict[tuple, Schedule] = {}
 
     def schedule(self, banking, scratchpads) -> "Schedule":
@@ -849,20 +847,6 @@ class Block:
             schedule = self._schedules[banking] = Schedule(self, scratchpads)
         return schedule
 
-    def priced(self, k: int) -> List[int]:
-        """Issue ``k``'s streams in pricing order: the counter chain's
-        bound reads (in the order it first read each site), the load
-        sites, the stored scratchpads."""
-        sites, writes = self.order
-        bound = sorted((int(when[off[k]]), key)
-                       for key, (when, off) in self.bound.items()
-                       if off[k + 1] > off[k])
-        if not bound:
-            return sites + writes
-        keys = [stream[2] for stream in self.streams]
-        first = [keys.index(key) for _when, key in bound]
-        return first + [j for j in sites if j not in first] + writes
-
 
 class Schedule:
     """A block priced under one banking configuration.
@@ -873,30 +857,30 @@ class Schedule:
     issue 0 — the sum of ``1 + extra`` over the issues before it — and
     ``rows[k]`` holds what those issues charged, cumulatively: conflict
     cycles, lanes, then reads / writes / conflict cycles of each
-    scratchpad in ``pads`` (name -> first of its three columns).
-    ``rows[hi] - rows[lo]`` is what issues ``[lo, hi)`` charge.  A
-    stream whose scratchpad proves it conflict-free at its width
-    (:meth:`~repro.sim.scratchpad.ScratchpadSim.conflict_free`) is
-    counted, not priced.
+    scratchpad of the leaf (``pads``, :attr:`Datapath.pads`: name ->
+    first of its three columns).  ``rows[hi] - rows[lo]`` is what issues
+    ``[lo, hi)`` charge.  A stream whose scratchpad proves it
+    conflict-free at its width (:attr:`Datapath.widths`; a stream
+    carrying bound reads has none) is counted, not priced.
     """
 
     __slots__ = ("offsets", "rows", "pads", "extras")
 
     def __init__(self, block: Block, scratchpads):
         n = block.n
-        self.pads = pads = {}
-        for name, *_ in block.streams:
-            pads.setdefault(name, 2 + 3 * len(pads))
+        self.pads = pads = block.dp.pads
         rows = self.rows = np.zeros((n + 1, 2 + 3 * len(pads)), np.int64)
-        np.cumsum(block.lanes, out=rows[1:, 1])
-        worst = np.zeros(n, np.int64)
+        rows[:, 1] = block.starts
+        worst = None
         #: stream -> each issue's extra cycles (streams with any)
         self.extras: Dict[int, np.ndarray] = {}
-        for j, (name, write, _key, addrs, off) in enumerate(block.streams):
+        widths = block.dp.widths
+        for j, (name, write, key, addrs, off) in enumerate(block.streams):
             col = pads[name]
             rows[:, col + write] += off
             scratch = scratchpads[name]
-            if scratch.conflict_free(block.widths[j], write):
+            if scratch.conflict_free(None if key in block.bound
+                                     else widths.get(key), write):
                 continue
             lens = off[1:] - off[:-1]
             if lens[0] and (lens == lens[0]).all():     # the usual case
@@ -911,8 +895,8 @@ class Schedule:
             if extra.any():
                 self.extras[j] = extra
                 rows[1:, col + 2] += np.cumsum(extra)
-                np.maximum(worst, extra, out=worst)
-        if self.extras:
+                worst = extra if worst is None else np.maximum(worst, extra)
+        if worst is not None:
             np.cumsum(worst, out=rows[1:, 0])
             self.offsets = [0] + np.cumsum(1 + worst).tolist()
         else:
@@ -920,9 +904,18 @@ class Schedule:
 
     def conflicts(self, block: Block, k: int):
         """Issue ``k`` of ``block``'s conflicted groups, ``(scratchpad,
-        extra, lanes)`` in pricing order: the events a tracer is owed."""
+        extra, lanes)`` in pricing order — the counter chain's bound
+        reads (in the order it first read each site), the load sites,
+        the stored scratchpads: the events a tracer is owed."""
+        keys = [stream[2] for stream in block.streams]
+        first = [keys.index(key) for _when, key in sorted(
+            (int(when[off[k]]), key)
+            for key, (when, off) in block.bound.items()
+            if off[k + 1] > off[k])]
+        sites = [keys.index(key) for key in block.dp.sites if key in keys]
+        writes = [j for j, stream in enumerate(block.streams) if stream[1]]
         out = []
-        for j in block.priced(k):
+        for j in first + [j for j in sites if j not in first] + writes:
             extra = self.extras.get(j)
             if extra is not None and extra[k]:
                 name, _w, _key, _addrs, off = block.streams[j]

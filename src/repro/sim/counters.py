@@ -32,16 +32,15 @@ class _Trip(Exception):
 class Run:
     """Whole vector issues of a counter chain, in columns.
 
-    The issues cover ``len(start)`` innermost ranges — a range's issues
-    from ``start`` on where a run begins inside it, up to ``count``
-    values where a run ends inside it: range ``r`` binds the dims
-    outside the innermost (``names``) to the row ``outer[r]`` and the
-    innermost ``index`` to ``start[r], start[r] + step, ...``, ``par``
-    values to an issue but its last.  ``base`` binds everything outside
-    the chain.  The three columns are views of one table with a row
-    ``(start, count, *outer)`` per range, given as an array or as a list
-    of rows (made an array when first read: an outer controller's run
-    of one point never needs it).
+    The issues cover the innermost ranges of ``table``, one row ``(start,
+    count, *outer)`` each — a range's issues from ``start`` on where a
+    run begins inside it, up to ``count`` values where a run ends inside
+    it: a range binds the dims outside the innermost (``names``) to
+    ``outer`` and the innermost ``index`` to ``start, start + step,
+    ...``, ``par`` values to an issue but its last.  ``base`` binds
+    everything outside the chain.  The table is given as an array or as
+    a list of rows (made an array when first read: an outer controller's
+    run of one point never needs it).
 
     ``reads`` are the bound reads the chain made, in pieces ``(key,
     issue, addresses, order)``: the issue whose group the addresses join
@@ -70,18 +69,6 @@ class Run:
                 len(self._table), 2 + len(self.names))
         return self._table
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.table[:, 0]
-
-    @property
-    def count(self) -> np.ndarray:
-        return self.table[:, 1]
-
-    @property
-    def outer(self) -> np.ndarray:
-        return self.table[:, 2:]
-
     def first_lane(self) -> dict:
         """The bindings of the run's first lane."""
         start, _count, *outer = self._table[0] if type(self._table) is list \
@@ -97,35 +84,35 @@ class Run:
         return first, first + (min(count, self.par) - 1) * self.step
 
     def columns(self):
-        """``(lanes per issue, issue per lane, value per lane, one column
-        per outer binding)`` — a fixed number of numpy calls, whatever
-        the length."""
-        par, step, table = self.par, self.step, self.table
-        lane = np.arange(self.lanes)
-        if len(table) == 1:
-            issue_of = lane // par
-            values = lane * step + int(table[0, 0])
-            outer = [np.full(self.lanes, v) for v in table[0, 2:].tolist()]
-        else:
-            count = table[:, 1]
-            range_of = np.repeat(np.arange(len(count)), count)
-            first = np.cumsum(count) - count           # each range's lane 0
-            within = lane - first[range_of]
-            per = (count + par - 1) // par             # issues per range
-            issue_of = (np.cumsum(per) - per)[range_of] + within // par
-            values = table[:, 0][range_of] + within * step
-            outer = [column[range_of] for column in table[:, 2:].T]
-        issue_of = issue_of.astype(np.int32)
-        return (np.bincount(issue_of, minlength=self.issues), issue_of,
-                values, outer)
+        """``(lanes per issue, each issue's first lane and then the lane
+        count, value per lane, one column per outer binding)`` — a fixed
+        number of numpy calls, whatever the length."""
+        par, step, issues = self.par, self.step, self.issues
+        if len(self._table) == 1:
+            start, count, *outer = self._table[0] \
+                if type(self._table) is list else self._table[0].tolist()
+            starts = np.arange(0, issues * par + 1, par)
+            starts[-1] = count
+            return (starts[1:] - starts[:-1], starts,
+                    np.arange(start, start + count * step, step),
+                    [np.full(count, v) for v in outer])
+        table = self.table
+        count = table[:, 1]
+        range_of = np.repeat(np.arange(len(count)), count)
+        # each lane's place in its range: an issue starts every par lanes
+        within = np.arange(self.lanes) - (np.cumsum(count) - count)[range_of]
+        starts = np.append(np.flatnonzero(within % par == 0), self.lanes)
+        return (starts[1:] - starts[:-1], starts,
+                table[:, 0][range_of] + within * step,
+                [column[range_of] for column in table[:, 2:].T])
 
     def issue(self, k: int) -> "Run":
         """Issue ``k`` alone, as a run of one issue."""
-        par = self.par
-        ends = np.cumsum((self.count + par - 1) // par)
+        par, counts = self.par, self.table[:, 1]
+        ends = np.cumsum((counts + par - 1) // par)
         r = int(np.searchsorted(ends, k, "right"))
         j = k - (int(ends[r - 1]) if r else 0)
-        count = min(par, int(self.count[r]) - j * par)
+        count = min(par, int(counts[r]) - j * par)
         reads = []
         for key, owner, addrs, when in self.reads:
             if type(owner) is int:
@@ -193,8 +180,13 @@ class ChainEnumerator:
         self._inner = depth - 1
         self.window = window if depth > 1 and self._fixed[-1] is None \
             else None
-        self.base = dict(base_bindings or {})
         self.max_total = max_total
+        self.restart(base_bindings)
+
+    def restart(self, base_bindings: Optional[dict] = None) -> None:
+        """Begin the chain again under new outside bindings."""
+        depth = self.chain.depth
+        self.base = dict(base_bindings or {})
         self._emitted = 0
         self._lo = [0] * depth
         self._hi = [0] * depth
@@ -514,7 +506,8 @@ class ChainEnumerator:
         if part:
             taken = np.append(taken, part * par)
         allowed = self.max_total - self._emitted
-        trip = len(taken) and int(taken.sum()) > allowed
+        total = int(taken.sum())
+        trip = total > allowed
         if trip:
             # the issue that would pass max_total: its position's bounds
             # were read, nothing after them was
@@ -522,6 +515,7 @@ class ChainEnumerator:
             j = int(np.searchsorted(cum, allowed, "right"))
             part = (allowed - (int(cum[j - 1]) if j else 0)) // par
             taken = np.append(taken[:j], part * par) if part else taken[:j]
+            total = int(taken.sum())
             land = at + j
         end = len(counts) if land is None else land + 1
         self._flush()
@@ -542,17 +536,17 @@ class ChainEnumerator:
                                      self._when + rel * len(pieces) + j))
         self._when += (end - at) * len(pieces)
         if len(taken):
-            pos = np.arange(at, at + len(taken))[taken > 0]
+            pos = np.flatnonzero(taken)
             rows = np.empty((len(pos), inner + 2), np.int64)
-            rows[:, 0] = los[pos]
-            rows[:, 1] = taken[taken > 0]
+            rows[:, 0] = los[pos + at]
+            rows[:, 1] = taken[pos]
             rows[:, 2:inner + 1] = self._cur[:e]
-            rows[:, inner + 1] = p0 + pos * self.chain.counters[e].step
+            rows[:, inner + 1] = p0 + (pos + at) * self.chain.counters[e].step
             self._seal()
             self._segs.append(rows)
-            self._issues += int(issues.sum())
-            self._lanes += int(taken.sum())
-            self._emitted += int(taken.sum())
+            self._issues += int(before[-1])
+            self._lanes += total
+            self._emitted += total
         if trip:
             raise _Trip()
         if land is None:

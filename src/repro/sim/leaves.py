@@ -15,14 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bitstream.config import FabricConfig
-from repro.dhdl.ir import (EmitStmt, HashReduceStmt, InnerCompute,
-                           ReduceStmt, StreamStore)
+from repro.dhdl.ir import (HashReduceStmt, InnerCompute, ReduceStmt,
+                           StreamStore)
 from repro.dhdl.memory import Reg
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
@@ -238,15 +239,11 @@ class InnerComputeSim(_LeafCommon):
         # the statement list is frozen at construction, so the op count
         # per lane and the per-lane FIFO word demand are constants
         self._ops_per_lane = self._datapath.ops
-        demand: Dict[str, int] = {}
-        for stmt in leaf.stmts:
-            if isinstance(stmt, EmitStmt):
-                demand[stmt.fifo.name] = demand.get(stmt.fifo.name, 0) + 1
-        self._emit_demand: Tuple[Tuple[str, int], ...] = \
-            tuple(demand.items())
+        self._emit_demand: Tuple[Tuple[str, int], ...] = tuple(
+            Counter(name for _si, name in self._datapath.emits).items())
         #: may run free (the machine clears it when traced or
         #: fault-planned), and the watchdog bounding a free run
-        self.free = not demand
+        self.free = not self._emit_demand
         self.watchdog = 50_000
         #: the FIFO-full wait, per FIFO this body emits into
         self._park_full = {
@@ -254,9 +251,15 @@ class InnerComputeSim(_LeafCommon):
                        fifo_counters=((fifos[name], "full_stalls"),),
                        marks=((leaf.name, StallCause.FIFO_FULL),),
                        wake_fifos=(fifos[name],))
-            for name in demand}
+            for name, _words in self._emit_demand}
         #: the one of them the last failed room check ran into
         self._blocked_on: Optional[Park] = None
+        #: per activation, reduce accumulators start empty and dense
+        #: HashReduce targets at their init value (the rest carry theirs)
+        self._reduces = [si for si, stmt in enumerate(leaf.stmts)
+                         if isinstance(stmt, ReduceStmt)]
+        self._fills = [stmt for stmt in leaf.stmts
+                       if isinstance(stmt, HashReduceStmt) and not stmt.carry]
 
     # -- activation ---------------------------------------------------------------
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
@@ -270,33 +273,27 @@ class InnerComputeSim(_LeafCommon):
         self._block = None
         self._next = 0
         self._begin_body(bindings, version)
-        # dense HashReduce targets start at their init value unless they
-        # carry previous contents across activations
-        for stmt in self.leaf.stmts:
-            if isinstance(stmt, HashReduceStmt) and not stmt.carry:
-                scratch = self.mem.scratch(stmt.mem)
-                buf = scratch.buffer(version)
-                buf.fill(_np_dtype(stmt.mem.dtype)(stmt.init))
+        for stmt in self._fills:
+            self.mem.scratch(stmt.mem).buffer(version).fill(
+                _np_dtype(stmt.mem.dtype)(stmt.init))
 
     def _begin_body(self, bindings: dict, version) -> None:
         """Set up evaluation state for one activation (a batch follower
         replays instead)."""
-        if self._window is None and self.leaf.chain.depth > 1:
-            self._window = BoundWindow(self.mem, self.leaf.chain,
-                                       self._datapath.ranges)
-        scalar = self._evaluate.bounds
-
-        def bounds(counter, bnd):
-            return scalar(counter, bnd, version, self._reads)
-
-        self._enum = ChainEnumerator(
-            self.leaf.chain, bounds, bindings,
-            window=None if self._datapath.steps else self._windows,
-            reads=self._taken_reads)
+        if self._enum is None:
+            if self.leaf.chain.depth > 1:
+                self._window = BoundWindow(self.mem, self.leaf.chain,
+                                           self._datapath.ranges)
+            self._enum = ChainEnumerator(
+                self.leaf.chain, lambda counter, bnd: self._evaluate.bounds(
+                    counter, bnd, self._version, self._reads), bindings,
+                window=None if self._datapath.steps else self._windows,
+                reads=self._taken_reads)
+        else:
+            self._enum.restart(bindings)
         self._queue = None
         self._single = 0
-        self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
-                      if isinstance(s, ReduceStmt)}
+        self._accs = {si: {} for si in self._reduces}
         if self.record is not None:
             self._act = Activation()
             self.record.append(self._act)
@@ -460,7 +457,8 @@ class InnerComputeSim(_LeafCommon):
         # demand is summed per FIFO — several EmitStmts feeding the same
         # FIFO each need batch.lanes words, and checking them one at a
         # time would pass with room for only one statement's worth
-        if not self._check_fifo_room(int(self._block.lanes[k])):
+        if self._emit_demand and not self._check_fifo_room(
+                int(self._block.lanes[k])):
             return None
         self._issued = k
         self._apply(k, k + 1)
@@ -474,17 +472,21 @@ class InnerComputeSim(_LeafCommon):
         block, schedule = self._block, self._schedule
         version = self._version
         scratchpads = self.mem.scratchpads
-        for name, flats, cells, nxt, off, wm in block.stores:
+        for name, flats, cells, nxt, off, top in block.stores:
             a, b = off[lo], off[hi]
             if a == b:
                 continue
             scratch = scratchpads[name]
-            keep = nxt[a:b] >= b
-            scratch.buffer(version).reshape(-1)[flats[a:b][keep]] = \
-                cells[a:b][keep]
-            mark = int(wm[lo:hi].max())
-            if mark >= 0:
-                scratch.note_write(version, mark)
+            buf = scratch.buffer(version).reshape(-1)
+            if nxt is None:
+                buf[flats[a:b]] = cells[a:b]
+            else:
+                keep = nxt[a:b] >= b
+                buf[flats[a:b][keep]] = cells[a:b][keep]
+            # issues ``[0, lo)`` of the block noted theirs already, so
+            # the highest address up to ``hi`` marks what ``[lo, hi)`` did
+            if top is not None and top[b - 1] >= 0:
+                scratch.note_write(version, int(top[b - 1]))
         for name, values, off in block.regs:
             if off[hi] > off[lo]:
                 self.mem.registers[name].write(values[off[hi] - 1])
@@ -524,9 +526,8 @@ class InnerComputeSim(_LeafCommon):
         self._apply_finals()
         self._block = self._schedule = None
         # close any FIFO this body emits into
-        for stmt in self.leaf.stmts:
-            if isinstance(stmt, EmitStmt):
-                self.fifos[stmt.fifo.name].close()
+        for _si, name in self._datapath.emits:
+            self.fifos[name].close()
         self._active = False
 
     def _apply_finals(self) -> None:

@@ -83,6 +83,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.trace.events import StallCause
 
@@ -173,14 +175,16 @@ def run_machines(machines, max_cycles: int, mode: str = "event"):
     DramModel` — to completion under scheduler ``mode``.
 
     Returns the :class:`EventScheduler` (executed vs fast-forwarded
-    cycle split), or None under the dense reference.
+    cycle split), or None under the dense reference.  Numpy's float
+    warnings are off throughout: the kernel's typed checks are the faults.
     """
     check_mode(mode)
-    if mode == "dense":
-        run_dense(machines, max_cycles)
-        return None
-    sched = EventScheduler(machines)
-    sched.run(max_cycles)
+    with np.errstate(all="ignore"):
+        if mode == "dense":
+            run_dense(machines, max_cycles)
+            return None
+        sched = EventScheduler(machines)
+        sched.run(max_cycles)
     return sched
 
 

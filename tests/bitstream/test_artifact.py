@@ -355,6 +355,32 @@ def test_units_no_plasticine_could_hold_are_rejected(mutate, said):
         Bitstream.from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shape", [4096, 4096]), ("nbuf", 1000), ("nbuf", 65)],
+    ids=["b_buf_4096x4096", "nbuf_1000", "nbuf_one_buffer_over"])
+def test_scratchpad_past_its_pmu_sites_is_rejected(field, value):
+    """A scratchpad's words at its N-buffering must fit the PMU sites
+    it was placed on.  gemm's ``b_buf`` at ``small`` is 1 024 words on
+    one PMU of 16 x 16 KB (65 536 words): reshaped to 4096 x 4096, or
+    1 000-buffered, it used to run; 65 copies are one buffer over."""
+    data = compile_to_bitstream("gemm", "small").to_dict()
+    sram = data["program"]["srams"][0]
+    assert sram["name"] == "b_buf" and data["config"]["sites"]["b_buf"] \
+        == [[1, 0]]
+    sram[field] = value
+    with pytest.raises(ConfigError, match=r"scratchpad 'b_buf': \d+ words "
+                       r"x nbuf=\d+ exceed its 1 PMU sites' 65536 words"):
+        Bitstream.from_dict(data)
+
+
+def test_scratchpad_filling_its_pmu_sites_is_legal():
+    """64 buffers of gemm's 1 024-word ``b_buf`` fill its one PMU
+    exactly, and decode."""
+    data = compile_to_bitstream("gemm", "small").to_dict()
+    data["program"]["srams"][0]["nbuf"] = 64
+    assert Bitstream.from_dict(data).dhdl.srams[0].total_words() == 65536
+
+
 def test_compile_key_covers_every_input():
     base = compile_key("gemm", "tiny")
     assert base == compile_key("gemm", "tiny")  # deterministic

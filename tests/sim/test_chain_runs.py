@@ -138,7 +138,7 @@ def reference_blocks(case):
 
 def run_issues(run):
     """A run's issues as :func:`reference_blocks` records them."""
-    lanes, issue_of, values, outer = run.columns()
+    lanes, starts, values, outer = run.columns()
     groups = [{} for _ in range(run.issues)]
     reads = sorted(
         (int(when), n, i, int(owner), key, int(addr))
@@ -148,7 +148,9 @@ def run_issues(run):
             np.broadcast_to(whens, len(addrs)))))
     for *_order, owner, key, addr in reads:
         groups[owner].setdefault(key, []).append(addr)
-    starts = np.concatenate(([0], np.cumsum(lanes)))
+    # each issue's first lane, then the run's lane count
+    assert starts.tolist() == [0] + np.cumsum(lanes).tolist()
+    assert starts[-1] == run.lanes and (lanes >= 1).all()
     out = []
     for k in range(run.issues):
         bindings = dict(run.base)
@@ -160,7 +162,6 @@ def run_issues(run):
         out.append((_name(bindings),
                     values[starts[k]:starts[k + 1]].tolist(),
                     list(groups[k].items())))
-    assert (np.bincount(issue_of, minlength=run.issues) == lanes).all()
     return out
 
 

@@ -38,8 +38,9 @@ def check_block(block, scratchpads) -> int:
     """Hold one block's streams to their facts; returns how many streams
     the fact proved free."""
     proven = 0
-    for (name, write, _key, addrs, off), width in zip(block.streams,
-                                                      block.widths):
+    for name, write, key, addrs, off in block.streams:
+        # a stream carrying bound reads has no width
+        width = None if key in block.bound else block.dp.widths.get(key)
         groups = [addrs[off[k]:off[k + 1]] for k in range(block.n)]
         groups = [g for g in groups if len(g)]
         if width is not None:

@@ -40,11 +40,11 @@ def _issue(enum):
     if run is None:
         return None
     assert run.issues == 1
-    values = list(range(int(run.start[0]),
-                        int(run.start[0]) + int(run.count[0]) * run.step,
+    values = list(range(int(run.table[0, 0]),
+                        int(run.table[0, 0]) + int(run.table[0, 1]) * run.step,
                         run.step))
     assert run.lanes == len(values)
-    return dict(zip(run.names, run.outer[0].tolist())), values
+    return dict(zip(run.names, run.table[0, 2:].tolist())), values
 
 
 def _forced_step(step):

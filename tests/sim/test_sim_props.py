@@ -105,8 +105,8 @@ def test_chain_enumerator_covers_rectangle(rows, cols, par):
         assert run.issues == 1
         assert 1 <= run.lanes <= par
         # one issue never crosses an outer-dim boundary
-        assert len(run.start) == 1
-        _lanes, _issue_of, values, (column,) = run.columns()
+        assert len(run.table) == 1
+        _lanes, _starts, values, (column,) = run.columns()
         at = column.tolist()
         assert len(set(at)) == 1
         seen.extend(zip(at, values.tolist()))
