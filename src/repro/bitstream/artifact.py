@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -32,7 +32,8 @@ from repro.arch.params import (DEFAULT, DramParams, PcuParams,
                                PlasticineParams, PmuParams)
 from repro.arch.requirements import (DesignRequirements, VirtualPcuReq,
                                      VirtualPmuReq)
-from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
+from repro.bitstream.config import (AgAssignment, FabricConfig, LeafTiming,
+                                   check_banks)
 from repro.dhdl.ir import DhdlProgram, InnerCompute
 from repro.dhdl.serialize import program_from_dict, program_to_dict
 from repro.errors import ArchError, ConfigError
@@ -69,7 +70,7 @@ class CompileOptions:
     pmu_fraction: float = 0.5
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields(self)
 
     @staticmethod
     def from_dict(data: dict) -> "CompileOptions":
@@ -110,8 +111,8 @@ def _requirements_to_dict(req: Optional[DesignRequirements]
     if req is None:
         return None
     return {"name": req.name,
-            "pcus": [asdict(r) for r in req.pcus],
-            "pmus": [asdict(r) for r in req.pmus]}
+            "pcus": [_fields(r) for r in req.pcus],
+            "pmus": [_fields(r) for r in req.pmus]}
 
 
 def _requirements_from_dict(data: Optional[dict]
@@ -275,9 +276,11 @@ def _check_units(dhdl: DhdlProgram, config: FabricConfig) -> None:
     """Hold the memories and transfers to what the fabric can run:
     every scratchpad at least single-buffered with a positive bank
     stride, its words at its N-buffering within its PMU sites' capacity,
-    and every transfer issued by at least one of the chip's ``num_ags``
-    address generators; else a :class:`ConfigError`."""
+    any bank override within a PMU's banks, and every transfer issued by
+    at least one of the chip's ``num_ags`` address generators; else a
+    :class:`ConfigError`."""
     params = config.params
+    check_banks(config.banks_override, params, "banks_override")
     for sram in dhdl.srams:
         if sram.nbuf < 1 or sram.bank_stride < 1:
             raise ConfigError(

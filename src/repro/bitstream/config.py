@@ -15,6 +15,7 @@ simulator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -55,6 +56,17 @@ class LeafTiming:
         if self.num_pcus < 0:
             raise ConfigError("num_pcus must be >= 0")
         return self
+
+
+def check_banks(banks, params: PlasticineParams, what: str) -> None:
+    """Hold a scratchpad bank override ``what`` to what a PMU has: unset
+    (None or 0) or ``1..params.pmu.banks``; else a :class:`ConfigError`."""
+    if banks is None:
+        return
+    if (isinstance(banks, bool) or not isinstance(banks, numbers.Integral)
+            or not 0 <= banks <= params.pmu.banks):
+        raise ConfigError(f"{what}={banks!r} must be unset (None or 0) "
+                          f"or in 1..{params.pmu.banks}, the PMU's banks")
 
 
 @dataclass

@@ -57,6 +57,11 @@ class DeadlockError(SimulationError):
     """No unit made progress for the configured watchdog interval."""
 
 
+class ReplayError(SimulationError):
+    """A batch follower disagreed with its leader's log: it ran out of
+    logged activations, or evaluated inputs the leader did not."""
+
+
 class DramProtocolError(SimulationError):
     """A DRAM command violated DDR3 timing or state rules."""
 

@@ -50,11 +50,13 @@ def _solo_outcome(source, overrides, scheduler="event"):
 
 def _follower(source, overrides, **kwargs):
     """A follower built by hand behind an as-compiled leader, so a test
-    can reach it before it runs."""
-    log = {}
-    instantiate(source, {}, machine_cls=_RecordingMachine, log=log).run()
+    can reach it before it runs: as ``run_batch`` builds one, on its
+    leader's compute log and transfer layouts."""
+    log, layouts = {}, {}
+    instantiate(source, {}, machine_cls=_RecordingMachine, log=log,
+                layouts=layouts).run()
     return instantiate(source, overrides, machine_cls=_ReplayMachine,
-                       log=log, **kwargs)
+                       log=log, layouts=layouts, **kwargs)
 
 
 def assert_batch_equivalent(source, params, scheduler="event"):
