@@ -30,16 +30,18 @@ those logs across instances without giving up cycle-exactness:
   dense ≡ event and a ``max_cycles``/watchdog exit leaves the stepped
   run's partial state.
 * A follower's transfers move their own data, issue their own bursts
-  and take all their DRAM timing, but lay nothing out.  A leader's
-  stream engines keep each activation's layout — a tile's burst table,
-  a gather's or scatter's decoded columns — after the key it was built
-  from (the tile offsets and word limit, or the element indices); a
-  follower's engine evaluates its own key and takes the leader's layout
-  for it, read-only.  A key that differs is a :class:`ReplayError`
-  naming the leaf and the activation, never the leader's layout.  A
-  ``dse_sweep`` pass builds 51 burst tables where it built 1 794, and
-  its median ``wall_s`` fell from 0.360 to 0.332 s (2-vCPU container,
-  ten alternating pairs).
+  and take all their DRAM timing, but its tiles build no burst table.
+  A leader's tile engines keep each activation's table after the key it
+  was built from (the tile offsets and word limit); a follower's engine
+  evaluates its own key and takes the leader's table for it, read-only.
+  A key that differs is a :class:`ReplayError` naming the leaf and the
+  activation, never the leader's table.  A cohort's tables are freed
+  once its last follower has run.  A ``dse_sweep`` pass builds 51 burst
+  tables where it built 1 794, and its median ``wall_s`` fell from
+  0.360 to 0.332 s (2-vCPU container, ten alternating pairs).  Gathers
+  and scatters still decode their own addresses: sharing those columns
+  as well saved 1-4 % of a batched bfs, pagerank or smdv sweep in
+  timers around the decode, and nothing end-to-end runs could resolve.
 * Instances run **back to back**, each to completion through the
   ordinary ``Machine.run`` (leaders first, then followers): they own
   separate DRAM models and share nothing, so nothing observes their
@@ -61,14 +63,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.params import DEFAULT, PlasticineParams
+from repro.arch.params import PlasticineParams
 from repro.bitstream.config import check_banks
 from repro.dhdl.ir import InnerCompute
 from repro.dram.model import DramModel
 from repro.errors import (ConfigError, DeadlockError, ReplayError,
                           SimulationError)
 from repro.patterns.collections import _np_dtype
-from repro.sim.leaves import Activation, InnerComputeSim, _StreamCommon
+from repro.sim.leaves import Activation, InnerComputeSim, _TileCommon
 from repro.sim.machine import Machine
 from repro.sim.scheduler import check_mode
 from repro.sim.stats import SimStats
@@ -93,7 +95,7 @@ FUNCTIONAL_KEYS = frozenset({"data"})
 
 
 def normalize_params(entry: Optional[dict],
-                     params: PlasticineParams = DEFAULT) -> dict:
+                     params: PlasticineParams) -> dict:
     """Validate one instance's override dict (None means defaults) for
     a design on the architecture ``params``."""
     if entry is None:
@@ -289,36 +291,36 @@ def _exhausted(name: str, cursor: int) -> ReplayError:
 
 
 class _LayoutRecorder:
-    """A leader's stream engine hook: builds each activation's layout
-    and keeps it, after the key it was built from, in ``entries``."""
+    """A leader's tile engine hook: builds each activation's burst
+    table and keeps it, after the key it was built from, in
+    ``entries``."""
 
     def __init__(self, entries: list):
         self.entries = entries
 
-    def take(self, engine: _StreamCommon, key):
+    def take(self, engine: _TileCommon, key):
         layout = engine._build(key)
         self.entries.append((key, layout))
         return layout
 
 
 class _LayoutReplay:
-    """A follower's stream engine hook: hands back the leader's layouts
-    in activation order, each only for the key the leader built it
-    from — a follower that evaluated anything else is a
-    :class:`ReplayError`, never a wrong layout."""
+    """A follower's tile engine hook: hands back the leader's burst
+    tables in activation order, each only for the key the leader built
+    it from — a follower that evaluated anything else is a
+    :class:`ReplayError`, never a wrong table."""
 
     def __init__(self, entries: list):
         self.entries = entries
         self.cursor = 0
 
-    def take(self, engine: _StreamCommon, key):
+    def take(self, engine: _TileCommon, key):
         at = self.cursor
         if at >= len(self.entries):
             raise _exhausted(engine.name, at)
         logged, layout = self.entries[at]
         self.cursor = at + 1
-        if not (np.array_equal(logged, key) if isinstance(key, np.ndarray)
-                else logged == key):
+        if logged != key:
             raise ReplayError(
                 f"{engine.name}: batch replay of activation {at} laid out "
                 "other inputs than the leader's — followers may only vary "
@@ -328,31 +330,31 @@ class _LayoutReplay:
 
 class _RecordingMachine(Machine):
     """A Machine whose inner computes keep their activations' logs in
-    ``log`` (leaf name -> activations) and, given ``layouts``, whose
-    stream engines keep their activations' layouts there (leaf name ->
-    ``(key, layout)`` entries)."""
+    ``log`` (leaf name -> activations) and whose tile engines keep
+    their activations' burst tables in ``layouts`` (leaf name ->
+    ``(key, table)`` entries; a fresh map when not given)."""
 
     def __init__(self, dhdl, config, log, layouts=None, **kwargs):
         super().__init__(dhdl, config, **kwargs)
+        layouts = {} if layouts is None else layouts
         for leaf in self._leaves:
             if isinstance(leaf, InnerComputeSim):
                 leaf.record = log.setdefault(leaf.name, [])
-            elif layouts is not None and isinstance(leaf, _StreamCommon):
+            elif isinstance(leaf, _TileCommon):
                 leaf.layouts = _LayoutRecorder(
                     layouts.setdefault(leaf.name, []))
 
 
 class _ReplayMachine(Machine):
-    """A Machine whose inner computes replay a leader's log and, given
-    ``layouts``, whose stream engines take the leader's layouts."""
+    """A Machine whose inner computes replay a leader's log and whose
+    tile engines take the leader's burst tables."""
 
-    def __init__(self, dhdl, config, log, layouts=None, **kwargs):
+    def __init__(self, dhdl, config, log, layouts, **kwargs):
         self._batch_log = log
         super().__init__(dhdl, config, **kwargs)
-        if layouts is not None:
-            for leaf in self._leaves:
-                if isinstance(leaf, _StreamCommon):
-                    leaf.layouts = _LayoutReplay(layouts.get(leaf.name, []))
+        for leaf in self._leaves:
+            if isinstance(leaf, _TileCommon):
+                leaf.layouts = _LayoutReplay(layouts.get(leaf.name, []))
 
     def _build_leaf(self, ctrl):
         if isinstance(ctrl, InnerCompute):
@@ -453,7 +455,7 @@ def run_batch(source, param_list, scheduler: str = "event",
         members.sort(key=lambda i: not LIMIT_KEYS.isdisjoint(entries[i]))
 
     # phase A: leaders (recording) and singletons (plain); a cohort's
-    # log is its compute log and its stream engines' layouts
+    # log is its compute log and its tile engines' burst tables
     logs: Dict[Tuple, Tuple[dict, dict]] = {}
     for key, members in cohorts.items():
         lead = members[0]
@@ -485,6 +487,11 @@ def run_batch(source, param_list, scheduler: str = "event",
                 machine = instantiate(dhdl_config, entries[i],
                                       **kwargs_for(i))
             _run(results[i], machine)
+        if key in logs:
+            # the cohort is done: free its burst tables, which its
+            # machines' engines still reach from the results
+            for kept in logs.pop(key)[1].values():
+                kept.clear()
 
     return BatchResult(instances=results, cohorts=len(cohorts),
                        replayed=replayed)

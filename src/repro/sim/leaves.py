@@ -753,11 +753,6 @@ class _StreamCommon(_TransferCommon):
     accounts its cycle itself, so meanwhile the engine parks on a wait
     that charges nothing (``_park_stream``); once drained it waits on
     its latency park until its last burst completes.
-
-    An activation's layout is a function of what ``start`` evaluated
-    (the subclass's :meth:`_build` of that key), so a batch cohort
-    builds it once: a follower still evaluates the key, and takes the
-    leader's layout for it (:attr:`layouts`).
     """
 
     def __init__(self, leaf, config, mem, stats, dram, image):
@@ -780,23 +775,6 @@ class _StreamCommon(_TransferCommon):
         self._scratch = None
         self._view = None
         self._epoch = -1
-        #: the batch hook (None solo): its ``take(engine, key)`` gives
-        #: the activation's layout — a leader's builds and keeps it, a
-        #: follower's hands back its leader's (``repro.sim.batch``)
-        self.layouts = None
-
-    def _laid_out(self, key):
-        """The activation's layout, built from ``key`` (what the engine
-        evaluated at ``start``) by :meth:`_build`, or taken through the
-        batch hook."""
-        if self.layouts is None:
-            return self._build(key)
-        return self.layouts.take(self, key)
-
-    def _build(self, key):
-        """The layout of an activation whose evaluated inputs are
-        ``key``: shared read-only by a batch cohort."""
-        raise NotImplementedError
 
     def _stream(self, end: int) -> None:
         """The activation dispatches ``end`` positions from this cycle
@@ -899,20 +877,31 @@ class _StreamCommon(_TransferCommon):
 class _TileCommon(_StreamCommon):
     """Dense burst transfer: the stream's positions are the
     activation's burst table (:func:`tile_bursts`), built at ``start``.
-    A subclass supplies what one burst does."""
+    A subclass supplies what one burst does.
+
+    The table is a function of what ``start`` evaluated, the tile's
+    offsets and word limit (the *key*), so a batch cohort builds it
+    once: a follower still evaluates its key, and takes the leader's
+    table for it through :attr:`layouts`."""
 
     def __init__(self, leaf, config, mem, stats, dram, image):
         super().__init__(leaf, config, mem, stats, dram, image)
         self._bursts: List[tuple] = []
+        #: the batch hook (None solo): its ``take(engine, key)`` gives
+        #: the activation's burst table — a leader's builds and keeps
+        #: it, a follower's hands back its leader's
+        #: (``repro.sim.batch``)
+        self.layouts = None
 
     def start(self, bindings: dict, version: Tuple[int, ...]) -> None:
         self._active = True
         self._version = version
         self._scratch = None
-        self._bursts = self._laid_out((
-            tuple([int(self._evaluate(o, bindings, version))
-                   for o in self.leaf.offsets]),
-            self._limit(bindings, version)))
+        key = (tuple([int(self._evaluate(o, bindings, version))
+                      for o in self.leaf.offsets]),
+               self._limit(bindings, version))
+        self._bursts = (self._build(key) if self.layouts is None
+                        else self.layouts.take(self, key))
         self._array = self.image.buffers[self.leaf.dram.name]
         self._stream(len(self._bursts))
 
@@ -1014,9 +1003,9 @@ class _CoalescedCommon(_StreamCommon):
     coalescing cache).  An open entry holds the positions it serves.
 
     At ``start`` the addresses are decoded once, as columns
-    (:meth:`_lay_out`, :meth:`_build`); an out-of-bounds one fails when
-    the stream reaches it.  A subclass supplies what a dispatched run of
-    positions does besides its bursts (:meth:`_dispatched`)."""
+    (:meth:`_lay_out`); an out-of-bounds one fails when the stream
+    reaches it.  A subclass supplies what a dispatched run of positions
+    does besides its bursts (:meth:`_dispatched`)."""
 
     #: "gather" / "scatter" (error texts)
     KIND = "?"
@@ -1037,30 +1026,24 @@ class _CoalescedCommon(_StreamCommon):
         self.coalesced_hits = 0
 
     def _lay_out(self, elems: np.ndarray) -> None:
-        """Lay the activation's element indices ``elems`` out
-        (:meth:`_build`) and start streaming them."""
-        self._elems, self._bad, self._table = self._laid_out(
-            elems.astype(np.int64))
-        self._array = self.image.buffers[self.leaf.dram.name]
-        self._open = {}
-        self._stream(self._elems.size)
-
-    def _build(self, elems: np.ndarray) -> Tuple:
-        """Decode the int64 element indices ``elems`` at once: the
-        indices, the first out-of-bounds position, and per position the
+        """Decode the activation's element indices ``elems`` at once —
         byte address, 64-byte coalescer burst, and the channel, bank and
-        row ``geometry.map_address`` gives."""
+        row ``geometry.map_address`` gives — and start streaming them."""
+        self._elems = elems = elems.astype(np.int64)
+        self._array = self.image.buffers[self.leaf.dram.name]
         out = np.flatnonzero((elems < 0) | (elems >= self.leaf.dram.words()))
+        self._bad = int(out[0]) if out.size else elems.size
         geometry = self.dram.geometry
         channels, banks = geometry.channels, geometry.banks_per_channel
         addrs = self.image.base[self.leaf.dram.name] + 4 * elems
         burst = addrs // geometry.burst_bytes
         per_row = channels * banks * (geometry.row_bytes
                                       // geometry.burst_bytes)
-        return elems, int(out[0]) if out.size else elems.size, tuple(
-            column.tolist() for column in (
-                addrs, addrs // 64, burst % channels,
-                burst // channels % banks, burst // per_row))
+        self._table = tuple(column.tolist() for column in (
+            addrs, addrs // 64, burst % channels, burst // channels % banks,
+            burst // per_row))
+        self._open = {}
+        self._stream(elems.size)
 
     def _count(self, addr_scratch, size: int, bindings: dict,
                version) -> int:

@@ -51,7 +51,7 @@ def _solo_outcome(source, overrides, scheduler="event"):
 def _follower(source, overrides, **kwargs):
     """A follower built by hand behind an as-compiled leader, so a test
     can reach it before it runs: as ``run_batch`` builds one, on its
-    leader's compute log and transfer layouts."""
+    leader's compute log and burst tables."""
     log, layouts = {}, {}
     instantiate(source, {}, machine_cls=_RecordingMachine, log=log,
                 layouts=layouts).run()

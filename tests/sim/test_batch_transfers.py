@@ -1,12 +1,12 @@
-"""Batch followers take their leader's transfer layouts.
+"""Batch followers take their leader's burst tables.
 
-A leader's stream engines keep each activation's layout — a tile's
-burst table, a gather's or scatter's decoded columns — after the key
-they evaluated it from; a follower evaluates its own key and takes the
-leader's layout for it (``repro.sim.batch._LayoutReplay``).  These tests
-hold the followers to building nothing, to their solo twins bit for
-bit, and to a typed :class:`ReplayError` whenever their key is not the
-leader's.
+A leader's tile engines keep each activation's burst table after the
+key they evaluated it from (the tile offsets and word limit); a
+follower evaluates its own key and takes the leader's table for it
+(``repro.sim.batch._LayoutReplay``).  These tests hold the followers to
+building no table, to their solo twins bit for bit, to a typed
+:class:`ReplayError` whenever their key is not the leader's, and the
+batch to freeing its tables once a cohort is done.
 """
 
 import json
@@ -30,31 +30,23 @@ from tests.sim.test_batch_equivalence import assert_batch_equivalent
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count layout builds: ``tile_bursts`` calls and coalesced
-    ``_build`` calls."""
-    counts = {"tile": 0, "coalesced": 0}
+    """Count burst-table builds (``tile_bursts`` calls)."""
+    counts = {"tile": 0}
     tile_bursts = leaves.tile_bursts
-    coalesced = leaves._CoalescedCommon._build
 
     def counting_tile_bursts(*args):
         counts["tile"] += 1
         return tile_bursts(*args)
 
-    def counting_coalesced(self, elems):
-        counts["coalesced"] += 1
-        return coalesced(self, elems)
-
     monkeypatch.setattr(leaves, "tile_bursts", counting_tile_bursts)
-    monkeypatch.setattr(leaves._CoalescedCommon, "_build",
-                        counting_coalesced)
     return counts
 
 
 def _solo_builds(art, counts):
-    counts.update(tile=0, coalesced=0)
+    counts["tile"] = 0
     Machine(art.dhdl, art.config).run()
-    solo = dict(counts)
-    counts.update(tile=0, coalesced=0)
+    solo = counts["tile"]
+    counts["tile"] = 0
     return solo
 
 
@@ -63,23 +55,23 @@ def test_gemm_followers_build_no_burst_table(builds):
     solo run builds, and the eleven followers build none."""
     art = compile_to_bitstream("gemm", "tiny")
     solo = _solo_builds(art, builds)
-    assert solo["tile"] > 0
+    assert solo > 0
     log, layouts = {}, {}
     leader = instantiate(art, {}, machine_cls=_RecordingMachine, log=log,
                          layouts=layouts)
     leader.run()
-    assert builds["tile"] == solo["tile"]
-    assert sum(map(len, layouts.values())) == solo["tile"]
+    assert builds["tile"] == solo
+    assert sum(map(len, layouts.values())) == solo
     grid = batch_param_grid(stages=(4, 8), banks=(4, 8, 16),
                             output_hops=(1, 2))[1:]
     for entry in grid:
         instantiate(art, entry, machine_cls=_ReplayMachine, log=log,
                     layouts=layouts).run()
-    assert builds["tile"] == solo["tile"]
+    assert builds["tile"] == solo
     builds["tile"] = 0
     batch = run_batch(art, [{}] + grid)
     assert batch.ok and batch.replayed == len(grid)
-    assert builds["tile"] == solo["tile"]
+    assert builds["tile"] == solo
 
 
 #: coalescer, banking and DRAM-queue overrides, led by the as-compiled
@@ -91,18 +83,31 @@ SPARSE_PARAMS = [{}, {"coalesce_entries": 1}, {"coalesce_entries": 4,
 
 
 @pytest.mark.parametrize("app", ["bfs", "pagerank", "smdv"])
-def test_sparse_followers_replay_layouts_bit_identically(app, builds):
-    """Gathers, a scatter and tiles replaying their leader's layouts:
-    ``SimStats`` and the whole DRAM image equal the solo runs', and the
-    followers build no layout of either kind."""
+def test_sparse_followers_replay_tables_bit_identically(app, builds):
+    """Tiles replaying their leader's tables beside gathers and a
+    scatter that decode their own: ``SimStats`` and the whole DRAM
+    image equal the solo runs', and the followers build no table."""
     art = compile_to_bitstream(app, "tiny")
     solo = _solo_builds(art, builds)
-    assert solo["coalesced"] > 0
+    assert solo > 0
     batch = run_batch(art, SPARSE_PARAMS)
     assert batch.replayed == len(SPARSE_PARAMS) - 1
-    assert builds == solo
+    assert builds["tile"] == solo
     assert len({inst.stats.cycles for inst in batch}) > 1
     assert_batch_equivalent(art, SPARSE_PARAMS)
+
+
+def test_finished_cohort_frees_its_tables():
+    """The results keep every machine, and through its tile engines'
+    hooks the cohort's table lists: once the batch is done they are
+    empty."""
+    art = compile_to_bitstream("gemm", "tiny")
+    batch = run_batch(art, [{}, {"stages": 5}, {"banks": 4}])
+    assert [inst.role for inst in batch] == ["leader", "replay", "replay"]
+    for inst in batch:
+        hooks = [leaf.layouts for leaf in inst.machine._leaves
+                 if isinstance(leaf, leaves._TileCommon)]
+        assert hooks and all(hook.entries == [] for hook in hooks)
 
 
 def _recorded(art, overrides=None):
@@ -126,23 +131,6 @@ def test_follower_on_other_data_raises_instead_of_reusing():
                            layouts=layouts)
     with pytest.raises(ReplayError, match=r"^load_col: batch replay of "
                        r"activation 0 laid out other inputs"):
-        follower.run()
-
-
-def test_gather_key_mismatch_raises():
-    """A gather whose element indices differ from the logged ones, by
-    one element, is refused."""
-    art = compile_to_bitstream("pagerank", "tiny")
-    log, layouts = _recorded(art)
-    entries = layouts["gather_ranks"]
-    key, layout = entries[1]
-    wrong = key.copy()
-    wrong[-1] += 1
-    entries[1] = (wrong, layout)
-    follower = instantiate(art, {"banks": 4}, machine_cls=_ReplayMachine,
-                           log=log, layouts=layouts)
-    with pytest.raises(ReplayError, match=r"^gather_ranks: batch replay "
-                       r"of activation 1 laid out"):
         follower.run()
 
 
@@ -181,7 +169,7 @@ def test_bank_override_in_range_decodes(value):
 @pytest.mark.parametrize("value", [-1, 17, 1000, "4"])
 def test_batch_banks_out_of_range_is_rejected(value):
     with pytest.raises(ConfigError, match="batch override banks="):
-        normalize_params({"banks": value})
+        normalize_params({"banks": value}, DEFAULT)
     art = compile_to_bitstream("gemm", "tiny")
     with pytest.raises(ConfigError, match="batch override banks="):
         run_batch(art, [{}, {"banks": value}])
@@ -190,12 +178,12 @@ def test_batch_banks_out_of_range_is_rejected(value):
 def test_batch_banks_range_follows_the_params():
     """The legal range is the design's PMU banks: 0 (unset) to 16 on
     the Table 3 chip, to 32 on one with 32-bank PMUs."""
-    assert normalize_params({"banks": 16}) == {"banks": 16}
-    assert normalize_params({"banks": 0}) == {"banks": 0}
+    assert normalize_params({"banks": 16}, DEFAULT) == {"banks": 16}
+    assert normalize_params({"banks": 0}, DEFAULT) == {"banks": 0}
     wide = replace(DEFAULT, pmu=replace(DEFAULT.pmu, banks=32))
     assert normalize_params({"banks": 32}, wide) == {"banks": 32}
     with pytest.raises(ConfigError, match=r"in 1\.\.16,"):
-        normalize_params({"banks": 32})
+        normalize_params({"banks": 32}, DEFAULT)
     art = compile_to_bitstream("gemm", "tiny")
     batch = run_batch(art, [{"banks": b} for b in (0, 1, 2, 4, 8, 16)])
     assert batch.ok

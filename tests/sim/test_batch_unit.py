@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
+from repro.arch.params import DEFAULT
 from repro.compiler import compile_program
 from repro.dhdl.memory import Reg, Sram
 from repro.errors import ConfigError
@@ -19,28 +20,28 @@ def _compiled(name="gemm", scale="tiny"):
 
 
 def test_normalize_none_is_empty():
-    assert normalize_params(None) == {}
-    assert normalize_params({}) == {}
+    assert normalize_params(None, DEFAULT) == {}
+    assert normalize_params({}, DEFAULT) == {}
 
 
 def test_normalize_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unsupported batch override"):
-        normalize_params({"stages": 4, "clock_ghz": 2})
+        normalize_params({"stages": 4, "clock_ghz": 2}, DEFAULT)
 
 
 def test_normalize_rejects_non_dict():
     with pytest.raises(ConfigError, match="must be dicts"):
-        normalize_params([("stages", 4)])
+        normalize_params([("stages", 4)], DEFAULT)
 
 
 def test_normalize_rejects_stage_alias_conflict():
     with pytest.raises(ConfigError, match="aliases"):
-        normalize_params({"stages": 4, "pipeline_depth": 6})
+        normalize_params({"stages": 4, "pipeline_depth": 6}, DEFAULT)
 
 
 def test_normalize_rejects_non_dict_data():
     with pytest.raises(ConfigError, match="'data' override"):
-        normalize_params({"data": [1, 2, 3]})
+        normalize_params({"data": [1, 2, 3]}, DEFAULT)
 
 
 def test_cohort_key_ignores_timing_overrides():
