@@ -38,7 +38,7 @@ those logs across instances without giving up cycle-exactness:
   activation, never the leader's table.  A cohort's tables are freed
   once its last follower has run.  A ``dse_sweep`` pass builds 51 burst
   tables where it built 1 794, and its median ``wall_s`` fell from
-  0.360 to 0.332 s (2-vCPU container, ten alternating pairs).  Gathers
+  0.362 to 0.327 s (2-vCPU container, ten alternating pairs).  Gathers
   and scatters still decode their own addresses: sharing those columns
   as well saved 1-4 % of a batched bfs, pagerank or smdv sweep in
   timers around the decode, and nothing end-to-end runs could resolve.
