@@ -10,16 +10,14 @@ import pytest
 
 from conftest import save_report
 from repro.apps import get_app
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream
 from repro.eval.report import format_table
-from repro.sim import Machine
 
 
 def _run(app, entries):
-    compiled = compile_program(app.build("small"))
-    compiled.config.coalesce_entries = entries
-    machine = Machine(compiled.dhdl, compiled.config)
-    stats = machine.run()
+    artifact = compile_to_bitstream(app.name, "small")
+    artifact.config.coalesce_entries = entries
+    stats = artifact.machine().run()
     return stats.cycles, stats.dram["reads"] + stats.dram["writes"]
 
 

@@ -9,24 +9,22 @@ import pytest
 
 from conftest import save_report
 from repro.apps import get_app
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.dhdl import OuterController, Scheme
 from repro.eval.report import format_table
-from repro.sim import Machine
 
 
 def _cycles(app, force_sequential=False):
     program = app.build("small")
     for step in program.walk_steps():
         step.outer_par = 1  # isolate the control scheme from unrolling
-    compiled = compile_program(program)
+    artifact = freeze_program(program, app.name, "small")
     if force_sequential:
-        for ctrl in compiled.dhdl.controllers():
+        for ctrl in artifact.dhdl.controllers():
             if isinstance(ctrl, OuterController) and \
                     ctrl.scheme is Scheme.PIPELINE:
                 ctrl.scheme = Scheme.SEQUENTIAL
-    machine = Machine(compiled.dhdl, compiled.config)
-    return machine.run().cycles
+    return artifact.machine().run().cycles
 
 
 @pytest.mark.parametrize("name", ["innerproduct", "gemm",

@@ -8,8 +8,8 @@ fabric mix and report fit and utilization per benchmark.
 import pytest
 
 from conftest import save_report
-from repro.apps import get_app
-from repro.compiler import compile_program
+from repro.bitstream import CompileOptions
+from repro.compiler import compile_to_bitstream
 from repro.errors import MappingError
 from repro.eval.report import format_table
 
@@ -17,14 +17,12 @@ RATIOS = {"1:1 (paper)": 0.5, "2:1": 2 / 3, "1:2": 1 / 3}
 
 
 def _fit(name, fraction):
-    app = get_app(name)
     try:
-        compiled = compile_program(app.build("small"),
-                                   pmu_fraction=fraction)
+        artifact = compile_to_bitstream(
+            name, "small", options=CompileOptions(pmu_fraction=fraction))
     except MappingError:
         return None
-    util = compiled.config.utilization()
-    return util
+    return artifact.config.utilization()
 
 
 @pytest.mark.parametrize("name", ["gemm", "kmeans", "blackscholes"])

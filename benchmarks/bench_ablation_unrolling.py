@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import save_report
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.eval.report import format_table
 from repro.patterns import Fold, Program
-from repro.sim import Machine
 
 
 def _gemm(outer):
@@ -31,12 +30,12 @@ def _gemm(outer):
                                    lambda x, y: x + y))
     step.set_par(1, 1, inner=16, outer=outer)
     step.tile = (8, 16)
-    compiled = compile_program(p)
-    machine = Machine(compiled.dhdl, compiled.config)
+    artifact = freeze_program(p, p.name, "tiny")
+    machine = artifact.machine()
     stats = machine.run()
     assert np.allclose(machine.result("c"), a_data @ b_data,
                        rtol=1e-3, atol=1e-3)
-    return stats.cycles, compiled.config.pcus_used
+    return stats.cycles, artifact.config.pcus_used
 
 
 def test_unrolling_scales_throughput(benchmark):

@@ -14,25 +14,24 @@ import sys
 import numpy as np
 
 from repro.apps.ml import Cnn
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.dhdl import BankingMode
-from repro.sim import Machine
 
 
 def main():
     app = Cnn()
     prog = app.build("small")
-    compiled = compile_program(prog)
+    artifact = freeze_program(prog, app.name, "small")
 
     print("scratchpad configurations chosen by the compiler:")
-    for sram in compiled.dhdl.srams:
+    for sram in artifact.dhdl.srams:
         print(f"  {sram.name:18s} {str(sram.banking):12s} "
               f"shape={list(sram.shape)} nbuf={sram.nbuf}")
-    line_buffered = [s for s in compiled.dhdl.srams
+    line_buffered = [s for s in artifact.dhdl.srams
                      if s.banking is BankingMode.LINE_BUFFER]
     assert line_buffered, "expected a line-buffered input tile"
 
-    machine = Machine(compiled.dhdl, compiled.config)
+    machine = artifact.machine()
     stats = machine.run()
     expected = app.expected(prog)
     got = machine.result("activated")

@@ -9,10 +9,9 @@ import sys
 
 import numpy as np
 
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.dhdl import format_program
 from repro.patterns import Fold, Program, run_program
-from repro.sim import Machine
 
 
 def main():
@@ -39,18 +38,20 @@ def main():
                      atol=1e-5)
     print("reference result matches numpy:", ok)
 
-    # 3. compile: tiling, partitioning, placement, routing
-    compiled = compile_program(prog)
+    # 3. compile: tiling, partitioning, placement, routing, checked
+    #    into the one artifact the simulator runs
+    artifact = freeze_program(prog, prog.name, "example")
     print()
-    print(format_program(compiled.dhdl))
-    util = compiled.config.utilization()
-    print(f"\nmapped onto {compiled.config.pcus_used} PCUs / "
-          f"{compiled.config.pmus_used} PMUs "
+    print(format_program(artifact.dhdl))
+    config = artifact.config
+    util = config.utilization()
+    print(f"\nmapped onto {config.pcus_used} PCUs / "
+          f"{config.pmus_used} PMUs "
           f"({100 * util['pcu']:.0f}% / {100 * util['pmu']:.0f}% of the "
           f"fabric)")
 
     # 4. cycle-level simulation against the DDR3 model
-    machine = Machine(compiled.dhdl, compiled.config)
+    machine = artifact.machine()
     stats = machine.run()
     print(f"simulated {stats.cycles} cycles "
           f"({stats.dram['reads']} DRAM read bursts, "

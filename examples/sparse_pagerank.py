@@ -15,15 +15,13 @@ import sys
 import numpy as np
 
 from repro.apps.sparse import PageRank
-from repro.compiler import compile_program
-from repro.sim import Machine
+from repro.compiler import freeze_program
 
 
 def main():
     app = PageRank()
     prog = app.build("small")
-    compiled = compile_program(prog)
-    machine = Machine(compiled.dhdl, compiled.config)
+    machine = freeze_program(prog, app.name, "small").machine()
     stats = machine.run()
 
     ranks = machine.result("ranks")

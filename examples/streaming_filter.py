@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.dhdl import format_program
 from repro.patterns import Dyn, Program
 from repro.patterns import expr as E
-from repro.sim import Machine
 
 
 def main():
@@ -37,10 +36,10 @@ def main():
         cond=lambda i: (amount[i] > 250.0) & region[i].eq(2),
         value=lambda i: amount[i]).set_par(16)
 
-    compiled = compile_program(prog)
-    print(format_program(compiled.dhdl))
+    artifact = freeze_program(prog, prog.name, "example")
+    print(format_program(artifact.dhdl))
 
-    machine = Machine(compiled.dhdl, compiled.config)
+    machine = artifact.machine()
     stats = machine.run()
 
     expect = amounts[(amounts > 250.0) & (regions == 2)]

@@ -61,8 +61,8 @@ def hash_bytes(blob: bytes) -> str:
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """The compiler knobs that shape an artifact (defaults match
-    :func:`repro.compiler.driver.compile_program`)."""
+    """The compiler knobs that shape an artifact (the defaults are the
+    paper's 512-word tiles and 1:1 PMU:PCU checkerboard)."""
 
     tile_words: int = 512
     whole_budget: int = 16384
@@ -192,6 +192,19 @@ def config_from_dict(data: dict) -> FabricConfig:
         coalesce_entries=data["coalesce_entries"],
         banks_override=data["banks_override"],
     )
+
+
+def check_config(dhdl: DhdlProgram, config: FabricConfig,
+                 pmu_fraction: float) -> None:
+    """Hold a configuration to its program and to the fabric: the DRAM
+    layout, the recorded placement (on the checkerboard for
+    ``pmu_fraction``) and the memories and transfers; else a
+    :class:`ConfigError`.  Run on every compile
+    (:func:`repro.compiler.artifact.freeze_lowered`) and every decode
+    (:meth:`Bitstream.from_dict`)."""
+    _check_dram_base(dhdl, config)
+    _check_sites(dhdl, config, pmu_fraction)
+    _check_units(dhdl, config)
 
 
 def _check_dram_base(dhdl: DhdlProgram, config: FabricConfig) -> None:
@@ -384,9 +397,7 @@ class Bitstream:
             options = CompileOptions.from_dict(data["options"])
             dhdl = program_from_dict(data["program"])
             config = config_from_dict(data["config"])
-            _check_dram_base(dhdl, config)
-            _check_sites(dhdl, config, options.pmu_fraction)
-            _check_units(dhdl, config)
+            check_config(dhdl, config, options.pmu_fraction)
         except (KeyError, IndexError, TypeError, ValueError) as err:
             # a field missing, of the wrong shape or out of range
             raise ConfigError(f"malformed artifact field: "

@@ -171,7 +171,7 @@ def _cmd_run_batch(args) -> int:
     from repro.apps import get_app
     from repro.bitstream import Bitstream
     from repro.compiler.artifact import freeze_program
-    from repro.sim import Machine
+    from repro.sim.batch import run_batch
 
     try:
         params = _batch_params_from(args)
@@ -190,7 +190,7 @@ def _cmd_run_batch(args) -> int:
         label = f"{app.display} ({args.scale})"
     compile_s = time.time() - started
     started = time.time()
-    batch = Machine.run_batch(source, params, scheduler=args.scheduler)
+    batch = run_batch(source, params, scheduler=args.scheduler)
     sim_s = time.time() - started
     validated = 0
     validatable = 0
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 50)")
     fuzz.add_argument("--batch-oracle", action="store_true",
                       help="also pin every passing spec batch-vs-"
-                           "sequential (Machine.run_batch under timing "
+                           "sequential (run_batch under timing "
                            "variants must match solo runs bit-for-bit)")
     fuzz.add_argument("--shrink", action="store_true",
                       help="minimize each failing program before "

@@ -1,6 +1,6 @@
-"""The Plasticine compiler: patterns -> DHDL -> placed configuration."""
+"""The Plasticine compiler: patterns -> DHDL -> a checked Bitstream."""
 
-from repro.compiler.driver import CompiledApp, compile_program
+from repro.compiler.artifact import compile_to_bitstream, freeze_program
 from repro.compiler.lowering import Lowerer, lower
 from repro.compiler.partition import (PcuPartition, PmuPartition, chip_fits,
                                       feasible, partition_pcu,
@@ -11,7 +11,7 @@ from repro.compiler.rewrite import rewrite, substitute
 from repro.compiler.scheduling import StageSchedule, schedule
 
 __all__ = [
-    "CompiledApp", "compile_program",
+    "compile_to_bitstream", "freeze_program",
     "Lowerer", "lower",
     "PcuPartition", "PmuPartition", "chip_fits", "feasible",
     "partition_pcu", "partition_pmu", "region_fits",

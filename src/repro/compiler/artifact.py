@@ -1,10 +1,11 @@
-"""Compile an application straight to a frozen :class:`Bitstream`.
+"""Compile an application to the compiler's one product, a checked
+:class:`Bitstream`.
 
-This is the module that ties the compiler to the artifact layer.  A
-compile is two halves: :func:`lower_program` lowers the pattern program
-under the options' tiling budgets, and :func:`freeze_lowered` maps that
-lowered program (:func:`~repro.compiler.driver.map_program`), freezes
-the DRAM layout into the configuration, and discards every
+A compile is two halves: :func:`lower_program` lowers the pattern
+program under the options' tiling budgets, and :func:`freeze_lowered`
+maps that lowered program (:func:`~repro.compiler.driver.map_program`),
+freezes the DRAM layout into the configuration, checks the mapping as a
+decoded artifact is checked, and discards every
 compiler-internal object (``Fabric``, the pattern ``Program``) so what
 remains is exactly the serializable compiler->simulator contract.
 :func:`freeze_program` is the two in a row; a caller mapping one program
@@ -19,7 +20,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
-from repro.bitstream.artifact import Bitstream, CompileOptions, compile_key
+from repro.bitstream.artifact import (Bitstream, CompileOptions,
+                                     check_config, compile_key)
 from repro.bitstream.cache import CompileCache
 from repro.compiler.driver import map_program
 from repro.compiler.lowering import lower
@@ -58,6 +60,11 @@ def freeze_lowered(dhdl: DhdlProgram, app: str, scale: str,
     ``excluded_sites`` recompiles around failed unit sites (fault
     recovery); like ``region`` it bypasses the cache — the artifact is
     specific to the failure, not reusable.
+
+    The mapping is held to the checks a decoded artifact passes
+    (:func:`~repro.bitstream.artifact.check_config`): a compile that
+    breaks one is a :class:`~repro.errors.ConfigError` here, not a
+    wrong simulation later.
     """
     options = options or CompileOptions()
     config = map_program(dhdl, params,
@@ -65,6 +72,7 @@ def freeze_lowered(dhdl: DhdlProgram, app: str, scale: str,
                          pmu_fraction=options.pmu_fraction,
                          region=region, excluded_sites=excluded_sites)
     config.dram_base = assign_bases(dhdl.drams)
+    check_config(dhdl, config, options.pmu_fraction)
     return Bitstream(app, scale, dhdl, config, options)
 
 

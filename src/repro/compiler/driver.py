@@ -1,6 +1,8 @@
-"""The compilation driver: pattern program -> placed configuration.
+"""The mapping half of the compiler: lowered DHDL -> placed configuration.
 
-``compile_program`` runs the whole Section 3.6 pipeline in two halves.
+A compile (Section 3.6) runs in two halves, and
+:mod:`repro.compiler.artifact` ties them into the one thing the
+compiler returns, a checked :class:`~repro.bitstream.artifact.Bitstream`.
 The first, :func:`~repro.compiler.lowering.lower`, reads only the
 tiling budgets and never the grid:
 
@@ -20,13 +22,11 @@ is asked to (the whole grid, a tenant's region, around failed sites):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.arch.requirements import DesignRequirements
 from repro.bitstream.config import AgAssignment, FabricConfig, LeafTiming
-from repro.compiler.lowering import lower
 from repro.compiler.partition import (PcuPartition, chip_fits, feasible,
                                       partition_pcu, partition_pmu,
                                       pcu_requirement, pmu_requirement,
@@ -39,40 +39,6 @@ from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
                            TileStore)
 from repro.errors import MappingError
-from repro.patterns.program import Program
-
-
-@dataclass
-class CompiledApp:
-    """Everything produced by one compilation."""
-
-    program: Program
-    dhdl: DhdlProgram
-    config: FabricConfig
-
-    @property
-    def name(self) -> str:
-        """Application name."""
-        return self.program.name
-
-
-def compile_program(program: Program,
-                    params: PlasticineParams = DEFAULT,
-                    tile_words: int = 512,
-                    whole_budget: int = 16384,
-                    ags_per_transfer: int = 2,
-                    pmu_fraction: float = 0.5,
-                    region: Optional[Region] = None,
-                    excluded_sites=None) -> CompiledApp:
-    """Compile a pattern program onto the given architecture: the
-    program lowered (:func:`~repro.compiler.lowering.lower`, which reads
-    only the tiling budgets), then mapped (:func:`map_program`, which
-    reads everything else)."""
-    dhdl = lower(program, tile_words=tile_words, whole_budget=whole_budget)
-    config = map_program(dhdl, params, ags_per_transfer=ags_per_transfer,
-                         pmu_fraction=pmu_fraction, region=region,
-                         excluded_sites=excluded_sites)
-    return CompiledApp(program=program, dhdl=dhdl, config=config)
 
 
 def _pcu_partitions(dhdl: DhdlProgram, params: PlasticineParams

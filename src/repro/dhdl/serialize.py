@@ -229,7 +229,7 @@ _WIRE = {E.FLOAT32: np.dtype("<f4"), E.INT32: np.dtype("<i4"),
          E.BOOL: np.dtype("|b1")}
 
 
-def _unpack(spec: dict, dtype: str) -> np.ndarray:
+def _array_data(spec: dict, dtype: str) -> np.ndarray:
     """The input data of one array from its ``{"shape", "b64"}`` record.
     Every malformed record — bad base64, a byte length that disagrees
     with the shape, a BOOL byte other than 0 or 1 — is an
@@ -336,7 +336,7 @@ class _Decoder:
                       offchip=spec["offchip"])
         if spec["data"] is not None:
             try:
-                array.set_data(_unpack(spec["data"], spec["dtype"]))
+                array.set_data(_array_data(spec["data"], spec["dtype"]))
             except PatternError as err:
                 raise IRError(str(err)) from None
         return array

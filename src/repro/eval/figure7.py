@@ -131,7 +131,7 @@ def select_bank_kb(report: Dict[int, Dict]) -> int:
 
 #: timing parameters the batched simulator can sweep directly: each
 #: candidate value becomes one instance of a single compiled design in
-#: one ``Machine.run_batch`` call (the area sweeps above re-partition
+#: one ``run_batch`` call (the area sweeps above re-partition
 #: instead; these measure *cycles*)
 SIM_SWEEPS = {
     "stages": tuple(range(4, 17)),

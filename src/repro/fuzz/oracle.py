@@ -170,7 +170,7 @@ BATCH_VARIANTS = ({}, {"stages": 3}, {"stages": 9, "banks": 8},
 
 def run_oracle_batched(spec: dict, variants=BATCH_VARIANTS,
                        trip_error: bool = False) -> OracleResult:
-    """Pin ``Machine.run_batch`` against sequential runs on one spec.
+    """Pin ``run_batch`` against sequential runs on one spec.
 
     Each variant is simulated twice from the same frozen artifact: once
     inside one batched pass (leader + log-replaying followers) and once

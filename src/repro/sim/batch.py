@@ -35,11 +35,12 @@ those logs across instances without giving up cycle-exactness:
   was built from (the tile offsets and word limit); a follower's engine
   evaluates its own key and takes the leader's table for it, read-only.
   A key that differs is a :class:`ReplayError` naming the leaf and the
-  activation, never the leader's table.  A cohort's tables are freed
-  once its last follower has run.  A ``dse_sweep`` pass builds 51 burst
-  tables where it built 1 794, and its median ``wall_s`` fell from
-  0.362 to 0.327 s (2-vCPU container, ten alternating pairs).  Gathers
-  and scatters still decode their own addresses: sharing those columns
+  activation, never the leader's table.  A cohort's compute log and
+  tables are freed once its last follower has run.  A ``dse_sweep``
+  pass builds 51 burst tables where it built 1 794, and its median
+  ``wall_s`` fell from 0.362 to 0.327 s (2-vCPU container, ten
+  alternating pairs).  Gathers and scatters still decode their own
+  addresses: sharing those columns
   as well saved 1-4 % of a batched bfs, pagerank or smdv sweep in
   timers around the decode, and nothing end-to-end runs could resolve.
 * Instances run **back to back**, each to completion through the
@@ -64,6 +65,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch.params import PlasticineParams
+from repro.bitstream.artifact import Bitstream
 from repro.bitstream.config import check_banks
 from repro.dhdl.ir import InnerCompute
 from repro.dram.model import DramModel
@@ -139,15 +141,10 @@ def cohort_key(entry: dict) -> Tuple:
     return tuple(parts)
 
 
-def _unpack(source) -> Tuple:
-    """Accept a Bitstream, a (dhdl, config) pair, or a Machine-like."""
-    if hasattr(source, "dhdl") and hasattr(source, "config"):
-        return source.dhdl, source.config
-    if isinstance(source, tuple) and len(source) == 2:
-        return source
-    raise ConfigError(
-        f"cannot batch-run {type(source).__name__}; pass a Bitstream "
-        "or a (dhdl, config) pair")
+def _check_source(source) -> None:
+    if not isinstance(source, Bitstream):
+        raise ConfigError(f"cannot batch-run {type(source).__name__}; "
+                          "pass a Bitstream")
 
 
 def _configured(config, ov: dict):
@@ -190,15 +187,17 @@ def _override_dram(image, name: str, arr) -> None:
     buf[:flat.size] = flat
 
 
-def instantiate(source, overrides: Optional[dict] = None,
+def instantiate(source: Bitstream, overrides: Optional[dict] = None,
                 machine_cls=Machine, **machine_kwargs) -> Machine:
-    """One Machine for ``source`` with an override dict applied.
+    """One Machine for the artifact ``source`` with an override dict
+    applied.
 
     Shared by ``run_batch`` and the sequential reference side of the
     equivalence tests/fuzz oracle, so both sides are guaranteed to
     build identically configured instances.
     """
-    dhdl, config = _unpack(source)
+    _check_source(source)
+    dhdl, config = source.dhdl, source.config
     ov = normalize_params(overrides, config.params)
     kwargs = dict(machine_kwargs)
     if "dram_queue_depth" in ov:
@@ -416,14 +415,15 @@ def _run(slot: InstanceResult, machine: Machine) -> None:
         slot.error = f"{type(err).__name__}: {err}"
 
 
-def run_batch(source, param_list, scheduler: str = "event",
+def run_batch(source: Bitstream, param_list, scheduler: str = "event",
               tracer_factory=None) -> BatchResult:
     """Simulate N instances of one compiled design in one pass.
 
-    ``source`` — a :class:`~repro.bitstream.artifact.Bitstream` (or a
-    ``(dhdl, config)`` pair); ``param_list`` — one override dict per
-    instance (``None``/``{}`` for the as-compiled configuration), with
-    keys from :data:`TIMING_KEYS` and :data:`FUNCTIONAL_KEYS`.
+    ``source`` — a :class:`~repro.bitstream.artifact.Bitstream` (any
+    other object is a :class:`ConfigError`); ``param_list`` — one
+    override dict per instance (``None``/``{}`` for the as-compiled
+    configuration), with keys from :data:`TIMING_KEYS` and
+    :data:`FUNCTIONAL_KEYS`.
     ``tracer_factory(index, params)`` may supply a per-instance tracer.
 
     Returns a :class:`BatchResult` whose per-instance stats, memory
@@ -431,8 +431,8 @@ def run_batch(source, param_list, scheduler: str = "event",
     ``Machine.run`` calls with the same overrides.
     """
     check_mode(scheduler)
-    dhdl_config = _unpack(source)
-    entries = [normalize_params(p, dhdl_config[1].params)
+    _check_source(source)
+    entries = [normalize_params(p, source.config.params)
                for p in param_list]
     results = [InstanceResult(i, param_list[i] if param_list[i] else {})
                for i in range(len(entries))]
@@ -460,12 +460,12 @@ def run_batch(source, param_list, scheduler: str = "event",
     for key, members in cohorts.items():
         lead = members[0]
         if len(members) == 1:
-            machine = instantiate(dhdl_config, entries[lead],
+            machine = instantiate(source, entries[lead],
                                   **kwargs_for(lead))
         else:
             log, layouts = logs[key] = {}, {}
             machine = instantiate(
-                dhdl_config, entries[lead], machine_cls=_RecordingMachine,
+                source, entries[lead], machine_cls=_RecordingMachine,
                 log=log, layouts=layouts, **kwargs_for(lead))
             results[lead].role = "leader"
         _run(results[lead], machine)
@@ -479,18 +479,20 @@ def run_batch(source, param_list, scheduler: str = "event",
             if leader_ok:
                 log, layouts = logs[key]
                 machine = instantiate(
-                    dhdl_config, entries[i], machine_cls=_ReplayMachine,
+                    source, entries[i], machine_cls=_ReplayMachine,
                     log=log, layouts=layouts, **kwargs_for(i))
                 results[i].role = "replay"
                 replayed += 1
             else:
-                machine = instantiate(dhdl_config, entries[i],
+                machine = instantiate(source, entries[i],
                                       **kwargs_for(i))
             _run(results[i], machine)
         if key in logs:
-            # the cohort is done: free its burst tables, which its
-            # machines' engines still reach from the results
-            for kept in logs.pop(key)[1].values():
+            # the cohort is done: free its compute log and burst
+            # tables, which its machines' leaves still reach from the
+            # results
+            log, layouts = logs.pop(key)
+            for kept in (*log.values(), *layouts.values()):
                 kept.clear()
 
     return BatchResult(instances=results, cohorts=len(cohorts),

@@ -213,20 +213,6 @@ class Machine:
         self.scheduler_stats = run_machines([self], limit, self.scheduler)
         return self.stats
 
-    @classmethod
-    def run_batch(cls, source, param_list, scheduler: str = "event",
-                  tracer_factory=None):
-        """Simulate N instances of one compiled design in one pass.
-
-        Cohorts of instances sharing the same functional inputs run as
-        one fully-evaluated leader plus log-replaying followers; results
-        are bit-exact against sequential :meth:`run` calls.  See
-        :func:`repro.sim.batch.run_batch`.
-        """
-        from repro.sim.batch import run_batch as _run_batch
-        return _run_batch(source, param_list, scheduler=scheduler,
-                          tracer_factory=tracer_factory)
-
     def tick_units(self, cycle: int) -> None:
         """Tick every controller for one cycle (outers, then leaves).
 

@@ -69,16 +69,14 @@ def test_depth_is_bounded():
 
 def test_inference_improves_pipelining():
     """Deeper buffers must never slow the pipeline down."""
-    from repro.apps import get_app
-    from repro.compiler import compile_program
-    from repro.sim import Machine
-    compiled = compile_program(get_app("smdv").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    from repro.compiler import compile_to_bitstream
+    compiled = compile_to_bitstream("smdv", "tiny")
+    machine = compiled.machine()
     with_inference = machine.run().cycles
 
-    shallow = compile_program(get_app("smdv").build("tiny"))
+    shallow = compile_to_bitstream("smdv", "tiny")
     for sram in shallow.dhdl.srams:
         sram.nbuf = 1
-    machine = Machine(shallow.dhdl, shallow.config)
+    machine = shallow.machine()
     without = machine.run().cycles
     assert with_inference <= without

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.arch.params import DEFAULT
-from repro.compiler.driver import compile_program
+from repro.compiler import freeze_program
 from repro.compiler.place_route import Region
 from repro.errors import MappingError
 
@@ -15,12 +15,13 @@ def program():
 
 
 def test_excluded_sites_are_never_used(program):
-    baseline = compile_program(program)
+    baseline = freeze_program(program, "innerproduct", "tiny")
     # fail every site the baseline used: the recompile must find a
     # completely disjoint placement
     used = sorted({site for sites in baseline.config.sites.values()
                    for site in sites})
-    rerouted = compile_program(program, excluded_sites=used)
+    rerouted = freeze_program(program, "innerproduct", "tiny",
+                              excluded_sites=used)
     reused = {site for sites in rerouted.config.sites.values()
               for site in sites}
     assert not reused & set(used)
@@ -30,8 +31,9 @@ def test_excluded_sites_are_never_used(program):
 
 def test_excluding_nothing_changes_nothing(program):
     from repro.bitstream.artifact import config_to_dict
-    baseline = compile_program(program)
-    same = compile_program(program, excluded_sites=[])
+    baseline = freeze_program(program, "innerproduct", "tiny")
+    same = freeze_program(program, "innerproduct", "tiny",
+                          excluded_sites=[])
     assert config_to_dict(same.config) == \
         config_to_dict(baseline.config)
 
@@ -41,7 +43,8 @@ def test_exhaustion_mentions_excluded_sites(program):
     all_sites = [(c, r) for c in range(params.grid_cols)
                  for r in range(params.grid_rows)]
     with pytest.raises(MappingError) as excinfo:
-        compile_program(program, excluded_sites=all_sites)
+        freeze_program(program, "innerproduct", "tiny",
+                       excluded_sites=all_sites)
     assert "excluded as failed" in str(excinfo.value)
 
 
@@ -49,7 +52,8 @@ def test_region_capacity_discounts_failed_sites(program):
     """A region exactly sized for the design must be rejected once a
     needed site inside it is declared failed."""
     region = Region(0, 0, 4, 4)
-    compiled = compile_program(program, region=region)
+    compiled = freeze_program(program, "innerproduct", "tiny",
+                              region=region)
     used = sorted({site for sites in compiled.config.sites.values()
                    for site in sites})
     # fail every site of one kind the design needs inside the region:
@@ -60,4 +64,5 @@ def test_region_capacity_discounts_failed_sites(program):
     kind_needed = kinds[used[0]]
     failed = [s for s in region.sites() if kinds[s] == kind_needed]
     with pytest.raises(MappingError):
-        compile_program(program, region=region, excluded_sites=failed)
+        freeze_program(program, "innerproduct", "tiny", region=region,
+                       excluded_sites=failed)

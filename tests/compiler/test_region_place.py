@@ -11,7 +11,6 @@ which would let co-resident tenants overlap.
 import pytest
 
 from repro.arch.params import DEFAULT
-from repro.compiler import compile_program
 from repro.compiler.artifact import compile_to_bitstream
 from repro.compiler.partition import region_fits
 from repro.compiler.place_route import (Fabric, Region, region_capacity,
@@ -93,10 +92,8 @@ def test_region_fits_precheck_names_the_shortfall():
 
 
 def test_region_compile_stays_inside_and_records_region():
-    from repro.apps.registry import get_app
     region = Region(0, 4, 8, 4)
-    program = get_app("gemm").build("tiny")
-    compiled = compile_program(program, region=region)
+    compiled = compile_to_bitstream("gemm", "tiny", region=region)
     assert compiled.config.region == region.as_tuple()
     for name, sites in compiled.config.sites.items():
         for site in sites:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro.bitstream import CompileOptions
+from repro.compiler import freeze_program
 from repro.dhdl import InnerCompute
 from repro.patterns import Fold, Program
 from repro.patterns import expr as E
-from repro.sim import Machine
 
 
 def _dot_program(n, outer, tile=None):
@@ -27,8 +27,9 @@ def _dot_program(n, outer, tile=None):
 
 
 def _run(p):
-    compiled = compile_program(p, tile_words=256, whole_budget=64)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(p, p.name, "tiny", options=CompileOptions(
+        tile_words=256, whole_budget=64))
+    machine = compiled.machine()
     stats = machine.run()
     return compiled, machine, stats
 
@@ -78,8 +79,9 @@ def test_unrolled_map_partitions_output_correctly():
     a = p.input("a", (n,), data=data)
     o = p.output("o", (n,))
     p.map("x2", o, n, lambda i: a[i] * 2.0).set_par(16, outer=2)
-    compiled = compile_program(p, tile_words=128, whole_budget=64)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(p, p.name, "tiny", options=CompileOptions(
+        tile_words=128, whole_budget=64))
+    machine = compiled.machine()
     machine.run()
     np.testing.assert_allclose(machine.result("o"), data * 2)
 
@@ -93,8 +95,9 @@ def test_unroll_with_non_dividing_extent():
     o = p.output("s")
     p.fold("sum", o, n, 0.0, lambda i: a[i],
            lambda x, y: x + y).set_par(16, outer=2)
-    compiled = compile_program(p, tile_words=256, whole_budget=64)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(p, p.name, "tiny", options=CompileOptions(
+        tile_words=256, whole_budget=64))
+    machine = compiled.machine()
     machine.run()
     assert machine.scalar("s") == pytest.approx(768.0)
 
@@ -121,8 +124,9 @@ def test_multi_width_fold_merge():
                   lambda x, y: (E.select(y[0] < x[0], y[0], x[0]),
                                 E.select(y[0] < x[0], y[1], x[1])))
     step.set_par(16, outer=2)
-    compiled = compile_program(p, tile_words=128, whole_budget=64)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(p, p.name, "tiny", options=CompileOptions(
+        tile_words=128, whole_budget=64))
+    machine = compiled.machine()
     machine.run()
     assert machine.scalar("arg") == int(np.argmin(data))
     assert machine.scalar("best") == pytest.approx(float(data.min()),

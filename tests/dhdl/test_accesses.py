@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.registry import ALL_APPS
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl.analysis import accesses
 from repro.fuzz import load_spec
 from repro.fuzz.generator import build_program, gen_spec
@@ -32,18 +32,20 @@ def assert_same_accesses(dhdl) -> None:
 
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda app: app.name)
 def test_registry_accesses_equal_the_recursive_queries(app):
-    assert_same_accesses(compile_program(app.build("tiny")).dhdl)
+    assert_same_accesses(compile_to_bitstream(app.name, "tiny").dhdl)
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_corpus_accesses_equal_the_recursive_queries(path):
     program, _outputs = build_program(load_spec(path))
-    assert_same_accesses(compile_program(program, **FUZZ_OPTIONS.to_dict()).dhdl)
+    assert_same_accesses(freeze_program(program, path.stem, "fuzz",
+                                        options=FUZZ_OPTIONS).dhdl)
 
 
 @pytest.mark.parametrize("first", range(0, 200, 50))
 def test_fuzz_accesses_equal_the_recursive_queries(first):
     for seed in range(first, first + 50):
         program, _outputs = build_program(gen_spec(seed))
-        assert_same_accesses(compile_program(program, **FUZZ_OPTIONS.to_dict()).dhdl)
+        assert_same_accesses(freeze_program(program, program.name, "fuzz",
+                                            options=FUZZ_OPTIONS).dhdl)

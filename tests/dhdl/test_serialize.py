@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import ALL_APPS
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream
 from repro.dhdl.ir import (Counter, CounterChain, DhdlProgram,
                            InnerCompute, WriteStmt)
 from repro.dhdl.serialize import program_from_dict, program_to_dict
@@ -68,7 +68,7 @@ def assert_same_dag(a, b, fwd, rev):
 
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)
 def test_every_app_round_trips_byte_identically(app):
-    dhdl = compile_program(app.build("tiny")).dhdl
+    dhdl = compile_to_bitstream(app.name, "tiny").dhdl
     data = program_to_dict(dhdl)
     clone = program_from_dict(data)
     assert canonical(program_to_dict(clone)) == canonical(data)

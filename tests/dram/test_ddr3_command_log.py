@@ -217,7 +217,7 @@ def test_batch_leader_and_follower_logs_equal_solo():
     build = lambda: _bench_row("kmeans")    # noqa: E731
     solo, _, _ = _solo(build, "event")
     with command_log() as log:
-        batch = run_batch(build(), [{}, {}])
+        batch = run_batch(compile_to_bitstream("kmeans", "tiny"), [{}, {}])
     assert [inst.role for inst in batch] == ["leader", "replay"]
     for inst in batch:
         assert log.commands(inst.machine.dram) == solo

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, get_app
-from repro.compiler import compile_program
-from repro.sim import Machine
+from repro.compiler import compile_to_bitstream, freeze_program
 
 
 def run_app(app, scale):
     program = app.build(scale)
     expected = app.expected(program)
-    compiled = compile_program(program)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(program, app.name, scale)
+    machine = compiled.machine()
     stats = machine.run()
     results = {name: machine.result(name) for name in expected}
     app.check(program, results, expected)
@@ -44,8 +43,7 @@ def test_small_scale_matches_reference(name):
 
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)
 def test_requirements_extracted(app):
-    program = app.build("tiny")
-    compiled = compile_program(program)
+    compiled = compile_to_bitstream(app.name, "tiny")
     reqs = compiled.config.requirements
     assert reqs.pcus, f"{app.name}: no virtual PCU requirements"
     assert reqs.pmus, f"{app.name}: no virtual PMU requirements"
@@ -81,8 +79,7 @@ def test_bfs_issues_scatters():
 
 def test_blackscholes_partitions_deep_pipeline():
     app = get_app("blackscholes")
-    program = app.build("tiny")
-    compiled = compile_program(program)
+    compiled = compile_to_bitstream(app.name, "tiny")
     # ~60-op pipeline cannot fit one 6-stage PCU
     deep = [t for t in compiled.config.leaf_timing.values()
             if t.num_pcus >= 4]

@@ -11,11 +11,14 @@ This catches interaction bugs no hand-written case covers.
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro.bitstream import CompileOptions
+from repro.compiler import freeze_program
 from repro.patterns import (Dyn, Fold, Program, maximum, minimum,
                             run_program, select)
 from repro.patterns import expr as E
-from repro.sim import Machine
+
+#: small tiles, so the random programs span many of them
+OPTIONS = CompileOptions(tile_words=128, whole_budget=4096)
 
 
 def _random_expr(rng, operands, depth):
@@ -41,9 +44,9 @@ def _random_expr(rng, operands, depth):
 
 def _check(program, outputs):
     env = run_program(program)
-    compiled = compile_program(program, tile_words=128,
-                               whole_budget=4096)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(program, program.name, "tiny",
+                              options=OPTIONS)
+    machine = compiled.machine()
     machine.run()
     for name in outputs:
         want = env.buffers[name]
@@ -129,9 +132,9 @@ def test_random_filters(seed):
                    cond=lambda i: a[i] > threshold,
                    value=lambda i: a[i] * 2.0).set_par(16)
     env = run_program(program)
-    compiled = compile_program(program, tile_words=128,
-                               whole_budget=4096)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(program, program.name, "tiny",
+                              options=OPTIONS)
+    machine = compiled.machine()
     machine.run()
     want_count = env.scalar(count)
     assert machine.scalar("count") == want_count

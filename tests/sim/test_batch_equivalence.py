@@ -1,4 +1,4 @@
-"""The batch/sequential contract: ``Machine.run_batch`` must be
+"""The batch/sequential contract: ``run_batch`` must be
 bit-identical to N sequential ``Machine.run`` calls.
 
 Every assertion compares a batch member against a solo machine built
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, get_app
-from repro.compiler import compile_program
+from repro.bitstream import Bitstream
+from repro.compiler import compile_to_bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, ReduceStmt, Scheme,
                         StreamStore, TileLoad, TileStore, WriteStmt,
@@ -19,7 +20,6 @@ from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
 from repro.errors import DeadlockError, SimulationError
 from repro.patterns import Array
 from repro.patterns import expr as E
-from repro.sim import Machine
 from repro.sim import scheduler as core
 from repro.sim.batch import _RecordingMachine, _ReplayMachine, instantiate, \
     run_batch
@@ -35,8 +35,7 @@ MIXED_PARAMS = [{}, {"stages": 3, "banks": 8},
 
 
 def _compiled(name, scale="tiny"):
-    app = get_app(name)
-    return compile_program(app.build(scale))
+    return compile_to_bitstream(name, scale)
 
 
 def _solo_outcome(source, overrides, scheduler="event"):
@@ -84,7 +83,7 @@ def assert_batch_equivalent(source, params, scheduler="event"):
 def test_registry_batch_matches_sequential(app_name):
     compiled = _compiled(app_name)
     batch = assert_batch_equivalent(
-        (compiled.dhdl, compiled.config), MIXED_PARAMS)
+        compiled, MIXED_PARAMS)
     assert batch.cohorts == 1
     assert batch.replayed == 2
 
@@ -92,7 +91,7 @@ def test_registry_batch_matches_sequential(app_name):
 @pytest.mark.parametrize("scheduler", ["event", "dense"])
 def test_both_schedulers_batch_equivalent(scheduler):
     compiled = _compiled("innerproduct")
-    assert_batch_equivalent((compiled.dhdl, compiled.config),
+    assert_batch_equivalent(compiled,
                             MIXED_PARAMS, scheduler=scheduler)
 
 
@@ -102,7 +101,7 @@ def test_coalescer_size_is_a_replayed_timing_override():
     2 (which bfs-tiny never fills: same cycles as the leader)."""
     compiled = _compiled("bfs")
     batch = assert_batch_equivalent(
-        (compiled.dhdl, compiled.config),
+        compiled,
         [{"coalesce_entries": 48}, {"coalesce_entries": 1},
          {"coalesce_entries": 2}])
     assert (batch.cohorts, batch.replayed) == (1, 2)
@@ -112,10 +111,10 @@ def test_coalescer_size_is_a_replayed_timing_override():
 
 def test_batch_of_one_matches_plain_run():
     compiled = _compiled("gemm")
-    batch = run_batch((compiled.dhdl, compiled.config), [None])
+    batch = run_batch(compiled, [None])
     assert batch[0].role == "solo"
     assert batch.replayed == 0
-    plain = Machine(compiled.dhdl, compiled.config)
+    plain = compiled.machine()
     stats = plain.run()
     assert batch[0].stats.same_as(stats)
     for name, buf in plain.image.buffers.items():
@@ -128,7 +127,7 @@ def test_mixed_retirement_batch():
     error in their own slot without disturbing the survivors (instances
     run back to back; a follower's abort is not its leader's)."""
     compiled = _compiled("gemm")
-    source = (compiled.dhdl, compiled.config)
+    source = compiled
     params = [{}, {"max_cycles": 40}, {"stages": 6},
               {"max_cycles": 25, "stages": 3}, {"banks": 4}]
     batch = assert_batch_equivalent(source, params)
@@ -138,7 +137,7 @@ def test_mixed_retirement_batch():
 
 def test_data_override_splits_cohorts():
     compiled = _compiled("tpchq6")
-    source = (compiled.dhdl, compiled.config)
+    source = compiled
     seeded = next(ref for ref in compiled.dhdl.drams
                   if ref.array.data is not None)
     alt = np.zeros(seeded.words(), dtype=np.float64)
@@ -156,7 +155,7 @@ def test_leader_failure_falls_back_to_solo_runs():
     """Every member overrides a limit, so the first one leads — and
     trips its own: the rest of the cohort runs solo."""
     compiled = _compiled("gemm")
-    source = (compiled.dhdl, compiled.config)
+    source = compiled
     params = [{"max_cycles": 30}, {"max_cycles": 10_000},
               {"stages": 5, "watchdog": 10_000}]
     batch = assert_batch_equivalent(source, params)
@@ -179,7 +178,7 @@ def test_leader_is_the_first_member_without_a_limit(params, roles):
     the cohort its replay: a member that overrides neither leads, and
     results stay in input order."""
     compiled = _compiled("gemm")
-    batch = assert_batch_equivalent((compiled.dhdl, compiled.config),
+    batch = assert_batch_equivalent(compiled,
                                     params)
     assert [inst.role for inst in batch] == roles
     assert [inst.index for inst in batch] == [0, 1, 2]
@@ -192,7 +191,7 @@ def test_leader_is_the_first_member_without_a_limit(params, roles):
 def test_tracer_attribution_matches_sequential():
     from repro.trace import RingTracer
     compiled = _compiled("gemm")
-    source = (compiled.dhdl, compiled.config)
+    source = compiled
     overrides = {"stages": 3, "banks": 4}
     batch = run_batch(source, [{}, overrides],
                       tracer_factory=lambda i, p: RingTracer())
@@ -269,7 +268,7 @@ def test_cycle_limit_inside_a_free_run(app, scale, cycles, step,
               for banks, total in zip((4, 16), cycles)
               for limit in range(3, total, step)]
     errors = assert_followers_leave_what_solo_leaves(
-        (compiled.dhdl, compiled.config), params, scheduler)
+        compiled, params, scheduler)
     assert all(error and "max_cycles" in error for error in errors)
 
 
@@ -286,7 +285,7 @@ def test_watchdog_bounds_the_free_run(app, scheduler):
     params = [{"watchdog": watchdog, "banks": banks}
               for banks in (4, 16) for watchdog in WATCHDOGS]
     errors = assert_followers_leave_what_solo_leaves(
-        (compiled.dhdl, compiled.config), params, scheduler)
+        compiled, params, scheduler)
     tripped = [error is not None for error in errors]
     assert tripped == [w < 21 for w in WATCHDOGS] * 2
     assert all("no progress since" in e for e in errors if e)
@@ -360,7 +359,7 @@ def test_columnar_store_record_keeps_program_order():
     pipe.add(TileStore("store_o", dram_out, o_tile, (0,), (n // 2,)))
     dhdl.reg_outputs[count_reg.name] = "count"
     validate(dhdl)
-    source = (dhdl, default_config(dhdl))
+    source = Bitstream("twice", "tiny", dhdl, default_config(dhdl))
     overrides = {"stages": 3, "banks": 4}
     solo, error = _solo_outcome(source, overrides)
     assert error is None
@@ -423,7 +422,8 @@ def test_finals_to_one_cell_land_as_their_last_write():
     body.add(TileStore("store", dram_out, tile_out, (0,), (rows,)))
     body.add(TileStore("store_n", dram_count, tile_count, (0,), (rows,)))
     validate(dhdl)
-    source = (dhdl, default_config(dhdl))
+    source = Bitstream("twice_per_row", "tiny", dhdl,
+                       default_config(dhdl))
     overrides = {"banks": 4}
     solo, error = _solo_outcome(source, overrides)
     assert error is None

@@ -12,10 +12,12 @@ is lost the results stay right and only these numbers move.
 
 import pytest
 
-from repro.compiler import compile_program
+from repro.bitstream import Bitstream
+from repro.compiler import freeze_program
 from repro.fuzz import SPEC_VERSION, build_program
 from repro.sim import batch
-from repro.sim.batch import instantiate, run_batch
+from repro.sim.batch import (_RecordingMachine, _ReplayMachine, instantiate,
+                             run_batch)
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.scheduler import SCHEDULER_MODES
 from repro.trace import RingTracer
@@ -30,7 +32,7 @@ def _filter_spec():
         "version": SPEC_VERSION, "seed": 7, "n": 256, "steps": [
             {"kind": "filter", "threshold": 0.0, "par": 16,
              "consume": True, "data_seed": 11}]})
-    return compile_program(program)
+    return freeze_program(program, "filter", "fuzz")
 
 
 @pytest.fixture
@@ -96,7 +98,8 @@ EMITTING = {
     "filter": (_filter_spec, {"filter0_body"}),
     "bfs": (lambda: _compiled("bfs"),
             {"frontier_scan_body", "expand_body", "unvisited_body"}),
-    "fifo_bound": (_fifo_bound, {"emit"}),
+    "fifo_bound": (lambda: Bitstream("fifo_bound", "tiny", *_fifo_bound()),
+                   {"emit"}),
 }
 
 
@@ -108,7 +111,7 @@ def test_emitting_leaf_replays_issue_by_issue(name, scheduler, free_runs):
     stalls are the solo run's."""
     build, emitting = EMITTING[name]
     source = build()
-    leaves = {leaf.name for leaf in batch._unpack(source)[0].leaves()}
+    leaves = {leaf.name for leaf in source.dhdl.leaves()}
     assert emitting <= leaves
     params = [{"banks": 4}, {"stages": 9, "dram_queue_depth": 1}]
     result = run_batch(source, [{}] + params, scheduler=scheduler)
@@ -172,7 +175,9 @@ def test_follower_compute_ticks_and_executed_cycles(app, overrides, cycles,
 def test_one_charge_applies_the_merged_middle_once_per_cohort(monkeypatch):
     """The whole middle of a block is one charge — one ``_apply`` of
     issues ``[1, n - 1)``, each address its range's last write — and
-    the block is priced once per banking configuration for the cohort."""
+    the block is priced once per banking configuration for the cohort:
+    a leader and three followers built by hand, so their compute log is
+    still there to read once they have run (``run_batch`` frees it)."""
     applied = []
     apply = InnerComputeSim._apply
 
@@ -182,11 +187,17 @@ def test_one_charge_applies_the_merged_middle_once_per_cohort(monkeypatch):
 
     monkeypatch.setattr(InnerComputeSim, "_apply", watching)
     source = _compiled("gemm", "small")
-    result = run_batch(source, [{}, {"banks": 4}, {"banks": 8}, {}])
-    assert result.replayed == 3
-    leaf = next(leaf for leaf in result[1].machine._leaves
+    log, layouts = {}, {}
+    instantiate(source, {}, machine_cls=_RecordingMachine, log=log,
+                layouts=layouts).run()
+    followers = [instantiate(source, overrides, machine_cls=_ReplayMachine,
+                             log=log, layouts=layouts)
+                 for overrides in ({"banks": 4}, {"banks": 8}, {})]
+    for follower in followers:
+        follower.run()
+    leaf = next(leaf for leaf in followers[0]._leaves
                 if isinstance(leaf, InnerComputeSim))
-    blocks = [block for act in leaf._log[leaf.name] for block in act.blocks]
+    blocks = [block for act in log[leaf.name] for block in act.blocks]
     assert blocks
     assert [(lo, hi) for who, lo, hi in applied if who is leaf] == [
         span for block in blocks

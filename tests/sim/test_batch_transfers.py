@@ -99,8 +99,8 @@ def test_sparse_followers_replay_tables_bit_identically(app, builds):
 
 def test_finished_cohort_frees_its_tables():
     """The results keep every machine, and through its tile engines'
-    hooks the cohort's table lists: once the batch is done they are
-    empty."""
+    hooks the cohort's table lists, through its compute leaves the
+    cohort's compute log: once the batch is done they are empty."""
     art = compile_to_bitstream("gemm", "tiny")
     batch = run_batch(art, [{}, {"stages": 5}, {"banks": 4}])
     assert [inst.role for inst in batch] == ["leader", "replay", "replay"]
@@ -108,6 +108,12 @@ def test_finished_cohort_frees_its_tables():
         hooks = [leaf.layouts for leaf in inst.machine._leaves
                  if isinstance(leaf, leaves._TileCommon)]
         assert hooks and all(hook.entries == [] for hook in hooks)
+        computes = [leaf for leaf in inst.machine._leaves
+                    if isinstance(leaf, leaves.InnerComputeSim)]
+        kept = ([leaf.record for leaf in computes]
+                if inst.role == "leader" else
+                [acts for leaf in computes for acts in leaf._log.values()])
+        assert kept and all(acts == [] for acts in kept)
 
 
 def _recorded(art, overrides=None):

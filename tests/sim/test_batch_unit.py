@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps import get_app
 from repro.arch.params import DEFAULT
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream
 from repro.dhdl.memory import Reg, Sram
 from repro.errors import ConfigError
 from repro.patterns import expr as E
@@ -15,8 +14,7 @@ from repro.sim.scratchpad import MemoryState
 
 
 def _compiled(name="gemm", scale="tiny"):
-    app = get_app(name)
-    return compile_program(app.build(scale))
+    return compile_to_bitstream(name, scale)
 
 
 def test_normalize_none_is_empty():
@@ -65,7 +63,7 @@ def test_cohort_key_order_insensitive():
 
 def test_instantiate_applies_timing_overrides():
     compiled = _compiled()
-    machine = instantiate((compiled.dhdl, compiled.config),
+    machine = instantiate(compiled,
                           {"stages": 7, "banks": 4, "output_hops": 3,
                            "dram_queue_depth": 5, "watchdog": 123,
                            "max_cycles": 456})
@@ -81,14 +79,14 @@ def test_instantiate_applies_timing_overrides():
 
 def test_instantiate_defaults_leave_config_alone():
     compiled = _compiled()
-    machine = instantiate((compiled.dhdl, compiled.config), {})
+    machine = instantiate(compiled, {})
     assert machine.config is compiled.config
 
 
 def test_instantiate_rejects_unknown_data_name():
     compiled = _compiled()
     with pytest.raises(ConfigError, match="no DRAM array"):
-        instantiate((compiled.dhdl, compiled.config),
+        instantiate(compiled,
                     {"data": {"nonesuch": np.zeros(4)}})
 
 
@@ -97,7 +95,7 @@ def test_instantiate_rejects_oversize_data():
     name = compiled.dhdl.drams[0].name
     words = compiled.dhdl.drams[0].words()
     with pytest.raises(ConfigError, match="words"):
-        instantiate((compiled.dhdl, compiled.config),
+        instantiate(compiled,
                     {"data": {name: np.zeros(words + 1)}})
 
 
@@ -105,7 +103,7 @@ def test_run_batch_rejects_bad_scheduler():
     compiled = _compiled()
     from repro.errors import SimulationError
     with pytest.raises(SimulationError, match="unknown scheduler"):
-        run_batch((compiled.dhdl, compiled.config), [{}],
+        run_batch(compiled, [{}],
                   scheduler="quantum")
 
 
@@ -116,7 +114,7 @@ def test_run_batch_rejects_bad_source():
 
 def test_run_batch_empty_param_list():
     compiled = _compiled()
-    result = run_batch((compiled.dhdl, compiled.config), [])
+    result = run_batch(compiled, [])
     assert len(result) == 0
     assert result.ok
     assert result.cohorts == 0

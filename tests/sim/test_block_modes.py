@@ -14,8 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.apps.registry import ALL_APPS, get_app
-from repro.compiler import compile_program
+from repro.apps.registry import ALL_APPS
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, InnerCompute,
                         OuterController, ReduceStmt, Scheme, TileLoad,
                         TileStore, WriteStmt, validate)
@@ -84,7 +84,7 @@ def _all_alike(build, reference=True):
 
 
 def _compiled(app, scale="small"):
-    compiled = compile_program(get_app(app).build(scale))
+    compiled = compile_to_bitstream(app, scale)
     return lambda cls, kw, **more: cls(compiled.dhdl, compiled.config,
                                        **kw, **more)
 
@@ -117,7 +117,7 @@ def test_a_cycle_limit_inside_a_free_run(limit):
 def test_a_watchdog_trip_between_serialised_issues(app):
     """Banked down to one bank, every issue stalls longer than the
     watchdog allows: the trip comes between two issues."""
-    compiled = compile_program(get_app(app).build("small"))
+    compiled = compile_to_bitstream(app, "small")
     config = compiled.config
     config.banks_override = 1
     error, *_ = _all_alike(
@@ -189,7 +189,7 @@ def test_a_runaway_bound_trips_at_the_stepped_issue(monkeypatch):
 def test_a_unit_fail_inside_an_activation():
     """A fault plan makes every compute leaf step; the dead unit stops
     issuing where the interpreter's does, with the same FaultError."""
-    compiled = compile_program(get_app("gemm").build("small"))
+    compiled = compile_to_bitstream("gemm", "small")
     leaf = next(leaf.name for leaf in compiled.dhdl.leaves()
                 if isinstance(leaf, InnerCompute))
     plan = FaultPlan([FaultEvent(cycle=700, kind="unit_fail", unit=leaf)])
@@ -201,7 +201,7 @@ def test_a_unit_fail_inside_an_activation():
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0].startswith("FaultError: ")
     assert 0 < outcomes[0][2]["vector_issues"] < _outcome(
-        Machine(compiled.dhdl, compiled.config))[2]["vector_issues"]
+        compiled.machine())[2]["vector_issues"]
 
 
 def test_a_million_lane_activation_stays_within_the_block_budget():
@@ -245,8 +245,8 @@ def _csr_program():
 def test_ten_thousand_empty_rows_in_a_leaf_chain():
     want = run_program(_csr_program()).buffers["y"]
     assert want[-1] == 2.0 and not want[:-1].any()
-    compiled = compile_program(_csr_program())
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(_csr_program(), "csr", "tiny")
+    machine = compiled.machine()
     machine.run()
     np.testing.assert_array_equal(machine.result("y"), want)
 

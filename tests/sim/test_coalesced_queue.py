@@ -21,8 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps.registry import get_app
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream
 from repro.dhdl import (BankingMode, DhdlProgram, Gather, OuterController,
                         Scatter, Scheme, TileLoad, TileStore, validate)
 from repro.dram.model import DramModel
@@ -158,7 +157,7 @@ def _alike(build, traced=True):
 
 
 def _app(app, scale="tiny", **config):
-    compiled = compile_program(get_app(app).build(scale))
+    compiled = compile_to_bitstream(app, scale)
     if config:
         compiled.config = dataclasses.replace(compiled.config, **config)
     return lambda cls, kw: cls(compiled.dhdl, compiled.config, **kw)

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.registry import ALL_APPS, get_app
-from repro.compiler import compile_program
-from repro.compiler.artifact import freeze_program
+from repro.apps.registry import ALL_APPS
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl import (Counter, CounterChain, EmitStmt, HashReduceStmt,
                         InnerCompute, ReduceStmt, WriteStmt)
 from repro.dhdl.memory import BankingMode, FifoDecl, Reg, Sram
@@ -26,8 +25,7 @@ from repro.errors import SimulationError
 from repro.fuzz.generator import build_program, gen_spec, spec_name
 from repro.fuzz.oracle import FUZZ_OPTIONS
 from repro.patterns import expr as E
-from repro.sim import (FabricConfig, FifoSim, LeafTiming, Machine,
-                       MemoryState)
+from repro.sim import FabricConfig, FifoSim, LeafTiming, MemoryState
 from repro.sim.batch import _RecordingMachine
 from repro.sim.block import BLOCK_LANES
 from repro.sim.leaves import InnerComputeSim
@@ -810,9 +808,9 @@ def test_store_statement_calls_nothing_of_the_leaf(monkeypatch):
 
 
 def test_solo_recording_and_logging_leaves_follow_the_same_log():
-    compiled = compile_program(get_app("smdv").build("tiny"))
+    compiled = compile_to_bitstream("smdv", "tiny")
     log = {}
-    machines = [Machine(compiled.dhdl, compiled.config),
+    machines = [compiled.machine(),
                 _RecordingMachine(compiled.dhdl, compiled.config, log),
                 LoggingMachine(compiled.dhdl, compiled.config)]
     stats = [machine.run().as_dict() for machine in machines]
@@ -844,7 +842,7 @@ def assert_same_issues(dhdl, config):
 @pytest.mark.parametrize("scale", ["tiny", "small"])
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda app: app.name)
 def test_registry_issue_by_issue(app, scale):
-    compiled = compile_program(app.build(scale))
+    compiled = compile_to_bitstream(app.name, scale)
     assert assert_same_issues(compiled.dhdl, compiled.config) > 0
 
 

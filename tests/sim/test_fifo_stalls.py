@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro.compiler import freeze_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme, StreamStore,
                         TileLoad, validate)
@@ -125,12 +125,12 @@ def test_compiled_filter_empty_stalls_identical():
         program.filter("keep", kept, count, N,
                        cond=lambda i: src[i] > -2.0,
                        value=lambda i: src[i] * 2.0).set_par(16)
-        return compile_program(program)
+        return freeze_program(program, program.name, "tiny")
 
     runs = {}
     for mode in ("dense", "event"):
         compiled = build()
-        machine = Machine(compiled.dhdl, compiled.config, scheduler=mode)
+        machine = compiled.machine(scheduler=mode)
         stats = machine.run()
         fifo = machine.fifos["kept_fifo"]
         runs[mode] = (dataclasses.asdict(stats), fifo.full_stalls,

@@ -16,8 +16,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPS, get_app
-from repro.compiler import compile_program
+from repro.apps import ALL_APPS
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.compiler.place_route import Region
 from repro.errors import DeadlockError, SimulationError
 from repro.eval.bench import SYNTHETIC
@@ -42,7 +42,7 @@ def _left_behind(machine):
 
 
 def _registry(name, **config):
-    compiled = compile_program(get_app(name).build("tiny"))
+    compiled = compile_to_bitstream(name, "tiny")
     tuned = dataclasses.replace(compiled.config, **config)
     return lambda: (compiled.dhdl, tuned)
 
@@ -123,14 +123,14 @@ def _bad_gather(region=None):
                           offchip=True)
     out = program.output("o", (8,))
     program.map("g", out, 8, lambda i: table[idx[i]])
-    return compile_program(program, region=region)
+    return freeze_program(program, program.name, "tiny", region=region)
 
 
 def test_unit_exception_mid_phase_solo():
     compiled = _bad_gather()
     seen = {}
     for mode in SCHEDULER_MODES:
-        machine = Machine(compiled.dhdl, compiled.config, scheduler=mode)
+        machine = compiled.machine(scheduler=mode)
         with pytest.raises(SimulationError, match="out of bounds") as err:
             machine.run()
         seen[mode] = (str(err.value), machine.cycle,
@@ -146,8 +146,8 @@ def test_unit_exception_mid_phase_flushes_both_sides_of_it(faulty_first):
     been accounted through that cycle, later ones (admitted after it)
     through the cycle before.  gemm's ``load_b`` is still on its
     latency park, opened at cycle 5, when the gather raises."""
-    bystander = compile_program(get_app("gemm").build("tiny"),
-                                region=Region(0, 0, 16, 4))
+    bystander = compile_to_bitstream("gemm", "tiny",
+                                     region=Region(0, 0, 16, 4))
     faulty = _bad_gather(Region(0, 4, 16, 4))
     order = [faulty, bystander] if faulty_first else [bystander, faulty]
     seen = {}
@@ -258,8 +258,8 @@ def _count_ticks(machines):
 
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)
 def test_run_queue_ticks_what_the_scan_ticked_registry(app):
-    compiled = compile_program(app.build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream(app.name, "tiny")
+    machine = compiled.machine()
     calls = _count_ticks([machine])
     machine.run()
     assert calls[0] == REGISTRY_TINY_TICKS[app.name]

@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.bitstream import Bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         HashReduceStmt, InnerCompute, OuterController,
                         Scheme, StreamStore, TileLoad, TileStore,
@@ -238,8 +239,8 @@ def test_a_batch_follower_reprices_the_leaders_blocks(mode):
                                             t["a"][i * 4])])))
     config = default_config(dhdl)
     banks = (16, 8, 4)
-    batch = run_batch((dhdl, config), [{"banks": b} for b in banks],
-                      scheduler=mode)
+    batch = run_batch(Bitstream("strided", "tiny", dhdl, config),
+                      [{"banks": b} for b in banks], scheduler=mode)
     assert [inst.role for inst in batch] == ["leader", "replay", "replay"]
     cycles = []
     for b, inst in zip(banks, batch):

@@ -4,9 +4,8 @@ write-back, timing scaling."""
 import numpy as np
 import pytest
 
-from repro.apps import get_app
-from repro.compiler import compile_program
-from repro.compiler.artifact import compile_to_bitstream
+from repro.bitstream import CompileOptions
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme,
                         StreamStore, TileLoad, WriteStmt)
@@ -48,8 +47,8 @@ def test_watchdog_detects_streaming_deadlock():
 
 
 def test_max_cycles_guard():
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("gemm", "tiny")
+    machine = compiled.machine()
     with pytest.raises(SimulationError, match="max_cycles"):
         machine.run(max_cycles=3)
 
@@ -59,8 +58,8 @@ def test_reg_writeback_happens_once_at_epilogue():
     a = p.input("a", (32,), data=np.ones(32, dtype=np.float32))
     o = p.output("o")
     p.fold("sum", o, 32, 0.0, lambda i: a[i], lambda x, y: x + y)
-    compiled = compile_program(p)
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = freeze_program(p, p.name, "tiny")
+    machine = compiled.machine()
     machine.run()
     assert machine.scalar("o") == pytest.approx(32.0)
 
@@ -74,9 +73,9 @@ def test_cycles_scale_linearly_for_streams():
                     data=np.ones(n, dtype=np.float32))
         o = p.output("o", (n,))
         p.map("scale", o, n, lambda i: a[i] * 2.0).set_par(16)
-        compiled = compile_program(p, tile_words=256,
-                                   whole_budget=128)
-        machine = Machine(compiled.dhdl, compiled.config)
+        compiled = freeze_program(p, p.name, "tiny", options=CompileOptions(
+            tile_words=256, whole_budget=128))
+        machine = compiled.machine()
         machine.run()
         return machine.stats.cycles
 
@@ -85,8 +84,8 @@ def test_cycles_scale_linearly_for_streams():
 
 
 def test_stats_activity_reasonable():
-    compiled = compile_program(get_app("gemm").build("small"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("gemm", "small")
+    machine = compiled.machine()
     stats = machine.run()
     activity = stats.activity(compiled.config)
     assert 0 < activity.pcu_activity <= 1
@@ -95,8 +94,8 @@ def test_stats_activity_reasonable():
 
 
 def test_dram_stats_fields_present():
-    compiled = compile_program(get_app("innerproduct").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("innerproduct", "tiny")
+    machine = compiled.machine()
     stats = machine.run()
     for key in ("reads", "writes", "row_hits", "row_misses", "bytes"):
         assert key in stats.dram
@@ -104,8 +103,8 @@ def test_dram_stats_fields_present():
 
 
 def test_machine_rejects_restart_of_busy_root():
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("gemm", "tiny")
+    machine = compiled.machine()
     machine.root.start({}, ())
     with pytest.raises(SimulationError):
         machine.root.start({}, ())
@@ -114,8 +113,8 @@ def test_machine_rejects_restart_of_busy_root():
 def test_sim_is_deterministic():
     results = []
     for _ in range(2):
-        compiled = compile_program(get_app("kmeans").build("tiny"))
-        machine = Machine(compiled.dhdl, compiled.config)
+        compiled = compile_to_bitstream("kmeans", "tiny")
+        machine = compiled.machine()
         stats = machine.run()
         results.append((stats.cycles, stats.ops_executed,
                         machine.result("centroids").tobytes()))
@@ -175,9 +174,9 @@ def test_gather_out_of_bounds_index_reported():
                     data=np.zeros(16, dtype=np.float32), offchip=True)
     o = p.output("o", (8,))
     p.map("g", o, 8, lambda i: table[idx[i]])
-    compiled = compile_program(p)
+    compiled = freeze_program(p, p.name, "tiny")
     for mode in ("dense", "event"):
-        machine = Machine(compiled.dhdl, compiled.config, scheduler=mode)
+        machine = compiled.machine(scheduler=mode)
         with pytest.raises(SimulationError,
                            match="gather_tbl: gather index 99 out of "
                                  "bounds for 'tbl'"):
@@ -231,7 +230,7 @@ def test_scope_edges_are_one_analysis_per_program(name):
     analysed once, kept on it, and wired identically into every machine
     built from it.  Credits are the memory's N-buffer depth (DRAM
     arrays and FIFOs: 1)."""
-    compiled = compile_program(get_app(name).build("tiny"))
+    compiled = compile_to_bitstream(name, "tiny")
     dhdl = compiled.dhdl
     edges = scope_edges(dhdl)
     assert scope_edges(dhdl) is edges

@@ -16,9 +16,9 @@ message.
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.fuzz import build_program, gen_spec
-from repro.sim import Fabric, Machine
+from repro.sim import Fabric
 from repro.sim import scheduler
 from repro.sim.scheduler import SCHEDULER_MODES
 from repro.tenancy import pack_apps
@@ -61,8 +61,8 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("mode", SCHEDULER_MODES)
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)
 def test_registry_key_equals_reference(app, mode, checked):
-    compiled = compile_program(app.build("tiny"))
-    stats = Machine(compiled.dhdl, compiled.config, scheduler=mode).run()
+    compiled = compile_to_bitstream(app.name, "tiny")
+    stats = compiled.machine(scheduler=mode).run()
     assert checked and len(checked) <= stats.cycles
     if mode == "dense":
         assert len(checked) == stats.cycles
@@ -75,9 +75,9 @@ def test_fuzz_specs_key_equals_reference(mode, checked):
     fell = 0
     for seed in range(100):
         program, _ = build_program(gen_spec(seed))
-        compiled = compile_program(program)
+        compiled = freeze_program(program, program.name, "fuzz")
         before = len(checked)
-        Machine(compiled.dhdl, compiled.config, scheduler=mode).run()
+        compiled.machine(scheduler=mode).run()
         totals = [key[5] for key in checked[before:]]
         fell += any(b < a for a, b in zip(totals, totals[1:]))
     assert fell > 0, "no run ever reset a controller: the test is blind " \

@@ -13,8 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPS, get_app
-from repro.compiler import compile_program
+from repro.apps import ALL_APPS
+from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         Gather, InnerCompute, OuterController, Scheme,
                         TileLoad, validate)
@@ -25,14 +25,14 @@ from repro.patterns import Array
 from repro.patterns import expr as E
 from repro.sim import (AgAssignment, Fabric, FabricConfig, LeafTiming,
                        Machine)
+from repro.sim.batch import run_batch
 from repro.tenancy import co_run
 from repro.trace import RingTracer
 
 
 def _run(compiled, scheduler, traced=False):
     tracer = RingTracer(sample=4) if traced else None
-    machine = Machine(compiled.dhdl, compiled.config, tracer=tracer,
-                      scheduler=scheduler)
+    machine = compiled.machine(tracer=tracer, scheduler=scheduler)
     stats = machine.run()
     report = machine.trace_report() if traced else None
     return machine, stats, report
@@ -42,7 +42,7 @@ def _run(compiled, scheduler, traced=False):
 def test_registry_stats_identical(app):
     program = app.build("tiny")
     expected = app.expected(program)
-    compiled = compile_program(program)
+    compiled = freeze_program(program, app.name, "tiny")
     md, sd, _ = _run(compiled, "dense")
     me, se, _ = _run(compiled, "event")
     assert dataclasses.asdict(sd) == dataclasses.asdict(se)
@@ -54,7 +54,7 @@ def test_registry_stats_identical(app):
 @pytest.mark.parametrize("app", ALL_APPS, ids=lambda a: a.name)
 def test_registry_attribution_identical(app):
     """Traced runs: identical stall breakdown and RLE timelines."""
-    compiled = compile_program(app.build("tiny"))
+    compiled = compile_to_bitstream(app.name, "tiny")
     _, sd, rd = _run(compiled, "dense", traced=True)
     _, se, re_ = _run(compiled, "event", traced=True)
     assert dataclasses.asdict(sd) == dataclasses.asdict(se)
@@ -68,7 +68,7 @@ def test_full_coalescer_wait_identical(traced):
     entry is a bandwidth wait on the *coalescer* (``len(_open) >=
     COALESCE_ENTRIES``), which the default 48 entries never reach at
     ``tiny`` (1 705 cycles, no ``dram_stall_cycles``)."""
-    compiled = compile_program(get_app("bfs").build("tiny"))
+    compiled = compile_to_bitstream("bfs", "tiny")
     compiled.config = dataclasses.replace(compiled.config,
                                           coalesce_entries=1)
     seen = {}
@@ -88,8 +88,8 @@ def test_full_coalescer_wait_identical(traced):
 def test_event_scheduler_fast_forwards():
     """A DRAM-bound app must actually skip cycles, and the split must
     account for every simulated cycle."""
-    compiled = compile_program(ALL_APPS[0].build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config, scheduler="event")
+    compiled = compile_to_bitstream(ALL_APPS[0].name, "tiny")
+    machine = compiled.machine(scheduler="event")
     stats = machine.run()
     sched = machine.scheduler_stats
     assert sched.fast_forwarded_cycles > 0
@@ -98,8 +98,8 @@ def test_event_scheduler_fast_forwards():
 
 
 def test_dense_scheduler_has_no_scheduler_stats():
-    compiled = compile_program(ALL_APPS[0].build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config, scheduler="dense")
+    compiled = compile_to_bitstream(ALL_APPS[0].name, "tiny")
+    machine = compiled.machine(scheduler="dense")
     machine.run()
     assert machine.scheduler_stats is None
 
@@ -107,15 +107,13 @@ def test_dense_scheduler_has_no_scheduler_stats():
 def test_unknown_scheduler_rejected():
     """Every entry point takes the same modes and raises the same
     error for anything else."""
-    compiled = compile_program(ALL_APPS[0].build("tiny"))
+    compiled = compile_to_bitstream(ALL_APPS[0].name, "tiny")
     fabric = Fabric()
     fabric.add_tenant(compiled.dhdl, compiled.config)
     for run in (
-            Machine(compiled.dhdl, compiled.config,
-                    scheduler="optimistic").run,
+            compiled.machine(scheduler="optimistic").run,
             lambda: fabric.run(scheduler="optimistic"),
-            lambda: Machine.run_batch(compiled, [{}],
-                                      scheduler="optimistic"),
+            lambda: run_batch(compiled, [{}], scheduler="optimistic"),
             lambda: co_run([ALL_APPS[0].name],
                            scheduler="optimistic")):
         with pytest.raises(SimulationError,
@@ -185,12 +183,10 @@ def test_deadlock_trips_at_same_cycle_under_both_schedulers():
 
 
 def test_max_cycles_trips_at_same_cycle_under_both_schedulers():
-    from repro.apps import get_app
-    compiled = compile_program(get_app("gemm").build("tiny"))
+    compiled = compile_to_bitstream("gemm", "tiny")
     messages = {}
     for mode in ("dense", "event"):
-        machine = Machine(compiled.dhdl, compiled.config,
-                          scheduler=mode)
+        machine = compiled.machine(scheduler=mode)
         with pytest.raises(SimulationError, match="max_cycles") as err:
             machine.run(max_cycles=37)
         messages[mode] = str(err.value)

@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.bitstream import Bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme, StreamStore,
                         TileLoad, TileStore, validate)
@@ -543,7 +544,8 @@ def test_a_batch_follower_drains_as_the_dense_loop(jumps, drains):
 
     def batch(mode):
         dhdl = _copy_program()
-        result = run_batch((dhdl, _config(dhdl)), [{}, {}], scheduler=mode)
+        source = Bitstream("copy", "tiny", dhdl, _config(dhdl))
+        result = run_batch(source, [{}, {}], scheduler=mode)
         machines = [inst.machine for inst in result]
         seen = _observe(lambda: None, machines)
         seen["roles"] = [inst.role for inst in result]

@@ -3,10 +3,8 @@ invariants against the legacy ad-hoc counters."""
 
 import pytest
 
-from repro.apps import get_app
-from repro.compiler import compile_program
+from repro.compiler import compile_to_bitstream
 from repro.errors import SimulationError
-from repro.sim import Machine
 from repro.trace import (CAUSE_ORDER, CONTROL_CAUSES, RingTracer,
                          StallCause)
 
@@ -14,9 +12,9 @@ APPS = ("gemm", "innerproduct", "kmeans", "tpchq6", "pagerank")
 
 
 def traced_run(name, scale="tiny", **tracer_kw):
-    compiled = compile_program(get_app(name).build(scale))
+    compiled = compile_to_bitstream(name, scale)
     tracer = RingTracer(**tracer_kw)
-    machine = Machine(compiled.dhdl, compiled.config, tracer=tracer)
+    machine = compiled.machine(tracer=tracer)
     stats = machine.run()
     return tracer, stats, machine
 
@@ -105,8 +103,8 @@ def test_breakdown_is_json_shaped():
 
 
 def test_trace_report_requires_enabled_tracer():
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("gemm", "tiny")
+    machine = compiled.machine()
     machine.run()
     with pytest.raises(SimulationError):
         machine.trace_report()
@@ -114,9 +112,8 @@ def test_trace_report_requires_enabled_tracer():
 
 def test_disabled_tracer_not_attached():
     from repro.trace import NULL_TRACER
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    machine = Machine(compiled.dhdl, compiled.config,
-                      tracer=NULL_TRACER)
+    compiled = compile_to_bitstream("gemm", "tiny")
+    machine = compiled.machine(tracer=NULL_TRACER)
     assert machine.tracer is None
     stats = machine.run()
     assert stats.cycles > 0
@@ -125,8 +122,8 @@ def test_disabled_tracer_not_attached():
 def test_traced_run_matches_untraced_results():
     """Tracing must not perturb simulation semantics."""
     import numpy as np
-    compiled = compile_program(get_app("gemm").build("tiny"))
-    plain = Machine(compiled.dhdl, compiled.config)
+    compiled = compile_to_bitstream("gemm", "tiny")
+    plain = compiled.machine()
     plain_stats = plain.run()
     tracer, stats, machine = traced_run("gemm")
     assert stats.cycles == plain_stats.cycles

@@ -4,9 +4,7 @@ import json
 
 import pytest
 
-from repro.apps import get_app
-from repro.compiler import compile_program
-from repro.sim import Machine
+from repro.compiler import compile_to_bitstream
 from repro.trace import (CAUSE_GLYPHS, RingTracer, StallCause,
                          chrome_trace, render_waterfall,
                          write_chrome_trace)
@@ -14,9 +12,9 @@ from repro.trace import (CAUSE_GLYPHS, RingTracer, StallCause,
 
 @pytest.fixture(scope="module")
 def traced_gemm():
-    compiled = compile_program(get_app("gemm").build("tiny"))
+    compiled = compile_to_bitstream("gemm", "tiny")
     tracer = RingTracer()
-    machine = Machine(compiled.dhdl, compiled.config, tracer=tracer)
+    machine = compiled.machine(tracer=tracer)
     machine.run()
     return tracer, machine.trace_report()
 
