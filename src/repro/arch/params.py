@@ -10,7 +10,7 @@ TFLOPS, and total scratchpad capacity is 64 x 256 KB = 16 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 from repro.errors import ArchError
@@ -107,24 +107,116 @@ class PmuParams:
 
 @dataclass(frozen=True)
 class DramParams:
-    """Off-chip memory system (4x DDR3-1600, matching DRAMSim2 config)."""
+    """The off-chip memory system the simulator runs: 4x DDR3-1600, the
+    paper's DRAMSim2 configuration (51.2 GB/s peak).
+
+    One flat record: the artifact serializes it, and every
+    :class:`~repro.dram.model.DramModel`, channel and bank is built
+    from it.  The timings are 1 GHz core cycles.  DDR3-1600 runs its
+    bus at 800 MHz, so a burst of 8 moves 64 bytes in 5 ns; at a 1 GHz
+    core clock one nanosecond is one cycle, and the JEDEC numbers round
+    to the integers below.  The model keeps the first-order DDR3 state
+    machine: row activate (RAS-to-CAS), column access (CAS latency),
+    precharge on row conflicts, burst transfers occupying the data bus,
+    a minimum row-open time and the four-activate window.
+    """
 
     channels: int = 4
-    #: DDR3-1600: 800 MHz bus, 64-bit, double data rate.
-    channel_gbps: float = 12.8
-    burst_bytes: int = 64
     banks_per_channel: int = 8
-    #: core (1 GHz) cycles for a row-buffer hit round trip
-    hit_latency: int = 25
-    #: additional cycles for a row miss (precharge + activate)
-    miss_penalty: int = 25
+    #: row size in bytes (8 KB rows: 1 KB per chip x 8 chips)
+    row_bytes: int = 8192
+    burst_bytes: int = 64
     #: request queue entries per channel
     queue_depth: int = 64
+    #: RAS-to-CAS delay: activate -> column command
+    t_rcd: int = 11
+    #: CAS latency: column command -> first data
+    t_cas: int = 11
+    #: precharge: close row -> ready to activate
+    t_rp: int = 11
+    #: minimum row open time: activate -> precharge
+    t_ras: int = 28
+    #: data-bus occupancy of one burst
+    t_burst: int = 5
+    #: column-to-column command spacing
+    t_ccd: int = 5
+    #: write recovery before precharging a written row
+    t_wr: int = 12
+    #: four-activate window: at most ``faw_activates`` row activations
+    #: per rank per t_faw
+    t_faw: int = 30
+    #: activations allowed inside one t_faw window (the "four" in
+    #: four-activate window)
+    faw_activates: int = 4
+
+    def validate(self) -> "DramParams":
+        """Check the record describes a memory system that can run:
+        counts and timings of at least 1, a burst of whole 64-byte tile
+        bursts (16 words each) and a row of whole bursts."""
+        for f in fields(self):
+            if f.name not in ("row_bytes", "burst_bytes") \
+                    and getattr(self, f.name) < 1:
+                raise ArchError(f"DRAM {f.name}={getattr(self, f.name)} "
+                                f"must be >= 1")
+        if self.burst_bytes < 1 or self.burst_bytes % 64:
+            raise ArchError(f"DRAM burst_bytes={self.burst_bytes} must be "
+                            f"a positive multiple of 64")
+        if self.row_bytes < 1 or self.row_bytes % self.burst_bytes:
+            raise ArchError(f"DRAM row_bytes={self.row_bytes} must be a "
+                            f"positive multiple of burst_bytes="
+                            f"{self.burst_bytes}")
+        return self
 
     @property
     def peak_gbps(self) -> float:
-        """Aggregate peak bandwidth in GB/s (51.2 for the default)."""
-        return self.channels * self.channel_gbps
+        """Aggregate peak bandwidth: bytes per core cycle, which is GB/s
+        at the 1 GHz clock the timings are written in (51.2 for the
+        default)."""
+        return self.channels * self.burst_bytes / self.t_burst
+
+    @property
+    def busy_skip_cycles(self) -> int:
+        """Scheduler skip horizon for a deeply busy bank.
+
+        A queued request whose bank stays busy beyond this many cycles
+        is not worth considering this cycle: even a back-to-back column
+        burst stream (one command per ``t_ccd``) would drain
+        ``faw_activates`` commands first.  Deriving the window from the
+        timing keeps degraded timings self-consistent.
+        """
+        return self.t_ccd * self.faw_activates
+
+    @property
+    def row_hit_latency(self) -> int:
+        """Command-to-data latency when the row is already open."""
+        return self.t_cas + self.t_burst
+
+    @property
+    def row_miss_latency(self) -> int:
+        """Latency when another row is open (precharge + activate)."""
+        return self.t_rp + self.t_rcd + self.t_cas + self.t_burst
+
+    @property
+    def row_empty_latency(self) -> int:
+        """Latency when the bank is idle (activate only)."""
+        return self.t_rcd + self.t_cas + self.t_burst
+
+    def map_address(self, byte_addr: int):
+        """Map a physical byte address to (channel, bank, row, col_burst).
+
+        Bursts are interleaved across channels first (maximises channel
+        parallelism for streams), then across banks, then rows — the
+        standard DRAMSim2 ``scheme2``-style mapping.
+        """
+        burst = byte_addr // self.burst_bytes
+        channel = burst % self.channels
+        burst //= self.channels
+        bank = burst % self.banks_per_channel
+        burst //= self.banks_per_channel
+        bursts_per_row = self.row_bytes // self.burst_bytes
+        col = burst % bursts_per_row
+        row = burst // bursts_per_row
+        return channel, bank, row, col
 
 
 @dataclass(frozen=True)
@@ -146,6 +238,7 @@ class PlasticineParams:
         """Check the composite configuration."""
         self.pcu.validate()
         self.pmu.validate()
+        self.dram.validate()
         if self.grid_cols <= 0 or self.grid_rows <= 0:
             raise ArchError("grid dimensions must be positive")
         if self.pmu.banks != self.pcu.lanes:

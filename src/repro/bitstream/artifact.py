@@ -40,7 +40,7 @@ from repro.errors import ArchError, ConfigError
 
 #: Bump whenever the serialized layout changes; the cache segregates
 #: artifacts by schema so stale entries are never misread.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def canonical_json(data: dict) -> bytes:

@@ -4,10 +4,5 @@ from repro.dram.bank import Bank
 from repro.dram.channel import Channel
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
-from repro.dram.timing import (DDR3_1600, DEFAULT_GEOMETRY, DdrTiming,
-                               DramGeometry)
 
-__all__ = [
-    "Bank", "Channel", "DramModel", "DramRequest",
-    "DDR3_1600", "DEFAULT_GEOMETRY", "DdrTiming", "DramGeometry",
-]
+__all__ = ["Bank", "Channel", "DramModel", "DramRequest"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dram.timing import DdrTiming
+from repro.arch.params import DramParams
 from repro.errors import DramProtocolError
 
 
@@ -12,12 +12,12 @@ class Bank:
     """One DRAM bank: at most one open row, busy windows between commands.
 
     ``issue`` commits the bank to servicing one column access, enforcing
-    tRCD/tRP/tRAS windows.  Time is the caller's monotonically
-    non-decreasing cycle.
+    tRCD/tRP/tRAS windows of the memory record ``params``.  Time is the
+    caller's monotonically non-decreasing cycle.
     """
 
-    def __init__(self, timing: DdrTiming):
-        self.timing = timing
+    def __init__(self, params: DramParams):
+        self.params = params
         self.open_row: Optional[int] = None
         #: cycle until which the bank's command machinery is busy
         self.ready_at: int = 0
@@ -32,7 +32,7 @@ class Bank:
         if now < 0:
             raise DramProtocolError("negative cycle")
         start = max(now, self.ready_at)
-        timing = self.timing
+        timing = self.params
         if self.open_row == row:
             self.hits += 1
             done = start + timing.row_hit_latency

@@ -6,9 +6,9 @@ from bisect import bisect_right
 from operator import attrgetter
 from typing import List, Optional
 
+from repro.arch.params import DramParams
 from repro.dram.bank import Bank
 from repro.dram.request import DramRequest
-from repro.dram.timing import DdrTiming, DramGeometry
 from repro.errors import DramProtocolError
 from repro.trace.events import EventKind
 
@@ -48,12 +48,10 @@ class Channel:
     touched, and the registry-wide equivalence suite asserts it.
     """
 
-    def __init__(self, timing: DdrTiming, geometry: DramGeometry,
-                 queue_depth: int = 64):
-        self.timing = timing
-        self.geometry = geometry
-        self.queue_depth = queue_depth
-        self.banks = [Bank(timing) for _ in range(geometry.banks_per_channel)]
+    def __init__(self, params: DramParams):
+        self.params = params
+        self.queue_depth = params.queue_depth
+        self.banks = [Bank(params) for _ in range(params.banks_per_channel)]
         self.queue: List[DramRequest] = []
         self.bus_free_at = 0
         self.bytes_moved = 0
@@ -109,7 +107,7 @@ class Channel:
             raise DramProtocolError("channel queue overflow")
         request.arrival_cycle = now
         if request.bank < 0:    # handed straight to the channel
-            _, request.bank, request.row, _ = self.geometry.map_address(
+            _, request.bank, request.row, _ = self.params.map_address(
                 request.byte_addr)
         if queue and (queue[-1].arrival_cycle > now
                       or (queue[-1].arrival_cycle == now
@@ -157,13 +155,13 @@ class Channel:
         done = bank.issue(row, now, choice.is_write) \
             + self.extra_latency
         # serialise the data bus: burst occupies t_burst ending at `done`
-        burst_start = done - self.timing.t_burst
+        burst_start = done - self.params.t_burst
         if burst_start < self.bus_free_at:
             shift = self.bus_free_at - burst_start
             done += shift
         self.bus_free_at = done
         choice.complete_cycle = done
-        self.bytes_moved += self.geometry.burst_bytes
+        self.bytes_moved += self.params.burst_bytes
         self.bursts += 1
         if choice.tenant is not None:
             tally = self.tenant_stats.get(choice.tenant)
@@ -177,7 +175,7 @@ class Channel:
                 tally["row_empties"] += 1
             else:
                 tally["row_misses"] += 1
-            tally["bytes"] += self.geometry.burst_bytes
+            tally["bytes"] += self.params.burst_bytes
             tally["bursts"] += 1
         return choice
 
@@ -230,7 +228,7 @@ class Channel:
         idempotent and the weighted arbiter is only entered with a
         non-empty set), so the scans the memo skips are unobservable.
         """
-        timing = self.timing
+        timing = self.params
         expired = now - timing.t_faw
         activates = self._activates
         if activates and activates[0] <= expired:

@@ -13,10 +13,9 @@ from bisect import insort
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.arch.params import DEFAULT, DramParams
 from repro.dram.channel import Channel
 from repro.dram.request import DramRequest
-from repro.dram.timing import (DDR3_1600, DEFAULT_GEOMETRY, DdrTiming,
-                               DramGeometry)
 from repro.errors import DramProtocolError
 
 #: a stream's dense position (the order streams admit in)
@@ -24,7 +23,9 @@ _position = attrgetter("_pos")
 
 
 class DramModel:
-    """Multi-channel DDR3 memory system.
+    """Multi-channel DDR3 memory system, built from one memory record
+    ``params`` (a :class:`~repro.arch.params.DramParams`: its geometry,
+    queue depth and DDR3 timings).
 
     Usage: ``submit`` burst requests (checking ``can_accept`` per
     channel), call ``tick`` once per core cycle, and consume completions
@@ -46,13 +47,9 @@ class DramModel:
     :meth:`drain` lands everything before it in one pass.
     """
 
-    def __init__(self, timing: DdrTiming = DDR3_1600,
-                 geometry: DramGeometry = DEFAULT_GEOMETRY,
-                 queue_depth: int = 64):
-        self.timing = timing
-        self.geometry = geometry
-        self.channels = [Channel(timing, geometry, queue_depth)
-                         for _ in range(geometry.channels)]
+    def __init__(self, params: DramParams = DEFAULT.dram):
+        self.params = params
+        self.channels = [Channel(params) for _ in range(params.channels)]
         self.cycle = 0
         self.reads = 0
         self.writes = 0
@@ -107,7 +104,7 @@ class DramModel:
     def can_accept(self, byte_addr: int) -> bool:
         """True when the owning channel queue has room."""
         return self.channels[
-            self.geometry.map_address(byte_addr)[0]].can_accept()
+            self.params.map_address(byte_addr)[0]].can_accept()
 
     def submit(self, request: DramRequest,
                callback: Optional[Callable[[DramRequest], None]] = None,
@@ -125,7 +122,7 @@ class DramModel:
         """
         if channel is None:
             channel_id, request.bank, request.row, _ = \
-                self.geometry.map_address(request.byte_addr)
+                self.params.map_address(request.byte_addr)
             self.channels[channel_id].submit(request, self.cycle)
         else:
             queue = channel.queue
@@ -343,7 +340,7 @@ class DramModel:
                 nbytes = tally["bytes"] if tally else 0
             util = 0.0
             if cycles > 0:
-                util = min(1.0, bursts * self.timing.t_burst / cycles)
+                util = min(1.0, bursts * self.params.t_burst / cycles)
             entry: Dict[str, float] = {"bursts": bursts,
                                        "bytes": nbytes, "util": util}
             if channel._weighted:

@@ -11,7 +11,8 @@ a roofline-style model whose terms mirror the simulator's mechanisms:
 * **streaming** — dense traffic at the DDR3 peak times a calibrated
   efficiency;
 * **random** — gathers/scatters limited by the tFAW activation budget
-  (16 row activations per 30 ns across 4 channels), multiplied by the
+  of the memory record (``faw_activates`` row activations per ``t_faw``
+  cycles per channel: 16 per 30 ns across 4 channels), multiplied by the
   useful words each burst carries after coalescing;
 * **sequential** — pipeline fill/drain per dependent outer iteration.
 
@@ -35,10 +36,6 @@ class PerfKnobs:
     stream_efficiency: float = 0.82
     #: average useful 4-byte words per random burst after coalescing
     coalesce_words: float = 1.6
-    #: row activations allowed per tFAW window per channel
-    activates_per_faw: int = 4
-    #: tFAW window in ns
-    faw_ns: float = 30.0
     #: fraction of configured FUs doing useful work in the steady state
     compute_efficiency: float = 0.85
     #: pipeline fill/drain cycles charged per sequential outer iteration
@@ -51,8 +48,9 @@ DEFAULT_KNOBS = PerfKnobs()
 def random_access_gbps(params: PlasticineParams = DEFAULT,
                        knobs: PerfKnobs = DEFAULT_KNOBS) -> float:
     """Useful random-access bandwidth (GB/s) through the coalescers."""
-    bursts_per_ns = (params.dram.channels * knobs.activates_per_faw
-                     / knobs.faw_ns)
+    dram = params.dram
+    bursts_per_ns = (dram.channels * dram.faw_activates
+                     / (dram.t_faw / params.clock_ghz))
     return bursts_per_ns * knobs.coalesce_words * 4.0
 
 

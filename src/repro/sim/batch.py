@@ -68,7 +68,6 @@ from repro.arch.params import PlasticineParams
 from repro.bitstream.artifact import Bitstream
 from repro.bitstream.config import check_banks
 from repro.dhdl.ir import InnerCompute
-from repro.dram.model import DramModel
 from repro.errors import (ConfigError, DeadlockError, ReplayError,
                           SimulationError)
 from repro.patterns.collections import _np_dtype
@@ -169,6 +168,10 @@ def _configured(config, ov: dict):
         changes["banks_override"] = None if banks is None else int(banks)
     if "coalesce_entries" in ov:
         changes["coalesce_entries"] = max(1, int(ov["coalesce_entries"]))
+    if "dram_queue_depth" in ov:
+        params = config.params
+        changes["params"] = replace(params, dram=replace(
+            params.dram, queue_depth=max(1, int(ov["dram_queue_depth"]))))
     return replace(config, **changes) if changes else config
 
 
@@ -200,9 +203,6 @@ def instantiate(source: Bitstream, overrides: Optional[dict] = None,
     dhdl, config = source.dhdl, source.config
     ov = normalize_params(overrides, config.params)
     kwargs = dict(machine_kwargs)
-    if "dram_queue_depth" in ov:
-        kwargs["dram"] = DramModel(
-            queue_depth=max(1, int(ov["dram_queue_depth"])))
     if "watchdog" in ov:
         kwargs["watchdog"] = int(ov["watchdog"])
     if "max_cycles" in ov:

@@ -101,8 +101,8 @@ class Fabric:
         # so relocation never changes how a tenant's bursts stripe
         # across channels (channel = burst % channels is
         # offset-invariant)
-        geometry = self.dram.geometry
-        self._slice_align = geometry.row_bytes * geometry.channels
+        dram = self.dram.params
+        self._slice_align = dram.row_bytes * dram.channels
         self._addr_cursor = 0
 
     # -- construction ------------------------------------------------------------
@@ -122,7 +122,8 @@ class Fabric:
         tenants carry *different* priorities; a fabric of equal
         priorities — any value — runs the bit-identical plain FR-FCFS
         scheduler (asserted registry-wide, like the lone-tenant
-        invariant).
+        invariant).  The artifact's memory record must be the shared
+        model's (``Machine`` raises a :class:`ConfigError` otherwise).
         """
         if priority < 1:
             raise SimulationError(
@@ -158,13 +159,13 @@ class Fabric:
             offset = -(-self._addr_cursor // align) * align
             base = {k: v + offset for k, v in natural.items()}
             span += offset
-        self._addr_cursor = max(self._addr_cursor, span)
         machine = Machine(dhdl, config, dram=self.dram,
                           watchdog=self.watchdog, tracer=tracer,
                           max_cycles=self.max_cycles,
                           tenant=tid, dram_base=base,
                           fault_plan=fault_plan,
                           tenant_name=name)
+        self._addr_cursor = max(self._addr_cursor, span)
         tenant = Tenant(tid, name, machine, priority=priority)
         self.dram.set_tenant_weight(tid, priority)
         self.tenants.append(tenant)

@@ -622,7 +622,7 @@ class _TransferCommon(_LeafCommon):
 
     def _decode(self, addr: int):
         """``(channel, bank, row)`` of a byte address."""
-        channel, bank, row, _ = self.dram.geometry.map_address(addr)
+        channel, bank, row, _ = self.dram.params.map_address(addr)
         return self.dram.channels[channel], bank, row
 
     def _complete(self, request: DramRequest) -> None:
@@ -676,14 +676,14 @@ class _TransferCommon(_LeafCommon):
         self._charge(park)
 
 
-def tile_bursts(leaf, offsets, base: int, geometry,
+def tile_bursts(leaf, offsets, base: int, dram,
                 limit: Optional[int] = None) -> List[tuple]:
     """The bursts of one tile transfer, in issue order: one
     ``(byte_addr, channel, bank, row, word_off, words, sram_flat)``
     entry per burst of up to ``WORDS_PER_BURST`` words at DRAM word
     ``word_off`` <-> scratchpad word ``sram_flat``, its address decoded
-    as ``geometry.map_address`` does, from the array's ``base`` byte
-    address.
+    as the memory record ``dram.map_address`` does, from the array's
+    ``base`` byte address.
 
     A tile of shape T over a row-major DRAM array of shape S starting
     at ``offsets`` decomposes into one contiguous span per tile row
@@ -716,10 +716,10 @@ def tile_bursts(leaf, offsets, base: int, geometry,
         rows = [(flat * scale + pos, sram + (pos - low) * stride)
                 for flat, sram in rows for pos in range(low, high)]
     row_words = dram_shape[-1] if len(dram_shape) > 1 else 1
-    burst_bytes = geometry.burst_bytes
-    channels = geometry.channels
-    banks = geometry.banks_per_channel
-    per_row = channels * banks * (geometry.row_bytes // burst_bytes)
+    burst_bytes = dram.burst_bytes
+    channels = dram.channels
+    banks = dram.banks_per_channel
+    per_row = channels * banks * (dram.row_bytes // burst_bytes)
     bursts = []
     for flat, sram in rows:
         start = flat * row_words + offsets[-1]
@@ -911,7 +911,7 @@ class _TileCommon(_StreamCommon):
         offsets, limit = key
         return tile_bursts(self.leaf, offsets,
                            self.image.base[self.leaf.dram.name],
-                           self.dram.geometry, limit)
+                           self.dram.params, limit)
 
     def _limit(self, bindings: dict, version) -> Optional[int]:
         """The activation's dynamic word count (None: the whole tile)."""
@@ -1028,17 +1028,16 @@ class _CoalescedCommon(_StreamCommon):
     def _lay_out(self, elems: np.ndarray) -> None:
         """Decode the activation's element indices ``elems`` at once —
         byte address, 64-byte coalescer burst, and the channel, bank and
-        row ``geometry.map_address`` gives — and start streaming them."""
+        row ``DramParams.map_address`` gives — and start streaming them."""
         self._elems = elems = elems.astype(np.int64)
         self._array = self.image.buffers[self.leaf.dram.name]
         out = np.flatnonzero((elems < 0) | (elems >= self.leaf.dram.words()))
         self._bad = int(out[0]) if out.size else elems.size
-        geometry = self.dram.geometry
-        channels, banks = geometry.channels, geometry.banks_per_channel
+        dram = self.dram.params
+        channels, banks = dram.channels, dram.banks_per_channel
         addrs = self.image.base[self.leaf.dram.name] + 4 * elems
-        burst = addrs // geometry.burst_bytes
-        per_row = channels * banks * (geometry.row_bytes
-                                      // geometry.burst_bytes)
+        burst = addrs // dram.burst_bytes
+        per_row = channels * banks * (dram.row_bytes // dram.burst_bytes)
         self._table = tuple(column.tolist() for column in (
             addrs, addrs // 64, burst % channels, burst // channels % banks,
             burst // per_row))

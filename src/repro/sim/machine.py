@@ -19,7 +19,7 @@ from repro.dhdl.ir import (DhdlProgram, Gather, InnerCompute,
                            OuterController, Scatter, StreamStore, TileLoad,
                            TileStore, EmitStmt)
 from repro.dram.model import DramModel
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
 from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,
@@ -63,8 +63,13 @@ class Machine:
         # arrays into a disjoint slice of the shared address space.
         base = dram_base or config.dram_base or assign_bases(dhdl.drams)
         self.image = DramImage(dhdl.drams, base)
-        self.dram = dram or DramModel(queue_depth=self.params.dram.
-                                      queue_depth)
+        if dram is None:
+            dram = DramModel(self.params.dram)
+        elif dram.params != self.params.dram:
+            raise ConfigError(
+                f"the DRAM model runs {dram.params}, but the artifact's "
+                f"memory system is {self.params.dram}")
+        self.dram = dram
         banks = (config.banks_override if config.banks_override
                  else self.params.pmu.banks)
         self.mem = MemoryState(dhdl.srams, dhdl.regs, banks=banks)

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.arch.params import DEFAULT, PlasticineParams
 from repro.bitstream.artifact import CompileOptions
+from repro.dram.model import DramModel
 from repro.errors import MappingError
 from repro.sim.fabric import Fabric
 from repro.sim.stats import SimStats
@@ -113,7 +114,8 @@ def co_run(apps: Sequence[str], scale: str = "tiny",
         raise ValueError(
             f"priorities must line up with apps: {len(priorities)} "
             f"priorities for {len(apps)} apps")
-    fabric = Fabric(watchdog=watchdog, max_cycles=max_cycles)
+    fabric = Fabric(DramModel(params.dram), watchdog=watchdog,
+                    max_cycles=max_cycles)
     report = None
     if packing is None and len(apps) == 1:
         artifact = compile_to_bitstream(apps[0], scale, params=params,

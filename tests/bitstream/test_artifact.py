@@ -333,6 +333,12 @@ def _pcu_lanes(lanes):
     return mutate
 
 
+def _dram(field, value):
+    def mutate(data):
+        data["config"]["params"]["dram"][field] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, said", [
     (_pcu_lanes(1000), "params: PCU lanes=1000 outside design space"),
     (_first_sram("nbuf", 0), r"nbuf=0 and bank_stride=\d+ must both be"),
@@ -341,14 +347,24 @@ def _pcu_lanes(lanes):
      r"AG ids \[100, 101, 102, 103, 104, 105, 106, 107\] must be one or "
      r"more ids in \[0, num_ags=34\)"),
     (_every_transfer_on(()), r"AG ids \[\] must be one or more"),
+    (_dram("channels", 0), "params: DRAM channels=0 must be >= 1"),
+    (_dram("queue_depth", 0), "params: DRAM queue_depth=0 must be >= 1"),
+    (_dram("t_burst", 0), "params: DRAM t_burst=0 must be >= 1"),
+    (_dram("row_bytes", 100),
+     "params: DRAM row_bytes=100 must be a positive multiple of "
+     "burst_bytes=64"),
 ], ids=["pcu_lanes", "nbuf", "bank_stride", "ag_ids_past_num_ags",
-        "no_ag"])
+        "no_ag", "dram_channels", "dram_queue_depth", "dram_t_burst",
+        "dram_row_bytes"])
 def test_units_no_plasticine_could_hold_are_rejected(mutate, said):
     """Decoding holds the artifact's own params to Table 3, every
     scratchpad to a buffer depth and bank stride of at least 1, and
-    every transfer to at least one of the chip's AGs.  Each of these
-    gemm mutations used to run (the empty AG list to a
-    ``DeadlockError`` 50 000 cycles in)."""
+    every transfer to at least one of the chip's AGs, and its memory
+    record to counts and timings of at least 1 and a row of whole
+    bursts.  Each of the unit mutations used to run (the empty AG list
+    to a ``DeadlockError`` 50 000 cycles in), and so did a memory
+    record of zero channels (to a ``ZeroDivisionError`` once run) or a
+    zero-deep queue (to a ``DeadlockError``)."""
     data = compile_to_bitstream("gemm", "tiny").to_dict()
     mutate(data)
     with pytest.raises(ConfigError, match=said):

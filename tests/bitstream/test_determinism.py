@@ -29,35 +29,35 @@ import pytest
 from repro.apps import ALL_APPS
 from repro.compiler.artifact import compile_to_bitstream
 
-#: pinned at schema 3, which records every unit's grid sites (the
-#: compute leaves' PCU sites as well as the scratchpads' PMU sites)
+#: pinned at schema 4, whose params carry the whole memory record
+#: (geometry, queue depth and DDR3 timings in one ``DramParams``)
 GOLDEN_TINY = {
-    "innerproduct": "41942fcb4717beafa8abfae2481cc586"
-                    "15a1a1525b0fc243b66162b67f023791",
-    "outerproduct": "d383658311605b2c40e3bba874903b02"
-                    "5ef2553855b0a9d54d67c72c0fa985a5",
-    "blackscholes": "ec21dd940fb07233267754d5995ac367"
-                    "01ed7d4c01c7d3bd6b3e97600eada873",
-    "tpchq6": "617dc7da008ca6060b62a1c7ee4a8f18"
-              "bb00ce1fe316420fd1374bae2a220e18",
-    "gemm": "4e4e1a3626377c72535d5c2ae5b71920"
-            "10bae0a28ac0bff39a553a487e8cb66e",
-    "gda": "ec4056d3fa887b8c80021542a1b82532"
-           "19e59610de738196b5226db81d6a64fa",
-    "logreg": "1343c12327c66b27a5817611986a7939"
-              "f99b113f808e01e1de740a169ef8bff0",
-    "sgd": "3999afc8137f1a4eeb5499d3f5ecafcc"
-           "6c182290b44b601122c7c9e7139dd8c4",
-    "kmeans": "d8853a94ee2340ac2e2e54ff2e9b32e7"
-              "5ed216f05c9506bdc9839354021e442a",
-    "cnn": "5f3dcf54bb8c7761a0b508562398953a"
-           "4cfa2a5727362e34d85efc4e6140b27b",
-    "smdv": "6b1df097efb6f1c76b514606caab253d"
-            "e697a2ef185039b5d32ba890b5890f03",
-    "pagerank": "3a386c527414d01931cffd74496d6ade"
-                "be44b5e29c2ec45126c0b54e2ec932a2",
-    "bfs": "0d259303cee9ecd9241bb649bb189b94"
-           "f6b3084ad3cfe57873ae26e3024e78ad",
+    "innerproduct": "caa269db00e3daeb02ea6e887bd82fe5"
+                    "6b96e6674445c346dd946aa731bfc5cb",
+    "outerproduct": "934d92d19b97f9d05216097baddf0dac"
+                    "dbdc8a954d17024e6beef66dbae28ef4",
+    "blackscholes": "71e5ac2cabbf0b575378b7f9956568a2"
+                    "2a35de369416538c16997f7dc097d53e",
+    "tpchq6": "b4600e04ce9cee211b7db5c06774d52f"
+              "8342886f5480c31cc193ed18d106892c",
+    "gemm": "28dc84f5916593bbffdf1f422235b8e7"
+            "9b12980c856d53a444436ce8b2d79936",
+    "gda": "3afb52f29f7f69676d6e8ba1b4fb0397"
+           "c8c0900935f2b23f8b6538e9bade4b00",
+    "logreg": "70b6ee0836a80f3ecc99ac320a05151b"
+              "4daa6ee9ce02e98b4591e2890660eaf7",
+    "sgd": "0626a844a756e76b7ed7fcd7d2518564"
+           "abc35380f99f3f847ad1ede798ee9b0a",
+    "kmeans": "bd746f429d826f3e50eae73d937a9ed5"
+              "ef9c3095b1ca631a2e930fa7c4fe1220",
+    "cnn": "8493aa617458e66c22203797804b3273"
+           "708cea489554445be1dae6aa584927c5",
+    "smdv": "ed1bc0b42a90fbfbaa5f6f1c3f5d1702"
+            "4b66222504fae023450ef7057aace960",
+    "pagerank": "f3a5efe777e23c15649d5a820c74e488"
+                "6d16c50382ef1a14c7dfed674f7ee0ad",
+    "bfs": "300022d44f89dba515b2ca45e5805c6e"
+           "a3b7051603ae240f80e3af64bf2ae578",
 }
 
 

@@ -10,10 +10,11 @@ the way the bank derives them, so the log is what the model did, not
 what it was asked to do.
 
 :func:`violations` holds one channel's log to the DDR3 rules the model
-claims (``repro.dram.timing``): tRCD, tRP and tRAS per bank, tCCD
-between a bank's column commands and between any two of the rank's (a
-channel is one rank), one burst per data-bus slot, and tFAW — at most
-``faw_activates`` activates in any ``t_faw`` window.
+claims (the timings of its memory record, ``DramParams``): tRCD, tRP
+and tRAS per bank, tCCD between a bank's column commands and between
+any two of the rank's (a channel is one rank), one burst per data-bus
+slot, and tFAW — at most ``faw_activates`` activates in any ``t_faw``
+window.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def command_log():
     issue, tick = Bank.issue, Channel.tick
 
     def logged_issue(bank, row, now, is_write):
-        timing = bank.timing
+        timing = bank.params
         start = max(now, bank.ready_at)
         precharge = activate = None
         if bank.open_row == row:

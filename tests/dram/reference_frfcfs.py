@@ -14,8 +14,10 @@ slow on purpose; nothing under ``src/`` may import it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
+from repro.arch.params import DEFAULT
 from repro.dram import DramModel, DramRequest
 from repro.dram.channel import _CREDIT_CAP_ROUNDS, Channel
 from repro.errors import DramProtocolError
@@ -30,13 +32,13 @@ class KeyedChannel(Channel):
             raise DramProtocolError("channel queue overflow")
         request.arrival_cycle = now
         if request.bank < 0:
-            _, request.bank, request.row, _ = self.geometry.map_address(
+            _, request.bank, request.row, _ = self.params.map_address(
                 request.byte_addr)
         self.queue.append(request)
         self.scan_at = 0
 
     def _schedule(self, now: int) -> Optional[DramRequest]:
-        timing = self.timing
+        timing = self.params
         expired = now - timing.t_faw
         activates = self._activates
         if activates and activates[0] <= expired:
@@ -106,8 +108,6 @@ class KeyedChannel(Channel):
 
 def keyed_model(queue_depth: int = 64) -> DramModel:
     """A default-geometry DDR3 model on keyed-scan channels."""
-    model = DramModel(queue_depth=queue_depth)
-    model.channels = [KeyedChannel(model.timing, model.geometry,
-                                   queue_depth)
-                      for _ in model.channels]
+    model = DramModel(replace(DEFAULT.dram, queue_depth=queue_depth))
+    model.channels = [KeyedChannel(model.params) for _ in model.channels]
     return model

@@ -10,9 +10,11 @@ with the same completion times, bank outcomes and arbitration tallies.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.arch.params import DEFAULT
 from repro.dram import DramModel, DramRequest
 
 #: two addresses this far apart share channel and bank but not row
@@ -57,7 +59,7 @@ def _drive(stream, always_scan, weights=None, queue_depth=64,
     """Push ``stream`` through a fresh model; returns everything
     observable.  ``always_scan`` clears every memo before every tick;
     ``bump`` is ``(cycle, channel, extra)``: a mid-run ``dram_slow``."""
-    model = DramModel(queue_depth=queue_depth)
+    model = DramModel(replace(DEFAULT.dram, queue_depth=queue_depth))
     for tenant, weight in (weights or {}).items():
         model.set_tenant_weight(tenant, weight)
     requests = []
@@ -144,7 +146,8 @@ def test_memo_is_the_first_issuable_cycle(case):
     recomputes the same memo; a scan at the memo finds a request."""
     kwargs = CASES[case]
     stream = kwargs["stream"]
-    model = DramModel(queue_depth=kwargs.get("queue_depth", 64))
+    model = DramModel(replace(DEFAULT.dram,
+                              queue_depth=kwargs.get("queue_depth", 64)))
     sent = done = early = on_time = 0
     while done < len(stream):
         while (sent < len(stream)
@@ -207,7 +210,7 @@ def test_channel_decodes_a_request_submitted_directly():
     bank and row the scheduler reads."""
     model = DramModel()
     addr = 3 * ROW_STRIDE + 5 * BANK_STRIDE
-    channel_id, bank, row, _ = model.geometry.map_address(addr)
+    channel_id, bank, row, _ = model.params.map_address(addr)
     request = DramRequest(addr)
     assert (request.bank, request.row) == (-1, -1)
     channel = model.channels[channel_id]

@@ -86,7 +86,7 @@ KNOWN_BROKEN = ("tFAW", "tCCD_rank")
 
 def _legal(commands, dram_channels):
     for channel, log in zip(dram_channels, commands):
-        found = violations(log, channel.timing)
+        found = violations(log, channel.params)
         broken = {rule: found[rule][:3] for rule in RULES
                   if rule not in KNOWN_BROKEN and found[rule]}
         assert not broken
@@ -237,7 +237,7 @@ def test_pipelined_memcpy_holds_tfaw():
         machine.run()
     for channel, commands in zip(machine.dram.channels,
                                  log.commands(machine.dram)):
-        assert not violations(commands, channel.timing)["tFAW"]
+        assert not violations(commands, channel.params)["tFAW"]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -252,4 +252,4 @@ def test_pipelined_memcpy_holds_tccd_per_rank():
         machine.run()
     for channel, commands in zip(machine.dram.channels,
                                  log.commands(machine.dram)):
-        assert not violations(commands, channel.timing)["tCCD_rank"]
+        assert not violations(commands, channel.params)["tCCD_rank"]

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.dram import (DDR3_1600, DEFAULT_GEOMETRY, Bank, DramModel,
-                        DramRequest, DramGeometry)
+from repro.arch.params import DramParams
+from repro.dram import Bank, DramModel, DramRequest
+
+DDR3 = DramParams()
 
 
 def run_until_idle(model, limit=100000):
@@ -19,18 +21,18 @@ def run_until_idle(model, limit=100000):
 # -- address mapping -----------------------------------------------------------
 
 def test_adjacent_bursts_interleave_channels():
-    geo = DEFAULT_GEOMETRY
+    geo = DDR3
     channels = [geo.map_address(burst * 64)[0] for burst in range(8)]
     assert channels == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_same_burst_same_mapping():
-    geo = DEFAULT_GEOMETRY
+    geo = DDR3
     assert geo.map_address(100) == geo.map_address(70)  # same 64B burst
 
 
 def test_row_change_beyond_row_bytes():
-    geo = DramGeometry(channels=1, banks_per_channel=1, row_bytes=1024)
+    geo = DramParams(channels=1, banks_per_channel=1, row_bytes=1024)
     _, _, row0, _ = geo.map_address(0)
     _, _, row1, _ = geo.map_address(1024)
     assert row1 == row0 + 1
@@ -39,26 +41,26 @@ def test_row_change_beyond_row_bytes():
 # -- bank state machine -----------------------------------------------------------
 
 def test_bank_empty_then_hit_latency():
-    bank = Bank(DDR3_1600)
+    bank = Bank(DDR3)
     done0 = bank.issue(row=5, now=0, is_write=False)
-    assert done0 == DDR3_1600.row_empty_latency
+    assert done0 == DDR3.row_empty_latency
     done1 = bank.issue(row=5, now=bank.ready_at, is_write=False)
-    assert done1 - bank.ready_at <= DDR3_1600.row_hit_latency
+    assert done1 - bank.ready_at <= DDR3.row_hit_latency
     assert bank.hits == 1 and bank.empties == 1
 
 
 def test_bank_conflict_pays_precharge():
-    bank = Bank(DDR3_1600)
+    bank = Bank(DDR3)
     bank.issue(row=1, now=0, is_write=False)
     now = bank.ready_at
     done = bank.issue(row=2, now=now, is_write=False)
     # must wait for tRAS since activation, then precharge + activate + cas
-    assert done - now >= DDR3_1600.t_rp
+    assert done - now >= DDR3.t_rp
     assert bank.misses == 1
 
 
 def test_bank_hit_miss_counters():
-    bank = Bank(DDR3_1600)
+    bank = Bank(DDR3)
     for row in (1, 1, 1, 2, 2, 1):
         bank.issue(row, bank.ready_at, is_write=False)
     assert bank.empties == 1
@@ -73,7 +75,7 @@ def test_single_read_completes():
     model.submit(DramRequest(byte_addr=0))
     done = run_until_idle(model)
     assert len(done) == 1
-    assert done[0].complete_cycle >= DDR3_1600.row_empty_latency
+    assert done[0].complete_cycle >= DDR3.row_empty_latency
 
 
 def test_callback_fired_once():
@@ -141,7 +143,7 @@ def test_writes_counted():
 
 
 def test_queue_depth_respected():
-    model = DramModel(queue_depth=2)
+    model = DramModel(DramParams(queue_depth=2))
     model.submit(DramRequest(byte_addr=0))
     model.submit(DramRequest(byte_addr=256))
     assert not model.can_accept(0)
@@ -151,14 +153,13 @@ def test_queue_depth_respected():
 
 def test_completions_monotone_with_bus_serialisation():
     """Two hits to the same bank cannot overlap on the data bus."""
-    model = DramModel(geometry=DramGeometry(channels=1,
-                                            banks_per_channel=1))
+    model = DramModel(DramParams(channels=1, banks_per_channel=1))
     model.submit(DramRequest(byte_addr=0))
     model.submit(DramRequest(byte_addr=64))
     done = run_until_idle(model)
     assert len(done) == 2
     times = sorted(r.complete_cycle for r in done)
-    assert times[1] - times[0] >= DDR3_1600.t_burst
+    assert times[1] - times[0] >= DDR3.t_burst
 
 
 def test_pending_counts():

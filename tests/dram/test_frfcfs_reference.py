@@ -15,10 +15,12 @@ stream keeps two 64-deep queues full while they arbitrate.
 """
 
 import random
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 
+from repro.arch.params import DEFAULT
 from repro.dram import DramModel, DramRequest
 from repro.dram.channel import Channel
 from tests.dram.reference_frfcfs import keyed_model
@@ -105,7 +107,7 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
     rng = random.Random(seed)
     for tenant, weight in (weights or {}).items():
         model.set_tenant_weight(tenant, weight)
-    geometry = model.geometry
+    geometry = model.params
     held = []           # built, not yet accepted: (stream index, request)
     built = accepted = 0
     waiting = []        # accepted, not yet issued
@@ -154,7 +156,7 @@ def _drive(model, stream, seed, weights=None, bump=None, per_cycle=5,
             if request is not heads[channel]:
                 seen["passed_head"] += 1
         scans.append(tuple(channel.scan_at for channel in model.channels))
-        t_faw, cap = model.timing.t_faw, model.timing.faw_activates
+        t_faw, cap = model.params.t_faw, model.params.faw_activates
         seen["faw_full"] += sum(
             len([t for t in channel._activates
                  if t > model.cycle - t_faw]) >= cap
@@ -179,7 +181,7 @@ def _run(case, seed, reference):
     depth = kwargs.pop("queue_depth", 64)
     stream = kwargs.pop("stream")(kwargs.pop("requests", 240), seed)
     model = keyed_model(depth) if reference else DramModel(
-        queue_depth=depth)
+        replace(DEFAULT.dram, queue_depth=depth))
     return _drive(model, stream, seed, check_order=not reference,
                   **kwargs)
 

@@ -15,8 +15,11 @@ import dataclasses
 
 import pytest
 
-from repro.dram import DDR3_1600, DramModel, DramRequest
+from repro.arch.params import DramParams
+from repro.dram import DramModel, DramRequest
 from repro.errors import DramProtocolError
+
+DDR3 = DramParams()
 
 
 def _drain(model, limit=100_000):
@@ -162,9 +165,9 @@ def test_arbitration_counters_reconcile():
 
 
 def test_scheduler_constants_derive_from_timing():
-    assert DDR3_1600.faw_activates == 4
-    assert DDR3_1600.busy_skip_cycles == DDR3_1600.t_ccd * 4
-    custom = dataclasses.replace(DDR3_1600, faw_activates=2, t_ccd=7)
+    assert DDR3.faw_activates == 4
+    assert DDR3.busy_skip_cycles == DDR3.t_ccd * 4
+    custom = dataclasses.replace(DDR3, faw_activates=2, t_ccd=7)
     assert custom.busy_skip_cycles == 14
 
 
@@ -172,13 +175,13 @@ def test_tighter_faw_cap_slows_activate_storms():
     """Halving the allowed activates per tFAW window must not speed a
     row-miss storm up (and should visibly slow it)."""
     def last_completion(timing):
-        model = DramModel(timing=timing)
+        model = DramModel(timing)
         _submit_streams(model, (0,), per_tenant=32)
         return max(r.complete_cycle for r in _drain(model))
 
-    default = last_completion(DDR3_1600)
+    default = last_completion(DDR3)
     tight = last_completion(
-        dataclasses.replace(DDR3_1600, faw_activates=1))
+        dataclasses.replace(DDR3, faw_activates=1))
     assert tight >= default
 
 
@@ -190,7 +193,7 @@ PINNED_DRAIN_CYCLE = 107
 
 def test_schedule_cycle_counts_pinned():
     """Regression pin: deriving the tFAW cap and busy-bank skip window
-    from DdrTiming must reproduce the magic-number scheduler exactly."""
+    from DramParams must reproduce the magic-number scheduler exactly."""
     model = DramModel()
     _submit_streams(model, (0, 1), per_tenant=16)
     done = _drain(model)

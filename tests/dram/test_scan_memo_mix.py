@@ -43,7 +43,7 @@ def _hits_and_faw(n, seed=12, tenants=None):
 
 def _two_pass_memo(channel, now):
     """The memo as the two-pass rule states it."""
-    timing = channel.timing
+    timing = channel.params
     recent = [t for t in channel._activates if t > now - timing.t_faw]
     faw_open = (recent[-timing.faw_activates] + timing.t_faw
                 if len(recent) >= timing.faw_activates else 0)
@@ -57,7 +57,7 @@ def _two_pass_memo(channel, now):
 def _blocked_kinds(channel, now):
     """What a fruitless scan at ``now`` passed over: bank-busy row hits,
     tFAW-blocked misses."""
-    timing = channel.timing
+    timing = channel.params
     horizon = now + timing.busy_skip_cycles
     recent = [t for t in channel._activates if t > now - timing.t_faw]
     faw_full = len(recent) >= timing.faw_activates

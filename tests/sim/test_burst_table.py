@@ -7,7 +7,7 @@ random 1-3-D tiles, DRAM shapes, offsets (partial edge tiles and tiles
 wholly outside the array), 0-d cells, dynamic store counts, address
 bases and DRAM geometries, every burst's ``(word_off, words,
 sram_flat)`` must equal the walk's, and its ``(channel, bank, row)``
-must be what ``DramGeometry.map_address`` decodes from its byte
+must be what ``DramParams.map_address`` decodes from its byte
 address.
 """
 
@@ -17,18 +17,19 @@ import numpy as np
 import pytest
 
 from repro.dhdl import DhdlProgram, TileLoad, TileStore
-from repro.dram import DramGeometry, DramModel
+from repro.arch.params import DramParams
+from repro.dram import DramModel
 from repro.patterns import Array
 from repro.patterns import expr as E
 from repro.sim import (AgAssignment, DramImage, FabricConfig, MemoryState,
                        SimStats, TileLoadSim, TileStoreSim)
 from tests.sim.reference_transfers import reference_bursts
 
-GEOMETRIES = [DramGeometry(),
-              DramGeometry(channels=1, banks_per_channel=1, row_bytes=1024),
-              DramGeometry(channels=2, banks_per_channel=4, row_bytes=2048),
-              DramGeometry(channels=8, banks_per_channel=2, row_bytes=4096,
-                           burst_bytes=128)]
+GEOMETRIES = [DramParams(),
+              DramParams(channels=1, banks_per_channel=1, row_bytes=1024),
+              DramParams(channels=2, banks_per_channel=4, row_bytes=2048),
+              DramParams(channels=8, banks_per_channel=2, row_bytes=4096,
+                         burst_bytes=128)]
 
 
 def _transfer(rng, store):
@@ -68,7 +69,7 @@ def _transfer(rng, store):
     image = DramImage(dhdl.drams, {"a": base})
     engine = (TileStoreSim if store else TileLoadSim)(
         leaf, config, MemoryState(dhdl.srams, dhdl.regs), SimStats(),
-        DramModel(geometry=geometry), image)
+        DramModel(geometry), image)
     return engine, leaf, list(offsets), count
 
 
@@ -83,7 +84,7 @@ def test_burst_table_equals_the_span_walk(store):
         table = engine._bursts
         want = reference_bursts(leaf, offsets, count)
         assert [entry[4:] for entry in table] == want
-        geometry = engine.dram.geometry
+        geometry = engine.dram.params
         for addr, channel, bank, row, word_off, _, _ in table:
             assert addr == engine.image.byte_addr("a", word_off)
             assert (channel, bank, row) == geometry.map_address(addr)[:3]

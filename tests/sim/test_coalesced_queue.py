@@ -21,12 +21,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.arch.params import DEFAULT
 from repro.compiler import compile_to_bitstream
 from repro.dhdl import (BankingMode, DhdlProgram, Gather, OuterController,
                         Scatter, Scheme, TileLoad, TileStore, validate)
-from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
-from repro.dram.timing import DramGeometry
 from repro.errors import SimulationError
 from repro.faults import FaultEvent, FaultPlan
 from repro.patterns import Array
@@ -156,6 +155,12 @@ def _alike(build, traced=True):
     return outcome, events
 
 
+def _with_dram(params, **dram):
+    """``params`` with fields of its memory record edited."""
+    return dataclasses.replace(
+        params, dram=dataclasses.replace(params.dram, **dram))
+
+
 def _app(app, scale="tiny", **config):
     compiled = compile_to_bitstream(app, scale)
     if config:
@@ -183,9 +188,8 @@ def test_a_full_coalescer_waits_as_the_walk_does():
 
 
 def test_a_one_deep_channel_queue_waits_as_the_walk_does():
-    build = _app("pagerank")
     (error, _, stats, *_), _ = _alike(
-        lambda cls, kw: build(cls, dict(kw, dram=DramModel(queue_depth=1))))
+        _app("pagerank", params=_with_dram(DEFAULT, queue_depth=1)))
     assert error is None and stats["dram_stall_cycles"] > 0
 
 
@@ -327,9 +331,9 @@ def _three_streams():
     both.add(TileLoad("load", src, tile, (0,), (1024,)))
     validate(dhdl)
     config = default_config(dhdl)
-    return lambda cls, kw: cls(dhdl, config, **dict(
-        {"dram": DramModel(geometry=DramGeometry(channels=1),
-                           queue_depth=4)}, **kw))
+    config = dataclasses.replace(config, params=_with_dram(
+        config.params, channels=1, queue_depth=4))
+    return lambda cls, kw: cls(dhdl, config, **kw)
 
 
 def test_a_gather_a_scatter_and_a_tile_stream_share_one_channel():

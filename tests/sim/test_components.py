@@ -1,6 +1,8 @@
 """Unit tests for simulator components: FIFOs, scratchpads, config,
 and the one wait routine of the leaves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ def _leaf_parts(queue_depth=64):
                             data=np.arange(words, dtype=np.float32)))
     tile = dhdl.sram("tile", (words,), E.FLOAT32)
     config = FabricConfig()
-    dram = DramModel(queue_depth=queue_depth)
+    dram = DramModel(replace(DEFAULT.dram, queue_depth=queue_depth))
     image = DramImage(dhdl.drams, assign_bases(dhdl.drams))
     return dhdl, array, tile, config, dram, image
 

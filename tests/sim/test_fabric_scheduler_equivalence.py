@@ -11,6 +11,7 @@ co-tenants (who share every FIFO and unit *name*), and seeded random
 registry subsets, x priorities x a timing-only fault plan x tracing.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS
+from repro.arch.params import DEFAULT
 from repro.dhdl import (DhdlProgram, Gather, OuterController, Scheme,
                         TileLoad, validate)
 from repro.dhdl.memory import BankingMode
@@ -222,6 +224,11 @@ def test_fired_fault_turns_the_limit_trip_into_a_fault_error():
     assert results["event"][1] == 301
 
 
+#: the default chip with two-deep DRAM channel queues
+TWO_DEEP = dataclasses.replace(
+    DEFAULT, dram=dataclasses.replace(DEFAULT.dram, queue_depth=2))
+
+
 def _transfer_tenant(name, region, gather):
     """One tenant's program: a 256-address gather (after the load of its
     addresses), or a 4 096-word tile load — 256 bursts of one stream."""
@@ -247,7 +254,7 @@ def _transfer_tenant(name, region, gather):
         dhdl.root.add(body)
         body.add(TileLoad("load", src, tile, (0,), (4096,)))
     validate(dhdl)
-    config = FabricConfig(region=region)
+    config = FabricConfig(region=region, params=TWO_DEEP)
     for leaf in dhdl.leaves():
         config.leaf_timing[leaf.name] = LeafTiming()
         config.ag_assign[leaf.name] = AgAssignment(ag_ids=(0,))
@@ -265,7 +272,7 @@ def test_cotenant_stream_and_gather_share_a_channel_in_dense_order(
     whichever of the two it is."""
     seen = {}
     for mode in SCHEDULER_MODES:
-        fabric = Fabric(dram=DramModel(queue_depth=2))
+        fabric = Fabric(dram=DramModel(TWO_DEEP.dram))
         specs = [("g", (0, 0, 8, 4), True), ("s", (8, 0, 8, 4), False)]
         for name, region, gather in specs if gather_first else specs[::-1]:
             fabric.add_tenant(*_transfer_tenant(name, region, gather),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS
+from repro.arch.params import DEFAULT
 from repro.compiler import compile_to_bitstream, freeze_program
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         Gather, InnerCompute, OuterController, Scheme,
@@ -222,7 +223,9 @@ def _gather_and_stream(gather_first):
     for leaf in leaves if gather_first else leaves[::-1]:
         both.add(leaf)
     validate(dhdl)
-    config = FabricConfig()
+    # two-deep channel queues
+    config = FabricConfig(params=dataclasses.replace(
+        DEFAULT, dram=dataclasses.replace(DEFAULT.dram, queue_depth=2)))
     for leaf in dhdl.leaves():
         config.leaf_timing[leaf.name] = LeafTiming()
         config.ag_assign[leaf.name] = AgAssignment(ag_ids=(0,))
@@ -257,7 +260,7 @@ def test_stream_and_gather_share_a_channel_in_dense_order(gather_first,
     seen = {}
     for mode in ("dense", "event"):
         machine = Machine(*_gather_and_stream(gather_first),
-                          dram=DramModel(queue_depth=2), scheduler=mode)
+                          scheduler=mode)
         log = _submissions(machine, monkeypatch)
         stats = machine.run()
         assert [entry[0] for entry in log] == sorted(e[0] for e in log)

@@ -20,12 +20,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.arch.params import DramParams
 from repro.bitstream import Bitstream
 from repro.dhdl import (Counter, CounterChain, DhdlProgram, EmitStmt,
                         InnerCompute, OuterController, Scheme, StreamStore,
                         TileLoad, TileStore, validate)
 from repro.dram.model import DramModel
-from repro.dram.timing import DramGeometry
 from repro.errors import ReproError
 from repro.faults import FaultEvent, FaultPlan
 from repro.patterns import Array
@@ -170,22 +170,24 @@ def _observe(run, machines):
     return seen
 
 
-def _solo(mode, sram_words=WORDS, streams=1, traced=False, dram=None,
+def _solo(mode, sram_words=WORDS, streams=1, traced=False, configure=None,
           **kwargs):
     dhdl = _copy_program(sram_words)
-    machine = Machine(dhdl, _config(dhdl, streams), scheduler=mode,
+    config = _config(dhdl, streams)
+    machine = Machine(dhdl, config if configure is None
+                      else configure(config), scheduler=mode,
                       tracer=RingTracer(sample=1) if traced else None,
-                      dram=None if dram is None else dram(), **kwargs)
+                      **kwargs)
     return _observe(machine.run, [machine])
 
 
-def _one_bank(queue_depth=1):
-    """One channel, one bank, one burst per row: every burst of the copy
-    row-misses, so a one-deep queue holds the load's stream back for
-    tens of cycles between admits."""
-    return DramModel(geometry=DramGeometry(channels=1, banks_per_channel=1,
-                                           row_bytes=64),
-                     queue_depth=queue_depth)
+def _one_bank(config):
+    """``config`` on one channel, one bank, one burst per row: every
+    burst of the copy row-misses, so a one-deep queue holds the load's
+    stream back for tens of cycles between admits."""
+    return dataclasses.replace(config, params=dataclasses.replace(
+        config.params, dram=DramParams(channels=1, banks_per_channel=1,
+                                       row_bytes=64, queue_depth=1)))
 
 
 def _both(jumps, build):
@@ -314,7 +316,7 @@ def test_traced_run_steps_streams(jumps, steps, streams):
     admit marks (``BUSY``, ``DRAM_BANDWIDTH``) and the parked store's
     are the dense loop's, cycle by cycle."""
     event, _ = _both(jumps, lambda mode: _solo(
-        mode, streams=streams, traced=True, dram=_one_bank))
+        mode, streams=streams, traced=True, configure=_one_bank))
     assert event["error"] is None
     assert event["stats"][0]["dram_stall_cycles"] > 0
     assert steps["stepped"] > WORDS // 16
@@ -325,12 +327,12 @@ def test_watchdog_trips_inside_the_steps(jumps, steps):
     one-deep queue lets through: the 12-cycle watchdog trips while the
     load still has bursts to admit."""
     event, _ = _both(jumps, lambda mode: _solo(mode, watchdog=12,
-                                                dram=_one_bank))
+                                                configure=_one_bank))
     kind, message, cycles = event["error"]
     assert kind == "DeadlockError" and "busy leaves: ['load']" in message
     assert steps["stepped"] > 0
     dhdl = _copy_program()
-    machine = Machine(dhdl, _config(dhdl), watchdog=12, dram=_one_bank())
+    machine = Machine(dhdl, _one_bank(_config(dhdl)), watchdog=12)
     with pytest.raises(ReproError):
         machine.run()
     load = machine._leaves[0]

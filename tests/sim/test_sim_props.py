@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dhdl import BankingMode, FifoDecl, Sram
-from repro.dram import DDR3_1600, Bank, DramModel, DramRequest
+from repro.arch.params import DEFAULT
+from repro.dram import Bank, DramModel, DramRequest
 from repro.patterns import expr as E
 from repro.sim import FifoSim, ScratchpadSim
 from repro.sim.counters import ChainEnumerator
@@ -120,12 +121,12 @@ def test_chain_enumerator_covers_rectangle(rows, cols, par):
                 max_size=30))
 def test_bank_timing_monotonic(rows):
     """Bank completion times never go backwards."""
-    bank = Bank(DDR3_1600)
+    bank = Bank(DEFAULT.dram)
     now = 0
     last_done = 0
     for row in rows:
         done = bank.issue(row, now, is_write=False)
-        assert done >= last_done - DDR3_1600.t_burst  # bursts may pack
+        assert done >= last_done - DEFAULT.dram.t_burst  # bursts may pack
         assert done > now
         last_done = done
         now = max(now + 1, bank.ready_at)
